@@ -244,13 +244,13 @@ fn bench_engine(c: &mut Criterion) {
     let mut bank = MacroBank::with_host_parallelism(MacroConfig::paper_macro());
     let mut single = ImcMacro::new(MacroConfig::paper_macro());
     g.bench_function("bank_batch_64_mults", |bch| {
-        bch.iter(|| black_box(bank.run_batch(&small, run)))
+        bch.iter(|| black_box(bank.try_run_batch(&small, run)))
     });
     g.bench_function("sequential_64_mults", |bch| {
         bch.iter(|| black_box(small.iter().map(|j| run(&mut single, j)).sum::<u64>()))
     });
     g.bench_function("bank_batch_2048_mults", |bch| {
-        bch.iter(|| black_box(bank.run_batch(&big, run)))
+        bch.iter(|| black_box(bank.try_run_batch(&big, run)))
     });
     g.bench_function("sequential_2048_mults", |bch| {
         bch.iter(|| black_box(big.iter().map(|j| run(&mut single, j)).sum::<u64>()))

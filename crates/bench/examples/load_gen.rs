@@ -11,9 +11,7 @@
 //! ```
 //!
 //! Without `--addr` an in-process server is spawned on an ephemeral port
-//! (with fault injection enabled) and shut down gracefully at the end; each
-//! client injects one deliberate panic mid-stream and checks that only that
-//! request fails while the pool keeps serving.
+//! and shut down gracefully at the end.
 //!
 //! With `--programs` the clients issue multi-instruction `exec_program`
 //! requests instead of the per-op mix: whole pipelines (staging writes,
@@ -156,12 +154,10 @@ enum Expect {
     Stored {
         writes: u64,
     },
-    /// A contained injected fault: an error mentioning the panic.
-    Fault,
-    /// The session account at end of stream.
+    /// The session account at end of stream: this many requests, no
+    /// errors.
     Stats {
         requests: u64,
-        errors: u64,
     },
 }
 
@@ -180,9 +176,8 @@ fn check(expect: &Expect, body: &ResponseBody) -> bool {
         (Expect::Stored { writes }, ResponseBody::Stored(StoredMeta { writes: got, .. })) => {
             writes == got
         }
-        (Expect::Fault, ResponseBody::Error(msg)) => msg.message.contains("panicked"),
-        (Expect::Stats { requests, errors }, ResponseBody::Stats(s)) => {
-            s.requests == *requests && s.errors == *errors
+        (Expect::Stats { requests }, ResponseBody::Stats(s)) => {
+            s.requests == *requests && s.errors == 0
         }
         _ => false,
     }
@@ -193,18 +188,12 @@ fn check(expect: &Expect, body: &ResponseBody) -> bool {
 fn build_stream(
     c: u64,
     requests: u64,
-    expect_faults: bool,
     programs: bool,
     stored: bool,
     stored_pids: &[u64],
 ) -> Vec<(RequestBody, Expect)> {
     let mut stream = Vec::with_capacity(requests as usize + 1);
-    let panic_at = requests / 2;
     for r in 0..requests {
-        if expect_faults && r == panic_at {
-            stream.push((RequestBody::InjectPanic, Expect::Fault));
-            continue;
-        }
         let k = c * 7919 + r * 131;
         if stored {
             let variant = r % 4;
@@ -319,7 +308,6 @@ fn build_stream(
         RequestBody::Stats,
         Expect::Stats {
             requests: requests + setup,
-            errors: u64::from(expect_faults),
         },
     ));
     stream
@@ -331,7 +319,6 @@ fn drive_client(
     addr: SocketAddr,
     c: u64,
     requests: u64,
-    expect_faults: bool,
     programs: bool,
     stored: bool,
     window: usize,
@@ -372,7 +359,7 @@ fn drive_client(
         }
     }
 
-    let stream = build_stream(c, requests, expect_faults, programs, stored, &stored_pids);
+    let stream = build_stream(c, requests, programs, stored, &stored_pids);
     let mut pending: std::collections::VecDeque<(u64, &Expect, &'static str)> =
         std::collections::VecDeque::new();
     let verify = |pipe: &mut Client,
@@ -404,7 +391,6 @@ fn drive_client(
                 }
             }
             Expect::Stored { .. } => "store_program",
-            Expect::Fault => "inject_panic",
             Expect::Stats { .. } => "stats",
         };
         while pending.len() >= window {
@@ -441,7 +427,7 @@ fn drive_chaos_client(
     retry: RetryPolicy,
     progress: &AtomicU64,
 ) -> (u64, u64, u64, u64) {
-    let mut stream = build_stream(c, requests, false, false, false, &[]);
+    let mut stream = build_stream(c, requests, false, false, &[]);
     // The trailing stats self-check is replaced below by the stronger
     // exact-replay assertion.
     stream.pop();
@@ -569,7 +555,7 @@ fn replay_account(addr: SocketAddr, ops: &[RequestBody]) -> Result<SessionActivi
 }
 
 /// The seeded chaos schedule `--chaos` serves under: every fault type in
-/// the plan fires at a few percent, plus explicit `inject_panic` support.
+/// the plan fires at a few percent.
 fn chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan {
         seed,
@@ -579,7 +565,6 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         stall_per_mille: 20,
         stall_ms: 2,
         drop_per_mille: 15,
-        inject_panic_op: true,
     }
 }
 
@@ -608,7 +593,7 @@ fn main() {
                 faults: if args.chaos {
                     chaos_plan(args.chaos_seed)
                 } else {
-                    FaultPlan::inject_panic_only()
+                    FaultPlan::none()
                 },
                 ..ServerConfig::default()
             };
@@ -642,10 +627,6 @@ fn main() {
         run_chaos(addr, &args, spawned.expect("--chaos always spawns"));
         return;
     }
-    // Against an external server we do not know whether faults are enabled,
-    // so only the in-process run exercises injection.
-    let expect_faults = spawned.is_some();
-
     let t0 = Instant::now();
     let workers: Vec<_> = (0..args.clients)
         .map(|c| {
@@ -653,9 +634,7 @@ fn main() {
             let programs = args.programs;
             let stored = args.stored;
             let window = args.pipeline;
-            std::thread::spawn(move || {
-                drive_client(addr, c, requests, expect_faults, programs, stored, window)
-            })
+            std::thread::spawn(move || drive_client(addr, c, requests, programs, stored, window))
         })
         .collect();
     let mut total_ok = 0u64;

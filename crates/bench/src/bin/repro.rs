@@ -13,7 +13,6 @@
 //!     [--chaos-seed S] [--chaos-panic-pm N] [--chaos-delay-pm N]
 //!     [--chaos-delay-ms MS] [--chaos-stall-pm N] [--chaos-stall-ms MS]
 //!     [--chaos-drop-pm N]
-//!     [--fault-injection]   # honour explicit inject_panic requests only
 //!     [--state-dir DIR]     # crash-safe durable state: write-ahead
 //!     [--fsync always|interval:<ms>|never]  # journal + snapshots in DIR
 //! repro state --state-dir DIR   # inspect/verify a state directory:
@@ -527,9 +526,7 @@ fn serve_throughput() -> f64 {
 ///
 /// Beyond `--addr`/`--macros`, the flags map onto the server's guardrail
 /// and chaos knobs: `--max-*` set per-session limits ([`SessionLimits`]),
-/// `--chaos-*` build a seeded deterministic [`FaultPlan`],
-/// `--fault-injection` only makes the server honour explicit
-/// `inject_panic` requests (it injects nothing by itself), and
+/// `--chaos-*` build a seeded deterministic [`FaultPlan`], and
 /// `--session-ttl-ms` / `--max-sessions` / `--max-registry-programs`
 /// bound the durable-session registry (how long a detached session
 /// lingers before the sweeper collects it, and the global caps on
@@ -564,9 +561,6 @@ fn serve(args: &[String]) {
                     .unwrap_or_else(|| die("--macros needs a positive number"));
                 config.batch_max = 4 * config.macros;
             }
-            // Honour explicit `inject_panic` requests; injects nothing by
-            // itself (for scheduled chaos use the `--chaos-*` flags).
-            "--fault-injection" => config.faults.inject_panic_op = true,
             "--chaos-seed" => config.faults.seed = num("--chaos-seed"),
             "--chaos-panic-pm" => config.faults.panic_per_mille = num("--chaos-panic-pm") as u16,
             "--chaos-delay-pm" => config.faults.delay_per_mille = num("--chaos-delay-pm") as u16,
@@ -651,9 +645,6 @@ fn serve(args: &[String]) {
             config.faults.stall_ms,
             config.faults.drop_per_mille,
         );
-    }
-    if config.faults.inject_panic_op {
-        println!("explicit inject_panic requests are honoured");
     }
     if let Some(state) = &config.state {
         println!(
@@ -1117,18 +1108,32 @@ fn model_check(_args: &[String]) {
     );
 }
 
+/// The experiment names `repro` accepts (`all` selects every one).
+const EXPERIMENTS: [&str; 11] = [
+    "all", "fig2", "fig7a", "fig7b", "fig8", "fig9", "table1", "table2", "table3", "ablation",
+    "vrange",
+];
+
+/// Prints the usage text and exits 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro [{}]... [--samples N] [--seed S] [--json]",
+        EXPERIMENTS.join("|")
+    );
+    eprintln!(
+        "       repro serve [--addr HOST:PORT] [--macros N] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
+    );
+    eprintln!("       repro state --state-dir DIR  (inspect/verify durable state; non-zero exit on corruption)");
+    eprintln!("       repro check-bench [--baseline FILE]");
+    eprintln!("       repro lint [--builtin] [FILE|-]");
+    eprintln!("       repro model-check [--seeds N] [--depth D] [--model NAME] [--seed S] [--exhaustive BUDGET] [--max-steps N]  (needs --features model)");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: repro [all|fig2|fig7a|fig7b|fig8|fig9|table1|table2|table3|ablation|vrange]... [--samples N] [--seed S] [--json]");
-        eprintln!(
-            "       repro serve [--addr HOST:PORT] [--macros N] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--fault-injection (honour inject_panic only)] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
-        );
-        eprintln!("       repro state --state-dir DIR  (inspect/verify durable state; non-zero exit on corruption)");
-        eprintln!("       repro check-bench [--baseline FILE]");
-        eprintln!("       repro lint [--builtin] [FILE|-]");
-        eprintln!("       repro model-check [--seeds N] [--depth D] [--model NAME] [--seed S] [--exhaustive BUDGET] [--max-steps N]  (needs --features model)");
-        std::process::exit(2);
+        usage();
     }
     if args[0] == "serve" {
         serve(&args[1..]);
@@ -1170,7 +1175,11 @@ fn main() {
                     .unwrap_or_else(|| die("--seed needs a number"));
             }
             "--json" => json = true,
-            other => wanted.push(other.to_string()),
+            name if EXPERIMENTS.contains(&name) => wanted.push(name.to_string()),
+            other => {
+                eprintln!("error: unknown argument '{other}'");
+                usage();
+            }
         }
     }
     let all = wanted.iter().any(|w| w == "all");

@@ -29,14 +29,6 @@ pub struct SimOptions {
     /// Maximum step growth factor above the base step in quiet regions.
     /// `1.0` reproduces the original fixed-step behaviour.
     pub max_growth: f64,
-    /// Evaluate the device model on the `fastmath::quick` scalar tier
-    /// (shorter polynomials, ~1e-8 relative device error — far below the
-    /// 20 mV accuracy guard) instead of the full-precision kernels shared
-    /// with the batch engine. **Scalar runs only**: results are no longer
-    /// bit-identical to [`crate::BatchSim`] (which always stays on the
-    /// shared kernels), so leave this off wherever a batch path must
-    /// reproduce the run exactly. Default `false`.
-    pub fast_math: bool,
 }
 
 impl SimOptions {
@@ -54,7 +46,6 @@ impl SimOptions {
             dv_max: 0.02,
             max_depth: 10,
             max_growth: 64.0,
-            fast_math: false,
         }
     }
 
@@ -69,13 +60,6 @@ impl SimOptions {
     pub fn with_max_growth(mut self, g: f64) -> Self {
         assert!(g >= 1.0, "growth cap must be at least 1");
         self.max_growth = g;
-        self
-    }
-
-    /// Returns a copy with the quick scalar math tier switched on or off
-    /// (see [`SimOptions::fast_math`]).
-    pub fn with_fast_math(mut self, on: bool) -> Self {
-        self.fast_math = on;
         self
     }
 }
@@ -159,11 +143,7 @@ impl<'a> Transient<'a> {
                 DeviceKind::Nmos => v[m.g] - v[lo],
                 DeviceKind::Pmos => v[hi] - v[m.g],
             };
-            let (i, _) = if self.opts.fast_math {
-                m.p.id_g_quick(vgs, vds)
-            } else {
-                m.p.id_g(vgs, vds)
-            };
+            let (i, _) = m.p.id_g(vgs, vds);
             dvdt[hi] -= i;
             dvdt[lo] += i;
         }
@@ -201,11 +181,7 @@ impl<'a> Transient<'a> {
                 DeviceKind::Nmos => v[m.g] - v[lo],
                 DeviceKind::Pmos => v[hi] - v[m.g],
             };
-            let (i, g) = if self.opts.fast_math {
-                m.p.id_g_quick(vgs, vds)
-            } else {
-                m.p.id_g(vgs, vds)
-            };
+            let (i, g) = m.p.id_g(vgs, vds);
             // Conventional current flows hi -> lo through the channel.
             dvdt[hi] -= i;
             dvdt[lo] += i;
@@ -403,34 +379,6 @@ mod tests {
         ckt.add_mosfet(Mosfet::pmos(VtFlavor::Rvt, 200.0, 30.0), out, gate, vdd);
         let trace = ckt.run(&SimOptions::for_window(1e-9));
         assert!(trace.last_voltage(out) > 0.85);
-    }
-
-    #[test]
-    fn fast_math_tier_stays_within_the_accuracy_guard() {
-        // The quick scalar tier trades ~1e-8 device-model error for
-        // shorter serial chains; the solved waveforms must stay far inside
-        // the solver's own 20 mV accuracy guard against the shared-kernel
-        // reference run, and the defaults must keep the tier off.
-        assert!(!SimOptions::for_window(1e-9).fast_math);
-        let build = || {
-            let mut ckt = Circuit::new(Env::nominal());
-            let gate = ckt.add_source("g", Waveform::step(0.0, 0.9, 100e-12, 20e-12));
-            let bl = ckt.add_node("bl", 20e-15, 0.9);
-            ckt.add_mosfet(Mosfet::nmos(VtFlavor::Rvt, 90.0, 30.0), bl, gate, ckt.gnd());
-            (ckt, bl)
-        };
-        let (ckt_ref, bl) = build();
-        let reference = ckt_ref.run(&SimOptions::for_window(2e-9));
-        let (ckt_quick, _) = build();
-        let quick = ckt_quick.run(&SimOptions::for_window(2e-9).with_fast_math(true));
-        let mut worst = 0.0f64;
-        for &t in [150e-12, 300e-12, 500e-12, 1e-9, 1.9e-9].iter() {
-            let a = reference.voltage_at(bl, t).unwrap();
-            let b = quick.voltage_at(bl, t).unwrap();
-            worst = worst.max((a - b).abs());
-        }
-        assert!(worst < 2e-3, "quick tier diverged by {worst} V");
-        assert!(quick.last_voltage(bl) < 0.05);
     }
 
     #[test]

@@ -61,8 +61,7 @@ pub use macrobank::MacroBank;
 pub use macroblock::ImcMacro;
 pub use prog::analysis::{Dataflow, Diagnostic, Severity, ValueRange};
 pub use prog::{
-    CompiledProgram, Instr, PartitionedRun, ProgError, Program, ProgramBuilder, ProgramRun, Reg,
-    SubProgram,
+    CompiledProgram, Instr, ProgError, Program, ProgramBuilder, ProgramRun, Reg, SubProgram,
 };
 pub use wire::{
     instr_from_json, instr_to_json, ErrorBody, ErrorKind, LaneOp, LimitKind, ProgramEntry,
@@ -70,9 +69,8 @@ pub use wire::{
     StoredMeta, StoredTarget,
 };
 
-// A failed batch job, as surfaced by `MacroBank::try_run_batch`, and the
-// cooperative cancellation token its `_cancellable` variants take.
-pub use bpimc_stats::parallel::{CancelToken, CancellableBatch, JobPanic};
+// A failed batch job, as surfaced by `MacroBank::try_run_batch`.
+pub use bpimc_stats::parallel::JobPanic;
 
 // The precision type is part of this crate's public vocabulary.
 pub use bpimc_periph::{LogicOp, Precision};

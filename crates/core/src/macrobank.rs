@@ -11,9 +11,7 @@
 //! consistent and no locking is involved. Cycle and energy accounting is
 //! unchanged from running the same jobs sequentially on one macro: the
 //! activity logs record *hardware* cycles, and [`MacroBank::total_cycles`]
-//! sums them across macros (total work), while
-//! [`MacroBank::makespan_cycles`] reports the parallel-completion bound
-//! (slowest macro).
+//! sums them across macros (total work).
 //!
 //! # Examples
 //!
@@ -22,22 +20,19 @@
 //!
 //! let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
 //! // 64 independent add jobs, dispatched across the 4 macros.
-//! let sums = bank.run_batch(&(0u64..64).collect::<Vec<_>>(), |mac, &j| {
+//! let sums = bank.try_run_batch(&(0u64..64).collect::<Vec<_>>(), |mac, &j| {
 //!     mac.write_words(0, Precision::P8, &[j]).unwrap();
 //!     mac.write_words(1, Precision::P8, &[100]).unwrap();
 //!     mac.add(0, 1, 2, Precision::P8).unwrap();
 //!     mac.read_words(2, Precision::P8, 1).unwrap()[0]
 //! });
-//! assert_eq!(sums[7], 107);
+//! assert_eq!(sums[7], Ok(107));
 //! assert_eq!(bank.total_cycles(), 64 * 4); // 2 writes + 1 add + 1 read each
 //! ```
 
 use crate::config::MacroConfig;
 use crate::macroblock::ImcMacro;
-use bpimc_stats::parallel::{
-    par_queue_map, par_queue_try_map, par_queue_try_map_cancellable, par_state_map, worker_count,
-    CancelToken, CancellableBatch, JobPanic,
-};
+use bpimc_stats::parallel::{par_queue_try_map, worker_count, JobPanic};
 
 /// Cache-line-aligned macro slot: neighbouring macros are mutated by
 /// different threads during a batch, and sharing a line between them would
@@ -95,42 +90,22 @@ impl MacroBank {
         &mut self.macros[i].0
     }
 
-    /// Runs one closure per macro concurrently (macro index, `&mut` macro)
-    /// and returns the per-macro results in index order.
-    pub fn dispatch<T, F>(&mut self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut ImcMacro) -> T + Sync,
-    {
-        par_state_map(&mut self.macros, |i, slot| f(i, &mut slot.0))
-    }
-
     /// Spreads `jobs` across the bank — the calling thread and one pool
     /// worker per additional macro pull jobs from a shared claim queue —
-    /// and returns `f`'s results **in job order**.
+    /// and returns `f`'s results **in job order**, with per-job panic
+    /// containment: a job that panics yields `Err(JobPanic)` in its own
+    /// result slot while sibling jobs complete normally and the bank stays
+    /// usable for later batches.
     ///
     /// `f` gets exclusive access to one macro per job, so it can freely
     /// write rows, run multi-cycle ops and read results. Which macro serves
     /// which job is scheduling-dependent, so jobs must be self-contained
     /// (write their operand rows before using them — as anything batched
-    /// across macros must anyway). For stateful per-macro workloads use
-    /// [`MacroBank::dispatch`]. The claim-queue design bounds a batch's
+    /// across macros must anyway). The claim-queue design bounds a batch's
     /// cost at sequential time plus a sub-millisecond dispatch overhead
     /// even when pool worker wake-ups are slow (sandboxed kernels can take
     /// ~0.5 ms to deliver one); batches with more than ~1 ms of work spread
     /// across all macros.
-    pub fn run_batch<J, T, F>(&mut self, jobs: &[J], f: F) -> Vec<T>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(&mut ImcMacro, &J) -> T + Sync,
-    {
-        par_queue_map(&mut self.macros, jobs, |slot, job| f(&mut slot.0, job))
-    }
-
-    /// [`MacroBank::run_batch`] with per-job panic containment: a job that
-    /// panics yields `Err(JobPanic)` in its own result slot while sibling
-    /// jobs complete normally and the bank stays usable for later batches.
     ///
     /// This is the entry point a multi-client service uses: one client's
     /// faulty request must fail alone, not take down every in-flight
@@ -148,35 +123,6 @@ impl MacroBank {
         par_queue_try_map(&mut self.macros, jobs, |slot, job| f(&mut slot.0, job))
     }
 
-    /// [`MacroBank::try_run_batch`] with **cooperative cancellation**: the
-    /// token is checked in the claim queue between block claims, so a
-    /// batch whose deadline passes (or that a caller cancels) stops
-    /// claiming new jobs within one claim-queue block per lane — with zero
-    /// per-element overhead while the token is quiet. Jobs never claimed
-    /// return `None`; jobs already claimed when the token fires still
-    /// complete (their macro work and activity-log entries are real).
-    /// The returned [`CancellableBatch::cancelled`] flag reflects the
-    /// token's state when the batch finished — a token that fires after
-    /// the final block is claimed (every slot `Some`) still sets it.
-    pub fn try_run_batch_cancellable<J, T, F>(
-        &mut self,
-        jobs: &[J],
-        f: F,
-        cancel: &CancelToken,
-    ) -> CancellableBatch<T>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(&mut ImcMacro, &J) -> T + Sync,
-    {
-        par_queue_try_map_cancellable(
-            &mut self.macros,
-            jobs,
-            |slot, job| f(&mut slot.0, job),
-            cancel,
-        )
-    }
-
     /// Total hardware cycles across all macros — the amount of work done,
     /// identical to running the same jobs on one macro.
     pub fn total_cycles(&self) -> u64 {
@@ -184,15 +130,6 @@ impl MacroBank {
             .iter()
             .map(|m| m.0.activity().total_cycles())
             .sum()
-    }
-
-    /// Parallel completion bound: the busiest macro's cycle count.
-    pub fn makespan_cycles(&self) -> u64 {
-        self.macros
-            .iter()
-            .map(|m| m.0.activity().total_cycles())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Clears every macro's activity log (array contents untouched).
@@ -208,14 +145,21 @@ mod tests {
     use super::*;
     use crate::Precision;
 
+    /// Unwraps a batch every job of which must succeed.
+    fn all_ok<T>(out: Vec<Result<T, JobPanic>>) -> Vec<T> {
+        out.into_iter()
+            .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
+            .collect()
+    }
+
     #[test]
     fn batch_results_are_in_job_order() {
         let mut bank = MacroBank::new(3, MacroConfig::paper_macro());
         let jobs: Vec<u64> = (0..50).collect();
-        let out = bank.run_batch(&jobs, |mac, &j| {
+        let out = all_ok(bank.try_run_batch(&jobs, |mac, &j| {
             mac.write_words(0, Precision::P8, &[j % 251]).unwrap();
             mac.read_words(0, Precision::P8, 1).unwrap()[0]
-        });
+        }));
         assert_eq!(out, jobs.iter().map(|j| j % 251).collect::<Vec<_>>());
     }
 
@@ -233,49 +177,32 @@ mod tests {
         };
 
         let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
-        let got = bank.run_batch(&jobs, run);
+        let got = all_ok(bank.try_run_batch(&jobs, run));
 
         let mut single = ImcMacro::new(MacroConfig::paper_macro());
         let expect: Vec<u64> = jobs.iter().map(|j| run(&mut single, j)).collect();
 
         assert_eq!(got, expect);
         assert_eq!(bank.total_cycles(), single.activity().total_cycles());
-        assert!(bank.makespan_cycles() <= bank.total_cycles());
         for (a, b) in jobs.iter().zip(&got) {
             assert_eq!(a.0 * a.1, *b);
         }
     }
 
     #[test]
-    fn dispatch_reaches_every_macro() {
-        let mut bank = MacroBank::new(5, MacroConfig::paper_macro());
-        let ids = bank.dispatch(|i, mac| {
-            mac.write_words(0, Precision::P8, &[i as u64]).unwrap();
-            i
-        });
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        for i in 0..5 {
-            assert_eq!(
-                bank.macro_at(i).read_words(0, Precision::P8, 1).unwrap()[0],
-                i as u64
-            );
-        }
-    }
-
-    #[test]
     fn more_macros_than_jobs_is_fine() {
         let mut bank = MacroBank::new(8, MacroConfig::paper_macro());
-        let out = bank.run_batch(&[1u64, 2], |mac, &j| {
+        let out = all_ok(bank.try_run_batch(&[1u64, 2], |mac, &j| {
             mac.write_words(0, Precision::P8, &[j]).unwrap();
             j * 10
-        });
+        }));
         assert_eq!(out, vec![10, 20]);
     }
 
     #[test]
     fn empty_batch_returns_empty() {
         let mut bank = MacroBank::new(2, MacroConfig::paper_macro());
-        let out: Vec<u64> = bank.run_batch(&[], |_mac, j: &u64| *j);
+        let out = bank.try_run_batch(&[], |_mac, j: &u64| *j);
         assert!(out.is_empty());
         assert_eq!(bank.total_cycles(), 0);
     }
@@ -284,53 +211,6 @@ mod tests {
     #[should_panic(expected = "at least one macro")]
     fn zero_macros_rejected() {
         let _ = MacroBank::new(0, MacroConfig::paper_macro());
-    }
-
-    #[test]
-    fn cancelled_batch_stops_claiming_within_one_block_per_lane() {
-        // The activity log is the ground truth: every executed job costs
-        // exactly 2 cycles (one write, one read), so the bank's total
-        // cycle count states precisely how many jobs ran after the token
-        // fired. Jobs sleep ~1 ms so the cancel store is visible to every
-        // lane long before its next claim check.
-        const JOBS: usize = 64;
-        const CANCEL_AT: u64 = 10;
-        let lanes = worker_count(JOBS).min(4);
-        let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
-        let jobs: Vec<u64> = (0..JOBS as u64).collect();
-        let token = bpimc_stats::parallel::CancelToken::new();
-        let out = bank.try_run_batch_cancellable(
-            &jobs,
-            |mac, &j| {
-                if j == CANCEL_AT {
-                    token.cancel();
-                }
-                mac.write_words(0, Precision::P8, &[j % 251]).unwrap();
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                mac.read_words(0, Precision::P8, 1).unwrap()[0]
-            },
-            &token,
-        );
-        assert!(out.cancelled, "the fired token must be reported");
-        let executed = out.results.iter().filter(|r| r.is_some()).count();
-        let abandoned = out.results.iter().filter(|r| r.is_none()).count();
-        // Block size is 1 at this batch shape, so after the cancel each
-        // lane may finish only the single job it already claimed.
-        let max_jobs = CANCEL_AT as usize + 1 + lanes;
-        assert!(
-            executed <= max_jobs,
-            "{executed} jobs ran after a cancel at job {CANCEL_AT} ({lanes} lanes)"
-        );
-        assert_eq!(executed + abandoned, JOBS);
-        assert!(abandoned > 0, "the cancel must shed most of the batch");
-        // The activity log agrees: exactly 2 cycles per executed job.
-        assert_eq!(bank.total_cycles(), 2 * executed as u64);
-        // The bank keeps serving after a cancelled batch.
-        let again = bank.run_batch(&jobs, |mac, &j| {
-            mac.write_words(0, Precision::P8, &[j + 1]).unwrap();
-            mac.read_words(0, Precision::P8, 1).unwrap()[0]
-        });
-        assert_eq!(again, jobs.iter().map(|j| j + 1).collect::<Vec<_>>());
     }
 
     #[test]
@@ -352,10 +232,60 @@ mod tests {
             }
         }
         // The bank keeps serving after the contained failure.
-        let again = bank.run_batch(&jobs, |mac, &j| {
+        let again = all_ok(bank.try_run_batch(&jobs, |mac, &j| {
             mac.write_words(0, Precision::P8, &[j + 1]).unwrap();
             mac.read_words(0, Precision::P8, 1).unwrap()[0]
-        });
+        }));
         assert_eq!(again, jobs.iter().map(|j| j + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nested_claim_queue_in_a_bank_job_runs_sequentially() {
+        // A job that starts its own parallel map while running on a pool
+        // worker must not wait on the busy pool: the claim queue runs the
+        // nested batch inline on the job's own thread, so the outer batch
+        // finishes without deadlock and every nested result is intact.
+        // Jobs on the calling thread hold off until a pool worker has run
+        // a job, so the worker path is always exercised when the batch
+        // has more than one lane.
+        let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
+        let jobs: Vec<u64> = (0..64).collect();
+        let multi_lane = worker_count(jobs.len()).min(bank.len()) > 1;
+        let worker_ran = std::sync::atomic::AtomicBool::new(false);
+        let out = all_ok(bank.try_run_batch(&jobs, |mac, &j| {
+            let here = std::thread::current();
+            let on_worker = here.name().is_some_and(|n| n.starts_with("bpimc-worker-"));
+            let inner = bpimc_stats::parallel::par_claim_indexed_map(8, |k| {
+                (std::thread::current().id(), j * 10 + k as u64)
+            });
+            if on_worker {
+                assert!(
+                    inner.iter().all(|(t, _)| *t == here.id()),
+                    "job {j}: the nested batch left its pool worker"
+                );
+                worker_ran.store(true, std::sync::atomic::Ordering::SeqCst);
+            } else if multi_lane {
+                let t0 = std::time::Instant::now();
+                while !worker_ran.load(std::sync::atomic::Ordering::SeqCst)
+                    && t0.elapsed() < std::time::Duration::from_secs(10)
+                {
+                    std::thread::yield_now();
+                }
+            }
+            mac.write_words(0, Precision::P8, &[j % 251]).unwrap();
+            let read = mac.read_words(0, Precision::P8, 1).unwrap()[0];
+            (inner.iter().map(|(_, v)| v).sum::<u64>(), read)
+        }));
+        for (j, &(sum, read)) in jobs.iter().zip(&out) {
+            assert_eq!(sum, (0..8).map(|k| j * 10 + k).sum::<u64>());
+            assert_eq!(read, j % 251);
+        }
+        if multi_lane {
+            assert!(
+                worker_ran.into_inner(),
+                "no job ran on a pool worker, so the nested path went untested"
+            );
+        }
+        assert_eq!(bank.total_cycles(), 2 * jobs.len() as u64);
     }
 }

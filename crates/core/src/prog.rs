@@ -25,8 +25,10 @@
 //!   pairs fuse into the hardware's single-cycle `add_shift` path when the
 //!   intermediate sum is dead afterwards.
 //!
-//! Execution runs on one macro ([`Program::run`]) or fans a batch of
-//! programs across a bank ([`MacroBank::run_programs`]).
+//! Execution runs on one macro ([`Program::run`]); a batch of independent
+//! programs fans across a bank through
+//! [`MacroBank::try_run_batch`](crate::MacroBank::try_run_batch), one
+//! program per job.
 //!
 //! # Examples
 //!
@@ -53,7 +55,6 @@ use crate::activity::CycleActivity;
 use crate::config::MacroConfig;
 use crate::error::Error;
 use crate::isa::OpKind;
-use crate::macrobank::MacroBank;
 use crate::macroblock::ImcMacro;
 use bpimc_array::CycleKind;
 use bpimc_periph::{LogicOp, Precision};
@@ -407,16 +408,9 @@ pub enum ProgError {
         /// The macro's error.
         source: Error,
     },
-    /// A program in a [`MacroBank::run_programs`] batch panicked its job;
-    /// sibling programs were unaffected.
-    Panicked(String),
     /// A [`CompiledProgram`] was run on a macro whose configuration differs
     /// from the one it was compiled (validated) for.
     ConfigMismatch,
-    /// A cooperative cancellation token fired before the run completed
-    /// ([`MacroBank::run_partitioned_cancellable`]); some components were
-    /// abandoned unexecuted.
-    Cancelled,
 }
 
 impl fmt::Display for ProgError {
@@ -482,15 +476,11 @@ impl fmt::Display for ProgError {
             ProgError::Exec { instr, source } => {
                 write!(f, "instr {instr} failed on the macro: {source}")
             }
-            ProgError::Panicked(msg) => write!(f, "program job panicked: {msg}"),
             ProgError::ConfigMismatch => {
                 write!(
                     f,
                     "compiled program run on a macro with a different configuration"
                 )
-            }
-            ProgError::Cancelled => {
-                write!(f, "execution cancelled before the program completed")
             }
         }
     }
@@ -506,9 +496,10 @@ impl std::error::Error for ProgError {
 }
 
 impl ProgError {
-    /// The stable diagnostic code for this error kind (`E001`–`E013`, one
+    /// The stable diagnostic code for this error kind (`E001`–`E012`, one
     /// per variant), carried by `invalid_program` wire errors and
-    /// [`analysis::Diagnostic`]s.
+    /// [`analysis::Diagnostic`]s. Codes are never renumbered: `E011` and
+    /// `E013` belonged to variants that no longer exist and stay retired.
     pub fn code(&self) -> &'static str {
         match self {
             ProgError::TooManyRegs { .. } => "E001",
@@ -521,9 +512,7 @@ impl ProgError {
             ProgError::InputCount { .. } => "E008",
             ProgError::InputLen { .. } => "E009",
             ProgError::Exec { .. } => "E010",
-            ProgError::Panicked(_) => "E011",
             ProgError::ConfigMismatch => "E012",
-            ProgError::Cancelled => "E013",
         }
     }
 
@@ -540,9 +529,7 @@ impl ProgError {
             | ProgError::Exec { instr, .. } => Some(*instr),
             ProgError::TooManyRegs { .. }
             | ProgError::InputCount { .. }
-            | ProgError::Panicked(_)
-            | ProgError::ConfigMismatch
-            | ProgError::Cancelled => None,
+            | ProgError::ConfigMismatch => None,
         }
     }
 }
@@ -1214,10 +1201,10 @@ impl Program {
     }
 
     /// The static cost model's parallel-completion bound: the busiest
-    /// macro's cycle count when the program's dependence components are
-    /// spread over `macros` macros by the deterministic LPT schedule
-    /// [`MacroBank::run_partitioned`] uses. With one macro this equals
-    /// [`Program::cycles`]; total work is always exactly
+    /// macro's cycle count if the program's dependence components were
+    /// spread over `macros` macros by a deterministic longest-processing-
+    /// time schedule (the bound lint `L006` reports). With one macro this
+    /// equals [`Program::cycles`]; total work is always exactly
     /// [`Program::cycles`] regardless of the split.
     pub fn predicted_makespan(&self, macros: usize) -> u64 {
         let parts = self.partition();
@@ -1244,149 +1231,6 @@ fn lpt_schedule(costs: &[u64], bins: usize) -> Vec<Vec<usize>> {
         out[b].push(i);
     }
     out
-}
-
-/// The result of a multi-macro partitioned execution
-/// ([`MacroBank::run_partitioned`]).
-///
-/// Outputs and per-instruction cycles are reassembled in *program order*,
-/// so they are identical to a single-macro [`Program::run`]; what changes
-/// is completion time, reported as [`PartitionedRun::makespan_cycles`]
-/// (the busiest macro) next to the unchanged total work.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionedRun {
-    /// One vector per `read`/`read_products` instruction, in program order.
-    pub outputs: Vec<Vec<u64>>,
-    /// Hardware cycles billed per submitted instruction (fused `shl`s bill
-    /// 0, exactly as in [`ProgramRun`]).
-    pub instr_cycles: Vec<u64>,
-    /// Total hardware work — identical to the single-macro run.
-    pub total_cycles: u64,
-    /// Parallel completion bound: the busiest macro's cycles this run.
-    pub makespan_cycles: u64,
-    /// Macros that executed at least one component.
-    pub macros_used: usize,
-}
-
-impl MacroBank {
-    /// Runs one program with its independent dependence components spread
-    /// across the bank's macros (deterministic LPT schedule over the
-    /// static per-component cycle costs) — the single-request latency
-    /// path: total cycles and all results are identical to
-    /// [`Program::run`] on one macro, while the completion bound drops to
-    /// [`PartitionedRun::makespan_cycles`].
-    ///
-    /// The extended cost model is asserted against the activity logs: each
-    /// macro must log exactly the cycles the schedule predicted for it
-    /// ([`Program::predicted_makespan`] reports the same schedule's
-    /// maximum).
-    ///
-    /// # Errors
-    ///
-    /// Forwards validation [`ProgError`]s (checked against the bank's
-    /// configuration before any macro is touched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any macro's logged cycles diverge from the schedule's
-    /// prediction (a `prog` bug, never a data-dependent condition).
-    pub fn run_partitioned(&mut self, prog: &Program) -> Result<PartitionedRun, ProgError> {
-        self.run_partitioned_inner(prog, None)
-    }
-
-    /// [`MacroBank::run_partitioned`] with **cooperative cancellation**:
-    /// the token is checked between component executions on every macro,
-    /// so a cancelled or deadline-expired run abandons its remaining
-    /// components mid-flight (each macro finishes only the component it is
-    /// currently executing) and returns [`ProgError::Cancelled`]. The
-    /// activity logs record exactly the components that ran — partial work
-    /// is billed, never invented.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors as [`MacroBank::run_partitioned`], plus
-    /// [`ProgError::Cancelled`] whenever the token fired during the run —
-    /// including after the final component was already claimed, so a
-    /// cancelled request never masquerades as a complete one.
-    pub fn run_partitioned_cancellable(
-        &mut self,
-        prog: &Program,
-        cancel: &bpimc_stats::parallel::CancelToken,
-    ) -> Result<PartitionedRun, ProgError> {
-        self.run_partitioned_inner(prog, Some(cancel))
-    }
-
-    fn run_partitioned_inner(
-        &mut self,
-        prog: &Program,
-        cancel: Option<&bpimc_stats::parallel::CancelToken>,
-    ) -> Result<PartitionedRun, ProgError> {
-        let config = *self.macros().next().expect("banks are non-empty").config();
-        prog.validate(&config)?;
-        let parts = prog.partition();
-        let costs: Vec<u64> = parts.iter().map(|p| p.program.cycles()).collect();
-        let bins = lpt_schedule(&costs, self.len());
-        let starts: Vec<u64> = self.macros().map(|m| m.activity().total_cycles()).collect();
-        let mut results = self.dispatch(|i, mac| {
-            let mut runs = Vec::new();
-            for &ci in &bins[i] {
-                // The cancellation check sits between whole components —
-                // the partitioned analogue of a claim-queue block — so a
-                // quiet token costs one atomic load per component.
-                if cancel.is_some_and(bpimc_stats::parallel::CancelToken::is_cancelled) {
-                    break;
-                }
-                runs.push((ci, parts[ci].program.run(mac)));
-            }
-            runs
-        });
-        let deltas: Vec<u64> = self
-            .macros()
-            .zip(&starts)
-            .map(|(m, &s)| m.activity().total_cycles() - s)
-            .collect();
-        let mut per_part: Vec<Option<ProgramRun>> = (0..parts.len()).map(|_| None).collect();
-        for (i, macro_runs) in results.drain(..).enumerate() {
-            // The cost model is asserted over the components that actually
-            // ran (all of them, unless the token fired mid-run).
-            let mut predicted = 0u64;
-            for (ci, run) in macro_runs {
-                predicted += costs[ci];
-                per_part[ci] = Some(run?);
-            }
-            assert_eq!(
-                deltas[i], predicted,
-                "macro {i}: partition cost model diverged from the activity log"
-            );
-        }
-        // A fired token means a cancelled run even when every component
-        // happened to finish first (the token can fire after the final
-        // component is claimed): the caller asked for the work to stop, so
-        // a full result set must not masquerade as an uncancelled run.
-        if per_part.iter().any(Option::is_none)
-            || cancel.is_some_and(bpimc_stats::parallel::CancelToken::is_cancelled)
-        {
-            return Err(ProgError::Cancelled);
-        }
-        let mut outputs: Vec<Vec<u64>> = vec![Vec::new(); prog.read_count()];
-        let mut instr_cycles = vec![0u64; prog.instrs().len()];
-        for (part, run) in parts.iter().zip(per_part) {
-            let run = run.expect("every component was scheduled");
-            for (slot, out) in part.read_slots.iter().zip(run.outputs) {
-                outputs[*slot] = out;
-            }
-            for (sub_idx, cycles) in part.submitted.iter().zip(run.instr_cycles) {
-                instr_cycles[*sub_idx] = cycles;
-            }
-        }
-        Ok(PartitionedRun {
-            outputs,
-            instr_cycles,
-            total_cycles: deltas.iter().sum(),
-            makespan_cycles: deltas.iter().copied().max().unwrap_or(0),
-            macros_used: bins.iter().filter(|b| !b.is_empty()).count(),
-        })
-    }
 }
 
 /// Per-run execution bookkeeping shared by [`Program::run`] and
@@ -1639,23 +1483,6 @@ impl ProgramBuilder {
         let mut prog = Program::new(self.instrs);
         prog.regs = prog.regs.max(self.next_reg as usize);
         prog
-    }
-}
-
-impl MacroBank {
-    /// Fans a batch of independent programs across the bank
-    /// ([`MacroBank::try_run_batch`] underneath): each program validates
-    /// and runs with exclusive access to one macro, results return in
-    /// program order, and a panicking job is contained to its own slot
-    /// ([`ProgError::Panicked`]).
-    pub fn run_programs(&mut self, programs: &[Program]) -> Vec<Result<ProgramRun, ProgError>> {
-        self.try_run_batch(programs, |mac, prog| prog.run(mac))
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(r) => r,
-                Err(panic) => Err(ProgError::Panicked(panic.message)),
-            })
-            .collect()
     }
 }
 
@@ -2202,9 +2029,10 @@ mod tests {
             precision: p,
             n: 1,
         }]);
-        let mut bank = MacroBank::new(3, cfg());
-        let results = bank.run_programs(&programs);
+        let mut bank = crate::MacroBank::new(3, cfg());
+        let results = bank.try_run_batch(&programs, |mac, prog| prog.run(mac));
         for (i, r) in results.iter().enumerate() {
+            let r = r.as_ref().expect("no program job panics");
             if i == 5 {
                 assert!(matches!(r, Err(ProgError::UseBeforeDef { .. })));
             } else {
@@ -2494,135 +2322,6 @@ mod tests {
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].program.cycles(), prog.cycles());
         assert_eq!(prog.predicted_makespan(8), prog.cycles());
-    }
-
-    #[test]
-    fn run_partitioned_matches_single_macro_execution() {
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        let rx = b.alloc();
-        let rw = b.alloc();
-        let rp = b.alloc();
-        let mut expect = Vec::new();
-        for k in 0..5u64 {
-            let xs: Vec<u64> = (0..4).map(|i| (k * 13 + i * 7) % 256).collect();
-            let ws: Vec<u64> = (0..4).map(|i| (k * 29 + i + 1) % 256).collect();
-            expect.push(xs.iter().zip(&ws).map(|(a, c)| a * c).collect::<Vec<_>>());
-            b.write_mult_to(rx, p, xs);
-            b.write_mult_to(rw, p, ws);
-            b.push(Instr::Mult {
-                a: rx,
-                b: rw,
-                dst: rp,
-                precision: p,
-            });
-            b.read_products(rp, p, 4);
-        }
-        let prog = b.finish();
-
-        let mut single = mac();
-        let single_run = prog.run(&mut single).unwrap();
-
-        let mut bank = MacroBank::new(3, cfg());
-        let part_run = bank.run_partitioned(&prog).unwrap();
-        assert_eq!(part_run.outputs, expect);
-        assert_eq!(part_run.outputs, single_run.outputs);
-        assert_eq!(part_run.instr_cycles, single_run.instr_cycles);
-        assert_eq!(part_run.total_cycles, single.activity().total_cycles());
-        assert_eq!(part_run.total_cycles, bank.total_cycles());
-        assert!(part_run.makespan_cycles < part_run.total_cycles);
-        assert_eq!(part_run.makespan_cycles, prog.predicted_makespan(3));
-        assert_eq!(part_run.macros_used, 3);
-    }
-
-    #[test]
-    fn run_partitioned_cancellable_completes_when_the_token_is_quiet() {
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        for k in 0..4u64 {
-            let x = b.write(p, vec![k + 1]);
-            let y = b.write(p, vec![10 * (k + 1)]);
-            let s = b.add(x, y, p);
-            b.read(s, p, 1);
-        }
-        let prog = b.finish();
-        let mut bank = MacroBank::new(2, cfg());
-        let token = bpimc_stats::parallel::CancelToken::new();
-        let run = bank.run_partitioned_cancellable(&prog, &token).unwrap();
-        assert_eq!(
-            run.outputs,
-            vec![vec![11], vec![22], vec![33], vec![44]],
-            "a quiet token changes nothing"
-        );
-        assert_eq!(run.total_cycles, bank.total_cycles());
-    }
-
-    #[test]
-    fn run_partitioned_cancelled_abandons_remaining_components() {
-        // Many independent components; a pre-fired token means no macro
-        // claims any component: the run reports Cancelled and the activity
-        // logs stay empty (partial work is real, invented work never is).
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        for k in 0..6u64 {
-            let x = b.write(p, vec![k + 1]);
-            let y = b.write(p, vec![2 * (k + 1)]);
-            let s = b.add(x, y, p);
-            b.read(s, p, 1);
-        }
-        let prog = b.finish();
-        let mut bank = MacroBank::new(2, cfg());
-        let token = bpimc_stats::parallel::CancelToken::new();
-        token.cancel();
-        assert!(matches!(
-            bank.run_partitioned_cancellable(&prog, &token),
-            Err(ProgError::Cancelled)
-        ));
-        assert_eq!(bank.total_cycles(), 0, "no component may have executed");
-        // The bank still serves: the same program completes afterwards.
-        let ok = bank.run_partitioned(&prog).unwrap();
-        assert_eq!(ok.outputs.len(), 6);
-    }
-
-    #[test]
-    fn token_fired_after_the_last_component_still_reports_cancelled() {
-        // Regression: a token that fires only once every component is
-        // already claimed fills every result slot, and the run used to
-        // return Ok from that complete result set. The deterministic
-        // distillation of "every slot filled + token fired": a component
-        // set that is complete from the start (no components at all) with a
-        // fired token. The old code returned a full (empty) Ok run here;
-        // the end-of-run token check must report Cancelled instead.
-        let prog = ProgramBuilder::new().finish();
-        let mut bank = MacroBank::new(1, cfg());
-        let quiet = bpimc_stats::parallel::CancelToken::new();
-        assert!(
-            bank.run_partitioned_cancellable(&prog, &quiet).is_ok(),
-            "a quiet token leaves the degenerate run alone"
-        );
-        let fired = bpimc_stats::parallel::CancelToken::new();
-        fired.cancel();
-        let run = bank.run_partitioned_cancellable(&prog, &fired);
-        assert!(
-            matches!(run, Err(ProgError::Cancelled)),
-            "a fired token must mark the run cancelled even though every \
-             component slot is filled, got {run:?}"
-        );
-    }
-
-    #[test]
-    fn run_partitioned_validates_before_touching_the_bank() {
-        let prog = Program::new(vec![Instr::Read {
-            src: Reg(0),
-            precision: Precision::P8,
-            n: 1,
-        }]);
-        let mut bank = MacroBank::new(2, cfg());
-        assert!(matches!(
-            bank.run_partitioned(&prog),
-            Err(ProgError::UseBeforeDef { .. })
-        ));
-        assert_eq!(bank.total_cycles(), 0);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!
 //! | Code | Severity | Meaning |
 //! |------|----------|---------|
-//! | `E001`–`E013` | error | The program fails [`Program::validate`]; the code maps 1:1 to the [`ProgError`] variant (see [`ProgError::code`]). |
+//! | `E001`–`E012` | error | The program fails [`Program::validate`]; the code maps 1:1 to the [`ProgError`] variant (see [`ProgError::code`]; `E011` is retired). |
 //! | `L001` | warn | Dead store: a result is overwritten before any instruction reads it. |
 //! | `L002` | warn | Unused result: a result is never read by any later instruction. |
 //! | `L003` | perf | Redundant recomputation: a multi-cycle op recomputes a value that is still resident in another row (a 1-cycle `copy` would do). |
 //! | `L004` | perf | Missed `add`+`shl` fusion: a `shl` of a sum that the lowering pass could not fuse (not adjacent, or the intermediate is read later). |
 //! | `L005` | perf | Recyclable registers: remapping registers would shrink the row budget. |
-//! | `L006` | perf | Splittable: the program has multiple independent dependence components that `run_partitioned` could spread across macros. |
+//! | `L006` | perf | Splittable: the program has multiple independent dependence components that separate macros could run side by side ([`Program::partition`], [`Program::predicted_makespan`]). |
 //! | `L007` | perf | Over-wide precision: value-range analysis proves the operands and result fit a narrower lane width. |
 //!
 //! `error` diagnostics mean the program will not run; `warn` means it
@@ -86,7 +86,7 @@ impl fmt::Display for Severity {
 /// instruction-index span it points at, and a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable diagnostic code (`E001`–`E013` for validation errors,
+    /// Stable diagnostic code (`E001`–`E012` for validation errors,
     /// `L001`–`L007` for lints; see the module docs for the table).
     pub code: String,
     /// How bad it is.
@@ -929,8 +929,8 @@ impl Program {
                 Severity::Perf,
                 0..self.instrs().len(),
                 format!(
-                    "program splits into {count} independent components; run_partitioned \
-                     across {count} macros would finish in {makespan} of its {} cycles",
+                    "program splits into {count} independent components; spread across \
+                     {count} macros it would finish in {makespan} of its {} cycles",
                     self.cycles()
                 ),
             ));

@@ -23,7 +23,6 @@
 //! | `open_session` | — | mint a durable session keyed by an unguessable token |
 //! | `resume_session` | `token` | re-attach a later connection to a durable session |
 //! | `stats` | — | the session's activity account so far |
-//! | `inject_panic` | — | fault injection (only if the server enables it) |
 //! | `shutdown` | — | ask the server to drain and stop |
 //!
 //! `precision` is the lane width in bits (2/4/8/16/32); vectors are arrays
@@ -321,9 +320,6 @@ pub enum RequestBody {
     },
     /// The session's activity account (state *before* this request).
     Stats,
-    /// Deliberately panics the executing job (fault injection; the server
-    /// only honours it when started with fault injection enabled).
-    InjectPanic,
     /// Asks the server to finish queued work and shut down.
     Shutdown,
 }
@@ -1262,7 +1258,6 @@ impl Request {
                     .to_string(),
             },
             "stats" => RequestBody::Stats,
-            "inject_panic" => RequestBody::InjectPanic,
             "shutdown" => RequestBody::Shutdown,
             other => match LaneOp::from_name(other) {
                 Some(op) => RequestBody::Lanes {
@@ -1379,7 +1374,6 @@ impl Request {
                 push("token", Json::Str(token.clone()));
             }
             RequestBody::Stats => push("op", Json::Str("stats".into())),
-            RequestBody::InjectPanic => push("op", Json::Str("inject_panic".into())),
             RequestBody::Shutdown => push("op", Json::Str("shutdown".into())),
         }
         Json::Obj(fields).to_string()
@@ -1783,12 +1777,6 @@ mod tests {
         });
         round_trip_request(Request {
             id: 7,
-            timeout_ms: None,
-            seq: None,
-            body: RequestBody::InjectPanic,
-        });
-        round_trip_request(Request {
-            id: 8,
             timeout_ms: None,
             seq: None,
             body: RequestBody::Shutdown,

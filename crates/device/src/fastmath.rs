@@ -94,113 +94,40 @@ pub fn ln(x: f64) -> f64 {
     e.mul_add(std::f64::consts::LN_2, 2.0 * s * q)
 }
 
-/// Defines the four kernels derived purely from the in-scope `exp`/`ln`
-/// (`ln_1p`, `softplus`, `powf`, `tanh_pos`). Invoked once per tier — the
-/// full-precision module below and [`quick`] — so the derivations can
-/// never drift apart; only the base `exp`/`ln` polynomials differ between
-/// tiers, and each tier's accuracy follows from its bases.
-macro_rules! derived_kernels {
-    () => {
-        /// `ln(1 + z)` for `z > -1` with `1 + z` normal.
-        ///
-        /// `ln(1+z)` through this tier's `ln` with the classic first-order
-        /// correction for the rounding of `1 + z`, which keeps small-`z`
-        /// relative error at the base kernels' level instead of losing
-        /// half the mantissa.
-        #[inline(always)]
-        pub fn ln_1p(z: f64) -> f64 {
-            let u = 1.0 + z;
-            ln(u) + (z - (u - 1.0)) / u
-        }
-
-        /// The softplus `ln(1 + e^x)` — the model's smooth overdrive.
-        ///
-        /// Computed as `max(x, 0) + ln_1p(e^{-|x|})`, which is exact in
-        /// both asymptotes and branch-free.
-        #[inline(always)]
-        pub fn softplus(x: f64) -> f64 {
-            x.max(0.0) + ln_1p(exp(-x.abs()))
-        }
-
-        /// `x^a` for positive normal `x`, as `exp(a ln x)` (the error of
-        /// the reduced-precision exponent `a ln x` dominates).
-        #[inline(always)]
-        pub fn powf(x: f64, a: f64) -> f64 {
-            exp(a * ln(x))
-        }
-
-        /// `tanh(u)` for `u >= 0`, as `(1 - e^{-2u}) / (1 + e^{-2u})`.
-        /// The mild cancellation for tiny `u` is harmless here — the model
-        /// multiplies the result by a current that vanishes with `u`
-        /// anyway.
-        #[inline(always)]
-        pub fn tanh_pos(u: f64) -> f64 {
-            let t = exp(-2.0 * u);
-            (1.0 - t) / (1.0 + t)
-        }
-    };
+/// `ln(1 + z)` for `z > -1` with `1 + z` normal.
+///
+/// `ln(1+z)` through [`ln`] with the classic first-order correction for
+/// the rounding of `1 + z`, which keeps small-`z` relative error at the
+/// base kernels' level instead of losing half the mantissa.
+#[inline(always)]
+pub fn ln_1p(z: f64) -> f64 {
+    let u = 1.0 + z;
+    ln(u) + (z - (u - 1.0)) / u
 }
 
-derived_kernels!();
-
-/// The **quick tier**: shorter polynomials for scalar-only hot paths.
+/// The softplus `ln(1 + e^x)` — the model's smooth overdrive.
 ///
-/// The shared kernels above carry enough polynomial degree for ~1e-14
-/// relative error because the batch engine's bit-identity contract leaves
-/// no room to trade accuracy for speed. A *scalar-only* consumer — a
-/// single-instance transient chain with nothing to vectorize across — can:
-/// on serial dependence chains the long polynomials cost more than `libm`
-/// (the PR-4 follow-up), and ~1e-8 relative error is still far below the
-/// 28 nm model's own fidelity and the solvers' 20 mV accuracy guard.
-///
-/// This tier drops the polynomial tails: `exp` to degree 7 (remainder
-/// `r^8/8!` at `|r| <= ln2/2`), `ln` to the `s^9` series term. Relative
-/// error `< 5e-8` over the same documented domains (`powf`'s exponent
-/// amplification dominates; the bare kernels sit near 1e-8). **Never** use these
-/// where results must match the batch engine bit for bit — the shared
-/// kernels remain the only arithmetic both paths run; opting a scalar
-/// solve into this tier (`SimOptions::with_fast_math` in `bpimc-circuit`)
-/// deliberately leaves that contract.
-pub mod quick {
-    use super::{exp2i, LN2_HI, LN2_LO, LOG2_E};
+/// Computed as `max(x, 0) + ln_1p(e^{-|x|})`, which is exact in both
+/// asymptotes and branch-free.
+#[inline(always)]
+pub fn softplus(x: f64) -> f64 {
+    x.max(0.0) + ln_1p(exp(-x.abs()))
+}
 
-    /// `e^x`, saturating outside `[-700, 700]`; relative error `< 2e-8`.
-    #[inline(always)]
-    pub fn exp(x: f64) -> f64 {
-        let x = x.clamp(-700.0, 700.0);
-        let k = (x * LOG2_E).round();
-        let r = (x - k * LN2_HI) - k * LN2_LO;
-        let mut p: f64 = 1.0 / 5_040.0;
-        p = p.mul_add(r, 1.0 / 720.0);
-        p = p.mul_add(r, 1.0 / 120.0);
-        p = p.mul_add(r, 1.0 / 24.0);
-        p = p.mul_add(r, 1.0 / 6.0);
-        p = p.mul_add(r, 0.5);
-        p = p.mul_add(r, 1.0);
-        p = p.mul_add(r, 1.0);
-        p * exp2i(k)
-    }
+/// `x^a` for positive normal `x`, as `exp(a ln x)` (the error of the
+/// reduced-precision exponent `a ln x` dominates).
+#[inline(always)]
+pub fn powf(x: f64, a: f64) -> f64 {
+    exp(a * ln(x))
+}
 
-    /// Natural log of a positive normal `x`; relative error `< 2e-8`.
-    #[inline(always)]
-    pub fn ln(x: f64) -> f64 {
-        let bits = x.to_bits();
-        let e_raw = ((bits >> 52) & 0x7ff) as i64;
-        let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-        let big = m > std::f64::consts::SQRT_2;
-        let f = if big { 0.5 * m } else { m };
-        let e = (e_raw - 1023 + big as i64) as f64;
-        let s = (f - 1.0) / (f + 1.0);
-        let w = s * s;
-        let mut q: f64 = 1.0 / 9.0;
-        q = q.mul_add(w, 1.0 / 7.0);
-        q = q.mul_add(w, 1.0 / 5.0);
-        q = q.mul_add(w, 1.0 / 3.0);
-        q = q.mul_add(w, 1.0);
-        e.mul_add(std::f64::consts::LN_2, 2.0 * s * q)
-    }
-
-    derived_kernels!();
+/// `tanh(u)` for `u >= 0`, as `(1 - e^{-2u}) / (1 + e^{-2u})`. The mild
+/// cancellation for tiny `u` is harmless here — the model multiplies the
+/// result by a current that vanishes with `u` anyway.
+#[inline(always)]
+pub fn tanh_pos(u: f64) -> f64 {
+    let t = exp(-2.0 * u);
+    (1.0 - t) / (1.0 + t)
 }
 
 #[cfg(test)]
@@ -290,47 +217,6 @@ mod tests {
         }
         assert!(worst < 1e-13, "worst rel err {worst:.2e}");
         assert_eq!(tanh_pos(0.0), 0.0);
-    }
-
-    #[test]
-    fn quick_tier_tracks_the_shared_kernels_within_its_contract() {
-        // The quick tier's documented accuracy: < 1e-8 relative against
-        // the shared kernels over the model's domains.
-        let mut worst = 0.0f64;
-        for i in 0..=40_000 {
-            let x = -40.0 + i as f64 * 2e-3;
-            worst = worst.max(rel(quick::exp(x), exp(x)));
-            worst = worst.max(rel(quick::softplus(x), softplus(x)));
-        }
-        for i in 1..=40_000 {
-            let x = i as f64 * 5e-5; // (0, 2]
-            worst = worst.max(rel(quick::ln(x), ln(x)));
-            worst = worst.max(rel(quick::powf(x, 1.35), powf(x, 1.35)));
-        }
-        for i in 0..=20_000 {
-            let u = i as f64 * 2.5e-3; // [0, 50]
-            let t = tanh_pos(u);
-            if t > 0.0 {
-                worst = worst.max(rel(quick::tanh_pos(u), t));
-            }
-        }
-        assert!(worst < 5e-8, "worst quick-tier rel err {worst:.2e}");
-        assert!(quick::exp(1e9).is_finite());
-        assert_eq!(quick::exp(0.0), 1.0);
-        assert_eq!(quick::tanh_pos(0.0), 0.0);
-    }
-
-    #[test]
-    fn quick_softplus_is_monotone() {
-        // The solvers' device model must stay monotone under the quick
-        // tier too (no local dips at range-reduction boundaries).
-        let mut prev = 0.0;
-        for i in 0..=200_000 {
-            let x = -10.0 + i as f64 * 1e-4;
-            let y = quick::softplus(x);
-            assert!(y >= prev, "quick softplus dip at x = {x}");
-            prev = y;
-        }
     }
 
     #[test]

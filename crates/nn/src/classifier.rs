@@ -240,36 +240,6 @@ pub fn classify_quantized(
     classify_from_outputs(&run.outputs, chunks, norms)
 }
 
-/// [`classify_quantized`] with the fused program's independent per-class
-/// dot chains spread across a whole [`MacroBank`]
-/// ([`MacroBank::run_partitioned`]) — the single-sample latency path.
-/// Scores, predicted class and *total* cycles/energy are identical to the
-/// one-macro run; only the completion bound (the busiest macro) shrinks.
-///
-/// # Panics
-///
-/// As [`classify_quantized`].
-pub fn classify_quantized_banked(
-    bank: &mut MacroBank,
-    precision: Precision,
-    prototypes_q: &[Vec<u64>],
-    norms: &[u64],
-    x_q: &[u64],
-) -> usize {
-    assert_eq!(
-        prototypes_q.len(),
-        norms.len(),
-        "one precomputed |w|^2 per prototype"
-    );
-    let cols = bank.macro_at(0).cols();
-    let prog = classify_program(precision, prototypes_q, x_q, cols);
-    let run = bank
-        .run_partitioned(&prog)
-        .expect("classify pipeline validates");
-    let chunks = chunks_per_class(precision, x_q.len(), cols);
-    classify_from_outputs(&run.outputs, chunks, norms)
-}
-
 impl PrototypeClassifier {
     /// Builds a classifier from a dataset's generating prototypes at the
     /// requested datapath precision. The macro bank is sized to the host's
@@ -312,20 +282,14 @@ impl PrototypeClassifier {
     ///
     /// Single-sample classification computes the prototype norms on the
     /// macro each call (there is no batch to amortize them over); use
-    /// [`PrototypeClassifier::evaluate`] for datasets. The per-class dot
-    /// chains of the fused classify program spread across the bank's
-    /// macros ([`classify_quantized_banked`]), so one sample's latency
-    /// bound drops toward a single dot while total work is unchanged.
+    /// [`PrototypeClassifier::evaluate`] for datasets. The sample runs on
+    /// macro 0 as one fused [`classify_quantized`] program, so its class,
+    /// scores and total cycles are exactly the one-macro run's.
     pub fn classify(&mut self, x: &[f64]) -> usize {
         let x_q = self.quant.quantize_all(x);
-        let norms = prototype_norms(self.bank.macro_at(0), self.precision, &self.prototypes_q);
-        classify_quantized_banked(
-            &mut self.bank,
-            self.precision,
-            &self.prototypes_q,
-            &norms,
-            &x_q,
-        )
+        let mac = self.bank.macro_at(0);
+        let norms = prototype_norms(mac, self.precision, &self.prototypes_q);
+        classify_quantized(mac, self.precision, &self.prototypes_q, &norms, &x_q)
     }
 
     /// Evaluates accuracy, cycles and energy over a dataset, batching the
@@ -349,11 +313,15 @@ impl PrototypeClassifier {
             .collect();
         let quant = &self.quant;
         let prototypes_q = &self.prototypes_q;
-        let outcomes = self.bank.run_batch(&jobs, |mac, &(x, label)| {
+        let outcomes = self.bank.try_run_batch(&jobs, |mac, &(x, label)| {
             let x_q = quant.quantize_all(x);
             classify_quantized(mac, precision, prototypes_q, &norms, &x_q) == label
         });
-        let correct = outcomes.iter().filter(|&&ok| ok).count();
+        let correct = outcomes
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| panic!("classify {p}")))
+            .filter(|&ok| ok)
+            .count();
         let params = paper_calibrated_params();
         let cycles = self.bank.total_cycles();
         let energy_fj: f64 = self
@@ -548,29 +516,25 @@ mod tests {
     }
 
     #[test]
-    fn banked_classify_matches_single_macro_and_splits_work() {
+    fn classify_matches_classify_quantized_and_bills_the_same_cycles() {
+        // `PrototypeClassifier::classify` on a multi-macro bank is the
+        // one-macro `classify_quantized` run (plus the per-call norms):
+        // same class, same total cycles.
         let d = data();
-        let clf = PrototypeClassifier::fit(&d, Precision::P4);
+        let mut clf = PrototypeClassifier::fit_with_bank(
+            &d,
+            Precision::P4,
+            MacroBank::new(3, MacroConfig::paper_macro()),
+        );
         let mut mac = bpimc_core::ImcMacro::new(MacroConfig::paper_macro());
-        let norms = prototype_norms(&mut mac, Precision::P4, &clf.prototypes_q);
-        mac.clear_activity();
-        let mut bank = MacroBank::new(3, MacroConfig::paper_macro());
         for x in d.samples.iter().take(6) {
+            let norms = prototype_norms(&mut mac, Precision::P4, &clf.prototypes_q);
             let x_q = clf.quant.quantize_all(x);
             let single =
                 classify_quantized(&mut mac, Precision::P4, &clf.prototypes_q, &norms, &x_q);
-            let banked = classify_quantized_banked(
-                &mut bank,
-                Precision::P4,
-                &clf.prototypes_q,
-                &norms,
-                &x_q,
-            );
-            assert_eq!(single, banked);
+            assert_eq!(clf.classify(x), single);
         }
-        // Total work identical; spread across more than one macro.
-        assert_eq!(bank.total_cycles(), mac.activity().total_cycles());
-        assert!(bank.makespan_cycles() < bank.total_cycles());
+        assert_eq!(clf.bank.total_cycles(), mac.activity().total_cycles());
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub mod quant;
 
 pub use classifier::{
     chunks_per_class, classify_bindings, classify_from_outputs, classify_program,
-    classify_quantized, classify_quantized_banked, dot_program, imc_dot, prototype_norms,
-    EvalReport, PrototypeClassifier,
+    classify_quantized, dot_program, imc_dot, prototype_norms, EvalReport, PrototypeClassifier,
 };
 pub use dataset::Dataset;
 pub use quant::QuantParams;

@@ -645,20 +645,6 @@ impl Client {
         }
     }
 
-    /// Asks the executing job to panic (fault injection). The expected
-    /// outcome on a fault-injection server is `Err(ClientError::Server)` —
-    /// the panic is contained to this request.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport, server or protocol errors.
-    pub fn inject_panic(&mut self) -> Result<(), ClientError> {
-        match self.expect(RequestBody::InjectPanic, false)? {
-            ResponseBody::Ok => Ok(()),
-            other => Err(protocol_kind("ok", &other)),
-        }
-    }
-
     /// Upgrades this connection's session to a **durable** one: the
     /// server registers it under an unguessable token (returned in the
     /// [`SessionInfo`]) and the client holds that token from here on —

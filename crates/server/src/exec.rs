@@ -53,8 +53,6 @@ pub(crate) struct ComputeJob {
     pub max_program_instrs: Option<usize>,
     /// Chaos: fault injected into this job's execution, if any.
     pub fault: Option<ComputeFault>,
-    /// Honour an explicit `inject_panic` request.
-    pub inject_panic_allowed: bool,
     /// Run [`Program::optimize`] on `exec_program` streams before
     /// executing ([`crate::ServerConfig::optimize_programs`]).
     pub optimize: bool,
@@ -69,7 +67,6 @@ pub(crate) fn is_compute(body: &RequestBody) -> bool {
             | RequestBody::Classify { .. }
             | RequestBody::ExecProgram { .. }
             | RequestBody::RunStored { .. }
-            | RequestBody::InjectPanic
     )
 }
 
@@ -241,12 +238,6 @@ fn compute_body(
                 .run_with_inputs(mac, &bindings)
                 .map_err(|e| ErrorBody::from(&e))?;
             program_report(mac, params, run)
-        }
-        RequestBody::InjectPanic => {
-            if job.inject_panic_allowed {
-                panic!("injected fault (inject_panic request)");
-            }
-            Err("fault injection is disabled on this server".into())
         }
         other => Err(format!("not a compute request: {other:?}").into()),
     }

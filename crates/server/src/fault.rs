@@ -31,12 +31,11 @@ pub enum ResponseFault {
     Drop,
 }
 
-/// A seeded, deterministic schedule of injected faults.
+/// A seeded, deterministic schedule of injected faults — the server's one
+/// fault mechanism.
 ///
-/// The default plan injects nothing and honours nothing; it is a handful
-/// of integer compares on the hot path. `inject_panic_op` preserves the
-/// old `--fault-injection` behaviour (honour explicit `inject_panic`
-/// requests) independently of the probabilistic schedule.
+/// The default plan injects nothing; it is a handful of integer compares
+/// on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the decision hash; same seed, same schedule.
@@ -53,24 +52,12 @@ pub struct FaultPlan {
     pub stall_ms: u64,
     /// Per-mille of responses replaced by severing the connection.
     pub drop_per_mille: u16,
-    /// Honour explicit `inject_panic` requests (the legacy
-    /// `--fault-injection` switch).
-    pub inject_panic_op: bool,
 }
 
 impl FaultPlan {
-    /// The inert plan: no injected faults, `inject_panic` refused.
+    /// The inert plan: no injected faults.
     pub fn none() -> FaultPlan {
         FaultPlan::default()
-    }
-
-    /// The legacy `--fault-injection` plan: no schedule, but explicit
-    /// `inject_panic` requests are honoured.
-    pub fn inject_panic_only() -> FaultPlan {
-        FaultPlan {
-            inject_panic_op: true,
-            ..FaultPlan::default()
-        }
     }
 
     /// True when the probabilistic schedule can fire at all.
@@ -142,13 +129,10 @@ mod tests {
     fn the_default_plan_is_inert() {
         let plan = FaultPlan::none();
         assert!(!plan.is_active());
-        assert!(!plan.inject_panic_op);
         for seq in 0..1000 {
             assert_eq!(plan.compute_fault(1, seq), None);
             assert_eq!(plan.response_fault(1, seq), None);
         }
-        assert!(FaultPlan::inject_panic_only().inject_panic_op);
-        assert!(!FaultPlan::inject_panic_only().is_active());
     }
 
     #[test]
@@ -161,7 +145,6 @@ mod tests {
             stall_per_mille: 100,
             stall_ms: 5,
             drop_per_mille: 100,
-            ..FaultPlan::default()
         };
         let a: Vec<_> = (0..200).map(|s| plan.compute_fault(3, s)).collect();
         let b: Vec<_> = (0..200).map(|s| plan.compute_fault(3, s)).collect();

@@ -93,13 +93,11 @@
 //!   of injected worker panics, delayed executions, stalled response
 //!   writers and mid-request connection drops — a pure function of
 //!   `(seed, connection, request)`, so tests can predict every fault and
-//!   assert exact accounting under fire. Replaces the old boolean
-//!   `fault_injection` flag; `inject_panic` requests are honoured when
-//!   the plan's `inject_panic_op` is set.
-//! * **Panic containment**: a request that panics its job (a bug, an
-//!   injected chaos panic, or `inject_panic`) gets an error response;
-//!   sibling requests in the same batch, other sessions, and the worker
-//!   pool are unaffected.
+//!   assert exact accounting under fire. It is the server's one fault
+//!   mechanism.
+//! * **Panic containment**: a request that panics its job (a bug, or an
+//!   injected chaos panic) gets an error response; sibling requests in the
+//!   same batch, other sessions, and the worker pool are unaffected.
 //! * **Client resilience**: [`Client`] surfaces `overloaded` /
 //!   `limit_exceeded` / `deadline_exceeded` as typed errors, and can be
 //!   given a [`RetryPolicy`] to reconnect with capped exponential backoff.

@@ -36,9 +36,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Most requests the dispatcher drains into one bank batch.
     pub batch_max: usize,
-    /// The chaos schedule (defaults to [`FaultPlan::none`]; replaces the
-    /// old `fault_injection` boolean — use
-    /// [`FaultPlan::inject_panic_only`] for that behaviour).
+    /// The chaos schedule (defaults to [`FaultPlan::none`]).
     pub faults: FaultPlan,
     /// Per-session guardrails (defaults to unlimited rates, 64 stored
     /// programs).
@@ -1349,7 +1347,6 @@ fn process_batch(
                     deadline: it.deadline,
                     max_program_instrs: limits.max_program_instrs,
                     fault,
-                    inject_panic_allowed: faults.inject_panic_op,
                     optimize: shared.config.optimize_programs,
                 });
             }

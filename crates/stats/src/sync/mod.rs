@@ -14,10 +14,11 @@
 //! Two deliberate policy choices, encoded once here instead of at every
 //! call site:
 //!
-//! * **Poisoning**: [`Mutex::lock`] recovers from poisoning
-//!   ([`crate::parallel::lock_unpoisoned`]'s policy — every critical
-//!   section in the workspace leaves its data consistent, and one
-//!   panicking batch must not wedge later batches behind a `PoisonError`).
+//! * **Poisoning**: [`Mutex::lock`] (and [`RwLock`]) recover from
+//!   poisoning. Every critical section in the workspace is short and
+//!   leaves its data consistent, so a panic while holding a lock cannot
+//!   leave half-updated state behind — and one panicking request or batch
+//!   must not wedge every later one behind a `PoisonError`.
 //! * **Naming**: long-lived locks are constructed with
 //!   [`Mutex::named`]/[`RwLock::named`]; named acquisitions feed the
 //!   [`lockorder`] analyzer in debug/model builds, which reports

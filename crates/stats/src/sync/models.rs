@@ -1,17 +1,16 @@
 //! Concurrency models for the stats crate's parallel machinery.
 //!
-//! Each [`ModelSpec`] body builds the **production** [`ClaimQueue`] /
-//! [`CancelToken`](crate::parallel::CancelToken) protocol objects inside a
-//! model execution (so every atomic op is a schedule point) and asserts
-//! one load-bearing invariant. Harness bookkeeping (hit counters,
-//! snapshots) deliberately uses `std` atomics: they must observe without
-//! perturbing the schedule.
+//! Each [`ModelSpec`] body builds the **production** [`ClaimQueue`]
+//! protocol object inside a model execution (so every atomic op is a
+//! schedule point) and asserts one load-bearing invariant. Harness
+//! bookkeeping (hit counters, snapshots) deliberately uses `std` atomics:
+//! they must observe without perturbing the schedule.
 //!
 //! Run via `cargo test --features model` (the root `concurrency_models`
 //! test) or `repro model-check`; replay a failure with the printed seed.
 
 use super::model::ModelSpec;
-use crate::parallel::{CancelToken, ClaimQueue};
+use crate::parallel::ClaimQueue;
 use crate::sync::{thread, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,7 +24,7 @@ const LANES: usize = 2;
 /// `0..len` is executed exactly once.
 fn claim_queue_no_loss_no_dup() {
     const LEN: usize = 6;
-    let queue = Arc::new(ClaimQueue::new(LEN, 2, None));
+    let queue = Arc::new(ClaimQueue::new(LEN, 2));
     let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..LEN).map(|_| AtomicUsize::new(0)).collect());
     let workers: Vec<_> = (0..LANES)
         .map(|_| {
@@ -55,106 +54,15 @@ fn claim_queue_no_loss_no_dup() {
     }
 }
 
-/// Once the cancel token fires, each lane claims at most the one block it
-/// was already taking: claims started after the fire point never exceed
-/// one per lane, and no participant claims once it has observed the token.
-fn claim_queue_cancel_stops_within_one_block() {
-    const LEN: usize = 12;
-    let token = CancelToken::new();
-    let queue = Arc::new(ClaimQueue::new(LEN, 1, Some(token.clone())));
-    let claims = Arc::new(AtomicUsize::new(0));
-    let claims_at_cancel = Arc::new(AtomicUsize::new(usize::MAX));
-    let workers: Vec<_> = (0..LANES)
-        .map(|_| {
-            let queue = queue.clone();
-            let claims = claims.clone();
-            thread::spawn(move || {
-                while let Some(_claim) = queue.worker_claim() {
-                    claims.fetch_add(1, Ordering::SeqCst);
-                    queue.worker_done();
-                }
-            })
-        })
-        .collect();
-    // The caller claims twice, then cancels mid-batch.
-    for _ in 0..2 {
-        if queue.caller_claim().is_some() {
-            claims.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    token.cancel();
-    claims_at_cancel.store(claims.load(Ordering::SeqCst), Ordering::SeqCst);
-    for w in workers {
-        w.join().expect("worker exits");
-    }
-    let total = claims.load(Ordering::SeqCst);
-    let at_cancel = claims_at_cancel.load(Ordering::SeqCst);
-    // Each worker may have passed its token check just before the fire and
-    // completed that one claim; nothing beyond that.
-    assert!(
-        total <= at_cancel + LANES,
-        "cancellation leaked: {total} claims total, {at_cancel} at fire, {LANES} lanes"
-    );
-    assert!(queue.cancelled(), "fired token stays visible");
-}
-
-/// A token that fires only while the FINAL block is executing must still
-/// be reported by the end-of-batch check, even though every job ran — the
-/// regression behind `CancellableBatch::cancelled`.
-fn claim_queue_late_cancel_still_reported() {
-    const LEN: usize = 4;
-    let token = CancelToken::new();
-    let queue = Arc::new(ClaimQueue::new(LEN, 1, Some(token.clone())));
-    let executed = Arc::new(AtomicUsize::new(0));
-    let workers: Vec<_> = (0..LANES)
-        .map(|_| {
-            let queue = queue.clone();
-            let token = token.clone();
-            let executed = executed.clone();
-            thread::spawn(move || {
-                while let Some(claim) = queue.worker_claim() {
-                    for i in claim {
-                        executed.fetch_add(1, Ordering::SeqCst);
-                        if i == LEN - 1 {
-                            token.cancel(); // fires during the last job
-                        }
-                    }
-                    queue.worker_done();
-                }
-            })
-        })
-        .collect();
-    while let Some(claim) = queue.caller_claim() {
-        for i in claim {
-            executed.fetch_add(1, Ordering::SeqCst);
-            if i == LEN - 1 {
-                token.cancel();
-            }
-        }
-    }
-    for w in workers {
-        w.join().expect("worker exits");
-    }
-    // The end-of-batch check (what par_queue_run's `finish` performs) must
-    // see the token in EVERY schedule where the last job ran — including
-    // those where all LEN jobs completed.
-    if executed.load(Ordering::SeqCst) == LEN {
-        assert!(
-            queue.cancelled(),
-            "a full result set must still be reported cancelled"
-        );
-    }
-}
-
 /// Panic containment never wedges a later batch: a "fault" recorded by one
-/// job (first-fault-wins through the shared panic slot, mirroring
-/// `BatchState::record_panic`) leaves the other jobs and a whole second
+/// job (first-fault-wins through a shared, shim-locked slot, so recording
+/// is itself a schedule point) leaves the other jobs and a whole second
 /// batch unaffected.
 fn claim_queue_panic_containment() {
     const LEN: usize = 4;
     let panic_slot = Arc::new(Mutex::new(None::<String>));
     for batch in 0..2 {
-        let queue = Arc::new(ClaimQueue::new(LEN, 1, None));
+        let queue = Arc::new(ClaimQueue::new(LEN, 1));
         let executed = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..LANES)
             .map(|w| {
@@ -207,16 +115,6 @@ pub const MODELS: &[ModelSpec] = &[
         name: "claim-queue-no-loss-no-dup",
         invariant: "every job index is executed exactly once across racing claimants",
         run: claim_queue_no_loss_no_dup,
-    },
-    ModelSpec {
-        name: "claim-queue-cancel-one-block",
-        invariant: "after the token fires, each lane claims at most one in-flight block",
-        run: claim_queue_cancel_stops_within_one_block,
-    },
-    ModelSpec {
-        name: "claim-queue-late-cancel",
-        invariant: "a token fired during the final block is still reported cancelled",
-        run: claim_queue_late_cancel_still_reported,
     },
     ModelSpec {
         name: "claim-queue-panic-containment",
