@@ -156,4 +156,23 @@ mod tests {
         // Display renders without panicking.
         assert!(!format!("{r}").is_empty());
     }
+
+    /// Pins the exact bits of a small run, so a solver or kernel change
+    /// that moves a single delay or margin bit fails here. The hash is
+    /// FNV-1a over the little-endian bit patterns of the WLUD then the
+    /// proposed delay vector (the formula `perfbench` pins full runs with).
+    #[test]
+    fn small_run_is_bit_identical_to_the_pinned_values() {
+        let r = run(32, 2020);
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for v in r.wlud_delays.iter().chain(&r.prop_delays) {
+            for b in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        assert_eq!(h, 0x47e6_f676_16c6_7486, "delay hash {h:#018x}");
+        let z = (r.wlud_z.to_bits(), r.prop_z.to_bits());
+        let want = (0x4047_1715_86e0_cb44, 0x405c_1e2b_98c0_0fee);
+        assert_eq!(z, want, "z-scores {} and {}", r.wlud_z, r.prop_z);
+    }
 }

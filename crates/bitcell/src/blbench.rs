@@ -14,7 +14,7 @@
 use crate::boost::{boost_controls, build_boost, BoostDevices, BoostSizing};
 use crate::senseamp::SenseAmp;
 use crate::sram6t::{build_cell, CellDevices, CellNodes, CellSizing};
-use bpimc_circuit::{Circuit, CircuitError, NodeId, SimOptions, Trace, Waveform};
+use bpimc_circuit::{Circuit, CircuitError, Crossing, NodeId, SimOptions, Trace, Waveform};
 use bpimc_device::Env;
 
 /// Word-line drive scheme under test.
@@ -191,6 +191,13 @@ impl BlComputeBench {
         let (ckt, nodes) = self.build(cell_a, cell_b, boost_t, boost_b, a, b);
         let trace = ckt.run(&SimOptions::for_window(self.window()));
         Ok(self.measure(&trace, &nodes, a, b))
+    }
+
+    /// The SA trip that [`BlComputeBench::measure`] times `delay_s` to:
+    /// BLT falling through the trip level after WL activation. A run that
+    /// is only after the delay may stop there.
+    pub(crate) fn blt_trip(&self, nodes: &BenchNodes) -> Crossing {
+        self.sa.trip(nodes.blt, self.env.vdd, T_WL)
     }
 
     /// Extracts the outcome from a finished trace.

@@ -66,14 +66,18 @@ impl DisturbStudy {
 
     /// Runs `n` Monte-Carlo samples through the structure-of-arrays batch
     /// engine and measures each outcome — the execution path behind both
-    /// [`DisturbStudy::margins`] and [`DisturbStudy::delays`].
-    fn outcomes_batch(&self, n: usize, seed: u64) -> Vec<BlOutcome> {
+    /// [`DisturbStudy::margins`] and [`DisturbStudy::delays`]. With
+    /// `stop_at_trip`, each sample's trace ends at BLT's SA trip, so only
+    /// the outcome's `delay_s` is the full-window value; its margins and
+    /// final state describe the shortened trace.
+    fn outcomes_batch(&self, n: usize, seed: u64, stop_at_trip: bool) -> Vec<BlOutcome> {
         let nodes = self.bench_nodes();
         let opts = SimOptions::for_window(self.bench.window());
         montecarlo_batch(
             n,
             seed,
             &opts,
+            stop_at_trip.then(|| self.bench.blt_trip(&nodes)),
             |_, rng| self.sampled_circuit(rng),
             |_, trace| self.bench.measure(trace, &nodes, false, true),
         )
@@ -83,7 +87,7 @@ impl DisturbStudy {
     /// (A = 0, B = 1), batched across instances — bit-identical to
     /// [`DisturbStudy::margins_scalar`] sample for sample.
     pub fn margins(&self, n: usize, seed: u64) -> Vec<f64> {
-        self.outcomes_batch(n, seed)
+        self.outcomes_batch(n, seed, false)
             .iter()
             .map(BlOutcome::worst_margin)
             .collect()
@@ -108,12 +112,15 @@ impl DisturbStudy {
     /// batched across instances — bit-identical to
     /// [`DisturbStudy::delays_scalar`] sample for sample.
     ///
+    /// Each sample is solved only until BLT trips the SA: the delay is
+    /// decided at the first stored row past the trip level, so the rest of
+    /// the window cannot change it ([`bpimc_circuit::BatchSim::run_until`]).
     /// Samples whose BL never trips the SA within the window (deep slow-tail
-    /// events) are reported as the window length, i.e. right-censored rather
-    /// than dropped.
+    /// events) run to its end and are reported as the window length, i.e.
+    /// right-censored rather than dropped.
     pub fn delays(&self, n: usize, seed: u64) -> Vec<f64> {
         let window = self.bench.window();
-        self.outcomes_batch(n, seed)
+        self.outcomes_batch(n, seed, true)
             .iter()
             .map(|out| out.delay_s.unwrap_or(window))
             .collect()
@@ -273,6 +280,25 @@ mod tests {
         let d = quick_study(WlScheme::short_boost_140ps()).delays(16, 5);
         assert_eq!(d.len(), 16);
         assert!(d.iter().all(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn delays_stopped_at_the_trip_match_the_full_window_scalar_path() {
+        // At a 0.40 V WLUD level this cohort mixes samples that trip the SA
+        // (their batched solve stops there) with right-censored samples
+        // that never do (they run the whole window).
+        let s = quick_study(WlScheme::Wlud { v_wl: 0.40 });
+        let window = s.bench().window();
+        let (d_batch, d_scalar) = (s.delays(40, 9), s.delays_scalar(40, 9));
+        assert_eq!(d_batch.len(), 40);
+        for (i, (a, b)) in d_batch.iter().zip(&d_scalar).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "delay sample {i}: {a} vs {b}");
+        }
+        let censored = d_batch.iter().filter(|&&d| d == window).count();
+        assert!(
+            censored > 0 && censored < d_batch.len(),
+            "{censored} of 40 censored; the test needs tripped and censored samples"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! plus a resolve latency; the trip-crossing time comes from the simulated
 //! bit-line waveform.
 
-use bpimc_circuit::{CircuitError, Edge, NodeId, Trace};
+use bpimc_circuit::{CircuitError, Crossing, Edge, NodeId, Trace};
 
 /// Trip level (fraction of VDD) and resolve latency of the single-ended SA.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +30,17 @@ impl SenseAmp {
         self.trip_frac * vdd
     }
 
+    /// The event this SA fires on: `bl` falling through the trip level at
+    /// or after `t_from`.
+    pub(crate) fn trip(&self, bl: NodeId, vdd: f64, t_from: f64) -> Crossing {
+        Crossing {
+            node: bl,
+            level: self.trip_voltage(vdd),
+            edge: Edge::Falling,
+            t_from,
+        }
+    }
+
     /// The sensing delay for a *discharging* bit-line: time from `t_from`
     /// (WL activation) until the BL crosses the trip level, plus resolve.
     ///
@@ -44,16 +55,14 @@ impl SenseAmp {
         vdd: f64,
         t_from: f64,
     ) -> Result<f64, CircuitError> {
-        let t_cross = trace.cross_time(bl, self.trip_voltage(vdd), Edge::Falling, t_from)?;
+        let t_cross = self.trip(bl, vdd, t_from).time_in(trace)?;
         Ok(t_cross - t_from + self.resolve_s)
     }
 
     /// Whether the SA output reads "low" (BL crossed the trip level) at any
     /// point after `t_from`.
     pub fn reads_low(&self, trace: &Trace, bl: NodeId, vdd: f64, t_from: f64) -> bool {
-        trace
-            .cross_time(bl, self.trip_voltage(vdd), Edge::Falling, t_from)
-            .is_ok()
+        self.trip(bl, vdd, t_from).time_in(trace).is_ok()
     }
 }
 

@@ -12,8 +12,7 @@
 //! `vt[mosfet][instance]`, …). Each integration round evaluates every
 //! element's currents across all instances with
 //! [`bpimc_device::Mosfet::ids_batch`], whose branch-free
-//! [`bpimc_device::fastmath`] body auto-vectorizes — the dominant cost of a
-//! sweep drops by the host's SIMD width.
+//! [`bpimc_device::fastmath`] body auto-vectorizes across the instance axis.
 //!
 //! **This is a data-layout change, not a numerics change.** Every instance
 //! keeps its own adaptive time step and makes exactly the step decisions
@@ -22,6 +21,13 @@
 //! **bit-identical** to running [`crate::netlist::Circuit::run`] per
 //! instance (pinned by property tests in `tests/prop.rs`). Instances that
 //! finish early simply stop advancing while the rest of the cohort runs on.
+//!
+//! A measurement that only needs one threshold crossing — a Monte-Carlo
+//! delay — does not need the rest of the window. [`BatchSim::run_until`]
+//! stops each instance right after the first stored row that completes a
+//! [`Crossing`], the same rule [`Trace::cross_time`] measures with, so the
+//! shortened trace is a prefix of the full one and measures the same time
+//! bit for bit; instances that never cross run to `t_stop` as before.
 //!
 //! # Examples
 //!
@@ -48,7 +54,7 @@
 
 use crate::netlist::{Circuit, NodeKind};
 use crate::sim::SimOptions;
-use crate::trace::Trace;
+use crate::trace::{Crossing, Trace};
 use crate::wave::Waveform;
 use crate::CircuitError;
 use bpimc_device::{DeviceKind, MosParams, MosParamsLanes, Mosfet};
@@ -363,8 +369,21 @@ impl<'a> BatchSim<'a> {
 
     /// Runs every instance to `t_stop` and returns one trace per instance,
     /// in batch order — each bit-identical to the scalar solver's trace
-    /// for that instance.
+    /// for that instance. The no-stop case of [`BatchSim::run_until`].
     pub fn run(&self) -> Vec<Trace> {
+        self.run_until(None)
+    }
+
+    /// [`BatchSim::run`], except that with `stop` given each instance stops
+    /// right after the first stored row that completes that crossing (or at
+    /// `t_stop` if it never crosses).
+    ///
+    /// A stopped lane has made exactly the step decisions of the full run
+    /// up to that row, and lanes never read one another, so each trace is
+    /// a prefix of the instance's [`BatchSim::run`] trace that already
+    /// holds the crossing: [`Crossing::time_in`] measures the same time on
+    /// it, bit for bit. The cohort loop ends once its slowest lane stops.
+    pub fn run_until(&self, stop: Option<Crossing>) -> Vec<Trace> {
         let b = self.batch();
         let n = self.nodes;
         let opts = &self.opts;
@@ -466,17 +485,19 @@ impl<'a> BatchSim<'a> {
                 }
                 self.apply_sources(j, t[j] + dt_step, &mut v);
                 t[j] += dt_step;
+                let mut crossed = false;
                 if t[j] + 1e-18 >= next_store[j] {
                     gather_row(&v, b, j, &mut row);
                     traces[j].push(t[j], &row);
                     next_store[j] = t[j] + opts.store_dt;
+                    crossed = stop.is_some_and(|c| c.ends(&traces[j]));
                 }
                 dt_next[j] = if err < 0.25 * dv_max {
                     (dt_step * 2.0).min(dt_max)
                 } else {
                     dt_step.min(dt_max)
                 };
-                if t[j] >= opts.t_stop - 1e-18 {
+                if crossed || t[j] >= opts.t_stop - 1e-18 {
                     active[j] = false;
                     n_active -= 1;
                     if traces[j].times().last().copied() != Some(t[j]) {
@@ -573,6 +594,7 @@ fn check_topology(t0: &Circuit, c: &Circuit, idx: usize) -> Result<(), CircuitEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Edge, NodeId};
     use bpimc_device::{Env, VtFlavor};
 
     fn rc(r: f64) -> Circuit {
@@ -646,6 +668,60 @@ mod tests {
         let opts = SimOptions::for_window(1e-9);
         let traces = BatchSim::new(&circuits, &opts).unwrap().run();
         assert_eq!(traces[0], circuits[0].run(&opts));
+    }
+
+    #[test]
+    fn stopped_lanes_are_prefixes_of_the_full_run_ending_at_the_first_crossing_row() {
+        // Strong to weak pulldowns: the weakest never reach the level inside
+        // the window, so stopped and full-window lanes share one cohort.
+        let circuits: Vec<Circuit> = [-0.03, -0.01, 0.0, 0.02, 0.04, 0.35, 0.5]
+            .map(|dvt| nmos_pulldown(dvt, 0.9))
+            .into_iter()
+            .collect();
+        let bl = NodeId(2); // nmos_pulldown adds gnd, gate, then bl
+        let stop = Crossing {
+            node: bl,
+            level: 0.45,
+            edge: Edge::Falling,
+            t_from: 100e-12,
+        };
+        let sim = BatchSim::new(&circuits, &SimOptions::for_window(2e-9)).unwrap();
+        let (full, cut) = (sim.run(), sim.run_until(Some(stop)));
+        let mut stopped = 0;
+        for (j, (f, c)) in full.iter().zip(&cut).enumerate() {
+            let n = c.len();
+            assert_eq!(c.times(), &f.times()[..n], "lane {j} times");
+            for k in 0..n {
+                for node in 0..circuits[j].node_count() {
+                    let (a, b) = (
+                        c.voltage_at_index(NodeId(node), k),
+                        f.voltage_at_index(NodeId(node), k),
+                    );
+                    assert_eq!(a.to_bits(), b.to_bits(), "lane {j} row {k} node {node}");
+                }
+            }
+            // The first stored falling crossing at or after t_from, found
+            // independently of the integrator's stop test.
+            let first = (1..f.len()).find(|&k| {
+                f.times()[k - 1] >= stop.t_from
+                    && f.voltage_at_index(bl, k - 1) > stop.level
+                    && f.voltage_at_index(bl, k) <= stop.level
+            });
+            match first {
+                Some(k) => {
+                    stopped += 1;
+                    assert_eq!(n, k + 1, "lane {j} must end at its crossing row");
+                    let (tc, tf) = (stop.time_in(c).unwrap(), stop.time_in(f).unwrap());
+                    assert_eq!(tc.to_bits(), tf.to_bits(), "lane {j} crossing time");
+                }
+                None => assert_eq!(c, f, "lane {j} never crosses: full window"),
+            }
+        }
+        assert!(
+            stopped > 0 && stopped < circuits.len(),
+            "{stopped} of {} lanes crossed; the test needs both kinds",
+            circuits.len()
+        );
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub use batch::BatchSim;
 pub use error::CircuitError;
 pub use netlist::{Circuit, NodeId};
 pub use sim::SimOptions;
-pub use trace::{Edge, Trace};
+pub use trace::{Crossing, Edge, Trace};
 pub use wave::Waveform;

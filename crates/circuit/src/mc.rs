@@ -13,12 +13,15 @@
 //!   per-sample RNGs and solved together by one structure-of-arrays
 //!   [`BatchSim`], and each finished trace is measured back into a
 //!   per-sample value. Sample `i`'s result is bit-identical to building
-//!   and running it alone (the batch engine's core guarantee).
+//!   and running it alone (the batch engine's core guarantee). A sweep
+//!   that measures one crossing passes it as the stop, and each sample
+//!   ends at that crossing instead of the window's end
+//!   ([`BatchSim::run_until`]).
 
 use crate::batch::BatchSim;
 use crate::netlist::Circuit;
 use crate::sim::SimOptions;
-use crate::trace::Trace;
+use crate::trace::{Crossing, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,6 +85,11 @@ pub const BATCH_COHORT: usize = 16;
 /// fanned across the worker pool in claim-queue blocks, each carrying
 /// multiple milliseconds of simulation.
 ///
+/// With `stop` given, each sample's trace ends right after the first
+/// stored row completing that crossing ([`BatchSim::run_until`]); it is a
+/// prefix of the full-window trace, so a `measure` that reads only that
+/// crossing returns the full-window value.
+///
 /// Results are bit-identical to the scalar path
 /// (`montecarlo_map` + [`Circuit::run`]) sample for sample, for any cohort
 /// size and thread count.
@@ -111,6 +119,7 @@ pub const BATCH_COHORT: usize = 16;
 ///     40,
 ///     7,
 ///     &opts,
+///     None,
 ///     |_, rng| discharge(8_000.0 + 4_000.0 * rng.random::<f64>()).0,
 ///     |_, trace| trace.last_voltage(out),
 /// );
@@ -120,6 +129,7 @@ pub fn montecarlo_batch<T, B, M>(
     n: usize,
     seed: u64,
     opts: &SimOptions,
+    stop: Option<Crossing>,
     build: B,
     measure: M,
 ) -> Vec<T>
@@ -139,7 +149,7 @@ where
             })
             .collect();
         let sim = BatchSim::new(&circuits, opts).expect("cohort circuits share one topology");
-        sim.run()
+        sim.run_until(stop)
             .iter()
             .enumerate()
             .map(|(k, trace)| measure(start + k, trace))
@@ -217,6 +227,7 @@ mod tests {
             37,
             11,
             &opts,
+            None,
             |_, rng| build(rng).0,
             |_, trace| {
                 let (_, bl) = build(&mut sample_rng(0, 0));

@@ -12,6 +12,73 @@ pub enum Edge {
     Falling,
 }
 
+/// A threshold crossing of one node: `node` passing `level` in direction
+/// `edge`, searched at or after `t_from`.
+///
+/// This is the one crossing rule of the crate. [`Trace::cross_time`]
+/// measures with it, and [`crate::BatchSim::run_until`] stops a lane at the
+/// first stored row where it holds — so a trace cut there is a prefix of
+/// the full trace that already contains the crossing, and measures the
+/// same time bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Crossing {
+    /// The watched node.
+    pub node: NodeId,
+    /// The threshold, volts.
+    pub level: f64,
+    /// Which direction counts.
+    pub edge: Edge,
+    /// Stored rows before this time are ignored, seconds.
+    pub t_from: f64,
+}
+
+impl Crossing {
+    /// Whether the step between stored rows `k - 1` and `k` of `trace`
+    /// crosses: both rows at or after `t_from` (stored times ascend, so
+    /// checking row `k - 1` suffices), the level passed in the edge's
+    /// direction.
+    fn at(&self, trace: &Trace, k: usize) -> bool {
+        if trace.times[k - 1] < self.t_from {
+            return false;
+        }
+        let (vp, v) = (trace.volts[k - 1][self.node.0], trace.volts[k][self.node.0]);
+        match self.edge {
+            Edge::Rising => vp < self.level && v >= self.level,
+            Edge::Falling => vp > self.level && v <= self.level,
+        }
+    }
+
+    /// Whether the newest stored row of `trace` completes a crossing (the
+    /// integrator's stop test, applied as each row is stored).
+    pub(crate) fn ends(&self, trace: &Trace) -> bool {
+        trace.len() >= 2 && self.at(trace, trace.len() - 1)
+    }
+
+    /// The time of the first crossing in `trace`, linearly interpolated
+    /// between the two stored rows that straddle the level.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::NoCrossing`] when the crossing never happens
+    /// in the recorded window.
+    pub fn time_in(&self, trace: &Trace) -> Result<f64, CircuitError> {
+        let Some(k) = (1..trace.len()).find(|&k| self.at(trace, k)) else {
+            return Err(CircuitError::NoCrossing {
+                node: trace.names[self.node.0].clone(),
+                level: self.level,
+            });
+        };
+        let (tp, t) = (trace.times[k - 1], trace.times[k]);
+        let (vp, v) = (trace.volts[k - 1][self.node.0], trace.volts[k][self.node.0]);
+        let frac = if (v - vp).abs() < 1e-18 {
+            0.0
+        } else {
+            (self.level - vp) / (v - vp)
+        };
+        Ok(tp + frac * (t - tp))
+    }
+}
+
 /// The result of a transient run: time points and per-node voltages.
 ///
 /// Provides the measurement primitives every experiment is built from:
@@ -92,7 +159,8 @@ impl Trace {
     }
 
     /// The first time `node` crosses `level` in the given direction at or
-    /// after `t_from`, linearly interpolated between stored samples.
+    /// after `t_from`, linearly interpolated between stored samples
+    /// ([`Crossing::time_in`] with these fields).
     ///
     /// # Errors
     ///
@@ -105,32 +173,13 @@ impl Trace {
         edge: Edge,
         t_from: f64,
     ) -> Result<f64, CircuitError> {
-        let mut prev: Option<(f64, f64)> = None;
-        for (k, &t) in self.times.iter().enumerate() {
-            if t < t_from {
-                continue;
-            }
-            let v = self.volts[k][node.0];
-            if let Some((tp, vp)) = prev {
-                let crossed = match edge {
-                    Edge::Rising => vp < level && v >= level,
-                    Edge::Falling => vp > level && v <= level,
-                };
-                if crossed {
-                    let frac = if (v - vp).abs() < 1e-18 {
-                        0.0
-                    } else {
-                        (level - vp) / (v - vp)
-                    };
-                    return Ok(tp + frac * (t - tp));
-                }
-            }
-            prev = Some((t, v));
-        }
-        Err(CircuitError::NoCrossing {
-            node: self.names[node.0].clone(),
+        Crossing {
+            node,
             level,
-        })
+            edge,
+            t_from,
+        }
+        .time_in(self)
     }
 
     /// The minimum voltage of `node` over `[t_from, t_to]`.

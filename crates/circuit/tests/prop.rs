@@ -141,7 +141,7 @@ proptest! {
         // Node handles are positional; a template build names them.
         let (_, bl) = contended_node(Corner::Nn, 0.9, 0.0, 0.0, 100e-12);
         let measure = |_i: usize, t: &bpimc_circuit::Trace| t.last_voltage(bl);
-        let batched = mc::montecarlo_batch(n, seed, &opts, build, measure);
+        let batched = mc::montecarlo_batch(n, seed, &opts, None, build, measure);
         let scalar = mc::montecarlo_map(n, seed, |i, rng| {
             let ckt = build(i, rng);
             ckt.run(&opts).last_voltage(bl)

@@ -33,11 +33,24 @@ const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
 /// Low part of ln2 (`ln2 - LN2_HI`).
 const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
 
-/// `2^k` for integral `k` in the normal-exponent range, by exponent-field
-/// assembly.
+/// `1.5 * 2^52`: adding it to an integral `|k| < 2^51` lands in the binade
+/// whose unit in the last place is 1, so the sum's low mantissa bits hold
+/// `k` in two's complement.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `2^k` for integral `k` with `|k| <= 1022`, by exponent-field assembly.
+///
+/// The integer comes out of the mantissa of `k + 1.5 * 2^52` rather than
+/// from `k as i64`: Rust's `as` saturates (and maps NaN to 0), and LLVM
+/// lowers that to a scalar `cvttsd2si` plus compare-and-select fix-ups per
+/// element, which scalarizes every `exp` inside the otherwise vectorized
+/// `Mosfet::ids_batch` loop. The add-and-shift is plain lane arithmetic
+/// and exact for every `k` that [`exp`]'s clamp allows (`|k| <= 1010`):
+/// the shift keeps only the low 12 bits of the biased sum, a zero sign bit
+/// above `k + 1023` in the exponent field.
 #[inline(always)]
 fn exp2i(k: f64) -> f64 {
-    f64::from_bits(((k as i64 + 1023) as u64) << 52)
+    f64::from_bits((k + ROUND_MAGIC).to_bits().wrapping_add(1023) << 52)
 }
 
 /// `e^x`, saturating outside `[-700, 700]` (no overflow/underflow in the
@@ -150,6 +163,15 @@ mod tests {
             worst = worst.max(rel(exp(x), x.exp()));
         }
         assert!(worst < 1e-14, "worst rel err {worst:.2e}");
+    }
+
+    #[test]
+    fn exp2i_equals_integer_exponent_assembly_over_the_clamped_range() {
+        // `exp`'s [-700, 700] clamp gives |round(x log2 e)| <= 1010.
+        for k in -1010i64..=1010 {
+            let want = f64::from_bits(((k + 1023) as u64) << 52);
+            assert_eq!(exp2i(k as f64).to_bits(), want.to_bits(), "k = {k}");
+        }
     }
 
     #[test]

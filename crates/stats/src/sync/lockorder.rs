@@ -260,6 +260,9 @@ mod tests {
         assert_eq!(got, vec![vec!["a", "b"], vec!["p", "q"]]);
     }
 
+    // The analyzer records edges only where it is compiled in; elsewhere
+    // `cycles_among` always answers "no cycles".
+    #[cfg(any(debug_assertions, feature = "model"))]
     #[test]
     fn known_lock_order_cycle_is_reported_from_one_benign_run() {
         // The satellite self-test: take two named locks in both orders —
