@@ -26,6 +26,7 @@
 //! ```
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by the parser.
 const MAX_DEPTH: usize = 64;
@@ -74,6 +75,7 @@ impl Json {
     /// Returns the offset and reason of the first syntax error.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         };
@@ -146,58 +148,157 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends the value's JSON text to `out`: the one serializer behind
+    /// both [`Display`](fmt::Display) and the wire codec.
+    pub(crate) fn write_to(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::UInt(n) => write!(f, "{n}"),
-            Json::Float(x) if x.is_finite() => write!(f, "{x}"),
-            // JSON has no NaN/inf; null is the least-surprising encoding.
-            Json::Float(_) => f.write_str("null"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::UInt(n) => write_u64(out, *n),
+            Json::Float(x) => write_f64(out, *x),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_array(out, items, |out, v| v.write_to(out)),
             Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                let mut obj = ObjWriter::open(out);
+                for (k, v) in fields {
+                    v.write_to(obj.key(k));
                 }
-                f.write_str("}")
+                obj.close();
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// Appends `n` in decimal.
+pub(crate) fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `x` as `{x}` formats it; JSON has no NaN/inf, and null is the
+/// least-surprising encoding for them.
+pub(crate) fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `s` as a JSON string. Runs that need no escaping are copied
+/// with one `push_str` each; only `"`, `\` and control characters are
+/// escaped, and every one of them is ASCII, so runs split on char
+/// boundaries.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends `items` as a JSON array, each element written by `each`.
+pub(crate) fn write_array<T>(out: &mut String, items: &[T], mut each: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends an array of exact integers.
+pub(crate) fn write_u64s(out: &mut String, words: &[u64]) {
+    write_array(out, words, |out, &w| write_u64(out, w));
+}
+
+/// Writes one JSON object field by field straight into a line, so an
+/// encoder need not build a [`Json`] tree first.
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub(crate) fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        Self { out, empty: true }
+    }
+
+    /// Starts the next field and returns the line to write its value to.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A field holding an exact integer.
+    pub(crate) fn uint(&mut self, key: &str, n: u64) {
+        write_u64(self.key(key), n);
+    }
+
+    /// A field holding a string.
+    pub(crate) fn str(&mut self, key: &str, s: &str) {
+        write_str(self.key(key), s);
+    }
+
+    /// A field holding an array of exact integers.
+    pub(crate) fn words(&mut self, key: &str, words: &[u64]) {
+        write_u64s(self.key(key), words);
+    }
+
+    /// Closes the object.
+    pub(crate) fn close(self) {
+        self.out.push('}');
+    }
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -316,7 +417,21 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        // Fast path: a string with no escape and no control character is
+        // one slice of the input. Anything else resumes below at the byte
+        // that stopped the scan, with that slice already copied.
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if b == b'"' {
+                self.pos += 1;
+                return Ok(self.src[start..self.pos - 1].to_owned());
+            }
+            if b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        let mut out = String::from(&self.src[start..self.pos]);
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
@@ -417,7 +532,13 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let digits_start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+        // The integer part's value, accumulated while scanning; `None` once
+        // it overflows `u64`.
+        let mut value = Some(0u64);
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            value = value
+                .and_then(|v| v.checked_mul(10))
+                .and_then(|v| v.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
         if self.pos == digits_start {
@@ -448,14 +569,14 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
         if exact {
-            if let Ok(n) = text.parse::<u64>() {
+            if let Some(n) = value {
                 return Ok(Json::UInt(n));
             }
             // Over 2^64-1: fall through to the (lossy) float representation.
         }
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Float)
             .map_err(|_| self.err("malformed number"))
     }
@@ -569,6 +690,59 @@ mod tests {
         assert_eq!(v.as_u64_array(), Some(vec![1, 2, 3]));
         let mixed = Json::parse("[1,2.5]").unwrap();
         assert_eq!(mixed.as_u64_array(), None);
+    }
+
+    /// What the parser returns at the edges of plain strings and plain
+    /// integers, error offsets included, so any shortcut through them must
+    /// answer byte for byte as the general path does.
+    #[test]
+    fn parse_results_and_error_offsets_are_pinned() {
+        let ok = |s: &str| Json::parse(s).unwrap();
+        let err = |s: &str| {
+            let e = Json::parse(s).unwrap_err();
+            (e.offset, e.message)
+        };
+        assert_eq!(ok("007"), Json::UInt(7));
+        assert_eq!(
+            ok("[0,007,42]"),
+            Json::Arr(vec![Json::UInt(0), Json::UInt(7), Json::UInt(42)])
+        );
+        assert_eq!(ok("18446744073709551615"), Json::UInt(u64::MAX));
+        assert_eq!(
+            ok("18446744073709551616"),
+            Json::Float(18446744073709551616.0)
+        );
+        assert_eq!(
+            ok("99999999999999999999"),
+            Json::Float(99999999999999999999.0)
+        );
+        let Json::Float(neg_zero) = ok("-0") else {
+            panic!("-0 must parse as a float");
+        };
+        assert!(neg_zero == 0.0 && neg_zero.is_sign_negative());
+        assert_eq!(ok("1e3"), Json::Float(1000.0));
+        assert_eq!(ok("12.5"), Json::Float(12.5));
+        assert_eq!(ok(r#""plain é""#), Json::Str("plain é".into()));
+        assert_eq!(
+            ok(r#""a\"b\\c\/d\né😀""#),
+            Json::Str("a\"b\\c/d\né\u{1f600}".into())
+        );
+        assert_eq!(
+            ok(r#"{"k":"v","n":7}"#),
+            Json::Obj(vec![
+                ("k".into(), Json::Str("v".into())),
+                ("n".into(), Json::UInt(7)),
+            ])
+        );
+        assert_eq!(err("\"a\u{1}b\""), (3, "unescaped control character"));
+        assert_eq!(err("\"abc"), (4, "unterminated string"));
+        assert_eq!(err("\"ab\\"), (4, "unterminated escape"));
+        assert_eq!(err("\"a\\qb\""), (4, "unknown escape"));
+        assert_eq!(err("12."), (3, "expected digits after '.'"));
+        assert_eq!(err("-"), (1, "expected digits"));
+        assert_eq!(err("1e"), (2, "expected digits in exponent"));
+        assert_eq!(err("[1x]"), (2, "expected ',' or ']'"));
+        assert_eq!(err("12 3"), (3, "trailing characters after the document"));
     }
 
     #[test]

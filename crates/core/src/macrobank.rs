@@ -102,9 +102,9 @@ impl MacroBank {
     /// which job is scheduling-dependent, so jobs must be self-contained
     /// (write their operand rows before using them — as anything batched
     /// across macros must anyway). The claim-queue design bounds a batch's
-    /// cost at sequential time plus a sub-millisecond dispatch overhead
-    /// even when pool worker wake-ups are slow (sandboxed kernels can take
-    /// ~0.5 ms to deliver one); batches with more than ~1 ms of work spread
+    /// cost at sequential time plus the dispatch overhead even when pool
+    /// worker wake-ups are slow (`bpimc_stats::parallel`'s module docs list
+    /// what a wake-up costs); batches whose jobs outlast a wake-up spread
     /// across all macros.
     ///
     /// This is the entry point a multi-client service uses: one client's

@@ -160,7 +160,7 @@
 //! ```
 
 use crate::activity::SessionActivity;
-use crate::json::Json;
+use crate::json::{self, Json, ObjWriter};
 use crate::prog::analysis::{Diagnostic, Severity};
 use crate::prog::{Instr, ProgError, Reg};
 use bpimc_periph::{LogicOp, Precision};
@@ -746,6 +746,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Initial capacity of a serialized line: room for the five-op mix's
+/// requests and responses, so most lines never reallocate.
+const LINE_CAPACITY: usize = 256;
+
 fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
@@ -1005,11 +1009,16 @@ fn stored_target_field(v: &Json) -> Result<StoredTarget, WireError> {
     }
 }
 
-fn stored_target_json(target: &StoredTarget, push: &mut impl FnMut(&str, Json)) {
+fn write_stored_target(o: &mut ObjWriter<'_>, target: &StoredTarget) {
     match target {
-        StoredTarget::Pid(pid) => push("pid", Json::UInt(*pid)),
-        StoredTarget::Name(name) => push("name", Json::Str(name.clone())),
+        StoredTarget::Pid(pid) => o.uint("pid", *pid),
+        StoredTarget::Name(name) => o.str("name", name),
     }
+}
+
+/// Writes an `instrs` array in the [`instr_to_json`] vocabulary.
+fn write_instrs(out: &mut String, instrs: &[Instr]) {
+    json::write_array(out, instrs, |out, i| instr_to_json(i).write_to(out));
 }
 
 /// Parses the `instrs` array shared by `exec_program`, `store_program`
@@ -1023,15 +1032,17 @@ fn instrs_field(v: &Json) -> Result<Vec<Instr>, WireError> {
         .collect()
 }
 
-/// Serializes one lint diagnostic to its wire object.
-fn diag_to_json(d: &Diagnostic) -> Json {
-    Json::Obj(vec![
-        ("code".to_string(), Json::Str(d.code.clone())),
-        ("severity".to_string(), Json::Str(d.severity.name().into())),
-        ("start".to_string(), Json::UInt(d.span.start as u64)),
-        ("end".to_string(), Json::UInt(d.span.end as u64)),
-        ("message".to_string(), Json::Str(d.message.clone())),
-    ])
+/// Writes lint diagnostics as an array of wire objects.
+fn write_diags(out: &mut String, diags: &[Diagnostic]) {
+    json::write_array(out, diags, |out, d| {
+        let mut o = ObjWriter::open(out);
+        o.str("code", &d.code);
+        o.str("severity", d.severity.name());
+        o.uint("start", d.span.start as u64);
+        o.uint("end", d.span.end as u64);
+        o.str("message", &d.message);
+        o.close();
+    });
 }
 
 /// Parses one lint diagnostic from its wire object.
@@ -1052,10 +1063,6 @@ fn diag_from_json(v: &Json) -> Result<Diagnostic, WireError> {
             .ok_or_else(|| wire_err("diagnostic field 'message' must be a string"))?
             .to_string(),
     })
-}
-
-fn diags_json(diags: &[Diagnostic]) -> Json {
-    Json::Arr(diags.iter().map(diag_to_json).collect())
 }
 
 fn diags_from_json(v: &Json, what: &str) -> Result<Vec<Diagnostic>, WireError> {
@@ -1079,39 +1086,35 @@ fn activity_from_json(r: &Json) -> Result<SessionActivity, WireError> {
     })
 }
 
-fn activity_json_fields(s: &SessionActivity, fields: &mut Vec<(String, Json)>) {
-    fields.push(("requests".to_string(), Json::UInt(s.requests)));
-    fields.push(("errors".to_string(), Json::UInt(s.errors)));
-    fields.push(("cycles".to_string(), Json::UInt(s.cycles)));
-    fields.push(("energy_fj".to_string(), Json::Float(s.energy_fj)));
+fn write_activity_fields(o: &mut ObjWriter<'_>, s: &SessionActivity) {
+    o.uint("requests", s.requests);
+    o.uint("errors", s.errors);
+    o.uint("cycles", s.cycles);
+    json::write_f64(o.key("energy_fj"), s.energy_fj);
 }
 
-/// Serializes one registry entry to its wire object.
-fn program_entry_to_json(e: &ProgramEntry) -> Json {
-    let mut fields = vec![("pid".to_string(), Json::UInt(e.pid))];
+/// Writes one registry entry as its wire object.
+fn write_program_entry(out: &mut String, e: &ProgramEntry) {
+    let mut o = ObjWriter::open(out);
+    o.uint("pid", e.pid);
     if let Some(name) = &e.name {
-        fields.push(("name".to_string(), Json::Str(name.clone())));
+        o.str("name", name);
     }
-    fields.push(("cycles".to_string(), Json::UInt(e.cycles)));
-    fields.push(("writes".to_string(), Json::UInt(e.writes)));
-    fields.push(("runs".to_string(), Json::UInt(e.runs)));
-    fields.push(("errors".to_string(), Json::UInt(e.errors)));
-    fields.push(("total_cycles".to_string(), Json::UInt(e.total_cycles)));
-    fields.push((
-        "total_energy_fj".to_string(),
-        Json::Float(e.total_energy_fj),
-    ));
+    o.uint("cycles", e.cycles);
+    o.uint("writes", e.writes);
+    o.uint("runs", e.runs);
+    o.uint("errors", e.errors);
+    o.uint("total_cycles", e.total_cycles);
+    json::write_f64(o.key("total_energy_fj"), e.total_energy_fj);
     match &e.last_status {
         None => {}
-        Some(RunStatus::Success) => {
-            fields.push(("last_status".to_string(), Json::Str("success".into())));
-        }
+        Some(RunStatus::Success) => o.str("last_status", "success"),
         Some(RunStatus::Error { message }) => {
-            fields.push(("last_status".to_string(), Json::Str("error".into())));
-            fields.push(("last_error".to_string(), Json::Str(message.clone())));
+            o.str("last_status", "error");
+            o.str("last_error", message);
         }
     }
-    Json::Obj(fields)
+    o.close();
 }
 
 /// Parses one registry entry from its wire object.
@@ -1279,21 +1282,22 @@ impl Request {
 
     /// Serializes the request to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut fields = vec![("id".to_string(), Json::UInt(self.id))];
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        let mut o = ObjWriter::open(&mut line);
+        o.uint("id", self.id);
         if let Some(t) = self.timeout_ms {
-            fields.push(("timeout_ms".to_string(), Json::UInt(t)));
+            o.uint("timeout_ms", t);
         }
         if let Some(s) = self.seq {
-            fields.push(("seq".to_string(), Json::UInt(s)));
+            o.uint("seq", s);
         }
-        let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
         match &self.body {
-            RequestBody::Ping => push("op", Json::Str("ping".into())),
+            RequestBody::Ping => o.str("op", "ping"),
             RequestBody::Dot { precision, x, w } => {
-                push("op", Json::Str("dot".into()));
-                push("precision", Json::UInt(precision.bits() as u64));
-                push("x", words_json(x));
-                push("w", words_json(w));
+                o.str("op", "dot");
+                o.uint("precision", precision.bits() as u64);
+                o.words("x", x);
+                o.words("w", w);
             }
             RequestBody::Lanes {
                 op,
@@ -1301,82 +1305,65 @@ impl Request {
                 a,
                 b,
             } => {
-                push("op", Json::Str(op.name().into()));
-                push("precision", Json::UInt(precision.bits() as u64));
-                push("a", words_json(a));
-                push("b", words_json(b));
+                o.str("op", op.name());
+                o.uint("precision", precision.bits() as u64);
+                o.words("a", a);
+                o.words("b", b);
             }
             RequestBody::LoadModel {
                 precision,
                 prototypes,
             } => {
-                push("op", Json::Str("load_model".into()));
-                push("precision", Json::UInt(precision.bits() as u64));
-                push(
-                    "prototypes",
-                    Json::Arr(prototypes.iter().map(|p| words_json(p)).collect()),
-                );
+                o.str("op", "load_model");
+                o.uint("precision", precision.bits() as u64);
+                json::write_array(o.key("prototypes"), prototypes, |out, p| {
+                    json::write_u64s(out, p)
+                });
             }
             RequestBody::Classify { x } => {
-                push("op", Json::Str("classify".into()));
-                push("x", words_json(x));
+                o.str("op", "classify");
+                o.words("x", x);
             }
             RequestBody::ExecProgram { instrs } => {
-                push("op", Json::Str("exec_program".into()));
-                push(
-                    "instrs",
-                    Json::Arr(instrs.iter().map(instr_to_json).collect()),
-                );
+                o.str("op", "exec_program");
+                write_instrs(o.key("instrs"), instrs);
             }
             RequestBody::StoreProgram { instrs, name } => {
-                push("op", Json::Str("store_program".into()));
-                push(
-                    "instrs",
-                    Json::Arr(instrs.iter().map(instr_to_json).collect()),
-                );
+                o.str("op", "store_program");
+                write_instrs(o.key("instrs"), instrs);
                 if let Some(name) = name {
-                    push("name", Json::Str(name.clone()));
+                    o.str("name", name);
                 }
             }
             RequestBody::LintProgram { instrs } => {
-                push("op", Json::Str("lint_program".into()));
-                push(
-                    "instrs",
-                    Json::Arr(instrs.iter().map(instr_to_json).collect()),
-                );
+                o.str("op", "lint_program");
+                write_instrs(o.key("instrs"), instrs);
             }
             RequestBody::RunStored { target, inputs } => {
-                push("op", Json::Str("run_stored".into()));
-                stored_target_json(target, &mut push);
+                o.str("op", "run_stored");
+                write_stored_target(&mut o, target);
                 if !inputs.is_empty() {
-                    push(
-                        "inputs",
-                        Json::Arr(
-                            inputs
-                                .iter()
-                                .map(|e| match e {
-                                    None => Json::Null,
-                                    Some(ws) => words_json(ws),
-                                })
-                                .collect(),
-                        ),
-                    );
+                    json::write_array(o.key("inputs"), inputs, |out, input| match input {
+                        None => out.push_str("null"),
+                        Some(ws) => json::write_u64s(out, ws),
+                    });
                 }
             }
-            RequestBody::ListPrograms => push("op", Json::Str("list_programs".into())),
+            RequestBody::ListPrograms => o.str("op", "list_programs"),
             RequestBody::DeleteProgram { target } => {
-                push("op", Json::Str("delete_program".into()));
-                stored_target_json(target, &mut push);
+                o.str("op", "delete_program");
+                write_stored_target(&mut o, target);
             }
-            RequestBody::OpenSession => push("op", Json::Str("open_session".into())),
+            RequestBody::OpenSession => o.str("op", "open_session"),
             RequestBody::ResumeSession { token } => {
-                push("op", Json::Str("resume_session".into()));
-                push("token", Json::Str(token.clone()));
+                o.str("op", "resume_session");
+                o.str("token", token);
             }
-            RequestBody::Stats => push("op", Json::Str("stats".into())),
-            RequestBody::Shutdown => push("op", Json::Str("shutdown".into())),
+            RequestBody::Stats => o.str("op", "stats"),
+            RequestBody::Shutdown => o.str("op", "shutdown"),
         }
-        Json::Obj(fields).to_string()
+        o.close();
+        line
     }
 }
 
@@ -1510,94 +1497,95 @@ impl Response {
 
     /// Serializes the response to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut fields = vec![("id".to_string(), Json::UInt(self.id))];
-        let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        let mut o = ObjWriter::open(&mut line);
+        o.uint("id", self.id);
+        let ok = !matches!(self.body, ResponseBody::Error(_));
+        o.key("ok").push_str(if ok { "true" } else { "false" });
         match &self.body {
             ResponseBody::Error(e) => {
-                push("ok", Json::Bool(false));
-                push("error", Json::Str(e.message.clone()));
+                o.str("error", &e.message);
                 if let Some(kind) = e.kind.name() {
-                    push("kind", Json::Str(kind.into()));
+                    o.str("kind", kind);
                 }
                 if let Some(limit) = e.limit {
-                    push("limit", Json::Str(limit.name().into()));
+                    o.str("limit", limit.name());
                 }
                 if let Some(ms) = e.retry_after_ms {
-                    push("retry_after_ms", Json::UInt(ms));
+                    o.uint("retry_after_ms", ms);
                 }
                 if let Some(code) = &e.code {
-                    push("code", Json::Str(code.clone()));
+                    o.str("code", code);
                 }
                 if let Some(index) = e.index {
-                    push("index", Json::UInt(index));
+                    o.uint("index", index);
                 }
             }
-            body => {
-                push("ok", Json::Bool(true));
-                let (kind, result) = match body {
-                    ResponseBody::Pong => ("pong", None),
-                    ResponseBody::Ok => ("ok", None),
-                    ResponseBody::Scalar(n) => ("scalar", Some(Json::UInt(*n))),
-                    ResponseBody::Words(ws) => ("words", Some(words_json(ws))),
-                    ResponseBody::Class(c) => ("class", Some(Json::UInt(*c as u64))),
-                    ResponseBody::Program(r) => (
-                        "program",
-                        Some(Json::Obj(vec![
-                            (
-                                "outputs".to_string(),
-                                Json::Arr(r.outputs.iter().map(|o| words_json(o)).collect()),
-                            ),
-                            ("cycles".to_string(), words_json(&r.cycles)),
-                            (
-                                "energy_fj".to_string(),
-                                Json::Arr(r.energy_fj.iter().map(|&e| Json::Float(e)).collect()),
-                            ),
-                        ])),
-                    ),
-                    ResponseBody::Stored(s) => {
-                        let mut fields = vec![
-                            ("pid".to_string(), Json::UInt(s.pid)),
-                            ("cycles".to_string(), Json::UInt(s.cycles)),
-                            ("writes".to_string(), Json::UInt(s.writes)),
-                        ];
-                        if !s.diagnostics.is_empty() {
-                            fields.push(("diagnostics".to_string(), diags_json(&s.diagnostics)));
-                        }
-                        ("stored", Some(Json::Obj(fields)))
-                    }
-                    ResponseBody::Diagnostics(ds) => ("diagnostics", Some(diags_json(ds))),
-                    ResponseBody::Stats(s) => {
-                        let mut fields = Vec::new();
-                        activity_json_fields(s, &mut fields);
-                        ("stats", Some(Json::Obj(fields)))
-                    }
-                    ResponseBody::Session(info) => {
-                        let mut fields = vec![("token".to_string(), Json::Str(info.token.clone()))];
-                        activity_json_fields(&info.stats, &mut fields);
-                        fields.push((
-                            "stored_programs".to_string(),
-                            Json::UInt(info.stored_programs),
-                        ));
-                        if let Some(seq) = info.last_seq {
-                            fields.push(("last_seq".to_string(), Json::UInt(seq)));
-                        }
-                        ("session", Some(Json::Obj(fields)))
-                    }
-                    ResponseBody::Programs(entries) => (
-                        "programs",
-                        Some(Json::Arr(
-                            entries.iter().map(program_entry_to_json).collect(),
-                        )),
-                    ),
-                    ResponseBody::Error(_) => unreachable!("handled above"),
-                };
-                push("kind", Json::Str(kind.into()));
-                if let Some(r) = result {
-                    push("result", r);
+            ResponseBody::Pong => o.str("kind", "pong"),
+            ResponseBody::Ok => o.str("kind", "ok"),
+            ResponseBody::Scalar(n) => {
+                o.str("kind", "scalar");
+                o.uint("result", *n);
+            }
+            ResponseBody::Words(ws) => {
+                o.str("kind", "words");
+                o.words("result", ws);
+            }
+            ResponseBody::Class(c) => {
+                o.str("kind", "class");
+                o.uint("result", *c as u64);
+            }
+            ResponseBody::Program(r) => {
+                o.str("kind", "program");
+                let mut res = ObjWriter::open(o.key("result"));
+                json::write_array(res.key("outputs"), &r.outputs, |out, ws| {
+                    json::write_u64s(out, ws)
+                });
+                res.words("cycles", &r.cycles);
+                json::write_array(res.key("energy_fj"), &r.energy_fj, |out, &e| {
+                    json::write_f64(out, e)
+                });
+                res.close();
+            }
+            ResponseBody::Stored(s) => {
+                o.str("kind", "stored");
+                let mut res = ObjWriter::open(o.key("result"));
+                res.uint("pid", s.pid);
+                res.uint("cycles", s.cycles);
+                res.uint("writes", s.writes);
+                if !s.diagnostics.is_empty() {
+                    write_diags(res.key("diagnostics"), &s.diagnostics);
                 }
+                res.close();
+            }
+            ResponseBody::Diagnostics(ds) => {
+                o.str("kind", "diagnostics");
+                write_diags(o.key("result"), ds);
+            }
+            ResponseBody::Stats(s) => {
+                o.str("kind", "stats");
+                let mut res = ObjWriter::open(o.key("result"));
+                write_activity_fields(&mut res, s);
+                res.close();
+            }
+            ResponseBody::Session(info) => {
+                o.str("kind", "session");
+                let mut res = ObjWriter::open(o.key("result"));
+                res.str("token", &info.token);
+                write_activity_fields(&mut res, &info.stats);
+                res.uint("stored_programs", info.stored_programs);
+                if let Some(seq) = info.last_seq {
+                    res.uint("last_seq", seq);
+                }
+                res.close();
+            }
+            ResponseBody::Programs(entries) => {
+                o.str("kind", "programs");
+                json::write_array(o.key("result"), entries, write_program_entry);
             }
         }
-        Json::Obj(fields).to_string()
+        o.close();
+        line
     }
 }
 
@@ -2023,6 +2011,289 @@ mod tests {
                 energy_fj: vec![100.5, 100.5, 2040.25, 0.0, 33.0],
             }),
         });
+    }
+
+    /// A name that exercises every escape class the serializer handles:
+    /// quote, backslash, a named control escape, a `\u00XX` control escape
+    /// and a multi-byte character copied through verbatim.
+    const AWKWARD_NAME: &str = "q\"b\\n\nc\u{1}é";
+
+    /// One request per `RequestBody` variant (`Lanes` once arithmetic and
+    /// once logic), with the optional envelope fields and the awkward
+    /// corners of each body.
+    fn pinned_requests() -> Vec<Request> {
+        let req = |id, body| Request {
+            id,
+            timeout_ms: None,
+            seq: None,
+            body,
+        };
+        vec![
+            Request {
+                id: 1,
+                timeout_ms: Some(250),
+                seq: Some(18446744073709551615),
+                body: RequestBody::Ping,
+            },
+            req(
+                2,
+                RequestBody::Dot {
+                    precision: Precision::P8,
+                    x: vec![0, 1, 255],
+                    w: vec![7, 128, 3],
+                },
+            ),
+            req(
+                3,
+                RequestBody::Lanes {
+                    op: LaneOp::Sub,
+                    precision: Precision::P32,
+                    a: vec![4294967295, 0],
+                    b: vec![1, 2],
+                },
+            ),
+            req(
+                4,
+                RequestBody::Lanes {
+                    op: LaneOp::Logic(LogicOp::Xnor),
+                    precision: Precision::P2,
+                    a: vec![1, 3],
+                    b: vec![2, 0],
+                },
+            ),
+            req(
+                5,
+                RequestBody::LoadModel {
+                    precision: Precision::P4,
+                    prototypes: vec![vec![0, 15], vec![], vec![9]],
+                },
+            ),
+            req(6, RequestBody::Classify { x: vec![10, 20] }),
+            Request {
+                id: 7,
+                timeout_ms: Some(0),
+                seq: None,
+                body: RequestBody::ExecProgram {
+                    instrs: every_instr_kind(),
+                },
+            },
+            Request {
+                id: 8,
+                timeout_ms: None,
+                seq: Some(3),
+                body: RequestBody::StoreProgram {
+                    instrs: every_instr_kind()[..2].to_vec(),
+                    name: Some(AWKWARD_NAME.into()),
+                },
+            },
+            req(
+                9,
+                RequestBody::RunStored {
+                    target: StoredTarget::Pid(7),
+                    inputs: vec![Some(vec![1, 2]), None, Some(vec![])],
+                },
+            ),
+            req(
+                10,
+                RequestBody::RunStored {
+                    target: StoredTarget::Name(AWKWARD_NAME.into()),
+                    inputs: vec![],
+                },
+            ),
+            req(11, RequestBody::ListPrograms),
+            req(
+                12,
+                RequestBody::DeleteProgram {
+                    target: StoredTarget::Name("conv3x3".into()),
+                },
+            ),
+            req(13, RequestBody::OpenSession),
+            req(
+                14,
+                RequestBody::ResumeSession {
+                    token: "a1b2c3d4e5f60718293a4b5c6d7e8f90".into(),
+                },
+            ),
+            req(
+                15,
+                RequestBody::LintProgram {
+                    instrs: every_instr_kind()[9..11].to_vec(),
+                },
+            ),
+            req(16, RequestBody::Stats),
+            req(0, RequestBody::Shutdown),
+        ]
+    }
+
+    /// One response per `ResponseBody` kind, with an error carrying every
+    /// optional field and float energies whose text must not change.
+    fn pinned_responses() -> Vec<Response> {
+        let resp = |id, body| Response { id, body };
+        vec![
+            resp(1, ResponseBody::Pong),
+            resp(2, ResponseBody::Scalar(u64::MAX)),
+            resp(3, ResponseBody::Words(vec![0, 255, 1 << 40])),
+            resp(4, ResponseBody::Class(3)),
+            resp(5, ResponseBody::Ok),
+            resp(
+                6,
+                ResponseBody::Stats(SessionActivity {
+                    requests: 12,
+                    errors: 1,
+                    cycles: 3456,
+                    energy_fj: 789.25,
+                }),
+            ),
+            resp(
+                7,
+                ResponseBody::Program(ProgramReport {
+                    outputs: vec![vec![1, 2], vec![], vec![3]],
+                    cycles: vec![1, 10, 0, 1, 2],
+                    energy_fj: vec![100.5, 2040.25, 0.0, 1e-7, 1e21],
+                }),
+            ),
+            resp(
+                8,
+                ResponseBody::Stored(StoredMeta {
+                    pid: 12,
+                    cycles: 345,
+                    writes: 6,
+                    diagnostics: vec![Diagnostic {
+                        code: "L001".into(),
+                        severity: Severity::Warn,
+                        span: 1..2,
+                        message: "dead store to r\"1\"".into(),
+                    }],
+                }),
+            ),
+            resp(
+                9,
+                ResponseBody::Diagnostics(vec![
+                    Diagnostic {
+                        code: "L004".into(),
+                        severity: Severity::Perf,
+                        span: 2..4,
+                        message: "missed fusion".into(),
+                    },
+                    Diagnostic {
+                        code: "E002".into(),
+                        severity: Severity::Error,
+                        span: 0..1,
+                        message: "use before def".into(),
+                    },
+                ]),
+            ),
+            resp(
+                10,
+                ResponseBody::Session(SessionInfo {
+                    token: "00ff00ff00ff00ff00ff00ff00ff00ff".into(),
+                    stats: SessionActivity {
+                        requests: 40,
+                        errors: 2,
+                        cycles: 999,
+                        energy_fj: 1.5,
+                    },
+                    stored_programs: 3,
+                    last_seq: Some(39),
+                }),
+            ),
+            resp(
+                11,
+                ResponseBody::Programs(vec![
+                    ProgramEntry {
+                        pid: 0,
+                        name: Some(AWKWARD_NAME.into()),
+                        cycles: 120,
+                        writes: 2,
+                        runs: 7,
+                        errors: 1,
+                        total_cycles: 840,
+                        total_energy_fj: 123.25,
+                        last_status: Some(RunStatus::Error {
+                            message: "input 0 must have 9 values".into(),
+                        }),
+                    },
+                    ProgramEntry {
+                        pid: 1,
+                        name: None,
+                        cycles: 3,
+                        writes: 0,
+                        runs: 0,
+                        errors: 0,
+                        total_cycles: 0,
+                        total_energy_fj: 0.0,
+                        last_status: None,
+                    },
+                ]),
+            ),
+            resp(
+                12,
+                ResponseBody::Error(ErrorBody {
+                    kind: ErrorKind::LimitExceeded,
+                    limit: Some(LimitKind::CycleRate),
+                    retry_after_ms: Some(750),
+                    code: Some("E002".into()),
+                    index: Some(3),
+                    message: "budget\texhausted \u{7f} ünïcode".into(),
+                }),
+            ),
+        ]
+    }
+
+    /// The exact bytes of every request and response kind, computed from
+    /// the `fmt`-based serializer and committed unchanged: how the codec
+    /// writes may change, what it writes may not.
+    #[test]
+    fn wire_lines_are_pinned_byte_for_byte() {
+        let requests = [
+            r#"{"id":1,"timeout_ms":250,"seq":18446744073709551615,"op":"ping"}"#,
+            r#"{"id":2,"op":"dot","precision":8,"x":[0,1,255],"w":[7,128,3]}"#,
+            r#"{"id":3,"op":"sub","precision":32,"a":[4294967295,0],"b":[1,2]}"#,
+            r#"{"id":4,"op":"xnor","precision":2,"a":[1,3],"b":[2,0]}"#,
+            r#"{"id":5,"op":"load_model","precision":4,"prototypes":[[0,15],[],[9]]}"#,
+            r#"{"id":6,"op":"classify","x":[10,20]}"#,
+            r#"{"id":7,"timeout_ms":0,"op":"exec_program","instrs":[{"i":"write","dst":0,"precision":8,"values":[1,2,3]},{"i":"write_mult","dst":1,"precision":8,"values":[4,5]},{"i":"not","src":0,"dst":2},{"i":"copy","src":2,"dst":3},{"i":"shl","src":3,"dst":4,"precision":8},{"i":"add","a":0,"b":2,"dst":5,"precision":8},{"i":"add_shift","a":0,"b":5,"dst":6,"precision":4},{"i":"sub","a":5,"b":0,"dst":7,"precision":8},{"i":"mult","a":1,"b":1,"dst":8,"precision":8},{"i":"reduce_add","srcs":[0,2,5],"dst":9,"precision":8},{"i":"read","src":9,"precision":8,"n":3},{"i":"read_products","src":8,"precision":8,"n":2},{"i":"and","a":0,"b":2,"dst":10},{"i":"or","a":0,"b":2,"dst":10},{"i":"xor","a":0,"b":2,"dst":10},{"i":"nand","a":0,"b":2,"dst":10},{"i":"nor","a":0,"b":2,"dst":10},{"i":"xnor","a":0,"b":2,"dst":10}]}"#,
+            r#"{"id":8,"seq":3,"op":"store_program","instrs":[{"i":"write","dst":0,"precision":8,"values":[1,2,3]},{"i":"write_mult","dst":1,"precision":8,"values":[4,5]}],"name":"q\"b\\n\nc\u0001é"}"#,
+            r#"{"id":9,"op":"run_stored","pid":7,"inputs":[[1,2],null,[]]}"#,
+            r#"{"id":10,"op":"run_stored","name":"q\"b\\n\nc\u0001é"}"#,
+            r#"{"id":11,"op":"list_programs"}"#,
+            r#"{"id":12,"op":"delete_program","name":"conv3x3"}"#,
+            r#"{"id":13,"op":"open_session"}"#,
+            r#"{"id":14,"op":"resume_session","token":"a1b2c3d4e5f60718293a4b5c6d7e8f90"}"#,
+            r#"{"id":15,"op":"lint_program","instrs":[{"i":"reduce_add","srcs":[0,2,5],"dst":9,"precision":8},{"i":"read","src":9,"precision":8,"n":3}]}"#,
+            r#"{"id":16,"op":"stats"}"#,
+            r#"{"id":0,"op":"shutdown"}"#,
+        ];
+        let reqs = pinned_requests();
+        assert_eq!(reqs.len(), requests.len());
+        for (req, line) in reqs.into_iter().zip(requests) {
+            assert_eq!(req.to_json_line(), line);
+            assert_eq!(Request::parse(line).unwrap(), req, "{line}");
+        }
+        let responses = [
+            r#"{"id":1,"ok":true,"kind":"pong"}"#,
+            r#"{"id":2,"ok":true,"kind":"scalar","result":18446744073709551615}"#,
+            r#"{"id":3,"ok":true,"kind":"words","result":[0,255,1099511627776]}"#,
+            r#"{"id":4,"ok":true,"kind":"class","result":3}"#,
+            r#"{"id":5,"ok":true,"kind":"ok"}"#,
+            r#"{"id":6,"ok":true,"kind":"stats","result":{"requests":12,"errors":1,"cycles":3456,"energy_fj":789.25}}"#,
+            r#"{"id":7,"ok":true,"kind":"program","result":{"outputs":[[1,2],[],[3]],"cycles":[1,10,0,1,2],"energy_fj":[100.5,2040.25,0,0.0000001,1000000000000000000000]}}"#,
+            r#"{"id":8,"ok":true,"kind":"stored","result":{"pid":12,"cycles":345,"writes":6,"diagnostics":[{"code":"L001","severity":"warn","start":1,"end":2,"message":"dead store to r\"1\""}]}}"#,
+            r#"{"id":9,"ok":true,"kind":"diagnostics","result":[{"code":"L004","severity":"perf","start":2,"end":4,"message":"missed fusion"},{"code":"E002","severity":"error","start":0,"end":1,"message":"use before def"}]}"#,
+            r#"{"id":10,"ok":true,"kind":"session","result":{"token":"00ff00ff00ff00ff00ff00ff00ff00ff","requests":40,"errors":2,"cycles":999,"energy_fj":1.5,"stored_programs":3,"last_seq":39}}"#,
+            r#"{"id":11,"ok":true,"kind":"programs","result":[{"pid":0,"name":"q\"b\\n\nc\u0001é","cycles":120,"writes":2,"runs":7,"errors":1,"total_cycles":840,"total_energy_fj":123.25,"last_status":"error","last_error":"input 0 must have 9 values"},{"pid":1,"cycles":3,"writes":0,"runs":0,"errors":0,"total_cycles":0,"total_energy_fj":0}]}"#,
+            concat!(
+                r#"{"id":12,"ok":false,"error":"budget\texhausted "#,
+                "\u{7f}",
+                r#" ünïcode","kind":"limit_exceeded","limit":"cycle_rate","retry_after_ms":750,"code":"E002","index":3}"#
+            ),
+        ];
+        let resps = pinned_responses();
+        assert_eq!(resps.len(), responses.len());
+        for (resp, line) in resps.into_iter().zip(responses) {
+            assert_eq!(resp.to_json_line(), line);
+            assert_eq!(Response::parse(line).unwrap(), resp, "{line}");
+        }
     }
 
     #[test]

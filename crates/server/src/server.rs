@@ -326,10 +326,12 @@ impl<T> Queue<T> {
 /// The hot path writes **inline**: when nothing is pending, no drain is in
 /// progress and the peer has never stalled a write, the responder takes
 /// the drainer role, writes its own serialized line and returns — no
-/// thread hand-off, which on hosts with slow futex wakes is worth hundreds
-/// of microseconds per response. The writer thread takes over when fan-out
-/// decouples from the dispatcher's pace: a backlog is pending, another
-/// drain is already in flight, or the connection has been marked `slow`.
+/// thread hand-off, whose wake-up costs tens of microseconds at the median
+/// and 0.1–0.3 ms in the tail (see the host costs in
+/// `bpimc_stats::parallel`'s module docs). The writer thread takes over
+/// when fan-out decouples from the dispatcher's pace: a backlog is
+/// pending, another drain is already in flight, or the connection has been
+/// marked `slow`.
 /// Either way at most one thread writes to the socket at a time
 /// (`draining`), so response bytes never interleave.
 ///

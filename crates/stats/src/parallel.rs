@@ -16,6 +16,23 @@
 //! `rayon` would be the off-the-shelf answer, but the build environment is
 //! offline, so this is a dependency-free implementation on `std::sync`
 //! primitives.
+//!
+//! # Host costs
+//!
+//! The workspace's one record of what thread hand-offs cost; other docs
+//! point here. Measured on the 2-vCPU VM the repository benchmark runs on:
+//!
+//! | cost | measured |
+//! |---|---|
+//! | waking a parked pool worker: `send` until its first job starts (3,000 batches per run) | p50 21–33 µs, p90 48–58 µs, p99 0.1–0.3 ms |
+//! | the server's reader → dispatcher condvar hand-off | median 2.6–9 µs |
+//! | one `std::thread::available_parallelism()` call (it reads cgroup files) | 13–22 µs |
+//!
+//! A served request executes in about 2 µs, so a worker wake-up costs ten
+//! times or more the work it would take over: the claim queue never waits
+//! for a wake-up it does not need (see [`par_queue_try_map`]), and nothing
+//! may call `available_parallelism` once per request ([`worker_count`]
+//! reads it once per process).
 
 use crate::sync::atomic::AtomicUsize;
 use std::any::Any;
@@ -62,11 +79,19 @@ impl std::error::Error for JobPanic {}
 
 /// The number of parallel lanes (pool workers + the calling thread) used
 /// for `n` independent jobs.
+///
+/// The host's parallelism is read once per process: on Linux
+/// `available_parallelism` reads cgroup files, which costs more than a
+/// served request's whole execution (see the module docs' host costs),
+/// and the pool it sizes is fixed at its first use anyway.
 pub fn worker_count(n: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1))
+    static HOST: OnceLock<usize> = OnceLock::new();
+    let host = *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    });
+    host.min(n.max(1))
 }
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -133,9 +158,8 @@ fn pool() -> &'static Pool {
 /// whichever lane drew the slow samples; claimed blocks keep every lane
 /// busy to the end. Blocks are sized by [`par_queue_try_map`]'s heuristic
 /// (`n / (lanes * 16)`, clamped to `[1, 256]`), which for the workspace's
-/// millisecond-scale jobs keeps each claim well above the ~1 ms of work
-/// that makes a pool hand-off worthwhile on this host (see the module
-/// docs on futex latency).
+/// millisecond-scale jobs keeps each claim well above a pool worker's
+/// wake-up latency (see the module docs' host costs).
 ///
 /// # Panics
 ///
@@ -243,12 +267,13 @@ struct QueueShared {
 ///
 /// Each participating thread owns one `states` slot exclusively for the
 /// whole batch. Unlike chunked dispatch, the caller never waits on a worker
-/// *wake-up*: if the pool is slow to wake (sandboxed kernels can take ~1 ms
-/// to deliver a futex), the caller simply drains the queue itself and waits
-/// only for jobs a worker actually claimed. Small batches therefore cost at
-/// worst sequential time; big batches parallelize. Called from a pool
-/// worker (a job that starts a nested batch), the batch runs sequentially
-/// on the calling thread instead of waiting on the busy pool.
+/// *wake-up*: if the pool is slow to wake (a wake-up's tail reaches
+/// 0.1–0.3 ms, see the module docs' host costs), the caller simply drains
+/// the queue itself and waits only for jobs a worker actually claimed.
+/// Small batches therefore cost at worst sequential time; big batches
+/// parallelize. Called from a pool worker (a job that starts a nested
+/// batch), the batch runs sequentially on the calling thread instead of
+/// waiting on the busy pool.
 ///
 /// Job-to-state assignment is scheduling-dependent: `f` must produce the
 /// same result whichever state slot it runs on (true for self-contained

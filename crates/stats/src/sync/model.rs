@@ -27,8 +27,8 @@
 //!
 //! Scheduling is cooperative: a blocked task parks on one condvar shared
 //! with the scheduler, and the handoff spins briefly before parking because
-//! this host's sandboxed kernel delivers futex wakes slowly (see
-//! `parallel`'s module docs). Model executions must not call into the
+//! a parked thread's wake-up costs tens of microseconds (see the host costs
+//! in `parallel`'s module docs). Model executions must not call into the
 //! process-wide worker pool (`parallel::par_*`): pool threads are not model
 //! tasks. Models drive the claim-queue protocol directly instead.
 
@@ -357,8 +357,9 @@ impl Execution {
     }
 
     /// Parks until this task is the active one again. Spins briefly first:
-    /// the handing-off task sets `active` within microseconds, while a
-    /// futex wake on this host costs ~0.5 ms.
+    /// the handing-off task sets `active` within microseconds, while waking
+    /// a parked thread costs tens of microseconds (see the host costs in
+    /// `parallel`'s module docs).
     fn wait_active<'a>(
         &'a self,
         st: StdGuard<'a, ExecState>,

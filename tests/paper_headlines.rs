@@ -5,10 +5,11 @@
 //! the measured values.
 
 use bpimc::bench::experiments::{fig7b, fig8, fig9, table1, table3};
-use bpimc::core::Precision;
+use bpimc::core::{ImcMacro, MacroConfig, Precision};
 use bpimc::device::Env;
 use bpimc::metrics::energy::Table2Op;
 use bpimc::metrics::{calibrate, AreaModel, FrequencyModel, TopsModel};
+use bpimc::nn::dot_program;
 
 /// "it can achieve 2.25GHz clock frequency at 1.0V".
 #[test]
@@ -53,6 +54,19 @@ fn claim_fa_speedup_band() {
 #[test]
 fn claim_table1_cycle_counts() {
     assert!(table1::run().all_match());
+}
+
+/// The 16-feature P8 dot pipeline (two chunks of write_mult, write_mult,
+/// mult, read_products) costs 26 cycles: the executor's activity log and
+/// the static cost model agree on the value `repro check-bench` records.
+#[test]
+fn program_dot16_p8() {
+    let x: Vec<u64> = (0..16).collect();
+    let prog = dot_program(Precision::P8, &x, &x, 128);
+    let mut mac = ImcMacro::new(MacroConfig::paper_macro());
+    let run = prog.run(&mut mac).expect("dot program runs");
+    assert_eq!(run.total_cycles(), prog.cycles());
+    assert_eq!(prog.cycles(), 26);
 }
 
 /// Table II: the activity-driven energy model reproduces all 15 cells
