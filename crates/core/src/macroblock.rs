@@ -725,6 +725,136 @@ mod tests {
         assert!(m.reduce_add(&[], 5, Precision::P8).is_err());
     }
 
+    /// 64-bit FNV-1a.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn num(&mut self, v: u64) {
+            self.eat(&v.to_le_bytes());
+        }
+
+        fn text(&mut self, v: impl std::fmt::Debug) {
+            let s = format!("{v:?}");
+            self.num(s.len() as u64);
+            self.eat(s.as_bytes());
+        }
+    }
+
+    /// Runs every op at every precision that fits `cols` columns, plus two
+    /// error paths, and hashes each result together with the macro's
+    /// complete state: every cycle and op record field, every main and
+    /// dummy row, and the separator's counts.
+    fn golden_script_hash(cols: usize) -> u64 {
+        let mut m = ImcMacro::new(MacroConfig::with_cols(cols));
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        // Pseudo-random full rows: idle columns and the high halves of
+        // product lanes are set as well.
+        let mut s = 0x9E37_79B9_7F4A_7C15 ^ cols as u64;
+        for r in 0..16 {
+            let limbs = (0..cols.div_ceil(64))
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    s
+                })
+                .collect();
+            h.text(m.write_row(r, &BitRow::from_limbs(cols, limbs)));
+        }
+        for op in LogicOp::ALL {
+            h.text(m.logic(op, 0, 1, 16));
+        }
+        h.text(m.not(2, 17));
+        h.text(m.copy(3, 18));
+        h.text(m.read_row(17));
+        for (k, p) in Precision::ALL.into_iter().enumerate() {
+            let d = 24 + 10 * k;
+            let lanes = p.lanes(cols);
+            let x: Vec<u64> = (0..lanes as u64).map(|i| (i * 37 + 5) & p.mask()).collect();
+            let y: Vec<u64> = (0..lanes as u64)
+                .map(|i| (i * 91 + 200) & p.mask())
+                .collect();
+            h.text(m.write_words(20, p, &x));
+            h.text(m.write_words(21, p, &y));
+            h.text(m.add(0, 1, d, p));
+            h.text(m.add(20, 21, d + 1, p));
+            h.text(m.sub(0, 1, d + 2, p));
+            h.text(m.sub(20, 21, d + 3, p));
+            h.text(m.add_shift(2, 3, d + 4, p));
+            h.text(m.shl(4, d + 5, p));
+            h.text(m.read_words(d + 1, p, lanes));
+            h.text(m.read_words(d + 3, p, lanes));
+            let products = p.product_lanes(cols);
+            if products > 0 {
+                let x: Vec<u64> = (0..products as u64)
+                    .map(|i| (i * 37 + 5) & p.mask())
+                    .collect();
+                let y: Vec<u64> = (0..products as u64)
+                    .map(|i| p.mask().wrapping_sub(i) & p.mask())
+                    .collect();
+                h.text(m.write_mult_operands(22, p, &x));
+                h.text(m.write_mult_operands(23, p, &y));
+                h.text(m.mult(22, 23, d + 6, p));
+                h.text(m.read_products(d + 6, p, products));
+            }
+            // Raw rows, the multiplier aliasing the destination, and one row
+            // as both operands.
+            h.text(m.mult(5, 6, d + 7, p));
+            h.text(m.copy(7, d + 8));
+            h.text(m.mult(8, d + 8, d + 8, p));
+            h.text(m.mult(9, 9, d + 9, p));
+            h.text(m.reduce_add(&[10, 11, 12, 13, 14], d + 9, p));
+            h.text(m.reduce_add(&[15], d + 7, p));
+            // Error paths: a destination past the array, one row twice.
+            h.text(m.mult(0, 1, 128, p));
+            h.text(m.add(3, 3, d, p));
+        }
+        for c in m.activity().cycles() {
+            h.text(c.kind);
+            for v in [c.compute_cols, c.logic_cols, c.wb_cols, c.ff_bits] {
+                h.num(v as u64);
+            }
+            for b in [c.wb_to_dummy, c.wb_shielded, c.wb_inverting] {
+                h.num(u64::from(b));
+            }
+        }
+        for op in m.activity().ops() {
+            h.text(op.kind);
+            h.text(op.precision);
+            h.num(op.first_cycle as u64);
+            h.num(op.cycle_count as u64);
+        }
+        let g = m.config().geometry;
+        let rows = (0..g.rows)
+            .map(RowAddr::Main)
+            .chain((0..g.dummy_rows).map(RowAddr::Dummy));
+        for addr in rows {
+            let row = m.array.read(addr).unwrap();
+            h.num(row.width() as u64);
+            for &l in row.limbs() {
+                h.num(l);
+            }
+        }
+        h.num(m.separator().shielded());
+        h.num(m.separator().exposed());
+        h.0
+    }
+
+    /// Pins the macro's complete observable state after a fixed script, on
+    /// the paper's 128 columns and on 100 columns (idle columns inside a
+    /// limb). Any change to a row kernel must leave these hashes alone.
+    #[test]
+    fn golden_state_is_pinned() {
+        assert_eq!(golden_script_hash(128), 0x045b_e692_e4bc_3b21);
+        assert_eq!(golden_script_hash(100), 0xfc39_9b57_72b0_fc65);
+    }
+
     #[test]
     fn mult_too_wide_for_row_is_rejected() {
         let mut m = ImcMacro::new(MacroConfig::with_cols(16));
