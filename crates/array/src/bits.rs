@@ -7,8 +7,9 @@
 //! Rows of up to [`BitRow::INLINE_COLS`] columns are stored inline (no heap
 //! allocation), so the limb-parallel engine's temporaries are free for the
 //! paper's 128-column macro. [`LaneMasks`] provides the fused lane-segmented
-//! arithmetic (add, shift, select) that the column-peripheral models build
-//! their single-cycle row operations on: one `u64` op covers 64 columns.
+//! arithmetic (add, shift, multiply step) that the column-peripheral models
+//! build their single-cycle row operations on: one `u64` op covers 64
+//! columns.
 
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
@@ -575,53 +576,6 @@ impl LaneMasks {
         (sum, cout)
     }
 
-    /// Per-lane three-input addition straight off a dual-WL readout: the
-    /// sense amplifiers deliver `and = A AND B` and `nor = NOR(A, B)`, and
-    /// within each lane `A + B = (A XOR B) + ((A AND B) << 1)` with the
-    /// lane-MSB AND bit contributing directly to the carry-out.
-    ///
-    /// Returns `(sum, cout)` like [`LaneMasks::lane_add`]. Costs a few
-    /// limb passes (XOR/shift extraction, the lane add, the MSB carry
-    /// fix-up) — still O(limbs), with inline rows allocation-free.
-    pub fn lane_add_from_readout(
-        &self,
-        and: &BitRow,
-        nor: &BitRow,
-        carry_in: bool,
-    ) -> (BitRow, BitRow) {
-        assert_eq!(and.width(), self.cols, "row width mismatch");
-        assert_eq!(nor.width(), self.cols, "row width mismatch");
-        let mut xor = BitRow::zeros(self.cols);
-        let mut sh = BitRow::zeros(self.cols);
-        {
-            let (la, ln) = (and.limbs(), nor.limbs());
-            let (ll, lact) = (self.lsb.limbs(), self.active.limbs());
-            let lx = xor.limbs_mut();
-            let mut shc = 0u64;
-            for (i, x) in lx.iter_mut().enumerate() {
-                *x = !la[i] & !ln[i] & lact[i];
-            }
-            let lsh = sh.limbs_mut();
-            for (i, s) in lsh.iter_mut().enumerate() {
-                // (AND << 1) within lanes: lane LSBs cleared, idle cleared.
-                *s = ((and.limbs()[i] << 1) | shc) & !ll[i] & lact[i];
-                shc = and.limbs()[i] >> 63;
-            }
-        }
-        let (sum, mut cout) = self.lane_add(&xor, &sh, carry_in);
-        {
-            // The AND bit at each lane MSB has weight 2^P: a direct
-            // carry-out the in-lane shift dropped.
-            let la = and.limbs();
-            let lm = self.msb.limbs();
-            let lc = cout.limbs_mut();
-            for (i, c) in lc.iter_mut().enumerate() {
-                *c |= la[i] & lm[i];
-            }
-        }
-        (sum, cout)
-    }
-
     /// Per-lane logical left shift by one: every column takes its right
     /// neighbour's bit, each lane LSB takes zero.
     pub fn lane_shl1(&self, data: &BitRow) -> BitRow {
@@ -638,57 +592,49 @@ impl LaneMasks {
         out
     }
 
-    /// The fused mux-and-shift a multiplication step performs: per column,
-    /// pick `on_true` where `mask` is set, else `on_false`, then (unless
-    /// `final_step`) shift the selection left by one within each lane.
-    pub fn select_shl1(
-        &self,
-        mask: &BitRow,
-        on_true: &BitRow,
-        on_false: &BitRow,
-        final_step: bool,
-    ) -> BitRow {
-        assert_eq!(mask.width(), self.cols, "row width mismatch");
-        assert_eq!(on_true.width(), self.cols, "row width mismatch");
-        assert_eq!(on_false.width(), self.cols, "row width mismatch");
-        let mut out = BitRow::zeros(self.cols);
-        let (lmsk, lt, lf) = (mask.limbs(), on_true.limbs(), on_false.limbs());
-        let (ll, lact) = (self.lsb.limbs(), self.active.limbs());
-        let lo = out.limbs_mut();
-        let mut carry = 0u64;
-        for i in 0..lt.len() {
-            let sel = (lt[i] & lmsk[i]) | (lf[i] & !lmsk[i]);
-            if final_step {
-                lo[i] = sel & lact[i];
-            } else {
-                lo[i] = ((sel << 1) | carry) & !ll[i] & lact[i];
-                carry = sel >> 63;
-            }
-        }
-        out
-    }
-
-    /// Expands per-lane bits into whole-lane masks: lane `i` of the result
-    /// is all-ones when `lane_bits[i]` is set (the row-wide image of the
-    /// multiplier FF MUX selects).
+    /// One add-and-shift step of a multiplication, in one pass over the
+    /// limbs. Per lane: when bit `bit` of the lane's `multiplier` word is
+    /// set (the FF bank's front bit; the bank holds the operand reversed,
+    /// so step `s` of a `P`-bit multiply presents bit `P - 1 - s`), take
+    /// `acc + multiplicand` wrapping at the lane width, else `acc`; then,
+    /// unless `final_step`, shift the choice left by one within the lane.
     ///
     /// # Panics
     ///
-    /// Panics if `lane_bits` does not have one entry per lane.
-    pub fn expand_lane_bits(&self, lane_bits: &[bool]) -> BitRow {
-        assert_eq!(lane_bits.len(), self.lane_count(), "one bit per lane");
+    /// Panics on width mismatch, if the lanes do not tile a 64-bit limb
+    /// (product lanes are `2P` ∈ {4, 8, 16, 32, 64} bits wide), or if `bit`
+    /// is not inside a lane.
+    pub fn mult_step(
+        &self,
+        acc: &BitRow,
+        multiplicand: &BitRow,
+        multiplier: &BitRow,
+        bit: usize,
+        final_step: bool,
+    ) -> BitRow {
+        let seg = self.segment_bits;
+        assert!(64 % seg == 0, "{seg}-bit lanes do not tile a 64-bit limb");
+        assert!(bit < seg, "bit {bit} is outside a {seg}-bit lane");
+        for r in [acc, multiplicand, multiplier] {
+            assert_eq!(r.width(), self.cols, "row width mismatch");
+        }
+        // A lane-LSB bit times `fill` sets that whole lane. Lanes tile the
+        // limb, so neither the products nor the masked sums below cross a
+        // lane, and no bit carries or shifts across a limb boundary.
+        let fill = field_mask(seg);
+        let (la, lb, lq) = (acc.limbs(), multiplicand.limbs(), multiplier.limbs());
+        let (lm, ll, lact) = (self.msb.limbs(), self.lsb.limbs(), self.active.limbs());
         let mut out = BitRow::zeros(self.cols);
-        let p = self.segment_bits;
-        for (lane, &bit) in lane_bits.iter().enumerate() {
-            if bit {
-                let lo = lane * p;
-                let mut remaining = p;
-                while remaining > 0 {
-                    let w = remaining.min(64);
-                    out.set_field(lo + p - remaining, w, field_mask(w));
-                    remaining -= w;
-                }
-            }
+        for (i, o) in out.limbs_mut().iter_mut().enumerate() {
+            let body = !lm[i] & lact[i];
+            let sum = ((la[i] & body) + (lb[i] & body)) ^ ((la[i] ^ lb[i]) & lm[i]);
+            let take = ((lq[i] >> bit) & ll[i]).wrapping_mul(fill);
+            let next = (sum & take) | (la[i] & !take);
+            *o = if final_step {
+                next & lact[i]
+            } else {
+                (next << 1) & !ll[i] & lact[i]
+            };
         }
         out
     }
@@ -916,27 +862,6 @@ mod tests {
                     let expect_cout = total >> seg == 1;
                     assert_eq!(cout.get(lane * seg + seg - 1), expect_cout);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_add_from_readout_equals_lane_add() {
-        let cols = 192; // three limbs, mixes inline-boundary behaviour
-        for seg in [2usize, 4, 8, 16, 32] {
-            let m = LaneMasks::new(cols, seg);
-            let mut a = BitRow::zeros(cols);
-            let mut b = BitRow::zeros(cols);
-            for i in 0..cols {
-                a.set(i, (i * 7) % 4 < 2);
-                b.set(i, (i * 11) % 3 == 1);
-            }
-            let and = &a & &b;
-            let nor = BitRow::nor_of(&a, &b);
-            for cin in [false, true] {
-                let direct = m.lane_add(&a, &b, cin);
-                let from_readout = m.lane_add_from_readout(&and, &nor, cin);
-                assert_eq!(direct, from_readout, "seg {seg} cin {cin}");
             }
         }
     }

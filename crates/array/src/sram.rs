@@ -130,15 +130,27 @@ impl SramArray {
     /// Returns [`ArrayError::SameRowTwice`] if `a == b`, or
     /// [`ArrayError::RowOutOfRange`].
     pub fn bl_compute(&self, a: RowAddr, b: RowAddr) -> Result<DualReadout, ArrayError> {
-        if a == b {
-            return Err(ArrayError::SameRowTwice(a));
-        }
-        let ra = self.row(a)?;
-        let rb = self.row(b)?;
+        let (ra, rb) = self.dual_rows(a, b)?;
         Ok(DualReadout {
             and: ra & rb,
             nor: BitRow::nor_of(ra, rb),
         })
+    }
+
+    /// The two rows a dual word-line access activates, borrowed, for
+    /// column peripherals that compute straight from the stored operands.
+    /// Checks exactly what [`SramArray::bl_compute`] checks, in the same
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArrayError::SameRowTwice`] if `a == b`, or
+    /// [`ArrayError::RowOutOfRange`] for `a`, then for `b`.
+    pub fn dual_rows(&self, a: RowAddr, b: RowAddr) -> Result<(&BitRow, &BitRow), ArrayError> {
+        if a == b {
+            return Err(ArrayError::SameRowTwice(a));
+        }
+        Ok((self.row(a)?, self.row(b)?))
     }
 
     /// Single word-line access: returns `A` and `~A` (the SA pair outputs).
@@ -193,6 +205,8 @@ mod tests {
         assert_eq!(out.nor.get_field(0, 4), 0b0001);
         assert_eq!(out.xor().get_field(0, 4), 0b0110);
         assert_eq!(out.or().get_field(0, 4), 0b1110);
+        let (a, b) = arr.dual_rows(RowAddr::Main(0), RowAddr::Main(1)).unwrap();
+        assert_eq!((a.get_field(0, 4), b.get_field(0, 4)), (0b1100, 0b1010));
     }
 
     #[test]
@@ -234,6 +248,26 @@ mod tests {
         assert!(matches!(
             arr.bl_compute(RowAddr::Main(1), RowAddr::Main(1)),
             Err(ArrayError::SameRowTwice(_))
+        ));
+        // One row twice is reported before either row's range, then `a`'s
+        // range before `b`'s.
+        assert!(matches!(
+            arr.dual_rows(RowAddr::Main(9), RowAddr::Main(9)),
+            Err(ArrayError::SameRowTwice(RowAddr::Main(9)))
+        ));
+        assert!(matches!(
+            arr.dual_rows(RowAddr::Main(8), RowAddr::Dummy(3)),
+            Err(ArrayError::RowOutOfRange {
+                addr: RowAddr::Main(8),
+                ..
+            })
+        ));
+        assert!(matches!(
+            arr.dual_rows(RowAddr::Main(0), RowAddr::Dummy(3)),
+            Err(ArrayError::RowOutOfRange {
+                addr: RowAddr::Dummy(3),
+                ..
+            })
         ));
     }
 

@@ -67,26 +67,6 @@ proptest! {
         prop_assert_eq!(&cout, &rcout, "carry mismatch at {} cols / {}-bit lanes", cols, seg);
     }
 
-    /// The readout-path adder (AND/NOR inputs, the form the FA-Logics
-    /// hardware sees) agrees with the operand-path adder everywhere.
-    #[test]
-    fn readout_adder_matches_operand_adder(
-        width_step in 0usize..8,
-        seg_pick in 0usize..5,
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
-        cin in any::<bool>(),
-    ) {
-        let cols = 128 + width_step * 128;
-        let seg = [2usize, 4, 8, 16, 32][seg_pick];
-        let a = seeded_row(cols, seed_a);
-        let b = seeded_row(cols, seed_b);
-        let m = LaneMasks::new(cols, seg);
-        let and = &a & &b;
-        let nor = BitRow::nor_of(&a, &b);
-        prop_assert_eq!(m.lane_add_from_readout(&and, &nor, cin), m.lane_add(&a, &b, cin));
-    }
-
     /// Whole-row shifts match the per-bit definition on wide (heap-backed)
     /// rows as well as inline ones.
     #[test]

@@ -6,7 +6,7 @@ use crate::error::Error;
 use crate::isa::OpKind;
 use crate::words;
 use bpimc_array::{BitRow, BlSeparator, CycleKind, RowAddr, SramArray};
-use bpimc_periph::{CarryChain, FfBank, LogicOp, Precision};
+use bpimc_periph::{CarryChain, LogicOp, Precision};
 
 /// One 128 x 128 in-memory-computing macro (array + dummy rows + column
 /// peripherals), executing the paper's Table I operation set cycle by cycle.
@@ -20,9 +20,8 @@ pub struct ImcMacro {
     log: ActivityLog,
     /// Memoized carry chains by segment width: the lane masks are pure
     /// functions of `(cols, segment_bits)`, and rebuilding them on every
-    /// single-cycle op would rival the limb arithmetic itself. `Arc` so a
-    /// handle can be held across a multi-step op without borrowing `self`.
-    chains: Vec<(usize, std::sync::Arc<CarryChain>)>,
+    /// single-cycle op would rival the limb arithmetic itself.
+    chains: Vec<CarryChain>,
 }
 
 impl PartialEq for ImcMacro {
@@ -68,15 +67,19 @@ impl ImcMacro {
         self.log.clear();
     }
 
-    /// The memoized carry chain for `segment_bits`-wide lanes.
-    fn chain(&mut self, segment_bits: usize) -> std::sync::Arc<CarryChain> {
-        if let Some(pos) = self.chains.iter().position(|(s, _)| *s == segment_bits) {
-            self.chains[pos].1.clone()
-        } else {
-            let c = std::sync::Arc::new(CarryChain::with_segment_bits(self.cols(), segment_bits));
-            self.chains.push((segment_bits, c.clone()));
-            c
-        }
+    /// Index in `chains` of the memoized carry chain for
+    /// `segment_bits`-wide lanes. An index rather than a reference, so a
+    /// chain can be borrowed beside the array's rows.
+    fn chain(&mut self, segment_bits: usize) -> usize {
+        let cached = self
+            .chains
+            .iter()
+            .position(|c| c.segment_bits() == segment_bits);
+        cached.unwrap_or_else(|| {
+            let c = CarryChain::with_segment_bits(self.cols(), segment_bits);
+            self.chains.push(c);
+            self.chains.len() - 1
+        })
     }
 
     /// BL separator accounting (shielded vs exposed write-backs).
@@ -246,7 +249,8 @@ impl ImcMacro {
     /// Returns an error for invalid rows.
     pub fn shl(&mut self, src: usize, dst: usize, precision: Precision) -> Result<u64, Error> {
         let r = self.array.single_read(RowAddr::Main(src))?;
-        let v = self.chain(precision.bits()).shift_row(&r.a);
+        let c = self.chain(precision.bits());
+        let v = self.chains[c].shift_row(&r.a);
         self.writeback(RowAddr::Main(dst), &v, CycleKind::SingleAccess, 0)?;
         self.log.push_op(OpKind::Shl, precision, 1);
         Ok(1)
@@ -265,8 +269,9 @@ impl ImcMacro {
         dst: usize,
         precision: Precision,
     ) -> Result<u64, Error> {
-        let readout = self.array.bl_compute(RowAddr::Main(a), RowAddr::Main(b))?;
-        let sum = self.chain(precision.bits()).add(&readout, false).sum;
+        let c = self.chain(precision.bits());
+        let (ra, rb) = self.array.dual_rows(RowAddr::Main(a), RowAddr::Main(b))?;
+        let sum = self.chains[c].add(ra, rb, false);
         self.writeback(RowAddr::Main(dst), &sum, CycleKind::Compute, 0)?;
         self.log.push_op(OpKind::Add, precision, 1);
         Ok(1)
@@ -284,8 +289,9 @@ impl ImcMacro {
         dst: usize,
         precision: Precision,
     ) -> Result<u64, Error> {
-        let readout = self.array.bl_compute(RowAddr::Main(a), RowAddr::Main(b))?;
-        let v = self.chain(precision.bits()).add_shift(&readout);
+        let c = self.chain(precision.bits());
+        let (ra, rb) = self.array.dual_rows(RowAddr::Main(a), RowAddr::Main(b))?;
+        let v = self.chains[c].add_shift(ra, rb);
         self.writeback(RowAddr::Main(dst), &v, CycleKind::Compute, 0)?;
         self.log.push_op(OpKind::AddShift, precision, 1);
         Ok(1)
@@ -321,8 +327,9 @@ impl ImcMacro {
             true,
         )?;
         // Cycle 2: A + ~B + 1.
-        let readout = self.array.bl_compute(RowAddr::Main(a), RowAddr::Dummy(0))?;
-        let diff = self.chain(precision.bits()).add(&readout, true).sum;
+        let c = self.chain(precision.bits());
+        let (ra, nb) = self.array.dual_rows(RowAddr::Main(a), RowAddr::Dummy(0))?;
+        let diff = self.chains[c].add(ra, nb, true);
         self.writeback(RowAddr::Main(dst), &diff, CycleKind::Compute, 0)?;
         self.log.push_op(OpKind::Sub, precision, 2);
         Ok(2)
@@ -354,16 +361,13 @@ impl ImcMacro {
                 cols,
             });
         }
-        let chain = self.chain(2 * bits);
-        let lanes = chain.lane_count();
+        let c = self.chain(2 * bits);
+        let lanes = self.chains[c].lane_count();
 
         // Init cycle 1: zeros into dummy row 0 (the accumulator) while the
-        // multiplier row is read into the FF bank, reversed.
-        let rb = self.array.single_read(RowAddr::Main(b))?;
-        let mut bank = FfBank::new(precision, lanes);
-        for lane in 0..lanes {
-            bank.load(lane, rb.a.get_field(lane * 2 * bits, bits));
-        }
+        // multiplier row is loaded into the FF bank, reversed, so step `s`
+        // presents bit `P - 1 - s` of each lane's multiplier.
+        let multiplier = self.array.read(RowAddr::Main(b))?;
         let zeros = BitRow::zeros(cols);
         let lane_cols = lanes * 2 * bits;
         self.writeback_gated(
@@ -376,8 +380,7 @@ impl ImcMacro {
         )?;
 
         // Init cycle 2: copy the multiplicand into dummy row 1.
-        let ra = self.array.single_read(RowAddr::Main(a))?;
-        let multiplicand = ra.a;
+        let multiplicand = self.array.read(RowAddr::Main(a))?;
         self.writeback_gated(
             RowAddr::Dummy(1),
             &multiplicand,
@@ -389,17 +392,16 @@ impl ImcMacro {
 
         // P add-and-shift steps, accumulator ping-ponging between dummy rows
         // 0 and 2 (the paper's "second and third rows"); the final step is a
-        // plain ADD written to the destination.
+        // plain ADD written to the destination. The Y-path FFs hold the
+        // previously written accumulator for the pass-through (FF bit = 0)
+        // case, which is the activated accumulator row itself.
         let mut acc_src = RowAddr::Dummy(0);
         let mut acc_dst = RowAddr::Dummy(2);
         for step in 0..bits {
             let final_step = step == bits - 1;
-            let readout = self.array.bl_compute(acc_src, RowAddr::Dummy(1))?;
-            // The Y-path FFs hold the previously written accumulator value
-            // for the pass-through (FF bit = 0) case.
-            let acc_latch = self.array.read(acc_src)?;
-            let ff = bank.fronts();
-            let next = chain.mult_step(&readout, &acc_latch, &ff, final_step);
+            let (acc, mcand) = self.array.dual_rows(acc_src, RowAddr::Dummy(1))?;
+            let next =
+                self.chains[c].mult_step(acc, mcand, &multiplier, bits - 1 - step, final_step);
             let target = if final_step {
                 RowAddr::Main(dst)
             } else {
@@ -417,7 +419,6 @@ impl ImcMacro {
                 lanes * valid,
                 false,
             )?;
-            bank.shift();
             std::mem::swap(&mut acc_src, &mut acc_dst);
         }
 
@@ -426,14 +427,16 @@ impl ImcMacro {
         Ok(cycles)
     }
 
-    /// In-memory reduction: sums the rows `srcs` pairwise with a tree of
-    /// bit-parallel ADDs into `dst` (per-lane, wrapping at the precision).
-    /// Intermediate partial sums cycle through dummy rows 0 and 2, so no
-    /// main-array rows beyond `dst` are clobbered.
+    /// In-memory reduction: sums the rows `srcs` into `dst` with a chain of
+    /// bit-parallel ADDs (per-lane, wrapping at the precision), the
+    /// accumulation pattern a dot-product workload uses after its
+    /// multiplies. The first source is copied into dummy row 0, then each
+    /// further source is added to the running sum, which ping-pongs between
+    /// dummy rows 0 and 2; the last ADD writes `dst`. So no main-array row
+    /// beyond `dst` is clobbered.
     ///
-    /// Takes `ceil(log2(n)) * levels` single-cycle ADDs — `n-1` adds total —
-    /// the accumulation pattern a dot-product workload uses after its
-    /// multiplies.
+    /// Takes `n` cycles for `n` sources (one copy plus `n - 1` ADDs), or 2
+    /// for a single source (the copy in, then a copy out to `dst`).
     ///
     /// # Errors
     ///
@@ -456,10 +459,10 @@ impl ImcMacro {
         let mut cycles = 1u64;
         let mut acc = RowAddr::Dummy(0);
         let mut spare = RowAddr::Dummy(2);
-        let chain = self.chain(precision.bits());
+        let c = self.chain(precision.bits());
         for (i, &s) in srcs.iter().enumerate().skip(1) {
-            let readout = self.array.bl_compute(acc, RowAddr::Main(s))?;
-            let sum = chain.add(&readout, false).sum;
+            let (ra, rs) = self.array.dual_rows(acc, RowAddr::Main(s))?;
+            let sum = self.chains[c].add(ra, rs, false);
             let target = if i == srcs.len() - 1 {
                 RowAddr::Main(dst)
             } else {

@@ -7,29 +7,25 @@
 //!
 //! Two implementations coexist:
 //!
-//! * the **limb-parallel engine** (the default): every operation is a
-//!   handful of `u64`-limb ops via [`LaneMasks`], so one host instruction
-//!   covers 64 columns, mirroring the hardware's bit-parallelism;
+//! * the **limb-parallel engine** (the default): the add and multiply-step
+//!   operations take the two activated rows straight from the array and
+//!   evaluate the cycle's write-back row in one pass over their `u64`
+//!   limbs via [`LaneMasks`] (add-and-shift takes a second pass for the
+//!   shift), so one host instruction covers 64 columns, mirroring the
+//!   hardware's bit-parallelism. Rows up to [`BitRow::INLINE_COLS`]
+//!   columns need no heap allocation;
 //! * the **structural reference** ([`CarryChain::add_bitwise`],
 //!   [`CarryChain::mult_step_bitwise`], …): the original column-by-column
-//!   ripple through [`YPath`] slices. It is kept as the ground truth the
-//!   property tests compare the engine against bit-for-bit.
+//!   ripple through [`YPath`] slices, taking the same inputs. It is kept as
+//!   the ground truth the property tests compare the engine against
+//!   bit-for-bit.
 //!
 //! Both compute the same function; only host time differs. Simulated cycle
 //! counts are decided by the macro executor, not by either code path.
 
 use crate::precision::Precision;
 use crate::ypath::{ColumnInputs, WriteBackSel, YPath};
-use bpimc_array::{BitRow, DualReadout, LaneMasks};
-
-/// Result of a row-wide addition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AddOutcome {
-    /// Per-column sums.
-    pub sum: BitRow,
-    /// Carry out of each lane's MSB (lane order, LSB-most lane first).
-    pub carries: Vec<bool>,
-}
+use bpimc_array::{BitRow, LaneMasks};
 
 /// A carry chain configured for a row width and a lane (segment) width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,11 +70,6 @@ impl CarryChain {
         self.masks.lane_count()
     }
 
-    /// The precomputed lane masks backing this chain.
-    pub fn masks(&self) -> &LaneMasks {
-        &self.masks
-    }
-
     /// Column range of lane `lane`.
     fn lane_range(&self, lane: usize) -> std::ops::Range<usize> {
         let lo = lane * self.segment_bits();
@@ -86,24 +77,17 @@ impl CarryChain {
     }
 
     /// Row-wide `A + B` (+ `carry_in` into every lane's LSB — `true` is the
-    /// two's-complement `+1` used by SUB). Limb-parallel.
-    pub fn add(&self, readout: &DualReadout, carry_in: bool) -> AddOutcome {
-        self.check_width(readout.and.width());
-        let (sum, cout) = self
-            .masks
-            .lane_add_from_readout(&readout.and, &readout.nor, carry_in);
-        let carries = (0..self.lane_count())
-            .map(|lane| cout.get(self.lane_range(lane).end - 1))
-            .collect();
-        AddOutcome { sum, carries }
+    /// two's-complement `+1` used by SUB) of the two activated rows.
+    /// Limb-parallel, one pass.
+    pub fn add(&self, a: &BitRow, b: &BitRow, carry_in: bool) -> BitRow {
+        self.masks.lane_add(a, b, carry_in).0
     }
 
     /// Row-wide add-and-shift: per lane, `(A + B) << 1` written in a single
     /// cycle (each column writes back its right neighbour's sum; the lane
     /// LSB receives zero). Limb-parallel.
-    pub fn add_shift(&self, readout: &DualReadout) -> BitRow {
-        let added = self.add(readout, false);
-        self.shift_row(&added.sum)
+    pub fn add_shift(&self, a: &BitRow, b: &BitRow) -> BitRow {
+        self.shift_row(&self.add(a, b, false))
     }
 
     /// Per-lane logical left shift by one of raw row data (the single-WL
@@ -113,30 +97,31 @@ impl CarryChain {
         self.masks.lane_shl1(data)
     }
 
-    /// One multiplication step: per lane, writes `(sum) << 1` when the
-    /// lane's multiplier FF bit is 1, else `(acc) << 1` where `acc` is the
-    /// Y-path FF copy of the previously written accumulator.
+    /// One multiplication step over the activated accumulator and
+    /// multiplicand rows: per lane, writes `(acc + multiplicand) << 1` when
+    /// the lane's multiplier FF bit is 1, else `acc << 1` (the Y-path FF
+    /// copy of the previously written accumulator). The FF bit is bit `bit`
+    /// of the lane's word in `multiplier`, the row the FF bank was loaded
+    /// from.
     ///
     /// When `final_step` is true the shift is suppressed (the last partial
-    /// product is accumulated with a plain ADD, per Fig. 5). Limb-parallel.
+    /// product is accumulated with a plain ADD, per Fig. 5). Limb-parallel,
+    /// one pass.
     ///
     /// # Panics
     ///
-    /// Panics if `ff_bits` does not have one entry per lane.
+    /// Panics if the lanes do not tile a 64-bit limb or `bit` is outside a
+    /// lane.
     pub fn mult_step(
         &self,
-        readout: &DualReadout,
-        acc_latch: &BitRow,
-        ff_bits: &[bool],
+        acc: &BitRow,
+        multiplicand: &BitRow,
+        multiplier: &BitRow,
+        bit: usize,
         final_step: bool,
     ) -> BitRow {
-        self.check_width(acc_latch.width());
-        let (sum, _cout) = self
-            .masks
-            .lane_add_from_readout(&readout.and, &readout.nor, false);
-        let ff_mask = self.masks.expand_lane_bits(ff_bits);
         self.masks
-            .select_shl1(&ff_mask, &sum, acc_latch, final_step)
+            .mult_step(acc, multiplicand, multiplier, bit, final_step)
     }
 
     // ------------------------------------------------------------------
@@ -145,25 +130,21 @@ impl CarryChain {
 
     /// [`CarryChain::add`] computed column by column through the structural
     /// [`YPath`] model — the reference the limb engine is verified against.
-    pub fn add_bitwise(&self, readout: &DualReadout, carry_in: bool) -> AddOutcome {
-        self.check_width(readout.and.width());
+    pub fn add_bitwise(&self, a: &BitRow, b: &BitRow, carry_in: bool) -> BitRow {
+        self.check_width(a.width());
+        self.check_width(b.width());
         let y = YPath;
         let mut sum = BitRow::zeros(self.cols());
-        let mut carries = Vec::with_capacity(self.lane_count());
         for lane in 0..self.lane_count() {
             let mut c = carry_in;
             for col in self.lane_range(lane) {
-                let inp = ColumnInputs {
-                    and_ab: readout.and.get(col),
-                    nor_ab: readout.nor.get(col),
-                };
+                let inp = ColumnInputs::dual(a.get(col), b.get(col));
                 let out = y.eval(inp, c, false, WriteBackSel::Sum);
                 sum.set(col, out.writeback);
                 c = out.carry_out;
             }
-            carries.push(c);
         }
-        AddOutcome { sum, carries }
+        sum
     }
 
     /// [`CarryChain::shift_row`] computed column by column (reference).
@@ -188,22 +169,26 @@ impl CarryChain {
     ///
     /// # Panics
     ///
-    /// Panics if `ff_bits` does not have one entry per lane.
-    #[allow(clippy::needless_range_loop)]
+    /// Panics if `bit` is outside a lane.
     pub fn mult_step_bitwise(
         &self,
-        readout: &DualReadout,
-        acc_latch: &BitRow,
-        ff_bits: &[bool],
+        acc: &BitRow,
+        multiplicand: &BitRow,
+        multiplier: &BitRow,
+        bit: usize,
         final_step: bool,
     ) -> BitRow {
-        assert_eq!(ff_bits.len(), self.lane_count(), "one FF bit per lane");
-        self.check_width(acc_latch.width());
-        let added = self.add_bitwise(readout, false);
+        assert!(bit < self.segment_bits(), "bit {bit} is outside a lane");
+        self.check_width(multiplier.width());
+        let sum = self.add_bitwise(acc, multiplicand, false);
         let mut out = BitRow::zeros(self.cols());
         for lane in 0..self.lane_count() {
             let r = self.lane_range(lane);
-            let src = if ff_bits[lane] { &added.sum } else { acc_latch };
+            let src = if multiplier.get(r.start + bit) {
+                &sum
+            } else {
+                acc
+            };
             for col in r.clone() {
                 let v = if final_step {
                     src.get(col)
@@ -233,13 +218,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn readout(cols: usize, a: u64, b: u64) -> DualReadout {
-        let ra = BitRow::from_u64(cols, a);
-        let rb = BitRow::from_u64(cols, b);
-        DualReadout {
-            and: &ra & &rb,
-            nor: &!&ra & &!&rb,
+    /// A pseudo-random row built bit by bit (not through the limb
+    /// constructors the engine uses). Idle columns are set too.
+    fn seeded_row(width: usize, seed: u64) -> BitRow {
+        let mut r = BitRow::zeros(width);
+        let mut s = seed | 1;
+        for i in 0..width {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            r.set(i, s >> 63 == 1);
         }
+        r
     }
 
     #[test]
@@ -247,24 +237,31 @@ mod tests {
         // Two 8-bit lanes in a 16-column row: 0xFF + 0x01 must not carry
         // into the upper lane.
         let chain = CarryChain::new(16, Precision::P8);
-        let out = chain.add(&readout(16, 0x00FF, 0x0001), false);
-        assert_eq!(out.sum.get_field(0, 8), 0x00);
-        assert_eq!(out.sum.get_field(8, 8), 0x00, "no carry leak into lane 1");
-        assert_eq!(out.carries, vec![true, false]);
+        let sum = chain.add(
+            &BitRow::from_u64(16, 0x00FF),
+            &BitRow::from_u64(16, 0x0001),
+            false,
+        );
+        assert_eq!(sum.get_field(0, 8), 0x00);
+        assert_eq!(sum.get_field(8, 8), 0x00, "no carry leak into lane 1");
     }
 
     #[test]
     fn carry_in_implements_plus_one_per_lane() {
         let chain = CarryChain::new(16, Precision::P8);
-        let out = chain.add(&readout(16, 0x0102, 0x0304), true);
-        assert_eq!(out.sum.get_field(0, 8), 0x07); // 2+4+1
-        assert_eq!(out.sum.get_field(8, 8), 0x05); // 1+3+1
+        let sum = chain.add(
+            &BitRow::from_u64(16, 0x0102),
+            &BitRow::from_u64(16, 0x0304),
+            true,
+        );
+        assert_eq!(sum.get_field(0, 8), 0x07); // 2+4+1
+        assert_eq!(sum.get_field(8, 8), 0x05); // 1+3+1
     }
 
     #[test]
     fn add_shift_doubles_the_sum() {
         let chain = CarryChain::new(16, Precision::P8);
-        let out = chain.add_shift(&readout(16, 5, 9));
+        let out = chain.add_shift(&BitRow::from_u64(16, 5), &BitRow::from_u64(16, 9));
         assert_eq!(out.get_field(0, 8), (5 + 9) * 2);
     }
 
@@ -285,15 +282,16 @@ mod tests {
     fn mult_step_selects_sum_or_latch() {
         let chain = CarryChain::with_segment_bits(8, 8);
         let acc = BitRow::from_u64(8, 0b0000_0110);
-        // ff = 1: (acc + a) << 1.
-        let r = readout(8, 0b0000_0110, 0b0000_0011);
-        let out = chain.mult_step(&r, &acc, &[true], false);
+        let a = BitRow::from_u64(8, 0b0000_0011);
+        let multiplier = BitRow::from_u64(8, 0b0000_0100);
+        // FF bit (multiplier bit 2) = 1: (acc + a) << 1.
+        let out = chain.mult_step(&acc, &a, &multiplier, 2, false);
         assert_eq!(out.get_field(0, 8), ((0b110 + 0b011) << 1) & 0xFF);
-        // ff = 0: acc << 1 regardless of the readout.
-        let out = chain.mult_step(&r, &acc, &[false], false);
+        // FF bit (multiplier bit 1) = 0: acc << 1 regardless of `a`.
+        let out = chain.mult_step(&acc, &a, &multiplier, 1, false);
         assert_eq!(out.get_field(0, 8), 0b0000_1100);
         // final step suppresses the shift.
-        let out = chain.mult_step(&r, &acc, &[true], true);
+        let out = chain.mult_step(&acc, &a, &multiplier, 2, true);
         assert_eq!(out.get_field(0, 8), 0b110 + 0b011);
     }
 
@@ -302,17 +300,12 @@ mod tests {
         // 20 columns at 8-bit precision: 2 lanes + 4 idle columns that must
         // read zero on every path.
         let chain = CarryChain::new(20, Precision::P8);
-        let ra = BitRow::ones(20);
-        let rb = BitRow::ones(20);
-        let r = DualReadout {
-            and: &ra & &rb,
-            nor: &!&ra & &!&rb,
-        };
-        let out = chain.add(&r, true);
+        let ones = BitRow::ones(20);
+        let out = chain.add(&ones, &ones, true);
         for col in 16..20 {
-            assert!(!out.sum.get(col), "idle col {col}");
+            assert!(!out.get(col), "idle col {col}");
         }
-        let m = chain.mult_step(&r, &ra, &[true, true], true);
+        let m = chain.mult_step(&ones, &ones, &ones, 0, true);
         for col in 16..20 {
             assert!(!m.get(col), "idle col {col} after mult_step");
         }
@@ -326,14 +319,12 @@ mod tests {
             let precision = Precision::ALL[p];
             let bits = precision.bits();
             let chain = CarryChain::new(64, precision);
-            let out = chain.add(&readout(64, a, b), false);
+            let sum = chain.add(&BitRow::from_u64(64, a), &BitRow::from_u64(64, b), false);
             for lane in 0..(64 / bits) {
                 let wa = (a >> (lane * bits)) & precision.mask();
                 let wb = (b >> (lane * bits)) & precision.mask();
                 let expect = (wa + wb) & precision.mask();
-                prop_assert_eq!(out.sum.get_field(lane * bits, bits), expect);
-                let expect_carry = (wa + wb) > precision.mask();
-                prop_assert_eq!(out.carries[lane], expect_carry);
+                prop_assert_eq!(sum.get_field(lane * bits, bits), expect);
             }
         }
 
@@ -344,61 +335,59 @@ mod tests {
             let chain = CarryChain::new(64, Precision::P32);
             let ra = BitRow::from_u64(64, a as u64 | ((a as u64) << 32));
             let rb_inv = !&BitRow::from_u64(64, b as u64 | ((b as u64) << 32));
-            let r = DualReadout { and: &ra & &rb_inv, nor: &!&ra & &!&rb_inv };
-            let out = chain.add(&r, true);
+            let diff = chain.add(&ra, &rb_inv, true);
             let expect = a.wrapping_sub(b) as u64;
-            prop_assert_eq!(out.sum.get_field(0, 32), expect);
-            prop_assert_eq!(out.sum.get_field(32, 32), expect);
+            prop_assert_eq!(diff.get_field(0, 32), expect);
+            prop_assert_eq!(diff.get_field(32, 32), expect);
         }
 
         /// The limb-parallel adder matches the structural per-column
-        /// reference bit-for-bit, carries included, on random rows, widths
-        /// and segmentations.
+        /// reference bit-for-bit on random rows (idle columns set too),
+        /// from one column to heap rows of 1024, at segment widths 2-64.
         #[test]
         fn limb_add_matches_bitwise_reference(
-            a in any::<u128>(),
-            b in any::<u128>(),
-            cols in 2usize..=128,
-            seg_pick in 0usize..6,
+            seed_a in any::<u64>(),
+            seed_b in any::<u64>(),
+            width in 1usize..=128,
+            width_pick in 0usize..6,
+            seg_pick in 0usize..7,
             cin in any::<bool>(),
         ) {
-            let seg = [2usize, 3, 4, 8, 16, 32][seg_pick].min(cols);
-            let mut ra = BitRow::zeros(cols);
-            let mut rb = BitRow::zeros(cols);
-            for i in 0..cols {
-                ra.set(i, (a >> i) & 1 == 1);
-                rb.set(i, (b >> i) & 1 == 1);
-            }
-            let r = DualReadout { and: &ra & &rb, nor: &!&ra & &!&rb };
+            let cols = [width, 20, 100, 130, 320, 1024][width_pick];
+            let seg = [2usize, 3, 4, 8, 16, 32, 64][seg_pick].min(cols);
+            let (ra, rb) = (seeded_row(cols, seed_a), seeded_row(cols, seed_b));
             let chain = CarryChain::with_segment_bits(cols, seg);
-            let fast = chain.add(&r, cin);
-            let slow = chain.add_bitwise(&r, cin);
-            prop_assert_eq!(&fast.sum, &slow.sum, "sum mismatch cols={} seg={}", cols, seg);
-            prop_assert_eq!(&fast.carries, &slow.carries, "carry mismatch cols={} seg={}", cols, seg);
+            let fast = chain.add(&ra, &rb, cin);
+            let slow = chain.add_bitwise(&ra, &rb, cin);
+            prop_assert_eq!(&fast, &slow, "sum mismatch cols={} seg={}", cols, seg);
         }
 
         /// The limb-parallel shift and mult-step match their per-column
-        /// references bit-for-bit.
+        /// references bit-for-bit: every product-lane width 4-64 (the
+        /// 64-bit lane's fill constant is all ones), idle columns inside a
+        /// limb, and heap rows wider than 256 columns.
         #[test]
         fn limb_mult_step_matches_bitwise_reference(
-            a in any::<u64>(),
-            b in any::<u64>(),
-            acc in any::<u64>(),
-            ff_seed in any::<u64>(),
+            seed_acc in any::<u64>(),
+            seed_a in any::<u64>(),
+            seed_b in any::<u64>(),
+            bit_pick in any::<usize>(),
             final_step in any::<bool>(),
-            seg_pick in 0usize..4,
+            width_pick in 0usize..7,
+            seg_pick in 0usize..5,
         ) {
-            let cols = 64;
-            let seg = [4usize, 8, 16, 32][seg_pick];
+            let cols = [20usize, 64, 100, 128, 130, 320, 1024][width_pick];
+            let seg = [4usize, 8, 16, 32, 64][seg_pick];
+            prop_assume!(seg <= cols);
+            let bit = bit_pick % seg;
             let chain = CarryChain::with_segment_bits(cols, seg);
-            let r = readout(cols, a, b);
-            let acc_row = BitRow::from_u64(cols, acc);
-            let ff: Vec<bool> = (0..chain.lane_count()).map(|i| (ff_seed >> i) & 1 == 1).collect();
-            let fast = chain.mult_step(&r, &acc_row, &ff, final_step);
-            let slow = chain.mult_step_bitwise(&r, &acc_row, &ff, final_step);
-            prop_assert_eq!(&fast, &slow);
-            let data = BitRow::from_u64(cols, a);
-            prop_assert_eq!(chain.shift_row(&data), chain.shift_row_bitwise(&data));
+            let acc = seeded_row(cols, seed_acc);
+            let a = seeded_row(cols, seed_a);
+            let multiplier = seeded_row(cols, seed_b);
+            let fast = chain.mult_step(&acc, &a, &multiplier, bit, final_step);
+            let slow = chain.mult_step_bitwise(&acc, &a, &multiplier, bit, final_step);
+            prop_assert_eq!(&fast, &slow, "cols={} seg={} bit={}", cols, seg, bit);
+            prop_assert_eq!(chain.shift_row(&a), chain.shift_row_bitwise(&a));
         }
     }
 }

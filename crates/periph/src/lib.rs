@@ -16,20 +16,20 @@
 //!   neighbour's sum/data for shift and add-and-shift operations.
 //! * **Carry chain** ([`carrychain`]): the row-wide composition of Y-paths,
 //!   segmented at word boundaries by the reconfiguration muxes (MX3) to
-//!   implement 2/4/8/16/32-bit precision ([`precision::Precision`]).
-//! * **FF bank** ([`ffbank`]): the flip-flops that hold the (reversed)
-//!   multiplier operand and shift one position per add-and-shift step.
+//!   implement 2/4/8/16/32-bit precision ([`precision::Precision`]). Its
+//!   multiply step also models the FF bank, the flip-flops that hold the
+//!   multiplier operand reversed (Fig. 5) and present one bit per
+//!   add-and-shift step, most significant first: the step reads that bit
+//!   straight from the multiplier row the bank was loaded from.
 
 pub mod carrychain;
 pub mod falogics;
-pub mod ffbank;
 pub mod logicunit;
 pub mod precision;
 pub mod ypath;
 
-pub use carrychain::{AddOutcome, CarryChain};
+pub use carrychain::CarryChain;
 pub use falogics::{fa_carry, fa_sum};
-pub use ffbank::FfBank;
 pub use logicunit::LogicOp;
 pub use precision::Precision;
 pub use ypath::{ColumnInputs, WriteBackSel, YPath};

@@ -80,13 +80,6 @@ impl Precision {
     pub fn mask(&self) -> u64 {
         self.max_value()
     }
-
-    /// Number of 2-bit FF precision units that tile one lane (the paper's
-    /// Fig. 6 structure: "2-bit FF based structure is a perfect fit ...
-    /// there will be no redundant hardware").
-    pub fn ff_units_per_lane(&self) -> usize {
-        self.bits() / 2
-    }
 }
 
 impl fmt::Display for Precision {
@@ -129,17 +122,6 @@ mod tests {
         assert_eq!(Precision::P8.product_lanes(128), 8);
         assert_eq!(Precision::P2.lanes(128), 64);
         assert_eq!(Precision::P32.lanes(128), 4);
-    }
-
-    #[test]
-    fn ff_units_tile_exactly() {
-        assert_eq!(Precision::P2.ff_units_per_lane(), 1);
-        assert_eq!(Precision::P8.ff_units_per_lane(), 4);
-        // Doubling precision doubles storage — the "perfect fit" property.
-        for w in [Precision::P2, Precision::P4, Precision::P8, Precision::P16] {
-            let next = Precision::try_from_bits(w.bits() * 2).unwrap();
-            assert_eq!(next.ff_units_per_lane(), 2 * w.ff_units_per_lane());
-        }
     }
 
     #[test]
