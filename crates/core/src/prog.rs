@@ -56,7 +56,7 @@ use crate::config::MacroConfig;
 use crate::error::Error;
 use crate::isa::OpKind;
 use crate::macroblock::ImcMacro;
-use bpimc_array::CycleKind;
+use bpimc_array::{BitRow, CycleKind};
 use bpimc_periph::{LogicOp, Precision};
 use std::fmt;
 use std::ops::Range;
@@ -859,15 +859,30 @@ impl Program {
         self.validate(config)?;
         let ops = self.lower_indexed();
         let predicted = ops.iter().map(|(i, _)| i.cycles()).sum();
-        let writes = ops
+        let cols = config.geometry.cols;
+        let packed = ops
             .iter()
-            .filter(|(i, _)| matches!(i, Instr::Write { .. } | Instr::WriteMult { .. }))
-            .count();
+            .filter_map(|(instr, idx)| {
+                let row = match instr {
+                    Instr::Write {
+                        precision, values, ..
+                    } => crate::words::pack_words(values, *precision, cols),
+                    Instr::WriteMult {
+                        precision, values, ..
+                    } => crate::words::pack_mult_operands(values, *precision, cols),
+                    _ => return None,
+                };
+                Some(row.map_err(|source| ProgError::Exec {
+                    instr: *idx,
+                    source,
+                }))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(CompiledProgram {
             ops,
             submitted: self.instrs.len(),
             reads: self.read_count(),
-            writes,
+            packed,
             predicted,
             config: *config,
         })
@@ -913,9 +928,10 @@ pub struct CompiledProgram {
     submitted: usize,
     /// Output vectors a run produces.
     reads: usize,
-    /// `write`/`write_mult` instructions (the bindable input slots of
-    /// [`CompiledProgram::run_with_inputs`]).
-    writes: usize,
+    /// The compiled values of each `write`/`write_mult` (the bindable
+    /// input slots of [`CompiledProgram::run_with_inputs`]), in op order,
+    /// packed into their rows once here rather than on every run.
+    packed: Vec<BitRow>,
     /// Static total-cycle prediction over the lowered stream.
     predicted: u64,
     /// The configuration the program was validated against.
@@ -941,11 +957,12 @@ impl CompiledProgram {
     /// Number of `write`/`write_mult` instructions — the input slots a
     /// [`CompiledProgram::run_with_inputs`] call binds, in submitted order.
     pub fn write_count(&self) -> usize {
-        self.writes
+        self.packed.len()
     }
 
     /// Executes the pre-resolved op array on `mac` — no validation, no
-    /// lowering, just the instruction stream and its accounting. Same
+    /// lowering, just the instruction stream and its accounting: a
+    /// [`CompiledProgram::run_with_inputs`] that binds no write. Same
     /// results and same cost-model assertion as [`Program::run`].
     ///
     /// # Errors
@@ -959,14 +976,7 @@ impl CompiledProgram {
     /// Panics if the executed cycle count diverges from the static cost
     /// model (a `prog` bug, never a data-dependent condition).
     pub fn run(&self, mac: &mut ImcMacro) -> Result<ProgramRun, ProgError> {
-        if *mac.config() != self.config {
-            return Err(ProgError::ConfigMismatch);
-        }
-        let mut state = ExecState::new(mac, self.submitted, self.reads);
-        for (instr, idx) in &self.ops {
-            state.step(mac, instr, *idx)?;
-        }
-        Ok(state.finish(mac, self.predicted))
+        self.run_with_inputs(mac, &vec![None; self.packed.len()])
     }
 
     /// Executes the pre-resolved op array with fresh *input bindings*: one
@@ -1006,30 +1016,12 @@ impl CompiledProgram {
         let mut state = ExecState::new(mac, self.submitted, self.reads);
         let mut slot = 0usize;
         for (instr, idx) in &self.ops {
-            match instr {
-                Instr::Write { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    if let Some(values) = bound {
-                        state.step_write(mac, *idx, |m| {
-                            m.write_words(dst.row(), *precision, values)
-                        })?;
-                        continue;
-                    }
-                }
-                Instr::WriteMult { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    if let Some(values) = bound {
-                        state.step_write(mac, *idx, |m| {
-                            m.write_mult_operands(dst.row(), *precision, values)
-                        })?;
-                        continue;
-                    }
-                }
-                _ => {}
+            if matches!(instr, Instr::Write { .. } | Instr::WriteMult { .. }) {
+                state.step_write(mac, *idx, |m| self.write(m, instr, slot, inputs[slot]))?;
+                slot += 1;
+            } else {
+                state.step(mac, instr, *idx)?;
             }
-            state.step(mac, instr, *idx)?;
         }
         Ok(state.finish(mac, self.predicted))
     }
@@ -1062,26 +1054,12 @@ impl CompiledProgram {
         let mut outputs = Vec::with_capacity(self.reads);
         let mut slot = 0usize;
         for (instr, idx) in &self.ops {
-            let res = match instr {
-                Instr::Write { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    match bound {
-                        Some(values) => mac.write_words(dst.row(), *precision, values).map(|_| ()),
-                        None => exec_instr(instr, mac, &mut outputs),
-                    }
-                }
-                Instr::WriteMult { dst, precision, .. } => {
-                    let bound = inputs[slot];
-                    slot += 1;
-                    match bound {
-                        Some(values) => mac
-                            .write_mult_operands(dst.row(), *precision, values)
-                            .map(|_| ()),
-                        None => exec_instr(instr, mac, &mut outputs),
-                    }
-                }
-                _ => exec_instr(instr, mac, &mut outputs),
+            let res = if matches!(instr, Instr::Write { .. } | Instr::WriteMult { .. }) {
+                let written = self.write(mac, instr, slot, inputs[slot]);
+                slot += 1;
+                written.map(|_| ())
+            } else {
+                exec_instr(instr, mac, &mut outputs)
             };
             res.map_err(|source| ProgError::Exec {
                 instr: *idx,
@@ -1096,12 +1074,36 @@ impl CompiledProgram {
         Ok(outputs)
     }
 
+    /// Runs write slot `slot`, op `instr`: the `bound` values if any, else
+    /// the row packed at compile time. Both log the one write cycle that
+    /// writing the compiled values would.
+    fn write(
+        &self,
+        mac: &mut ImcMacro,
+        instr: &Instr,
+        slot: usize,
+        bound: Option<&[u64]>,
+    ) -> Result<u64, Error> {
+        match (instr, bound) {
+            (Instr::Write { dst, precision, .. }, Some(values)) => {
+                mac.write_words(dst.row(), *precision, values)
+            }
+            (Instr::WriteMult { dst, precision, .. }, Some(values)) => {
+                mac.write_mult_operands(dst.row(), *precision, values)
+            }
+            (Instr::Write { dst, .. } | Instr::WriteMult { dst, .. }, None) => {
+                mac.write_row(dst.row(), &self.packed[slot])
+            }
+            _ => unreachable!("op at write slot {slot} is not a write"),
+        }
+    }
+
     /// Checks a binding set against the compiled writes without touching
     /// any macro: entry count, per-entry length, value ranges.
     fn check_bindings(&self, inputs: &[Option<&[u64]>]) -> Result<(), ProgError> {
-        if inputs.len() != self.writes {
+        if inputs.len() != self.packed.len() {
             return Err(ProgError::InputCount {
-                expected: self.writes,
+                expected: self.packed.len(),
                 got: inputs.len(),
             });
         }
@@ -1758,7 +1760,9 @@ mod tests {
         let via_run = prog.run(&mut m1).unwrap();
         let via_compiled = compiled.run(&mut m2).unwrap();
         assert_eq!(via_run, via_compiled);
-        assert_eq!(m1.activity().cycles(), m2.activity().cycles());
+        // Writes of rows packed at compile time leave the same rows, log
+        // and separator counts as packing on the fly.
+        assert_eq!(m1, m2);
         // Repeat runs reuse the compilation and keep exact accounting.
         let again = compiled.run(&mut m2).unwrap();
         assert_eq!(again.outputs, via_run.outputs);
@@ -2211,7 +2215,7 @@ mod tests {
         let mut m2 = mac();
         let lean = compiled.run_outputs(&mut m2, &[Some(&xs), None]).unwrap();
         assert_eq!(lean, full.outputs);
-        assert_eq!(m1.activity().cycles(), m2.activity().cycles());
+        assert_eq!(m1, m2);
         // Same structured errors without touching the macro.
         let mut m3 = mac();
         assert_eq!(
