@@ -908,7 +908,7 @@ impl Program {
                     0..self.instrs().len(),
                     format!(
                         "program uses {} registers where {} suffice; remapping \
-                         (Program::optimize) would free {} row(s)",
+                         would free {} row(s)",
                         self.reg_count(),
                         new_regs,
                         self.reg_count() - new_regs
