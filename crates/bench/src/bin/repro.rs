@@ -249,9 +249,6 @@ struct MicroReport {
     micro: Vec<(String, f64)>,
     /// Compiled-program / raw-method-call pipeline time (16-feature dot).
     compiled_ratio: f64,
-    /// Compiled-optimized / compiled-unoptimized pipeline time on the
-    /// same dot — proof that `optimize()` never slows a tight program.
-    optimized_ratio: f64,
     /// Classify-via-compiled-template / raw-method-call classify time.
     classify_ratio: f64,
     /// Pipelined mixed-stream requests/sec against an in-process server.
@@ -297,24 +294,6 @@ fn micro_timings() -> MicroReport {
     // into a flat op array, so repeat runs skip validation and lowering
     // entirely.
     let compiled = prog.compile(mac.config()).expect("pipeline validates");
-    // The optimizer on the same canonical pipeline: it is already tight,
-    // so the pass pipeline finds nothing — this times the analysis cost a
-    // `store_program` pays when `optimize_programs` is on, and yields the
-    // compiled-optimized variant check-bench gates against the
-    // unoptimized compile.
-    let t0 = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(prog.optimize());
-    }
-    let optimize_us = t0.elapsed().as_secs_f64() * 1e6 / n as f64;
-    let optimized = prog.optimize();
-    assert!(
-        optimized.cycles() <= prog.cycles(),
-        "optimize never adds cycles"
-    );
-    let compiled_opt = optimized
-        .compile(mac.config())
-        .expect("optimized pipeline validates");
     let lanes = p.product_lanes(mac.cols());
     // The three pipeline variants are measured in interleaved rounds so
     // host frequency drift (common on shared CI machines) lands on all of
@@ -325,7 +304,6 @@ fn micro_timings() -> MicroReport {
     let per_round = n / rounds;
     let mut program_s = 0.0f64;
     let mut compiled_rounds = Vec::with_capacity(rounds);
-    let mut opt_rounds = Vec::with_capacity(rounds);
     let mut raw_rounds = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let t0 = Instant::now();
@@ -342,12 +320,6 @@ fn micro_timings() -> MicroReport {
         compiled_rounds.push(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for _ in 0..per_round {
-            compiled_opt.run(&mut mac).expect("optimized program runs");
-            mac.clear_activity();
-        }
-        opt_rounds.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for _ in 0..per_round {
             for (xc, wc) in x.chunks(lanes).zip(w.chunks(lanes)) {
                 mac.write_mult_operands(0, p, xc).expect("fits");
                 mac.write_mult_operands(1, p, wc).expect("fits");
@@ -361,7 +333,6 @@ fn micro_timings() -> MicroReport {
     let denom = (rounds * per_round) as f64;
     let program_us = program_s * 1e6 / denom;
     let compiled_us = compiled_rounds.iter().sum::<f64>() * 1e6 / denom;
-    let compiled_opt_us = opt_rounds.iter().sum::<f64>() * 1e6 / denom;
     let raw_us = raw_rounds.iter().sum::<f64>() * 1e6 / denom;
     let median_ratio = |a: &[f64], b: &[f64]| -> f64 {
         let mut ratios: Vec<f64> = a.iter().zip(b).map(|(x, y)| x / y).collect();
@@ -369,7 +340,6 @@ fn micro_timings() -> MicroReport {
         ratios[ratios.len() / 2]
     };
     let ratio_median = median_ratio(&compiled_rounds, &raw_rounds);
-    let optimized_ratio = median_ratio(&opt_rounds, &compiled_rounds);
 
     // The serving hot path: one whole classification (all C prototype
     // dots) through the per-model compiled template with the sample's
@@ -447,16 +417,13 @@ fn micro_timings() -> MicroReport {
             ("mult_p8_128col_us".into(), mult_us),
             ("reduce_add_8rows_us".into(), reduce_us),
             ("program_pipeline_us".into(), program_us),
-            ("program_optimize_us".into(), optimize_us),
             ("compiled_pipeline_us".into(), compiled_us),
-            ("compiled_pipeline_opt_us".into(), compiled_opt_us),
             ("raw_pipeline_us".into(), raw_us),
             ("classify_program_us".into(), classify_program_us),
             ("classify_raw_us".into(), classify_raw_us),
             ("fig2_mc200_us".into(), fig2_us),
         ],
         compiled_ratio: ratio_median,
-        optimized_ratio,
         classify_ratio,
         served_req_per_s,
     }
@@ -745,11 +712,6 @@ fn state_cmd(args: &[String]) {
     println!("state directory is clean");
 }
 
-/// `repro check-bench`: the CI regression gate. Simulated cycle counts are
-/// hardware ground truth and must match the baseline **exactly**; host
-/// micro-timings vary with the machine, so they only fail when more than
-/// `TOLERANCE_FACTOR` slower than the recorded baseline (catching
-/// order-of-magnitude regressions without flaking on slower CI hosts).
 /// `repro lint` — the static program-quality gate.
 ///
 /// Lints the canonical benchmark pipelines (`--builtin`: the four
@@ -847,6 +809,11 @@ fn lint_cmd(args: &[String]) {
     }
 }
 
+/// `repro check-bench`: the CI regression gate. Simulated cycle counts are
+/// hardware ground truth and must match the baseline **exactly**; host
+/// micro-timings vary with the machine, so they only fail when more than
+/// `TOLERANCE_FACTOR` slower than the recorded baseline (catching
+/// order-of-magnitude regressions without flaking on slower CI hosts).
 fn check_bench(args: &[String]) {
     const TOLERANCE_FACTOR: f64 = 10.0;
     let mut baseline_path = "BENCH_repro.json".to_string();
@@ -946,21 +913,6 @@ fn check_bench(args: &[String]) {
     } else {
         println!(
             "ratio   compiled/raw pipeline   {ratio_median:.2}x median > {COMPILED_OVERHEAD_FACTOR}x  FAIL"
-        );
-        failures += 1;
-    }
-    // Opt-in program optimization must never cost runtime: the canonical
-    // dot pipeline is already tight, so its optimized compile has to run
-    // within measurement noise of the unoptimized one.
-    const OPTIMIZED_PIPELINE_FACTOR: f64 = 1.05;
-    let opt_ratio = report.optimized_ratio;
-    if opt_ratio <= OPTIMIZED_PIPELINE_FACTOR {
-        println!(
-            "ratio   optimized/compiled      {opt_ratio:.2}x median (limit {OPTIMIZED_PIPELINE_FACTOR}x)"
-        );
-    } else {
-        println!(
-            "ratio   optimized/compiled      {opt_ratio:.2}x median > {OPTIMIZED_PIPELINE_FACTOR}x  FAIL"
         );
         failures += 1;
     }

@@ -59,10 +59,8 @@ pub use error::Error;
 pub use isa::OpKind;
 pub use macrobank::MacroBank;
 pub use macroblock::ImcMacro;
-pub use prog::analysis::{Dataflow, Diagnostic, Severity, ValueRange};
-pub use prog::{
-    CompiledProgram, Instr, ProgError, Program, ProgramBuilder, ProgramRun, Reg, SubProgram,
-};
+pub use prog::analysis::{Diagnostic, Severity};
+pub use prog::{CompiledProgram, Instr, ProgError, Program, ProgramBuilder, ProgramRun, Reg};
 pub use wire::{
     instr_from_json, instr_to_json, ErrorBody, ErrorKind, LaneOp, LimitKind, ProgramEntry,
     ProgramReport, Request, RequestBody, Response, ResponseBody, RunStatus, SessionInfo,

@@ -1140,101 +1140,6 @@ impl CompiledProgram {
     }
 }
 
-/// One independent subgraph of a [`Program`], produced by
-/// [`Program::partition`]: a self-contained instruction subsequence whose
-/// every register read reaches a definition *inside* the subgraph, so it
-/// can run on any macro, in any order relative to its siblings, and still
-/// compute exactly what it computed in the original stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubProgram {
-    /// The component as a standalone runnable program (original
-    /// instruction order preserved within the component).
-    pub program: Program,
-    /// For each component instruction, the index of the submitted
-    /// instruction it came from.
-    pub submitted: Vec<usize>,
-    /// For each component `read`/`read_products` (in component order), the
-    /// output-slot index it fills in the original program's output list.
-    pub read_slots: Vec<usize>,
-}
-
-impl Program {
-    /// Splits the program into its independent dependence components.
-    ///
-    /// Two instructions belong to the same component when one reads a
-    /// register *value* the other defined (reaching definitions, not raw
-    /// register indices — a register recycled by `write_to` across loop
-    /// iterations starts a fresh value each time, so chunked pipelines
-    /// like `classify`'s per-prototype dots split apart even though they
-    /// share three physical registers). Within a component the original
-    /// instruction order is preserved, which also preserves the
-    /// `add`+`shl` fusion opportunities and therefore the component cycle
-    /// counts: the components' cycles always sum to [`Program::cycles`].
-    ///
-    /// Intended for validated programs; on an invalid program the split is
-    /// still well-defined (an unreachable source read simply does not link)
-    /// but the components may not validate individually.
-    pub fn partition(&self) -> Vec<SubProgram> {
-        // The shared dataflow framework resolves every read to its
-        // reaching definition; components are the connected closure of
-        // those value edges, numbered by first instruction.
-        let comp = analysis::Dataflow::of(self).components();
-        let count = comp.iter().copied().max().map_or(0, |m| m + 1);
-        let mut comps: Vec<(Vec<Instr>, Vec<usize>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new(), Vec::new()); count];
-        let mut read_slot = 0usize;
-        for (idx, instr) in self.instrs.iter().enumerate() {
-            let c = comp[idx];
-            if instr.is_read() {
-                comps[c].2.push(read_slot);
-                read_slot += 1;
-            }
-            comps[c].0.push(instr.clone());
-            comps[c].1.push(idx);
-        }
-        comps
-            .into_iter()
-            .map(|(instrs, submitted, read_slots)| SubProgram {
-                program: Program::new(instrs),
-                submitted,
-                read_slots,
-            })
-            .collect()
-    }
-
-    /// The static cost model's parallel-completion bound: the busiest
-    /// macro's cycle count if the program's dependence components were
-    /// spread over `macros` macros by a deterministic longest-processing-
-    /// time schedule (the bound lint `L006` reports). With one macro this
-    /// equals [`Program::cycles`]; total work is always exactly
-    /// [`Program::cycles`] regardless of the split.
-    pub fn predicted_makespan(&self, macros: usize) -> u64 {
-        let parts = self.partition();
-        let costs: Vec<u64> = parts.iter().map(|p| p.program.cycles()).collect();
-        lpt_schedule(&costs, macros.max(1))
-            .iter()
-            .map(|bin| bin.iter().map(|&c| costs[c]).sum::<u64>())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Deterministic longest-processing-time schedule: components sorted by
-/// (cost descending, index ascending), each assigned to the least-loaded
-/// bin (lowest index on ties). Returns the component indices per bin.
-fn lpt_schedule(costs: &[u64], bins: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut out = vec![Vec::new(); bins];
-    let mut load = vec![0u64; bins];
-    for i in order {
-        let b = (0..bins).min_by_key(|&b| (load[b], b)).expect("bins >= 1");
-        load[b] += costs[i];
-        out[b].push(i);
-    }
-    out
-}
-
 /// Per-run execution bookkeeping shared by [`Program::run`] and
 /// [`CompiledProgram::run`]: outputs, per-instruction cycle billing and
 /// activity-log spans, and the cost-model assertion at the end.
@@ -2268,64 +2173,6 @@ mod tests {
             compiled.run_with_inputs(&mut other, &[None]),
             Err(ProgError::ConfigMismatch)
         );
-    }
-
-    #[test]
-    fn partition_splits_recycled_register_chunks_into_components() {
-        // A classify-shaped program: three working registers recycled
-        // across four independent write/write/mult/read chains. Reaching
-        // definitions (not raw register indices) must split them apart.
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        let rx = b.alloc();
-        let rw = b.alloc();
-        let rp = b.alloc();
-        for k in 0..4u64 {
-            b.write_mult_to(rx, p, vec![k + 1, k + 2]);
-            b.write_mult_to(rw, p, vec![10, 20]);
-            b.push(Instr::Mult {
-                a: rx,
-                b: rw,
-                dst: rp,
-                precision: p,
-            });
-            b.read_products(rp, p, 2);
-        }
-        let prog = b.finish();
-        let parts = prog.partition();
-        assert_eq!(parts.len(), 4);
-        for (c, part) in parts.iter().enumerate() {
-            assert_eq!(part.program.instrs().len(), 4);
-            assert_eq!(part.read_slots, vec![c]);
-            assert_eq!(
-                part.submitted,
-                (4 * c..4 * c + 4).collect::<Vec<_>>(),
-                "component {c} instruction mapping"
-            );
-        }
-        // Component cycles sum to the whole program's cycles.
-        let sum: u64 = parts.iter().map(|s| s.program.cycles()).sum();
-        assert_eq!(sum, prog.cycles());
-        // With enough macros the makespan is one chain; with one macro it
-        // is the full program.
-        assert_eq!(prog.predicted_makespan(4), parts[0].program.cycles());
-        assert_eq!(prog.predicted_makespan(1), prog.cycles());
-    }
-
-    #[test]
-    fn partition_keeps_dependent_chains_together_and_preserves_fusion() {
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        let x = b.write(p, vec![3]);
-        let y = b.write(p, vec![5]);
-        let s = b.add(x, y, p);
-        let d = b.shl(s, p); // fuses
-        b.read(d, p, 1);
-        let prog = b.finish();
-        let parts = prog.partition();
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].program.cycles(), prog.cycles());
-        assert_eq!(prog.predicted_makespan(8), prog.cycles());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Static dataflow analysis over [`Instr`] streams: def-use chains,
-//! liveness, reaching definitions, value-range analysis, lint diagnostics
-//! and a semantics-preserving optimizer.
+//! liveness, reaching definitions, value-range analysis and lint
+//! diagnostics.
 //!
 //! The IR's executor already *validates* programs ([`Program::validate`])
 //! and *prices* them (the static cost model); this module adds the third
-//! leg — it *advises*. [`Dataflow`] is the shared framework: one linear
-//! pass resolves every register read to the definition that produced its
-//! value, and everything else — [`Program::lint`], [`Program::optimize`],
-//! [`Program::partition`]'s dependence components — is derived from that
-//! one def-use map.
+//! leg — it *advises*. One linear pass resolves every register read to the
+//! definition that produced its value, and every lint of [`Program::lint`]
+//! is derived from that one def-use map.
 //!
 //! # Diagnostic codes
 //!
@@ -22,20 +20,11 @@
 //! | `L003` | perf | Redundant recomputation: a multi-cycle op recomputes a value that is still resident in another row (a 1-cycle `copy` would do). |
 //! | `L004` | perf | Missed `add`+`shl` fusion: a `shl` of a sum that the lowering pass could not fuse (not adjacent, or the intermediate is read later). |
 //! | `L005` | perf | Recyclable registers: remapping registers would shrink the row budget. |
-//! | `L006` | perf | Splittable: the program has multiple independent dependence components that separate macros could run side by side ([`Program::partition`], [`Program::predicted_makespan`]). |
+//! | `L006` | — | Retired: it priced splitting a program across several macros, which no executor does. |
 //! | `L007` | perf | Over-wide precision: value-range analysis proves the operands and result fit a narrower lane width. |
 //!
 //! `error` diagnostics mean the program will not run; `warn` means it
 //! wastes cycles outright; `perf` marks an optimization opportunity.
-//!
-//! # The optimizer
-//!
-//! [`Program::optimize`] applies copy propagation, common-subexpression
-//! elimination, dead-store elimination and register remapping. It is
-//! semantics-preserving by construction — read outputs are bit-identical
-//! and [`Program::cycles`] never increases — and the differential property
-//! suite (`tests/analysis_prop.rs`) enforces both over random programs at
-//! every precision.
 
 use super::{Instr, Precision, ProgError, Program, Reg};
 use crate::config::MacroConfig;
@@ -87,7 +76,8 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable diagnostic code (`E001`–`E012` for validation errors,
-    /// `L001`–`L007` for lints; see the module docs for the table).
+    /// `L001`–`L005` and `L007` for lints; see the module docs for the
+    /// table).
     pub code: String,
     /// How bad it is.
     pub severity: Severity,
@@ -138,10 +128,9 @@ impl Diagnostic {
 /// A *definition* is an instruction that writes a register (its index
 /// stands for the value it produced); a register read resolves to the most
 /// recent definition of that register — the value it actually observes.
-/// [`Program::partition`], [`Program::lint`] and [`Program::optimize`] are
-/// all built on this map.
-#[derive(Debug, Clone)]
-pub struct Dataflow {
+/// Every lint is built on this map.
+#[derive(Debug)]
+struct Dataflow {
     /// Per instruction, per source (in [`Instr::sources`] order): the
     /// defining instruction's index, or `None` for a read of a
     /// never-written register.
@@ -155,12 +144,8 @@ pub struct Dataflow {
 }
 
 impl Dataflow {
-    /// Analyzes a program's submitted stream.
-    pub fn of(prog: &Program) -> Dataflow {
-        Dataflow::of_instrs(prog.instrs())
-    }
-
-    pub(super) fn of_instrs(instrs: &[Instr]) -> Dataflow {
+    /// Analyzes an instruction stream.
+    fn of(instrs: &[Instr]) -> Dataflow {
         let regs = instrs
             .iter()
             .flat_map(|i| i.sources().into_iter().chain(i.dst()).map(|r| r.row() + 1))
@@ -201,109 +186,40 @@ impl Dataflow {
         }
     }
 
-    /// Instructions analyzed.
-    pub fn len(&self) -> usize {
-        self.reaching.len()
-    }
-
-    /// True for an empty stream.
-    pub fn is_empty(&self) -> bool {
-        self.reaching.is_empty()
-    }
-
     /// The reaching definition of each source of instruction `idx`, in
     /// [`Instr::sources`] order. `None` marks a use of a never-written
     /// register (the program fails validation).
-    pub fn reaching_defs(&self, idx: usize) -> &[Option<usize>] {
+    fn reaching_defs(&self, idx: usize) -> &[Option<usize>] {
         &self.reaching[idx]
     }
 
     /// The instructions that read the value defined at `def`, ascending.
     /// Empty for non-defining instructions.
-    pub fn users(&self, def: usize) -> &[usize] {
+    fn users(&self, def: usize) -> &[usize] {
         &self.users[def]
     }
 
     /// The instruction that overwrites `def`'s register after `def` (the
     /// value's kill point), or `None` if the value survives to the end.
-    pub fn killed_by(&self, def: usize) -> Option<usize> {
+    fn killed_by(&self, def: usize) -> Option<usize> {
         self.killed_by[def]
     }
 
     /// The last instruction that reads the value defined at `def` — the
     /// end of its live range. `None` for a value nobody reads.
-    pub fn last_use(&self, def: usize) -> Option<usize> {
+    fn last_use(&self, def: usize) -> Option<usize> {
         self.users[def].last().copied()
-    }
-
-    /// The dependence component of each instruction: two instructions
-    /// share a component when one reads a value the other defined
-    /// (transitively). Components are numbered in order of their first
-    /// instruction, so component ids are stable and ascending.
-    pub fn components(&self) -> Vec<usize> {
-        let n = self.len();
-        let mut uf = UnionFind::new(n);
-        for (idx, defs) in self.reaching.iter().enumerate() {
-            for def in defs.iter().flatten() {
-                uf.union(idx, *def);
-            }
-        }
-        let mut comp_of_root: Vec<Option<usize>> = vec![None; n];
-        let mut next = 0usize;
-        (0..n)
-            .map(|idx| {
-                let root = uf.find(idx);
-                *comp_of_root[root].get_or_insert_with(|| {
-                    next += 1;
-                    next - 1
-                })
-            })
-            .collect()
-    }
-}
-
-/// Disjoint-set forest over instruction indices (path-halving), for the
-/// dependence components.
-struct UnionFind(Vec<usize>);
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        Self((0..n).collect())
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.0[x] != x {
-            self.0[x] = self.0[self.0[x]];
-            x = self.0[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Root at the smaller index so component roots are stable.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.0[hi] = lo;
-        }
     }
 }
 
 /// An inclusive interval of per-lane values a definition can hold, from
-/// the value-range analysis ([`value_ranges`]).
+/// the value-range analysis ([`ranges_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValueRange {
+struct ValueRange {
     /// Smallest possible lane value.
-    pub lo: u64,
+    lo: u64,
     /// Largest possible lane value.
-    pub hi: u64,
-}
-
-impl ValueRange {
-    /// True when every possible value fits `precision`'s lane width.
-    pub fn fits(&self, precision: Precision) -> bool {
-        self.hi <= precision.max_value()
-    }
+    hi: u64,
 }
 
 /// The lane layout a definition was produced at — ranges only propagate
@@ -341,20 +257,13 @@ impl Layout {
 }
 
 /// Precision-aware value-range analysis: for each instruction that defines
-/// a value, the interval its lane values provably lie in, or `None` when
-/// nothing can be proved (bitwise ops, layout mismatches, non-defining
-/// instructions).
+/// a value, the layout it was produced at and the interval its lane values
+/// provably lie in, or `None` when nothing can be proved (bitwise ops,
+/// layout mismatches, non-defining instructions).
 ///
 /// Intervals are sound for programs whose consumers read values at the
 /// precision/layout they were produced at; a mismatched read degrades to
 /// "unknown" rather than an unsound interval.
-pub fn value_ranges(prog: &Program) -> Vec<Option<ValueRange>> {
-    ranges_of(prog.instrs(), &Dataflow::of(prog))
-        .into_iter()
-        .map(|e| e.map(|(_, r)| r))
-        .collect()
-}
-
 fn ranges_of(instrs: &[Instr], df: &Dataflow) -> Vec<Option<(Layout, ValueRange)>> {
     let mut out: Vec<Option<(Layout, ValueRange)>> = Vec::with_capacity(instrs.len());
     for (idx, instr) in instrs.iter().enumerate() {
@@ -480,17 +389,15 @@ enum CseKey {
     Reduce(Precision, Vec<usize>),
 }
 
-/// Scans for redundant recomputation and (when `apply` is set) rewrites
-/// each hit into a 1-cycle `copy` from the row still holding the value —
-/// or removes the instruction outright when it would rewrite its own
-/// register with the value it already holds. Returns the hits found, with
-/// indices into the stream as passed in.
+/// Scans for redundant recomputation: each multi-cycle op whose value is
+/// still resident in the register of an earlier op that computed it.
+/// Returns the hits found, with indices into the stream.
 ///
 /// Values are numbered by *definition site* (copies inherit their source's
 /// number), never by content: two `write`s of identical values stay
 /// distinct values, so rows bound to fresh data at `run_with_inputs` time
 /// are never aliased.
-fn cse_scan(instrs: &mut Vec<Instr>, apply: bool) -> Vec<CseHit> {
+fn cse_scan(instrs: &[Instr]) -> Vec<CseHit> {
     let regs = instrs
         .iter()
         .flat_map(|i| i.sources().into_iter().chain(i.dst()).map(|r| r.row() + 1))
@@ -500,13 +407,12 @@ fn cse_scan(instrs: &mut Vec<Instr>, apply: bool) -> Vec<CseHit> {
     let mut last_def: Vec<Option<usize>> = vec![None; regs];
     let mut vn: Vec<usize> = (0..n).collect();
     let mut table: HashMap<CseKey, usize> = HashMap::new();
-    let mut keep = vec![true; n];
     let mut hits = Vec::new();
-    for idx in 0..n {
+    for (idx, instr) in instrs.iter().enumerate() {
         let value_of = |r: Reg, last_def: &[Option<usize>]| -> Option<usize> {
             last_def.get(r.row()).copied().flatten().map(|d| vn[d])
         };
-        let key = match &instrs[idx] {
+        let key = match instr {
             Instr::Sub {
                 a, b, precision, ..
             } => value_of(*a, &last_def)
@@ -537,179 +443,43 @@ fn cse_scan(instrs: &mut Vec<Instr>, apply: bool) -> Vec<CseHit> {
             });
             if let Some(prior) = prior {
                 let pd = instrs[prior].dst().expect("CSE candidates define");
-                let dst = instrs[idx].dst().expect("CSE candidates define");
-                if dst.row() == pd.row() {
-                    // Recomputing into the register that already holds the
-                    // value: a pure no-op, remove it. The register's live
-                    // definition stays `prior`.
-                    hits.push(CseHit {
-                        idx,
-                        prior,
-                        saved: instrs[idx].cycles(),
-                    });
-                    if apply {
-                        keep[idx] = false;
-                    } else {
-                        last_def[dst.row()] = Some(idx);
-                        vn[idx] = vn[prior];
-                    }
-                    continue;
-                }
-                hits.push(CseHit {
-                    idx,
-                    prior,
-                    saved: instrs[idx].cycles() - 1,
-                });
-                if apply {
-                    instrs[idx] = Instr::Copy { src: pd, dst };
-                }
+                let dst = instr.dst().expect("CSE candidates define");
+                // Recomputing into the register that already holds the
+                // value is a pure no-op; anywhere else a 1-cycle copy
+                // would do.
+                let saved = if dst.row() == pd.row() {
+                    instr.cycles()
+                } else {
+                    instr.cycles() - 1
+                };
+                hits.push(CseHit { idx, prior, saved });
                 vn[idx] = vn[prior];
                 last_def[dst.row()] = Some(idx);
                 continue;
             }
             table.insert(key, idx);
         }
-        if let Instr::Copy { src, .. } = &instrs[idx] {
+        if let Instr::Copy { src, .. } = instr {
             if let Some(v) = value_of(*src, &last_def) {
                 vn[idx] = v;
             }
         }
-        if let Some(dst) = instrs[idx].dst() {
+        if let Some(dst) = instr.dst() {
             last_def[dst.row()] = Some(idx);
         }
-    }
-    if apply && keep.iter().any(|k| !k) {
-        let mut it = keep.iter();
-        instrs.retain(|_| *it.next().expect("keep is instr-aligned"));
     }
     hits
 }
 
-/// Rewrites every source register through `f`, preserving the
-/// per-variant order of [`Instr::sources`].
-fn map_sources(instr: &mut Instr, mut f: impl FnMut(Reg) -> Reg) {
-    match instr {
-        Instr::Write { .. } | Instr::WriteMult { .. } => {}
-        Instr::Read { src, .. }
-        | Instr::ReadProducts { src, .. }
-        | Instr::Not { src, .. }
-        | Instr::Copy { src, .. }
-        | Instr::Shl { src, .. } => *src = f(*src),
-        Instr::Logic { a, b, .. }
-        | Instr::Add { a, b, .. }
-        | Instr::AddShift { a, b, .. }
-        | Instr::Sub { a, b, .. }
-        | Instr::Mult { a, b, .. } => {
-            *a = f(*a);
-            *b = f(*b);
-        }
-        Instr::ReduceAdd { srcs, .. } => {
-            for s in srcs {
-                *s = f(*s);
-            }
-        }
-    }
-}
-
-/// Copy propagation: a source whose reaching definition is a `copy` reads
-/// the copy's origin register directly, provided the origin still holds
-/// the same value at the point of use (and the rewrite would not alias the
-/// two operands of a dual-WL op). A `copy` duplicates the entire row, so
-/// the rewrite is bit-exact even for raw-layout reads. Returns true if
-/// anything changed.
-fn copy_propagate(instrs: &mut [Instr]) -> bool {
-    let regs = instrs
-        .iter()
-        .flat_map(|i| i.sources().into_iter().chain(i.dst()).map(|r| r.row() + 1))
-        .max()
-        .unwrap_or(0);
-    let n = instrs.len();
-    let mut last_def: Vec<Option<usize>> = vec![None; regs];
-    // For each `copy` definition: its (origin register, origin's def).
-    let mut copy_src: Vec<Option<(Reg, usize)>> = vec![None; n];
-    let mut changed = false;
-    for idx in 0..n {
-        let resolve = |mut r: Reg, last_def: &[Option<usize>]| -> Reg {
-            loop {
-                let Some(def) = last_def.get(r.row()).copied().flatten() else {
-                    return r;
-                };
-                let Some((origin, origin_def)) = copy_src[def] else {
-                    return r;
-                };
-                // The origin register must still hold the value the copy
-                // duplicated.
-                if last_def.get(origin.row()).copied().flatten() != Some(origin_def) {
-                    return r;
-                }
-                r = origin;
-            }
-        };
-        match &mut instrs[idx] {
-            // Dual-WL ops must keep distinct operand rows: skip the
-            // rewrite entirely if propagation would alias them.
-            Instr::Logic { a, b, .. } | Instr::Add { a, b, .. } | Instr::AddShift { a, b, .. } => {
-                let (ra, rb) = (resolve(*a, &last_def), resolve(*b, &last_def));
-                if ra != rb && (ra != *a || rb != *b) {
-                    *a = ra;
-                    *b = rb;
-                    changed = true;
-                }
-            }
-            other => map_sources(other, |r| {
-                let nr = resolve(r, &last_def);
-                changed |= nr != r;
-                nr
-            }),
-        }
-        if let Instr::Copy { src, .. } = &instrs[idx] {
-            copy_src[idx] = last_def[src.row()].map(|d| (*src, d));
-        }
-        if let Some(dst) = instrs[idx].dst() {
-            last_def[dst.row()] = Some(idx);
-        }
-    }
-    changed
-}
-
-/// One dead-store-elimination sweep: removes every defining instruction
-/// whose value has no users (reads are never candidates — they define
-/// nothing — so the output shape is untouched). Returns true if anything
-/// was removed; callers loop to a fixpoint since a removal can orphan the
-/// defs that fed it.
-fn dse_sweep(instrs: &mut Vec<Instr>) -> bool {
-    let df = Dataflow::of_instrs(instrs);
-    let dead: Vec<bool> = (0..instrs.len())
-        .map(|i| instrs[i].dst().is_some() && df.users(i).is_empty())
-        .collect();
-    if !dead.contains(&true) {
-        return false;
-    }
-    let mut it = dead.iter();
-    instrs.retain(|_| !*it.next().expect("dead is instr-aligned"));
-    true
-}
-
-/// Linear-scan register remap: assigns each *value* (definition) the
-/// lowest-numbered register free over its live range, packing the row
-/// budget. The destination register is kept distinct from the same
-/// instruction's source registers (conservative: multi-cycle ops may
-/// stream their operands while writing the destination). Returns the
-/// rewritten stream and its register count, or `None` when the stream has
-/// an unresolvable read.
-fn compute_remap(instrs: &[Instr]) -> Option<(Vec<Instr>, usize)> {
-    let df = Dataflow::of_instrs(instrs);
-    let n = instrs.len();
-    for idx in 0..n {
-        if df.reaching_defs(idx).iter().any(Option::is_none) {
-            return None;
-        }
-    }
-    let end: Vec<usize> = (0..n).map(|i| df.last_use(i).unwrap_or(i)).collect();
-    let mut assigned: Vec<Option<u16>> = vec![None; n];
+/// Linear-scan register packing: gives each *value* (definition) the
+/// lowest-numbered register free over its live range and returns how many
+/// registers that needs. The destination register is kept distinct from
+/// the same instruction's source registers (conservative: multi-cycle ops
+/// may stream their operands while writing the destination).
+fn packed_reg_count(instrs: &[Instr]) -> usize {
+    let df = Dataflow::of(instrs);
     let mut active: Vec<(u16, usize)> = Vec::new(); // (register, live-range end)
     let mut in_use: Vec<bool> = Vec::new();
-    let mut out = Vec::with_capacity(n);
     for (idx, instr) in instrs.iter().enumerate() {
         active.retain(|&(r, e)| {
             if e < idx {
@@ -718,15 +488,6 @@ fn compute_remap(instrs: &[Instr]) -> Option<(Vec<Instr>, usize)> {
             } else {
                 true
             }
-        });
-        let mut rewritten = instr.clone();
-        // Sources first: they read values defined earlier.
-        let defs = df.reaching_defs(idx);
-        let mut k = 0usize;
-        map_sources(&mut rewritten, |_| {
-            let def = defs[k].expect("checked above");
-            k += 1;
-            Reg(assigned[def].expect("defs precede uses"))
         });
         if instr.dst().is_some() {
             // Values still live here (including this instruction's own
@@ -738,31 +499,10 @@ fn compute_remap(instrs: &[Instr]) -> Option<(Vec<Instr>, usize)> {
                 in_use.resize(reg as usize + 1, false);
             }
             in_use[reg as usize] = true;
-            active.push((reg, end[idx]));
-            assigned[idx] = Some(reg);
-            set_dst(&mut rewritten, Reg(reg));
+            active.push((reg, df.last_use(idx).unwrap_or(idx)));
         }
-        out.push(rewritten);
     }
-    let new_regs = in_use.len();
-    Some((out, new_regs))
-}
-
-fn set_dst(instr: &mut Instr, reg: Reg) {
-    match instr {
-        Instr::Read { .. } | Instr::ReadProducts { .. } => {}
-        Instr::Write { dst, .. }
-        | Instr::WriteMult { dst, .. }
-        | Instr::Logic { dst, .. }
-        | Instr::Not { dst, .. }
-        | Instr::Copy { dst, .. }
-        | Instr::Shl { dst, .. }
-        | Instr::Add { dst, .. }
-        | Instr::AddShift { dst, .. }
-        | Instr::Sub { dst, .. }
-        | Instr::Mult { dst, .. }
-        | Instr::ReduceAdd { dst, .. } => *dst = reg,
-    }
+    in_use.len()
 }
 
 impl Program {
@@ -778,13 +518,12 @@ impl Program {
         if let Err(e) = self.validate(config) {
             return vec![Diagnostic::from_prog_error(&e)];
         }
-        let df = Dataflow::of(self);
+        let df = Dataflow::of(self.instrs());
         let mut out = Vec::new();
         self.lint_dead_and_unused(&df, &mut out);
         self.lint_redundant(&mut out);
         self.lint_missed_fusion(&df, &mut out);
         self.lint_recyclable_regs(&mut out);
-        self.lint_splittable(&df, &mut out);
         self.lint_over_wide(&df, &mut out);
         out.sort_by(|a, b| (a.span.start, &a.code).cmp(&(b.span.start, &b.code)));
         out
@@ -823,8 +562,7 @@ impl Program {
 
     /// L003 (redundant recomputation a copy could replace).
     fn lint_redundant(&self, out: &mut Vec<Diagnostic>) {
-        let mut scratch = self.instrs().to_vec();
-        for hit in cse_scan(&mut scratch, false) {
+        for hit in cse_scan(self.instrs()) {
             out.push(Diagnostic::new(
                 "L003",
                 Severity::Perf,
@@ -899,39 +637,18 @@ impl Program {
 
     /// L005 (register remap would shrink the row budget).
     fn lint_recyclable_regs(&self, out: &mut Vec<Diagnostic>) {
-        let fused = self.lowered();
-        if let Some((_, new_regs)) = compute_remap(&fused) {
-            if new_regs < self.reg_count() {
-                out.push(Diagnostic::new(
-                    "L005",
-                    Severity::Perf,
-                    0..self.instrs().len(),
-                    format!(
-                        "program uses {} registers where {} suffice; remapping \
-                         would free {} row(s)",
-                        self.reg_count(),
-                        new_regs,
-                        self.reg_count() - new_regs
-                    ),
-                ));
-            }
-        }
-    }
-
-    /// L006 (independent components could run on separate macros).
-    fn lint_splittable(&self, df: &Dataflow, out: &mut Vec<Diagnostic>) {
-        let comp = df.components();
-        let count = comp.iter().copied().max().map_or(0, |m| m + 1);
-        if count > 1 {
-            let makespan = self.predicted_makespan(count);
+        let new_regs = packed_reg_count(&self.lowered());
+        if new_regs < self.reg_count() {
             out.push(Diagnostic::new(
-                "L006",
+                "L005",
                 Severity::Perf,
                 0..self.instrs().len(),
                 format!(
-                    "program splits into {count} independent components; spread across \
-                     {count} macros it would finish in {makespan} of its {} cycles",
-                    self.cycles()
+                    "program uses {} registers where {} suffice; remapping \
+                     would free {} row(s)",
+                    self.reg_count(),
+                    new_regs,
+                    self.reg_count() - new_regs
                 ),
             ));
         }
@@ -1003,81 +720,11 @@ impl Program {
             }
         }
     }
-
-    /// Optimizes the program without changing what it computes: copy
-    /// propagation, common-subexpression elimination (multi-cycle ops whose
-    /// value is still resident become 1-cycle copies), dead-store
-    /// elimination to a fixpoint, and a register remap that packs the row
-    /// budget (adopted only when it strictly shrinks it).
-    ///
-    /// Guarantees, enforced by the differential property suite:
-    ///
-    /// * **Bit-identical outputs** — every `read`/`read_products` returns
-    ///   exactly the bits the original program returns, for any input
-    ///   binding of the surviving writes.
-    /// * **Cycles never increase** — [`Program::cycles`] of the result is
-    ///   ≤ the original's (if a rewrite cannot win, the original is
-    ///   returned unchanged).
-    /// * **The static cost model stays exact** — the optimized program is
-    ///   an ordinary [`Program`], so [`Program::run`] still asserts
-    ///   `predicted_activity` against the execution log.
-    ///
-    /// The instruction *stream* may shrink (dead stores vanish, fusable
-    /// `add`+`shl` pairs are materialized as explicit `add_shift`), so
-    /// per-instruction reports and `run_with_inputs` bindings index the
-    /// optimized stream, not the submitted one. Reads are never reordered
-    /// or removed; surviving writes keep their relative order. A
-    /// structurally invalid program (a read with no reaching definition)
-    /// is returned unchanged — validation owns that reporting.
-    pub fn optimize(&self) -> Program {
-        let df = Dataflow::of(self);
-        for idx in 0..df.len() {
-            if df.reaching_defs(idx).iter().any(Option::is_none) {
-                return self.clone();
-            }
-        }
-        let mut instrs = self.instrs().to_vec();
-        let mut changed = false;
-        // To a fixpoint: a CSE rewrite introduces a copy that the next
-        // round's propagation can forward and DSE can then collect, so one
-        // pipeline pass is not always enough. Each productive round
-        // strictly reduces (duplicates, copies or instructions), so this
-        // terminates.
-        loop {
-            let mut round = copy_propagate(&mut instrs);
-            round |= !cse_scan(&mut instrs, true).is_empty();
-            while dse_sweep(&mut instrs) {
-                round = true;
-            }
-            if !round {
-                break;
-            }
-            changed = true;
-        }
-        // Materialize the fusion lowering would perform, so the register
-        // remap cannot extend an intermediate sum's live range and un-fuse
-        // a pair behind our back.
-        let fused = Program::new(instrs).lowered();
-        let fused_regs = Program::new(fused.clone()).reg_count();
-        let final_instrs = match compute_remap(&fused) {
-            Some((remapped, new_regs)) if new_regs < fused_regs => remapped,
-            _ if changed => fused,
-            _ => return self.clone(),
-        };
-        let optimized = Program::new(final_instrs);
-        // Defensive: no rewrite is ever allowed to cost cycles.
-        if optimized.cycles() > self.cycles() {
-            self.clone()
-        } else {
-            optimized
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::macroblock::ImcMacro;
 
     fn cfg() -> MacroConfig {
         MacroConfig::paper_macro()
@@ -1111,12 +758,6 @@ mod tests {
         }
     }
 
-    /// Outputs of both programs on fresh macros, for differential checks.
-    fn outputs(prog: &Program) -> Vec<Vec<u64>> {
-        let mut mac = ImcMacro::new(cfg());
-        prog.run(&mut mac).unwrap().outputs
-    }
-
     #[test]
     fn dataflow_resolves_defs_uses_and_kills() {
         let instrs = vec![
@@ -1130,8 +771,7 @@ mod tests {
             },
             rd(0), // 3: reads the sum
         ];
-        let df = Dataflow::of_instrs(&instrs);
-        assert_eq!(df.len(), 4);
+        let df = Dataflow::of(&instrs);
         assert_eq!(df.reaching_defs(2), &[Some(0), Some(1)]);
         assert_eq!(df.reaching_defs(3), &[Some(2)]);
         assert_eq!(df.users(0), &[2]);
@@ -1139,13 +779,6 @@ mod tests {
         assert_eq!(df.killed_by(0), Some(2));
         assert_eq!(df.killed_by(2), None);
         assert_eq!(df.last_use(1), Some(2));
-        assert_eq!(df.components(), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn components_split_independent_chains() {
-        let df = Dataflow::of_instrs(&[w(0, 3), rd(0), w(1, 3), rd(1)]);
-        assert_eq!(df.components(), vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -1180,13 +813,12 @@ mod tests {
                 n: 2,
             },
         ]);
-        let ranges = value_ranges(&prog);
-        assert_eq!(ranges[0], Some(ValueRange { lo: 10, hi: 20 }));
-        assert_eq!(ranges[2], Some(ValueRange { lo: 11, hi: 22 }));
+        let ranges = ranges_of(prog.instrs(), &Dataflow::of(prog.instrs()));
+        let dense = |lo, hi| Some((Layout::Dense(p), ValueRange { lo, hi }));
+        assert_eq!(ranges[0], dense(10, 20));
+        assert_eq!(ranges[2], dense(11, 22));
         assert_eq!(ranges[3], None); // bitwise: no lane interval
         assert_eq!(ranges[4], None); // reads define nothing
-        assert!(ranges[2].unwrap().fits(Precision::P8));
-        assert!(!ranges[2].unwrap().fits(Precision::P4));
     }
 
     #[test]
@@ -1202,7 +834,11 @@ mod tests {
             },
             rd(2),
         ]);
-        assert_eq!(value_ranges(&prog)[2], Some(ValueRange { lo: 0, hi: 3 }));
+        let ranges = ranges_of(prog.instrs(), &Dataflow::of(prog.instrs()));
+        assert_eq!(
+            ranges[2],
+            Some((Layout::Dense(P), ValueRange { lo: 0, hi: 3 }))
+        );
     }
 
     #[test]
@@ -1302,14 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn l006_splittable_fires_and_is_silent_when_fixed() {
-        let trigger = vec![w(0, 3), rd(0), w(1, 3), rd(1)];
-        assert!(codes(trigger).contains(&"L006".to_string()));
-        let fixed = vec![w(0, 3), rd(0)];
-        assert!(!codes(fixed).contains(&"L006".to_string()));
-    }
-
-    #[test]
     fn l007_over_wide_precision_fires_and_is_silent_when_fixed() {
         let trigger = vec![
             Instr::Write {
@@ -1352,158 +980,5 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn optimize_returns_clean_programs_unchanged() {
-        let prog = Program::new(vec![
-            w(0, 3),
-            w(1, 2),
-            Instr::Add {
-                a: Reg(0),
-                b: Reg(1),
-                dst: Reg(1),
-                precision: P,
-            },
-            rd(1),
-        ]);
-        let opt = prog.optimize();
-        assert_eq!(opt.instrs(), prog.instrs());
-        assert_eq!(opt.cycles(), prog.cycles());
-    }
-
-    #[test]
-    fn optimize_eliminates_dead_stores() {
-        let prog = Program::new(vec![w(0, 3), w(0, 2), rd(0), w(1, 1)]);
-        let opt = prog.optimize();
-        assert_eq!(opt.instrs(), vec![w(0, 2), rd(0)]);
-        assert!(opt.cycles() < prog.cycles());
-        assert_eq!(outputs(&opt), outputs(&prog));
-    }
-
-    #[test]
-    fn optimize_rewrites_redundant_mult_into_copy() {
-        let p = Precision::P8;
-        let wm = |dst: u16, v: u64| Instr::WriteMult {
-            dst: Reg(dst),
-            precision: p,
-            values: vec![v],
-        };
-        let mult = |dst: u16| Instr::Mult {
-            a: Reg(0),
-            b: Reg(1),
-            dst: Reg(dst),
-            precision: p,
-        };
-        let rp = |src: u16| Instr::ReadProducts {
-            src: Reg(src),
-            precision: p,
-            n: 1,
-        };
-        let prog = Program::new(vec![wm(0, 7), wm(1, 9), mult(2), mult(3), rp(2), rp(3)]);
-        let opt = prog.optimize();
-        // The recomputed product becomes a copy, the copy is forwarded
-        // into the read, and the dead copy is collected: the whole P+2
-        // cycle recomputation vanishes.
-        assert_eq!(opt.cycles(), prog.cycles() - (p.bits() as u64 + 2));
-        assert_eq!(outputs(&opt), outputs(&prog));
-        let mults = opt
-            .instrs()
-            .iter()
-            .filter(|i| matches!(i, Instr::Mult { .. }))
-            .count();
-        assert_eq!(mults, 1);
-    }
-
-    #[test]
-    fn optimize_propagates_copies_and_drops_them_dead() {
-        let prog = Program::new(vec![
-            w(0, 3),
-            Instr::Copy {
-                src: Reg(0),
-                dst: Reg(1),
-            },
-            rd(1),
-        ]);
-        let opt = prog.optimize();
-        assert_eq!(opt.instrs(), vec![w(0, 3), rd(0)]);
-        assert_eq!(outputs(&opt), outputs(&prog));
-    }
-
-    #[test]
-    fn optimize_remaps_registers_to_shrink_the_row_budget() {
-        let prog = Program::new(vec![w(0, 3), rd(0), w(5, 2), rd(5)]);
-        let opt = prog.optimize();
-        assert!(opt.reg_count() < prog.reg_count());
-        assert_eq!(outputs(&opt), outputs(&prog));
-        assert_eq!(opt.cycles(), prog.cycles());
-    }
-
-    #[test]
-    fn optimize_never_unfuses_an_add_shl_pair() {
-        // add+shl fuses to one cycle; the optimizer must not rewrite the
-        // stream into a shape the lowering pass can no longer fuse.
-        let prog = Program::new(vec![
-            w(0, 3),
-            w(1, 2),
-            Instr::Add {
-                a: Reg(0),
-                b: Reg(1),
-                dst: Reg(2),
-                precision: P,
-            },
-            Instr::Shl {
-                src: Reg(2),
-                dst: Reg(3),
-                precision: P,
-            },
-            rd(3),
-        ]);
-        let opt = prog.optimize();
-        assert!(opt.cycles() <= prog.cycles());
-        assert_eq!(outputs(&opt), outputs(&prog));
-    }
-
-    #[test]
-    fn optimize_leaves_invalid_programs_alone() {
-        let instrs = vec![Instr::Not {
-            src: Reg(0),
-            dst: Reg(1),
-        }];
-        let prog = Program::new(instrs.clone());
-        assert_eq!(prog.optimize().instrs(), instrs);
-    }
-
-    #[test]
-    fn optimized_programs_still_assert_predicted_activity() {
-        // `Program::run` asserts the static cost model against the
-        // execution log; an optimized program must still satisfy it.
-        let prog = Program::new(vec![
-            w(0, 3),
-            Instr::Copy {
-                src: Reg(0),
-                dst: Reg(2),
-            },
-            w(1, 1),
-            Instr::Sub {
-                a: Reg(2),
-                b: Reg(1),
-                dst: Reg(4),
-                precision: P,
-            },
-            Instr::Sub {
-                a: Reg(2),
-                b: Reg(1),
-                dst: Reg(5),
-                precision: P,
-            },
-            rd(4),
-            rd(5),
-        ]);
-        let opt = prog.optimize();
-        assert!(opt.cycles() < prog.cycles());
-        let mut mac = ImcMacro::new(cfg());
-        let run = opt.run(&mut mac).unwrap(); // asserts internally
-        assert_eq!(run.outputs, outputs(&prog));
     }
 }

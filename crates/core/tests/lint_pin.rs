@@ -267,9 +267,6 @@ fn lint_output_is_pinned() {
                 "generator must emit valid programs"
             );
             for d in prog.lint(&cfg) {
-                if d.code == "L006" {
-                    continue;
-                }
                 let Some(slot) = KEPT.iter().position(|&c| c == d.code) else {
                     panic!("unexpected diagnostic {d}");
                 };

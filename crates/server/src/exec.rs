@@ -53,9 +53,6 @@ pub(crate) struct ComputeJob {
     pub max_program_instrs: Option<usize>,
     /// Chaos: fault injected into this job's execution, if any.
     pub fault: Option<ComputeFault>,
-    /// Run [`Program::optimize`] on `exec_program` streams before
-    /// executing ([`crate::ServerConfig::optimize_programs`]).
-    pub optimize: bool,
 }
 
 /// True for request kinds that run on a macro via the batched executor.
@@ -213,14 +210,6 @@ fn compute_body(
                 ));
             }
             let prog = Program::new(instrs.clone());
-            // Optimizing an invalid stream would mask the real error, so
-            // only valid programs are rewritten (optimize() itself is a
-            // no-op on anything it cannot prove safe).
-            let prog = if job.optimize && prog.validate(mac.config()).is_ok() {
-                prog.optimize()
-            } else {
-                prog
-            };
             let run = prog.run(mac).map_err(|e| ErrorBody::from(&e))?;
             program_report(mac, params, run)
         }

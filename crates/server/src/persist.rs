@@ -239,8 +239,8 @@ fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<Corruption>) {
 // ---------------------------------------------------------------------------
 
 /// One stored program's journaled form: the **submitted** instruction
-/// stream (recompiled through the same validate/optimize/compile pipeline
-/// on recovery) plus its cumulative run history.
+/// stream (recompiled through the same validate/compile pipeline on
+/// recovery) plus its cumulative run history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramRecord {
     /// The session-scoped program id.
@@ -1056,7 +1056,6 @@ pub(crate) fn materialize_session(
     rec: &SessionRecord,
     bank: &mut MacroBank,
     params: &EnergyParams,
-    optimize: bool,
     now: Instant,
     notes: &mut Vec<String>,
 ) -> SessionInner {
@@ -1064,15 +1063,7 @@ pub(crate) fn materialize_session(
     let mut stored = HashMap::new();
     let mut names = HashMap::new();
     for p in &rec.programs {
-        let prog = Program::new(p.instrs.clone());
-        let compiled = prog
-            .validate(&config)
-            .map_err(|e| e.to_string())
-            .and_then(|()| {
-                let prog = if optimize { prog.optimize() } else { prog };
-                prog.compile(&config).map_err(|e| e.to_string())
-            });
-        match compiled {
+        match Program::new(p.instrs.clone()).compile(&config) {
             Ok(compiled) => {
                 if let Some(name) = &p.name {
                     names.insert(name.clone(), p.pid);

@@ -55,12 +55,6 @@ pub struct ServerConfig {
     /// Shedding switches back off once total queued items drain to this
     /// (hysteresis, so the server does not flap at the boundary).
     pub shed_low: usize,
-    /// Run [`Program::optimize`] on `store_program` / `exec_program`
-    /// streams before compiling them (off by default). The optimizer is
-    /// semantics-preserving — identical output bits, cycles no worse —
-    /// but per-instruction accounting and `run_stored` input slots follow
-    /// the optimized stream, so clients opt in via the operator.
-    pub optimize_programs: bool,
     /// How long a detached durable session (its connection dropped, no
     /// resume yet) lingers before the sweeper garbage-collects it.
     pub session_ttl: Duration,
@@ -93,7 +87,6 @@ impl Default for ServerConfig {
             write_timeout: DEFAULT_WRITE_TIMEOUT,
             shed_high: GLOBAL_SHARES * queue_capacity * 3 / 4,
             shed_low: GLOBAL_SHARES * queue_capacity / 2,
-            optimize_programs: false,
             session_ttl: DEFAULT_SESSION_TTL,
             max_sessions: 1024,
             max_registry_programs: 4096,
@@ -731,11 +724,7 @@ impl Server {
         // time a client can connect, every recovered session is already
         // resumable with its pre-crash account, programs and seq window.
         let persist = match &config.state {
-            Some(state) => Some(Arc::new(recover(
-                state,
-                &sessions,
-                config.optimize_programs,
-            )?)),
+            Some(state) => Some(Arc::new(recover(state, &sessions)?)),
             None => None,
         };
         let queue = Queue::new(config.queue_capacity, config.shed_high, config.shed_low);
@@ -810,11 +799,7 @@ impl Server {
 /// on a scratch macro (billing nothing; the original bills are already in
 /// the recovered accounts). Runs to completion before the server accepts
 /// its first connection, and logs which recovery path was taken.
-fn recover(
-    state: &StateConfig,
-    sessions: &Arc<SessionRegistry>,
-    optimize: bool,
-) -> std::io::Result<Persist> {
+fn recover(state: &StateConfig, sessions: &Arc<SessionRegistry>) -> std::io::Result<Persist> {
     let (persist, recovery) = Persist::open(state)?;
     eprintln!("bpimc-server: {}", recovery.path);
     if let Some(c) = &recovery.corruption {
@@ -836,8 +821,7 @@ fn recover(
         .sessions
         .iter()
         .map(|rec| {
-            let inner =
-                persist::materialize_session(rec, &mut bank, &params, optimize, now, &mut notes);
+            let inner = persist::materialize_session(rec, &mut bank, &params, now, &mut notes);
             Arc::new(Session {
                 token: Some(rec.token.clone()),
                 inner: Mutex::named("server.session.inner", inner),
@@ -1349,7 +1333,6 @@ fn process_batch(
                     deadline: it.deadline,
                     max_program_instrs: limits.max_program_instrs,
                     fault,
-                    optimize: shared.config.optimize_programs,
                 });
             }
             let mut results = bank
@@ -1606,10 +1589,9 @@ fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, share
             }
             let config = *bank.macro_at(0).config();
             let prog = Program::new(instrs);
-            // Lint the stream as submitted (diagnostic spans index the
-            // client's instruction list, not the optimized one); on a
-            // validation error the structured `invalid_program` response
-            // carries the same code/index detail instead.
+            // Lint only a valid stream: on a validation error the
+            // structured `invalid_program` response carries the same
+            // code/index detail instead.
             if let Err(e) = prog.validate(&config) {
                 finish_control(
                     shared,
@@ -1627,11 +1609,6 @@ fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, share
             // persists and recovery recompiles (an ephemeral session's
             // programs can become durable later via `open_session`).
             let source = prog.instrs().to_vec();
-            let prog = if shared.config.optimize_programs {
-                prog.optimize()
-            } else {
-                prog
-            };
             match prog.compile(&config) {
                 Ok(compiled) => {
                     // Lock order: the journal, then the registry's global

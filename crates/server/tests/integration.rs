@@ -664,54 +664,6 @@ fn lint_and_diagnostics_flow_over_the_wire() {
 }
 
 #[test]
-fn optimizing_server_preserves_program_semantics() {
-    use bpimc_core::prog::ProgramBuilder;
-
-    let plain = start(ServerConfig::default());
-    let opt = start(ServerConfig {
-        optimize_programs: true,
-        ..ServerConfig::default()
-    });
-    let mut on_plain = Client::connect(plain.local_addr()).expect("connect plain");
-    let mut on_opt = Client::connect(opt.local_addr()).expect("connect opt");
-
-    // A pipeline with a dead store and a recomputed product: the
-    // optimizing server strips the waste but must return the exact same
-    // output bits.
-    let p = Precision::P8;
-    let mut b = ProgramBuilder::new();
-    let _dead = b.write(p, vec![1, 1]);
-    let x = b.write_mult(p, vec![3, 5]);
-    let w = b.write_mult(p, vec![7, 9]);
-    let m1 = b.mult(x, w, p);
-    b.read_products(m1, p, 2);
-    let m2 = b.mult(x, w, p);
-    b.read_products(m2, p, 2);
-    let prog = b.finish();
-
-    let r_plain = on_plain.exec_program(&prog).expect("plain exec");
-    let r_opt = on_opt.exec_program(&prog).expect("opt exec");
-    assert_eq!(r_plain.outputs, r_opt.outputs);
-    assert_eq!(r_opt.outputs, vec![vec![21, 45], vec![21, 45]]);
-    assert!(
-        r_opt.total_cycles() < r_plain.total_cycles(),
-        "optimizer should drop the dead store and the duplicate mult: {} vs {}",
-        r_opt.total_cycles(),
-        r_plain.total_cycles()
-    );
-
-    // Stored programs take the same path: cheaper cycles, same bits.
-    let meta = on_opt.store_program(&prog).expect("store on opt");
-    assert!(meta.cycles < prog.cycles());
-    let report = on_opt.run_stored(meta.pid, &[]).expect("run stored");
-    assert_eq!(report.outputs, r_plain.outputs);
-    assert_eq!(report.total_cycles(), meta.cycles);
-
-    plain.shutdown();
-    opt.shutdown();
-}
-
-#[test]
 fn stored_programs_are_isolated_and_die_with_their_session() {
     use bpimc_core::prog::ProgramBuilder;
 
