@@ -1498,7 +1498,15 @@ impl Response {
     /// Serializes the response to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut line = String::with_capacity(LINE_CAPACITY);
-        let mut o = ObjWriter::open(&mut line);
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Appends the bytes of [`Response::to_json_line`] to `out` (no
+    /// trailing newline), so a caller can batch several responses into
+    /// one buffer.
+    pub fn write_json_line(&self, out: &mut String) {
+        let mut o = ObjWriter::open(out);
         o.uint("id", self.id);
         let ok = !matches!(self.body, ResponseBody::Error(_));
         o.key("ok").push_str(if ok { "true" } else { "false" });
@@ -1585,7 +1593,6 @@ impl Response {
             }
         }
         o.close();
-        line
     }
 }
 
@@ -2290,10 +2297,15 @@ mod tests {
         ];
         let resps = pinned_responses();
         assert_eq!(resps.len(), responses.len());
+        let mut chunk = String::new();
         for (resp, line) in resps.into_iter().zip(responses) {
             assert_eq!(resp.to_json_line(), line);
             assert_eq!(Response::parse(line).unwrap(), resp, "{line}");
+            resp.write_json_line(&mut chunk);
+            chunk.push('\n');
         }
+        // Appending behind earlier lines writes each line's exact bytes.
+        assert_eq!(chunk, responses.map(|line| format!("{line}\n")).concat());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   `load_model`, `store_program`, `shutdown`) execute inline between
 //!   runs, so every session observes its own requests in order.
 //! * **Parallel response writers**: responses leave through a bounded
-//!   per-connection outbox — written inline while the client keeps up,
+//!   per-connection outbox, each compute run's responses to a connection
+//!   as one chunk — written inline while the client keeps up,
 //!   handed to the connection's writer thread once a backlog builds, so
 //!   fan-out to slow clients never serializes through the dispatcher. A
 //!   peer that stops reading is timed out and dropped instead of wedging

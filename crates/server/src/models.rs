@@ -131,12 +131,31 @@ fn queue_drain_then_stop_shutdown() {
     );
 }
 
-/// The outbox never drops or reorders a response: a producer pushing more
-/// lines than the backlog capacity (so it blocks on `not_full`) and a
-/// writer thread racing for the drainer role still deliver every line,
-/// in order, exactly once.
+/// Pushes `sizes` chunks of lines `"{tag}{i}\n"` (numbered across the
+/// chunks), each after registering its responses, as the dispatcher does.
+fn push_chunks(outbox: &Outbox, peer: &MemPeer, tag: char, sizes: &[usize]) {
+    let mut next = 0;
+    for &n in sizes {
+        let chunk: String = (next..next + n).map(|i| format!("{tag}{i}\n")).collect();
+        next += n;
+        for _ in 0..n {
+            outbox.expect_response();
+        }
+        outbox.push_lines(peer, chunk, n);
+    }
+}
+
+/// The outbox never drops or reorders a response. The producer pushes a
+/// mix of one- and two-line chunks, more lines than the capacity of 2. A
+/// second producer (a reader answering during shutdown) pushes too, so
+/// one of them can find the other draining and hand off to the writer
+/// thread, and a chunk can arrive while its lines would overflow what is
+/// pending — the `not_full` wait, which a lone producer on a healthy peer
+/// never reaches (it always drains inline). Every line still arrives
+/// exactly once, each producer's in push order.
 fn outbox_never_drops_or_reorders() {
-    const LINES: usize = 5;
+    const PRODUCER: [usize; 4] = [1, 2, 1, 2];
+    const READER: [usize; 2] = [2, 1];
     let outbox = Arc::new(Outbox::new(2));
     let peer = Arc::new(MemPeer::default());
     let writer = {
@@ -148,19 +167,32 @@ fn outbox_never_drops_or_reorders() {
             }
         })
     };
-    for i in 0..LINES {
-        outbox.expect_response();
-        outbox.push_line(peer.as_ref(), format!("{i}\n"));
-    }
+    let reader = {
+        let outbox = outbox.clone();
+        let peer = peer.clone();
+        thread::spawn(move || push_chunks(&outbox, &peer, 'r', &READER))
+    };
+    push_chunks(&outbox, &peer, 'p', &PRODUCER);
+    reader.join().expect("reader exits");
     outbox.no_more_requests();
     writer
         .join()
         .expect("writer exits once the backlog is settled");
     let written = peer.written.lock().expect("harness lock").clone();
-    let expected: String = (0..LINES).map(|i| format!("{i}\n")).collect();
+    for (tag, sizes) in [('p', &PRODUCER[..]), ('r', &READER[..])] {
+        let got: Vec<&str> = written.lines().filter(|l| l.starts_with(tag)).collect();
+        let want: Vec<String> = (0..sizes.iter().sum())
+            .map(|i| format!("{tag}{i}"))
+            .collect();
+        assert_eq!(
+            got, want,
+            "responses must arrive complete and in production order"
+        );
+    }
     assert_eq!(
-        written, expected,
-        "responses must arrive complete and in production order"
+        written.lines().count(),
+        PRODUCER.iter().chain(&READER).sum::<usize>(),
+        "nothing beyond the pushed lines"
     );
     assert!(
         !peer.severed.load(Ordering::SeqCst),

@@ -107,8 +107,9 @@ impl ServerConfig {
     }
 }
 
-/// Responses one connection's outbox buffers before the dispatcher blocks
-/// on that connection (the bounded hand-off to its writer thread).
+/// Response lines one connection's outbox buffers before the dispatcher
+/// blocks on that connection (the bounded hand-off to its writer thread);
+/// also the most lines one pushed chunk may hold.
 const OUTBOX_CAPACITY: usize = 256;
 
 /// Default for [`ServerConfig::write_timeout`].
@@ -316,11 +317,20 @@ impl<T> Queue<T> {
 /// The bounded response queue between response producers (the dispatcher,
 /// during shutdown also readers) and one connection's writer thread.
 ///
+/// Producers push **chunks**: newline-terminated response lines written
+/// back to back. A control response is a one-line chunk; a compute run's
+/// responses to this connection are one chunk (split only at
+/// `OUTBOX_CAPACITY` lines or at an injected delivery fault, see
+/// [`process_batch`]), so a connection that keeps up receives the whole
+/// run in one `write`. The bound is counted in lines, not chunks: a
+/// producer blocks while the pending lines plus its chunk's would exceed
+/// the capacity.
+///
 /// The hot path writes **inline**: when nothing is pending, no drain is in
 /// progress and the peer has never stalled a write, the responder takes
-/// the drainer role, writes its own serialized line and returns — no
-/// thread hand-off, whose wake-up costs tens of microseconds at the median
-/// and 0.1–0.3 ms in the tail (see the host costs in
+/// the drainer role, writes its own chunk and returns — no thread
+/// hand-off, whose wake-up costs tens of microseconds at the median and
+/// 0.1–0.3 ms in the tail (see the host costs in
 /// `bpimc_stats::parallel`'s module docs). The writer thread takes over
 /// when fan-out decouples from the dispatcher's pace: a backlog is
 /// pending, another drain is already in flight, or the connection has been
@@ -360,9 +370,13 @@ pub(crate) trait ResponseSink {
 }
 
 pub(crate) struct OutboxState {
-    /// Serialized response lines (each newline-terminated) not yet handed
-    /// to the kernel.
+    /// Pushed chunks not yet handed to the kernel, in push order. Each
+    /// holds one or more newline-terminated response lines.
     pending: VecDeque<String>,
+    /// Response lines across `pending`: what the capacity bounds.
+    lines: usize,
+    /// A producer is parked on `not_full`; the next drain wakes it.
+    blocked: bool,
     /// One thread (writer or an inline responder) is currently writing.
     draining: bool,
     inflight: u64,
@@ -386,6 +400,8 @@ impl Outbox {
                 "server.outbox.state",
                 OutboxState {
                     pending: VecDeque::new(),
+                    lines: 0,
+                    blocked: false,
                     draining: false,
                     inflight: 0,
                     reader_gone: false,
@@ -424,35 +440,40 @@ impl Outbox {
     /// producers never block on it and the writer thread exits, then shuts
     /// the socket down so the reader sees EOF.
     fn force_close(&self, sink: &impl ResponseSink) {
-        let mut state = self.state.lock();
+        self.sever(sink, self.state.lock());
+    }
+
+    /// Closes the outbox for good: drops what is pending, wakes every
+    /// waiting producer and the writer thread, and severs the transport.
+    fn sever(&self, sink: &impl ResponseSink, mut state: MutexGuard<'_, OutboxState>) {
         state.closed = true;
         state.pending.clear();
+        state.lines = 0;
         drop(state);
         self.not_full.notify_all();
         self.not_empty.notify_all();
         sink.sever();
     }
 
-    /// Queues one serialized line, blocking while the bounded backlog is
-    /// full; then either writes it inline (fast path, see the type docs)
-    /// or leaves it for the writer thread. Balances one `expect_response`.
-    pub(crate) fn push_line(&self, sink: &impl ResponseSink, line: String) {
+    /// Queues one chunk of `n` serialized lines (each newline-terminated),
+    /// blocking while the pending lines plus `n` exceed the capacity; then
+    /// either writes it inline (fast path, see the type docs) or leaves it
+    /// for the writer thread. Balances `n` `expect_response`s; `n` is at
+    /// most the capacity.
+    pub(crate) fn push_lines(&self, sink: &impl ResponseSink, chunk: String, n: usize) {
+        debug_assert!(n <= self.capacity, "a {n}-line chunk can never fit");
         let mut state = self.state.lock();
-        state.inflight = state.inflight.saturating_sub(1);
-        while !state.closed && state.pending.len() >= self.capacity {
+        state.inflight = state.inflight.saturating_sub(n as u64);
+        while !state.closed && state.lines + n > self.capacity {
             if state.slow {
                 // A peer that both stalled a write and let its bounded
                 // outbox fill is effectively not reading. Drop it rather
                 // than letting its backpressure block the producer (the
                 // dispatcher) behind the full-outbox wait.
-                state.closed = true;
-                state.pending.clear();
-                drop(state);
-                self.not_full.notify_all();
-                self.not_empty.notify_all();
-                sink.sever();
+                self.sever(sink, state);
                 return;
             }
+            state.blocked = true;
             state = self.not_full.wait(state);
         }
         if state.closed {
@@ -460,7 +481,8 @@ impl Outbox {
             self.not_empty.notify_all();
             return;
         }
-        state.pending.push_back(line);
+        state.pending.push_back(chunk);
+        state.lines += n;
         if state.draining || state.slow || state.pending.len() > 1 {
             // A drain is active, the peer has stalled before, or a backlog
             // exists: the writer thread owns the fan-out from here.
@@ -473,7 +495,8 @@ impl Outbox {
 
     /// Takes the drainer role: coalesces everything pending into one
     /// buffer, writes it with a single syscall, repeats until the backlog
-    /// is empty. Called with the state lock held; writes happen unlocked.
+    /// is empty. A lone pending chunk is written as it was pushed, without
+    /// a copy. Called with the state lock held; writes happen unlocked.
     pub(crate) fn drain<'a>(
         &'a self,
         sink: &impl ResponseSink,
@@ -481,12 +504,14 @@ impl Outbox {
     ) {
         state.draining = true;
         loop {
-            let at_capacity = state.pending.len() >= self.capacity;
+            let wake_producers = std::mem::take(&mut state.blocked);
             let stall = state.stall.take();
+            state.lines = 0;
+            // Collecting into a `String` appends the other chunks to the
+            // first one, which it moves, never copies.
             let buf: String = state.pending.drain(..).collect();
             drop(state);
-            if at_capacity {
-                // Only a full backlog can have blocked producers waiting.
+            if wake_producers {
                 self.not_full.notify_all();
             }
             if let Some(d) = stall {
@@ -510,12 +535,7 @@ impl Outbox {
             }
             if !ok {
                 state.draining = false;
-                state.closed = true;
-                state.pending.clear();
-                drop(state);
-                self.not_full.notify_all();
-                self.not_empty.notify_all();
-                sink.sever();
+                self.sever(sink, state);
                 return;
             }
             if state.pending.is_empty() {
@@ -581,14 +601,17 @@ impl Conn {
         self.session.lock().clone()
     }
 
-    /// Produces one response: serialized here, then written inline when
-    /// this connection is keeping up, or handed to its writer thread when
-    /// a backlog is pending (bounded at `OUTBOX_CAPACITY` lines — beyond
-    /// that the producer blocks, the per-connection backpressure point).
+    /// Produces one response outside a compute run (control ops, refusals
+    /// of unparsed or shed lines, shutdown): serialized here and pushed
+    /// as a one-line chunk, then written inline when this connection is
+    /// keeping up, or handed to its writer thread when a backlog is
+    /// pending (bounded at `OUTBOX_CAPACITY` lines — beyond that the
+    /// producer blocks, the per-connection backpressure point). Compute
+    /// runs push their responses per connection instead ([`deliver`]).
     fn respond(&self, id: u64, body: ResponseBody) {
         let mut line = Response { id, body }.to_json_line();
         line.push('\n');
-        self.outbox.push_line(self, line);
+        self.outbox.push_lines(self, line, 1);
     }
 }
 
@@ -1132,8 +1155,9 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     let config = &shared.config;
     let mut bank = MacroBank::new(config.macros.max(1), MacroConfig::paper_macro());
     let params = paper_calibrated_params();
+    let mut chunks = Vec::new();
     while let Some(batch) = shared.queue.pop_batch(config.batch_max) {
-        process_batch(batch, &mut bank, &params, shared);
+        process_batch(batch, &mut bank, &params, shared, &mut chunks);
     }
     // Queue closed and drained: every queued request has its response in
     // an outbox. Let the writers flush those, then sever the connections
@@ -1197,11 +1221,69 @@ fn stale_seq_error(seq: u64) -> ErrorBody {
     ))
 }
 
+/// The responses one compute run owes one connection, serialized back to
+/// back: [`deliver`] hands each to its connection's outbox in one push. A
+/// run's responses to one connection take several chunks only past
+/// `OUTBOX_CAPACITY` lines or at an injected delivery fault.
+struct Chunk {
+    conn: Arc<Conn>,
+    /// Newline-terminated response lines, in arrival order.
+    buf: String,
+    /// Lines in `buf`, at most `OUTBOX_CAPACITY`.
+    lines: usize,
+    /// The delivery fault of the response this chunk starts at (left out
+    /// of `buf` when it is a `Drop`).
+    fault: Option<ResponseFault>,
+}
+
+/// Files one settled response of a compute run under its connection. It
+/// joins that connection's last chunk, or starts a new one when it carries
+/// a delivery fault or that chunk is full; a `Drop`ped response starts its
+/// chunk without a line. A new chunk takes the first line's buffer from
+/// `to_json_line`, so a one-response chunk costs the same one allocation
+/// as a lone response.
+fn add_response(
+    chunks: &mut Vec<Chunk>,
+    conn: Arc<Conn>,
+    response: &Response,
+    fault: Option<ResponseFault>,
+) {
+    let chunk = match chunks.iter().rposition(|c| c.conn.id == conn.id) {
+        Some(i) if fault.is_none() && chunks[i].lines < OUTBOX_CAPACITY => &mut chunks[i],
+        _ => {
+            chunks.push(Chunk {
+                conn,
+                buf: String::new(),
+                lines: 0,
+                fault,
+            });
+            chunks.last_mut().expect("just pushed")
+        }
+    };
+    if fault == Some(ResponseFault::Drop) {
+        return;
+    }
+    if chunk.lines == 0 {
+        chunk.buf = response.to_json_line();
+    } else {
+        response.write_json_line(&mut chunk.buf);
+    }
+    chunk.buf.push('\n');
+    chunk.lines += 1;
+}
+
 /// Processes one drained batch in FIFO order: runs of consecutive compute
 /// requests execute as one bank batch (requests spread across macros),
-/// control requests execute inline between runs. Responses and session
-/// accounting happen in arrival order, so each session observes its own
-/// requests sequentially.
+/// control requests execute inline between runs. Session accounting
+/// happens in arrival order, so each session observes its own requests
+/// sequentially.
+///
+/// A compute run settles all its requests first, then serializes each
+/// response into its connection's [`Chunk`] (in `chunks`, a buffer the
+/// dispatcher reuses, empty between runs) and delivers the chunks
+/// before the next control item runs. Every journaled byte is thus
+/// written before any response of the run, and each connection's
+/// responses keep their request order across runs and control responses.
 ///
 /// Guardrails run here, at job-build time — before any array state
 /// changes: a request whose deadline already expired in queue, or whose
@@ -1212,6 +1294,7 @@ fn process_batch(
     bank: &mut MacroBank,
     params: &EnergyParams,
     shared: &Arc<Shared>,
+    chunks: &mut Vec<Chunk>,
 ) {
     let limits = shared.config.limits;
     let faults = shared.config.faults;
@@ -1364,33 +1447,42 @@ fn process_batch(
                     },
                 };
                 shared.settle(&m.session, billing, m.ran_pid, m.claimed, &body);
-                deliver(&m.conn, m.id, m.seq, body, &faults);
+                let fault = if faults.is_active() {
+                    faults.response_fault(m.conn.id, m.seq)
+                } else {
+                    None
+                };
+                add_response(chunks, m.conn, &Response { id: m.id, body }, fault);
             }
+            deliver(chunks);
         } else {
             handle_control(item, bank, params, shared);
         }
     }
 }
 
-/// Produces one compute response, applying the fault plan's
-/// response-delivery faults: a `Drop` severs the connection instead of
-/// responding (the response is lost, as it would be to a vanished
-/// client); a `Stall` makes the connection's writer sleep before the
-/// write (off the dispatcher). Session accounting already happened — a
-/// dropped response's work stays billed, exactly like real work a client
-/// disconnected from.
-fn deliver(conn: &Arc<Conn>, id: u64, seq: u64, body: ResponseBody, faults: &FaultPlan) {
-    if faults.is_active() {
-        match faults.response_fault(conn.id, seq) {
-            Some(ResponseFault::Drop) => {
-                conn.outbox.force_close(conn.as_ref());
-                return;
-            }
+/// Hands one compute run's chunks to their outboxes in order, so each
+/// connection gets its responses in arrival order, and applies the fault
+/// plan's response-delivery faults at the chunk that starts with the
+/// faulted response — after the connection's earlier chunk was pushed. A
+/// `Drop` severs the connection instead of responding (the response is
+/// lost, as it would be to a vanished client, and the closed outbox drops
+/// the rest of the run's responses to it); a `Stall` makes the
+/// connection's writer sleep before its next write (off the dispatcher).
+/// Session accounting already happened — a dropped response's work stays
+/// billed, exactly like real work a client disconnected from.
+fn deliver(chunks: &mut Vec<Chunk>) {
+    for chunk in chunks.drain(..) {
+        let conn = chunk.conn.as_ref();
+        match chunk.fault {
+            Some(ResponseFault::Drop) => conn.outbox.force_close(conn),
             Some(ResponseFault::Stall(d)) => conn.outbox.inject_stall(d),
             None => {}
         }
+        if chunk.lines > 0 {
+            conn.outbox.push_lines(conn, chunk.buf, chunk.lines);
+        }
     }
-    conn.respond(id, body);
 }
 
 /// Whether a control response may be recorded against its request's seq.
@@ -1991,4 +2083,168 @@ pub(crate) fn build_model(
         cycles,
         energy_fj,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Records every `write_all` call. With a gate, each write first takes
+    /// one permit from it (all writes pass once the sender is dropped), so
+    /// a test can hold a drain inside its write.
+    #[derive(Default)]
+    struct Recorder {
+        writes: std::sync::Mutex<Vec<String>>,
+        gate: Option<std::sync::Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl ResponseSink for Recorder {
+        fn write_all(&self, buf: &[u8]) -> bool {
+            if let Some(gate) = &self.gate {
+                let _ = gate.lock().unwrap().recv();
+            }
+            let buf = String::from_utf8(buf.to_vec()).unwrap();
+            self.writes.lock().unwrap().push(buf);
+            true
+        }
+
+        fn sever(&self) {
+            panic!("a healthy peer is never severed");
+        }
+    }
+
+    /// Lines `"{i}\n"` for each `i` in `range`, as one chunk.
+    fn chunk(range: std::ops::Range<usize>) -> String {
+        range.map(|i| format!("{i}\n")).collect()
+    }
+
+    /// Polls `cond` on the outbox state until it holds.
+    fn wait_until(outbox: &Outbox, cond: impl Fn(&OutboxState) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond(&outbox.state.lock()) {
+            assert!(Instant::now() < deadline, "the outbox never got there");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A connection over a loopback socket that nothing writes to.
+    fn conn(id: u64) -> Arc<Conn> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Arc::new(Conn {
+            id,
+            stream,
+            outbox: Outbox::new(OUTBOX_CAPACITY),
+            session: Mutex::named("server.conn.session-slot", Session::ephemeral()),
+        })
+    }
+
+    #[test]
+    fn a_run_splits_chunks_only_when_full_or_at_a_delivery_fault() {
+        let (a, b) = (conn(1), conn(2));
+        let pong = |id| Response {
+            id,
+            body: ResponseBody::Pong,
+        };
+        let line = |id| pong(id).to_json_line() + "\n";
+        let lines = |ids: &[u64]| ids.iter().map(|&id| line(id)).collect::<String>();
+        let mut chunks = Vec::new();
+        add_response(&mut chunks, b.clone(), &pong(0), None);
+        for id in 1..=600 {
+            add_response(&mut chunks, a.clone(), &pong(id), None);
+        }
+        add_response(&mut chunks, b.clone(), &pong(601), None);
+        let shape: Vec<_> = chunks.iter().map(|c| (c.conn.id, c.lines)).collect();
+        assert_eq!(shape, [(2, 2), (1, 256), (1, 256), (1, 88)]);
+        assert_eq!(chunks[0].buf, lines(&[0, 601]));
+        let a_bytes: String = chunks[1..].iter().map(|c| c.buf.as_str()).collect();
+        assert_eq!(a_bytes, lines(&(1..=600).collect::<Vec<_>>()));
+
+        let stall = Some(ResponseFault::Stall(Duration::from_millis(5)));
+        let dropped = Some(ResponseFault::Drop);
+        let mut chunks = Vec::new();
+        add_response(&mut chunks, a.clone(), &pong(0), None);
+        add_response(&mut chunks, b.clone(), &pong(1), None);
+        add_response(&mut chunks, a.clone(), &pong(2), stall);
+        add_response(&mut chunks, a.clone(), &pong(3), None);
+        add_response(&mut chunks, a.clone(), &pong(4), dropped);
+        add_response(&mut chunks, a.clone(), &pong(5), None);
+        add_response(&mut chunks, b.clone(), &pong(6), None);
+        let shape: Vec<_> = chunks.iter().map(|c| (c.conn.id, c.fault)).collect();
+        assert_eq!(shape, [(1, None), (2, None), (1, stall), (1, dropped)]);
+        let bufs: Vec<_> = chunks.iter().map(|c| c.buf.clone()).collect();
+        let want = [lines(&[0]), lines(&[1, 6]), lines(&[2, 3]), lines(&[5])];
+        assert_eq!(bufs, want, "a dropped response is never serialized");
+    }
+
+    #[test]
+    fn an_idle_outbox_writes_a_chunk_with_one_write() {
+        let outbox = Outbox::new(4);
+        let sink = Recorder::default();
+        for _ in 0..3 {
+            outbox.expect_response();
+        }
+        outbox.push_lines(&sink, chunk(0..3), 3);
+        assert_eq!(*sink.writes.lock().unwrap(), [chunk(0..3)]);
+        let state = outbox.state.lock();
+        assert_eq!((state.inflight, state.lines), (0, 0), "all three balanced");
+    }
+
+    #[test]
+    fn a_producer_blocks_while_pending_and_chunk_lines_exceed_capacity() {
+        let (permits, gate) = mpsc::channel::<()>();
+        let sink = Arc::new(Recorder {
+            gate: Some(std::sync::Mutex::new(gate)),
+            ..Recorder::default()
+        });
+        let outbox = Arc::new(Outbox::new(4));
+        for _ in 0..6 {
+            outbox.expect_response();
+        }
+        // The held write stalls long enough to mark the peer slow, after
+        // which pushes leave their chunk to the writer thread.
+        let writer = {
+            let (outbox, sink) = (outbox.clone(), sink.clone());
+            std::thread::spawn(move || {
+                while let Some(state) = outbox.claim_backlog() {
+                    outbox.drain(sink.as_ref(), state);
+                }
+            })
+        };
+        let push = |lines: std::ops::Range<usize>| {
+            let (outbox, sink) = (outbox.clone(), sink.clone());
+            std::thread::spawn(move || {
+                let n = lines.len();
+                outbox.push_lines(sink.as_ref(), chunk(lines), n);
+            })
+        };
+        // The first push finds the outbox idle and drains inline; the gate
+        // holds it inside its write.
+        let first = push(0..1);
+        wait_until(&outbox, |s| s.draining && s.lines == 0);
+        // 2 and then 2 + 2 pending lines fit the capacity of 4: queued for
+        // the active drain, no wait.
+        outbox.push_lines(sink.as_ref(), chunk(1..3), 2);
+        outbox.push_lines(sink.as_ref(), chunk(3..5), 2);
+        // 4 + 1 does not: this producer parks until the drain takes them.
+        // Only a drain makes room, and the one in flight is held.
+        let blocked = push(5..6);
+        wait_until(&outbox, |s| s.blocked);
+        assert!(!blocked.is_finished(), "the producer waits for room");
+        assert_eq!(outbox.state.lock().lines, 4);
+        drop(permits);
+        first.join().unwrap();
+        blocked.join().unwrap();
+        outbox.no_more_requests();
+        writer.join().unwrap();
+        assert_eq!(
+            *sink.writes.lock().unwrap(),
+            [chunk(0..1), chunk(1..5), chunk(5..6)],
+            "every line once, in push order, queued chunks coalesced"
+        );
+        let state = outbox.state.lock();
+        assert_eq!((state.inflight, state.lines), (0, 0));
+        assert!(!state.draining && !state.blocked);
+    }
 }

@@ -2,7 +2,9 @@
 //! results checked against direct `ImcMacro` execution, per-session
 //! accounting, contained faults, backpressure and graceful shutdown.
 
-use bpimc_core::{ImcMacro, LaneOp, LogicOp, MacroConfig, Precision, SessionActivity};
+use bpimc_core::{
+    ImcMacro, LaneOp, LogicOp, MacroConfig, Precision, RequestBody, ResponseBody, SessionActivity,
+};
 use bpimc_metrics::paper_calibrated_params;
 use bpimc_nn::{classify_quantized, imc_dot, prototype_norms};
 use bpimc_server::{Client, ClientError, ComputeFault, FaultPlan, Server, ServerConfig};
@@ -176,6 +178,106 @@ fn concurrent_clients_get_correct_results_and_accounting() {
                     stats.energy_fj,
                     direct.expected.energy_fj
                 );
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("client thread");
+    }
+    handle.shutdown();
+}
+
+/// Asserts that a served account equals the direct replay's: counts and
+/// cycles exactly, energy to rounding.
+fn assert_account(got: &SessionActivity, want: &SessionActivity, what: &str) {
+    assert_eq!(
+        (got.requests, got.errors, got.cycles),
+        (want.requests, want.errors, want.cycles),
+        "{what}"
+    );
+    assert!(
+        (got.energy_fj - want.energy_fj).abs() < 1e-9 * want.energy_fj.max(1.0),
+        "{what}: energy {} vs {}",
+        got.energy_fj,
+        want.energy_fj
+    );
+}
+
+#[test]
+fn pipelined_responses_keep_request_order_across_control_ops() {
+    // Two clients each send 32 requests before reading any response, so
+    // the dispatcher drains runs of several compute requests from both
+    // connections; the `ping`s and `stats` interleaved with them cut those
+    // runs and answer inline between them.
+    let handle = start(ServerConfig {
+        macros: 2,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let workers: Vec<_> = (0..2u64)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let mut direct = Direct::new();
+                let mut sent = Vec::new();
+                for i in 0..32u64 {
+                    let k = c * 97 + i * 13;
+                    let a: Vec<u64> = (0..12).map(|j| (k + j * 5) % 256).collect();
+                    let b: Vec<u64> = (0..12).map(|j| (k * 3 + j) % 256).collect();
+                    // Three compute requests, then a control op.
+                    let (body, want) = match i % 8 {
+                        3 => {
+                            direct.expected.record_ok(0, 0.0);
+                            (RequestBody::Ping, ResponseBody::Pong)
+                        }
+                        7 => {
+                            // Reports the account before itself.
+                            let stats = direct.expected;
+                            direct.expected.record_ok(0, 0.0);
+                            (RequestBody::Stats, ResponseBody::Stats(stats))
+                        }
+                        0 | 4 => {
+                            let p = Precision::P8;
+                            let want = ResponseBody::Scalar(direct.dot(p, &a, &b));
+                            (
+                                RequestBody::Dot {
+                                    precision: p,
+                                    x: a,
+                                    w: b,
+                                },
+                                want,
+                            )
+                        }
+                        r => {
+                            let op = [LaneOp::Add, LaneOp::Mult, LaneOp::Logic(LogicOp::Xor)]
+                                [r as usize % 3];
+                            let p = Precision::P4;
+                            let (a, b): (Vec<u64>, Vec<u64>) =
+                                a.iter().zip(&b).map(|(x, y)| (x % 16, y % 16)).unzip();
+                            let want = ResponseBody::Words(direct.lanes(op, p, &a, &b));
+                            let body = RequestBody::Lanes {
+                                op,
+                                precision: p,
+                                a,
+                                b,
+                            };
+                            (body, want)
+                        }
+                    };
+                    sent.push((client.send(body).expect("send"), want));
+                }
+                for (i, (id, want)) in sent.into_iter().enumerate() {
+                    let resp = client.recv().expect("recv");
+                    assert_eq!(resp.id, id, "client {c}: response {i} out of order");
+                    match (&resp.body, &want) {
+                        (ResponseBody::Stats(got), ResponseBody::Stats(want)) => {
+                            assert_account(got, want, &format!("client {c} request {i}"));
+                        }
+                        _ => assert_eq!(resp.body, want, "client {c} request {i}"),
+                    }
+                }
+                let stats = client.stats().expect("stats");
+                assert_account(&stats, &direct.expected, &format!("client {c} final"));
             })
         })
         .collect();

@@ -6,7 +6,7 @@
 //! from a single benign run, without needing the bad interleaving.
 
 use bpimc_core::{Precision, Program, StoredTarget};
-use bpimc_server::{Client, Server, ServerConfig, SessionLimits, StateConfig};
+use bpimc_server::{Client, RetryPolicy, Server, ServerConfig, SessionLimits, StateConfig};
 
 #[test]
 fn served_workload_has_acyclic_lock_order() {
@@ -65,6 +65,8 @@ fn persisted_workload_has_acyclic_lock_order() {
     drop(client); // journaled detach
 
     let mut client = Client::connect(handle.local_addr()).expect("reconnect");
+    // The old reader may not have detached yet: retry the busy refusal.
+    client.set_retry_policy(Some(RetryPolicy::default()));
     client.resume_session(token).expect("resume"); // journaled attach
     drop(client);
     handle.shutdown(); // final snapshot + clean marker

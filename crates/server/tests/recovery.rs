@@ -17,7 +17,9 @@ use bpimc_core::{
     ErrorKind, Precision, Program, Request, RequestBody, Response, ResponseBody, SessionActivity,
     StoredTarget,
 };
-use bpimc_server::{inspect, Client, ClientError, Server, ServerConfig, ServerHandle, StateConfig};
+use bpimc_server::{
+    inspect, Client, ClientError, RetryPolicy, Server, ServerConfig, ServerHandle, StateConfig,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -136,6 +138,8 @@ fn crash_point_matrix_recovers_each_prefix_exactly() {
     // and read the account off a resume (session ops bill nothing).
     drop(a);
     let mut b = Client::connect(handle.local_addr()).expect("connect B");
+    // A's reader may not have detached yet: retry the busy refusal.
+    b.set_retry_policy(Some(RetryPolicy::default()));
     let truth = b.resume_session(token.clone()).expect("resume on A");
     drop(b);
     handle.shutdown();
@@ -415,6 +419,8 @@ fn pre_crash_seq_retries_replay_instead_of_re_executing() {
 
     // No double billing: the account saw exactly three executions.
     let mut c = Client::connect(handle.local_addr()).expect("connect for audit");
+    // The raw connection's reader may not have detached yet.
+    c.set_retry_policy(Some(RetryPolicy::default()));
     let info = c.resume_session(token).expect("resume for audit");
     assert_eq!(info.stats.requests, 3, "replayed retries are never billed");
     assert_eq!(info.last_seq, Some(2));

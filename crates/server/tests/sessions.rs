@@ -9,7 +9,7 @@ use bpimc_core::{
     ErrorKind, LimitKind, Precision, Program, Request, RequestBody, Response, ResponseBody,
     StoredTarget,
 };
-use bpimc_server::{Client, ClientError, Server, ServerConfig, ServerHandle};
+use bpimc_server::{Client, ClientError, RetryPolicy, Server, ServerConfig, ServerHandle};
 use std::time::Duration;
 
 fn start(config: ServerConfig) -> ServerHandle {
@@ -73,6 +73,8 @@ fn resume_restores_model_programs_account_and_seq() {
 
     // Connection B resumes by token and finds everything intact.
     let mut b = Client::connect(handle.local_addr()).expect("connect B");
+    // A's reader may not have detached yet: retry the busy refusal.
+    b.set_retry_policy(Some(RetryPolicy::default()));
     let resumed = b.resume_session(token.clone()).expect("resume_session");
     assert_eq!(resumed.token, token);
     // The account carried over byte-exact (+1 request: the `stats` call
