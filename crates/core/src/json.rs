@@ -14,6 +14,12 @@
 //! * Parsing depth is limited (64 levels) so a malicious client cannot
 //!   overflow the server's stack with `[[[[…]]]]`.
 //!
+//! One reader, the crate-private `Parser`, does all the parsing:
+//! [`Json::parse`] builds a tree with it, and the wire codec reads typed
+//! fields with it straight from a line (escape-free strings as slices of
+//! the line, integer arrays straight into `Vec<u64>`), skipping what it
+//! does not read without allocating.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,6 +31,7 @@
 //! assert_eq!(v.to_string(), r#"{"op":"dot","x":[1,2,3]}"#);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -74,17 +81,10 @@ impl Json {
     ///
     /// Returns the offset and reason of the first syntax error.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            src: s,
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(s);
         p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -102,11 +102,6 @@ impl Json {
             Json::UInt(n) => Some(*n),
             _ => None,
         }
-    }
-
-    /// The value as `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The value as `f64` (integers widen losslessly up to 2^53).
@@ -297,13 +292,101 @@ impl<'a> ObjWriter<'a> {
     }
 }
 
-struct Parser<'a> {
+/// A leaf value as [`Parser::scalar`] reads it.
+#[derive(Debug)]
+pub(crate) enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A non-negative integer that fits `u64`, kept exact.
+    UInt(u64),
+    /// Any other number.
+    Float(f64),
+    /// A string: a slice of the input unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// An array or an object, skipped.
+    Nested,
+}
+
+impl Scalar<'_> {
+    /// The value as `u64` (exact integers only).
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::UInt(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64` (integers widen losslessly up to 2^53).
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::UInt(n) => Some(*n as f64),
+            Scalar::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Where decoded string text goes: a `String`, or nowhere when a value is
+/// only skipped.
+trait Text {
+    fn push(&mut self, c: char);
+    fn push_str(&mut self, s: &str);
+}
+
+impl Text for String {
+    fn push(&mut self, c: char) {
+        String::push(self, c);
+    }
+
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+/// Decoded text that nothing keeps.
+struct Discard;
+
+impl Text for Discard {
+    fn push(&mut self, _: char) {}
+
+    fn push_str(&mut self, _: &str) {}
+}
+
+/// The crate's one JSON reader. [`Json::parse`] builds a tree with it, and
+/// the wire codec reads typed fields with it straight from a line,
+/// allocating only the values it keeps. Every read checks syntax and the
+/// depth limit alike, so a document fails with the same error at the same
+/// offset whichever read meets the fault.
+///
+/// A value's `depth` is its nesting level: a document's top-level value is
+/// at 0, and the elements and field values of a value at `d` are at
+/// `d + 1`. A value deeper than 64 levels is refused.
+pub(crate) struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A reader at the start of `src`.
+    pub(crate) fn new(src: &'a str) -> Self {
+        Self {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -311,13 +394,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
+    /// Skips JSON whitespace.
+    pub(crate) fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
                 break;
             }
+        }
+    }
+
+    /// Checks that nothing but whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after the document"))
         }
     }
 
@@ -343,102 +437,272 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// The first byte of the value at the cursor, after the depth check.
+    pub(crate) fn start(&self, depth: usize) -> Result<u8, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", "expected null").map(|_| Json::Null),
-            Some(b't') => self
-                .literal("true", "expected true")
-                .map(|_| Json::Bool(true)),
-            Some(b'f') => self
-                .literal("false", "expected false")
-                .map(|_| Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
+        self.peek()
+            .ok_or_else(|| self.err("unexpected end of input"))
+    }
+
+    /// Reads the value at the cursor as a tree.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        Ok(match self.start(depth)? {
+            b'[' => {
+                let mut items = Vec::new();
+                self.elements(depth, |p, d| {
+                    items.push(p.value(d)?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            b'{' => {
+                let mut fields = Vec::new();
+                self.members(depth, Self::string, |p, key, d| {
+                    fields.push((key.into_owned(), p.value(d)?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+            b'"' => Json::Str(self.string()?.into_owned()),
+            first => match self.leaf(first)? {
+                Scalar::Null => Json::Null,
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::UInt(n) => Json::UInt(n),
+                Scalar::Float(x) => Json::Float(x),
+                Scalar::Str(_) | Scalar::Nested => unreachable!("read above"),
+            },
+        })
+    }
+
+    /// Reads the value at the cursor as a [`Scalar`]; an array or object
+    /// is skipped.
+    pub(crate) fn scalar(&mut self, depth: usize) -> Result<Scalar<'a>, JsonError> {
+        match self.start(depth)? {
+            b'[' | b'{' => self.skip_value(depth).map(|()| Scalar::Nested),
+            first => self.leaf(first),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
+    /// Skips the value at the cursor, allocating nothing.
+    pub(crate) fn skip_value(&mut self, depth: usize) -> Result<(), JsonError> {
+        match self.start(depth)? {
+            b'[' => self.elements(depth, Self::skip_value),
+            b'{' => self.members(depth, Self::skip_string, |p, (), d| p.skip_value(d)),
+            b'"' => self.skip_string(),
+            first => self.leaf(first).map(drop),
+        }
+    }
+
+    /// Skips the value at the cursor and returns its text.
+    pub(crate) fn skip_span(&mut self, depth: usize) -> Result<&'a str, JsonError> {
+        let start = self.pos;
+        self.skip_value(depth)?;
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// Reads an array, calling `each` with the depth of its elements once
+    /// per element; `each` must read the element at the cursor. A value
+    /// that is not an array is skipped and reads as `false`.
+    pub(crate) fn array(
+        &mut self,
+        depth: usize,
+        each: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if self.start(depth)? != b'[' {
+            self.skip_value(depth)?;
+            return Ok(false);
+        }
+        self.elements(depth, each).map(|()| true)
+    }
+
+    /// The elements of the array whose `[` is at the cursor, for
+    /// [`Parser::array`].
+    fn elements(
+        &mut self,
+        depth: usize,
+        mut each: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            each(self, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
+    /// Reads an object, calling `each` with every key in order and the
+    /// depth of the field values; `each` must read the value at the
+    /// cursor. A value that is not an object is skipped and reads as
+    /// `false`.
+    pub(crate) fn object(
+        &mut self,
+        depth: usize,
+        each: impl FnMut(&mut Self, Cow<'a, str>, usize) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if self.start(depth)? != b'{' {
+            self.skip_value(depth)?;
+            return Ok(false);
+        }
+        self.members(depth, Self::string, each).map(|()| true)
+    }
+
+    /// The members of the object whose `{` is at the cursor, for
+    /// [`Parser::object`]; the key reader is a parameter, so skipping an
+    /// object decodes no key.
+    fn members<K>(
+        &mut self,
+        depth: usize,
+        mut key: impl FnMut(&mut Self) -> Result<K, JsonError>,
+        mut each: impl FnMut(&mut Self, K, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let k = key(self)?;
             self.skip_ws();
             self.expect(b':', "expected ':' after object key")?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            each(self, k, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads an array of exact integers straight into `out`. Reads as
+    /// `false` when the value is not an array or holds anything else; the
+    /// rest is skipped and `out` keeps what was pushed before.
+    pub(crate) fn u64s(&mut self, depth: usize, out: &mut Vec<u64>) -> Result<bool, JsonError> {
+        let mut exact = true;
+        let array = self.array(depth, |p, d| {
+            match p.start(d)? {
+                b'0'..=b'9' => match p.number()?.as_u64() {
+                    Some(n) if exact => out.push(n),
+                    _ => exact = false,
+                },
+                _ => {
+                    exact = false;
+                    p.skip_value(d)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(array && exact)
+    }
+
+    /// Reads an array of numbers, each as `f64`, straight into `out`; as
+    /// [`Parser::u64s`] otherwise.
+    pub(crate) fn f64s(&mut self, depth: usize, out: &mut Vec<f64>) -> Result<bool, JsonError> {
+        let mut numbers = true;
+        let array = self.array(depth, |p, d| {
+            match p.start(d)? {
+                b'-' | b'0'..=b'9' => match p.number()?.as_f64() {
+                    Some(x) if numbers => out.push(x),
+                    _ => numbers = false,
+                },
+                _ => {
+                    numbers = false;
+                    p.skip_value(d)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(array && numbers)
+    }
+
+    /// Reads a value that is neither an array nor an object; `first` is
+    /// its first byte.
+    fn leaf(&mut self, first: u8) -> Result<Scalar<'a>, JsonError> {
+        match first {
+            b'n' => self.literal("null", "expected null").map(|()| Scalar::Null),
+            b't' => self
+                .literal("true", "expected true")
+                .map(|()| Scalar::Bool(true)),
+            b'f' => self
+                .literal("false", "expected false")
+                .map(|()| Scalar::Bool(false)),
+            b'"' => self.string().map(Scalar::Str),
+            b'-' | b'0'..=b'9' => self.number(),
+            _ => Err(self.err("unexpected character")),
+        }
+    }
+
+    /// Reads a string: one slice of the input when it holds no escape and
+    /// no control character, an owned copy otherwise.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let (start, closed) = self.open_string()?;
+        if closed {
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.src[start..self.pos]);
+        self.escaped_rest(&mut out)?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Skips a string, allocating nothing.
+    fn skip_string(&mut self) -> Result<(), JsonError> {
+        if self.open_string()?.1 {
+            return Ok(());
+        }
+        self.escaped_rest(&mut Discard)
+    }
+
+    /// Opens a string and scans its plain prefix: up to and past the
+    /// closing quote (`true`), or up to the escape, control character or
+    /// end of input that stops the scan (`false`). Also returns where the
+    /// content starts.
+    fn open_string(&mut self) -> Result<(usize, bool), JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        // Fast path: a string with no escape and no control character is
-        // one slice of the input. Anything else resumes below at the byte
-        // that stopped the scan, with that slice already copied.
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b'"' {
                 self.pos += 1;
-                return Ok(self.src[start..self.pos - 1].to_owned());
+                return Ok((start, true));
             }
             if b == b'\\' || b < 0x20 {
                 break;
             }
             self.pos += 1;
         }
-        let mut out = String::from(&self.src[start..self.pos]);
+        Ok((start, false))
+    }
+
+    /// Decodes the rest of a string whose plain prefix stopped at the
+    /// cursor, through the closing quote.
+    fn escaped_rest(&mut self, out: &mut impl Text) -> Result<(), JsonError> {
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(()),
                 b'\\' => {
                     let Some(esc) = self.peek() else {
                         return Err(self.err("unterminated escape"));
@@ -524,7 +788,9 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Reads a number: `UInt` when it is a plain integer that fits `u64`,
+    /// `Float` otherwise.
+    fn number(&mut self) -> Result<Scalar<'a>, JsonError> {
         let start = self.pos;
         let mut exact = true; // still a plain non-negative integer?
         if self.peek() == Some(b'-') {
@@ -571,13 +837,13 @@ impl<'a> Parser<'a> {
         }
         if exact {
             if let Some(n) = value {
-                return Ok(Json::UInt(n));
+                return Ok(Scalar::UInt(n));
             }
             // Over 2^64-1: fall through to the (lossy) float representation.
         }
         self.src[start..self.pos]
             .parse::<f64>()
-            .map(Json::Float)
+            .map(Scalar::Float)
             .map_err(|_| self.err("malformed number"))
     }
 }

@@ -160,11 +160,15 @@
 //! ```
 
 use crate::activity::SessionActivity;
-use crate::json::{self, Json, ObjWriter};
+use crate::json::{self, Json, JsonError, ObjWriter, Parser, Scalar};
 use crate::prog::analysis::{Diagnostic, Severity};
 use crate::prog::{Instr, ProgError, Reg};
 use bpimc_periph::{LogicOp, Precision};
+use std::borrow::Cow;
 use std::fmt;
+
+#[cfg(test)]
+mod reference;
 
 /// Lane-wise operations addressable over the wire (a subset of the ISA's
 /// [`OpKind`](crate::OpKind) that takes two packed operand vectors).
@@ -754,9 +758,12 @@ fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
+fn missing(key: &str) -> WireError {
+    wire_err(format!("missing field '{key}'"))
+}
+
 fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    v.get(key)
-        .ok_or_else(|| wire_err(format!("missing field '{key}'")))
+    v.get(key).ok_or_else(|| missing(key))
 }
 
 fn u64_field(v: &Json, key: &str) -> Result<u64, WireError> {
@@ -772,7 +779,10 @@ fn words_field(v: &Json, key: &str) -> Result<Vec<u64>, WireError> {
 }
 
 fn precision_field(v: &Json) -> Result<Precision, WireError> {
-    let bits = u64_field(v, "precision")?;
+    precision(u64_field(v, "precision")?)
+}
+
+fn precision(bits: u64) -> Result<Precision, WireError> {
     Precision::try_from_bits(bits as usize)
         .map_err(|_| wire_err(format!("unsupported precision {bits} (use 2/4/8/16/32)")))
 }
@@ -991,24 +1001,6 @@ pub fn instr_from_json(v: &Json) -> Result<Instr, WireError> {
     })
 }
 
-/// Parses the `pid`-or-`name` address shared by `run_stored` and
-/// `delete_program` (exactly one must be present).
-fn stored_target_field(v: &Json) -> Result<StoredTarget, WireError> {
-    match (v.get("pid"), v.get("name")) {
-        (Some(p), None) => p
-            .as_u64()
-            .map(StoredTarget::Pid)
-            .ok_or_else(|| wire_err("field 'pid' must be a non-negative integer")),
-        (None, Some(n)) => n
-            .as_str()
-            .map(|s| StoredTarget::Name(s.to_string()))
-            .ok_or_else(|| wire_err("field 'name' must be a string")),
-        _ => Err(wire_err(
-            "exactly one of 'pid' or 'name' must address the stored program",
-        )),
-    }
-}
-
 fn write_stored_target(o: &mut ObjWriter<'_>, target: &StoredTarget) {
     match target {
         StoredTarget::Pid(pid) => o.uint("pid", *pid),
@@ -1023,9 +1015,8 @@ fn write_instrs(out: &mut String, instrs: &[Instr]) {
 
 /// Parses the `instrs` array shared by `exec_program`, `store_program`
 /// and `lint_program`.
-fn instrs_field(v: &Json) -> Result<Vec<Instr>, WireError> {
-    field(v, "instrs")?
-        .as_array()
+fn instr_list(v: &Json) -> Result<Vec<Instr>, WireError> {
+    v.as_array()
         .ok_or_else(|| wire_err("field 'instrs' must be an array"))?
         .iter()
         .map(instr_from_json)
@@ -1148,126 +1139,315 @@ fn program_entry_from_json(v: &Json) -> Result<ProgramEntry, WireError> {
     })
 }
 
-impl Request {
-    /// Extracts just the `id` of a line, for error responses to requests
-    /// that do not parse fully. Returns `None` when the line has no
-    /// readable non-negative integer `id` (bad JSON, missing field, wrong
-    /// type) — the server answers such lines with the documented sentinel
-    /// id 0, since the protocol has no way to address a reply otherwise.
-    pub fn peek_id(line: &str) -> Option<u64> {
-        Json::parse(line)
-            .ok()
-            .and_then(|v| v.get("id").and_then(Json::as_u64))
-    }
+/// Parses a `stored` result.
+fn stored_from_json(r: &Json) -> Result<StoredMeta, WireError> {
+    Ok(StoredMeta {
+        pid: u64_field(r, "pid")?,
+        cycles: u64_field(r, "cycles")?,
+        writes: u64_field(r, "writes")?,
+        diagnostics: match r.get("diagnostics") {
+            None | Some(Json::Null) => Vec::new(),
+            Some(d) => diags_from_json(d, "field 'diagnostics'")?,
+        },
+    })
+}
 
-    /// Parses one request line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem (bad JSON, missing or
-    /// ill-typed field, unknown op).
-    pub fn parse(line: &str) -> Result<Request, WireError> {
-        let v = Json::parse(line.trim()).map_err(|e| wire_err(e.to_string()))?;
-        let id = u64_field(&v, "id")?;
-        let timeout_ms = match v.get("timeout_ms") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(
-                t.as_u64()
-                    .ok_or_else(|| wire_err("field 'timeout_ms' must be a non-negative integer"))?,
-            ),
-        };
-        let seq = match v.get("seq") {
+/// Parses a `session` result.
+fn session_from_json(r: &Json) -> Result<SessionInfo, WireError> {
+    Ok(SessionInfo {
+        token: field(r, "token")?
+            .as_str()
+            .ok_or_else(|| wire_err("field 'token' must be a string"))?
+            .to_string(),
+        stats: activity_from_json(r)?,
+        stored_programs: u64_field(r, "stored_programs")?,
+        last_seq: match r.get("last_seq") {
             None | Some(Json::Null) => None,
             Some(s) => Some(
                 s.as_u64()
-                    .ok_or_else(|| wire_err("field 'seq' must be a non-negative integer"))?,
+                    .ok_or_else(|| wire_err("field 'last_seq' must be a u64"))?,
             ),
-        };
-        let op = field(&v, "op")?
-            .as_str()
-            .ok_or_else(|| wire_err("field 'op' must be a string"))?;
-        let body = match op {
+        },
+    })
+}
+
+/// Parses a `programs` result.
+fn programs_from_json(r: &Json) -> Result<Vec<ProgramEntry>, WireError> {
+    r.as_array()
+        .ok_or_else(|| wire_err("field 'result' must be an array"))?
+        .iter()
+        .map(program_entry_from_json)
+        .collect()
+}
+
+/// Reads the object at the start of `src` (a whole document), passing each
+/// field to `each`; a document that is not an object reads as an object
+/// with no fields.
+fn read_object<'a>(
+    src: &'a str,
+    each: impl FnMut(&mut Parser<'a>, Cow<'a, str>, usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    let mut p = Parser::new(src);
+    p.skip_ws();
+    p.object(0, each)?;
+    p.end()
+}
+
+/// Reads a field's value into `slot`, unless an earlier occurrence of the
+/// key filled it: as with [`Json::get`], the first of duplicate keys
+/// counts, and a later one is only syntax- and depth-checked.
+fn first<'a, T>(
+    slot: &mut Option<T>,
+    p: &mut Parser<'a>,
+    depth: usize,
+    read: impl FnOnce(&mut Parser<'a>, usize) -> Result<T, JsonError>,
+) -> Result<(), JsonError> {
+    if slot.is_some() {
+        return p.skip_value(depth);
+    }
+    *slot = Some(read(p, depth)?);
+    Ok(())
+}
+
+/// An array of exact integers; `None` when the value is anything else.
+fn words(p: &mut Parser<'_>, depth: usize) -> Result<Option<Vec<u64>>, JsonError> {
+    let mut out = Vec::new();
+    Ok(p.u64s(depth, &mut out)?.then_some(out))
+}
+
+/// A field that holds an array of items.
+enum List<T> {
+    /// The field is `null`.
+    Null,
+    /// The field is neither `null` nor an array.
+    NotArray,
+    /// Some item has the wrong type.
+    BadItem,
+    /// Every item.
+    Items(Vec<T>),
+}
+
+impl<T> List<T> {
+    /// The items; `null` or a non-array fails with `not_array`, a
+    /// mistyped item with `bad_item`.
+    fn items(self, not_array: &str, bad_item: &str) -> Result<Vec<T>, WireError> {
+        match self {
+            List::Items(items) => Ok(items),
+            List::BadItem => Err(wire_err(bad_item)),
+            List::Null | List::NotArray => Err(wire_err(not_array)),
+        }
+    }
+}
+
+/// An array of numbers, each as `f64`.
+fn floats(p: &mut Parser<'_>, depth: usize) -> Result<List<f64>, JsonError> {
+    if p.start(depth)? != b'[' {
+        return p.skip_value(depth).map(|()| List::NotArray);
+    }
+    let mut out = Vec::new();
+    Ok(if p.f64s(depth, &mut out)? {
+        List::Items(out)
+    } else {
+        List::BadItem
+    })
+}
+
+/// An array of integer rows (`prototypes`, `inputs`, a program's
+/// `outputs`), each row read straight into its vector; a `null` row reads
+/// as `None`.
+fn rows(p: &mut Parser<'_>, depth: usize) -> Result<List<Option<Vec<u64>>>, JsonError> {
+    if p.start(depth)? == b'n' {
+        // `null`, or the literal's syntax error.
+        return p.scalar(depth).map(|_| List::Null);
+    }
+    let mut rows = Vec::new();
+    let mut good = true;
+    let array = p.array(depth, |p, d| {
+        if !good {
+            return p.skip_value(d);
+        }
+        if p.start(d)? == b'n' {
+            p.scalar(d)?;
+            rows.push(None);
+        } else {
+            let mut row = Vec::new();
+            good = p.u64s(d, &mut row)?;
+            rows.push(Some(row));
+        }
+        Ok(())
+    })?;
+    Ok(match (array, good) {
+        (false, _) => List::NotArray,
+        (true, false) => List::BadItem,
+        (true, true) => List::Items(rows),
+    })
+}
+
+/// Integer rows where a `null` row is a mistyped item.
+fn dense_rows(
+    rows: List<Option<Vec<u64>>>,
+    not_array: &str,
+    bad_row: &str,
+) -> Result<Vec<Vec<u64>>, WireError> {
+    rows.items(not_array, bad_row)?
+        .into_iter()
+        .map(|row| row.ok_or_else(|| wire_err(bad_row)))
+        .collect()
+}
+
+/// A required exact-integer field.
+fn uint(v: Option<Scalar<'_>>, key: &str) -> Result<u64, WireError> {
+    v.ok_or_else(|| missing(key))?
+        .as_u64()
+        .ok_or_else(|| wire_err(format!("field '{key}' must be a non-negative integer")))
+}
+
+/// An optional exact-integer field (`null` reads as absent).
+fn opt_uint(v: Option<Scalar<'_>>, key: &str) -> Result<Option<u64>, WireError> {
+    match v {
+        None | Some(Scalar::Null) => Ok(None),
+        Some(v) => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| wire_err(format!("field '{key}' must be a non-negative integer"))),
+    }
+}
+
+/// A required string field.
+fn text<'a>(v: Option<Scalar<'a>>, key: &str) -> Result<Cow<'a, str>, WireError> {
+    match v.ok_or_else(|| missing(key))? {
+        Scalar::Str(s) => Ok(s),
+        _ => Err(wire_err(format!("field '{key}' must be a string"))),
+    }
+}
+
+/// The required `precision` field.
+fn lane_width(v: Option<Scalar<'_>>) -> Result<Precision, WireError> {
+    precision(uint(v, "precision")?)
+}
+
+/// A required field holding an array of exact integers.
+fn words_of(v: Option<Option<Vec<u64>>>, key: &str) -> Result<Vec<u64>, WireError> {
+    v.ok_or_else(|| missing(key))?
+        .ok_or_else(|| wire_err(format!("field '{key}' must be an array of integers")))
+}
+
+/// The fields a request line may carry, each as the first occurrence of
+/// its key left it (`None`: absent). Which of them an op reads, and in
+/// what order, is decided once the whole line has parsed.
+#[derive(Default)]
+struct RequestFields<'a> {
+    id: Option<Scalar<'a>>,
+    timeout_ms: Option<Scalar<'a>>,
+    seq: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+    precision: Option<Scalar<'a>>,
+    x: Option<Option<Vec<u64>>>,
+    w: Option<Option<Vec<u64>>>,
+    a: Option<Option<Vec<u64>>>,
+    b: Option<Option<Vec<u64>>>,
+    prototypes: Option<List<Option<Vec<u64>>>>,
+    instrs: Option<Json>,
+    name: Option<Scalar<'a>>,
+    pid: Option<Scalar<'a>>,
+    inputs: Option<List<Option<Vec<u64>>>>,
+    token: Option<Scalar<'a>>,
+}
+
+impl<'a> RequestFields<'a> {
+    /// Reads one field of the request object.
+    fn read(&mut self, p: &mut Parser<'a>, key: &str, depth: usize) -> Result<(), JsonError> {
+        match key {
+            "id" => first(&mut self.id, p, depth, Parser::scalar),
+            "timeout_ms" => first(&mut self.timeout_ms, p, depth, Parser::scalar),
+            "seq" => first(&mut self.seq, p, depth, Parser::scalar),
+            "op" => first(&mut self.op, p, depth, Parser::scalar),
+            "precision" => first(&mut self.precision, p, depth, Parser::scalar),
+            "x" => first(&mut self.x, p, depth, words),
+            "w" => first(&mut self.w, p, depth, words),
+            "a" => first(&mut self.a, p, depth, words),
+            "b" => first(&mut self.b, p, depth, words),
+            "prototypes" => first(&mut self.prototypes, p, depth, rows),
+            "instrs" => first(&mut self.instrs, p, depth, Parser::value),
+            "name" => first(&mut self.name, p, depth, Parser::scalar),
+            "pid" => first(&mut self.pid, p, depth, Parser::scalar),
+            "inputs" => first(&mut self.inputs, p, depth, rows),
+            "token" => first(&mut self.token, p, depth, Parser::scalar),
+            _ => p.skip_value(depth),
+        }
+    }
+
+    /// The request: `id`, `timeout_ms`, `seq` and `op` are checked in that
+    /// order, then the op's own fields.
+    fn request(self) -> Result<Request, WireError> {
+        let id = uint(self.id, "id")?;
+        let timeout_ms = opt_uint(self.timeout_ms, "timeout_ms")?;
+        let seq = opt_uint(self.seq, "seq")?;
+        let op = text(self.op, "op")?;
+        let body = match &*op {
             "ping" => RequestBody::Ping,
             "dot" => RequestBody::Dot {
-                precision: precision_field(&v)?,
-                x: words_field(&v, "x")?,
-                w: words_field(&v, "w")?,
+                precision: lane_width(self.precision)?,
+                x: words_of(self.x, "x")?,
+                w: words_of(self.w, "w")?,
             },
             "load_model" => {
-                let protos = field(&v, "prototypes")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'prototypes' must be an array"))?;
-                let prototypes = protos
-                    .iter()
-                    .map(|p| {
-                        p.as_u64_array()
-                            .ok_or_else(|| wire_err("each prototype must be an array of integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                let prototypes = dense_rows(
+                    self.prototypes.ok_or_else(|| missing("prototypes"))?,
+                    "field 'prototypes' must be an array",
+                    "each prototype must be an array of integers",
+                )?;
                 RequestBody::LoadModel {
-                    precision: precision_field(&v)?,
+                    precision: lane_width(self.precision)?,
                     prototypes,
                 }
             }
             "classify" => RequestBody::Classify {
-                x: words_field(&v, "x")?,
+                x: words_of(self.x, "x")?,
             },
             "exec_program" => RequestBody::ExecProgram {
-                instrs: instrs_field(&v)?,
+                instrs: instrs_of(self.instrs)?,
             },
             "store_program" => RequestBody::StoreProgram {
-                instrs: instrs_field(&v)?,
-                name: match v.get("name") {
-                    None | Some(Json::Null) => None,
-                    Some(n) => Some(
-                        n.as_str()
-                            .ok_or_else(|| wire_err("field 'name' must be a string"))?
-                            .to_string(),
-                    ),
+                instrs: instrs_of(self.instrs)?,
+                name: match self.name {
+                    None | Some(Scalar::Null) => None,
+                    Some(Scalar::Str(name)) => Some(name.into_owned()),
+                    Some(_) => return Err(wire_err("field 'name' must be a string")),
                 },
             },
             "lint_program" => RequestBody::LintProgram {
-                instrs: instrs_field(&v)?,
+                instrs: instrs_of(self.instrs)?,
             },
             "run_stored" => {
-                let inputs = match v.get("inputs") {
-                    None | Some(Json::Null) => Vec::new(),
-                    Some(arr) => arr
-                        .as_array()
-                        .ok_or_else(|| wire_err("field 'inputs' must be an array"))?
-                        .iter()
-                        .map(|e| match e {
-                            Json::Null => Ok(None),
-                            other => other.as_u64_array().map(Some).ok_or_else(|| {
-                                wire_err("each input must be an array of integers or null")
-                            }),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
+                let inputs = match self.inputs {
+                    None | Some(List::Null) => Vec::new(),
+                    Some(inputs) => inputs.items(
+                        "field 'inputs' must be an array",
+                        "each input must be an array of integers or null",
+                    )?,
                 };
                 RequestBody::RunStored {
-                    target: stored_target_field(&v)?,
+                    target: stored_target(self.pid, self.name)?,
                     inputs,
                 }
             }
             "list_programs" => RequestBody::ListPrograms,
             "delete_program" => RequestBody::DeleteProgram {
-                target: stored_target_field(&v)?,
+                target: stored_target(self.pid, self.name)?,
             },
             "open_session" => RequestBody::OpenSession,
             "resume_session" => RequestBody::ResumeSession {
-                token: field(&v, "token")?
-                    .as_str()
-                    .ok_or_else(|| wire_err("field 'token' must be a string"))?
-                    .to_string(),
+                token: text(self.token, "token")?.into_owned(),
             },
             "stats" => RequestBody::Stats,
             "shutdown" => RequestBody::Shutdown,
             other => match LaneOp::from_name(other) {
                 Some(op) => RequestBody::Lanes {
                     op,
-                    precision: precision_field(&v)?,
-                    a: words_field(&v, "a")?,
-                    b: words_field(&v, "b")?,
+                    precision: lane_width(self.precision)?,
+                    a: words_of(self.a, "a")?,
+                    b: words_of(self.b, "b")?,
                 },
                 None => return Err(wire_err(format!("unknown op '{other}'"))),
             },
@@ -1278,6 +1458,248 @@ impl Request {
             seq,
             body,
         })
+    }
+}
+
+/// The `instrs` field of a program op.
+fn instrs_of(v: Option<Json>) -> Result<Vec<Instr>, WireError> {
+    instr_list(&v.ok_or_else(|| missing("instrs"))?)
+}
+
+/// The `pid`-or-`name` address shared by `run_stored` and
+/// `delete_program` (exactly one must be present).
+fn stored_target(
+    pid: Option<Scalar<'_>>,
+    name: Option<Scalar<'_>>,
+) -> Result<StoredTarget, WireError> {
+    match (pid, name) {
+        (Some(pid), None) => pid
+            .as_u64()
+            .map(StoredTarget::Pid)
+            .ok_or_else(|| wire_err("field 'pid' must be a non-negative integer")),
+        (None, Some(Scalar::Str(name))) => Ok(StoredTarget::Name(name.into_owned())),
+        (None, Some(_)) => Err(wire_err("field 'name' must be a string")),
+        _ => Err(wire_err(
+            "exactly one of 'pid' or 'name' must address the stored program",
+        )),
+    }
+}
+
+/// A response's `result`, read as the `kind` before it says.
+enum Payload<'a> {
+    /// `scalar` and `class`.
+    Scalar(Scalar<'a>),
+    /// `words`.
+    Words(Option<Vec<u64>>),
+    /// `program`.
+    Program(ProgramFields),
+    /// The cold kinds: `stored`, `diagnostics`, `stats`, `session` and
+    /// `programs`.
+    Tree(Json),
+    /// A `result` that no string `kind` preceded, or whose kind reads
+    /// none: its text and depth, read again once `kind` is known.
+    Deferred(&'a str, usize),
+}
+
+impl<'a> Payload<'a> {
+    /// Reads a `result` as `kind` says.
+    fn read(kind: Option<&str>, p: &mut Parser<'a>, depth: usize) -> Result<Self, JsonError> {
+        Ok(match kind {
+            Some("scalar" | "class") => Payload::Scalar(p.scalar(depth)?),
+            Some("words") => Payload::Words(words(p, depth)?),
+            Some("program") => Payload::Program(ProgramFields::read(p, depth)?),
+            Some("stored" | "diagnostics" | "stats" | "session" | "programs") => {
+                Payload::Tree(p.value(depth)?)
+            }
+            _ => Payload::Deferred(p.skip_span(depth)?, depth),
+        })
+    }
+}
+
+/// The fields of a `program` result.
+#[derive(Default)]
+struct ProgramFields {
+    outputs: Option<List<Option<Vec<u64>>>>,
+    cycles: Option<Option<Vec<u64>>>,
+    energy_fj: Option<List<f64>>,
+}
+
+impl ProgramFields {
+    fn read(p: &mut Parser<'_>, depth: usize) -> Result<Self, JsonError> {
+        let mut f = Self::default();
+        p.object(depth, |p, key, d| match &*key {
+            "outputs" => first(&mut f.outputs, p, d, rows),
+            "cycles" => first(&mut f.cycles, p, d, words),
+            "energy_fj" => first(&mut f.energy_fj, p, d, floats),
+            _ => p.skip_value(d),
+        })?;
+        Ok(f)
+    }
+
+    /// The report: `outputs`, `energy_fj`, then `cycles` are checked.
+    fn report(self) -> Result<ProgramReport, WireError> {
+        let outputs = dense_rows(
+            self.outputs.ok_or_else(|| missing("outputs"))?,
+            "field 'outputs' must be an array",
+            "each output must be an array of integers",
+        )?;
+        let energy_fj = self.energy_fj.ok_or_else(|| missing("energy_fj"))?.items(
+            "field 'energy_fj' must be an array",
+            "each energy entry must be a number",
+        )?;
+        Ok(ProgramReport {
+            outputs,
+            cycles: words_of(self.cycles, "cycles")?,
+            energy_fj,
+        })
+    }
+}
+
+/// The fields a response line may carry, as [`RequestFields`] holds a
+/// request's.
+#[derive(Default)]
+struct ResponseFields<'a> {
+    id: Option<Scalar<'a>>,
+    ok: Option<Scalar<'a>>,
+    error: Option<Scalar<'a>>,
+    kind: Option<Scalar<'a>>,
+    limit: Option<Scalar<'a>>,
+    retry_after_ms: Option<Scalar<'a>>,
+    code: Option<Scalar<'a>>,
+    index: Option<Scalar<'a>>,
+    result: Option<Payload<'a>>,
+}
+
+impl<'a> ResponseFields<'a> {
+    /// Reads one field of the response object.
+    fn read(&mut self, p: &mut Parser<'a>, key: &str, depth: usize) -> Result<(), JsonError> {
+        match key {
+            "id" => first(&mut self.id, p, depth, Parser::scalar),
+            "ok" => first(&mut self.ok, p, depth, Parser::scalar),
+            "error" => first(&mut self.error, p, depth, Parser::scalar),
+            "kind" => first(&mut self.kind, p, depth, Parser::scalar),
+            "limit" => first(&mut self.limit, p, depth, Parser::scalar),
+            "retry_after_ms" => first(&mut self.retry_after_ms, p, depth, Parser::scalar),
+            "code" => first(&mut self.code, p, depth, Parser::scalar),
+            "index" => first(&mut self.index, p, depth, Parser::scalar),
+            "result" => {
+                let kind = self.kind.as_ref().and_then(Scalar::as_str);
+                first(&mut self.result, p, depth, |p, d| Payload::read(kind, p, d))
+            }
+            _ => p.skip_value(depth),
+        }
+    }
+
+    /// The response: `id` and `ok` are checked, then `error` or `kind`
+    /// and the kind's `result`.
+    fn response(self) -> Result<Response, WireError> {
+        let id = uint(self.id, "id")?;
+        let ok = match self.ok.ok_or_else(|| missing("ok"))? {
+            Scalar::Bool(ok) => ok,
+            _ => return Err(wire_err("field 'ok' must be a bool")),
+        };
+        if !ok {
+            let message = text(self.error, "error")?.into_owned();
+            // Unknown kinds/limits from a newer server degrade to generic
+            // rather than failing the parse.
+            return Ok(Response {
+                id,
+                body: ResponseBody::Error(ErrorBody {
+                    kind: self
+                        .kind
+                        .as_ref()
+                        .and_then(Scalar::as_str)
+                        .and_then(ErrorKind::from_name)
+                        .unwrap_or_default(),
+                    limit: self
+                        .limit
+                        .as_ref()
+                        .and_then(Scalar::as_str)
+                        .and_then(LimitKind::from_name),
+                    retry_after_ms: self.retry_after_ms.as_ref().and_then(Scalar::as_u64),
+                    code: self
+                        .code
+                        .as_ref()
+                        .and_then(Scalar::as_str)
+                        .map(str::to_owned),
+                    index: self.index.as_ref().and_then(Scalar::as_u64),
+                    message,
+                }),
+            });
+        }
+        let kind = text(self.kind, "kind")?;
+        let result = match self.result {
+            Some(Payload::Deferred(span, depth)) => {
+                let mut p = Parser::new(span);
+                Some(
+                    Payload::read(Some(&kind), &mut p, depth)
+                        .map_err(|e| wire_err(e.to_string()))?,
+                )
+            }
+            result => result,
+        };
+        let body = match (&*kind, result) {
+            ("pong", _) => ResponseBody::Pong,
+            ("ok", _) => ResponseBody::Ok,
+            (
+                "scalar" | "words" | "class" | "program" | "stored" | "diagnostics" | "stats"
+                | "session" | "programs",
+                None,
+            ) => return Err(missing("result")),
+            ("scalar", Some(Payload::Scalar(n))) => ResponseBody::Scalar(uint(Some(n), "result")?),
+            ("words", Some(Payload::Words(ws))) => {
+                ResponseBody::Words(words_of(Some(ws), "result")?)
+            }
+            ("class", Some(Payload::Scalar(c))) => ResponseBody::Class(
+                uint(Some(c), "result")?
+                    .try_into()
+                    .map_err(|_| wire_err("class index out of range"))?,
+            ),
+            ("program", Some(Payload::Program(f))) => ResponseBody::Program(f.report()?),
+            ("stored", Some(Payload::Tree(r))) => ResponseBody::Stored(stored_from_json(&r)?),
+            ("diagnostics", Some(Payload::Tree(r))) => {
+                ResponseBody::Diagnostics(diags_from_json(&r, "field 'result'")?)
+            }
+            ("stats", Some(Payload::Tree(r))) => ResponseBody::Stats(activity_from_json(&r)?),
+            ("session", Some(Payload::Tree(r))) => ResponseBody::Session(session_from_json(&r)?),
+            ("programs", Some(Payload::Tree(r))) => ResponseBody::Programs(programs_from_json(&r)?),
+            (other, _) => return Err(wire_err(format!("unknown response kind '{other}'"))),
+        };
+        Ok(Response { id, body })
+    }
+}
+
+impl Request {
+    /// Extracts just the `id` of a line, for error responses to requests
+    /// that do not parse fully. Returns `None` when the line has no
+    /// readable non-negative integer `id` (bad JSON, missing field, wrong
+    /// type) — the server answers such lines with the documented sentinel
+    /// id 0, since the protocol has no way to address a reply otherwise.
+    pub fn peek_id(line: &str) -> Option<u64> {
+        let mut id = None;
+        read_object(line, |p, key, depth| match &*key {
+            "id" => first(&mut id, p, depth, Parser::scalar),
+            _ => p.skip_value(depth),
+        })
+        .ok()?;
+        id?.as_u64()
+    }
+
+    /// Parses one request line in one pass: each field the protocol
+    /// defines is decoded straight into its typed value, and every other
+    /// field is only syntax- and depth-checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem (bad JSON, missing or
+    /// ill-typed field, unknown op). A syntax error anywhere in the line
+    /// is reported before any field error; of duplicate keys the first
+    /// counts.
+    pub fn parse(line: &str) -> Result<Request, WireError> {
+        let mut fields = RequestFields::default();
+        read_object(line.trim(), |p, key, depth| fields.read(p, &key, depth))
+            .map_err(|e| wire_err(e.to_string()))?;
+        fields.request()
     }
 
     /// Serializes the request to one JSON line (no trailing newline).
@@ -1368,131 +1790,17 @@ impl Request {
 }
 
 impl Response {
-    /// Parses one response line.
+    /// Parses one response line in one pass, as [`Request::parse`] parses
+    /// a request.
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem.
     pub fn parse(line: &str) -> Result<Response, WireError> {
-        let v = Json::parse(line.trim()).map_err(|e| wire_err(e.to_string()))?;
-        let id = u64_field(&v, "id")?;
-        let ok = field(&v, "ok")?
-            .as_bool()
-            .ok_or_else(|| wire_err("field 'ok' must be a bool"))?;
-        if !ok {
-            let msg = field(&v, "error")?
-                .as_str()
-                .ok_or_else(|| wire_err("field 'error' must be a string"))?;
-            // Unknown kinds/limits from a newer server degrade to generic
-            // rather than failing the parse.
-            let kind = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .and_then(ErrorKind::from_name)
-                .unwrap_or_default();
-            let limit = v
-                .get("limit")
-                .and_then(Json::as_str)
-                .and_then(LimitKind::from_name);
-            let retry_after_ms = v.get("retry_after_ms").and_then(Json::as_u64);
-            let code = v.get("code").and_then(Json::as_str).map(|s| s.to_string());
-            let index = v.get("index").and_then(Json::as_u64);
-            return Ok(Response {
-                id,
-                body: ResponseBody::Error(ErrorBody {
-                    kind,
-                    limit,
-                    retry_after_ms,
-                    code,
-                    index,
-                    message: msg.to_string(),
-                }),
-            });
-        }
-        let kind = field(&v, "kind")?
-            .as_str()
-            .ok_or_else(|| wire_err("field 'kind' must be a string"))?;
-        let body = match kind {
-            "pong" => ResponseBody::Pong,
-            "ok" => ResponseBody::Ok,
-            "scalar" => ResponseBody::Scalar(u64_field(&v, "result")?),
-            "words" => ResponseBody::Words(words_field(&v, "result")?),
-            "class" => ResponseBody::Class(
-                u64_field(&v, "result")?
-                    .try_into()
-                    .map_err(|_| wire_err("class index out of range"))?,
-            ),
-            "program" => {
-                let r = field(&v, "result")?;
-                let outputs = field(r, "outputs")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'outputs' must be an array"))?
-                    .iter()
-                    .map(|o| {
-                        o.as_u64_array()
-                            .ok_or_else(|| wire_err("each output must be an array of integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let energy_fj = field(r, "energy_fj")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'energy_fj' must be an array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_f64()
-                            .ok_or_else(|| wire_err("each energy entry must be a number"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                ResponseBody::Program(ProgramReport {
-                    outputs,
-                    cycles: words_field(r, "cycles")?,
-                    energy_fj,
-                })
-            }
-            "stored" => {
-                let r = field(&v, "result")?;
-                ResponseBody::Stored(StoredMeta {
-                    pid: u64_field(r, "pid")?,
-                    cycles: u64_field(r, "cycles")?,
-                    writes: u64_field(r, "writes")?,
-                    diagnostics: match r.get("diagnostics") {
-                        None | Some(Json::Null) => Vec::new(),
-                        Some(d) => diags_from_json(d, "field 'diagnostics'")?,
-                    },
-                })
-            }
-            "diagnostics" => {
-                ResponseBody::Diagnostics(diags_from_json(field(&v, "result")?, "field 'result'")?)
-            }
-            "stats" => ResponseBody::Stats(activity_from_json(field(&v, "result")?)?),
-            "session" => {
-                let r = field(&v, "result")?;
-                ResponseBody::Session(SessionInfo {
-                    token: field(r, "token")?
-                        .as_str()
-                        .ok_or_else(|| wire_err("field 'token' must be a string"))?
-                        .to_string(),
-                    stats: activity_from_json(r)?,
-                    stored_programs: u64_field(r, "stored_programs")?,
-                    last_seq: match r.get("last_seq") {
-                        None | Some(Json::Null) => None,
-                        Some(s) => Some(
-                            s.as_u64()
-                                .ok_or_else(|| wire_err("field 'last_seq' must be a u64"))?,
-                        ),
-                    },
-                })
-            }
-            "programs" => ResponseBody::Programs(
-                field(&v, "result")?
-                    .as_array()
-                    .ok_or_else(|| wire_err("field 'result' must be an array"))?
-                    .iter()
-                    .map(program_entry_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            other => return Err(wire_err(format!("unknown response kind '{other}'"))),
-        };
-        Ok(Response { id, body })
+        let mut fields = ResponseFields::default();
+        read_object(line.trim(), |p, key, depth| fields.read(p, &key, depth))
+            .map_err(|e| wire_err(e.to_string()))?;
+        fields.response()
     }
 
     /// Serializes the response to one JSON line (no trailing newline).
@@ -2028,7 +2336,7 @@ mod tests {
     /// One request per `RequestBody` variant (`Lanes` once arithmetic and
     /// once logic), with the optional envelope fields and the awkward
     /// corners of each body.
-    fn pinned_requests() -> Vec<Request> {
+    pub(super) fn pinned_requests() -> Vec<Request> {
         let req = |id, body| Request {
             id,
             timeout_ms: None,
@@ -2134,7 +2442,7 @@ mod tests {
 
     /// One response per `ResponseBody` kind, with an error carrying every
     /// optional field and float energies whose text must not change.
-    fn pinned_responses() -> Vec<Response> {
+    pub(super) fn pinned_responses() -> Vec<Response> {
         let resp = |id, body| Response { id, body };
         vec![
             resp(1, ResponseBody::Pong),

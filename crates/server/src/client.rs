@@ -149,6 +149,8 @@ pub struct Client {
     addr: SocketAddr,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The response line buffer, reused by every [`Client::recv`].
+    line: String,
     next_id: u64,
     /// Stamped on every request when set ([`Client::set_timeout_ms`]).
     timeout_ms: Option<u64>,
@@ -181,6 +183,7 @@ impl Client {
             addr,
             reader,
             writer,
+            line: String::new(),
             next_id: 1,
             timeout_ms: None,
             retry: None,
@@ -310,8 +313,8 @@ impl Client {
     /// Fails on transport errors or an unparseable line; a server-side
     /// `Error` body is returned as a normal [`Response`].
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             // EOF is a transport failure (the peer vanished), not a
             // protocol violation — reconnect/retry logic keys on `Io`.
             return Err(ClientError::Io(std::io::Error::new(
@@ -319,7 +322,7 @@ impl Client {
                 "server closed the connection",
             )));
         }
-        Response::parse(&reply).map_err(|e| ClientError::Protocol(e.to_string()))
+        Response::parse(&self.line).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// Sends one request and blocks for its response. Ids are assigned

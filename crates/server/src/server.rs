@@ -991,11 +991,23 @@ enum LineRead {
 }
 
 /// `read_line` with a hard size cap: over-long lines are *discarded* in
-/// chunks rather than buffered, bounding per-connection memory.
+/// chunks rather than buffered, bounding per-connection memory. The line
+/// is built in `line`'s own buffer, which its connection reuses from line
+/// to line; invalid UTF-8 becomes U+FFFD, as `String::from_utf8_lossy`
+/// replaces it.
 fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut String, cap: usize) -> LineRead {
+    let mut buf = std::mem::take(line).into_bytes();
+    buf.clear();
+    let read = fill_line(reader, &mut buf, cap);
+    *line = String::from_utf8(buf)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    read
+}
+
+/// The bytes of [`read_line_capped`]: appends the next line to `buf`
+/// without its newline (or clears `buf` when the line is too long).
+fn fill_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>, cap: usize) -> LineRead {
     use std::io::BufRead;
-    line.clear();
-    let mut buf: Vec<u8> = Vec::new();
     loop {
         let available = match reader.fill_buf() {
             Ok(chunk) => chunk,
@@ -1006,7 +1018,6 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut String, cap: u
             if buf.is_empty() {
                 return LineRead::Eof;
             }
-            *line = String::from_utf8_lossy(&buf).into_owned();
             return LineRead::Line;
         }
         let newline = available.iter().position(|&b| b == b'\n');
@@ -1038,7 +1049,6 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut String, cap: u
         match newline {
             Some(p) => {
                 reader.consume(p + 1);
-                *line = String::from_utf8_lossy(&buf).into_owned();
                 return LineRead::Line;
             }
             None => reader.consume(take),
