@@ -1705,7 +1705,14 @@ impl Request {
     /// Serializes the request to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut line = String::with_capacity(LINE_CAPACITY);
-        let mut o = ObjWriter::open(&mut line);
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Appends the bytes of [`Request::to_json_line`] to `out` (no
+    /// trailing newline), so a caller can reuse one line buffer.
+    pub fn write_json_line(&self, out: &mut String) {
+        let mut o = ObjWriter::open(out);
         o.uint("id", self.id);
         if let Some(t) = self.timeout_ms {
             o.uint("timeout_ms", t);
@@ -1785,7 +1792,6 @@ impl Request {
             RequestBody::Shutdown => o.str("op", "shutdown"),
         }
         o.close();
-        line
     }
 }
 

@@ -10,7 +10,7 @@ use bpimc_core::{
     StoredTarget,
 };
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -39,11 +39,6 @@ impl ClientError {
     /// array.
     pub fn is_limit_exceeded(&self) -> bool {
         matches!(self, ClientError::Server(e) if e.kind == ErrorKind::LimitExceeded)
-    }
-
-    /// The request's `timeout_ms` expired before it executed.
-    pub fn is_deadline_exceeded(&self) -> bool {
-        matches!(self, ClientError::Server(e) if e.kind == ErrorKind::DeadlineExceeded)
     }
 
     /// The server's back-off hint, when it sent one.
@@ -148,7 +143,11 @@ pub struct Client {
     /// The resolved address, kept for [`Client::reconnect`].
     addr: SocketAddr,
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// The queue of sent requests, flushed by [`Client::recv`] right
+    /// before it would block.
+    writer: BufWriter<TcpStream>,
+    /// The request line buffer, reused by every [`Client::send`].
+    out: String,
     /// The response line buffer, reused by every [`Client::recv`].
     line: String,
     next_id: u64,
@@ -183,6 +182,7 @@ impl Client {
             addr,
             reader,
             writer,
+            out: String::new(),
             line: String::new(),
             next_id: 1,
             timeout_ms: None,
@@ -193,12 +193,12 @@ impl Client {
         })
     }
 
-    fn dial(addr: SocketAddr) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    fn dial(addr: SocketAddr) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
         let stream = TcpStream::connect(addr)?;
         // Requests are complete lines the server acts on immediately;
         // never let Nagle hold one back waiting for a delayed ACK.
         let _ = stream.set_nodelay(true);
-        let writer = stream.try_clone()?;
+        let writer = BufWriter::new(stream.try_clone()?);
         Ok((BufReader::new(stream), writer))
     }
 
@@ -232,7 +232,9 @@ impl Client {
         self.reconnects
     }
 
-    /// Drops the current connection and dials the server again.
+    /// Drops the current connection and dials the server again. Requests
+    /// queued by [`Client::send`] and not yet written are discarded:
+    /// they reach neither connection.
     ///
     /// Without a durable session, a new connection is a **new session**:
     /// the loaded model, stored programs and activity account do not
@@ -243,13 +245,15 @@ impl Client {
     /// # Errors
     ///
     /// Returns the I/O error when the new connection cannot be
-    /// established (the client keeps the old, likely dead, streams), or
-    /// the server's error when the held token no longer resumes
-    /// (`session_expired` after the TTL ran out).
+    /// established (the client keeps the old, likely dead, streams and
+    /// their queue), or the server's error when the held token no longer
+    /// resumes (`session_expired` after the TTL ran out).
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
         let (reader, writer) = Self::dial(self.addr)?;
         self.reader = reader;
-        self.writer = writer;
+        // Dropping a `BufWriter` would flush the unsent queue to the old
+        // connection; `into_parts` hands it back to be dropped unwritten.
+        drop(std::mem::replace(&mut self.writer, writer).into_parts());
         self.reconnects += 1;
         if self.token.is_some() {
             self.resume_attached()?;
@@ -282,9 +286,15 @@ impl Client {
     /// send order. On a durable session each send is stamped with a fresh
     /// idempotency seq.
     ///
+    /// The request is queued, not written: it reaches the socket when
+    /// [`Client::recv`] or [`Client::call`] must wait for a response,
+    /// when the queue outgrows the `BufWriter`'s buffer, or when the
+    /// client is dropped. [`Client::reconnect`] discards it.
+    ///
     /// # Errors
     ///
-    /// Fails on transport errors.
+    /// Fails on transport errors (only a write of an outgrown queue can
+    /// meet one here).
     pub fn send(&mut self, body: RequestBody) -> Result<u64, ClientError> {
         let seq = self.assign_seq(&body);
         self.send_with(body, seq)
@@ -293,30 +303,41 @@ impl Client {
     fn send_with(&mut self, body: RequestBody, seq: Option<u64>) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let mut line = Request {
+        self.out.clear();
+        Request {
             id,
             seq,
             timeout_ms: self.timeout_ms,
             body,
         }
-        .to_json_line();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
+        .write_json_line(&mut self.out);
+        self.out.push('\n');
+        self.writer.write_all(self.out.as_bytes())?;
         Ok(id)
     }
 
     /// Blocks for the next response line (pairs with [`Client::send`]).
     ///
+    /// A response already buffered from an earlier read is returned
+    /// without touching the socket. Otherwise the requests queued by
+    /// [`Client::send`] are written first, in one `write`, right before
+    /// the read that waits.
+    ///
     /// # Errors
     ///
-    /// Fails on transport errors or an unparseable line; a server-side
-    /// `Error` body is returned as a normal [`Response`].
+    /// Fails on transport errors — the server closing the connection
+    /// before a whole line arrived is one — or an unparseable line; a
+    /// server-side `Error` body is returned as a normal [`Response`].
     pub fn recv(&mut self) -> Result<Response, ClientError> {
+        if !self.reader.buffer().contains(&b'\n') {
+            self.writer.flush()?;
+        }
         self.line.clear();
-        if self.reader.read_line(&mut self.line)? == 0 {
-            // EOF is a transport failure (the peer vanished), not a
-            // protocol violation — reconnect/retry logic keys on `Io`.
+        self.reader.read_line(&mut self.line)?;
+        if !self.line.ends_with('\n') {
+            // EOF, with or without part of a line, is a transport failure
+            // (the peer vanished), not a protocol violation —
+            // reconnect/retry logic keys on `Io`.
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
@@ -326,7 +347,8 @@ impl Client {
     }
 
     /// Sends one request and blocks for its response. Ids are assigned
-    /// sequentially and verified against the response.
+    /// sequentially and verified against the response. The request, and
+    /// any queued before it, is written before the call blocks.
     ///
     /// # Errors
     ///

@@ -106,6 +106,12 @@
 //!   seq number, auto-resumes its session inside the reconnect path, and
 //!   safely retries *all* seq-guarded ops across transport errors — not
 //!   just idempotent read-only ones.
+//! * **Client writes**: [`Client::send`] queues a request instead of
+//!   writing it. The queue reaches the socket in one `write` when
+//!   [`Client::recv`] or [`Client::call`] must wait for a response, when
+//!   it outgrows its `BufWriter`'s buffer, or when the client is dropped,
+//!   so a pipelining client writes every request it refilled during a run
+//!   of buffered responses at once. [`Client::reconnect`] discards it.
 //! * **Graceful shutdown** (client `shutdown` op or
 //!   [`ServerHandle::shutdown`]): the listener stops accepting, queued
 //!   requests drain and get responses, then connections close and all

@@ -27,12 +27,16 @@
 //! | waking a parked pool worker: `send` until its first job starts (3,000 batches per run) | p50 21–33 µs, p90 48–58 µs, p99 0.1–0.3 ms |
 //! | the server's reader → dispatcher condvar hand-off | median 2.6–9 µs |
 //! | one `std::thread::available_parallelism()` call (it reads cgroup files) | 13–22 µs |
+//! | one loopback request `write`: the client's kernel time per request on a window-16 stream, which includes the server's receive path and its reader's wake-up (per-thread `/proc` sampling) | 2.7–4.0 µs |
 //!
 //! A served request executes in about 2 µs, so a worker wake-up costs ten
 //! times or more the work it would take over: the claim queue never waits
 //! for a wake-up it does not need (see [`par_queue_try_map`]), and nothing
 //! may call `available_parallelism` once per request ([`worker_count`]
-//! reads it once per process).
+//! reads it once per process). A `write` per request costs more than the
+//! request's execution too, so `bpimc_server::Client` writes the requests
+//! it queued in one `write` per burst (0.6–1.0 µs of client kernel time
+//! per request on the same stream).
 
 use crate::sync::atomic::AtomicUsize;
 use std::any::Any;
