@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p bpimc-bench --example load_gen -- \
-//!     [--clients 8] [--requests 50] [--macros N] [--addr HOST:PORT] \
+//!     [--clients 8] [--requests 50] [--addr HOST:PORT] \
 //!     [--programs] [--stored] [--pipeline W] [--min-throughput R] \
 //!     [--chaos [--chaos-seed S] [--restart]]
 //! ```
@@ -68,7 +68,6 @@ use std::time::{Duration, Instant};
 struct Args {
     clients: u64,
     requests: u64,
-    macros: Option<usize>,
     addr: Option<String>,
     programs: bool,
     stored: bool,
@@ -83,7 +82,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         clients: 8,
         requests: 50,
-        macros: None,
         addr: None,
         programs: false,
         stored: false,
@@ -103,7 +101,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--clients" => args.clients = num("--clients").max(1),
             "--requests" => args.requests = num("--requests").max(1),
-            "--macros" => args.macros = Some(num("--macros").max(1) as usize),
             "--pipeline" => args.pipeline = num("--pipeline").max(1) as usize,
             "--min-throughput" => args.min_throughput = Some(num("--min-throughput") as f64),
             "--addr" => {
@@ -589,7 +586,7 @@ fn main() {
     let spawned = match &args.addr {
         Some(_) => None,
         None => {
-            let mut config = ServerConfig {
+            let config = ServerConfig {
                 faults: if args.chaos {
                     chaos_plan(args.chaos_seed)
                 } else {
@@ -597,18 +594,13 @@ fn main() {
                 },
                 ..ServerConfig::default()
             };
-            if let Some(m) = args.macros {
-                config.macros = m;
-                config.batch_max = (16 * m).max(64);
-            }
-            let handle = Server::bind("127.0.0.1:0", config.clone())
-                .unwrap_or_else(|e| die(&format!("bind: {e}")));
+            let handle =
+                Server::bind("127.0.0.1:0", config).unwrap_or_else(|e| die(&format!("bind: {e}")));
             println!(
-                "spawned in-process server on {} ({} macros{})",
+                "spawned in-process server on {}{}",
                 handle.local_addr(),
-                config.macros,
                 if args.chaos {
-                    format!(", chaos seed {}", args.chaos_seed)
+                    format!(" (chaos seed {})", args.chaos_seed)
                 } else {
                     String::new()
                 }
@@ -817,7 +809,7 @@ fn spawn_served(
     let mut served = None;
     for line in lines.by_ref() {
         let line = line.unwrap_or_else(|e| die(&format!("reading serve banner: {e}")));
-        // "serving on 127.0.0.1:PORT with N macros (...)"
+        // "serving on 127.0.0.1:PORT (...)"
         if let Some(rest) = line.strip_prefix("serving on ") {
             let addr = rest.split_whitespace().next().and_then(|a| a.parse().ok());
             served = Some(addr.unwrap_or_else(|| die(&format!("bad serve banner: {line}"))));

@@ -7,7 +7,7 @@
 //! repro all --json          # also write BENCH_repro.json with wall-clock
 //!                           # and simulated-cycle numbers
 //! repro serve               # run the multi-client compute service
-//!     [--addr 127.0.0.1:7171] [--macros N] [--write-timeout-ms MS]
+//!     [--addr 127.0.0.1:7171] [--write-timeout-ms MS]
 //!     [--max-cycles-per-sec N] [--max-energy-fj-per-sec N]
 //!     [--max-inflight N] [--max-program-instrs N] [--max-stored-programs N]
 //!     [--chaos-seed S] [--chaos-panic-pm N] [--chaos-delay-pm N]
@@ -491,7 +491,7 @@ fn serve_throughput() -> f64 {
 /// `repro serve`: run the line-delimited-JSON compute service until a
 /// client sends `{"op":"shutdown"}` (see the README's Serving section).
 ///
-/// Beyond `--addr`/`--macros`, the flags map onto the server's guardrail
+/// Beyond `--addr`, the flags map onto the server's guardrail
 /// and chaos knobs: `--max-*` set per-session limits ([`SessionLimits`]),
 /// `--chaos-*` build a seeded deterministic [`FaultPlan`], and
 /// `--session-ttl-ms` / `--max-sessions` / `--max-registry-programs`
@@ -519,14 +519,6 @@ fn serve(args: &[String]) {
                     .next()
                     .cloned()
                     .unwrap_or_else(|| die("--addr needs HOST:PORT"))
-            }
-            "--macros" => {
-                config.macros = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--macros needs a positive number"));
-                config.batch_max = 4 * config.macros;
             }
             "--chaos-seed" => config.faults.seed = num("--chaos-seed"),
             "--chaos-panic-pm" => config.faults.panic_per_mille = num("--chaos-panic-pm") as u16,
@@ -594,9 +586,8 @@ fn serve(args: &[String]) {
     let handle = bpimc_server::Server::bind(addr.as_str(), config.clone())
         .unwrap_or_else(|e| die(&format!("binding {addr}: {e}")));
     println!(
-        "serving on {} with {} macros (queue {}, batch {}, write timeout {:?})",
+        "serving on {} (queue {}, batch {}, write timeout {:?})",
         handle.local_addr(),
-        config.macros,
         config.queue_capacity,
         config.batch_max,
         config.write_timeout,
@@ -1073,7 +1064,7 @@ fn usage() -> ! {
         EXPERIMENTS.join("|")
     );
     eprintln!(
-        "       repro serve [--addr HOST:PORT] [--macros N] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
+        "       repro serve [--addr HOST:PORT] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
     );
     eprintln!("       repro state --state-dir DIR  (inspect/verify durable state; non-zero exit on corruption)");
     eprintln!("       repro check-bench [--baseline FILE]");

@@ -1,10 +1,11 @@
 //! The batched multi-macro executor.
 //!
 //! Where [`Chip`](crate::bank::Chip) models the paper's *lock-step* chip
-//! (one broadcast op, every macro in the same cycle), a [`MacroBank`] is the
-//! throughput-oriented executor a server workload needs: it owns `N`
-//! independent [`ImcMacro`]s and spreads a queue of independent jobs across
-//! them, one worker thread per macro, with results returned in job order.
+//! (one broadcast op, every macro in the same cycle), a [`MacroBank`] is a
+//! throughput-oriented executor for batches of independent jobs (the NN
+//! classifier's evaluation): it owns `N` independent [`ImcMacro`]s and
+//! spreads a queue of jobs across them, one worker thread per macro, with
+//! results returned in job order.
 //!
 //! Each job gets exclusive `&mut` access to one macro for its whole
 //! duration, so macro state (rows, activity log, separator counters) stays
@@ -66,16 +67,6 @@ impl MacroBank {
         Self::new(worker_count(usize::MAX), config)
     }
 
-    /// Number of macros in the bank.
-    pub fn len(&self) -> usize {
-        self.macros.len()
-    }
-
-    /// Always false: banks have at least one macro.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Iterates the macros immutably (activity inspection).
     pub fn macros(&self) -> impl Iterator<Item = &ImcMacro> {
         self.macros.iter().map(|s| &s.0)
@@ -107,12 +98,11 @@ impl MacroBank {
     /// what a wake-up costs); batches whose jobs outlast a wake-up spread
     /// across all macros.
     ///
-    /// This is the entry point a multi-client service uses: one client's
-    /// faulty request must fail alone, not take down every in-flight
-    /// request sharing the bank. A panicking job may leave its macro's
-    /// array rows partially written, which the next job tolerates by
-    /// construction (batched jobs always write their operand rows before
-    /// using them); its activity log may likewise carry a partial op, so
+    /// One faulty job fails alone, without taking down the jobs sharing
+    /// the bank. A panicking job may leave its macro's array rows
+    /// partially written, which the next job tolerates by construction
+    /// (batched jobs always write their operand rows before using them);
+    /// its activity log may likewise carry a partial op, so
     /// accounting-sensitive callers should clear per job.
     pub fn try_run_batch<J, T, F>(&mut self, jobs: &[J], f: F) -> Vec<Result<T, JobPanic>>
     where
@@ -250,7 +240,7 @@ mod tests {
         // has more than one lane.
         let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
         let jobs: Vec<u64> = (0..64).collect();
-        let multi_lane = worker_count(jobs.len()).min(bank.len()) > 1;
+        let multi_lane = worker_count(jobs.len()).min(4) > 1;
         let worker_ran = std::sync::atomic::AtomicBool::new(false);
         let out = all_ok(bank.try_run_batch(&jobs, |mac, &j| {
             let here = std::thread::current();

@@ -273,11 +273,6 @@ impl PrototypeClassifier {
         self.precision
     }
 
-    /// Number of macros evaluation spreads over.
-    pub fn bank_size(&self) -> usize {
-        self.bank.len()
-    }
-
     /// Classifies one (real-valued) sample; returns the predicted class.
     ///
     /// Single-sample classification computes the prototype norms on the

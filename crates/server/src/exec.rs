@@ -32,7 +32,7 @@ pub(crate) struct Model {
     pub template: CompiledProgram,
 }
 
-/// One queued compute request, ready to run on whichever macro claims it.
+/// One queued compute request, ready to run on the dispatcher's macro.
 ///
 /// Session state the request depends on (the classifier model, the stored
 /// program) is snapshotted at job-build time (`Arc` clones), so a
@@ -55,7 +55,7 @@ pub(crate) struct ComputeJob {
     pub fault: Option<ComputeFault>,
 }
 
-/// True for request kinds that run on a macro via the batched executor.
+/// True for request kinds that execute on the macro, in compute runs.
 pub(crate) fn is_compute(body: &RequestBody) -> bool {
     matches!(
         body,
@@ -69,13 +69,13 @@ pub(crate) fn is_compute(body: &RequestBody) -> bool {
 
 /// Runs one compute job with activity capture: the macro's log is cleared
 /// before and after, so the returned `(cycles, energy_fj)` are exactly this
-/// request's hardware work and the bank's logs stay bounded no matter how
+/// request's hardware work and the macro's log stays bounded no matter how
 /// long the server runs.
 ///
 /// The deadline re-check and any injected chaos fault fire here, on the
-/// worker thread, **before** `compute_body` touches the array — an
+/// dispatcher thread, **before** `compute_body` touches the array — an
 /// expired or panicked job leaves the macro's state and activity log
-/// untouched for the next claimant.
+/// untouched for the next job.
 pub(crate) fn run_compute(
     mac: &mut ImcMacro,
     job: &ComputeJob,

@@ -13,10 +13,11 @@ use std::time::Duration;
 /// What (if anything) to do to one compute request's execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ComputeFault {
-    /// Panic the worker job (contained per-job; the request answers with
-    /// an error and is billed as one).
+    /// Panic the request's job (contained per job; the request answers
+    /// with an error and is billed as one).
     Panic,
-    /// Sleep this long before executing (a slow macro / contended bank).
+    /// Sleep this long before executing (a slow macro): the dispatcher
+    /// sleeps, so the requests queued behind this one wait too.
     Delay(Duration),
 }
 
@@ -40,7 +41,7 @@ pub enum ResponseFault {
 pub struct FaultPlan {
     /// Seed for the decision hash; same seed, same schedule.
     pub seed: u64,
-    /// Per-mille of compute requests whose worker job panics.
+    /// Per-mille of compute requests whose job panics.
     pub panic_per_mille: u16,
     /// Per-mille of compute requests delayed by `delay_ms` before running.
     pub delay_per_mille: u16,

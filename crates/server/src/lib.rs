@@ -1,13 +1,13 @@
-//! A multi-client compute service over a shared [`MacroBank`].
+//! A multi-client compute service over one shared [`ImcMacro`].
 //!
 //! The paper (like IMAC and X-SRAM) frames an SRAM-IMC macro as a shared
 //! accelerator that many workloads time-multiplex. This crate is that
 //! serving layer for the reproduction: a dependency-free threaded TCP
 //! service (`std::net`, line-delimited JSON — the build image is offline,
 //! so no tokio) that accepts concurrent client connections and multiplexes
-//! their requests onto one [`MacroBank`].
+//! their requests onto one [`ImcMacro`], owned by the dispatcher thread.
 //!
-//! [`MacroBank`]: bpimc_core::MacroBank
+//! [`ImcMacro`]: bpimc_core::ImcMacro
 //!
 //! # Architecture
 //!
@@ -21,10 +21,11 @@
 //! * **One dispatcher thread** drains the queue. Runs of consecutive
 //!   *compute* requests (dot products, lane-wise macro ops at P2–P32,
 //!   classification, whole `exec_program` pipelines, `run_stored` replays)
-//!   become one [`MacroBank::try_run_batch`] call, spreading independent
-//!   requests across the bank's macros; control requests (`ping`, `stats`,
-//!   `load_model`, `store_program`, `shutdown`) execute inline between
-//!   runs, so every session observes its own requests in order.
+//!   execute one after another on the dispatcher's macro, on the
+//!   dispatcher thread itself: a pool worker woken per run cost more CPU
+//!   than the run's work. Control requests (`ping`, `stats`,
+//!   `load_model`, `store_program`, `shutdown`) execute between runs, so
+//!   every session observes its own requests in order.
 //! * **Parallel response writers**: responses leave through a bounded
 //!   per-connection outbox, each compute run's responses to a connection
 //!   as one chunk — written inline while the client keeps up,
@@ -91,14 +92,14 @@
 //!   (`ping`, `stats`) are always admitted so health checks survive
 //!   overload.
 //! * **Chaos harness** ([`FaultPlan`]): a seeded, deterministic schedule
-//!   of injected worker panics, delayed executions, stalled response
+//!   of injected job panics, delayed executions, stalled response
 //!   writers and mid-request connection drops — a pure function of
 //!   `(seed, connection, request)`, so tests can predict every fault and
 //!   assert exact accounting under fire. It is the server's one fault
 //!   mechanism.
 //! * **Panic containment**: a request that panics its job (a bug, or an
 //!   injected chaos panic) gets an error response; sibling requests in the
-//!   same batch, other sessions, and the worker pool are unaffected.
+//!   same run, other sessions, and the dispatcher are unaffected.
 //! * **Client resilience**: [`Client`] surfaces `overloaded` /
 //!   `limit_exceeded` / `deadline_exceeded` as typed errors, and can be
 //!   given a [`RetryPolicy`] to reconnect with capped exponential backoff.

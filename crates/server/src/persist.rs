@@ -52,7 +52,7 @@ use crate::guard::RateWindow;
 use crate::session::{Billing, Session, SessionInner, SessionRegistry, StoredEntry, REPLAY_WINDOW};
 use bpimc_core::json::Json;
 use bpimc_core::{
-    instr_from_json, instr_to_json, Instr, MacroBank, Program, Response, ResponseBody, RunStatus,
+    instr_from_json, instr_to_json, ImcMacro, Instr, Program, Response, ResponseBody, RunStatus,
     SessionActivity,
 };
 use bpimc_metrics::EnergyParams;
@@ -1045,7 +1045,7 @@ fn capture_registry(registry: &SessionRegistry, now: Instant, now_unix_ms: u64) 
 // ---------------------------------------------------------------------------
 
 /// Rebuilds one live session from its record: programs and the model are
-/// recompiled from their journaled source streams (on a scratch bank,
+/// recompiled from their journaled source streams (on a scratch macro,
 /// billing nothing — the original bills are already in the account), the
 /// replay window is re-parsed, and the TTL clock restarts at `now` with
 /// the pre-crash detachment credited. Artifacts that no longer compile
@@ -1054,12 +1054,12 @@ fn capture_registry(registry: &SessionRegistry, now: Instant, now_unix_ms: u64) 
 /// collects one line per dropped artifact.
 pub(crate) fn materialize_session(
     rec: &SessionRecord,
-    bank: &mut MacroBank,
+    mac: &mut ImcMacro,
     params: &EnergyParams,
     now: Instant,
     notes: &mut Vec<String>,
 ) -> SessionInner {
-    let config = *bank.macro_at(0).config();
+    let config = *mac.config();
     let mut stored = HashMap::new();
     let mut names = HashMap::new();
     for p in &rec.programs {
@@ -1096,7 +1096,7 @@ pub(crate) fn materialize_session(
                 return None;
             }
         };
-        match crate::server::build_model(bank, params, precision, prototypes.clone()) {
+        match crate::server::build_model(mac, params, precision, prototypes.clone()) {
             Ok((model, _, _)) => Some(Arc::new(model)),
             Err(e) => {
                 notes.push(format!(

@@ -1,6 +1,7 @@
 //! The threaded TCP service: accept loop, per-connection readers, bounded
-//! request queue, the dispatcher that batches onto the `MacroBank`, and
-//! the durable-session registry with its TTL sweeper.
+//! request queue, the dispatcher that drains it in batches and executes
+//! them on the one macro it owns, and the durable-session registry with
+//! its TTL sweeper.
 
 use crate::exec::{is_compute, run_compute, ComputeJob, Model};
 use crate::fault::{FaultPlan, ResponseFault};
@@ -8,12 +9,12 @@ use crate::guard::SessionLimits;
 use crate::persist::{self, Event, Persist, StateConfig};
 use crate::session::{Billing, RegistryCaps, Session, SessionRegistry, StoredEntry};
 use bpimc_core::{
-    ErrorBody, ErrorKind, LimitKind, MacroBank, MacroConfig, Program, Request, RequestBody,
+    ErrorBody, ErrorKind, ImcMacro, LimitKind, MacroConfig, Program, Request, RequestBody,
     Response, ResponseBody, StoredMeta,
 };
 use bpimc_metrics::{paper_calibrated_params, EnergyParams};
 use bpimc_nn::{classify_program, prototype_norms};
-use bpimc_stats::parallel::worker_count;
+use bpimc_stats::parallel::par_queue_try_map;
 use bpimc_stats::sync::atomic::{AtomicBool, AtomicU64};
 use bpimc_stats::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
@@ -27,14 +28,19 @@ use std::time::{Duration, Instant};
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Macros in the shared bank (defaults to the host's parallelism).
+    /// Unused, and always 1 by default: the server executes every request
+    /// on the one macro its dispatcher thread owns.
+    #[deprecated(note = "the server runs on one macro; nothing reads this field")]
     pub macros: usize,
     /// Bound of each **session's** share of the request queue. A session
     /// that fills its share blocks its own connection reader — the
     /// backpressure lands on the chatty client through TCP flow control —
     /// while other sessions keep queueing and being served.
     pub queue_capacity: usize,
-    /// Most requests the dispatcher drains into one bank batch.
+    /// Most requests the dispatcher drains at once (default 64). A compute
+    /// run executes its requests one after another on the dispatcher's
+    /// macro and delivers their responses after the last one, so this
+    /// bounds how long a drained request waits for its response.
     pub batch_max: usize,
     /// The chaos schedule (defaults to [`FaultPlan::none`]).
     pub faults: FaultPlan,
@@ -74,14 +80,14 @@ pub struct ServerConfig {
     pub state: Option<StateConfig>,
 }
 
+#[allow(deprecated)] // sets `macros` for readers that remain
 impl Default for ServerConfig {
     fn default() -> Self {
-        let macros = worker_count(usize::MAX);
         let queue_capacity = 1024;
         Self {
-            macros,
+            macros: 1,
             queue_capacity,
-            batch_max: (16 * macros.max(1)).max(64),
+            batch_max: 64,
             faults: FaultPlan::none(),
             limits: SessionLimits::default(),
             write_timeout: DEFAULT_WRITE_TIMEOUT,
@@ -836,7 +842,7 @@ fn recover(state: &StateConfig, sessions: &Arc<SessionRegistry>) -> std::io::Res
     {
         return Ok(persist);
     }
-    let mut bank = MacroBank::new(1, MacroConfig::paper_macro());
+    let mut mac = ImcMacro::new(MacroConfig::paper_macro());
     let params = paper_calibrated_params();
     let now = Instant::now();
     let mut notes = Vec::new();
@@ -844,7 +850,7 @@ fn recover(state: &StateConfig, sessions: &Arc<SessionRegistry>) -> std::io::Res
         .sessions
         .iter()
         .map(|rec| {
-            let inner = persist::materialize_session(rec, &mut bank, &params, now, &mut notes);
+            let inner = persist::materialize_session(rec, &mut mac, &params, now, &mut notes);
             Arc::new(Session {
                 token: Some(rec.token.clone()),
                 inner: Mutex::named("server.session.inner", inner),
@@ -1163,11 +1169,11 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
 
 fn dispatch_loop(shared: &Arc<Shared>) {
     let config = &shared.config;
-    let mut bank = MacroBank::new(config.macros.max(1), MacroConfig::paper_macro());
+    let mut mac = ImcMacro::new(MacroConfig::paper_macro());
     let params = paper_calibrated_params();
     let mut chunks = Vec::new();
     while let Some(batch) = shared.queue.pop_batch(config.batch_max) {
-        process_batch(batch, &mut bank, &params, shared, &mut chunks);
+        process_batch(batch, &mut mac, &params, shared, &mut chunks);
     }
     // Queue closed and drained: every queued request has its response in
     // an outbox. Let the writers flush those, then sever the connections
@@ -1182,14 +1188,14 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     shared.close_all_conns();
 }
 
-/// Whether one compute item in a drained run executes on the bank, was
+/// Whether one compute item in a drained run executes on the macro, was
 /// refused before touching any array state (deadline already expired in
 /// queue, rate budget exhausted), or is an idempotent-retry duplicate.
 /// Every variant keeps its slot in the response order.
 enum Prepared {
-    /// Executes as a bank job; its seq (if stamped) was claimed at
-    /// job-build time, so a same-batch duplicate already resolves to
-    /// `Replay`.
+    /// Executes as a job on the dispatcher's macro; its seq (if stamped)
+    /// was claimed at job-build time, so a same-batch duplicate already
+    /// resolves to `Replay`.
     Run,
     /// Refused before execution. Transient by construction — the op never
     /// ran — so a stamped seq is deliberately *not* claimed: the client's
@@ -1283,10 +1289,12 @@ fn add_response(
 }
 
 /// Processes one drained batch in FIFO order: runs of consecutive compute
-/// requests execute as one bank batch (requests spread across macros),
-/// control requests execute inline between runs. Session accounting
-/// happens in arrival order, so each session observes its own requests
-/// sequentially.
+/// requests execute one after another on `mac`, the dispatcher's macro,
+/// and control requests execute between runs. A run goes through
+/// `par_queue_try_map` with one state slot, which runs every job on this
+/// thread and turns a job's panic into that job's own `JobPanic` result.
+/// Session accounting happens in arrival order, so each session observes
+/// its own requests sequentially.
 ///
 /// A compute run settles all its requests first, then serializes each
 /// response into its connection's [`Chunk`] (in `chunks`, a buffer the
@@ -1301,7 +1309,7 @@ fn add_response(
 /// structured error instead of becoming a job.
 fn process_batch(
     batch: Vec<Item>,
-    bank: &mut MacroBank,
+    mac: &mut ImcMacro,
     params: &EnergyParams,
     shared: &Arc<Shared>,
     chunks: &mut Vec<Chunk>,
@@ -1428,9 +1436,10 @@ fn process_batch(
                     fault,
                 });
             }
-            let mut results = bank
-                .try_run_batch(&jobs, |mac, job| run_compute(mac, job, params))
-                .into_iter();
+            let mut results = par_queue_try_map(std::slice::from_mut(mac), &jobs, |mac, job| {
+                run_compute(mac, job, params)
+            })
+            .into_iter();
             for m in meta {
                 let (body, billing) = match m.prep {
                     Prepared::Replay(rseq) => {
@@ -1466,7 +1475,7 @@ fn process_batch(
             }
             deliver(chunks);
         } else {
-            handle_control(item, bank, params, shared);
+            handle_control(item, mac, params, shared);
         }
     }
 }
@@ -1531,7 +1540,7 @@ fn finish_control(
     conn.respond(id, body);
 }
 
-fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, shared: &Arc<Shared>) {
+fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared: &Arc<Shared>) {
     let Item {
         conn,
         id,
@@ -1633,7 +1642,7 @@ fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, share
                     return;
                 }
             }
-            match build_model(bank, params, precision, prototypes) {
+            match build_model(mac, params, precision, prototypes) {
                 Ok((model, cycles, energy_fj)) => {
                     let model = Arc::new(model);
                     match (&shared.persist, session.token.as_deref()) {
@@ -1689,7 +1698,7 @@ fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, share
                 );
                 return;
             }
-            let config = *bank.macro_at(0).config();
+            let config = *mac.config();
             let prog = Program::new(instrs);
             // Lint only a valid stream: on a validation error the
             // structured `invalid_program` response carries the same
@@ -1989,7 +1998,7 @@ fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, share
                 );
                 return;
             }
-            let config = *bank.macro_at(0).config();
+            let config = *mac.config();
             let diagnostics = Program::new(instrs).lint(&config);
             // Static analysis is pure host work: zero hardware cycles.
             finish_control(
@@ -2036,14 +2045,13 @@ fn handle_control(item: Item, bank: &mut MacroBank, params: &EnergyParams, share
 }
 
 /// Validates and builds a session model, computing the prototype norms on
-/// macro 0 of the bank so the `load_model` request is billed the exact
-/// norm-precompute work (the per-batch half of the classifier's amortized
-/// accounting). The fused all-prototypes classify program is compiled
+/// `mac` so the `load_model` request is billed the exact norm-precompute
+/// work (the per-batch half of the classifier's amortized accounting). The fused all-prototypes classify program is compiled
 /// **here, once per model** — every `classify` request then runs the
 /// pre-resolved op array with just the sample's chunks rebound, skipping
 /// per-call program building, validation and lowering entirely.
 pub(crate) fn build_model(
-    bank: &mut MacroBank,
+    mac: &mut ImcMacro,
     params: &EnergyParams,
     precision: bpimc_core::Precision,
     prototypes_q: Vec<Vec<u64>>,
@@ -2055,7 +2063,7 @@ pub(crate) fn build_model(
     if dim == 0 {
         return Err("prototypes must not be empty vectors".to_string());
     }
-    crate::exec::check_product_lanes(precision, bank.macro_at(0).cols())?;
+    crate::exec::check_product_lanes(precision, mac.cols())?;
     for (c, p) in prototypes_q.iter().enumerate() {
         if p.len() != dim {
             return Err(format!(
@@ -2070,7 +2078,6 @@ pub(crate) fn build_model(
             ));
         }
     }
-    let mac = bank.macro_at(0);
     let config = *mac.config();
     let cols = mac.cols();
     mac.clear_activity();

@@ -100,10 +100,7 @@ fn start(config: ServerConfig) -> bpimc_server::ServerHandle {
 
 #[test]
 fn concurrent_clients_get_correct_results_and_accounting() {
-    let handle = start(ServerConfig {
-        macros: 4,
-        ..ServerConfig::default()
-    });
+    let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
 
     let workers: Vec<_> = (0..8u64)
@@ -209,10 +206,7 @@ fn pipelined_responses_keep_request_order_across_control_ops() {
     // the dispatcher drains runs of several compute requests from both
     // connections; the `ping`s and `stats` interleaved with them cut those
     // runs and answer inline between them.
-    let handle = start(ServerConfig {
-        macros: 2,
-        ..ServerConfig::default()
-    });
+    let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
     let workers: Vec<_> = (0..2u64)
         .map(|c| {
@@ -322,7 +316,6 @@ fn injected_panic_fails_only_its_own_request() {
     let faulted = panics_on(&plan, CHAOS);
 
     let handle = start(ServerConfig {
-        macros: 2,
         faults: plan,
         ..ServerConfig::default()
     });
@@ -333,7 +326,7 @@ fn injected_panic_fails_only_its_own_request() {
         .map(|_| Client::connect(addr).expect("connect"))
         .collect();
 
-    // Sibling clients hammer the bank while the chaos client takes faults.
+    // Sibling clients hammer the macro while the chaos client takes faults.
     let victims: Vec<_> = siblings
         .into_iter()
         .enumerate()
@@ -382,7 +375,6 @@ fn tiny_queue_applies_backpressure_without_dropping() {
     // Capacity 2 with a single-request batch cap: the readers must block
     // and every pipelined request must still be answered, in order.
     let handle = start(ServerConfig {
-        macros: 1,
         batch_max: 1,
         ..ServerConfig::default().with_queue_capacity(2)
     });
@@ -862,7 +854,6 @@ fn flooding_client_cannot_starve_a_latency_sensitive_one() {
 
     // One macro, small batches: the dispatcher is the contended resource.
     let handle = start(ServerConfig {
-        macros: 1,
         batch_max: 8,
         ..ServerConfig::default().with_queue_capacity(512)
     });

@@ -164,7 +164,6 @@ fn inflight_cap_sheds_excess_pipelined_requests_in_order() {
     // Delay every compute request so a pipelining client can overrun its
     // in-flight cap before the dispatcher drains anything.
     let handle = start(ServerConfig {
-        macros: 1,
         batch_max: 1,
         faults: FaultPlan {
             seed: 1,
@@ -259,7 +258,6 @@ fn deadline_expires_in_queue_and_mid_batch() {
     // every compute request: a short-deadline request queued behind a
     // delayed one expires while waiting.
     let handle = start(ServerConfig {
-        macros: 1,
         batch_max: 1,
         faults: FaultPlan {
             seed: 1,
@@ -320,11 +318,10 @@ fn deadline_expiring_mid_batch_abandons_before_executing() {
     use bpimc_core::RequestBody;
 
     // Large batch: the blocker and the doomed request drain in the SAME
-    // bank batch, so the doomed one passes the dispatcher's in-queue
-    // check and expires at job start (the worker-side re-check), while
-    // its 120 ms-delayed sibling occupies the only macro.
+    // compute run, so the doomed one passes the dispatcher's in-queue
+    // check and expires at job start (the job-side re-check), while its
+    // 120 ms-delayed sibling occupies the only macro.
     let handle = start(ServerConfig {
-        macros: 1,
         batch_max: 64,
         faults: FaultPlan {
             seed: 1,
@@ -381,7 +378,6 @@ fn overload_sheds_with_hysteresis_and_recovers() {
     // crosses shed_high quickly; every compute request is delayed so the
     // backlog builds faster than it drains.
     let mut config = ServerConfig {
-        macros: 1,
         batch_max: 1,
         faults: FaultPlan {
             seed: 3,
@@ -459,7 +455,6 @@ fn client_retry_policy_rides_out_overload() {
     use std::io::Write;
 
     let mut config = ServerConfig {
-        macros: 1,
         batch_max: 1,
         faults: FaultPlan {
             seed: 5,
@@ -593,7 +588,6 @@ fn chaos_spares_unaffected_sessions_and_drains_cleanly() {
     let plan = find_chaos_seed(base, &[1, 2, 3, 4], &[5, 6], REQUESTS + 2);
 
     let handle = start(ServerConfig {
-        macros: 2,
         faults: plan,
         ..ServerConfig::default()
     });

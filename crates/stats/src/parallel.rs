@@ -28,15 +28,19 @@
 //! | the server's reader → dispatcher condvar hand-off | median 2.6–9 µs |
 //! | one `std::thread::available_parallelism()` call (it reads cgroup files) | 13–22 µs |
 //! | one loopback request `write`: the client's kernel time per request on a window-16 stream, which includes the server's receive path and its reader's wake-up (per-thread `/proc` sampling) | 2.7–4.0 µs |
+//! | a pool worker taking its share of the server's compute runs on perfbench's `serve_stored_w16`: the worker's CPU per request, its wake-ups and spins included (per-thread `/proc` sampling) | 3.6–4.3 µs |
 //!
 //! A served request executes in about 2 µs, so a worker wake-up costs ten
 //! times or more the work it would take over: the claim queue never waits
 //! for a wake-up it does not need (see [`par_queue_try_map`]), and nothing
 //! may call `available_parallelism` once per request ([`worker_count`]
-//! reads it once per process). A `write` per request costs more than the
-//! request's execution too, so `bpimc_server::Client` writes the requests
-//! it queued in one `write` per burst (0.6–1.0 µs of client kernel time
-//! per request on the same stream).
+//! reads it once per process). On a pipelined stream the worker still cost
+//! more CPU than the work it took over, so the server no longer uses the
+//! pool: it runs each compute run on its dispatcher thread, on one macro.
+//! A `write` per request costs more than the request's execution too, so
+//! `bpimc_server::Client` writes the requests it queued in one `write` per
+//! burst (0.6–1.0 µs of client kernel time per request on the same
+//! stream).
 
 use crate::sync::atomic::AtomicUsize;
 use std::any::Any;
@@ -126,6 +130,9 @@ fn pool() -> &'static Pool {
                         // only briefly before blocking: this box's sandboxed
                         // kernel throttles busy-spinning threads for tens of
                         // milliseconds, so prompt blocking beats long spins.
+                        // The spin serves the pool's users, fig2's
+                        // Monte-Carlo and `PrototypeClassifier::evaluate`;
+                        // the server runs its compute without the pool.
                         'serve: loop {
                             for _ in 0..4_096 {
                                 match rx.try_recv() {
