@@ -1911,9 +1911,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn events_roundtrip_through_their_wire_form() {
-        let events = vec![
+    /// One event of every kind, with every billing kind.
+    fn sample_events() -> Vec<Event> {
+        vec![
             Event::Open {
                 token: "t".into(),
                 record: Box::new(sample_record()),
@@ -1933,6 +1933,12 @@ mod tests {
                 token: "t".into(),
                 pid: 1,
                 name: None,
+                instrs: sample_record().programs[0].instrs.clone(),
+            },
+            Event::Store {
+                token: "t".into(),
+                pid: 2,
+                name: Some("named".into()),
                 instrs: sample_record().programs[0].instrs.clone(),
             },
             Event::Delete {
@@ -1960,8 +1966,59 @@ mod tests {
                 response: None,
                 unix_ms: 6,
             },
-        ];
-        for ev in events {
+            Event::Exec {
+                token: "t".into(),
+                billing: BillingRecord::None,
+                ran_pid: None,
+                seq: Some(1),
+                response: Some("{\"id\":0,\"ok\":true}".into()),
+                unix_ms: 7,
+            },
+        ]
+    }
+
+    /// Pins the bytes of every journal and snapshot encoding: FNV-1a over
+    /// the encodings of [`sample_events`], of [`sample_record`] and of a
+    /// two-session snapshot. A refactor must leave the constant alone; a
+    /// deliberate format change updates it and says so.
+    #[test]
+    fn journal_and_snapshot_bytes_are_pinned() {
+        let mut registry = RegistryRecord {
+            mint_counter: 7,
+            ..RegistryRecord::default()
+        };
+        let mut second = SessionRecord::empty("beef".into());
+        second.stats.record_ok(13, 29870.8);
+        second.last_seq = Some(0);
+        second.replay.push((0, "{\"id\":0,\"ok\":true}".into()));
+        registry.sessions.push(second);
+        registry.sessions.push(sample_record());
+        registry
+            .expired
+            .extend(["gone".to_string(), "older".to_string()]);
+        let mut lines: Vec<String> = sample_events()
+            .iter()
+            .map(|ev| event_json(ev).to_string())
+            .collect();
+        lines.push(record_json(&sample_record()).to_string());
+        lines.push(snapshot_json(&registry, 1_700_000_000_000).to_string());
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for line in &lines {
+            for &b in line.as_bytes().iter().chain(b"\n") {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            hash,
+            0x25dc_d521_5e33_64b3,
+            "journal/snapshot encoding changed:\n{}",
+            lines.join("\n")
+        );
+    }
+
+    #[test]
+    fn events_roundtrip_through_their_wire_form() {
+        for ev in sample_events() {
             let back =
                 event_from_json(&Json::parse(&event_json(&ev).to_string()).unwrap()).unwrap();
             assert_eq!(back, ev);
@@ -2090,5 +2147,170 @@ mod tests {
             }
             other => panic!("wrong event shape: {other:?}"),
         }
+    }
+
+    /// A scratch state directory under the system temp dir that deletes
+    /// itself on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "bpimc-persist-{tag}-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create state dir");
+            Self(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Live state equals replay: one server runs a fixed script over both
+    /// kinds of session and shuts down gracefully. Its final snapshot (a
+    /// capture of the live registry) must equal snapshot gen 0 plus the
+    /// whole journal, replayed from a copy of the directory without the
+    /// final snapshot and the clean marker — session by session, field by
+    /// field, energies to the bit.
+    #[test]
+    fn the_final_snapshot_equals_the_replayed_journal() {
+        use crate::{Client, RetryPolicy, Server, ServerConfig};
+        use bpimc_core::{LaneOp, Precision, ProgramBuilder, StoredTarget};
+
+        let dir = TempDir::new("equiv");
+        let handle = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                state: Some(StateConfig::new(dir.0.clone())),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let shape = {
+            let mut b = ProgramBuilder::new();
+            let x = b.write_mult(Precision::P8, vec![0, 0, 0]);
+            let w = b.write_mult(Precision::P8, vec![0, 0, 0]);
+            let prod = b.mult(x, w, Precision::P8);
+            b.read_products(prod, Precision::P8, 3);
+            b.finish()
+        };
+        let good = [Some(vec![1, 2, 3]), Some(vec![4, 5, 6])];
+        let protos: Vec<Vec<u64>> = (0..3)
+            .map(|p| (0..8).map(|i| (p * 50 + i * 11) % 256).collect())
+            .collect();
+
+        // An ephemeral session stages a program and a billed ping, then
+        // becomes durable.
+        let mut a = Client::connect(handle.local_addr()).expect("connect a");
+        let staged = a.store_program(&shape).expect("staged store");
+        a.ping().expect("ping");
+        a.open_session().expect("open a");
+        a.load_model(Precision::P8, &protos).expect("load_model");
+        a.classify(&[9, 8, 7, 6, 5, 4, 3, 2]).expect("classify");
+        a.store_program_named(&shape, "dots").expect("named store");
+        let unnamed = a.store_program(&shape).expect("unnamed store");
+        a.run_stored_named("dots", &good).expect("good run");
+        assert!(a.run_stored(unnamed.pid, &[Some(vec![1])]).is_err());
+        a.dot(Precision::P8, &[1, 2, 3], &[4, 5, 6]).expect("dot");
+        a.lanes(LaneOp::Add, Precision::P8, &[1, 2], &[3, 4])
+            .expect("lanes");
+        a.delete_program(StoredTarget::Pid(staged.pid))
+            .expect("delete that finds its program");
+        assert!(a.delete_program(StoredTarget::Name("nope".into())).is_err());
+        a.stats().expect("stats");
+        a.list_programs().expect("list_programs");
+        a.lint_program(&shape).expect("lint_program");
+
+        // A second durable session drops its connection, is resumed on
+        // another, and bills across a gap longer than the 1-s window.
+        let mut b = Client::connect(handle.local_addr()).expect("connect b");
+        let token_b = b.open_session().expect("open b").token;
+        b.dot(Precision::P8, &[2, 2], &[3, 3]).expect("dot b");
+        drop(b);
+        let mut c = Client::connect(handle.local_addr()).expect("connect c");
+        c.set_retry_policy(Some(RetryPolicy::default()));
+        c.resume_session(token_b).expect("resume b");
+        c.dot(Precision::P8, &[1, 1], &[1, 1]).expect("dot c");
+        std::thread::sleep(Duration::from_millis(1100));
+        c.dot(Precision::P8, &[5, 1], &[1, 5])
+            .expect("dot c after the gap");
+        drop((a, c));
+        handle.shutdown();
+
+        // The final snapshot: what the live registry held at shutdown.
+        let scan = scan_state_dir(&dir.0).expect("scan");
+        let last = scan.clean_marker.expect("a graceful shutdown marks clean");
+        let live = recover_from_scan(&scan).registry;
+        // Snapshot gen 0 plus the whole journal, from a copy without the
+        // final snapshot and the marker.
+        let copy = TempDir::new("equiv-replay");
+        for entry in std::fs::read_dir(&dir.0).expect("read state dir") {
+            let name = entry.expect("dir entry").file_name();
+            if name != "clean" && name.to_string_lossy() != format!("snap-{last}.bpimc") {
+                std::fs::copy(dir.0.join(&name), copy.0.join(&name)).expect("copy");
+            }
+        }
+        let recovery = recover_from_scan(&scan_state_dir(&copy.0).expect("scan copy"));
+        assert!(recovery.corruption.is_none(), "{}", recovery.path);
+        assert!(
+            recovery.path.contains("snapshot gen 0"),
+            "{}",
+            recovery.path
+        );
+        let replayed = recovery.registry;
+
+        assert_eq!(live.mint_counter, replayed.mint_counter);
+        assert_eq!(live.expired, replayed.expired);
+        let sorted = |reg: &RegistryRecord| {
+            let mut sessions = reg.sessions.clone();
+            sessions.sort_by(|x, y| x.token.cmp(&y.token));
+            sessions
+        };
+        let (live, replayed) = (sorted(&live), sorted(&replayed));
+        assert_eq!(live.len(), 2);
+        assert_eq!(
+            live.iter().map(|s| &s.token).collect::<Vec<_>>(),
+            replayed.iter().map(|s| &s.token).collect::<Vec<_>>()
+        );
+        for (l, r) in live.iter().zip(&replayed) {
+            // Masked: live serving and replay still keep these apart.
+            let (mut l, mut r) = (l.clone(), r.clone());
+            l.rate = None;
+            r.rate = None;
+            l.detached_since_ms = None;
+            r.detached_since_ms = None;
+            let token = &l.token;
+            assert_eq!(l.stats, r.stats, "session {token}: account");
+            assert_eq!(l.stats.energy_fj.to_bits(), r.stats.energy_fj.to_bits());
+            assert_eq!(l.rate, r.rate, "session {token}: rate window");
+            assert_eq!(l.model, r.model, "session {token}: model");
+            assert_eq!(l.next_pid, r.next_pid, "session {token}: next_pid");
+            assert_eq!(l.last_seq, r.last_seq, "session {token}: last_seq");
+            assert_eq!(
+                l.detached_since_ms, r.detached_since_ms,
+                "session {token}: detached_since_ms"
+            );
+            assert_eq!(l.programs, r.programs, "session {token}: programs");
+            for (lp, rp) in l.programs.iter().zip(&r.programs) {
+                assert_eq!(lp.total_energy_fj.to_bits(), rp.total_energy_fj.to_bits());
+            }
+            assert_eq!(l.replay, r.replay, "session {token}: replay window");
+            assert_eq!(l, r);
+        }
+        let a = live.iter().find(|s| s.model.is_some()).expect("session a");
+        assert!(
+            a.programs
+                .iter()
+                .any(|p| matches!(p.last_status, Some(RunStatus::Error { .. }))),
+            "the script records a failed run"
+        );
+        assert!(!a.replay.is_empty(), "the script records replay lines");
     }
 }
