@@ -3,17 +3,16 @@
 //! The paper's fixed cost model (Table I cycles, Table II energy) is what
 //! makes these budgets *exact* rather than heuristic: every request is
 //! billed the precise hardware cycles and femtojoules its job consumed
-//! (from the executing macro's activity log), and [`RateWindow`] meters
-//! those same numbers against the session's per-second budgets. A tenant
+//! (from the executing macro's activity log), and a session's rate window
+//! meters those same numbers against its per-second budgets. A tenant
 //! that exhausts its budget gets a structured `limit_exceeded` error with
 //! a retry-after hint instead of degrading every other session.
 
 use bpimc_core::{ErrorBody, LimitKind};
-use std::time::{Duration, Instant};
 
 /// The budget window: budgets are per second, metered over tumbling
-/// one-second windows.
-const WINDOW: Duration = Duration::from_secs(1);
+/// one-second windows of wall-clock milliseconds.
+const WINDOW_MS: u64 = 1000;
 
 /// Per-session resource limits, enforced before a request touches any
 /// array state. All rate/size limits default to `None` (unlimited), so a
@@ -71,123 +70,89 @@ impl SessionLimits {
             _ => Ok(()),
         }
     }
-}
 
-/// One session's cycle/energy spend inside the current one-second window.
-///
-/// `admit` rolls the window and answers whether the session may start
-/// another metered request; `charge` adds a finished request's exact
-/// cycles/energy. Checks happen **before** execution (so an over-budget
-/// session is refused before any array state changes) against work already
-/// billed — one request may overshoot the budget, but the overshoot is
-/// itself billed, so sustained throughput converges on the budget.
-#[derive(Debug)]
-pub struct RateWindow {
-    start: Instant,
-    cycles: u64,
-    energy_fj: f64,
-}
-
-impl RateWindow {
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            cycles: 0,
-            energy_fj: 0.0,
-        }
-    }
-
-    /// Admission check for one metered request at `now`.
+    /// Admission check for one metered request at `now_ms` against the
+    /// session's rate window `(start unix-ms, cycles, energy_fj)`. It
+    /// only reads the window — windows roll when requests settle
+    /// ([`charge`]) — and a window `now_ms` falls outside of has nothing
+    /// billed in the current second. Checks happen **before** execution
+    /// (so an over-budget session is refused before any array state
+    /// changes) against work already billed: one request may overshoot
+    /// the budget, but the overshoot is itself billed, so sustained
+    /// throughput converges on the budget.
     ///
     /// # Errors
     ///
     /// A structured `limit_exceeded` naming the exhausted budget, with a
     /// retry-after hint of the window's remaining milliseconds.
-    pub fn admit(&mut self, limits: &SessionLimits, now: Instant) -> Result<(), ErrorBody> {
-        if limits.unmetered() {
+    pub(crate) fn admit(
+        &self,
+        window: Option<(u64, u64, f64)>,
+        now_ms: u64,
+    ) -> Result<(), ErrorBody> {
+        if self.unmetered() {
             return Ok(());
         }
-        let elapsed = now.duration_since(self.start);
-        if elapsed >= WINDOW {
-            self.start = now;
-            self.cycles = 0;
-            self.energy_fj = 0.0;
-        }
-        let retry_ms = || {
-            Some(
-                WINDOW
-                    .saturating_sub(now.duration_since(self.start))
-                    .as_millis() as u64,
-            )
+        let Some((start, cycles, energy_fj)) = window.filter(|&(start, ..)| covers(start, now_ms))
+        else {
+            return Ok(());
         };
-        if let Some(max) = limits.max_cycles_per_sec {
-            if self.cycles >= max {
+        let retry_ms = || Some(start + WINDOW_MS - now_ms);
+        if let Some(max) = self.max_cycles_per_sec {
+            if cycles >= max {
                 return Err(ErrorBody::limit(
                     LimitKind::CycleRate,
                     retry_ms(),
                     format!(
-                        "session cycle budget exhausted ({} of {max} cycles this second)",
-                        self.cycles
+                        "session cycle budget exhausted ({cycles} of {max} cycles this second)"
                     ),
                 ));
             }
         }
-        if let Some(max) = limits.max_energy_fj_per_sec {
-            if self.energy_fj >= max {
+        if let Some(max) = self.max_energy_fj_per_sec {
+            if energy_fj >= max {
                 return Err(ErrorBody::limit(
                     LimitKind::EnergyRate,
                     retry_ms(),
                     format!(
-                        "session energy budget exhausted ({:.1} of {max:.1} fJ this second)",
-                        self.energy_fj
+                        "session energy budget exhausted ({energy_fj:.1} of {max:.1} fJ this second)"
                     ),
                 ));
             }
         }
         Ok(())
     }
-
-    /// Bills one finished request's exact activity into the window.
-    pub fn charge(&mut self, cycles: u64, energy_fj: f64) {
-        self.cycles += cycles;
-        self.energy_fj += energy_fj;
-    }
-
-    /// The window's state for a snapshot: `(age at `now`, cycles,
-    /// energy)`. Ages convert to wall-clock offsets outside, where the
-    /// caller holds both clocks.
-    pub(crate) fn export(&self, now: Instant) -> (Duration, u64, f64) {
-        (
-            now.saturating_duration_since(self.start),
-            self.cycles,
-            self.energy_fj,
-        )
-    }
-
-    /// Rebuilds a window recovered from disk: one that started `age` ago
-    /// relative to `now`. A window already past [`WINDOW`] restores
-    /// empty — `admit` would roll it on first use anyway — so a restart
-    /// neither refills an exhausted in-window budget nor meters stale
-    /// spend against a fresh second.
-    pub(crate) fn restore(age: Duration, cycles: u64, energy_fj: f64, now: Instant) -> Self {
-        if age >= WINDOW {
-            return Self {
-                start: now,
-                cycles: 0,
-                energy_fj: 0.0,
-            };
-        }
-        Self {
-            start: now.checked_sub(age).unwrap_or(now),
-            cycles,
-            energy_fj,
-        }
-    }
 }
 
-impl Default for RateWindow {
-    fn default() -> Self {
-        Self::new()
+/// Whether `unix_ms` falls inside the window that started at `start_ms`,
+/// i.e. in [start, start + 1 s).
+fn covers(start_ms: u64, unix_ms: u64) -> bool {
+    unix_ms
+        .checked_sub(start_ms)
+        .is_some_and(|age| age < WINDOW_MS)
+}
+
+/// Bills one settled request's exact activity at `unix_ms` into a rate
+/// window, first starting a new window there when `unix_ms` falls outside
+/// the current one. Keyed on the settle time alone, so replaying the
+/// journal rolls exactly the windows serving rolled; a wall-clock step can
+/// end a window early but never extend one. A request that billed nothing
+/// leaves the window alone.
+pub(crate) fn charge(
+    window: &mut Option<(u64, u64, f64)>,
+    unix_ms: u64,
+    cycles: u64,
+    energy_fj: f64,
+) {
+    if cycles == 0 && energy_fj == 0.0 {
+        return;
+    }
+    match window {
+        Some((start, c, e)) if covers(*start, unix_ms) => {
+            *c += cycles;
+            *e += energy_fj;
+        }
+        slot => *slot = Some((unix_ms, cycles, energy_fj)),
     }
 }
 
@@ -201,9 +166,9 @@ mod tests {
         let limits = SessionLimits::default();
         assert!(limits.unmetered());
         assert_eq!(limits.max_stored_programs, 64);
-        let mut win = RateWindow::new();
-        win.charge(u64::MAX / 2, 1e30);
-        assert!(win.admit(&limits, Instant::now()).is_ok());
+        let mut win = None;
+        charge(&mut win, 1000, u64::MAX / 2, 1e30);
+        assert!(limits.admit(win, 1000).is_ok());
         assert!(limits.check_program_len(usize::MAX).is_ok());
     }
 
@@ -213,17 +178,18 @@ mod tests {
             max_cycles_per_sec: Some(100),
             ..SessionLimits::default()
         };
-        let mut win = RateWindow::new();
-        let t0 = Instant::now();
-        assert!(win.admit(&limits, t0).is_ok());
-        win.charge(100, 0.0);
-        let err = win.admit(&limits, t0).unwrap_err();
+        let mut win = None;
+        let t0 = 5_000;
+        assert!(limits.admit(win, t0).is_ok());
+        charge(&mut win, t0, 100, 0.0);
+        let err = limits.admit(win, t0).unwrap_err();
         assert_eq!(err.kind, ErrorKind::LimitExceeded);
         assert_eq!(err.limit, Some(LimitKind::CycleRate));
         assert!(err.retry_after_ms.is_some_and(|ms| ms <= 1000));
         // The next window refills the budget.
-        assert!(win.admit(&limits, t0 + Duration::from_millis(1001)).is_ok());
-        assert_eq!(win.cycles, 0);
+        assert!(limits.admit(win, t0 + 1001).is_ok());
+        charge(&mut win, t0 + 1001, 1, 0.0);
+        assert_eq!(win, Some((t0 + 1001, 1, 0.0)));
     }
 
     #[test]
@@ -232,9 +198,9 @@ mod tests {
             max_energy_fj_per_sec: Some(500.0),
             ..SessionLimits::default()
         };
-        let mut win = RateWindow::new();
-        win.charge(0, 500.0);
-        let err = win.admit(&limits, Instant::now()).unwrap_err();
+        let mut win = None;
+        charge(&mut win, 1000, 0, 500.0);
+        let err = limits.admit(win, 1000).unwrap_err();
         assert_eq!(err.limit, Some(LimitKind::EnergyRate));
     }
 
@@ -244,16 +210,35 @@ mod tests {
             max_cycles_per_sec: Some(100),
             ..SessionLimits::default()
         };
-        let now = Instant::now();
-        // A half-spent window restored mid-second still meters the spend.
-        let mut win = RateWindow::restore(Duration::from_millis(400), 100, 1.5, now);
-        assert_eq!(win.export(now), (Duration::from_millis(400), 100, 1.5));
-        assert!(win.admit(&limits, now).is_err(), "budget stays exhausted");
+        // A window recovered 400 ms into its second still meters the spend…
+        let win = Some((1000, 100, 1.5));
+        assert!(limits.admit(win, 1400).is_err(), "budget stays exhausted");
         // …until the window it belonged to actually ends.
-        assert!(win.admit(&limits, now + Duration::from_millis(601)).is_ok());
-        // A window older than a second restores empty.
-        let mut stale = RateWindow::restore(Duration::from_millis(1000), 100, 1.5, now);
-        assert!(stale.admit(&limits, now).is_ok());
+        assert!(limits.admit(win, 2001).is_ok());
+        // A window older than a second holds nothing for now.
+        assert!(limits.admit(win, 2000).is_ok());
+    }
+
+    /// The window rolls when a request settles, on the settle time: a
+    /// request admitted 900 ms into a window and settled at 1,050 ms opens
+    /// the next window, exactly as replaying its `Exec` does, and a
+    /// backward clock step starts a new window instead of stretching the
+    /// old one.
+    #[test]
+    fn windows_roll_on_the_settle_time_and_never_stretch() {
+        let limits = SessionLimits {
+            max_cycles_per_sec: Some(100),
+            ..SessionLimits::default()
+        };
+        let mut win = None;
+        charge(&mut win, 10_000, 60, 1.0);
+        assert!(limits.admit(win, 10_900).is_ok());
+        charge(&mut win, 11_050, 30, 0.5);
+        assert_eq!(win, Some((11_050, 30, 0.5)));
+        charge(&mut win, 11_999, 5, 0.25);
+        assert_eq!(win, Some((11_050, 35, 0.75)));
+        charge(&mut win, 11_000, 1, 0.125);
+        assert_eq!(win, Some((11_000, 1, 0.125)), "a step back starts anew");
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! Run via `cargo test --features model` (the root `concurrency_models`
 //! test) or `repro model-check`; replay any failure with the printed seed.
 
-use crate::guard::{RateWindow, SessionLimits};
+use crate::guard::{charge, SessionLimits};
+use crate::persist::{BillingRecord, Event};
 use crate::server::{Outbox, Queue, ResponseSink};
-use crate::session::{Billing, RegistryCaps, Session, SessionRegistry};
-use bpimc_core::{ErrorKind, ResponseBody};
+use crate::session::{RegistryCaps, Session, SessionRegistry};
+use bpimc_core::{ErrorKind, Response, ResponseBody};
 use bpimc_stats::sync::model::ModelSpec;
 use bpimc_stats::sync::thread;
 use bpimc_stats::sync::Mutex;
@@ -211,8 +212,8 @@ fn rate_window_never_double_bills() {
         max_cycles_per_sec: Some(BUDGET),
         ..SessionLimits::default()
     };
-    let window = Arc::new(Mutex::named("server.session.inner", RateWindow::new()));
-    let t0 = Instant::now();
+    let window = Arc::new(Mutex::named("server.session.inner", None));
+    let t0 = 1_000;
     let admitted = Arc::new(AtomicUsize::new(0));
     let workers: Vec<_> = (0..2)
         .map(|_| {
@@ -221,8 +222,8 @@ fn rate_window_never_double_bills() {
             thread::spawn(move || {
                 for _ in 0..3 {
                     let mut win = window.lock();
-                    if win.admit(&limits, t0).is_ok() {
-                        win.charge(COST, 0.0);
+                    if limits.admit(*win, t0).is_ok() {
+                        charge(&mut win, t0, COST, 0.0);
                         admitted.fetch_add(1, Ordering::SeqCst);
                     }
                 }
@@ -238,7 +239,7 @@ fn rate_window_never_double_bills() {
         "exactly budget/cost requests admit in one window"
     );
     assert!(
-        window.lock().admit(&limits, t0).is_err(),
+        limits.admit(*window.lock(), t0).is_err(),
         "the exhausted budget stays visible"
     );
 }
@@ -322,15 +323,22 @@ fn session_seq_guard_never_double_bills() {
                         "a claimed seq answers from the replay window"
                     );
                 } else {
-                    inner.settle(
-                        Billing::Ok {
+                    let response = Response {
+                        id: 0,
+                        body: ResponseBody::Ok,
+                    };
+                    let ev = Event::Exec {
+                        token: String::new(),
+                        billing: BillingRecord::Ok {
                             cycles: COST,
                             energy_fj: 1.0,
                         },
-                        None,
-                        Some(SEQ),
-                        &ResponseBody::Ok,
-                    );
+                        ran_pid: None,
+                        seq: Some(SEQ),
+                        response: Some(response.to_json_line()),
+                        unix_ms: 0,
+                    };
+                    inner.apply(None, &ev);
                     billed.fetch_add(1, Ordering::SeqCst);
                 }
             })

@@ -5,10 +5,13 @@
 //! them survive the *process*. It is strictly opt-in (`--state-dir` /
 //! [`StateConfig`]) and structured around one invariant:
 //!
-//! > Every state mutation of a **durable** session is appended to the
-//! > journal under the same critical section that applies it, and
-//! > replaying the journal over the last snapshot reproduces the live
-//! > registry — including byte-identical cycle/energy accounts.
+//! > Durable state changes only by folding a journal [`Event`] into it:
+//! > [`SessionRecord::apply`] for one session, [`apply_event`] for the
+//! > registry. Serving appends a durable session's event to the journal
+//! > and then applies it, under one journal lock; recovery applies the
+//! > same events to the last snapshot. Both run the same functions, so
+//! > the recovered registry is the live one — byte-identical cycle/energy
+//! > accounts included.
 //!
 //! # On-disk layout
 //!
@@ -36,28 +39,30 @@
 //! marker names the chosen snapshot, journal replay is skipped entirely
 //! (the warm path). Either way the result is a set of pure-data
 //! [`SessionRecord`]s; the server materializes them — recompiling stored
-//! programs and classifier models from their journaled source streams —
-//! and resumes serving with accounts that are byte-identical to the
-//! pre-crash ones (energy is persisted as `f64` bit patterns and replayed
-//! through the same additions in the same order).
+//! programs and classifier models from their journaled source streams
+//! into the live sessions' caches — and resumes serving with accounts
+//! that are byte-identical to the pre-crash ones (energy is persisted as
+//! `f64` bit patterns and replayed through the same additions in the same
+//! order).
 //!
 //! # Exactness
 //!
-//! [`apply_event`] mirrors `SessionInner::settle` field by field; the
+//! A snapshot is a clone of the durable state, and serving and recovery
+//! fold events with the same [`SessionRecord::apply`] and [`apply_event`],
+//! so there is no second copy of any mutation to keep in step. The
 //! deterministic concurrency model `journal-vs-gc-vs-resume`
 //! (`crate::models`) checks that a journal produced under racing
-//! appenders, sweeps and resumes still replays to the live outcome.
+//! appenders, sweeps and resumes replays to the live outcome.
 
-use crate::guard::RateWindow;
-use crate::session::{Billing, Session, SessionInner, SessionRegistry, StoredEntry, REPLAY_WINDOW};
+use crate::guard;
+use crate::session::{SessionInner, SessionRegistry, EXPIRED_TOKENS, REPLAY_WINDOW};
 use bpimc_core::json::Json;
 use bpimc_core::{
-    instr_from_json, instr_to_json, ImcMacro, Instr, Program, Response, ResponseBody, RunStatus,
-    SessionActivity,
+    instr_from_json, instr_to_json, ImcMacro, Instr, Program, RunStatus, SessionActivity,
 };
 use bpimc_metrics::EnergyParams;
 use bpimc_stats::sync::{Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -173,14 +178,24 @@ fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Longest accepted frame payload (16 MiB): a length prefix beyond this is
-/// treated as corruption, not an allocation request.
-const MAX_FRAME_BYTES: u32 = 16 << 20;
-
 /// Appends one `[len][crc][payload]` frame.
+///
+/// # Errors
+///
+/// `InvalidInput` for a payload of 4 GiB or more, which the `u32` length
+/// prefix cannot describe; otherwise the write's own error.
 fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "a {}-byte frame does not fit its length prefix",
+                payload.len()
+            ),
+        )
+    })?;
     let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     w.write_all(&buf)
@@ -198,7 +213,9 @@ pub struct Corruption {
 }
 
 /// Splits a file's bytes into CRC-checked frame payloads, stopping at the
-/// first torn (short) or corrupt (CRC/length mismatch) frame.
+/// first torn (short) or corrupt (CRC/length mismatch) frame. A length
+/// prefix is trusted only as far as the bytes left in the file, so the
+/// file's size bounds what a hostile prefix can make the reader allocate.
 fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<Corruption>) {
     let mut frames = Vec::new();
     let mut pos = 0usize;
@@ -214,12 +231,6 @@ fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<Corruption>) {
             return (frames, corrupt(pos, "torn frame header".into()));
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        if len as u32 > MAX_FRAME_BYTES {
-            return (
-                frames,
-                corrupt(pos, format!("implausible frame length {len}")),
-            );
-        }
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if bytes.len() - pos - 8 < len {
             return (frames, corrupt(pos, "torn frame payload".into()));
@@ -235,7 +246,7 @@ fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<Corruption>) {
 }
 
 // ---------------------------------------------------------------------------
-// Pure-data model: session records and journal events
+// The durable state and the events that change it
 // ---------------------------------------------------------------------------
 
 /// One stored program's journaled form: the **submitted** instruction
@@ -261,19 +272,23 @@ pub struct ProgramRecord {
     pub last_status: Option<RunStatus>,
 }
 
-/// One durable session as pure data — what snapshots store and journal
-/// replay reconstructs, with no locks, clocks or compiled artifacts.
-/// Energy fields are persisted as `f64` **bit patterns**, so a recovered
-/// account is byte-identical, not just approximately equal.
+/// One session's durable state: what the journal's events fold into
+/// ([`SessionRecord::apply`]), what a snapshot clones and what recovery
+/// rebuilds. A live session is this plus caches derived from it; the
+/// record itself holds no locks, clocks or compiled artifacts. Energy
+/// fields are persisted as `f64` **bit patterns**, so a recovered account
+/// is byte-identical, not just approximately equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionRecord {
-    /// The session token (the registry key).
+    /// The session token (the registry key; empty for an ephemeral
+    /// session).
     pub token: String,
     /// The cycle/energy account ([`SessionActivity`]).
     pub stats: SessionActivity,
     /// The rate window, as `(window start unix-ms, cycles, energy_fj)`;
-    /// `None` for a window that had nothing billed. Restored on recovery
-    /// so a restart does not refill an exhausted per-second budget.
+    /// `None` until the first billed request. Each billed `Exec` rolls it
+    /// on its own settle time, so a restart neither refills an exhausted
+    /// per-second budget nor meters stale spend.
     pub rate: Option<(u64, u64, f64)>,
     /// The loaded classifier model's source: `(precision bits, quantized
     /// prototypes)`. Norms and the fused classify template are recomputed
@@ -285,14 +300,15 @@ pub struct SessionRecord {
     /// The idempotency watermark: highest executed seq.
     pub last_seq: Option<u64>,
     /// Wall-clock milliseconds (unix epoch) when the session's current
-    /// detachment began; `None` when it was attached. Recovery credits
-    /// the elapsed time against the TTL so a restart never grants a
-    /// detached session a fresh clock.
+    /// detachment began; `None` while a connection holds it. Recovery
+    /// credits the elapsed time against the TTL so a restart never grants
+    /// a detached session a fresh clock.
     pub detached_since_ms: Option<u64>,
     /// Stored programs, ordered by pid.
     pub programs: Vec<ProgramRecord>,
     /// The replay window: `(seq, serialized wire response)` pairs, oldest
-    /// first, bounded at [`REPLAY_WINDOW`].
+    /// first, bounded at [`REPLAY_WINDOW`] — the lines the journal
+    /// records, parsed back only when a retry replays one.
     pub replay: Vec<(u64, String)>,
 }
 
@@ -310,31 +326,112 @@ impl SessionRecord {
             replay: Vec::new(),
         }
     }
+
+    /// Folds one event into this session's durable state: the only code
+    /// that changes it, for serving and recovery alike. The caller routed
+    /// the event here by its token; the registry-level events (`Open`,
+    /// `Expire`) are [`apply_event`]'s.
+    pub fn apply(&mut self, ev: &Event) {
+        match ev {
+            Event::Open { .. } | Event::Expire { .. } => {}
+            Event::Attach { .. } => self.detached_since_ms = None,
+            // The TTL clock starts at the *first* detach.
+            Event::Detach { unix_ms, .. } => {
+                self.detached_since_ms.get_or_insert(*unix_ms);
+            }
+            Event::Model {
+                precision_bits,
+                prototypes,
+                ..
+            } => self.model = Some((*precision_bits, prototypes.clone())),
+            Event::Store {
+                pid, name, instrs, ..
+            } => {
+                self.programs.push(ProgramRecord {
+                    pid: *pid,
+                    name: name.clone(),
+                    instrs: instrs.clone(),
+                    runs: 0,
+                    errors: 0,
+                    total_cycles: 0,
+                    total_energy_fj: 0.0,
+                    last_status: None,
+                });
+                self.next_pid = self.next_pid.max(pid + 1);
+            }
+            Event::Delete { pid, .. } => self.programs.retain(|p| p.pid != *pid),
+            Event::Exec {
+                billing,
+                ran_pid,
+                seq,
+                response,
+                unix_ms,
+                ..
+            } => {
+                let ran = ran_pid.and_then(|pid| self.programs.iter_mut().find(|p| p.pid == pid));
+                match billing {
+                    BillingRecord::Ok { cycles, energy_fj } => {
+                        self.stats.record_ok(*cycles, *energy_fj);
+                        guard::charge(&mut self.rate, *unix_ms, *cycles, *energy_fj);
+                        if let Some(p) = ran {
+                            p.runs += 1;
+                            p.total_cycles += cycles;
+                            p.total_energy_fj += energy_fj;
+                            p.last_status = Some(RunStatus::Success);
+                        }
+                    }
+                    BillingRecord::Error { message } => {
+                        self.stats.record_error();
+                        if let Some(p) = ran {
+                            p.errors += 1;
+                            p.last_status = Some(RunStatus::Error {
+                                message: message.clone(),
+                            });
+                        }
+                    }
+                    BillingRecord::None => {}
+                }
+                if let Some(seq) = *seq {
+                    if self.last_seq.is_none_or(|last| seq > last) {
+                        self.last_seq = Some(seq);
+                    }
+                    if self.replay.len() >= REPLAY_WINDOW {
+                        self.replay.remove(0);
+                    }
+                    self.replay
+                        .push((seq, response.clone().unwrap_or_default()));
+                }
+            }
+        }
+    }
 }
 
-/// How one journaled request settled (the pure-data twin of
-/// [`Billing`], carrying the error message `settle` reads off the
-/// response body).
+/// How one settled request bills its session (an `Exec` event's billing).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BillingRecord {
-    /// Executed and billed.
+    /// Executed: bills exact cycles/energy into the account, the rate
+    /// window and the ran program's history.
     Ok {
         /// Exact hardware cycles billed.
         cycles: u64,
         /// Exact energy billed (femtojoules).
         energy_fj: f64,
     },
-    /// Failed; `message` feeds the ran program's `last_status`.
+    /// Failed or was refused: bills an error (requests count too);
+    /// `message` becomes the ran program's `last_status`.
     Error {
         /// The error message of the failed request.
         message: String,
     },
-    /// No accounting (replays, session management).
+    /// No accounting: the account reflects each logical op exactly once,
+    /// however many times its request was (re)sent.
     None,
 }
 
-/// One journaled state mutation. Events exist only for **durable**
-/// sessions — ephemeral ones die with their connection by design.
+/// One change to durable state. Serving journals the events of
+/// **durable** sessions (ephemeral ones die with their connection by
+/// design) and applies every session's events, its own ephemeral ones
+/// included.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// `open_session` minted `token`, adopting the connection's ephemeral
@@ -389,8 +486,8 @@ pub enum Event {
         /// The removed program id.
         pid: u64,
     },
-    /// One request settled against the session — the journal twin of
-    /// `SessionInner::settle`, carrying exactly its arguments.
+    /// One request settled against the session: its billing, the stored
+    /// program it ran and, when it was stamped, its seq and response.
     Exec {
         /// The session token.
         token: String,
@@ -402,9 +499,25 @@ pub enum Event {
         seq: Option<u64>,
         /// The serialized response recorded for replay (`seq` set only).
         response: Option<String>,
-        /// Wall-clock milliseconds (rate-window reconstruction).
+        /// Wall-clock milliseconds of the settle (keys the rate window).
         unix_ms: u64,
     },
+}
+
+impl Event {
+    /// The token of the session the event concerns.
+    pub fn token(&self) -> &str {
+        match self {
+            Event::Open { token, .. }
+            | Event::Attach { token }
+            | Event::Detach { token, .. }
+            | Event::Expire { token }
+            | Event::Model { token, .. }
+            | Event::Store { token, .. }
+            | Event::Delete { token, .. }
+            | Event::Exec { token, .. } => token,
+        }
+    }
 }
 
 /// Wall clock as unix milliseconds.
@@ -415,143 +528,70 @@ pub(crate) fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// The pure-data registry a snapshot stores and replay reconstructs.
+/// A registry's durable state: its sessions, the tokens of swept sessions
+/// and the token-minting counter. Recovery holds the sessions as records
+/// ([`RegistryRecord`]) and serving as live sessions; both change it only
+/// through [`apply_event`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegistryRecord {
-    /// Live sessions by token (insertion order is not meaningful).
-    pub sessions: Vec<SessionRecord>,
-    /// Swept tokens still answering `session_expired`, oldest first.
-    pub expired: Vec<String>,
+pub struct Registry<S> {
+    /// The sessions (a snapshot's are sorted by token).
+    pub sessions: S,
+    /// Swept tokens still answering `session_expired`, oldest first,
+    /// bounded at [`EXPIRED_TOKENS`].
+    pub expired: VecDeque<String>,
     /// The registry's token-minting counter.
     pub mint_counter: u64,
 }
 
-/// Applies one journal event to the pure-data registry — the replay twin
-/// of the live mutation paths. `Exec` mirrors `SessionInner::settle`
-/// field by field; the concurrency models assert the two stay in lock
-/// step.
-pub fn apply_event(reg: &mut RegistryRecord, ev: &Event) {
-    let find = |sessions: &mut Vec<SessionRecord>, token: &str| -> Option<usize> {
-        sessions.iter().position(|r| r.token == token)
-    };
+/// The pure-data registry a snapshot stores and replay reconstructs.
+pub type RegistryRecord = Registry<Vec<SessionRecord>>;
+
+/// How a [`Registry`] holds its sessions.
+pub trait Sessions {
+    /// Adds the session an `Open` event carries, unless `token` is taken.
+    fn open(&mut self, token: &str, record: &SessionRecord);
+    /// Drops the session `token` names, if any.
+    fn expire(&mut self, token: &str);
+    /// Folds a session-level event into the session `token` names, if any.
+    fn apply(&mut self, token: &str, ev: &Event);
+}
+
+impl Sessions for Vec<SessionRecord> {
+    fn open(&mut self, token: &str, record: &SessionRecord) {
+        if !self.iter().any(|r| r.token == token) {
+            self.push(record.clone());
+        }
+    }
+
+    fn expire(&mut self, token: &str) {
+        self.retain(|r| r.token != token);
+    }
+
+    fn apply(&mut self, token: &str, ev: &Event) {
+        if let Some(rec) = self.iter_mut().find(|r| r.token == token) {
+            rec.apply(ev);
+        }
+    }
+}
+
+/// Folds one event into a registry, live or recovered alike: `Open` adds
+/// its session and advances the mint counter, `Expire` drops its session
+/// and remembers the token (keeping the newest [`EXPIRED_TOKENS`]), and
+/// every other event goes to its session's [`SessionRecord::apply`].
+pub fn apply_event<S: Sessions>(reg: &mut Registry<S>, ev: &Event) {
     match ev {
         Event::Open { token, record } => {
-            if find(&mut reg.sessions, token).is_none() {
-                reg.sessions.push((**record).clone());
-            }
+            reg.sessions.open(token, record);
             reg.mint_counter = reg.mint_counter.wrapping_add(1);
         }
-        Event::Attach { token } => {
-            if let Some(i) = find(&mut reg.sessions, token) {
-                reg.sessions[i].detached_since_ms = None;
-            }
-        }
-        Event::Detach { token, unix_ms } => {
-            if let Some(i) = find(&mut reg.sessions, token) {
-                // The TTL clock starts at the *first* detach; replay keys
-                // the elapsed time off the event's wall clock later, in
-                // `Recovered::materialize`.
-                if reg.sessions[i].detached_since_ms.is_none() {
-                    reg.sessions[i].detached_since_ms = Some(*unix_ms);
-                }
-            }
-        }
         Event::Expire { token } => {
-            if let Some(i) = find(&mut reg.sessions, token) {
-                reg.sessions.remove(i);
+            reg.sessions.expire(token);
+            while reg.expired.len() >= EXPIRED_TOKENS {
+                reg.expired.pop_front();
             }
-            reg.expired.push(token.clone());
+            reg.expired.push_back(token.clone());
         }
-        Event::Model {
-            token,
-            precision_bits,
-            prototypes,
-        } => {
-            if let Some(i) = find(&mut reg.sessions, token) {
-                reg.sessions[i].model = Some((*precision_bits, prototypes.clone()));
-            }
-        }
-        Event::Store {
-            token,
-            pid,
-            name,
-            instrs,
-        } => {
-            if let Some(i) = find(&mut reg.sessions, token) {
-                let rec = &mut reg.sessions[i];
-                rec.programs.push(ProgramRecord {
-                    pid: *pid,
-                    name: name.clone(),
-                    instrs: instrs.clone(),
-                    runs: 0,
-                    errors: 0,
-                    total_cycles: 0,
-                    total_energy_fj: 0.0,
-                    last_status: None,
-                });
-                rec.next_pid = rec.next_pid.max(pid + 1);
-            }
-        }
-        Event::Delete { token, pid } => {
-            if let Some(i) = find(&mut reg.sessions, token) {
-                reg.sessions[i].programs.retain(|p| p.pid != *pid);
-            }
-        }
-        Event::Exec {
-            token,
-            billing,
-            ran_pid,
-            seq,
-            response,
-            unix_ms,
-        } => {
-            let Some(i) = find(&mut reg.sessions, token) else {
-                return;
-            };
-            let rec = &mut reg.sessions[i];
-            match billing {
-                BillingRecord::Ok { cycles, energy_fj } => {
-                    rec.stats.record_ok(*cycles, *energy_fj);
-                    match &mut rec.rate {
-                        Some((start, rc, re)) if unix_ms.saturating_sub(*start) < 1000 => {
-                            *rc += cycles;
-                            *re += energy_fj;
-                        }
-                        slot => *slot = Some((*unix_ms, *cycles, *energy_fj)),
-                    }
-                    if let Some(p) =
-                        ran_pid.and_then(|pid| rec.programs.iter_mut().find(|p| p.pid == pid))
-                    {
-                        p.runs += 1;
-                        p.total_cycles += cycles;
-                        p.total_energy_fj += energy_fj;
-                        p.last_status = Some(RunStatus::Success);
-                    }
-                }
-                BillingRecord::Error { message } => {
-                    rec.stats.record_error();
-                    if let Some(p) =
-                        ran_pid.and_then(|pid| rec.programs.iter_mut().find(|p| p.pid == pid))
-                    {
-                        p.errors += 1;
-                        p.last_status = Some(RunStatus::Error {
-                            message: message.clone(),
-                        });
-                    }
-                }
-                BillingRecord::None => {}
-            }
-            if let Some(seq) = seq {
-                if rec.last_seq.is_none_or(|last| *seq > last) {
-                    rec.last_seq = Some(*seq);
-                }
-                if rec.replay.len() >= REPLAY_WINDOW {
-                    rec.replay.remove(0);
-                }
-                rec.replay
-                    .push((*seq, response.clone().unwrap_or_default()));
-            }
-        }
+        ev => reg.sessions.apply(ev.token(), ev),
     }
 }
 
@@ -940,7 +980,7 @@ fn snapshot_from_json(v: &Json) -> Result<RegistryRecord, String> {
         .and_then(Json::as_array)
         .ok_or("snapshot without expired ring")?
     {
-        reg.expired.push(
+        reg.expired.push_back(
             t.as_str()
                 .ok_or("expired token must be a string")?
                 .to_string(),
@@ -957,133 +997,31 @@ fn snapshot_from_json(v: &Json) -> Result<RegistryRecord, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Capturing live sessions into records
-// ---------------------------------------------------------------------------
-
-/// Captures one live session into its pure-data record. `now` /
-/// `now_unix_ms` are the same moment on both clocks, so monotonic ages
-/// convert to absolute wall times consistently across one capture.
-pub(crate) fn capture_session(
-    token: &str,
-    inner: &SessionInner,
-    now: Instant,
-    now_unix_ms: u64,
-) -> SessionRecord {
-    let (rate_age, rate_cycles, rate_energy) = inner.rate.export(now);
-    let rate = (rate_cycles > 0 || rate_energy != 0.0).then(|| {
-        (
-            now_unix_ms.saturating_sub(rate_age.as_millis() as u64),
-            rate_cycles,
-            rate_energy,
-        )
-    });
-    let mut programs: Vec<ProgramRecord> = inner
-        .stored
-        .iter()
-        .map(|(&pid, e)| ProgramRecord {
-            pid,
-            name: e.name.clone(),
-            instrs: e.source.clone(),
-            runs: e.runs,
-            errors: e.errors,
-            total_cycles: e.total_cycles,
-            total_energy_fj: e.total_energy_fj,
-            last_status: e.last_status.clone(),
-        })
-        .collect();
-    programs.sort_by_key(|p| p.pid);
-    SessionRecord {
-        token: token.to_string(),
-        stats: inner.stats,
-        rate,
-        model: inner
-            .model
-            .as_ref()
-            .map(|m| (m.precision.bits() as u32, m.prototypes_q.clone())),
-        next_pid: inner.next_pid,
-        last_seq: inner.last_seq(),
-        detached_since_ms: inner
-            .detached_for(now)
-            .map(|d| now_unix_ms.saturating_sub(d.as_millis() as u64)),
-        programs,
-        replay: inner
-            .replay_entries()
-            .map(|(seq, body)| {
-                let line = Response {
-                    id: 0,
-                    body: body.clone(),
-                }
-                .to_json_line();
-                (*seq, line)
-            })
-            .collect(),
-    }
-}
-
-/// Captures the whole registry. Callers hold the persist guard, so no
-/// journaled mutation can interleave with the capture.
-fn capture_registry(registry: &SessionRegistry, now: Instant, now_unix_ms: u64) -> RegistryRecord {
-    let (sessions, expired, mint_counter) = registry.snapshot_parts();
-    let mut records: Vec<SessionRecord> = sessions
-        .iter()
-        .filter_map(|s| {
-            let token = s.token.as_deref()?;
-            let inner = s.inner.lock();
-            Some(capture_session(token, &inner, now, now_unix_ms))
-        })
-        .collect();
-    records.sort_by(|a, b| a.token.cmp(&b.token));
-    RegistryRecord {
-        sessions: records,
-        expired,
-        mint_counter,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Materializing records back into live sessions
 // ---------------------------------------------------------------------------
 
-/// Rebuilds one live session from its record: programs and the model are
-/// recompiled from their journaled source streams (on a scratch macro,
-/// billing nothing — the original bills are already in the account), the
-/// replay window is re-parsed, and the TTL clock restarts at `now` with
-/// the pre-crash detachment credited. Artifacts that no longer compile
-/// (e.g. the server was restarted with a different macro geometry) are
-/// dropped with a note rather than failing the whole recovery; `notes`
-/// collects one line per dropped artifact.
+/// Rebuilds a recovered session's caches from its durable state:
+/// programs and the model are recompiled from their journaled source
+/// streams (on a scratch macro, billing nothing — the original bills are
+/// already in the account), and the session comes back detached with its
+/// TTL clock restarted at `now` ([`SessionInner::restored`]). A program or
+/// model that no longer compiles (e.g. the server was restarted with a
+/// different macro geometry) keeps its durable record but gets no cache
+/// entry, so it cannot run; `notes` collects one line per such artifact.
 pub(crate) fn materialize_session(
-    rec: &SessionRecord,
+    rec: SessionRecord,
     mac: &mut ImcMacro,
     params: &EnergyParams,
     now: Instant,
     notes: &mut Vec<String>,
 ) -> SessionInner {
     let config = *mac.config();
-    let mut stored = HashMap::new();
-    let mut names = HashMap::new();
+    let mut compiled = Vec::new();
     for p in &rec.programs {
         match Program::new(p.instrs.clone()).compile(&config) {
-            Ok(compiled) => {
-                if let Some(name) = &p.name {
-                    names.insert(name.clone(), p.pid);
-                }
-                stored.insert(
-                    p.pid,
-                    StoredEntry {
-                        compiled: Arc::new(compiled),
-                        name: p.name.clone(),
-                        source: p.instrs.clone(),
-                        runs: p.runs,
-                        errors: p.errors,
-                        total_cycles: p.total_cycles,
-                        total_energy_fj: p.total_energy_fj,
-                        last_status: p.last_status.clone(),
-                    },
-                );
-            }
+            Ok(program) => compiled.push((p.pid, Arc::new(program))),
             Err(e) => notes.push(format!(
-                "session {}: dropped stored program {} (no longer compiles: {e})",
+                "session {}: stored program {} cannot run (no longer compiles: {e})",
                 rec.token, p.pid
             )),
         }
@@ -1092,7 +1030,7 @@ pub(crate) fn materialize_session(
         let precision = match bpimc_core::Precision::try_from_bits(*bits as usize) {
             Ok(p) => p,
             Err(e) => {
-                notes.push(format!("session {}: dropped model ({e})", rec.token));
+                notes.push(format!("session {}: model cannot run ({e})", rec.token));
                 return None;
             }
         };
@@ -1100,50 +1038,19 @@ pub(crate) fn materialize_session(
             Ok((model, _, _)) => Some(Arc::new(model)),
             Err(e) => {
                 notes.push(format!(
-                    "session {}: dropped model (no longer builds: {e})",
+                    "session {}: model cannot run (no longer builds: {e})",
                     rec.token
                 ));
                 None
             }
         }
     });
-    let replay = rec
-        .replay
-        .iter()
-        .filter_map(|(seq, line)| match Response::parse(line) {
-            Ok(resp) => Some((*seq, resp.body)),
-            Err(e) => {
-                notes.push(format!(
-                    "session {}: dropped replay entry for seq {seq} ({e})",
-                    rec.token
-                ));
-                None
-            }
-        })
-        .collect();
-    let rate = match &rec.rate {
-        Some((start_ms, cycles, energy_fj)) => {
-            let age = Duration::from_millis(unix_ms_now().saturating_sub(*start_ms));
-            RateWindow::restore(age, *cycles, *energy_fj, now)
-        }
-        None => RateWindow::new(),
-    };
-    SessionInner::restore(
-        rec.stats,
-        rate,
-        model,
-        stored,
-        names,
-        rec.next_pid,
-        rec.last_seq,
-        replay,
-        Duration::from_millis(
-            rec.detached_since_ms
-                .map(|since| unix_ms_now().saturating_sub(since))
-                .unwrap_or(0),
-        ),
-        now,
-    )
+    let mut inner = SessionInner::restored(rec, now, unix_ms_now());
+    for (pid, program) in compiled {
+        inner.cache_program(pid, program);
+    }
+    inner.model = model;
+    inner
 }
 
 // ---------------------------------------------------------------------------
@@ -1163,7 +1070,7 @@ fn marker_path(dir: &Path) -> PathBuf {
 }
 
 /// The journal writer behind the persist lock.
-pub(crate) struct PersistState {
+struct PersistState {
     journal: File,
     /// Records appended to the current journal generation.
     records: u64,
@@ -1196,6 +1103,12 @@ pub(crate) struct Recovery {
     pub registry: RegistryRecord,
     /// Human-readable one-line description of the recovery path.
     pub path: String,
+    /// The snapshot generation recovery started from.
+    pub chosen_snapshot: Option<u64>,
+    /// Whether the clean-shutdown marker let recovery skip the journal.
+    pub warm: bool,
+    /// Journal events applied on top of the chosen snapshot.
+    pub replayed_events: u64,
     /// Corruption found in the replayed journal tail, if any (already
     /// truncated away).
     pub corruption: Option<Corruption>,
@@ -1205,9 +1118,11 @@ pub(crate) struct Recovery {
 }
 
 impl Persist {
-    /// Opens (or creates) a state directory: runs recovery, truncates any
-    /// torn journal tail, clears the clean-shutdown marker and opens a
-    /// fresh journal generation for the new process lifetime.
+    /// Opens (or creates) a state directory: runs recovery, detaches every
+    /// recovered session that was still attached (its connection died
+    /// with the old process), truncates any torn journal tail, clears the
+    /// clean-shutdown marker and opens a fresh journal generation for the
+    /// new process lifetime.
     ///
     /// # Errors
     ///
@@ -1217,7 +1132,16 @@ impl Persist {
     pub(crate) fn open(config: &StateConfig) -> std::io::Result<(Self, Recovery)> {
         std::fs::create_dir_all(&config.dir)?;
         let scan = scan_state_dir(&config.dir)?;
-        let recovery = recover_from_scan(&scan);
+        let mut recovery = recover_from_scan(&scan);
+        // Every connection died with the old process: a session that was
+        // attached is detached from now on, and the boot snapshot says so.
+        let boot_ms = unix_ms_now();
+        for rec in &mut recovery.registry.sessions {
+            rec.apply(&Event::Detach {
+                token: rec.token.clone(),
+                unix_ms: boot_ms,
+            });
+        }
 
         // Truncate the corrupt tail so the next boot does not re-scan it.
         if let Some((gen, offset)) = recovery.truncate {
@@ -1256,44 +1180,19 @@ impl Persist {
         Ok((persist, recovery))
     }
 
-    /// Takes the journal lock. Callers append with [`Persist::append`]
-    /// while holding it, around the live mutation the event describes.
-    pub(crate) fn begin(&self) -> MutexGuard<'_, PersistState> {
-        self.state.lock()
-    }
-
-    /// Appends one event frame and applies the fsync policy. I/O errors
-    /// are reported to stderr, not propagated: a full disk degrades
-    /// durability, never availability.
-    pub(crate) fn append(&self, st: &mut PersistState, ev: &Event) {
-        let payload = event_json(ev).to_string();
-        if let Err(e) = write_frame(&mut st.journal, payload.as_bytes()) {
-            eprintln!("bpimc-server: journal append failed: {e}");
-            return;
-        }
-        st.records += 1;
-        st.dirty = true;
-        match self.fsync {
-            FsyncPolicy::Always => {
-                let _ = st.journal.sync_data();
-                st.dirty = false;
-                st.last_sync = Instant::now();
-            }
-            FsyncPolicy::Interval(d) => {
-                if st.last_sync.elapsed() >= d {
-                    let _ = st.journal.sync_data();
-                    st.dirty = false;
-                    st.last_sync = Instant::now();
-                }
-            }
-            FsyncPolicy::Never => {}
+    /// Takes the journal lock, for appending events ([`Journal::append`])
+    /// before they are applied.
+    pub(crate) fn begin(&self) -> Journal<'_> {
+        Journal {
+            persist: self,
+            st: self.state.lock(),
         }
     }
 
     /// The sweeper tick: flushes an overdue interval-policy sync and
     /// writes a compacting snapshot when either trigger fires.
     pub(crate) fn tick(&self, registry: &SessionRegistry) {
-        let mut st = self.begin();
+        let mut st = self.state.lock();
         if st.dirty {
             if let FsyncPolicy::Interval(d) = self.fsync {
                 if st.last_sync.elapsed() >= d {
@@ -1321,7 +1220,7 @@ impl Persist {
         {
             return;
         }
-        let mut st = self.begin();
+        let mut st = self.state.lock();
         self.snapshot_locked(&mut st, registry);
         let gen = st.gen;
         drop(st);
@@ -1339,7 +1238,7 @@ impl Persist {
     /// against appenders: events are either inside the snapshot or in the
     /// new journal, never both, never neither.
     fn snapshot_locked(&self, st: &mut PersistState, registry: &SessionRegistry) {
-        let reg = capture_registry(registry, Instant::now(), unix_ms_now());
+        let reg = registry.snapshot();
         let next = st.gen + 1;
         if let Err(e) = self.write_snapshot_file(next, &reg) {
             eprintln!("bpimc-server: snapshot {next} failed: {e}");
@@ -1380,6 +1279,45 @@ impl Persist {
         for gen in (0..current.saturating_sub(1)).rev().take(8) {
             let _ = std::fs::remove_file(snap_path(&self.dir, gen));
             let _ = std::fs::remove_file(journal_path(&self.dir, gen));
+        }
+    }
+}
+
+/// The held journal lock. Serving appends a durable session's events
+/// through it and applies them before letting go, so a concurrent snapshot
+/// sees each event either inside its capture or in the journal after it.
+pub(crate) struct Journal<'a> {
+    persist: &'a Persist,
+    st: MutexGuard<'a, PersistState>,
+}
+
+impl Journal<'_> {
+    /// Appends one event frame and applies the fsync policy. I/O errors
+    /// are reported to stderr, not propagated: a full disk degrades
+    /// durability, never availability.
+    pub(crate) fn append(&mut self, ev: &Event) {
+        let st = &mut *self.st;
+        let payload = event_json(ev).to_string();
+        if let Err(e) = write_frame(&mut st.journal, payload.as_bytes()) {
+            eprintln!("bpimc-server: journal append failed: {e}");
+            return;
+        }
+        st.records += 1;
+        st.dirty = true;
+        match self.persist.fsync {
+            FsyncPolicy::Always => {
+                let _ = st.journal.sync_data();
+                st.dirty = false;
+                st.last_sync = Instant::now();
+            }
+            FsyncPolicy::Interval(d) => {
+                if st.last_sync.elapsed() >= d {
+                    let _ = st.journal.sync_data();
+                    st.dirty = false;
+                    st.last_sync = Instant::now();
+                }
+            }
+            FsyncPolicy::Never => {}
         }
     }
 }
@@ -1517,13 +1455,16 @@ fn recover_from_scan(scan: &StateScan) -> Recovery {
                     registry.sessions.len()
                 ),
                 registry,
+                chosen_snapshot: base_gen,
+                warm: true,
+                replayed_events: 0,
                 corruption: None,
                 truncate: None,
             };
         }
     }
 
-    let mut replayed = 0usize;
+    let mut replayed = 0u64;
     let mut corruption = None;
     let mut truncate = None;
     'journals: for (g, events, file_corruption) in &scan.journals {
@@ -1573,6 +1514,9 @@ fn recover_from_scan(scan: &StateScan) -> Recovery {
     Recovery {
         registry,
         path,
+        chosen_snapshot: base_gen,
+        warm: false,
+        replayed_events: replayed,
         corruption,
         truncate,
     }
@@ -1697,24 +1641,6 @@ pub fn inspect(dir: &Path) -> std::io::Result<StateReport> {
             }
         })
         .collect();
-    let chosen_snapshot = scan
-        .snapshots
-        .iter()
-        .rev()
-        .find_map(|(g, parsed)| parsed.is_ok().then_some(*g));
-    let warm = matches!(
-        (scan.clean_marker, chosen_snapshot),
-        (Some(m), Some(c)) if m == c
-    );
-    let replayed_events = if warm {
-        0
-    } else {
-        scan.journals
-            .iter()
-            .filter(|(g, _, _)| chosen_snapshot.is_none_or(|base| *g >= base))
-            .map(|(_, events, _)| events.iter().filter(|e| e.is_ok()).count() as u64)
-            .sum()
-    };
     let mut sessions: Vec<SessionSummary> = recovery
         .registry
         .sessions
@@ -1732,80 +1658,19 @@ pub fn inspect(dir: &Path) -> std::io::Result<StateReport> {
     Ok(StateReport {
         snapshots,
         journals,
-        chosen_snapshot,
+        chosen_snapshot: recovery.chosen_snapshot,
         clean_marker: scan.clean_marker,
-        warm,
-        replayed_events,
+        warm: recovery.warm,
+        replayed_events: recovery.replayed_events,
         sessions,
         corruptions,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Journal-hook helpers (called from the dispatcher / control handlers)
-// ---------------------------------------------------------------------------
-
-/// Builds the `Exec` event for one settle, mirroring `settle`'s inputs:
-/// the billing, the ran program, and — when the outcome consumed a seq —
-/// the serialized response the replay window records.
-pub(crate) fn exec_event(
-    token: &str,
-    billing: &Billing,
-    ran_pid: Option<u64>,
-    seq: Option<u64>,
-    body: &ResponseBody,
-) -> Event {
-    let billing = match billing {
-        Billing::Ok { cycles, energy_fj } => BillingRecord::Ok {
-            cycles: *cycles,
-            energy_fj: *energy_fj,
-        },
-        Billing::Error => BillingRecord::Error {
-            message: match body {
-                ResponseBody::Error(e) => e.message.clone(),
-                _ => String::new(),
-            },
-        },
-        Billing::None => BillingRecord::None,
-    };
-    let response = seq.map(|_| {
-        Response {
-            id: 0,
-            body: body.clone(),
-        }
-        .to_json_line()
-    });
-    Event::Exec {
-        token: token.to_string(),
-        billing,
-        ran_pid,
-        seq,
-        response,
-        unix_ms: unix_ms_now(),
-    }
-}
-
-/// Captures a just-opened durable session into its `Open` event. Locks
-/// the session's inner state; call with the persist guard held and no
-/// session lock held.
-pub(crate) fn open_event(session: &Session) -> Option<Event> {
-    let token = session.token.as_deref()?;
-    let inner = session.inner.lock();
-    Some(Event::Open {
-        token: token.to_string(),
-        record: Box::new(capture_session(
-            token,
-            &inner,
-            Instant::now(),
-            unix_ms_now(),
-        )),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpimc_core::ErrorBody;
+    use bpimc_core::{Response, ResponseBody};
 
     #[test]
     fn crc32_matches_the_reference_vector() {
@@ -2026,7 +1891,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_event_mirrors_settle_semantics() {
+    fn apply_event_folds_session_and_registry_events() {
         let mut reg = RegistryRecord::default();
         apply_event(
             &mut reg,
@@ -2130,27 +1995,68 @@ mod tests {
         assert_eq!(reg.expired, vec!["a".to_string()]);
     }
 
+    /// Replayed expiries keep the ring at the bound the live registry
+    /// keeps, and a ring recovered over the bound shrinks back to it on
+    /// the next expiry.
     #[test]
-    fn exec_event_extracts_error_messages_like_settle_does() {
-        let body = ResponseBody::Error(ErrorBody::generic("array on fire"));
-        let ev = exec_event("t", &Billing::Error, Some(1), Some(3), &body);
-        match ev {
-            Event::Exec {
-                billing: BillingRecord::Error { message },
-                seq: Some(3),
-                response: Some(resp),
-                ..
-            } => {
-                assert_eq!(message, "array on fire");
-                let parsed = Response::parse(&resp).expect("recorded responses re-parse");
-                assert!(matches!(parsed.body, ResponseBody::Error(_)));
-            }
-            other => panic!("wrong event shape: {other:?}"),
+    fn the_expired_ring_stays_bounded_on_replay() {
+        let mut reg = RegistryRecord::default();
+        for i in 0..1100 {
+            let token = format!("t{i}");
+            apply_event(&mut reg, &Event::Expire { token });
         }
+        assert_eq!(reg.expired.len(), EXPIRED_TOKENS);
+        assert_eq!(reg.expired.front().map(String::as_str), Some("t76"));
+        assert_eq!(reg.expired.back().map(String::as_str), Some("t1099"));
+
+        let mut oversized = RegistryRecord::default();
+        oversized
+            .expired
+            .extend((0..1100).map(|i| format!("old{i}")));
+        let token = "new".to_string();
+        apply_event(&mut oversized, &Event::Expire { token });
+        assert_eq!(oversized.expired.len(), EXPIRED_TOKENS);
+        assert_eq!(oversized.expired.back().map(String::as_str), Some("new"));
     }
 
-    /// A scratch state directory under the system temp dir that deletes
-    /// itself on drop.
+    /// Recovery reads back every frame the writer accepts: a 17 MiB
+    /// snapshot-sized payload round-trips.
+    #[test]
+    fn frames_past_16_mib_read_back() {
+        let payload = vec![b'x'; 17 << 20];
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).expect("write");
+        let (frames, corruption) = read_frames(&buf);
+        assert!(corruption.is_none(), "{corruption:?}");
+        assert_eq!(frames.len(), 1);
+        assert!(frames[0] == payload);
+    }
+
+    /// `inspect` reports the events recovery replayed, not the frames
+    /// that decode: replay stops at an unparseable (CRC-valid) event, so
+    /// [Open, garbage, Attach] replays one.
+    #[test]
+    fn inspect_reports_what_recovery_replayed() {
+        let dir = TempDir::new("inspect");
+        let mut journal = Vec::new();
+        let open = Event::Open {
+            token: "t".into(),
+            record: Box::new(SessionRecord::empty("t".into())),
+        };
+        let attach = Event::Attach { token: "t".into() };
+        write_frame(&mut journal, event_json(&open).to_string().as_bytes()).expect("frame");
+        write_frame(&mut journal, b"{\"ev\":\"bogus\"}").expect("frame");
+        write_frame(&mut journal, event_json(&attach).to_string().as_bytes()).expect("frame");
+        std::fs::write(journal_path(&dir.0, 0), journal).expect("write journal");
+        let report = inspect(&dir.0).expect("inspect");
+        assert_eq!(report.chosen_snapshot, None);
+        assert!(!report.warm);
+        assert_eq!(report.replayed_events, 1);
+        assert_eq!(report.sessions.len(), 1);
+    }
+
+    /// A state directory under the system temp dir that deletes itself
+    /// on drop.
     struct TempDir(PathBuf);
 
     impl TempDir {
@@ -2280,12 +2186,6 @@ mod tests {
             replayed.iter().map(|s| &s.token).collect::<Vec<_>>()
         );
         for (l, r) in live.iter().zip(&replayed) {
-            // Masked: live serving and replay still keep these apart.
-            let (mut l, mut r) = (l.clone(), r.clone());
-            l.rate = None;
-            r.rate = None;
-            l.detached_since_ms = None;
-            r.detached_since_ms = None;
             let token = &l.token;
             assert_eq!(l.stats, r.stats, "session {token}: account");
             assert_eq!(l.stats.energy_fj.to_bits(), r.stats.energy_fj.to_bits());

@@ -6,8 +6,10 @@
 use crate::exec::{is_compute, run_compute, ComputeJob, Model};
 use crate::fault::{FaultPlan, ResponseFault};
 use crate::guard::SessionLimits;
-use crate::persist::{self, Event, Persist, StateConfig};
-use crate::session::{Billing, RegistryCaps, Session, SessionRegistry, StoredEntry};
+use crate::persist::{
+    self, unix_ms_now, BillingRecord, Event, Journal, Persist, Registry, StateConfig,
+};
+use crate::session::{RegistryCaps, Session, SessionInner, SessionRegistry};
 use bpimc_core::{
     ErrorBody, ErrorKind, ImcMacro, LimitKind, MacroConfig, Program, Request, RequestBody,
     Response, ResponseBody, StoredMeta,
@@ -653,7 +655,8 @@ struct Shared {
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     sessions: Arc<SessionRegistry>,
     /// The write-ahead journal + snapshot engine, when `--state-dir` is
-    /// on. `None` costs the serving path exactly one branch per settle.
+    /// on. Sessions and the registry journal their own events through it;
+    /// the server itself only takes the final snapshot.
     persist: Option<Arc<Persist>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
     writers: Mutex<Vec<JoinHandle<()>>>,
@@ -662,53 +665,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Settles one request against its session, journaling the identical
-    /// mutation when persistence is on and the session is durable. The
-    /// journal lock is taken *before* the session lock and held across
-    /// both the mutation and the append, so a concurrent snapshot can
-    /// never capture the mutation yet lose its event (or vice versa).
-    fn settle(
-        &self,
-        session: &Session,
-        billing: Billing,
-        ran_pid: Option<u64>,
-        seq: Option<u64>,
-        body: &ResponseBody,
-    ) {
-        match (&self.persist, session.token.as_deref()) {
-            (Some(p), Some(token)) if !matches!(billing, Billing::None) || seq.is_some() => {
-                let ev = persist::exec_event(token, &billing, ran_pid, seq, body);
-                let mut journal = p.begin();
-                session.settle(billing, ran_pid, seq, body);
-                p.append(&mut journal, &ev);
-            }
-            _ => session.settle(billing, ran_pid, seq, body),
-        }
-    }
-
-    /// Bills one error with no response to record, via the journal hook.
-    fn record_error(&self, session: &Session) {
-        self.settle(session, Billing::Error, None, None, &ResponseBody::Ok);
-    }
-
-    /// [`Session::detach`] with the journal hook: the detach event
-    /// carries the wall clock so a restart resumes the TTL countdown
-    /// where it stood instead of granting a fresh one.
-    fn detach_session(&self, session: &Session, now: Instant) {
-        match (&self.persist, session.token.as_deref()) {
-            (Some(p), Some(token)) => {
-                let ev = Event::Detach {
-                    token: token.to_string(),
-                    unix_ms: persist::unix_ms_now(),
-                };
-                let mut journal = p.begin();
-                session.detach(now);
-                p.append(&mut journal, &ev);
-            }
-            _ => session.detach(now),
-        }
-    }
-
     /// Idempotent: stops the accept loop, closes the queue and stops the
     /// session sweeper. Already queued requests still drain and get
     /// responses; new pushes fail.
@@ -744,18 +700,22 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let sessions = Arc::new(SessionRegistry::new(RegistryCaps {
+        let caps = RegistryCaps {
             ttl: config.session_ttl,
             max_sessions: config.max_sessions,
             max_programs: config.max_registry_programs,
-        }));
+        };
         // Recovery happens before the listener accepts anything: by the
         // time a client can connect, every recovered session is already
         // resumable with its pre-crash account, programs and seq window.
-        let persist = match &config.state {
-            Some(state) => Some(Arc::new(recover(state, &sessions)?)),
-            None => None,
+        let (persist, sessions) = match &config.state {
+            Some(state) => {
+                let (persist, sessions) = recover(state, caps)?;
+                (Some(persist), sessions)
+            }
+            None => (None, SessionRegistry::new(caps)),
         };
+        let sessions = Arc::new(sessions);
         let queue = Queue::new(config.queue_capacity, config.shed_high, config.shed_low);
         let shared = Arc::new(Shared {
             config,
@@ -775,25 +735,11 @@ impl Server {
             .spawn(move || {
                 let registry = sessions.clone();
                 sessions.run_sweeper(move || {
-                    let now = Instant::now();
-                    match &persist {
-                        Some(p) => {
-                            // Lock order: journal before registry. Held
-                            // across sweep + append, each expiry is one
-                            // atomic journal unit.
-                            {
-                                let mut journal = p.begin();
-                                for token in registry.sweep(now) {
-                                    p.append(&mut journal, &Event::Expire { token });
-                                }
-                            }
-                            // Interval fsyncs and due snapshots ride the
-                            // same tick — nothing on the request path.
-                            p.tick(&registry);
-                        }
-                        None => {
-                            registry.sweep(now);
-                        }
+                    registry.sweep(Instant::now());
+                    // Interval fsyncs and due snapshots ride the same
+                    // tick — nothing on the request path.
+                    if let Some(p) = &persist {
+                        p.tick(&registry);
                     }
                 });
             })
@@ -822,14 +768,19 @@ impl Server {
     }
 }
 
-/// Opens the state directory and rebuilds what it holds: newest valid
-/// snapshot, journal-tail replay, then materialization — stored programs
-/// and classifier models recompiled from their journaled source streams
-/// on a scratch macro (billing nothing; the original bills are already in
-/// the recovered accounts). Runs to completion before the server accepts
-/// its first connection, and logs which recovery path was taken.
-fn recover(state: &StateConfig, sessions: &Arc<SessionRegistry>) -> std::io::Result<Persist> {
+/// Opens the state directory and rebuilds the registry it holds: newest
+/// valid snapshot, journal-tail replay, then materialization — stored
+/// programs and classifier models recompiled from their journaled source
+/// streams on a scratch macro (billing nothing; the original bills are
+/// already in the recovered accounts). Runs to completion before the
+/// server accepts its first connection, and logs which recovery path was
+/// taken.
+fn recover(
+    state: &StateConfig,
+    caps: RegistryCaps,
+) -> std::io::Result<(Arc<Persist>, SessionRegistry)> {
     let (persist, recovery) = Persist::open(state)?;
+    let persist = Arc::new(persist);
     eprintln!("bpimc-server: {}", recovery.path);
     if let Some(c) = &recovery.corruption {
         eprintln!(
@@ -837,31 +788,33 @@ fn recover(state: &StateConfig, sessions: &Arc<SessionRegistry>) -> std::io::Res
             c.offset, c.reason, c.dropped_bytes
         );
     }
-    let recovered = recovery.registry;
-    if recovered.sessions.is_empty() && recovered.expired.is_empty() && recovered.mint_counter == 0
-    {
-        return Ok(persist);
-    }
-    let mut mac = ImcMacro::new(MacroConfig::paper_macro());
-    let params = paper_calibrated_params();
-    let now = Instant::now();
+    let Registry {
+        sessions,
+        expired,
+        mint_counter,
+    } = recovery.registry;
     let mut notes = Vec::new();
-    let live: Vec<Arc<Session>> = recovered
-        .sessions
-        .iter()
-        .map(|rec| {
-            let inner = persist::materialize_session(rec, &mut mac, &params, now, &mut notes);
-            Arc::new(Session {
-                token: Some(rec.token.clone()),
-                inner: Mutex::named("server.session.inner", inner),
-            })
-        })
-        .collect();
+    let sessions = if sessions.is_empty() {
+        Vec::new()
+    } else {
+        let mut mac = ImcMacro::new(MacroConfig::paper_macro());
+        let params = paper_calibrated_params();
+        let now = Instant::now();
+        sessions
+            .into_iter()
+            .map(|rec| persist::materialize_session(rec, &mut mac, &params, now, &mut notes))
+            .collect()
+    };
     for note in notes {
         eprintln!("bpimc-server: recovery: {note}");
     }
-    sessions.install_recovered(live, recovered.expired, recovered.mint_counter);
-    Ok(persist)
+    let recovered = Registry {
+        sessions,
+        expired,
+        mint_counter,
+    };
+    let registry = SessionRegistry::restore(caps, persist.clone(), recovered);
+    Ok((persist, registry))
 }
 
 /// A running server. Dropping the handle shuts the server down.
@@ -1066,7 +1019,7 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
     let Ok(read_half) = conn.stream.try_clone() else {
         conn.outbox.no_more_requests();
         shared.conns.lock().remove(&conn.id);
-        shared.detach_session(&conn.session(), Instant::now());
+        conn.session().detach(Instant::now());
         return;
     };
     let mut reader = BufReader::new(read_half);
@@ -1150,8 +1103,8 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
         {
             // Queue closed: the dispatcher will never answer. This is the
             // one response written off-order, and only during shutdown.
-            shared.record_error(&conn.session());
-            conn.respond(id, ResponseBody::Error("server is shutting down".into()));
+            let outcome = refused("server is shutting down".into());
+            finish_control(&conn, &conn.session(), id, None, outcome);
             break;
         }
         seq += 1;
@@ -1164,7 +1117,7 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
     // we are already gone, so this ordering leaves no window in which a
     // session stays attached to a dead connection (see `handle_control`).
     shared.conns.lock().remove(&conn.id);
-    shared.detach_session(&conn.session(), Instant::now());
+    conn.session().detach(Instant::now());
 }
 
 fn dispatch_loop(shared: &Arc<Shared>) {
@@ -1371,7 +1324,7 @@ fn process_batch(
                                 "deadline expired while the request was queued",
                             ))
                         } else {
-                            inner.rate.admit(&limits, now).err()
+                            limits.admit(inner.rate, unix_ms_now()).err()
                         }
                     } else {
                         None
@@ -1440,32 +1393,32 @@ fn process_batch(
                 run_compute(mac, job, params)
             })
             .into_iter();
+            let unix_ms = unix_ms_now();
             for m in meta {
-                let (body, billing) = match m.prep {
+                let settle = |outcome| {
+                    let (ev, body) =
+                        settle_event(&m.session, outcome, m.ran_pid, m.claimed, unix_ms);
+                    m.session.apply(&ev);
+                    body
+                };
+                let body = match m.prep {
                     Prepared::Replay(rseq) => {
                         // The original precedes this slot in response
                         // order, so its response — if still in the bounded
-                        // window — is cached by now. Nothing is billed:
+                        // window — is recorded by now. Nothing is billed:
                         // the account reflects each logical op once.
                         let cached = m.session.inner.lock().replayed(rseq);
-                        (
-                            cached.unwrap_or_else(|| ResponseBody::Error(stale_seq_error(rseq))),
-                            Billing::None,
-                        )
+                        cached.unwrap_or_else(|| ResponseBody::Error(stale_seq_error(rseq)))
                     }
-                    Prepared::Refused(err) => (ResponseBody::Error(err), Billing::Error),
-                    Prepared::Run => match results.next().expect("one result per job") {
+                    Prepared::Refused(err) => settle(failed(err)),
+                    Prepared::Run => settle(match results.next().expect("one result per job") {
                         Ok((Ok(body), cycles, energy_fj)) => {
-                            (body, Billing::Ok { cycles, energy_fj })
+                            (BillingRecord::Ok { cycles, energy_fj }, body)
                         }
-                        Ok((Err(err), _, _)) => (ResponseBody::Error(err), Billing::Error),
-                        Err(panic) => (
-                            ResponseBody::Error(panic.to_string().into()),
-                            Billing::Error,
-                        ),
-                    },
+                        Ok((Err(err), _, _)) => failed(err),
+                        Err(panic) => failed(panic.to_string().into()),
+                    }),
                 };
-                shared.settle(&m.session, billing, m.ran_pid, m.claimed, &body);
                 let fault = if faults.is_active() {
                     faults.response_fault(m.conn.id, m.seq)
                 } else {
@@ -1522,21 +1475,99 @@ fn control_consumes_seq(body: &ResponseBody) -> bool {
     }
 }
 
-/// The common control-op epilogue: settles billing (and, when the request
-/// was seq-guarded and the outcome consumes the seq, records the response
-/// for replay), then responds. Settling goes through [`Shared::settle`],
-/// so every control outcome reaches the journal too.
+/// A request that failed with `err`: billed as an error carrying its
+/// message, and answered with it.
+fn failed(err: ErrorBody) -> (BillingRecord, ResponseBody) {
+    (
+        BillingRecord::Error {
+            message: err.message.clone(),
+        },
+        ResponseBody::Error(err),
+    )
+}
+
+/// A request refused before it was parsed or admitted (a malformed line,
+/// a shed, the in-flight cap, shutdown): it ran no program, so its error
+/// is billed without a message.
+fn refused(err: ErrorBody) -> (BillingRecord, ResponseBody) {
+    (
+        BillingRecord::Error {
+            message: String::new(),
+        },
+        ResponseBody::Error(err),
+    )
+}
+
+/// A request that did host work only: billed zero hardware cycles.
+fn zero_cycles(body: ResponseBody) -> (BillingRecord, ResponseBody) {
+    (
+        BillingRecord::Ok {
+            cycles: 0,
+            energy_fj: 0.0,
+        },
+        body,
+    )
+}
+
+/// The `Exec` event that settles one request on `session` at `unix_ms`:
+/// it bills the outcome's billing (to `ran_pid`'s run history too) and,
+/// when `seq` is set, records the outcome's response for replay —
+/// serialized once, with id 0, for the replay window and the journal
+/// alike. Hands the response body back.
+fn settle_event(
+    session: &Session,
+    (billing, body): (BillingRecord, ResponseBody),
+    ran_pid: Option<u64>,
+    seq: Option<u64>,
+    unix_ms: u64,
+) -> (Event, ResponseBody) {
+    let response = Response { id: 0, body };
+    let ev = Event::Exec {
+        token: session.event_token(),
+        billing,
+        ran_pid,
+        seq,
+        response: seq.map(|_| response.to_json_line()),
+        unix_ms,
+    };
+    (ev, response.body)
+}
+
+/// The control-op epilogue under a held journal and session lock:
+/// applies the `Exec` event settling the request — recording its response
+/// for replay when the request was seq-guarded and the outcome consumes
+/// the seq — and hands back the response body.
+fn settle_control(
+    session: &Session,
+    journal: Option<&mut Journal<'_>>,
+    inner: &mut SessionInner,
+    guarded: Option<u64>,
+    outcome: (BillingRecord, ResponseBody),
+) -> ResponseBody {
+    let seq = guarded.filter(|_| control_consumes_seq(&outcome.1));
+    let (ev, body) = settle_event(session, outcome, None, seq, unix_ms_now());
+    inner.apply(journal, &ev);
+    body
+}
+
+/// [`settle_control`] under the session's own journal and lock, then the
+/// response.
 fn finish_control(
-    shared: &Shared,
     conn: &Arc<Conn>,
     session: &Session,
     id: u64,
     guarded: Option<u64>,
-    billing: Billing,
-    body: ResponseBody,
+    outcome: (BillingRecord, ResponseBody),
 ) {
-    let seq = guarded.filter(|_| control_consumes_seq(&body));
-    shared.settle(session, billing, None, seq, &body);
+    let mut journal = session.journal();
+    let body = settle_control(
+        session,
+        journal.as_mut(),
+        &mut session.inner.lock(),
+        guarded,
+        outcome,
+    );
+    drop(journal);
     conn.respond(id, body);
 }
 
@@ -1556,8 +1587,7 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
             // (shed, over the in-flight cap): answered here, in queue
             // order. Never seq-claimed — sheds and inflight refusals are
             // transient, and malformed lines have no usable seq.
-            shared.record_error(&session);
-            conn.respond(id, ResponseBody::Error(err));
+            finish_control(&conn, &session, id, None, refused(err));
             return;
         }
     };
@@ -1586,34 +1616,19 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
     match body {
         RequestBody::Ping => {
             finish_control(
-                shared,
                 &conn,
                 &session,
                 id,
                 guarded,
-                Billing::Ok {
-                    cycles: 0,
-                    energy_fj: 0.0,
-                },
-                ResponseBody::Pong,
+                zero_cycles(ResponseBody::Pong),
             );
         }
         RequestBody::Stats => {
             // Reports the account *before* this request, then bills the
             // stats request itself as zero-cycle work.
             let stats = session.inner.lock().stats;
-            finish_control(
-                shared,
-                &conn,
-                &session,
-                id,
-                guarded,
-                Billing::Ok {
-                    cycles: 0,
-                    energy_fj: 0.0,
-                },
-                ResponseBody::Stats(stats),
-            );
+            let outcome = zero_cycles(ResponseBody::Stats(stats));
+            finish_control(&conn, &session, id, guarded, outcome);
         }
         RequestBody::LoadModel {
             precision,
@@ -1623,79 +1638,33 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
             if !limits.unmetered() {
                 // `load_model` bills real macro work (the norm
                 // precompute), so it is metered like any compute request.
-                let refusal = session
-                    .inner
-                    .lock()
-                    .rate
-                    .admit(&limits, Instant::now())
-                    .err();
-                if let Some(err) = refusal {
-                    finish_control(
-                        shared,
-                        &conn,
-                        &session,
-                        id,
-                        guarded,
-                        Billing::Error,
-                        ResponseBody::Error(err),
-                    );
+                let rate = session.inner.lock().rate;
+                if let Err(err) = limits.admit(rate, unix_ms_now()) {
+                    finish_control(&conn, &session, id, guarded, failed(err));
                     return;
                 }
             }
             match build_model(mac, params, precision, prototypes) {
                 Ok((model, cycles, energy_fj)) => {
-                    let model = Arc::new(model);
-                    match (&shared.persist, session.token.as_deref()) {
-                        (Some(p), Some(token)) => {
-                            // The journal records the model's *source*
-                            // (precision + prototypes); recovery rebuilds
-                            // norms and the fused template from it.
-                            let ev = Event::Model {
-                                token: token.to_string(),
-                                precision_bits: model.precision.bits() as u32,
-                                prototypes: model.prototypes_q.clone(),
-                            };
-                            let mut journal = p.begin();
-                            session.inner.lock().model = Some(model);
-                            p.append(&mut journal, &ev);
-                        }
-                        _ => session.inner.lock().model = Some(model),
-                    }
-                    finish_control(
-                        shared,
-                        &conn,
-                        &session,
-                        id,
-                        guarded,
-                        Billing::Ok { cycles, energy_fj },
-                        ResponseBody::Ok,
-                    );
+                    // The journal records the model's *source* (precision
+                    // + prototypes); recovery rebuilds norms and the fused
+                    // template from it.
+                    session.apply(&Event::Model {
+                        token: session.event_token(),
+                        precision_bits: model.precision.bits() as u32,
+                        prototypes: model.prototypes_q.clone(),
+                    });
+                    session.inner.lock().model = Some(Arc::new(model));
+                    let outcome = (BillingRecord::Ok { cycles, energy_fj }, ResponseBody::Ok);
+                    finish_control(&conn, &session, id, guarded, outcome);
                 }
-                Err(msg) => {
-                    finish_control(
-                        shared,
-                        &conn,
-                        &session,
-                        id,
-                        guarded,
-                        Billing::Error,
-                        ResponseBody::Error(msg.into()),
-                    );
-                }
+                Err(msg) => finish_control(&conn, &session, id, guarded, failed(msg.into())),
             }
         }
         RequestBody::StoreProgram { instrs, name } => {
             let limits = shared.config.limits;
             if let Err(err) = limits.check_program_len(instrs.len()) {
-                finish_control(
-                    shared,
-                    &conn,
-                    &session,
-                    id,
-                    guarded,
-                    Billing::Error,
-                    ResponseBody::Error(err),
-                );
+                finish_control(&conn, &session, id, guarded, failed(err));
                 return;
             }
             let config = *mac.config();
@@ -1704,209 +1673,105 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
             // structured `invalid_program` response carries the same
             // code/index detail instead.
             if let Err(e) = prog.validate(&config) {
-                finish_control(
-                    shared,
-                    &conn,
-                    &session,
-                    id,
-                    guarded,
-                    Billing::Error,
-                    ResponseBody::Error(ErrorBody::from(&e)),
-                );
+                finish_control(&conn, &session, id, guarded, failed(ErrorBody::from(&e)));
                 return;
             }
             let diagnostics = prog.lint(&config);
-            // The submitted stream, kept with the entry: what the journal
-            // persists and recovery recompiles (an ephemeral session's
-            // programs can become durable later via `open_session`).
-            let source = prog.instrs().to_vec();
-            match prog.compile(&config) {
-                Ok(compiled) => {
-                    // Lock order: the journal, then the registry's global
-                    // program quota (durable sessions only), then the
-                    // session — the whole store is one journal unit.
-                    let p = shared.persist.as_ref().filter(|_| session.is_durable());
-                    let mut journal = p.map(|p| p.begin());
-                    let mut quota = session.is_durable().then(|| shared.sessions.quota());
-                    let mut inner = session.inner.lock();
-                    let refusal = if inner.stored.len() >= limits.max_stored_programs {
-                        Some(ErrorBody::limit(
-                            LimitKind::StoredPrograms,
-                            None,
-                            format!(
-                                "stored-program limit reached ({} per session)",
-                                limits.max_stored_programs
-                            ),
-                        ))
-                    } else if quota
-                        .as_ref()
-                        .is_some_and(|q| q.total_stored >= shared.sessions.caps.max_programs)
-                    {
-                        Some(ErrorBody::limit(
-                            LimitKind::RegistryPrograms,
-                            None,
-                            format!(
-                                "registry-wide stored-program cap reached ({} across all sessions)",
-                                shared.sessions.caps.max_programs
-                            ),
-                        ))
-                    } else if name.as_ref().is_some_and(|n| inner.names.contains_key(n)) {
-                        Some(ErrorBody::generic(format!(
-                            "a stored program named '{}' already exists in this session; \
-                             delete it first or pick another name",
-                            name.as_ref().expect("checked above")
-                        )))
-                    } else {
-                        None
-                    };
-                    if let Some(err) = refusal {
-                        let body = ResponseBody::Error(err);
-                        let seq = guarded.filter(|_| control_consumes_seq(&body));
-                        inner.settle(Billing::Error, None, seq, &body);
-                        if let (Some(p), Some(journal), Some(token)) =
-                            (p, journal.as_mut(), session.token.as_deref())
-                        {
-                            let ev = persist::exec_event(token, &Billing::Error, None, seq, &body);
-                            p.append(journal, &ev);
-                        }
-                        drop(inner);
-                        drop(quota);
-                        conn.respond(id, body);
-                        return;
-                    }
-                    let meta = StoredMeta {
-                        pid: inner.next_pid,
-                        cycles: compiled.cycles(),
-                        writes: compiled.write_count() as u64,
-                        diagnostics,
-                    };
-                    let store_ev = match (p, session.token.as_deref()) {
-                        (Some(_), Some(token)) => Some(Event::Store {
-                            token: token.to_string(),
-                            pid: meta.pid,
-                            name: name.clone(),
-                            instrs: source.clone(),
-                        }),
-                        _ => None,
-                    };
-                    inner.next_pid += 1;
-                    inner.stored.insert(
-                        meta.pid,
-                        StoredEntry::new(Arc::new(compiled), name.clone(), source),
-                    );
-                    if let Some(n) = name {
-                        inner.names.insert(n, meta.pid);
-                    }
-                    if let Some(q) = quota.as_mut() {
-                        q.total_stored += 1;
-                    }
-                    // Validation, lint and lowering are host work, not
-                    // macro work: a store bills zero hardware cycles.
-                    let body = ResponseBody::Stored(meta);
-                    let billing = Billing::Ok {
-                        cycles: 0,
-                        energy_fj: 0.0,
-                    };
-                    inner.settle(
-                        Billing::Ok {
-                            cycles: 0,
-                            energy_fj: 0.0,
-                        },
-                        None,
-                        guarded,
-                        &body,
-                    );
-                    if let (Some(p), Some(journal), Some(ev), Some(token)) =
-                        (p, journal.as_mut(), store_ev, session.token.as_deref())
-                    {
-                        p.append(journal, &ev);
-                        let ev = persist::exec_event(token, &billing, None, guarded, &body);
-                        p.append(journal, &ev);
-                    }
-                    drop(inner);
-                    drop(quota);
-                    conn.respond(id, body);
-                }
+            let compiled = match prog.compile(&config) {
+                Ok(compiled) => compiled,
                 Err(e) => {
-                    finish_control(
-                        shared,
-                        &conn,
-                        &session,
-                        id,
-                        guarded,
-                        Billing::Error,
-                        ResponseBody::Error(ErrorBody::from(&e)),
-                    );
+                    finish_control(&conn, &session, id, guarded, failed(ErrorBody::from(&e)));
+                    return;
                 }
-            }
+            };
+            // Lock order: the journal, then the registry's global program
+            // quota (durable sessions only), then the session — the whole
+            // store is one journal unit.
+            let mut journal = session.journal();
+            let mut quota = session.is_durable().then(|| shared.sessions.quota());
+            let mut inner = session.inner.lock();
+            let outcome = if inner.programs.len() >= limits.max_stored_programs {
+                failed(ErrorBody::limit(
+                    LimitKind::StoredPrograms,
+                    None,
+                    format!(
+                        "stored-program limit reached ({} per session)",
+                        limits.max_stored_programs
+                    ),
+                ))
+            } else if quota
+                .as_ref()
+                .is_some_and(|q| q.total_stored >= shared.sessions.caps.max_programs)
+            {
+                failed(ErrorBody::limit(
+                    LimitKind::RegistryPrograms,
+                    None,
+                    format!(
+                        "registry-wide stored-program cap reached ({} across all sessions)",
+                        shared.sessions.caps.max_programs
+                    ),
+                ))
+            } else if let Some(taken) = name.as_ref().filter(|n| inner.has_name(n)) {
+                failed(ErrorBody::generic(format!(
+                    "a stored program named '{taken}' already exists in this session; \
+                     delete it first or pick another name"
+                )))
+            } else {
+                let meta = StoredMeta {
+                    pid: inner.next_pid,
+                    cycles: compiled.cycles(),
+                    writes: compiled.write_count() as u64,
+                    diagnostics,
+                };
+                // The journal persists the submitted stream, and recovery
+                // recompiles it (an ephemeral session's programs can
+                // become durable later via `open_session`).
+                let ev = Event::Store {
+                    token: session.event_token(),
+                    pid: meta.pid,
+                    name,
+                    instrs: prog.instrs().to_vec(),
+                };
+                inner.apply(journal.as_mut(), &ev);
+                inner.cache_program(meta.pid, Arc::new(compiled));
+                if let Some(q) = quota.as_mut() {
+                    q.total_stored += 1;
+                }
+                // Validation, lint and lowering are host work, not macro
+                // work: a store bills zero hardware cycles.
+                zero_cycles(ResponseBody::Stored(meta))
+            };
+            let body = settle_control(&session, journal.as_mut(), &mut inner, guarded, outcome);
+            drop((inner, quota, journal));
+            conn.respond(id, body);
         }
         RequestBody::ListPrograms => {
             // Pure registry read: zero hardware cycles.
             let body = ResponseBody::Programs(session.inner.lock().program_entries());
-            finish_control(
-                shared,
-                &conn,
-                &session,
-                id,
-                guarded,
-                Billing::Ok {
-                    cycles: 0,
-                    energy_fj: 0.0,
-                },
-                body,
-            );
+            finish_control(&conn, &session, id, guarded, zero_cycles(body));
         }
         RequestBody::DeleteProgram { target } => {
             // Lock order: journal, then the registry's quota, then the
             // session — the delete and its billing are one journal unit.
-            let p = shared.persist.as_ref().filter(|_| session.is_durable());
-            let mut journal = p.map(|p| p.begin());
+            let mut journal = session.journal();
             let mut quota = session.is_durable().then(|| shared.sessions.quota());
             let mut inner = session.inner.lock();
-            let (billing, body, deleted) = match inner.remove_stored(&target) {
+            let outcome = match inner.pid_of(&target) {
                 Some(pid) => {
+                    let ev = Event::Delete {
+                        token: session.event_token(),
+                        pid,
+                    };
+                    inner.apply(journal.as_mut(), &ev);
                     if let Some(q) = quota.as_mut() {
                         q.total_stored = q.total_stored.saturating_sub(1);
                     }
-                    (
-                        Billing::Ok {
-                            cycles: 0,
-                            energy_fj: 0.0,
-                        },
-                        ResponseBody::Ok,
-                        Some(pid),
-                    )
+                    zero_cycles(ResponseBody::Ok)
                 }
-                None => (
-                    Billing::Error,
-                    ResponseBody::Error(ErrorBody::generic(format!("no {target} in this session"))),
-                    None,
-                ),
+                None => failed(ErrorBody::generic(format!("no {target} in this session"))),
             };
-            let seq = guarded.filter(|_| control_consumes_seq(&body));
-            inner.settle(billing, None, seq, &body);
-            if let (Some(p), Some(journal), Some(token)) =
-                (p, journal.as_mut(), session.token.as_deref())
-            {
-                if let Some(pid) = deleted {
-                    let ev = Event::Delete {
-                        token: token.to_string(),
-                        pid,
-                    };
-                    p.append(journal, &ev);
-                }
-                let billing = match deleted {
-                    Some(_) => Billing::Ok {
-                        cycles: 0,
-                        energy_fj: 0.0,
-                    },
-                    None => Billing::Error,
-                };
-                let ev = persist::exec_event(token, &billing, None, seq, &body);
-                p.append(journal, &ev);
-            }
-            drop(inner);
-            drop(quota);
+            let body = settle_control(&session, journal.as_mut(), &mut inner, guarded, outcome);
+            drop((inner, quota, journal));
             conn.respond(id, body);
         }
         RequestBody::OpenSession => {
@@ -1919,18 +1784,8 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
                 conn.respond(id, ResponseBody::Session(session.info()));
                 return;
             }
-            // The mint and its journal record are one unit: the guard
-            // spans the registry insert and the Open append.
-            let p = shared.persist.as_ref();
-            let mut journal = p.map(|p| p.begin());
             match shared.sessions.open(&session, Instant::now()) {
                 Ok(durable) => {
-                    if let (Some(p), Some(journal)) = (p, journal.as_mut()) {
-                        if let Some(ev) = persist::open_event(&durable) {
-                            p.append(journal, &ev);
-                        }
-                    }
-                    drop(journal);
                     *conn.session.lock() = durable.clone();
                     // If the reader exited while we swapped (it removes
                     // the conn from `conns` *before* detaching the slot's
@@ -1938,108 +1793,52 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
                     // session — re-check liveness and detach the durable
                     // one ourselves so it cannot stay attached forever.
                     if !shared.conns.lock().contains_key(&conn.id) {
-                        shared.detach_session(&durable, Instant::now());
+                        durable.detach(Instant::now());
                     }
                     conn.respond(id, ResponseBody::Session(durable.info()));
                 }
-                Err(err) => {
-                    drop(journal);
-                    conn.respond(id, ResponseBody::Error(err));
-                }
+                Err(err) => conn.respond(id, ResponseBody::Error(err)),
             }
         }
         RequestBody::ResumeSession { token } => {
-            // The resume and its Attach record are one unit; the old
-            // session's detach journals as its own unit afterwards (the
-            // journal guard is not reentrant).
-            let p = shared.persist.as_ref();
-            let mut journal = p.map(|p| p.begin());
             match shared.sessions.resume(&token, Instant::now()) {
                 Ok(resumed) => {
-                    if let (Some(p), Some(journal), Some(tok)) =
-                        (p, journal.as_mut(), resumed.token.as_deref())
-                    {
-                        let ev = Event::Attach {
-                            token: tok.to_string(),
-                        };
-                        p.append(journal, &ev);
-                    }
-                    drop(journal);
                     let old = {
                         let mut slot = conn.session.lock();
                         std::mem::replace(&mut *slot, resumed.clone())
                     };
                     // The session this connection held until now goes back
                     // to detached (ephemeral ones just drop).
-                    shared.detach_session(&old, Instant::now());
+                    old.detach(Instant::now());
                     // Same reader-exit race as in `open_session`.
                     if !shared.conns.lock().contains_key(&conn.id) {
-                        shared.detach_session(&resumed, Instant::now());
+                        resumed.detach(Instant::now());
                     }
                     conn.respond(id, ResponseBody::Session(resumed.info()));
                 }
-                Err(err) => {
-                    drop(journal);
-                    conn.respond(id, ResponseBody::Error(err));
-                }
+                Err(err) => conn.respond(id, ResponseBody::Error(err)),
             }
         }
         RequestBody::LintProgram { instrs } => {
             let limits = shared.config.limits;
             if let Err(err) = limits.check_program_len(instrs.len()) {
-                finish_control(
-                    shared,
-                    &conn,
-                    &session,
-                    id,
-                    guarded,
-                    Billing::Error,
-                    ResponseBody::Error(err),
-                );
+                finish_control(&conn, &session, id, guarded, failed(err));
                 return;
             }
             let config = *mac.config();
             let diagnostics = Program::new(instrs).lint(&config);
             // Static analysis is pure host work: zero hardware cycles.
-            finish_control(
-                shared,
-                &conn,
-                &session,
-                id,
-                guarded,
-                Billing::Ok {
-                    cycles: 0,
-                    energy_fj: 0.0,
-                },
-                ResponseBody::Diagnostics(diagnostics),
-            );
+            let outcome = zero_cycles(ResponseBody::Diagnostics(diagnostics));
+            finish_control(&conn, &session, id, guarded, outcome);
         }
         RequestBody::Shutdown => {
-            finish_control(
-                shared,
-                &conn,
-                &session,
-                id,
-                guarded,
-                Billing::Ok {
-                    cycles: 0,
-                    energy_fj: 0.0,
-                },
-                ResponseBody::Ok,
-            );
+            finish_control(&conn, &session, id, guarded, zero_cycles(ResponseBody::Ok));
             shared.begin_shutdown();
         }
         other => {
             // Compute bodies never reach here (see `process_batch`).
-            finish_control(
-                shared,
-                &conn,
-                &session,
-                id,
-                guarded,
-                Billing::Error,
-                ResponseBody::Error(format!("unexpected control request: {other:?}").into()),
-            );
+            let err = format!("unexpected control request: {other:?}").into();
+            finish_control(&conn, &session, id, guarded, failed(err));
         }
     }
 }

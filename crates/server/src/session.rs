@@ -1,14 +1,20 @@
-//! Durable sessions: token-keyed tenant state that survives connection
-//! drops, and the bounded registry that owns it.
+//! Sessions: token-keyed tenant state that survives connection drops, and
+//! the bounded registry that owns it.
 //!
-//! Historically a session *was* its connection — the loaded model, the
-//! stored-program cache, the exact cycle/energy account and the in-window
-//! rate budgets all lived in the reader's `Conn` and died with the
-//! socket. This module splits that state out into [`Session`] objects:
+//! A session's durable state is one [`SessionRecord`]: the account, the
+//! rate window, the model's source, the stored programs with their run
+//! history, the seq watermark and replay window, and when it detached.
+//! Only journal [`Event`]s change it — [`SessionInner::apply`] appends a
+//! durable session's event to the journal (when persistence is on) and
+//! then folds it in with [`SessionRecord::apply`], the function recovery
+//! replays with. A live session is that record plus caches derived from
+//! it: compiled programs, the name index, the built classifier model, the
+//! `Instant` TTL clock and the seq claimed by a job still in flight.
+//! Recovery rebuilds the caches and never reads them back.
 //!
-//! - An **ephemeral** session (`token: None`) reproduces the old
-//!   behaviour exactly — every connection starts with one, and it is
-//!   dropped when the connection goes away.
+//! - An **ephemeral** session (`token: None`) lives as long as its
+//!   connection: every connection starts with one, and its events are
+//!   applied but never journaled.
 //! - A **durable** session (`token: Some(..)`) is owned by the
 //!   [`SessionRegistry`], keyed by an unguessable token. When its
 //!   connection drops it is *detached*, lingers for the registry's TTL,
@@ -16,7 +22,10 @@
 //!   programs, account and rate budgets intact. Past the TTL a sweep
 //!   garbage-collects it; the token is remembered in a bounded ring so a
 //!   late resume gets the honest `session_expired` rather than
-//!   `bad_token`.
+//!   `bad_token`. The registry's session set, that ring and its
+//!   token-minting counter change only through
+//!   [`apply_event`](crate::persist::apply_event), the same fold recovery
+//!   runs.
 //!
 //! Durable sessions also carry the idempotency guard: each request may be
 //! stamped with a strictly increasing per-session `seq`. The session
@@ -36,13 +45,16 @@
 //! reverse.
 
 use crate::exec::Model;
-use crate::guard::RateWindow;
+use crate::persist::{
+    apply_event, unix_ms_now, Event, Journal, Persist, Registry, RegistryRecord, SessionRecord,
+    Sessions,
+};
 use bpimc_core::{
-    CompiledProgram, ErrorBody, Instr, LimitKind, ProgramEntry, ResponseBody, RunStatus,
-    SessionActivity, SessionInfo, StoredTarget,
+    CompiledProgram, ErrorBody, LimitKind, ProgramEntry, Response, ResponseBody, SessionInfo,
+    StoredTarget,
 };
 use bpimc_stats::sync::{Condvar, Mutex, MutexGuard};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,268 +68,194 @@ pub(crate) const REPLAY_WINDOW: usize = 32;
 /// many, the oldest are forgotten and answer `bad_token` — indistinguish-
 /// able, to a client, from a token that never existed, which is the
 /// honest degraded answer.
-const EXPIRED_TOKENS: usize = 1024;
+pub(crate) const EXPIRED_TOKENS: usize = 1024;
 
 /// Back-off hint on the busy refusal of a second concurrent resume: long
 /// enough for the holder's reader to notice a dead socket, short enough
 /// that a legitimate takeover barely stalls.
 const RESUME_BUSY_RETRY_MS: u64 = 25;
 
-/// One stored program in a session's registry: the compiled fast-path
-/// artifact plus its name and cumulative run history (the
-/// `list_programs` payload).
-pub(crate) struct StoredEntry {
-    pub compiled: Arc<CompiledProgram>,
-    pub name: Option<String>,
-    /// The instruction stream exactly as submitted — what the journal
-    /// persists, so recovery can recompile through the same pipeline
-    /// instead of trusting a serialized artifact.
-    pub source: Vec<Instr>,
-    pub runs: u64,
-    pub errors: u64,
-    pub total_cycles: u64,
-    pub total_energy_fj: f64,
-    pub last_status: Option<RunStatus>,
-}
-
-impl StoredEntry {
-    pub(crate) fn new(
-        compiled: Arc<CompiledProgram>,
-        name: Option<String>,
-        source: Vec<Instr>,
-    ) -> Self {
-        Self {
-            compiled,
-            name,
-            source,
-            runs: 0,
-            errors: 0,
-            total_cycles: 0,
-            total_energy_fj: 0.0,
-            last_status: None,
-        }
-    }
-}
-
-/// How one settled request affects the session account.
-pub(crate) enum Billing {
-    /// Executed: bill exact cycles/energy into stats and the rate window.
-    Ok { cycles: u64, energy_fj: f64 },
-    /// Failed or was refused: bill an error (requests count too).
-    Error,
-    /// A replayed duplicate or a session-management op: no accounting —
-    /// the account must reflect each logical op exactly once, however
-    /// many times its request was (re)sent.
-    None,
-}
-
-/// The state behind one session's lock.
+/// The state behind one session's lock: the durable record, readable
+/// through `Deref` and changed only by [`SessionInner::apply`], plus the
+/// caches serving derives from it.
 pub(crate) struct SessionInner {
-    pub stats: SessionActivity,
-    /// Cycle/energy spend in the current budget window (guardrails). The
-    /// whole window travels with the session, so a resumed tenant cannot
-    /// reset its in-window budget by reconnecting.
-    pub rate: RateWindow,
+    state: SessionRecord,
+    /// Compiled programs by pid.
+    compiled: HashMap<u64, Arc<CompiledProgram>>,
+    /// Program names to pids.
+    names: HashMap<String, u64>,
+    /// The classifier built from the record's model source.
     pub model: Option<Arc<Model>>,
-    pub stored: HashMap<u64, StoredEntry>,
-    /// Registry names to pids (`store_program` with a `name`).
-    pub names: HashMap<String, u64>,
-    pub next_pid: u64,
-    /// Highest request seq that has executed (idempotency guard).
-    last_seq: Option<u64>,
-    /// Recent `(seq, response)` pairs for replay, oldest first.
-    replay: VecDeque<(u64, ResponseBody)>,
-    /// A live connection currently owns this session (durable sessions
-    /// accept at most one at a time).
-    attached: bool,
-    /// When the last connection let go — the TTL clock.
+    /// When the last connection let go — the TTL clock; `None` while a
+    /// connection holds the session (durable sessions accept at most one
+    /// at a time).
     detached_at: Option<Instant>,
     /// Detachment served *before* the last recovery, credited against the
     /// TTL: `Instant`s do not survive a restart, so recovery restarts the
     /// clock at boot but carries the pre-crash elapsed time here. A
     /// resume clears it along with `detached_at`.
     detached_carry: Duration,
+    /// The highest seq claimed by a job that has not settled yet (a
+    /// live-only reservation: a duplicate in the same run must replay).
+    claimed_seq: Option<u64>,
+}
+
+impl std::ops::Deref for SessionInner {
+    type Target = SessionRecord;
+
+    fn deref(&self) -> &SessionRecord {
+        &self.state
+    }
 }
 
 impl SessionInner {
-    fn new() -> Self {
+    /// A session holding `state`, attached, with its name index built and
+    /// nothing compiled or built yet.
+    fn new(state: SessionRecord) -> Self {
+        let names = state
+            .programs
+            .iter()
+            .filter_map(|p| Some((p.name.clone()?, p.pid)))
+            .collect();
         Self {
-            stats: SessionActivity::new(),
-            rate: RateWindow::new(),
+            state,
+            compiled: HashMap::new(),
+            names,
             model: None,
-            stored: HashMap::new(),
-            names: HashMap::new(),
-            next_pid: 1,
-            last_seq: None,
-            replay: VecDeque::new(),
-            attached: true,
             detached_at: None,
             detached_carry: Duration::ZERO,
+            claimed_seq: None,
         }
     }
 
-    /// Rebuilds a recovered session's state. The session materializes
-    /// *detached* — its pre-crash connection is certainly gone — with the
-    /// TTL clock restarted at `now` and `detached_carry` (how long it had
-    /// already been detached before the crash) credited against it.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore(
-        stats: SessionActivity,
-        rate: RateWindow,
-        model: Option<Arc<Model>>,
-        stored: HashMap<u64, StoredEntry>,
-        names: HashMap<String, u64>,
-        next_pid: u64,
-        last_seq: Option<u64>,
-        replay: Vec<(u64, ResponseBody)>,
-        detached_carry: Duration,
-        now: Instant,
-    ) -> Self {
+    /// A recovered session: detached — its pre-crash connection is
+    /// certainly gone — with the TTL clock restarted at `now` and the
+    /// detachment the record shows before `now_unix_ms` credited against
+    /// it. Programs and the model are the caller's to cache.
+    pub(crate) fn restored(state: SessionRecord, now: Instant, now_unix_ms: u64) -> Self {
+        let carry = state
+            .detached_since_ms
+            .map_or(0, |since| now_unix_ms.saturating_sub(since));
         Self {
-            stats,
-            rate,
-            model,
-            stored,
-            names,
-            next_pid,
-            last_seq,
-            replay: replay.into_iter().collect(),
-            attached: false,
             detached_at: Some(now),
-            detached_carry,
+            detached_carry: Duration::from_millis(carry),
+            ..Self::new(state)
         }
+    }
+
+    /// Appends `ev` to `journal` when one is held (a durable session with
+    /// persistence on), then folds it into the durable state — the one
+    /// way serving changes it. The name index follows a `Store` or
+    /// `Delete`, and a `Delete` drops its compiled program; the artifacts
+    /// an event does not carry (a `Store`'s compiled program, a `Model`'s
+    /// build) are the caller's to cache.
+    pub(crate) fn apply(&mut self, journal: Option<&mut Journal<'_>>, ev: &Event) {
+        if let Some(journal) = journal {
+            journal.append(ev);
+        }
+        self.state.apply(ev);
+        match ev {
+            Event::Store {
+                pid,
+                name: Some(name),
+                ..
+            } => {
+                self.names.insert(name.clone(), *pid);
+            }
+            Event::Delete { pid, .. } => {
+                self.compiled.remove(pid);
+                self.names.retain(|_, p| p != pid);
+            }
+            _ => {}
+        }
+    }
+
+    /// Caches a stored program's compiled form.
+    pub(crate) fn cache_program(&mut self, pid: u64, compiled: Arc<CompiledProgram>) {
+        self.compiled.insert(pid, compiled);
     }
 
     /// How long this session has been detached at `now`, including time
     /// carried over from before a restart; `None` while attached.
     pub(crate) fn detached_for(&self, now: Instant) -> Option<Duration> {
-        if self.attached {
-            return None;
-        }
         self.detached_at
             .map(|t| now.saturating_duration_since(t) + self.detached_carry)
     }
 
-    /// The replay window's `(seq, response)` pairs, oldest first (what
-    /// the persistence layer snapshots).
-    pub(crate) fn replay_entries(&self) -> impl Iterator<Item = &(u64, ResponseBody)> {
-        self.replay.iter()
-    }
-
-    /// True when `seq` was already claimed by an earlier request — the
-    /// caller must answer from the replay window instead of executing.
+    /// True when `seq` already executed, or is claimed by a job that has
+    /// not settled yet — the caller must answer from the replay window
+    /// instead of executing.
     pub(crate) fn is_replay(&self, seq: u64) -> bool {
-        self.last_seq.is_some_and(|last| seq <= last)
+        self.state
+            .last_seq
+            .max(self.claimed_seq)
+            .is_some_and(|last| seq <= last)
     }
 
-    /// Marks `seq` as executing. Idempotent; never lowers the watermark.
+    /// Reserves `seq` for a job about to run. Idempotent; never lowers
+    /// the reservation. The job's `Exec` event advances the watermark.
     pub(crate) fn claim_seq(&mut self, seq: u64) {
-        if self.last_seq.is_none_or(|last| seq > last) {
-            self.last_seq = Some(seq);
-        }
+        self.claimed_seq = self.claimed_seq.max(Some(seq));
     }
 
     /// The recorded response for a replayed `seq`, while it is still
     /// inside the bounded window.
     pub(crate) fn replayed(&self, seq: u64) -> Option<ResponseBody> {
-        self.replay
-            .iter()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, body)| body.clone())
+        let (_, line) = self.state.replay.iter().find(|(s, _)| *s == seq)?;
+        Response::parse(line).ok().map(|r| r.body)
     }
 
     /// The highest executed seq (reported on resume so a continuing
     /// client can pick the next one).
     pub(crate) fn last_seq(&self) -> Option<u64> {
-        self.last_seq
+        self.state.last_seq
+    }
+
+    /// The pid a stored-program address names, if that program exists.
+    pub(crate) fn pid_of(&self, target: &StoredTarget) -> Option<u64> {
+        let pid = match target {
+            StoredTarget::Pid(pid) => *pid,
+            StoredTarget::Name(name) => *self.names.get(name)?,
+        };
+        self.state
+            .programs
+            .iter()
+            .any(|p| p.pid == pid)
+            .then_some(pid)
     }
 
     /// Resolves a stored-program address to `(pid, compiled)`.
     pub(crate) fn resolve(&self, target: &StoredTarget) -> Option<(u64, Arc<CompiledProgram>)> {
-        let pid = match target {
-            StoredTarget::Pid(pid) => *pid,
-            StoredTarget::Name(name) => *self.names.get(name)?,
-        };
-        self.stored.get(&pid).map(|e| (pid, e.compiled.clone()))
+        let pid = self.pid_of(target)?;
+        self.compiled.get(&pid).map(|c| (pid, c.clone()))
     }
 
-    /// Removes a stored program (and its name mapping), returning its pid.
-    pub(crate) fn remove_stored(&mut self, target: &StoredTarget) -> Option<u64> {
-        let pid = match target {
-            StoredTarget::Pid(pid) => *pid,
-            StoredTarget::Name(name) => *self.names.get(name)?,
-        };
-        let entry = self.stored.remove(&pid)?;
-        if let Some(name) = entry.name {
-            self.names.remove(&name);
-        }
-        Some(pid)
+    /// Whether a stored program already uses `name`.
+    pub(crate) fn has_name(&self, name: &str) -> bool {
+        self.names.contains_key(name)
     }
 
-    /// The `list_programs` payload: every entry with its run history,
-    /// ordered by pid.
+    /// The `list_programs` payload: every program that can run, with its
+    /// run history, ordered by pid.
     pub(crate) fn program_entries(&self) -> Vec<ProgramEntry> {
-        let mut entries: Vec<ProgramEntry> = self
-            .stored
+        self.state
+            .programs
             .iter()
-            .map(|(&pid, e)| ProgramEntry {
-                pid,
-                name: e.name.clone(),
-                cycles: e.compiled.cycles(),
-                writes: e.compiled.write_count() as u64,
-                runs: e.runs,
-                errors: e.errors,
-                total_cycles: e.total_cycles,
-                total_energy_fj: e.total_energy_fj,
-                last_status: e.last_status.clone(),
+            .filter_map(|p| {
+                let compiled = self.compiled.get(&p.pid)?;
+                Some(ProgramEntry {
+                    pid: p.pid,
+                    name: p.name.clone(),
+                    cycles: compiled.cycles(),
+                    writes: compiled.write_count() as u64,
+                    runs: p.runs,
+                    errors: p.errors,
+                    total_cycles: p.total_cycles,
+                    total_energy_fj: p.total_energy_fj,
+                    last_status: p.last_status.clone(),
+                })
             })
-            .collect();
-        entries.sort_by_key(|e| e.pid);
-        entries
-    }
-
-    /// Settles one request against this session: applies its billing,
-    /// updates the run history of the stored program it ran (if any), and
-    /// — when `seq` is set — records the seq as executed with its
-    /// response cached for replay.
-    pub(crate) fn settle(
-        &mut self,
-        billing: Billing,
-        ran_pid: Option<u64>,
-        seq: Option<u64>,
-        body: &ResponseBody,
-    ) {
-        match billing {
-            Billing::Ok { cycles, energy_fj } => {
-                self.stats.record_ok(cycles, energy_fj);
-                self.rate.charge(cycles, energy_fj);
-                if let Some(entry) = ran_pid.and_then(|pid| self.stored.get_mut(&pid)) {
-                    entry.runs += 1;
-                    entry.total_cycles += cycles;
-                    entry.total_energy_fj += energy_fj;
-                    entry.last_status = Some(RunStatus::Success);
-                }
-            }
-            Billing::Error => {
-                self.stats.record_error();
-                if let Some(entry) = ran_pid.and_then(|pid| self.stored.get_mut(&pid)) {
-                    entry.errors += 1;
-                    let message = match body {
-                        ResponseBody::Error(e) => e.message.clone(),
-                        _ => String::new(),
-                    };
-                    entry.last_status = Some(RunStatus::Error { message });
-                }
-            }
-            Billing::None => {}
-        }
-        if let Some(seq) = seq {
-            self.claim_seq(seq);
-            if self.replay.len() >= REPLAY_WINDOW {
-                self.replay.pop_front();
-            }
-            self.replay.push_back((seq, body.clone()));
-        }
+            .collect()
     }
 }
 
@@ -327,6 +265,9 @@ pub(crate) struct Session {
     /// `None` for an ephemeral (connection-lifetime) session.
     pub token: Option<String>,
     pub inner: Mutex<SessionInner>,
+    /// Where this session's events are journaled: set for a durable
+    /// session when persistence is on.
+    journal: Option<Arc<Persist>>,
 }
 
 impl Session {
@@ -334,7 +275,24 @@ impl Session {
     pub(crate) fn ephemeral() -> Arc<Session> {
         Arc::new(Session {
             token: None,
-            inner: Mutex::named("server.session.inner", SessionInner::new()),
+            inner: Mutex::named(
+                "server.session.inner",
+                SessionInner::new(SessionRecord::empty(String::new())),
+            ),
+            journal: None,
+        })
+    }
+
+    /// A durable session registered as `token`, journaling to `journal`.
+    pub(crate) fn durable(
+        token: &str,
+        inner: SessionInner,
+        journal: Option<Arc<Persist>>,
+    ) -> Arc<Session> {
+        Arc::new(Session {
+            token: Some(token.to_string()),
+            inner: Mutex::named("server.session.inner", inner),
+            journal,
         })
     }
 
@@ -342,29 +300,41 @@ impl Session {
         self.token.is_some()
     }
 
-    /// Convenience: settle under the session lock.
-    pub(crate) fn settle(
-        &self,
-        billing: Billing,
-        ran_pid: Option<u64>,
-        seq: Option<u64>,
-        body: &ResponseBody,
-    ) {
-        self.inner.lock().settle(billing, ran_pid, seq, body);
+    /// The token events name this session by: empty for an ephemeral
+    /// session, whose events are never journaled.
+    pub(crate) fn event_token(&self) -> String {
+        self.token.clone().unwrap_or_default()
     }
 
-    /// Lets go of this session: the next resume may attach. Starts the
-    /// TTL clock on the first detach; a no-op on ephemeral sessions and
-    /// idempotent on durable ones (repeat detaches never extend the TTL).
+    /// Takes the journal lock when this session's events are journaled.
+    /// Hold it across a decision and the events it makes, before the
+    /// registry and session locks.
+    pub(crate) fn journal(&self) -> Option<Journal<'_>> {
+        self.journal.as_ref().map(|p| p.begin())
+    }
+
+    /// Applies one event to this session through its journal
+    /// ([`SessionInner::apply`]).
+    pub(crate) fn apply(&self, ev: &Event) {
+        let mut journal = self.journal();
+        self.inner.lock().apply(journal.as_mut(), ev);
+    }
+
+    /// Lets go of this session at `now`: a durable one applies (and
+    /// journals) its `Detach` with the wall clock, so a restart resumes
+    /// the TTL countdown where it stood, and starts its TTL clock on the
+    /// first detach. A no-op on ephemeral sessions; repeat detaches never
+    /// extend the TTL.
     pub(crate) fn detach(&self, now: Instant) {
-        if !self.is_durable() {
-            return;
-        }
+        let Some(token) = &self.token else { return };
+        let ev = Event::Detach {
+            token: token.clone(),
+            unix_ms: unix_ms_now(),
+        };
+        let mut journal = self.journal();
         let mut inner = self.inner.lock();
-        inner.attached = false;
-        if inner.detached_at.is_none() {
-            inner.detached_at = Some(now);
-        }
+        inner.apply(journal.as_mut(), &ev);
+        inner.detached_at.get_or_insert(now);
     }
 
     /// The `session` response payload for this (durable) session.
@@ -373,7 +343,7 @@ impl Session {
         SessionInfo {
             token: self.token.clone().unwrap_or_default(),
             stats: inner.stats,
-            stored_programs: inner.stored.len() as u64,
+            stored_programs: inner.programs.len() as u64,
             last_seq: inner.last_seq(),
         }
     }
@@ -392,20 +362,47 @@ pub(crate) struct RegistryCaps {
     pub max_programs: usize,
 }
 
-pub(crate) struct RegistryState {
+/// The live session set of a [`Registry`]: sessions by token, and the
+/// journal the sessions it opens write to.
+#[derive(Default)]
+pub(crate) struct LiveSessions {
     by_token: HashMap<String, Arc<Session>>,
-    /// Swept tokens, oldest first (bounded at [`EXPIRED_TOKENS`]).
-    expired: VecDeque<String>,
+    journal: Option<Arc<Persist>>,
+}
+
+impl Sessions for LiveSessions {
+    fn open(&mut self, token: &str, record: &SessionRecord) {
+        let journal = &self.journal;
+        self.by_token.entry(token.to_string()).or_insert_with(|| {
+            Session::durable(token, SessionInner::new(record.clone()), journal.clone())
+        });
+    }
+
+    fn expire(&mut self, token: &str) {
+        self.by_token.remove(token);
+    }
+
+    fn apply(&mut self, token: &str, ev: &Event) {
+        if let Some(session) = self.by_token.get(token) {
+            session.inner.lock().apply(None, ev);
+        }
+    }
+}
+
+pub(crate) struct RegistryState {
+    /// The durable registry over live sessions.
+    reg: Registry<LiveSessions>,
     /// Stored programs across every durable session.
     pub(crate) total_stored: usize,
-    /// Monotonic salt for token minting.
-    mint_counter: u64,
 }
 
 /// The bounded table of durable sessions, plus the TTL sweeper's
 /// coordination state.
 pub(crate) struct SessionRegistry {
     pub(crate) caps: RegistryCaps,
+    /// The journal the registry's own events (`Open`, `Attach`, `Expire`)
+    /// go to, when persistence is on.
+    journal: Option<Arc<Persist>>,
     state: Mutex<RegistryState>,
     /// Sweeper shutdown flag + wakeup.
     sweeper_stop: Mutex<bool>,
@@ -422,44 +419,85 @@ fn mix(mut x: u64) -> u64 {
 }
 
 impl SessionRegistry {
+    /// An in-memory registry: nothing is journaled.
     pub(crate) fn new(caps: RegistryCaps) -> Self {
+        Self::build(caps, None, Registry::default(), 0)
+    }
+
+    /// The registry recovered at boot — its sessions (caches already
+    /// materialized), the expired-token ring and the mint counter — with
+    /// every event from here on journaled to `journal`.
+    pub(crate) fn restore(
+        caps: RegistryCaps,
+        journal: Arc<Persist>,
+        recovered: Registry<Vec<SessionInner>>,
+    ) -> Self {
+        let mut sessions = LiveSessions {
+            by_token: HashMap::new(),
+            journal: Some(journal.clone()),
+        };
+        let mut total_stored = 0;
+        for inner in recovered.sessions {
+            total_stored += inner.programs.len();
+            let token = inner.token.clone();
+            let session = Session::durable(&token, inner, Some(journal.clone()));
+            sessions.by_token.insert(token, session);
+        }
+        let reg = Registry {
+            sessions,
+            expired: recovered.expired,
+            mint_counter: recovered.mint_counter,
+        };
+        Self::build(caps, Some(journal), reg, total_stored)
+    }
+
+    fn build(
+        caps: RegistryCaps,
+        journal: Option<Arc<Persist>>,
+        reg: Registry<LiveSessions>,
+        total_stored: usize,
+    ) -> Self {
         Self {
             caps,
+            journal,
             state: Mutex::named(
                 "server.sessions.registry",
-                RegistryState {
-                    by_token: HashMap::new(),
-                    expired: VecDeque::new(),
-                    total_stored: 0,
-                    mint_counter: 0,
-                },
+                RegistryState { reg, total_stored },
             ),
             sweeper_stop: Mutex::named("server.sessions.sweeper", false),
             sweeper_cv: Condvar::new(),
         }
     }
 
-    /// Mints a 128-bit hex token. Entropy is mixed from the wall clock's
-    /// nanoseconds, ASLR'd addresses and a counter through splitmix64 —
-    /// unguessable in practice for a research serving stack, though not a
-    /// CSPRNG (the container image has no OS randomness source to draw
-    /// on, and the protocol treats tokens as capabilities, not keys).
-    fn mint_token(state: &mut RegistryState) -> String {
-        state.mint_counter = state.mint_counter.wrapping_add(1);
+    /// Takes the journal lock, when this registry journals.
+    fn journal(&self) -> Option<Journal<'_>> {
+        self.journal.as_ref().map(|p| p.begin())
+    }
+
+    /// Mints a 128-bit hex token, salted with the counter value the
+    /// `Open` event will advance the registry to. Entropy is mixed from
+    /// the wall clock's nanoseconds, ASLR'd addresses and that counter
+    /// through splitmix64 — unguessable in practice for a research
+    /// serving stack, though not a CSPRNG (the container image has no OS
+    /// randomness source to draw on, and the protocol treats tokens as
+    /// capabilities, not keys).
+    fn mint_token(state: &RegistryState) -> String {
+        let counter = state.reg.mint_counter.wrapping_add(1);
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
-        let stack = &state.mint_counter as *const _ as u64;
-        let heap = state.by_token.capacity() as u64 ^ (state as *const _ as u64);
-        let a = mix(nanos ^ mix(state.mint_counter) ^ stack.rotate_left(13));
+        let stack = &counter as *const _ as u64;
+        let heap = state.reg.sessions.by_token.capacity() as u64 ^ (state as *const _ as u64);
+        let a = mix(nanos ^ mix(counter) ^ stack.rotate_left(13));
         let b = mix(a ^ mix(heap) ^ nanos.rotate_left(31));
         format!("{a:016x}{b:016x}")
     }
 
-    /// Upgrades `current` (an ephemeral session) to a durable one: moves
-    /// its whole state — account, model, programs, rate window — into a
-    /// fresh token-keyed session registered here. The caller swaps the
+    /// Upgrades `current` (an ephemeral session) to a durable one: its
+    /// whole state — account, model, programs, rate window — becomes the
+    /// record of the `Open` event that registers a fresh token-keyed
+    /// session, and its caches move along. The caller swaps the
     /// connection's session slot to the returned session.
     ///
     /// # Errors
@@ -468,8 +506,9 @@ impl SessionRegistry {
     /// `registry_programs` when adopting the session's stored programs
     /// would break the global cap.
     pub(crate) fn open(&self, current: &Session, _now: Instant) -> Result<Arc<Session>, ErrorBody> {
+        let mut journal = self.journal();
         let mut state = self.state.lock();
-        if state.by_token.len() >= self.caps.max_sessions {
+        if state.reg.sessions.by_token.len() >= self.caps.max_sessions {
             return Err(ErrorBody::limit(
                 LimitKind::Sessions,
                 Some(self.caps.ttl.as_millis() as u64),
@@ -480,7 +519,7 @@ impl SessionRegistry {
             ));
         }
         let mut current_inner = current.inner.lock();
-        let adopted = current_inner.stored.len();
+        let adopted = current_inner.programs.len();
         if state.total_stored + adopted > self.caps.max_programs {
             return Err(ErrorBody::limit(
                 LimitKind::RegistryPrograms,
@@ -491,17 +530,29 @@ impl SessionRegistry {
                 ),
             ));
         }
-        let mut moved = std::mem::replace(&mut *current_inner, SessionInner::new());
+        let token = Self::mint_token(&state);
+        let moved = std::mem::replace(
+            &mut *current_inner,
+            SessionInner::new(SessionRecord::empty(String::new())),
+        );
         drop(current_inner);
-        moved.attached = true;
-        moved.detached_at = None;
-        let token = Self::mint_token(&mut state);
-        let session = Arc::new(Session {
-            token: Some(token.clone()),
-            inner: Mutex::named("server.session.inner", moved),
-        });
+        let ev = Event::Open {
+            token: token.clone(),
+            record: Box::new(SessionRecord {
+                token: token.clone(),
+                ..moved.state
+            }),
+        };
+        if let Some(journal) = journal.as_mut() {
+            journal.append(&ev);
+        }
+        apply_event(&mut state.reg, &ev);
+        let session = state.reg.sessions.by_token[&token].clone();
+        let mut inner = session.inner.lock();
+        inner.compiled = moved.compiled;
+        inner.model = moved.model;
+        drop(inner);
         state.total_stored += adopted;
-        state.by_token.insert(token, session.clone());
         Ok(session)
     }
 
@@ -514,9 +565,10 @@ impl SessionRegistry {
     /// busy refusal (with a `retry_after_ms` hint) when another
     /// connection currently holds the session.
     pub(crate) fn resume(&self, token: &str, _now: Instant) -> Result<Arc<Session>, ErrorBody> {
+        let mut journal = self.journal();
         let state = self.state.lock();
-        let Some(session) = state.by_token.get(token).cloned() else {
-            if state.expired.iter().any(|t| t == token) {
+        let Some(session) = state.reg.sessions.by_token.get(token).cloned() else {
+            if state.reg.expired.iter().any(|t| t == token) {
                 return Err(ErrorBody::session_expired(
                     "session expired: it sat disconnected past the server's TTL and was \
                      garbage-collected; open a fresh session",
@@ -525,7 +577,7 @@ impl SessionRegistry {
             return Err(ErrorBody::bad_token("unknown session token"));
         };
         let mut inner = session.inner.lock();
-        if inner.attached {
+        if inner.detached_at.is_none() {
             return Err(ErrorBody {
                 retry_after_ms: Some(RESUME_BUSY_RETRY_MS),
                 ..ErrorBody::generic(
@@ -533,7 +585,10 @@ impl SessionRegistry {
                 )
             });
         }
-        inner.attached = true;
+        let ev = Event::Attach {
+            token: token.to_string(),
+        };
+        inner.apply(journal.as_mut(), &ev);
         inner.detached_at = None;
         inner.detached_carry = Duration::ZERO;
         drop(inner);
@@ -542,42 +597,41 @@ impl SessionRegistry {
     }
 
     /// Collects every detached session whose TTL elapsed at `now`
-    /// (counting detachment carried over from before a restart),
-    /// remembering the swept tokens for `session_expired` answers.
-    /// Returns the swept tokens so a persistence layer can journal them.
+    /// (counting detachment carried over from before a restart), each by
+    /// an `Expire` event that also remembers its token for
+    /// `session_expired` answers. Returns the swept tokens.
     pub(crate) fn sweep(&self, now: Instant) -> Vec<String> {
+        let mut journal = self.journal();
         let mut state = self.state.lock();
-        let dead: Vec<String> = state
+        let dead: Vec<(String, usize)> = state
+            .reg
+            .sessions
             .by_token
             .iter()
-            .filter(|(_, session)| {
-                session
-                    .inner
-                    .lock()
-                    .detached_for(now)
-                    .is_some_and(|d| d >= self.caps.ttl)
+            .filter_map(|(token, session)| {
+                let inner = session.inner.lock();
+                let expired = inner.detached_for(now).is_some_and(|d| d >= self.caps.ttl);
+                expired.then(|| (token.clone(), inner.programs.len()))
             })
-            .map(|(token, _)| token.clone())
             .collect();
-        for token in &dead {
-            if let Some(session) = state.by_token.remove(token) {
-                state.total_stored = state
-                    .total_stored
-                    .saturating_sub(session.inner.lock().stored.len());
+        for (token, programs) in &dead {
+            let ev = Event::Expire {
+                token: token.clone(),
+            };
+            if let Some(journal) = journal.as_mut() {
+                journal.append(&ev);
             }
-            if state.expired.len() >= EXPIRED_TOKENS {
-                state.expired.pop_front();
-            }
-            state.expired.push_back(token.clone());
+            apply_event(&mut state.reg, &ev);
+            state.total_stored = state.total_stored.saturating_sub(*programs);
         }
-        dead
+        dead.into_iter().map(|(token, _)| token).collect()
     }
 
     /// Durable sessions currently registered (the concurrency models'
     /// postcondition checks).
     #[cfg_attr(not(feature = "model"), allow(dead_code))]
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().by_token.len()
+        self.state.lock().reg.sessions.by_token.len()
     }
 
     /// Locks the registry's global stored-program quota. Lock order:
@@ -586,39 +640,25 @@ impl SessionRegistry {
         self.state.lock()
     }
 
-    /// Everything a snapshot needs: the live sessions, the expired-token
-    /// ring (oldest first) and the mint counter. Takes and releases the
-    /// registry lock; callers serialize against mutations by holding the
-    /// persistence layer's journal lock around the whole capture.
-    pub(crate) fn snapshot_parts(&self) -> (Vec<Arc<Session>>, Vec<String>, u64) {
+    /// The registry's durable state as a snapshot stores it: a clone of
+    /// every session's record, sorted by token, plus the expired-token
+    /// ring and the mint counter. Callers hold the journal lock around the
+    /// capture, so no journaled mutation can interleave with it.
+    pub(crate) fn snapshot(&self) -> RegistryRecord {
         let state = self.state.lock();
-        (
-            state.by_token.values().cloned().collect(),
-            state.expired.iter().cloned().collect(),
-            state.mint_counter,
-        )
-    }
-
-    /// Installs recovered state at boot, before any connection is
-    /// accepted: the rebuilt sessions, the expired-token ring and the
-    /// mint counter (so post-restart tokens keep their uniqueness salt).
-    pub(crate) fn install_recovered(
-        &self,
-        sessions: Vec<Arc<Session>>,
-        expired: Vec<String>,
-        mint_counter: u64,
-    ) {
-        let mut state = self.state.lock();
-        for session in sessions {
-            let token = session
-                .token
-                .clone()
-                .expect("recovered sessions are durable");
-            state.total_stored += session.inner.lock().stored.len();
-            state.by_token.insert(token, session);
+        let mut sessions: Vec<SessionRecord> = state
+            .reg
+            .sessions
+            .by_token
+            .values()
+            .map(|s| s.inner.lock().state.clone())
+            .collect();
+        sessions.sort_by(|a, b| a.token.cmp(&b.token));
+        Registry {
+            sessions,
+            expired: state.reg.expired.clone(),
+            mint_counter: state.reg.mint_counter,
         }
-        state.expired = expired.into_iter().collect();
-        state.mint_counter = state.mint_counter.max(mint_counter);
     }
 
     /// The sweeper thread body: wakes every quarter-TTL (clamped to
@@ -650,10 +690,11 @@ impl SessionRegistry {
         self.sweeper_cv.notify_all();
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::BillingRecord;
+    use bpimc_core::RunStatus;
 
     fn caps(ttl_ms: u64) -> RegistryCaps {
         RegistryCaps {
@@ -746,22 +787,12 @@ mod tests {
         let token = session.token.clone().unwrap();
         // Simulate recovery: the session had already been detached for
         // 40ms when the process died; the clock restarts at t0.
-        {
-            let mut inner = session.inner.lock();
-            let restored = SessionInner::restore(
-                inner.stats,
-                RateWindow::new(),
-                None,
-                HashMap::new(),
-                HashMap::new(),
-                inner.next_pid,
-                inner.last_seq(),
-                Vec::new(),
-                Duration::from_millis(40),
-                t0,
-            );
-            *inner = restored;
-        }
+        let detached_40ms_ago = |inner: &mut SessionInner| {
+            let mut record = inner.state.clone();
+            record.detached_since_ms = Some(1_000);
+            *inner = SessionInner::restored(record, t0, 1_040);
+        };
+        detached_40ms_ago(&mut session.inner.lock());
         // 40ms carried + 20ms live = 60ms > 50ms TTL: swept, even though
         // only 20ms passed since "boot".
         assert_eq!(
@@ -771,21 +802,7 @@ mod tests {
 
         // A resume clears the carry: a fresh detach gets the full TTL.
         let session = registry.open(&Session::ephemeral(), t0).expect("open");
-        {
-            let mut inner = session.inner.lock();
-            *inner = SessionInner::restore(
-                inner.stats,
-                RateWindow::new(),
-                None,
-                HashMap::new(),
-                HashMap::new(),
-                1,
-                None,
-                Vec::new(),
-                Duration::from_millis(40),
-                t0,
-            );
-        }
+        detached_40ms_ago(&mut session.inner.lock());
         let token = session.token.clone().unwrap();
         registry.resume(&token, t0).expect("resume clears carry");
         session.detach(t0 + Duration::from_millis(10));
@@ -796,26 +813,50 @@ mod tests {
         assert_eq!(registry.sweep(t0 + Duration::from_millis(61)).len(), 1);
     }
 
+    /// The `Exec` event settling one request with `billing`, recording
+    /// `body` for replay when `seq` is set.
+    fn exec(
+        billing: BillingRecord,
+        ran_pid: Option<u64>,
+        seq: Option<u64>,
+        body: ResponseBody,
+    ) -> Event {
+        Event::Exec {
+            token: String::new(),
+            billing,
+            ran_pid,
+            seq,
+            response: seq.map(|_| Response { id: 0, body }.to_json_line()),
+            unix_ms: 0,
+        }
+    }
+
     #[test]
     fn seq_guard_claims_replays_and_bounds_its_window() {
         let session = Session::ephemeral();
         let mut inner = session.inner.lock();
         assert!(!inner.is_replay(0));
-        inner.settle(
-            Billing::Ok {
-                cycles: 5,
-                energy_fj: 1.0,
-            },
+        inner.apply(
             None,
-            Some(0),
-            &ResponseBody::Scalar(42),
+            &exec(
+                BillingRecord::Ok {
+                    cycles: 5,
+                    energy_fj: 1.0,
+                },
+                None,
+                Some(0),
+                ResponseBody::Scalar(42),
+            ),
         );
         assert!(inner.is_replay(0));
         assert_eq!(inner.replayed(0), Some(ResponseBody::Scalar(42)));
         assert_eq!(inner.stats.requests, 1);
         // Fill past the window: seq 0 falls out, the newest stay.
         for seq in 1..=(REPLAY_WINDOW as u64) {
-            inner.settle(Billing::None, None, Some(seq), &ResponseBody::Pong);
+            inner.apply(
+                None,
+                &exec(BillingRecord::None, None, Some(seq), ResponseBody::Pong),
+            );
         }
         assert!(inner.is_replay(0), "claimed seqs stay claimed");
         assert_eq!(inner.replayed(0), None, "but the window is bounded");
@@ -825,6 +866,11 @@ mod tests {
         );
         // Replay-window settles bill nothing.
         assert_eq!(inner.stats.requests, 1);
+        // A seq reserved by a job that has not settled is a replay too,
+        // but leaves the watermark to the job's own `Exec`.
+        inner.claim_seq(40);
+        assert!(inner.is_replay(40));
+        assert_eq!(inner.last_seq(), Some(REPLAY_WINDOW as u64));
     }
 
     #[test]
@@ -834,34 +880,47 @@ mod tests {
         let r = bld.alloc();
         bld.write_to(r, bpimc_core::Precision::P8, vec![1, 2]);
         bld.read(r, bpimc_core::Precision::P8, 2);
-        let compiled = bld
-            .finish()
+        let program = bld.finish();
+        let compiled = program
             .compile(&MacroConfig::paper_macro())
             .expect("compile");
 
         let session = Session::ephemeral();
         let mut inner = session.inner.lock();
-        inner.stored.insert(
-            7,
-            StoredEntry::new(Arc::new(compiled), Some("p".into()), Vec::new()),
+        inner.apply(
+            None,
+            &Event::Store {
+                token: String::new(),
+                pid: 7,
+                name: Some("p".into()),
+                instrs: program.instrs().to_vec(),
+            },
         );
-        inner.names.insert("p".into(), 7);
+        inner.cache_program(7, Arc::new(compiled));
         assert_eq!(inner.resolve(&StoredTarget::Name("p".into())).unwrap().0, 7);
 
-        inner.settle(
-            Billing::Ok {
-                cycles: 10,
-                energy_fj: 2.0,
-            },
-            Some(7),
+        inner.apply(
             None,
-            &ResponseBody::Ok,
+            &exec(
+                BillingRecord::Ok {
+                    cycles: 10,
+                    energy_fj: 2.0,
+                },
+                Some(7),
+                None,
+                ResponseBody::Ok,
+            ),
         );
-        inner.settle(
-            Billing::Error,
-            Some(7),
+        inner.apply(
             None,
-            &ResponseBody::Error(ErrorBody::generic("bad binding")),
+            &exec(
+                BillingRecord::Error {
+                    message: "bad binding".into(),
+                },
+                Some(7),
+                None,
+                ResponseBody::Ok,
+            ),
         );
         let entries = inner.program_entries();
         assert_eq!(entries.len(), 1);
@@ -874,11 +933,15 @@ mod tests {
                 message: "bad binding".into()
             })
         );
-        assert_eq!(
-            inner.remove_stored(&StoredTarget::Name("p".into())),
-            Some(7)
+        assert_eq!(inner.pid_of(&StoredTarget::Name("p".into())), Some(7));
+        inner.apply(
+            None,
+            &Event::Delete {
+                token: String::new(),
+                pid: 7,
+            },
         );
         assert!(inner.names.is_empty());
-        assert!(inner.stored.is_empty());
+        assert!(inner.compiled.is_empty() && inner.programs.is_empty());
     }
 }

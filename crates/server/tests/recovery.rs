@@ -26,8 +26,26 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+/// A state directory under the system temp dir that deletes itself when
+/// dropped.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A fresh, unique state directory under the system temp dir.
-fn temp_state_dir(tag: &str) -> PathBuf {
+fn temp_state_dir(tag: &str) -> TempDir {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "bpimc-recovery-{tag}-{}-{}",
@@ -36,13 +54,13 @@ fn temp_state_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create state dir");
-    dir
+    TempDir(dir)
 }
 
 /// The crash image: a byte-level copy of the live state directory, i.e.
 /// what a `kill -9` at this instant would leave on disk under
 /// `fsync always`.
-fn crash_image(live: &Path, tag: &str) -> PathBuf {
+fn crash_image(live: &Path, tag: &str) -> TempDir {
     let dest = temp_state_dir(tag);
     for entry in std::fs::read_dir(live).expect("read state dir") {
         let entry = entry.expect("dir entry");
@@ -488,7 +506,7 @@ fn detached_time_before_the_crash_counts_against_the_ttl_after_it() {
 #[test]
 fn interval_fsync_with_graceful_shutdown_loses_nothing() {
     let dir = temp_state_dir("interval");
-    let mut state = StateConfig::new(dir.clone());
+    let mut state = StateConfig::new(dir.to_path_buf());
     state.fsync = bpimc_server::FsyncPolicy::parse("interval:25").expect("parse policy");
     let handle = start(ServerConfig {
         state: Some(state),
