@@ -1,15 +1,23 @@
-//! Pins the output of `Program::lint` for the kept lints over a fixed
-//! corpus: 400 seeded random valid programs at each precision P2–P32. Every
-//! diagnostic's code, severity, span and message goes into one FNV-1a
-//! hash, so a change to what any lint reports, or to how it words it, fails
-//! here. A change to a lint must update the constant on purpose and say why.
+//! Pins what the program layer reports over a fixed corpus: 400 seeded
+//! random valid programs at each precision P2–P32.
+//!
+//! * `lint_output_is_pinned`: every diagnostic's code, severity, span and
+//!   message goes into one FNV-1a hash, so a change to what any lint
+//!   reports, or to how it words it, fails here.
+//! * `run_output_is_pinned`: every run's outputs, per-instruction cycles
+//!   and spans, and every cycle the macro logs go into another, once as
+//!   built and once with every write rebound to fresh values, so a change
+//!   to how programs execute or bill fails here.
+//!
+//! A change to a lint, or to the executor's results, must update the
+//! constant on purpose and say why.
 //!
 //! The generator is adversarial on purpose: it injects dead overwrites,
 //! copies, duplicate multi-cycle ops and independent chains, so every kept
 //! lint fires somewhere in the corpus (the test asserts that it does).
 
-use bpimc_core::prog::{Instr, Program, Reg};
-use bpimc_core::{LogicOp, MacroConfig, Precision};
+use bpimc_core::prog::{Instr, Program, ProgramRun, Reg};
+use bpimc_core::{ImcMacro, LogicOp, MacroConfig, Precision};
 
 /// One generator step: an op selector plus raw operand/value entropy the
 /// builder folds into whatever instruction is currently constructible.
@@ -241,12 +249,12 @@ fn splitmix(state: &mut u64) -> u64 {
 /// The codes the corpus must exercise: every lint except the retired L006.
 const KEPT: [&str; 6] = ["L001", "L002", "L003", "L004", "L005", "L007"];
 
-#[test]
-fn lint_output_is_pinned() {
+/// The seeded corpus: 400 generated programs at each precision, each
+/// tagged with its precision and its index within it.
+fn corpus() -> Vec<(Precision, usize, Program)> {
     let cfg = MacroConfig::paper_macro();
     let mut rng = 0x5EED_1A71_u64;
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    let mut fired = [0usize; KEPT.len()];
+    let mut out = Vec::new();
     for p in Precision::ALL {
         for k in 0..400 {
             let len = 4 + splitmix(&mut rng) % 20;
@@ -266,17 +274,77 @@ fn lint_output_is_pinned() {
                 prog.validate(&cfg).is_ok(),
                 "generator must emit valid programs"
             );
-            for d in prog.lint(&cfg) {
-                let Some(slot) = KEPT.iter().position(|&c| c == d.code) else {
-                    panic!("unexpected diagnostic {d}");
-                };
-                fired[slot] += 1;
-                for b in format!("P{} #{k}: {d}\n", p.bits()).bytes() {
-                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
+            out.push((p, k, prog));
+        }
+    }
+    out
+}
+
+/// FNV-1a, fed little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A run's outputs, per-instruction cycles and spans, and every cycle
+    /// the macro that ran it logged.
+    fn run(&mut self, run: &ProgramRun, mac: &ImcMacro) {
+        self.word(run.outputs.len() as u64);
+        for out in &run.outputs {
+            self.word(out.len() as u64);
+            out.iter().for_each(|&v| self.word(v));
+        }
+        run.instr_cycles.iter().for_each(|&c| self.word(c));
+        for span in &run.instr_spans {
+            self.word(span.start as u64);
+            self.word(span.end as u64);
+        }
+        let log = mac.activity().cycles();
+        self.word(log.len() as u64);
+        for c in log {
+            for v in [
+                c.kind as u64,
+                c.compute_cols as u64,
+                c.logic_cols as u64,
+                c.wb_cols as u64,
+                u64::from(c.wb_to_dummy),
+                u64::from(c.wb_shielded),
+                u64::from(c.wb_inverting),
+                c.ff_bits as u64,
+            ] {
+                self.word(v);
             }
         }
     }
+}
+
+#[test]
+fn lint_output_is_pinned() {
+    let cfg = MacroConfig::paper_macro();
+    let mut hash = Fnv::new();
+    let mut fired = [0usize; KEPT.len()];
+    for (p, k, prog) in corpus() {
+        for d in prog.lint(&cfg) {
+            let Some(slot) = KEPT.iter().position(|&c| c == d.code) else {
+                panic!("unexpected diagnostic {d}");
+            };
+            fired[slot] += 1;
+            hash.bytes(format!("P{} #{k}: {d}\n", p.bits()).as_bytes());
+        }
+    }
+    let hash = hash.0;
     for (code, n) in KEPT.iter().zip(fired) {
         assert!(
             n > 0,
@@ -286,5 +354,60 @@ fn lint_output_is_pinned() {
     assert_eq!(
         hash, 0x87a8_adae_0ad1_bf18,
         "lint output changed (per-code counts {fired:?})"
+    );
+}
+
+#[test]
+fn run_output_is_pinned() {
+    let cfg = MacroConfig::paper_macro();
+    let mut rng = 0xB1ED_5EED_u64;
+    let mut hash = Fnv::new();
+    let mut fused_shls = 0usize;
+    for (p, _, prog) in corpus() {
+        let mut mac = ImcMacro::new(cfg);
+        let run = prog.run(&mut mac).expect("corpus programs are valid");
+        hash.run(&run, &mac);
+        fused_shls += prog
+            .instrs()
+            .iter()
+            .zip(&run.instr_cycles)
+            .filter(|(i, &c)| matches!(i, Instr::Shl { .. }) && c == 0)
+            .count();
+
+        let inputs: Vec<Vec<u64>> = prog
+            .instrs()
+            .iter()
+            .filter_map(|i| match i {
+                Instr::Write { values, .. } | Instr::WriteMult { values, .. } => Some(
+                    values
+                        .iter()
+                        .map(|_| splitmix(&mut rng) & p.max_value())
+                        .collect(),
+                ),
+                _ => None,
+            })
+            .collect();
+        let bound: Vec<Option<&[u64]>> = inputs.iter().map(|v| Some(v.as_slice())).collect();
+        let compiled = prog.compile(&cfg).expect("corpus programs are valid");
+        let mut mac = ImcMacro::new(cfg);
+        let rebound = compiled
+            .run_with_inputs(&mut mac, &bound)
+            .expect("bindings match the compiled writes");
+        hash.run(&rebound, &mac);
+
+        let mut lean = ImcMacro::new(cfg);
+        let outputs = compiled
+            .run_outputs(&mut lean, &bound)
+            .expect("bindings match the compiled writes");
+        assert_eq!(outputs, rebound.outputs);
+        assert_eq!(lean, mac);
+    }
+    assert!(
+        fused_shls > 0,
+        "no shl fused into its add over the corpus; the pin would not cover fusion"
+    );
+    assert_eq!(
+        hash.0, 0x1f3a_f1c5_79ed_7fa3,
+        "program runs changed ({fused_shls} fused shl(s))"
     );
 }
