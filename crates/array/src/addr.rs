@@ -20,13 +20,6 @@ impl RowAddr {
     pub fn is_dummy(&self) -> bool {
         matches!(self, RowAddr::Dummy(_))
     }
-
-    /// The raw index within its array.
-    pub fn index(&self) -> usize {
-        match self {
-            RowAddr::Main(i) | RowAddr::Dummy(i) => *i,
-        }
-    }
 }
 
 impl fmt::Display for RowAddr {
@@ -46,7 +39,6 @@ mod tests {
     fn accessors() {
         assert!(RowAddr::Dummy(1).is_dummy());
         assert!(!RowAddr::Main(0).is_dummy());
-        assert_eq!(RowAddr::Main(5).index(), 5);
         assert_eq!(RowAddr::Dummy(2).to_string(), "dummy[2]");
     }
 }

@@ -55,7 +55,7 @@ fn field_mask(w: usize) -> u64 {
 
 impl BitRow {
     /// Widest row that needs no heap allocation.
-    pub const INLINE_COLS: usize = INLINE_LIMBS * 64;
+    pub(crate) const INLINE_COLS: usize = INLINE_LIMBS * 64;
 
     /// An all-zero row of `width` columns.
     ///
@@ -250,17 +250,6 @@ impl BitRow {
         self.limbs().iter().map(|l| l.count_ones() as usize).sum()
     }
 
-    /// Number of set bits (alias of [`BitRow::count_ones`], the name the
-    /// limb-parallel engine documentation uses).
-    pub fn popcount(&self) -> usize {
-        self.count_ones()
-    }
-
-    /// Iterator over all bits, column 0 first.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.width).map(move |i| self.get(i))
-    }
-
     /// Whole-row left shift by `k` columns (toward higher column indices).
     /// Bits shifted beyond the top column are dropped; zeros enter at the
     /// bottom. One host op per limb.
@@ -329,7 +318,7 @@ impl BitRow {
     /// # Panics
     ///
     /// Panics on width mismatch.
-    pub fn nor_of(a: &Self, b: &Self) -> Self {
+    pub(crate) fn nor_of(a: &Self, b: &Self) -> Self {
         assert_eq!(a.width, b.width, "row width mismatch");
         let mut out = Self::zeros(a.width);
         let (la, lb) = (a.limbs(), b.limbs());
@@ -534,16 +523,6 @@ impl LaneMasks {
     /// Number of whole lanes.
     pub fn lane_count(&self) -> usize {
         self.cols / self.segment_bits
-    }
-
-    /// Mask with a 1 at the MSB column of every lane.
-    pub fn msb_mask(&self) -> &BitRow {
-        &self.msb
-    }
-
-    /// Mask covering every whole-lane column.
-    pub fn active_mask(&self) -> &BitRow {
-        &self.active
     }
 
     /// Per-lane addition `a + b` (+1 per lane when `carry_in`), wrapping at
@@ -864,12 +843,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn popcount_alias() {
-        let r = BitRow::from_u64(128, 0xFF00FF);
-        assert_eq!(r.popcount(), r.count_ones());
-        assert_eq!(r.popcount(), 16);
     }
 }

@@ -48,7 +48,7 @@ impl ArrayGeometry {
     }
 
     /// Storage capacity of the main array in bits.
-    pub fn capacity_bits(&self) -> usize {
+    pub(crate) fn capacity_bits(&self) -> usize {
         self.rows * self.cols
     }
 

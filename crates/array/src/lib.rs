@@ -11,20 +11,20 @@
 //! * **single-WL read** ([`SramArray::single_read`]): delivers `A`/`~A`
 //!   (used for NOT / shift / copy).
 //!
-//! Bit-lines span both the main rows and the dummy rows; the [`separator`]
+//! Bit-lines span both the main rows and the dummy rows; the [`BlSeparator`]
 //! state tracks whether the main segment is disconnected during dummy-row
 //! write-backs (the BL separator the paper uses to cut write-back power).
 //!
 //! Electrical behaviour (delays, disturb) lives in `bpimc-cell`; this crate
 //! is cycle-level and value-exact.
 
-pub mod addr;
-pub mod bits;
-pub mod error;
-pub mod geometry;
-pub mod separator;
-pub mod sram;
-pub mod timing;
+pub(crate) mod addr;
+pub(crate) mod bits;
+pub(crate) mod error;
+pub(crate) mod geometry;
+pub(crate) mod separator;
+pub(crate) mod sram;
+pub(crate) mod timing;
 
 pub use addr::RowAddr;
 pub use bits::{BitRow, LaneMasks};

@@ -25,11 +25,6 @@ impl BlSeparator {
         }
     }
 
-    /// Whether the feature is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one write-back; `to_dummy` says whether the target row is in
     /// the dummy array (only those can be shielded). Returns `true` when the
     /// write was shielded by the separator.

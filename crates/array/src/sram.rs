@@ -65,11 +65,6 @@ impl SramArray {
         }
     }
 
-    /// The geometry this array was built with.
-    pub fn geometry(&self) -> &ArrayGeometry {
-        &self.geometry
-    }
-
     fn row(&self, addr: RowAddr) -> Result<&BitRow, ArrayError> {
         match addr {
             RowAddr::Main(i) => self.main.get(i).ok_or(ArrayError::RowOutOfRange {

@@ -36,21 +36,6 @@ impl BitSerialImc {
         }
     }
 
-    /// Word-lane count (columns).
-    pub fn lanes(&self) -> usize {
-        self.cols
-    }
-
-    /// Cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Resets the cycle counter.
-    pub fn reset_cycles(&mut self) {
-        self.cycles = 0;
-    }
-
     /// Stores `words` (one per column) transposed at `base` with `n` bits.
     ///
     /// # Errors

@@ -15,13 +15,13 @@ pub struct ComparisonRow {
     /// Bit-cell type.
     pub cell_type: &'static str,
     /// Main drawback the paper attributes to the design.
-    pub drawback: &'static str,
+    pub(crate) drawback: &'static str,
     /// Read-disturb mitigation.
     pub read_disturb_fix: &'static str,
     /// Supply range (volts).
     pub supply_v: (f64, f64),
     /// Technology node.
-    pub technology: &'static str,
+    pub(crate) technology: &'static str,
     /// Array organisation as cited.
     pub array_size: &'static str,
     /// Maximum clock frequency in hertz (at the cited voltage).

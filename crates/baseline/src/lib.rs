@@ -4,16 +4,16 @@
 //! **bit-serial** in-memory computing architecture of reference \[2\]
 //! (28 nm Compute-SRAM, JSSC'19): data stored *transposed* (a word's bits
 //! stacked vertically along the bit-line), one single-bit ALU per column,
-//! operations iterated one bit position per step. [`bitserial`] implements
+//! operations iterated one bit position per step. [`BitSerialImc`] implements
 //! it functionally (value-exact, carry latches and all) with the cycle
-//! formulas documented in [`cycles`].
+//! formulas documented in [`BitSerialCycles`].
 //!
-//! [`comparison`] carries the literature constants of the paper's Table III
+//! [`TABLE3_ROWS`] carries the literature constants of the paper's Table III
 //! rows so the comparison table can be regenerated.
 
-pub mod bitserial;
-pub mod comparison;
-pub mod cycles;
+pub(crate) mod bitserial;
+pub(crate) mod comparison;
+pub(crate) mod cycles;
 
 pub use bitserial::BitSerialImc;
 pub use comparison::{ComparisonRow, TABLE3_ROWS};

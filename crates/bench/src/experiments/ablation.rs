@@ -25,29 +25,29 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulsePoint {
     /// WL pulse width, seconds.
-    pub pulse_s: f64,
+    pub(crate) pulse_s: f64,
     /// BL computing delay, seconds (`None` when the SA never trips).
-    pub delay_s: Option<f64>,
+    pub(crate) delay_s: Option<f64>,
     /// Worst nominal disturb margin, volts.
-    pub margin_v: f64,
+    pub(crate) margin_v: f64,
 }
 
 /// One separator ablation row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeparatorPoint {
     /// Operation.
-    pub op: Table2Op,
+    pub(crate) op: Table2Op,
     /// Precision.
-    pub precision: Precision,
+    pub(crate) precision: Precision,
     /// Energy with the separator, femtojoules.
-    pub with_fj: f64,
+    pub(crate) with_fj: f64,
     /// Energy without, femtojoules.
-    pub without_fj: f64,
+    pub(crate) without_fj: f64,
 }
 
 impl SeparatorPoint {
     /// Fractional energy saving from the separator.
-    pub fn saving(&self) -> f64 {
+    pub(crate) fn saving(&self) -> f64 {
         1.0 - self.with_fj / self.without_fj
     }
 }
@@ -56,14 +56,14 @@ impl SeparatorPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationResult {
     /// Pulse-width sweep (booster enabled).
-    pub pulse_sweep: Vec<PulsePoint>,
+    pub(crate) pulse_sweep: Vec<PulsePoint>,
     /// The 140 ps point with the booster disabled: final BL voltage (the
     /// swing the cells alone achieved) and whether the SA tripped.
-    pub no_boost_blt_final: f64,
+    pub(crate) no_boost_blt_final: f64,
     /// Whether the SA tripped without the booster.
-    pub no_boost_trips: bool,
+    pub(crate) no_boost_trips: bool,
     /// Separator energy ablation.
-    pub separator: Vec<SeparatorPoint>,
+    pub(crate) separator: Vec<SeparatorPoint>,
 }
 
 /// Runs all three ablations at 0.9 V NN.

@@ -19,14 +19,14 @@ pub struct Fig2Result {
     /// Proposed-scheme delay samples (seconds).
     pub prop_delays: Vec<f64>,
     /// Extrapolated WLUD disturb failure probability.
-    pub wlud_failure: f64,
+    pub(crate) wlud_failure: f64,
     /// Extrapolated proposed-scheme disturb failure probability.
-    pub prop_failure: f64,
+    pub(crate) prop_failure: f64,
     /// WLUD disturb-margin z-score (mean/sigma; the iso point 2.5e-5 is
     /// z = 4.06). Finite even when the probability underflows.
-    pub wlud_z: f64,
+    pub(crate) wlud_z: f64,
     /// Proposed-scheme disturb-margin z-score.
-    pub prop_z: f64,
+    pub(crate) prop_z: f64,
     /// Sample count per scheme.
     pub samples: usize,
 }
@@ -51,7 +51,7 @@ impl Fig2Result {
     }
 
     /// A histogram over the paper's 0.5-3.5 ns axis.
-    pub fn histogram(&self, scheme_prop: bool) -> Histogram {
+    pub(crate) fn histogram(&self, scheme_prop: bool) -> Histogram {
         let mut h = Histogram::new(0.0e-9, 3.5e-9, 70);
         h.extend(
             (if scheme_prop {

@@ -16,9 +16,9 @@ pub struct CornerDelays {
     /// The corner.
     pub corner: Corner,
     /// WLUD delay, seconds.
-    pub wlud_s: f64,
+    pub(crate) wlud_s: f64,
     /// Proposed-scheme delay, seconds.
-    pub prop_s: f64,
+    pub(crate) prop_s: f64,
 }
 
 impl CornerDelays {
@@ -36,11 +36,6 @@ pub struct Fig7aResult {
 }
 
 impl Fig7aResult {
-    /// The worst (largest) proposed delay across corners.
-    pub fn worst_prop(&self) -> f64 {
-        self.rows.iter().map(|r| r.prop_s).fold(0.0, f64::max)
-    }
-
     /// The ratio at the proposal's worst corner (the paper's 0.22x claim).
     pub fn worst_case_ratio(&self) -> f64 {
         self.rows

@@ -13,22 +13,22 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7bPoint {
     /// Supply voltage.
-    pub vdd: f64,
+    pub(crate) vdd: f64,
     /// Proposed FA critical path at 8 bits, seconds.
-    pub prop_8b: f64,
+    pub(crate) prop_8b: f64,
     /// Logic-gate FA at 8 bits, seconds.
-    pub logic_8b: f64,
+    pub(crate) logic_8b: f64,
     /// Proposed FA at 16 bits, seconds.
-    pub prop_16b: f64,
+    pub(crate) prop_16b: f64,
     /// Logic-gate FA at 16 bits, seconds.
-    pub logic_16b: f64,
+    pub(crate) logic_16b: f64,
 }
 
 /// The voltage sweep result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig7bResult {
     /// Points from 0.7 V to 1.1 V.
-    pub points: Vec<Fig7bPoint>,
+    pub(crate) points: Vec<Fig7bPoint>,
 }
 
 impl Fig7bResult {

@@ -13,26 +13,26 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Point {
     /// Supply voltage.
-    pub vdd: f64,
+    pub(crate) vdd: f64,
     /// Maximum clock frequency, hertz.
-    pub fmax_hz: f64,
+    pub(crate) fmax_hz: f64,
     /// 8-bit ADD TOPS/W (separator on).
-    pub tops_add: f64,
+    pub(crate) tops_add: f64,
     /// 8-bit MULT TOPS/W, separator on.
-    pub tops_mult_sep: f64,
+    pub(crate) tops_mult_sep: f64,
     /// 8-bit MULT TOPS/W, separator off.
-    pub tops_mult_nosep: f64,
+    pub(crate) tops_mult_nosep: f64,
 }
 
 /// The complete Fig. 8 result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// The component breakdown at the 0.9 V reference.
-    pub breakdown: ComponentDelays,
+    pub(crate) breakdown: ComponentDelays,
     /// Per-phase `(name, seconds, fraction)`.
     pub fractions: Vec<(CyclePhase, f64, f64)>,
     /// The voltage sweep, 0.6-1.1 V.
-    pub sweep: Vec<Fig8Point>,
+    pub(crate) sweep: Vec<Fig8Point>,
 }
 
 /// Runs the experiment.

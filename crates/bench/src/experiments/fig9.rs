@@ -19,31 +19,31 @@ use bpimc_core::{ImcMacro, MacroConfig, Precision};
 use std::fmt;
 
 /// The swept BL sizes of the paper.
-pub const BL_SIZES: [usize; 4] = [128, 256, 512, 1024];
+pub(crate) const BL_SIZES: [usize; 4] = [128, 256, 512, 1024];
 
 /// One (operation, BL size) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig9Cell {
     /// Row width in columns.
-    pub bl_size: usize,
+    pub(crate) bl_size: usize,
     /// Proposed: measured cycles for one row-wide op.
-    pub prop_cycles: u64,
+    pub(crate) prop_cycles: u64,
     /// Proposed: words processed by that op (dense counting).
-    pub prop_words: usize,
+    pub(crate) prop_words: usize,
     /// Conventional: formula cycles.
-    pub conv_cycles: u64,
+    pub(crate) conv_cycles: u64,
     /// Conventional: fixed SIMD lanes.
-    pub conv_words: usize,
+    pub(crate) conv_words: usize,
 }
 
 impl Fig9Cell {
     /// Proposed cycles per word.
-    pub fn prop_cpw(&self) -> f64 {
+    pub(crate) fn prop_cpw(&self) -> f64 {
         self.prop_cycles as f64 / self.prop_words as f64
     }
 
     /// Conventional cycles per word.
-    pub fn conv_cpw(&self) -> f64 {
+    pub(crate) fn conv_cpw(&self) -> f64 {
         self.conv_cycles as f64 / self.conv_words as f64
     }
 
@@ -59,11 +59,11 @@ pub struct Fig9Result {
     /// 8-bit ADD cells.
     pub add: Vec<Fig9Cell>,
     /// 8-bit SUB cells.
-    pub sub: Vec<Fig9Cell>,
+    pub(crate) sub: Vec<Fig9Cell>,
     /// 8-bit MULT cells (dense word counting, the paper's).
     pub mult: Vec<Fig9Cell>,
     /// 8-bit MULT with strict product-lane counting (words per 2P columns).
-    pub mult_strict: Vec<Fig9Cell>,
+    pub(crate) mult_strict: Vec<Fig9Cell>,
 }
 
 /// Runs the sweep with measured executor cycle counts at 8-bit precision.

@@ -9,18 +9,18 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Operation name as the paper lists it.
-    pub operation: String,
+    pub(crate) operation: String,
     /// The paper's cycle count (N = bit width).
-    pub paper_cycles: String,
+    pub(crate) paper_cycles: String,
     /// Measured cycles at 8-bit precision.
-    pub measured_8b: u64,
+    pub(crate) measured_8b: u64,
 }
 
 /// The measured Table I.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Result {
     /// All rows.
-    pub rows: Vec<Table1Row>,
+    pub(crate) rows: Vec<Table1Row>,
 }
 
 /// Runs every operation once and records its cycle count.

@@ -11,7 +11,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Result {
     /// The calibration fit and per-cell residuals.
-    pub report: CalibrationReport,
+    pub(crate) report: CalibrationReport,
 }
 
 /// Runs the calibration and packages the comparison.

@@ -17,11 +17,11 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProposedRow {
     /// Peripheral area overhead fraction (paper: 5.2 %).
-    pub area_overhead: f64,
+    pub(crate) area_overhead: f64,
     /// Fmax at 1.0 V (paper: 2.25 GHz).
     pub fmax_hz: f64,
     /// Fmax at 0.6 V (paper: 372 MHz).
-    pub fmax_0v6_hz: f64,
+    pub(crate) fmax_0v6_hz: f64,
     /// 8-bit MULT TOPS/W at 0.6 V (paper: 0.68).
     pub tops_w_mult: f64,
     /// 8-bit ADD TOPS/W at 0.6 V (paper: 8.09).

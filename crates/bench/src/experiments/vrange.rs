@@ -21,27 +21,27 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrangePoint {
     /// Supply voltage.
-    pub vdd: f64,
+    pub(crate) vdd: f64,
     /// The scaled WL pulse width used, seconds.
-    pub pulse_s: f64,
+    pub(crate) pulse_s: f64,
     /// Measured BL computing delay, seconds (`None` = scheme failed).
-    pub delay_s: Option<f64>,
+    pub(crate) delay_s: Option<f64>,
     /// Worst storage-node margin, volts.
-    pub margin_v: f64,
+    pub(crate) margin_v: f64,
     /// Whether a cell flipped.
-    pub flipped: bool,
+    pub(crate) flipped: bool,
 }
 
 /// The supply sweep result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VrangeResult {
     /// Points over 0.6-1.1 V.
-    pub points: Vec<VrangePoint>,
+    pub(crate) points: Vec<VrangePoint>,
 }
 
 impl VrangeResult {
     /// True when the scheme operated correctly at every supply point.
-    pub fn operational_everywhere(&self) -> bool {
+    pub(crate) fn operational_everywhere(&self) -> bool {
         self.points
             .iter()
             .all(|p| p.delay_s.is_some() && !p.flipped && p.margin_v > 0.05 * p.vdd)
@@ -49,7 +49,7 @@ impl VrangeResult {
 
     /// Measured delay scaling (per point, relative to the 0.9 V point) next
     /// to the analytic model's prediction.
-    pub fn scaling_comparison(&self) -> Vec<(f64, f64, f64)> {
+    pub(crate) fn scaling_comparison(&self) -> Vec<(f64, f64, f64)> {
         let d09 = self
             .points
             .iter()

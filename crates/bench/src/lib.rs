@@ -28,4 +28,4 @@
 
 pub mod experiments;
 pub mod shapes;
-pub mod textfmt;
+pub(crate) mod textfmt;

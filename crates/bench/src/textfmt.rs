@@ -4,14 +4,14 @@ use std::fmt::Write as _;
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// A table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
         Self {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -19,7 +19,10 @@ impl TextTable {
     }
 
     /// Appends a row (padded/truncated to the header width).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) -> &mut Self {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(
+        &mut self,
+        cells: I,
+    ) -> &mut Self {
         let mut r: Vec<String> = cells.into_iter().map(Into::into).collect();
         r.resize(self.header.len(), String::new());
         self.rows.push(r);
@@ -27,7 +30,7 @@ impl TextTable {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -57,17 +60,17 @@ impl TextTable {
 }
 
 /// Formats seconds as picoseconds with one decimal.
-pub fn ps(t: f64) -> String {
+pub(crate) fn ps(t: f64) -> String {
     format!("{:.1} ps", t * 1e12)
 }
 
 /// Formats seconds as nanoseconds with three decimals.
-pub fn ns(t: f64) -> String {
+pub(crate) fn ns(t: f64) -> String {
     format!("{:.3} ns", t * 1e9)
 }
 
 /// Formats hertz as gigahertz.
-pub fn ghz(f: f64) -> String {
+pub(crate) fn ghz(f: f64) -> String {
     format!("{:.3} GHz", f / 1e9)
 }
 

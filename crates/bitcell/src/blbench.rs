@@ -44,7 +44,7 @@ impl WlScheme {
     }
 
     /// True when the booster is active in this scheme.
-    pub fn uses_boost(&self) -> bool {
+    pub(crate) fn uses_boost(&self) -> bool {
         matches!(self, WlScheme::ShortBoost { .. })
     }
 }
@@ -66,13 +66,13 @@ pub struct BlOutcome {
     pub delay_s: Option<f64>,
     /// Worst instantaneous storage-node separation of cell A during the
     /// access, volts. Negative means the internal nodes crossed (flip).
-    pub margin_a: f64,
+    pub(crate) margin_a: f64,
     /// Same for cell B.
-    pub margin_b: f64,
+    pub(crate) margin_b: f64,
     /// Whether either cell ended the window flipped.
     pub flipped: bool,
     /// Final BLT voltage (for debugging/plotting).
-    pub blt_final: f64,
+    pub(crate) blt_final: f64,
 }
 
 impl BlOutcome {
@@ -86,17 +86,17 @@ impl BlOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlComputeBench {
     /// Number of rows hanging on the bit-line (sets its capacitance).
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Operating environment.
-    pub env: Env,
+    pub(crate) env: Env,
     /// Word-line scheme under test.
-    pub scheme: WlScheme,
+    pub(crate) scheme: WlScheme,
     /// Cell sizing.
     pub sizing: CellSizing,
     /// Booster sizing (used only by [`WlScheme::ShortBoost`]).
     pub boost_sizing: BoostSizing,
     /// Sense amplifier model.
-    pub sa: SenseAmp,
+    pub(crate) sa: SenseAmp,
 }
 
 impl BlComputeBench {
@@ -259,28 +259,23 @@ impl BlComputeBench {
             level: self.sa.trip_voltage(self.env.vdd),
         })
     }
-
-    /// The WL activation time inside the window (for external measurements).
-    pub fn t_wl() -> f64 {
-        T_WL
-    }
 }
 
 /// Observable nodes of a built bench.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchNodes {
     /// True bit-line (computes `A AND B`).
-    pub blt: NodeId,
+    pub(crate) blt: NodeId,
     /// Complement bit-line (computes `NOR(A, B)`).
-    pub blb: NodeId,
+    pub(crate) blb: NodeId,
     /// Storage nodes of operand-A's cell.
-    pub cell_a: CellNodes,
+    pub(crate) cell_a: CellNodes,
     /// Storage nodes of operand-B's cell.
-    pub cell_b: CellNodes,
+    pub(crate) cell_b: CellNodes,
     /// BLT booster mirror node (when boosting).
-    pub mirror_t: Option<NodeId>,
+    pub(crate) mirror_t: Option<NodeId>,
     /// BLB booster mirror node (when boosting).
-    pub mirror_b: Option<NodeId>,
+    pub(crate) mirror_b: Option<NodeId>,
 }
 
 #[cfg(test)]

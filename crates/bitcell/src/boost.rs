@@ -20,18 +20,18 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostSizing {
     /// BL-sensing PMOS `P0` width.
-    pub w_p0_nm: f64,
+    pub(crate) w_p0_nm: f64,
     /// Pull-down stack widths (`N0` mirror-gated, `N1` enable-gated).
-    pub w_n_nm: f64,
+    pub(crate) w_n_nm: f64,
     /// Mirror reset NMOS width.
-    pub w_rst_nm: f64,
+    pub(crate) w_rst_nm: f64,
     /// Channel length for all booster devices.
-    pub l_nm: f64,
+    pub(crate) l_nm: f64,
 }
 
 impl BoostSizing {
     /// Default booster sizing.
-    pub fn default_28nm() -> Self {
+    pub(crate) fn default_28nm() -> Self {
         Self {
             w_p0_nm: 320.0,
             w_n_nm: 400.0,
@@ -51,13 +51,13 @@ impl Default for BoostSizing {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostDevices {
     /// BL-sensing PMOS.
-    pub p0: Mosfet,
+    pub(crate) p0: Mosfet,
     /// Mirror-gated pull-down.
-    pub n0: Mosfet,
+    pub(crate) n0: Mosfet,
     /// Enable-gated pull-down.
-    pub n1: Mosfet,
+    pub(crate) n1: Mosfet,
     /// Mirror reset device (gated by BSTRS).
-    pub nrst: Mosfet,
+    pub(crate) nrst: Mosfet,
 }
 
 impl BoostDevices {
@@ -73,7 +73,11 @@ impl BoostDevices {
 
     /// Draws a mismatched instance (the booster varies far less than cells
     /// thanks to its large devices, but it still varies).
-    pub fn sampled<R: Rng + ?Sized>(s: BoostSizing, mm: &MismatchModel, rng: &mut R) -> Self {
+    pub(crate) fn sampled<R: Rng + ?Sized>(
+        s: BoostSizing,
+        mm: &MismatchModel,
+        rng: &mut R,
+    ) -> Self {
         let n = Self::nominal(s);
         Self {
             p0: mm.sample(&n.p0, rng),
@@ -91,7 +95,7 @@ const MIRROR_CAP: f64 = 0.20e-15;
 ///
 /// `bstrs` and `bsten` are the reset and enable control nodes. Returns the
 /// mirror node for observation.
-pub fn build_boost(
+pub(crate) fn build_boost(
     ckt: &mut Circuit,
     devs: &BoostDevices,
     label: &str,
@@ -118,7 +122,7 @@ pub fn build_boost(
 /// BSTRS pulses high during precharge (resetting the mirror) and returns low
 /// `margin` before the WL pulse; BSTEN rises with the end of the reset and
 /// stays high for the evaluation.
-pub fn boost_controls(vdd: f64, t_wl: f64) -> (Waveform, Waveform) {
+pub(crate) fn boost_controls(vdd: f64, t_wl: f64) -> (Waveform, Waveform) {
     let t_edge = 10e-12;
     let reset_end = (t_wl - 30e-12).max(20e-12);
     let bstrs = Waveform::pulse(0.0, vdd, 5e-12, reset_end - 5e-12, t_edge);

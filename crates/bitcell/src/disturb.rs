@@ -1,19 +1,18 @@
-//! Read-disturb Monte-Carlo, failure-rate extrapolation and iso-failure
-//! calibration.
+//! Read-disturb Monte-Carlo and failure-rate extrapolation.
 //!
 //! The paper compares its short-WL + boost scheme against WLUD *at equal
 //! read-disturb failure rate* (2.5e-5, its Fig. 2). This module provides
 //! that machinery: sample cell mismatch, simulate the dual-WL access,
-//! extract the worst storage-node margin, fit a Gaussian tail and solve for
-//! the scheme parameter (WLUD level, or pulse width) that hits the target
-//! failure rate.
+//! extract the worst storage-node margin and fit a Gaussian tail to it.
 
-use crate::blbench::{BlComputeBench, BlOutcome, WlScheme};
+use crate::blbench::{BlComputeBench, BlOutcome};
 use crate::boost::BoostDevices;
 use crate::sram6t::CellDevices;
-use bpimc_circuit::mc::{montecarlo, montecarlo_batch};
+#[cfg(test)]
+use bpimc_circuit::mc::montecarlo;
+use bpimc_circuit::mc::montecarlo_batch;
 use bpimc_circuit::SimOptions;
-use bpimc_device::{Env, MismatchModel};
+use bpimc_device::MismatchModel;
 use bpimc_stats::TailFit;
 use rand::rngs::StdRng;
 
@@ -84,9 +83,9 @@ impl DisturbStudy {
     }
 
     /// Samples `n` disturb margins for the worst-case operand pattern
-    /// (A = 0, B = 1), batched across instances — bit-identical to
-    /// [`DisturbStudy::margins_scalar`] sample for sample.
-    pub fn margins(&self, n: usize, seed: u64) -> Vec<f64> {
+    /// (A = 0, B = 1), batched across instances — bit-identical, sample for
+    /// sample, to the scalar solver's reference kept in this module's tests.
+    pub(crate) fn margins(&self, n: usize, seed: u64) -> Vec<f64> {
         self.outcomes_batch(n, seed, false)
             .iter()
             .map(BlOutcome::worst_margin)
@@ -97,7 +96,8 @@ impl DisturbStudy {
     /// solver — the verified reference path the batch engine is pinned
     /// against. Same [`DisturbStudy::sampled_circuit`] draws, different
     /// solver.
-    pub fn margins_scalar(&self, n: usize, seed: u64) -> Vec<f64> {
+    #[cfg(test)]
+    fn margins_scalar(&self, n: usize, seed: u64) -> Vec<f64> {
         let nodes = self.bench_nodes();
         let opts = SimOptions::for_window(self.bench.window());
         montecarlo(n, seed, |_, rng| {
@@ -109,8 +109,8 @@ impl DisturbStudy {
     }
 
     /// Samples `n` BL computing delays for a discharging pattern (A=0, B=1),
-    /// batched across instances — bit-identical to
-    /// [`DisturbStudy::delays_scalar`] sample for sample.
+    /// batched across instances — bit-identical, sample for sample, to the
+    /// scalar solver's reference kept in this module's tests.
     ///
     /// Each sample is solved only until BLT trips the SA: the delay is
     /// decided at the first stored row past the trip level, so the rest of
@@ -130,7 +130,8 @@ impl DisturbStudy {
     /// solver — the verified reference path the batch engine is pinned
     /// against. Same [`DisturbStudy::sampled_circuit`] draws, different
     /// solver.
-    pub fn delays_scalar(&self, n: usize, seed: u64) -> Vec<f64> {
+    #[cfg(test)]
+    fn delays_scalar(&self, n: usize, seed: u64) -> Vec<f64> {
         let nodes = self.bench_nodes();
         let window = self.bench.window();
         let opts = SimOptions::for_window(window);
@@ -148,85 +149,11 @@ impl DisturbStudy {
     }
 }
 
-/// Result of calibrating one scheme parameter to a target failure rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IsoFailureCalibration {
-    /// The calibrated parameter value (volts for WLUD, seconds for the
-    /// pulse width).
-    pub param: f64,
-    /// The achieved extrapolated failure probability at that parameter.
-    pub achieved: f64,
-    /// The target failure probability that was requested.
-    pub target: f64,
-}
-
-/// Binary-searches the WLUD word-line level whose disturb failure rate hits
-/// `target` (failure grows with WL level).
-///
-/// `n` Monte-Carlo samples are drawn per probe; 300-1000 gives a stable fit.
-pub fn calibrate_wlud(
-    rows: usize,
-    env: Env,
-    mismatch: MismatchModel,
-    target: f64,
-    n: usize,
-    seed: u64,
-) -> IsoFailureCalibration {
-    calibrate(target, 0.45, env.vdd, 8, |v_wl| {
-        let bench = BlComputeBench::new(rows, env, WlScheme::Wlud { v_wl });
-        DisturbStudy::new(bench, mismatch)
-            .failure_fit(n, seed)
-            .failure_probability()
-    })
-}
-
-/// Binary-searches the short-WL pulse width whose disturb failure rate hits
-/// `target` (failure grows with pulse width).
-pub fn calibrate_pulse(
-    rows: usize,
-    env: Env,
-    mismatch: MismatchModel,
-    target: f64,
-    n: usize,
-    seed: u64,
-) -> IsoFailureCalibration {
-    calibrate(target, 60e-12, 600e-12, 8, |pulse_s| {
-        let bench = BlComputeBench::new(rows, env, WlScheme::ShortBoost { pulse_s });
-        DisturbStudy::new(bench, mismatch)
-            .failure_fit(n, seed)
-            .failure_probability()
-    })
-}
-
-/// Monotone bisection: `f` must be non-decreasing in its parameter.
-fn calibrate<F: Fn(f64) -> f64>(
-    target: f64,
-    mut lo: f64,
-    mut hi: f64,
-    iters: usize,
-    f: F,
-) -> IsoFailureCalibration {
-    let mut best = (lo + hi) / 2.0;
-    let mut achieved = f(best);
-    for _ in 0..iters {
-        if achieved < target {
-            lo = best;
-        } else {
-            hi = best;
-        }
-        best = (lo + hi) / 2.0;
-        achieved = f(best);
-    }
-    IsoFailureCalibration {
-        param: best,
-        achieved,
-        target,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blbench::WlScheme;
+    use bpimc_device::Env;
     use bpimc_stats::Summary;
 
     /// Small-n smoke studies; the full-scale runs live in the bench harness.

@@ -8,14 +8,13 @@
 //! * the BL boosting circuit of Fig. 3 ([`boost`]): LVT P0 sensing the BL
 //!   sag, mirror node, LVT N0/N1 pull-down stack — the positive-feedback
 //!   accelerator that finishes the discharge the short WL pulse starts,
-//! * the single-ended sense amplifier model ([`senseamp`]),
+//! * the single-ended sense amplifier model (`senseamp`),
 //! * the complete dual-WL bit-line computing test-bench ([`blbench`]) in all
 //!   three schemes the paper compares: conventional full static WL, WLUD,
 //!   and the proposed short WL + BL boost,
-//! * read-disturb margin Monte-Carlo, failure-rate extrapolation, and
-//!   iso-failure calibration ([`disturb`]) reproducing the 2.5e-5 operating
-//!   points (WLUD at ~0.55 V, short pulse at ~140 ps),
-//! * the write-back path with and without the BL separator ([`writepath`]).
+//! * read-disturb margin and BL computing delay Monte-Carlo with
+//!   failure-rate extrapolation ([`disturb`]) at the paper's 2.5e-5
+//!   operating points (WLUD at ~0.55 V, short pulse at ~140 ps).
 //!
 //! # Examples
 //!
@@ -36,13 +35,5 @@
 pub mod blbench;
 pub mod boost;
 pub mod disturb;
-pub mod senseamp;
+pub(crate) mod senseamp;
 pub mod sram6t;
-pub mod writepath;
-
-pub use blbench::{BlComputeBench, BlOutcome, WlScheme};
-pub use boost::{BoostDevices, BoostSizing};
-pub use disturb::{DisturbStudy, IsoFailureCalibration};
-pub use senseamp::SenseAmp;
-pub use sram6t::{CellDevices, CellSizing};
-pub use writepath::WritePathBench;

@@ -11,14 +11,14 @@ use bpimc_circuit::{CircuitError, Crossing, Edge, NodeId, Trace};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseAmp {
     /// Input trip level as a fraction of VDD.
-    pub trip_frac: f64,
+    pub(crate) trip_frac: f64,
     /// Internal resolve latency, seconds.
-    pub resolve_s: f64,
+    pub(crate) resolve_s: f64,
 }
 
 impl SenseAmp {
     /// The default SA: trips at VDD/2 and resolves in 30 ps.
-    pub fn default_28nm() -> Self {
+    pub(crate) fn default_28nm() -> Self {
         Self {
             trip_frac: 0.5,
             resolve_s: 30e-12,
@@ -26,7 +26,7 @@ impl SenseAmp {
     }
 
     /// Absolute trip voltage at a given supply.
-    pub fn trip_voltage(&self, vdd: f64) -> f64 {
+    pub(crate) fn trip_voltage(&self, vdd: f64) -> f64 {
         self.trip_frac * vdd
     }
 
@@ -48,7 +48,7 @@ impl SenseAmp {
     ///
     /// Returns [`CircuitError::NoCrossing`] if the BL never reaches the trip
     /// level in the simulated window (i.e. the SA would output "high").
-    pub fn sense_delay(
+    pub(crate) fn sense_delay(
         &self,
         trace: &Trace,
         bl: NodeId,
@@ -57,12 +57,6 @@ impl SenseAmp {
     ) -> Result<f64, CircuitError> {
         let t_cross = self.trip(bl, vdd, t_from).time_in(trace)?;
         Ok(t_cross - t_from + self.resolve_s)
-    }
-
-    /// Whether the SA output reads "low" (BL crossed the trip level) at any
-    /// point after `t_from`.
-    pub fn reads_low(&self, trace: &Trace, bl: NodeId, vdd: f64, t_from: f64) -> bool {
-        self.trip(bl, vdd, t_from).time_in(trace).is_ok()
     }
 }
 
@@ -102,7 +96,6 @@ mod tests {
         ckt.add_resistor(bl, vdd, 10_000.0); // held high
         let tr = ckt.run(&SimOptions::for_window(1e-9));
         let sa = SenseAmp::default_28nm();
-        assert!(!sa.reads_low(&tr, bl, 0.9, 0.0));
         assert!(sa.sense_delay(&tr, bl, 0.9, 0.0).is_err());
     }
 

@@ -12,13 +12,13 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSizing {
     /// Pull-down NMOS width.
-    pub w_pd_nm: f64,
+    pub(crate) w_pd_nm: f64,
     /// Pull-up PMOS width.
-    pub w_pu_nm: f64,
+    pub(crate) w_pu_nm: f64,
     /// Access NMOS width.
-    pub w_ax_nm: f64,
+    pub(crate) w_ax_nm: f64,
     /// Channel length for all cell devices.
-    pub l_nm: f64,
+    pub(crate) l_nm: f64,
 }
 
 impl CellSizing {
@@ -52,17 +52,17 @@ impl Default for CellSizing {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellDevices {
     /// Left pull-down (drives `q` low when `qb` high).
-    pub pd_l: Mosfet,
+    pub(crate) pd_l: Mosfet,
     /// Right pull-down.
-    pub pd_r: Mosfet,
+    pub(crate) pd_r: Mosfet,
     /// Left pull-up.
-    pub pu_l: Mosfet,
+    pub(crate) pu_l: Mosfet,
     /// Right pull-up.
-    pub pu_r: Mosfet,
+    pub(crate) pu_r: Mosfet,
     /// Left access (BLT to `q`).
-    pub ax_l: Mosfet,
+    pub(crate) ax_l: Mosfet,
     /// Right access (BLB to `qb`).
-    pub ax_r: Mosfet,
+    pub(crate) ax_r: Mosfet,
 }
 
 impl CellDevices {
@@ -79,7 +79,11 @@ impl CellDevices {
     }
 
     /// Draws a mismatched instance of every device.
-    pub fn sampled<R: Rng + ?Sized>(sizing: CellSizing, mm: &MismatchModel, rng: &mut R) -> Self {
+    pub(crate) fn sampled<R: Rng + ?Sized>(
+        sizing: CellSizing,
+        mm: &MismatchModel,
+        rng: &mut R,
+    ) -> Self {
         let n = Self::nominal(sizing);
         Self {
             pd_l: mm.sample(&n.pd_l, rng),
@@ -96,9 +100,9 @@ impl CellDevices {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellNodes {
     /// True-side storage node (connects to BLT through the left access).
-    pub q: NodeId,
+    pub(crate) q: NodeId,
     /// Complement-side storage node.
-    pub qb: NodeId,
+    pub(crate) qb: NodeId,
 }
 
 /// Intrinsic storage-node capacitance (beyond the attached device caps).

@@ -219,7 +219,7 @@ impl<'a> BatchSim<'a> {
     }
 
     /// Number of instances in the batch.
-    pub fn batch(&self) -> usize {
+    pub(crate) fn batch(&self) -> usize {
         self.insts.len()
     }
 
@@ -369,7 +369,7 @@ impl<'a> BatchSim<'a> {
 
     /// Runs every instance to `t_stop` and returns one trace per instance,
     /// in batch order — each bit-identical to the scalar solver's trace
-    /// for that instance. The no-stop case of [`BatchSim::run_until`].
+    /// for that instance. The no-stop case of `BatchSim::run_until`.
     pub fn run(&self) -> Vec<Trace> {
         self.run_until(None)
     }
@@ -383,7 +383,7 @@ impl<'a> BatchSim<'a> {
     /// a prefix of the instance's [`BatchSim::run`] trace that already
     /// holds the crossing: [`Crossing::time_in`] measures the same time on
     /// it, bit for bit. The cohort loop ends once its slowest lane stops.
-    pub fn run_until(&self, stop: Option<Crossing>) -> Vec<Trace> {
+    pub(crate) fn run_until(&self, stop: Option<Crossing>) -> Vec<Trace> {
         let b = self.batch();
         let n = self.nodes;
         let opts = &self.opts;

@@ -40,13 +40,13 @@
 //! assert!(trace.last_voltage(out) < 0.01);
 //! ```
 
-pub mod batch;
-pub mod error;
+pub(crate) mod batch;
+pub(crate) mod error;
 pub mod mc;
-pub mod netlist;
-pub mod sim;
-pub mod trace;
-pub mod wave;
+pub(crate) mod netlist;
+pub(crate) mod sim;
+pub(crate) mod trace;
+pub(crate) mod wave;
 
 pub use batch::BatchSim;
 pub use error::CircuitError;

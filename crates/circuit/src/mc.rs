@@ -16,7 +16,7 @@
 //!   and running it alone (the batch engine's core guarantee). A sweep
 //!   that measures one crossing passes it as the stop, and each sample
 //!   ends at that crossing instead of the window's end
-//!   ([`BatchSim::run_until`]).
+//!   (`BatchSim::run_until`).
 
 use crate::batch::BatchSim;
 use crate::netlist::Circuit;
@@ -86,7 +86,7 @@ pub const BATCH_COHORT: usize = 16;
 /// multiple milliseconds of simulation.
 ///
 /// With `stop` given, each sample's trace ends right after the first
-/// stored row completing that crossing ([`BatchSim::run_until`]); it is a
+/// stored row completing that crossing (`BatchSim::run_until`); it is a
 /// prefix of the full-window trace, so a `measure` that reads only that
 /// crossing returns the full-window value.
 ///

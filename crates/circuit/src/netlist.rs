@@ -23,10 +23,10 @@ pub(crate) enum NodeKind {
 /// A MOSFET instance bound to circuit nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MosInst {
-    pub dev: Mosfet,
-    pub d: NodeId,
-    pub g: NodeId,
-    pub s: NodeId,
+    pub(crate) dev: Mosfet,
+    pub(crate) d: NodeId,
+    pub(crate) g: NodeId,
+    pub(crate) s: NodeId,
 }
 
 /// A netlist under construction plus the environment it will simulate in.
@@ -91,18 +91,6 @@ impl Circuit {
         id
     }
 
-    /// Adds extra capacitance (farads) onto an existing state node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not a state node.
-    pub fn add_cap(&mut self, node: NodeId, extra: f64) {
-        match &mut self.kinds[node.0] {
-            NodeKind::State { cap } => *cap += extra,
-            _ => panic!("can only add capacitance to state nodes"),
-        }
-    }
-
     /// Adds a resistor of `ohms` between `a` and `b`.
     ///
     /// # Panics
@@ -133,13 +121,8 @@ impl Circuit {
     }
 
     /// Number of nodes including ground.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.names.len()
-    }
-
-    /// The name of a node.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0]
     }
 
     /// The lumped capacitance of a state node, if it is one.
@@ -165,12 +148,9 @@ mod tests {
     fn node_bookkeeping() {
         let mut c = Circuit::new(Env::nominal());
         let n = c.add_node("bl", 10e-15, 0.9);
-        assert_eq!(c.node_name(n), "bl");
         assert_eq!(c.node_cap(n), Some(10e-15));
         assert_eq!(c.node_cap(c.gnd()), None);
         assert_eq!(c.node_count(), 2);
-        c.add_cap(n, 5e-15);
-        assert_eq!(c.node_cap(n), Some(15e-15));
     }
 
     #[test]
@@ -190,13 +170,5 @@ mod tests {
     fn zero_cap_node_rejected() {
         let mut c = Circuit::new(Env::nominal());
         let _ = c.add_node("x", 0.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "state nodes")]
-    fn cannot_add_cap_to_source() {
-        let mut c = Circuit::new(Env::nominal());
-        let s = c.add_source("v", Waveform::dc(1.0));
-        c.add_cap(s, 1e-15);
     }
 }

@@ -16,19 +16,19 @@ use bpimc_device::{DeviceKind, MosParams};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
     /// End of the simulated window, seconds.
-    pub t_stop: f64,
+    pub(crate) t_stop: f64,
     /// Base integration step, seconds.
-    pub dt: f64,
+    pub(crate) dt: f64,
     /// Trace storage interval, seconds (decimation of the raw steps).
-    pub store_dt: f64,
+    pub(crate) store_dt: f64,
     /// Maximum allowed per-node voltage change per step before the step is
     /// shrunk (volts). Also bounds the accepted Heun corrector error.
-    pub dv_max: f64,
+    pub(crate) dv_max: f64,
     /// Maximum halving depth below the base step for fast transients.
-    pub max_depth: u32,
+    pub(crate) max_depth: u32,
     /// Maximum step growth factor above the base step in quiet regions.
     /// `1.0` reproduces the original fixed-step behaviour.
-    pub max_growth: f64,
+    pub(crate) max_growth: f64,
 }
 
 impl SimOptions {
@@ -47,20 +47,6 @@ impl SimOptions {
             max_depth: 10,
             max_growth: 64.0,
         }
-    }
-
-    /// Returns a copy with a different base step.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        assert!(dt > 0.0, "dt must be positive");
-        self.dt = dt;
-        self
-    }
-
-    /// Returns a copy with a different quiet-region growth cap.
-    pub fn with_max_growth(mut self, g: f64) -> Self {
-        assert!(g >= 1.0, "growth cap must be at least 1");
-        self.max_growth = g;
-        self
     }
 }
 

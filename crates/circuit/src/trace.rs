@@ -16,7 +16,7 @@ pub enum Edge {
 /// `edge`, searched at or after `t_from`.
 ///
 /// This is the one crossing rule of the crate. [`Trace::cross_time`]
-/// measures with it, and [`crate::BatchSim::run_until`] stops a lane at the
+/// measures with it, and `BatchSim::run_until` stops a lane at the
 /// first stored row where it holds — so a trace cut there is a prefix of
 /// the full trace that already contains the crossing, and measures the
 /// same time bit for bit.

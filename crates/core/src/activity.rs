@@ -32,34 +32,20 @@ pub struct CycleActivity {
     pub ff_bits: usize,
 }
 
-impl CycleActivity {
-    /// A cycle with no array activity at all (placeholder/testing).
-    pub fn idle() -> Self {
-        Self {
-            kind: CycleKind::ReadOnly,
-            compute_cols: 0,
-            logic_cols: 0,
-            wb_cols: 0,
-            wb_to_dummy: false,
-            wb_shielded: false,
-            wb_inverting: false,
-            ff_bits: 0,
-        }
-    }
-}
+impl CycleActivity {}
 
 /// One executed operation: its kind, precision and cycle span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpRecord {
     /// Operation kind.
-    pub kind: OpKind,
+    pub(crate) kind: OpKind,
     /// The precision it ran at (logic/copy ops report the full row and use
     /// [`Precision::P8`] only as a placeholder when irrelevant).
-    pub precision: Precision,
+    pub(crate) precision: Precision,
     /// Index of its first cycle in the log.
-    pub first_cycle: usize,
+    pub(crate) first_cycle: usize,
     /// Number of cycles it took.
-    pub cycle_count: usize,
+    pub(crate) cycle_count: usize,
 }
 
 /// The complete activity history of a macro.
@@ -71,17 +57,17 @@ pub struct ActivityLog {
 
 impl ActivityLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one cycle.
-    pub fn push_cycle(&mut self, c: CycleActivity) {
+    pub(crate) fn push_cycle(&mut self, c: CycleActivity) {
         self.cycles.push(c);
     }
 
     /// Records an operation spanning the last `cycle_count` cycles.
-    pub fn push_op(&mut self, kind: OpKind, precision: Precision, cycle_count: usize) {
+    pub(crate) fn push_op(&mut self, kind: OpKind, precision: Precision, cycle_count: usize) {
         let first_cycle = self.cycles.len().saturating_sub(cycle_count);
         self.ops.push(OpRecord {
             kind,
@@ -106,18 +92,8 @@ impl ActivityLog {
         self.cycles.len() as u64
     }
 
-    /// The cycles belonging to an op record.
-    pub fn cycles_of(&self, op: &OpRecord) -> &[CycleActivity] {
-        &self.cycles[op.first_cycle..op.first_cycle + op.cycle_count]
-    }
-
-    /// The last recorded op, if any.
-    pub fn last_op(&self) -> Option<&OpRecord> {
-        self.ops.last()
-    }
-
     /// Clears all history (used between measurements).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.cycles.clear();
         self.ops.clear();
     }
@@ -162,19 +138,25 @@ impl SessionActivity {
         self.requests += 1;
         self.errors += 1;
     }
-
-    /// Folds another account into this one (e.g. totals across sessions).
-    pub fn merge(&mut self, other: &SessionActivity) {
-        self.requests += other.requests;
-        self.errors += other.errors;
-        self.cycles += other.cycles;
-        self.energy_fj += other.energy_fj;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cycle with no array activity at all.
+    fn idle() -> CycleActivity {
+        CycleActivity {
+            kind: CycleKind::ReadOnly,
+            compute_cols: 0,
+            logic_cols: 0,
+            wb_cols: 0,
+            wb_to_dummy: false,
+            wb_shielded: false,
+            wb_inverting: false,
+            ff_bits: 0,
+        }
+    }
 
     #[test]
     fn session_activity_accumulates() {
@@ -186,33 +168,29 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert_eq!(s.cycles, 14);
         assert!((s.energy_fj - 2.0).abs() < 1e-12);
-        let mut total = SessionActivity::new();
-        total.merge(&s);
-        total.merge(&s);
-        assert_eq!(total.requests, 6);
-        assert_eq!(total.cycles, 28);
     }
 
     #[test]
     fn op_spans_map_to_cycles() {
         let mut log = ActivityLog::new();
-        log.push_cycle(CycleActivity::idle());
+        log.push_cycle(idle());
         log.push_cycle(CycleActivity {
             compute_cols: 64,
-            ..CycleActivity::idle()
+            ..idle()
         });
         log.push_op(OpKind::Sub, Precision::P8, 2);
-        let op = *log.last_op().unwrap();
+        let op = *log.ops().last().unwrap();
         assert_eq!(op.first_cycle, 0);
-        assert_eq!(log.cycles_of(&op).len(), 2);
-        assert_eq!(log.cycles_of(&op)[1].compute_cols, 64);
+        let span = &log.cycles()[op.first_cycle..][..op.cycle_count];
+        assert_eq!(span.len(), 2);
+        assert_eq!(span[1].compute_cols, 64);
         assert_eq!(log.total_cycles(), 2);
     }
 
     #[test]
     fn clear_resets() {
         let mut log = ActivityLog::new();
-        log.push_cycle(CycleActivity::idle());
+        log.push_cycle(idle());
         log.push_op(OpKind::Not, Precision::P8, 1);
         log.clear();
         assert_eq!(log.total_cycles(), 0);

@@ -1,4 +1,4 @@
-//! Macro and chip configuration.
+//! Macro configuration.
 
 use bpimc_array::ArrayGeometry;
 
@@ -9,7 +9,7 @@ pub struct MacroConfig {
     pub geometry: ArrayGeometry,
     /// Whether the BL separator feature is active (shields dummy-row
     /// write-backs from the main bit-line capacitance).
-    pub separator_enabled: bool,
+    pub(crate) separator_enabled: bool,
 }
 
 impl MacroConfig {
@@ -42,46 +42,15 @@ impl Default for MacroConfig {
     }
 }
 
-/// Configuration of a multi-bank chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChipConfig {
-    /// Banks per chip.
-    pub banks: usize,
-    /// Macros per bank.
-    pub macros_per_bank: usize,
-    /// Per-macro configuration.
-    pub macro_config: MacroConfig,
-}
-
-impl ChipConfig {
-    /// The paper's 128 KB chip: 4 banks x 16 macros x (128 x 128 bits).
-    pub fn paper_chip() -> Self {
-        Self {
-            banks: 4,
-            macros_per_bank: 16,
-            macro_config: MacroConfig::paper_macro(),
-        }
-    }
-
-    /// Total storage capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.banks * self.macros_per_bank * self.macro_config.geometry.capacity_bytes()
-    }
-}
-
-impl Default for ChipConfig {
-    fn default() -> Self {
-        Self::paper_chip()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_chip_is_128_kb() {
-        assert_eq!(ChipConfig::paper_chip().capacity_bytes(), 128 * 1024);
+        // The paper's chip is 4 banks of 16 macros.
+        let macro_bytes = MacroConfig::paper_macro().geometry.capacity_bytes();
+        assert_eq!(64 * macro_bytes, 128 * 1024);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum OpKind {
 impl OpKind {
     /// The cycle count of this operation at a given precision — the paper's
     /// Table I ("N represents the data bit-width").
-    pub fn cycles(&self, precision: Precision) -> u64 {
+    pub(crate) fn cycles(&self, precision: Precision) -> u64 {
         match self {
             OpKind::Logic(_) | OpKind::Not | OpKind::Copy | OpKind::Shl => 1,
             OpKind::Add | OpKind::AddShift => 1,

@@ -61,9 +61,9 @@ pub enum Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: &'static str,
+    pub(crate) message: &'static str,
 }
 
 impl fmt::Display for JsonError {

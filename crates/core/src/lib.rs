@@ -18,11 +18,11 @@
 //! All data operations are *bit-parallel*: one op processes every word lane
 //! of the row at once, with the carry chain segmented per the configured
 //! [`Precision`] (2/4/8-bit in the paper, 16/32-bit by the same
-//! construction). Every cycle is logged ([`activity`]) so the energy model
+//! construction). Every cycle is logged ([`ActivityLog`]) so the energy model
 //! in `bpimc-metrics` can reproduce the paper's Table II.
 //!
-//! The 128 KB chip of the paper (4 banks of 16 macros) is modelled by
-//! [`Chip`].
+//! The paper's 128 KB chip is 64 such macros; a [`MacroBank`] runs
+//! independent jobs across any number of them.
 //!
 //! # Examples
 //!
@@ -40,23 +40,20 @@
 //! # }
 //! ```
 
-pub mod activity;
-pub mod bank;
-pub mod config;
-pub mod error;
-pub mod isa;
+pub(crate) mod activity;
+pub(crate) mod config;
+pub(crate) mod error;
+pub(crate) mod isa;
 pub mod json;
-pub mod macrobank;
-pub mod macroblock;
+pub(crate) mod macrobank;
+pub(crate) mod macroblock;
 pub mod prog;
 pub mod wire;
-pub mod words;
+pub(crate) mod words;
 
 pub use activity::{ActivityLog, CycleActivity, OpRecord, SessionActivity};
-pub use bank::Chip;
 pub use config::MacroConfig;
 pub use error::Error;
-pub use isa::OpKind;
 pub use macrobank::MacroBank;
 pub use macroblock::ImcMacro;
 pub use prog::analysis::{Diagnostic, Severity};

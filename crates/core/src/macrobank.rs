@@ -1,11 +1,10 @@
 //! The batched multi-macro executor.
 //!
-//! Where [`Chip`](crate::bank::Chip) models the paper's *lock-step* chip
-//! (one broadcast op, every macro in the same cycle), a [`MacroBank`] is a
-//! throughput-oriented executor for batches of independent jobs (the NN
-//! classifier's evaluation): it owns `N` independent [`ImcMacro`]s and
-//! spreads a queue of jobs across them, one worker thread per macro, with
-//! results returned in job order.
+//! A [`MacroBank`] is a throughput-oriented executor for batches of
+//! independent jobs (the NN classifier's evaluation): it owns `N`
+//! independent [`ImcMacro`]s and spreads a queue of jobs across them, one
+//! worker thread per macro, with results returned in job order. The
+//! paper's 128 KB chip is a bank of 64 macros.
 //!
 //! Each job gets exclusive `&mut` access to one macro for its whole
 //! duration, so macro state (rows, activity log, separator counters) stays

@@ -87,12 +87,6 @@ impl ImcMacro {
         &self.separator
     }
 
-    /// Non-logging row inspection (for tests and debugging; a real data-out
-    /// read is [`ImcMacro::read_row`]).
-    pub fn peek_row(&self, row: usize) -> Result<BitRow, Error> {
-        Ok(self.array.read(RowAddr::Main(row))?)
-    }
-
     // ------------------------------------------------------------------
     // Plain memory access
     // ------------------------------------------------------------------
@@ -102,7 +96,7 @@ impl ImcMacro {
     /// # Errors
     ///
     /// Returns an error for an invalid row or mismatched width.
-    pub fn write_row(&mut self, row: usize, value: &BitRow) -> Result<u64, Error> {
+    pub(crate) fn write_row(&mut self, row: usize, value: &BitRow) -> Result<u64, Error> {
         self.array.write(RowAddr::Main(row), value)?;
         self.push_write_cycle(RowAddr::Main(row), value.width(), 0);
         self.log.push_op(OpKind::Write, Precision::P8, 1);
@@ -114,7 +108,7 @@ impl ImcMacro {
     /// # Errors
     ///
     /// Returns an error for an invalid row.
-    pub fn read_row(&mut self, row: usize) -> Result<BitRow, Error> {
+    pub(crate) fn read_row(&mut self, row: usize) -> Result<BitRow, Error> {
         let v = self.array.read(RowAddr::Main(row))?;
         self.log.push_cycle(CycleActivity {
             kind: CycleKind::ReadOnly,
@@ -692,7 +686,7 @@ mod tests {
         assert_eq!(ops[0].kind, OpKind::Add);
         assert_eq!(ops[1].cycle_count, 2);
         // SUB's first cycle writes a dummy row and is shielded.
-        let sub_cycles = m.activity().cycles_of(&ops[1]);
+        let sub_cycles = &m.activity().cycles()[ops[1].first_cycle..][..ops[1].cycle_count];
         assert!(sub_cycles[0].wb_to_dummy && sub_cycles[0].wb_shielded);
         assert!(!sub_cycles[1].wb_to_dummy);
     }

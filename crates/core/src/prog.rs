@@ -19,14 +19,17 @@
 //! * **A static cost model** — [`Program::cycles`] and
 //!   [`Program::predicted_activity`] predict the exact cycle count and
 //!   per-cycle activity (and therefore energy) of a run before it happens;
-//!   [`Program::run`] asserts the prediction against the activity log
-//!   afterwards.
-//! * **A lowering pass** ([`Program::lowered`]) — adjacent `add` + `shl`
+//!   every run asserts the prediction against the activity log afterwards.
+//! * **A lowering pass** — adjacent `add` + `shl`
 //!   pairs fuse into the hardware's single-cycle `add_shift` path when the
 //!   intermediate sum is dead afterwards.
 //!
-//! Execution runs on one macro ([`Program::run`]); a batch of independent
-//! programs fans across a bank through
+//! Programs execute in one place: [`Program::compile`] validates, lowers
+//! and packs the writes' rows once, and [`CompiledProgram`]'s loop runs
+//! the result on one macro. [`Program::run`] is compile-then-run; stored
+//! programs compile once and rebind their writes per run
+//! ([`CompiledProgram::run_with_inputs`]). A batch of independent programs
+//! fans across a bank through
 //! [`MacroBank::try_run_batch`](crate::MacroBank::try_run_batch), one
 //! program per job.
 //!
@@ -58,10 +61,11 @@ use crate::isa::OpKind;
 use crate::macroblock::ImcMacro;
 use bpimc_array::{BitRow, CycleKind};
 use bpimc_periph::{LogicOp, Precision};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 
-pub mod analysis;
+pub(crate) mod analysis;
 
 /// A virtual row register. The executor maps register `i` to main-array
 /// row `i`; a program may use at most as many registers as the macro has
@@ -71,7 +75,7 @@ pub struct Reg(pub u16);
 
 impl Reg {
     /// The physical main-array row this register maps to.
-    pub fn row(self) -> usize {
+    pub(crate) fn row(self) -> usize {
         self.0 as usize
     }
 }
@@ -222,7 +226,7 @@ impl Instr {
     /// The wire name of this instruction (see [`crate::wire`]); logic
     /// instructions are named by their function (`and`/`or`/…), exactly
     /// as the wire parser expects them back.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Instr::Write { .. } => "write",
             Instr::WriteMult { .. } => "write_mult",
@@ -258,12 +262,12 @@ impl Instr {
     }
 
     /// True for instructions that append a vector to the run's outputs.
-    pub fn is_read(&self) -> bool {
+    pub(crate) fn is_read(&self) -> bool {
         matches!(self, Instr::Read { .. } | Instr::ReadProducts { .. })
     }
 
     /// The registers this instruction reads.
-    pub fn sources(&self) -> Vec<Reg> {
+    pub(crate) fn sources(&self) -> Vec<Reg> {
         match self {
             Instr::Write { .. } | Instr::WriteMult { .. } => Vec::new(),
             Instr::Read { src, .. }
@@ -281,7 +285,7 @@ impl Instr {
     }
 
     /// The register this instruction writes, if any.
-    pub fn dst(&self) -> Option<Reg> {
+    pub(crate) fn dst(&self) -> Option<Reg> {
         match self {
             Instr::Read { .. } | Instr::ReadProducts { .. } => None,
             Instr::Write { dst, .. }
@@ -300,7 +304,7 @@ impl Instr {
 
     /// The cycles this instruction takes on the macro (the paper's Table I
     /// plus the data-movement moves).
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         match self {
             Instr::Write { .. }
             | Instr::WriteMult { .. }
@@ -500,7 +504,7 @@ impl ProgError {
     /// per variant), carried by `invalid_program` wire errors and
     /// [`analysis::Diagnostic`]s. Codes are never renumbered: `E011` and
     /// `E013` belonged to variants that no longer exist and stay retired.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ProgError::TooManyRegs { .. } => "E001",
             ProgError::UseBeforeDef { .. } => "E002",
@@ -517,7 +521,7 @@ impl ProgError {
     }
 
     /// The index of the offending instruction, for variants that name one.
-    pub fn instr(&self) -> Option<usize> {
+    pub(crate) fn instr(&self) -> Option<usize> {
         match self {
             ProgError::UseBeforeDef { instr, .. }
             | ProgError::OperandsAlias { instr, .. }
@@ -585,13 +589,13 @@ impl Program {
     }
 
     /// Number of virtual registers the program uses.
-    pub fn reg_count(&self) -> usize {
+    pub(crate) fn reg_count(&self) -> usize {
         self.regs
     }
 
     /// Number of `read`/`read_products` instructions (output vectors a run
     /// will produce).
-    pub fn read_count(&self) -> usize {
+    pub(crate) fn read_count(&self) -> usize {
         self.instrs.iter().filter(|i| i.is_read()).count()
     }
 
@@ -687,30 +691,35 @@ impl Program {
     /// precision) fuses into the hardware's single-cycle
     /// `add_shift d <- a, b` when `r_t` is dead afterwards — the paper's
     /// ADD-shift path, saving one cycle per pair.
-    pub fn lowered(&self) -> Vec<Instr> {
-        self.lower_indexed().into_iter().map(|(i, _)| i).collect()
+    pub(crate) fn lowered(&self) -> Vec<Instr> {
+        self.lower_indexed().map(|(i, _)| i.into_owned()).collect()
     }
 
     /// Lowered instructions, each tagged with the index of the submitted
-    /// instruction its cycles are billed to. One pass over the stream: the
-    /// fusion-legality liveness question ("is the intermediate sum ever
-    /// read later?") is answered from a precomputed last-read index per
-    /// register, so lowering stays linear in program length (untrusted
-    /// `exec_program` requests run through here on the shared dispatcher).
-    fn lower_indexed(&self) -> Vec<(Instr, usize)> {
+    /// instruction its cycles are billed to; only a fused `add_shift` is
+    /// built, every other instruction is borrowed. One pass over the
+    /// stream: the fusion-legality liveness question ("is the intermediate
+    /// sum ever read later?") is answered from a precomputed last-read
+    /// index per register, so lowering stays linear in program length
+    /// (untrusted `exec_program` requests run through here on the
+    /// dispatcher).
+    fn lower_indexed(&self) -> impl Iterator<Item = (Cow<'_, Instr>, usize)> + '_ {
         let last_read = self.last_read_table();
-        let mut out = Vec::with_capacity(self.instrs.len());
         let mut idx = 0;
-        while idx < self.instrs.len() {
-            if let Some(fused) = self.try_fuse_at(idx, &last_read) {
-                out.push((fused, idx));
-                idx += 2;
-            } else {
-                out.push((self.instrs[idx].clone(), idx));
-                idx += 1;
-            }
-        }
-        out
+        std::iter::from_fn(move || {
+            let at = idx;
+            let instr = self.instrs.get(at)?;
+            Some(match self.try_fuse_at(at, &last_read) {
+                Some(fused) => {
+                    idx += 2;
+                    (Cow::Owned(fused), at)
+                }
+                None => {
+                    idx += 1;
+                    (Cow::Borrowed(instr), at)
+                }
+            })
+        })
     }
 
     /// `last_read[r]` = highest instruction index that reads register `r`.
@@ -769,7 +778,7 @@ impl Program {
     /// over the *lowered* stream (Table I per-op counts; a fused
     /// `add`+`shl` pair costs one cycle).
     pub fn cycles(&self) -> u64 {
-        self.lowered().iter().map(Instr::cycles).sum()
+        self.lower_indexed().map(|(i, _)| i.cycles()).sum()
     }
 
     /// Predicted cycles billed to each submitted instruction (aligned with
@@ -799,19 +808,15 @@ impl Program {
         let cols = config.geometry.cols;
         let sep = config.separator_enabled;
         let mut cycles = Vec::new();
-        for instr in self.lowered() {
+        for (instr, _) in self.lower_indexed() {
             predict_instr_activity(&instr, cols, sep, &mut cycles);
         }
         Ok(cycles)
     }
 
-    /// Validates, then executes the lowered stream on `mac`, returning the
-    /// read outputs and exact per-instruction accounting spans into the
-    /// macro's activity log.
-    ///
-    /// The static cost model is asserted against the activity log: a
-    /// mismatch between [`Program::cycles`] and the cycles actually logged
-    /// is a bug in this module and panics.
+    /// Compiles for `mac`'s configuration and runs once: the read outputs
+    /// and exact per-instruction accounting spans into the macro's activity
+    /// log. See [`CompiledProgram::run`].
     ///
     /// # Errors
     ///
@@ -823,66 +828,60 @@ impl Program {
     /// Panics if the executed cycle count diverges from the static cost
     /// model (a `prog` bug, never a data-dependent condition).
     pub fn run(&self, mac: &mut ImcMacro) -> Result<ProgramRun, ProgError> {
-        self.validate(mac.config())?;
-        // Fuse on the fly: the executor walks the submitted stream once,
-        // consulting the liveness table at each potential `add`+`shl` pair,
-        // so no lowered copy of the instructions (or of their payload
-        // vectors) is materialised per run.
-        let last_read = self.last_read_table();
-        let mut state = ExecState::new(mac, self.instrs.len(), self.read_count());
-        let mut predicted = 0u64;
-        let mut idx = 0;
-        while idx < self.instrs.len() {
-            if let Some(fused) = self.try_fuse_at(idx, &last_read) {
-                predicted += fused.cycles();
-                state.step(mac, &fused, idx)?;
-                idx += 2;
-            } else {
-                let instr = &self.instrs[idx];
-                predicted += instr.cycles();
-                state.step(mac, instr, idx)?;
-                idx += 1;
-            }
-        }
-        Ok(state.finish(mac, predicted))
+        self.compile(mac.config())?.run(mac)
     }
 
-    /// Validates and lowers once for `config`, returning a
-    /// [`CompiledProgram`] whose runs skip both — the fast path for
-    /// validate-once-run-many callers (stored programs, benchmark loops,
-    /// replayed pipelines).
+    /// Validates and lowers once for `config`, packing every write's values
+    /// into its row, and returns a [`CompiledProgram`] whose runs skip all
+    /// three: the form every program executes in, run once by
+    /// [`Program::run`] and many times by stored programs.
     ///
     /// # Errors
     ///
     /// Forwards any validation [`ProgError`].
     pub fn compile(&self, config: &MacroConfig) -> Result<CompiledProgram, ProgError> {
         self.validate(config)?;
-        let ops = self.lower_indexed();
-        let predicted = ops.iter().map(|(i, _)| i.cycles()).sum();
         let cols = config.geometry.cols;
-        let packed = ops
-            .iter()
-            .filter_map(|(instr, idx)| {
-                let row = match instr {
-                    Instr::Write {
-                        precision, values, ..
-                    } => crate::words::pack_words(values, *precision, cols),
-                    Instr::WriteMult {
-                        precision, values, ..
-                    } => crate::words::pack_mult_operands(values, *precision, cols),
-                    _ => return None,
-                };
-                Some(row.map_err(|source| ProgError::Exec {
-                    instr: *idx,
-                    source,
-                }))
-            })
-            .collect::<Result<_, _>>()?;
+        let mut predicted = 0;
+        let mut writes = 0;
+        let mut ops = Vec::with_capacity(self.instrs.len());
+        for (instr, idx) in self.lower_indexed() {
+            predicted += instr.cycles();
+            let op = match &*instr {
+                Instr::Write {
+                    dst,
+                    precision,
+                    values,
+                }
+                | Instr::WriteMult {
+                    dst,
+                    precision,
+                    values,
+                } => {
+                    let mult = matches!(&*instr, Instr::WriteMult { .. });
+                    let row = if mult {
+                        crate::words::pack_mult_operands(values, *precision, cols)
+                    } else {
+                        crate::words::pack_words(values, *precision, cols)
+                    };
+                    writes += 1;
+                    Op::Write {
+                        dst: dst.row(),
+                        precision: *precision,
+                        mult,
+                        row: row.map_err(|source| ProgError::Exec { instr: idx, source })?,
+                        len: values.len(),
+                    }
+                }
+                _ => Op::Exec(instr.into_owned()),
+            };
+            ops.push((op, idx));
+        }
         Ok(CompiledProgram {
             ops,
             submitted: self.instrs.len(),
             reads: self.read_count(),
-            packed,
+            writes,
             predicted,
             config: *config,
         })
@@ -923,47 +922,55 @@ impl Program {
 pub struct CompiledProgram {
     /// Lowered ops, each tagged with the submitted-instruction index its
     /// cycles bill to.
-    ops: Vec<(Instr, usize)>,
+    ops: Vec<(Op, usize)>,
     /// Submitted instruction count (sizes the per-instruction accounting).
     submitted: usize,
     /// Output vectors a run produces.
     reads: usize,
-    /// The compiled values of each `write`/`write_mult` (the bindable
-    /// input slots of [`CompiledProgram::run_with_inputs`]), in op order,
-    /// packed into their rows once here rather than on every run.
-    packed: Vec<BitRow>,
+    /// `write`/`write_mult` ops: the bindable input slots of
+    /// [`CompiledProgram::run_with_inputs`].
+    writes: usize,
     /// Static total-cycle prediction over the lowered stream.
     predicted: u64,
     /// The configuration the program was validated against.
     config: MacroConfig,
 }
 
-impl CompiledProgram {
-    /// The configuration this program was compiled for.
-    pub fn config(&self) -> &MacroConfig {
-        &self.config
-    }
+/// One lowered op of a [`CompiledProgram`].
+#[derive(Debug, Clone, PartialEq)]
+enum Op {
+    /// A `write` (or, with `mult`, a `write_mult`) of `row`, packed at
+    /// compile time from `len` values; a bound input must have `len`
+    /// values too, so the baked `read` lane counts stay right.
+    Write {
+        dst: usize,
+        precision: Precision,
+        mult: bool,
+        row: BitRow,
+        len: usize,
+    },
+    /// Every other lowered instruction.
+    Exec(Instr),
+}
 
+impl CompiledProgram {
     /// Predicted total hardware cycles of a run (the static cost model).
     pub fn cycles(&self) -> u64 {
         self.predicted
     }
 
-    /// Number of submitted instructions (per-instruction accounting slots).
-    pub fn submitted_len(&self) -> usize {
-        self.submitted
-    }
-
     /// Number of `write`/`write_mult` instructions — the input slots a
     /// [`CompiledProgram::run_with_inputs`] call binds, in submitted order.
     pub fn write_count(&self) -> usize {
-        self.packed.len()
+        self.writes
     }
 
     /// Executes the pre-resolved op array on `mac` — no validation, no
     /// lowering, just the instruction stream and its accounting: a
-    /// [`CompiledProgram::run_with_inputs`] that binds no write. Same
-    /// results and same cost-model assertion as [`Program::run`].
+    /// [`CompiledProgram::run_with_inputs`] that binds no write. Returns
+    /// the read outputs and each submitted instruction's cycles and span
+    /// in the macro's activity log (a fused-away `shl` bills 0 cycles and
+    /// an empty span).
     ///
     /// # Errors
     ///
@@ -976,7 +983,7 @@ impl CompiledProgram {
     /// Panics if the executed cycle count diverges from the static cost
     /// model (a `prog` bug, never a data-dependent condition).
     pub fn run(&self, mac: &mut ImcMacro) -> Result<ProgramRun, ProgError> {
-        self.run_with_inputs(mac, &vec![None; self.packed.len()])
+        self.run_accounted(mac, None)
     }
 
     /// Executes the pre-resolved op array with fresh *input bindings*: one
@@ -1009,29 +1016,13 @@ impl CompiledProgram {
         mac: &mut ImcMacro,
         inputs: &[Option<&[u64]>],
     ) -> Result<ProgramRun, ProgError> {
-        if *mac.config() != self.config {
-            return Err(ProgError::ConfigMismatch);
-        }
-        self.check_bindings(inputs)?;
-        let mut state = ExecState::new(mac, self.submitted, self.reads);
-        let mut slot = 0usize;
-        for (instr, idx) in &self.ops {
-            if matches!(instr, Instr::Write { .. } | Instr::WriteMult { .. }) {
-                state.step_write(mac, *idx, |m| self.write(m, instr, slot, inputs[slot]))?;
-                slot += 1;
-            } else {
-                state.step(mac, instr, *idx)?;
-            }
-        }
-        Ok(state.finish(mac, self.predicted))
+        self.run_accounted(mac, Some(inputs))
     }
 
     /// [`CompiledProgram::run_with_inputs`] without the per-instruction
-    /// accounting: returns just the read outputs. For callers that bill
-    /// from the activity log's totals anyway (the serving classify path),
-    /// this skips the per-instruction cycle/span bookkeeping — the last
-    /// measurable executor overhead on many-instruction programs. The
-    /// total-cycle cost-model assertion still runs.
+    /// accounting: returns just the read outputs, for callers that bill
+    /// from the activity log's totals anyway (the serving classify path).
+    /// The total-cycle cost-model assertion still runs.
     ///
     /// # Errors
     ///
@@ -1046,25 +1037,76 @@ impl CompiledProgram {
         mac: &mut ImcMacro,
         inputs: &[Option<&[u64]>],
     ) -> Result<Vec<Vec<u64>>, ProgError> {
+        self.exec(mac, Some(inputs), |_, _| {})
+    }
+
+    /// [`CompiledProgram::exec`] billing each submitted instruction its
+    /// cycles and activity-log span.
+    fn run_accounted(
+        &self,
+        mac: &mut ImcMacro,
+        inputs: Option<&[Option<&[u64]>]>,
+    ) -> Result<ProgramRun, ProgError> {
+        let start = mac.activity().total_cycles() as usize;
+        let mut instr_cycles = vec![0u64; self.submitted];
+        let mut instr_spans = vec![start..start; self.submitted];
+        let outputs = self.exec(mac, inputs, |idx, span| {
+            instr_cycles[idx] = span.len() as u64;
+            instr_spans[idx] = span;
+        })?;
+        Ok(ProgramRun {
+            outputs,
+            instr_cycles,
+            instr_spans,
+        })
+    }
+
+    /// The executor: checks the configuration and any `inputs` (`None`
+    /// binds no write) before touching the array, runs every op on `mac`,
+    /// hands `bill` each op's submitted-instruction index and span in the
+    /// activity log, and asserts the static cost model against the cycles
+    /// logged.
+    fn exec(
+        &self,
+        mac: &mut ImcMacro,
+        inputs: Option<&[Option<&[u64]>]>,
+        mut bill: impl FnMut(usize, Range<usize>),
+    ) -> Result<Vec<Vec<u64>>, ProgError> {
         if *mac.config() != self.config {
             return Err(ProgError::ConfigMismatch);
         }
-        self.check_bindings(inputs)?;
+        if let Some(inputs) = inputs {
+            self.check_bindings(inputs)?;
+        }
         let log_start = mac.activity().total_cycles();
         let mut outputs = Vec::with_capacity(self.reads);
         let mut slot = 0usize;
-        for (instr, idx) in &self.ops {
-            let res = if matches!(instr, Instr::Write { .. } | Instr::WriteMult { .. }) {
-                let written = self.write(mac, instr, slot, inputs[slot]);
-                slot += 1;
-                written.map(|_| ())
-            } else {
-                exec_instr(instr, mac, &mut outputs)
+        for (op, idx) in &self.ops {
+            let start = mac.activity().total_cycles() as usize;
+            let done = match op {
+                Op::Write {
+                    dst,
+                    precision,
+                    mult,
+                    row,
+                    ..
+                } => {
+                    let bound = inputs.and_then(|inputs| inputs[slot]);
+                    slot += 1;
+                    match (bound, mult) {
+                        (None, _) => mac.write_row(*dst, row),
+                        (Some(values), false) => mac.write_words(*dst, *precision, values),
+                        (Some(values), true) => mac.write_mult_operands(*dst, *precision, values),
+                    }
+                    .map(drop)
+                }
+                Op::Exec(instr) => exec_instr(instr, mac, &mut outputs),
             };
-            res.map_err(|source| ProgError::Exec {
+            done.map_err(|source| ProgError::Exec {
                 instr: *idx,
                 source,
             })?;
+            bill(*idx, start..mac.activity().total_cycles() as usize);
         }
         let executed = mac.activity().total_cycles() - log_start;
         assert_eq!(
@@ -1074,131 +1116,37 @@ impl CompiledProgram {
         Ok(outputs)
     }
 
-    /// Runs write slot `slot`, op `instr`: the `bound` values if any, else
-    /// the row packed at compile time. Both log the one write cycle that
-    /// writing the compiled values would.
-    fn write(
-        &self,
-        mac: &mut ImcMacro,
-        instr: &Instr,
-        slot: usize,
-        bound: Option<&[u64]>,
-    ) -> Result<u64, Error> {
-        match (instr, bound) {
-            (Instr::Write { dst, precision, .. }, Some(values)) => {
-                mac.write_words(dst.row(), *precision, values)
-            }
-            (Instr::WriteMult { dst, precision, .. }, Some(values)) => {
-                mac.write_mult_operands(dst.row(), *precision, values)
-            }
-            (Instr::Write { dst, .. } | Instr::WriteMult { dst, .. }, None) => {
-                mac.write_row(dst.row(), &self.packed[slot])
-            }
-            _ => unreachable!("op at write slot {slot} is not a write"),
-        }
-    }
-
     /// Checks a binding set against the compiled writes without touching
     /// any macro: entry count, per-entry length, value ranges.
     fn check_bindings(&self, inputs: &[Option<&[u64]>]) -> Result<(), ProgError> {
-        if inputs.len() != self.packed.len() {
+        if inputs.len() != self.writes {
             return Err(ProgError::InputCount {
-                expected: self.packed.len(),
+                expected: self.writes,
                 got: inputs.len(),
             });
         }
-        let mut slot = 0usize;
-        for (instr, idx) in &self.ops {
-            let (precision, baked) = match instr {
-                Instr::Write {
-                    precision, values, ..
-                }
-                | Instr::WriteMult {
-                    precision, values, ..
-                } => (*precision, values),
-                _ => continue,
-            };
-            if let Some(bound) = inputs[slot] {
-                if bound.len() != baked.len() {
-                    return Err(ProgError::InputLen {
-                        instr: *idx,
-                        expected: baked.len(),
-                        got: bound.len(),
-                    });
-                }
-                if let Some(&v) = bound.iter().find(|&&v| v > precision.max_value()) {
-                    return Err(ProgError::WordTooWide {
-                        value: v,
-                        bits: precision.bits(),
-                        instr: *idx,
-                    });
-                }
+        let writes = self.ops.iter().filter_map(|(op, idx)| match op {
+            Op::Write { precision, len, .. } => Some((*precision, *len, *idx)),
+            Op::Exec(_) => None,
+        });
+        for ((precision, len, idx), bound) in writes.zip(inputs) {
+            let Some(bound) = bound else { continue };
+            if bound.len() != len {
+                return Err(ProgError::InputLen {
+                    instr: idx,
+                    expected: len,
+                    got: bound.len(),
+                });
             }
-            slot += 1;
+            if let Some(&v) = bound.iter().find(|&&v| v > precision.max_value()) {
+                return Err(ProgError::WordTooWide {
+                    value: v,
+                    bits: precision.bits(),
+                    instr: idx,
+                });
+            }
         }
         Ok(())
-    }
-}
-
-/// Per-run execution bookkeeping shared by [`Program::run`] and
-/// [`CompiledProgram::run`]: outputs, per-instruction cycle billing and
-/// activity-log spans, and the cost-model assertion at the end.
-struct ExecState {
-    log_start: usize,
-    outputs: Vec<Vec<u64>>,
-    instr_cycles: Vec<u64>,
-    instr_spans: Vec<Range<usize>>,
-}
-
-impl ExecState {
-    fn new(mac: &ImcMacro, submitted: usize, reads: usize) -> Self {
-        let log_start = mac.activity().total_cycles() as usize;
-        Self {
-            log_start,
-            outputs: Vec::with_capacity(reads),
-            instr_cycles: vec![0u64; submitted],
-            instr_spans: vec![log_start..log_start; submitted],
-        }
-    }
-
-    fn step(&mut self, mac: &mut ImcMacro, instr: &Instr, idx: usize) -> Result<(), ProgError> {
-        let start = mac.activity().total_cycles() as usize;
-        exec_instr(instr, mac, &mut self.outputs)
-            .map_err(|source| ProgError::Exec { instr: idx, source })?;
-        let end = mac.activity().total_cycles() as usize;
-        self.instr_cycles[idx] = (end - start) as u64;
-        self.instr_spans[idx] = start..end;
-        Ok(())
-    }
-
-    /// Like [`ExecState::step`] for a write whose values are bound at run
-    /// time (`run_with_inputs`): the caller supplies the macro call so the
-    /// bound slice is written without cloning it into an [`Instr`].
-    fn step_write(
-        &mut self,
-        mac: &mut ImcMacro,
-        idx: usize,
-        write: impl FnOnce(&mut ImcMacro) -> Result<u64, Error>,
-    ) -> Result<(), ProgError> {
-        let start = mac.activity().total_cycles() as usize;
-        write(mac).map_err(|source| ProgError::Exec { instr: idx, source })?;
-        let end = mac.activity().total_cycles() as usize;
-        self.instr_cycles[idx] = (end - start) as u64;
-        self.instr_spans[idx] = start..end;
-        Ok(())
-    }
-
-    fn finish(self, mac: &ImcMacro, predicted: u64) -> ProgramRun {
-        let executed = mac.activity().total_cycles() - self.log_start as u64;
-        assert_eq!(
-            executed, predicted,
-            "static cost model diverged from the activity log"
-        );
-        ProgramRun {
-            outputs: self.outputs,
-            instr_cycles: self.instr_cycles,
-            instr_spans: self.instr_spans,
-        }
     }
 }
 
@@ -1428,22 +1376,12 @@ fn check_product_width(precision: Precision, cols: usize, instr: usize) -> Resul
     Ok(())
 }
 
-/// Executes one lowered instruction via the macro's method for it.
+/// Executes one lowered instruction other than a write (those compile to
+/// [`Op::Write`]) via the macro's method for it.
 fn exec_instr(instr: &Instr, mac: &mut ImcMacro, outputs: &mut Vec<Vec<u64>>) -> Result<(), Error> {
     match instr {
-        Instr::Write {
-            dst,
-            precision,
-            values,
-        } => {
-            mac.write_words(dst.row(), *precision, values)?;
-        }
-        Instr::WriteMult {
-            dst,
-            precision,
-            values,
-        } => {
-            mac.write_mult_operands(dst.row(), *precision, values)?;
+        Instr::Write { .. } | Instr::WriteMult { .. } => {
+            unreachable!("writes compile to Op::Write")
         }
         Instr::Read { src, precision, n } => {
             outputs.push(mac.read_words(src.row(), *precision, *n)?);
@@ -1658,19 +1596,32 @@ mod tests {
         let d = b.shl(s, p);
         b.read(d, p, 3);
         let prog = b.finish();
+        // The same work as direct macro calls: the pair is one add_shift.
+        let mut direct = mac();
+        direct.write_words(x.row(), p, &[10, 20, 30]).unwrap();
+        direct.write_words(y.row(), p, &[1, 2, 3]).unwrap();
+        direct.add_shift(x.row(), y.row(), d.row(), p).unwrap();
+        let want = direct.read_words(d.row(), p, 3).unwrap();
+        assert_eq!(want, vec![22, 44, 66]);
+
         let compiled = prog.compile(&cfg()).unwrap();
         assert_eq!(compiled.cycles(), prog.cycles());
-        let mut m1 = mac();
-        let mut m2 = mac();
-        let via_run = prog.run(&mut m1).unwrap();
-        let via_compiled = compiled.run(&mut m2).unwrap();
-        assert_eq!(via_run, via_compiled);
+        let mut m = mac();
+        let run = compiled.run(&mut m).unwrap();
+        assert_eq!(run.outputs, vec![want]);
+        assert_eq!(run.instr_cycles, vec![1, 1, 1, 0, 1]);
+        assert_eq!(run.instr_spans, vec![0..1, 1..2, 2..3, 0..0, 3..4]);
         // Writes of rows packed at compile time leave the same rows, log
-        // and separator counts as packing on the fly.
-        assert_eq!(m1, m2);
+        // and separator counts as packing in the macro.
+        assert_eq!(m, direct);
+        // `Program::run` compiles and runs the same way.
+        let mut m2 = mac();
+        assert_eq!(prog.run(&mut m2).unwrap(), run);
+        assert_eq!(m2, direct);
         // Repeat runs reuse the compilation and keep exact accounting.
-        let again = compiled.run(&mut m2).unwrap();
-        assert_eq!(again.outputs, via_run.outputs);
+        let again = compiled.run(&mut m).unwrap();
+        assert_eq!(again.outputs, run.outputs);
+        assert_eq!(again.instr_spans[4], 7..8);
         assert_eq!(again.total_cycles(), prog.cycles());
     }
 

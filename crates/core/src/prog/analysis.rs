@@ -7,24 +7,6 @@
 //! leg — it *advises*. One linear pass resolves every register read to the
 //! definition that produced its value, and every lint of [`Program::lint`]
 //! is derived from that one def-use map.
-//!
-//! # Diagnostic codes
-//!
-//! [`Program::lint`] reports [`Diagnostic`]s with stable codes:
-//!
-//! | Code | Severity | Meaning |
-//! |------|----------|---------|
-//! | `E001`–`E012` | error | The program fails [`Program::validate`]; the code maps 1:1 to the [`ProgError`] variant (see [`ProgError::code`]; `E011` is retired). |
-//! | `L001` | warn | Dead store: a result is overwritten before any instruction reads it. |
-//! | `L002` | warn | Unused result: a result is never read by any later instruction. |
-//! | `L003` | perf | Redundant recomputation: a multi-cycle op recomputes a value that is still resident in another row (a 1-cycle `copy` would do). |
-//! | `L004` | perf | Missed `add`+`shl` fusion: a `shl` of a sum that the lowering pass could not fuse (not adjacent, or the intermediate is read later). |
-//! | `L005` | perf | Recyclable registers: remapping registers would shrink the row budget. |
-//! | `L006` | — | Retired: it priced splitting a program across several macros, which no executor does. |
-//! | `L007` | perf | Over-wide precision: value-range analysis proves the operands and result fit a narrower lane width. |
-//!
-//! `error` diagnostics mean the program will not run; `warn` means it
-//! wastes cycles outright; `perf` marks an optimization opportunity.
 
 use super::{Instr, Precision, ProgError, Program, Reg};
 use crate::config::MacroConfig;
@@ -55,7 +37,7 @@ impl Severity {
     }
 
     /// Parses a wire severity name.
-    pub fn from_name(name: &str) -> Option<Severity> {
+    pub(crate) fn from_name(name: &str) -> Option<Severity> {
         match name {
             "error" => Some(Severity::Error),
             "warn" => Some(Severity::Warn),
@@ -116,7 +98,7 @@ impl Diagnostic {
     /// Folds a validation error into an `error`-severity diagnostic
     /// carrying the [`ProgError::code`] and the offending instruction's
     /// span.
-    pub fn from_prog_error(e: &ProgError) -> Diagnostic {
+    pub(crate) fn from_prog_error(e: &ProgError) -> Diagnostic {
         let span = e.instr().map_or(0..0, |i| i..i + 1);
         Diagnostic::new(e.code(), Severity::Error, span, e.to_string())
     }
@@ -507,13 +489,28 @@ fn packed_reg_count(instrs: &[Instr]) -> usize {
 
 impl Program {
     /// Lints the program against a macro configuration, returning
-    /// diagnostics ordered by instruction span (see the
-    /// [module docs](self) for the code table).
+    /// diagnostics ordered by instruction span.
     ///
     /// A program that fails [`Program::validate`] returns exactly one
-    /// `error` diagnostic carrying the [`ProgError::code`]; further
+    /// `error` diagnostic carrying the error's stable code; further
     /// analysis of an invalid stream would be unreliable, so lints are
     /// only reported for valid programs.
+    ///
+    /// # Diagnostic codes
+    ///
+    /// | Code | Severity | Meaning |
+    /// |------|----------|---------|
+    /// | `E001`–`E012` | error | The program fails [`Program::validate`]; the code maps 1:1 to the [`ProgError`] variant (`E011` and `E013` are retired). |
+    /// | `L001` | warn | Dead store: a result is overwritten before any instruction reads it. |
+    /// | `L002` | warn | Unused result: a result is never read by any later instruction. |
+    /// | `L003` | perf | Redundant recomputation: a multi-cycle op recomputes a value that is still resident in another row (a 1-cycle `copy` would do). |
+    /// | `L004` | perf | Missed `add`+`shl` fusion: a `shl` of a sum that the lowering pass could not fuse (not adjacent, or the intermediate is read later). |
+    /// | `L005` | perf | Recyclable registers: remapping registers would shrink the row budget. |
+    /// | `L006` | — | Retired: it priced splitting a program across several macros, which no executor does. |
+    /// | `L007` | perf | Over-wide precision: value-range analysis proves the operands and result fit a narrower lane width. |
+    ///
+    /// `error` diagnostics mean the program will not run; `warn` means it
+    /// wastes cycles outright; `perf` marks an optimization opportunity.
     pub fn lint(&self, config: &MacroConfig) -> Vec<Diagnostic> {
         if let Err(e) = self.validate(config) {
             return vec![Diagnostic::from_prog_error(&e)];
@@ -585,7 +582,7 @@ impl Program {
         // add) plus the following shl.
         let mut fused = vec![false; self.instrs().len()];
         for (instr, idx) in self.lower_indexed() {
-            if matches!(instr, Instr::AddShift { .. })
+            if matches!(*instr, Instr::AddShift { .. })
                 && matches!(self.instrs()[idx], Instr::Add { .. })
             {
                 fused[idx] = true;

@@ -171,7 +171,7 @@ use std::fmt;
 mod reference;
 
 /// Lane-wise operations addressable over the wire (a subset of the ISA's
-/// [`OpKind`](crate::OpKind) that takes two packed operand vectors).
+/// `OpKind` that takes two packed operand vectors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneOp {
     /// Lane-wise addition (wrapping at the lane width).
@@ -186,7 +186,7 @@ pub enum LaneOp {
 
 impl LaneOp {
     /// The wire name of this op.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             LaneOp::Add => "add",
             LaneOp::Sub => "sub",
@@ -201,7 +201,7 @@ impl LaneOp {
     }
 
     /// The op for a wire name, if any.
-    pub fn from_name(name: &str) -> Option<LaneOp> {
+    pub(crate) fn from_name(name: &str) -> Option<LaneOp> {
         Some(match name {
             "add" => LaneOp::Add,
             "sub" => LaneOp::Sub,
@@ -407,12 +407,7 @@ pub enum RunStatus {
     },
 }
 
-impl RunStatus {
-    /// Whether the last run succeeded.
-    pub fn is_success(&self) -> bool {
-        matches!(self, RunStatus::Success)
-    }
-}
+impl RunStatus {}
 
 /// One stored program in the session's registry (`list_programs`):
 /// compile-time facts plus cumulative run history.
@@ -471,7 +466,7 @@ pub enum ErrorKind {
 impl ErrorKind {
     /// The wire name of this kind (`None` for `Generic`, which is encoded
     /// by omitting the field).
-    pub fn name(&self) -> Option<&'static str> {
+    pub(crate) fn name(&self) -> Option<&'static str> {
         match self {
             ErrorKind::Generic => None,
             ErrorKind::LimitExceeded => Some("limit_exceeded"),
@@ -484,7 +479,7 @@ impl ErrorKind {
     }
 
     /// The kind for a wire name, if any.
-    pub fn from_name(name: &str) -> Option<ErrorKind> {
+    pub(crate) fn from_name(name: &str) -> Option<ErrorKind> {
         Some(match name {
             "limit_exceeded" => ErrorKind::LimitExceeded,
             "overloaded" => ErrorKind::Overloaded,
@@ -519,7 +514,7 @@ pub enum LimitKind {
 
 impl LimitKind {
     /// The wire name of this limit.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             LimitKind::CycleRate => "cycle_rate",
             LimitKind::EnergyRate => "energy_rate",
@@ -532,7 +527,7 @@ impl LimitKind {
     }
 
     /// The limit for a wire name, if any.
-    pub fn from_name(name: &str) -> Option<LimitKind> {
+    pub(crate) fn from_name(name: &str) -> Option<LimitKind> {
         Some(match name {
             "cycle_rate" => LimitKind::CycleRate,
             "energy_rate" => LimitKind::EnergyRate,
@@ -648,7 +643,7 @@ impl ErrorBody {
 
     /// An `invalid_program` error carrying the stable [`ProgError`] code
     /// and, when one instruction is implicated, its index.
-    pub fn invalid_program(
+    pub(crate) fn invalid_program(
         code: impl Into<String>,
         index: Option<u64>,
         message: impl Into<String>,

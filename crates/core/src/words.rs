@@ -18,7 +18,11 @@ use bpimc_periph::Precision;
 ///
 /// Returns [`Error::TooManyWords`] when the row has too few lanes and
 /// [`Error::WordTooWide`] when a value exceeds the precision.
-pub fn pack_words(words: &[u64], precision: Precision, cols: usize) -> Result<BitRow, Error> {
+pub(crate) fn pack_words(
+    words: &[u64],
+    precision: Precision,
+    cols: usize,
+) -> Result<BitRow, Error> {
     let bits = precision.bits();
     let lanes = precision.lanes(cols);
     if words.len() > lanes {
@@ -42,7 +46,11 @@ pub fn pack_words(words: &[u64], precision: Precision, cols: usize) -> Result<Bi
 /// # Errors
 ///
 /// Returns [`Error::TooManyWords`] when `n` exceeds the lane count.
-pub fn unpack_words(row: &BitRow, precision: Precision, n: usize) -> Result<Vec<u64>, Error> {
+pub(crate) fn unpack_words(
+    row: &BitRow,
+    precision: Precision,
+    n: usize,
+) -> Result<Vec<u64>, Error> {
     let bits = precision.bits();
     let lanes = precision.lanes(row.width());
     if n > lanes {
@@ -60,7 +68,7 @@ pub fn unpack_words(row: &BitRow, precision: Precision, n: usize) -> Result<Vec<
 /// # Errors
 ///
 /// Same conditions as [`pack_words`], with lane count halved.
-pub fn pack_mult_operands(
+pub(crate) fn pack_mult_operands(
     words: &[u64],
     precision: Precision,
     cols: usize,
@@ -88,7 +96,11 @@ pub fn pack_mult_operands(
 /// # Errors
 ///
 /// Returns [`Error::TooManyWords`] when `n` exceeds the product lane count.
-pub fn unpack_products(row: &BitRow, precision: Precision, n: usize) -> Result<Vec<u64>, Error> {
+pub(crate) fn unpack_products(
+    row: &BitRow,
+    precision: Precision,
+    n: usize,
+) -> Result<Vec<u64>, Error> {
     let bits = precision.bits();
     let lanes = precision.product_lanes(row.width());
     if n > lanes {

@@ -18,7 +18,7 @@ pub struct Env {
     /// Supply voltage in volts. The paper sweeps 0.6 V - 1.1 V.
     pub vdd: f64,
     /// Junction temperature in degrees Celsius.
-    pub temp_c: f64,
+    pub(crate) temp_c: f64,
     /// Global process corner.
     pub corner: Corner,
 }
@@ -63,20 +63,13 @@ impl Env {
         self
     }
 
-    /// Returns a copy with a different temperature (degrees C).
-    pub fn with_temp(mut self, temp_c: f64) -> Self {
-        assert!(temp_c.is_finite(), "temperature must be finite");
-        self.temp_c = temp_c;
-        self
-    }
-
     /// Absolute temperature in kelvin.
-    pub fn temp_k(&self) -> f64 {
+    pub(crate) fn temp_k(&self) -> f64 {
         self.temp_c + 273.15
     }
 
     /// Thermal voltage `kT/q` in volts at this temperature.
-    pub fn thermal_voltage(&self) -> f64 {
+    pub(crate) fn thermal_voltage(&self) -> f64 {
         8.617_333e-5 * self.temp_k()
     }
 }
@@ -113,12 +106,8 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let e = Env::nominal()
-            .with_vdd(0.6)
-            .with_temp(85.0)
-            .with_corner(Corner::Ss);
+        let e = Env::nominal().with_vdd(0.6).with_corner(Corner::Ss);
         assert_eq!(e.vdd, 0.6);
-        assert_eq!(e.temp_c, 85.0);
         assert_eq!(e.corner, Corner::Ss);
     }
 }

@@ -59,7 +59,7 @@ fn exp2i(k: f64) -> f64 {
 /// Range reduction to `|r| <= ln2 / 2` plus a degree-12 Taylor polynomial;
 /// relative error `< 1e-15`.
 #[inline(always)]
-pub fn exp(x: f64) -> f64 {
+pub(crate) fn exp(x: f64) -> f64 {
     let x = x.clamp(-700.0, 700.0);
     let k = (x * LOG2_E).round();
     let r = (x - k * LN2_HI) - k * LN2_LO;
@@ -86,7 +86,7 @@ pub fn exp(x: f64) -> f64 {
 /// `s = (f-1)/(f+1)`, `|s| <= 0.1716`, up to `s^17`; relative error
 /// `< 1e-15` away from 1 and absolute error `< 1e-17` near 1.
 #[inline(always)]
-pub fn ln(x: f64) -> f64 {
+pub(crate) fn ln(x: f64) -> f64 {
     let bits = x.to_bits();
     let e_raw = ((bits >> 52) & 0x7ff) as i64;
     let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
@@ -113,7 +113,7 @@ pub fn ln(x: f64) -> f64 {
 /// the rounding of `1 + z`, which keeps small-`z` relative error at the
 /// base kernels' level instead of losing half the mantissa.
 #[inline(always)]
-pub fn ln_1p(z: f64) -> f64 {
+pub(crate) fn ln_1p(z: f64) -> f64 {
     let u = 1.0 + z;
     ln(u) + (z - (u - 1.0)) / u
 }
@@ -123,14 +123,14 @@ pub fn ln_1p(z: f64) -> f64 {
 /// Computed as `max(x, 0) + ln_1p(e^{-|x|})`, which is exact in both
 /// asymptotes and branch-free.
 #[inline(always)]
-pub fn softplus(x: f64) -> f64 {
+pub(crate) fn softplus(x: f64) -> f64 {
     x.max(0.0) + ln_1p(exp(-x.abs()))
 }
 
 /// `x^a` for positive normal `x`, as `exp(a ln x)` (the error of the
 /// reduced-precision exponent `a ln x` dominates).
 #[inline(always)]
-pub fn powf(x: f64, a: f64) -> f64 {
+pub(crate) fn powf(x: f64, a: f64) -> f64 {
     exp(a * ln(x))
 }
 
@@ -138,7 +138,7 @@ pub fn powf(x: f64, a: f64) -> f64 {
 /// cancellation for tiny `u` is harmless here — the model multiplies the
 /// result by a current that vanishes with `u` anyway.
 #[inline(always)]
-pub fn tanh_pos(u: f64) -> f64 {
+pub(crate) fn tanh_pos(u: f64) -> f64 {
     let t = exp(-2.0 * u);
     (1.0 - t) / (1.0 + t)
 }

@@ -12,7 +12,7 @@
 //!   and transconductance of NMOS/PMOS independently,
 //! * threshold flavors ([`VtFlavor`]: RVT/LVT/HVT) — the paper's BL boosting
 //!   circuit uses LVT devices for P0/N0/N1,
-//! * local VT mismatch via the Pelgrom law ([`mismatch`]), which drives the
+//! * local VT mismatch via the Pelgrom law ([`MismatchModel`]), which drives the
 //!   Monte-Carlo delay distributions of the paper's Fig. 2,
 //! * supply / temperature dependence ([`Env`]).
 //!
@@ -33,15 +33,14 @@
 //! assert!(i_on > 5.0 * i_weak);
 //! ```
 
-pub mod env;
-pub mod fastmath;
-pub mod mismatch;
-pub mod model;
-pub mod params;
-pub mod types;
+pub(crate) mod env;
+pub(crate) mod fastmath;
+pub(crate) mod mismatch;
+pub(crate) mod model;
+pub(crate) mod params;
+pub(crate) mod types;
 
 pub use env::Env;
 pub use mismatch::MismatchModel;
 pub use model::{MosParams, MosParamsLanes, Mosfet};
-pub use params::{DeviceParams, ProcessLibrary};
 pub use types::{Corner, DeviceKind, VtFlavor};

@@ -53,11 +53,6 @@ impl MismatchModel {
         Self { sigma_scale: 0.0 }
     }
 
-    /// The scale factor.
-    pub fn scale(&self) -> f64 {
-        self.sigma_scale
-    }
-
     /// Draws a mismatched instance of `device`.
     pub fn sample<R: Rng + ?Sized>(&self, device: &Mosfet, rng: &mut R) -> Mosfet {
         let sigma = device.sigma_vt() * self.sigma_scale;

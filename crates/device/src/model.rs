@@ -87,35 +87,14 @@ impl Mosfet {
         self.kind
     }
 
-    /// Threshold flavor.
-    pub fn flavor(&self) -> VtFlavor {
-        self.flavor
-    }
-
-    /// Drawn width in nanometres.
-    pub fn w_nm(&self) -> f64 {
-        self.w_nm
-    }
-
-    /// Drawn length in nanometres.
-    pub fn l_nm(&self) -> f64 {
-        self.l_nm
-    }
-
     /// Local threshold shift in volts.
     pub fn dvt(&self) -> f64 {
         self.dvt
     }
 
     /// Aspect ratio W/L.
-    pub fn aspect(&self) -> f64 {
+    pub(crate) fn aspect(&self) -> f64 {
         self.w_nm / self.l_nm
-    }
-
-    /// The effective threshold voltage (magnitude) at this operating point,
-    /// including flavor, corner, temperature and local mismatch.
-    pub fn vt(&self, env: &Env) -> f64 {
-        ProcessLibrary::at(self.kind, self.flavor, env).vt0 + self.dvt
     }
 
     /// Drain current magnitude in amperes for source-referenced voltage
@@ -142,7 +121,7 @@ impl Mosfet {
     }
 
     /// Pelgrom sigma of the local threshold for this geometry (volts).
-    pub fn sigma_vt(&self) -> f64 {
+    pub(crate) fn sigma_vt(&self) -> f64 {
         let p = ProcessLibrary::base(self.kind, self.flavor);
         let area_m2 = (self.w_nm * 1e-9) * (self.l_nm * 1e-9);
         p.avt / area_m2.sqrt()
@@ -159,11 +138,11 @@ impl Mosfet {
 /// `bpimc-circuit` compile each device up front (the scalar solver into one
 /// `MosParams` per device, the batch engine into per-field parameter arrays
 /// evaluated by [`Mosfet::ids_batch`]) — both paths run the identical
-/// [`crate::fastmath`] kernel, so their results agree bit for bit.
+/// `fastmath` kernel, so their results agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosParams {
     /// Device polarity (the solvers orient terminals with it).
-    pub kind: DeviceKind,
+    pub(crate) kind: DeviceKind,
     /// Effective threshold (magnitude), including flavor, corner,
     /// temperature and local mismatch, volts.
     pub vt: f64,
@@ -244,7 +223,7 @@ impl Mosfet {
     /// conductance for every instance `j` of one device position, reading
     /// `lanes.*[j]`, `vgs[j]`, `vds[j]` and writing `ids[j]`, `gs[j]`.
     ///
-    /// The body is the same branch-free [`crate::fastmath`] arithmetic as
+    /// The body is the same branch-free `fastmath` arithmetic as
     /// [`MosParams::id_g`], laid out so the compiler vectorizes across
     /// instances; element `j` of the output is bit-identical to the scalar
     /// call with instance `j`'s parameters.

@@ -10,27 +10,27 @@ use crate::types::Corner;
 ///
 /// All parameters are in SI units (volts, amperes, farads).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceParams {
+pub(crate) struct DeviceParams {
     /// Zero-bias threshold voltage (magnitude) in volts.
-    pub vt0: f64,
+    pub(crate) vt0: f64,
     /// Transconductance coefficient: `Id = kp * (W/L) * veff^alpha * f(Vds)`.
-    pub kp: f64,
+    pub(crate) kp: f64,
     /// Velocity-saturation exponent (Sakurai-Newton alpha), ~1.3 at 28 nm.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Sub-threshold slope factor `n` (swing = n * kT/q * ln 10).
-    pub nsub: f64,
+    pub(crate) nsub: f64,
     /// Channel-length modulation coefficient (1/V).
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// Fraction of the effective overdrive at which the drain saturates
     /// (`Vdsat = sat_frac * veff`, floored at `vdsat_min`).
-    pub sat_frac: f64,
+    pub(crate) sat_frac: f64,
     /// Minimum saturation voltage in volts (keeps `tanh(Vds/Vdsat)` sane in
     /// sub-threshold where `veff` is tiny).
-    pub vdsat_min: f64,
+    pub(crate) vdsat_min: f64,
     /// Gate capacitance per gate area, F/m^2.
-    pub cox: f64,
+    pub(crate) cox: f64,
     /// Pelgrom mismatch coefficient `A_vt` in V*m (sigma_vt = A_vt/sqrt(WL)).
-    pub avt: f64,
+    pub(crate) avt: f64,
 }
 
 /// The behavioral 28 nm process library.
@@ -39,20 +39,20 @@ pub struct DeviceParams {
 /// Numbers are representative of published 28 nm HKMG data: RVT |VT| ~ 0.4 V,
 /// LVT ~ 130 mV lower, corner shift +/- 35 mV, A_vt ~ 1.8 mV*um.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProcessLibrary;
+pub(crate) struct ProcessLibrary;
 
 impl ProcessLibrary {
     /// Corner threshold shift magnitude (V). Slow = +shift, fast = -shift.
-    pub const CORNER_DVT: f64 = 0.035;
+    pub(crate) const CORNER_DVT: f64 = 0.035;
     /// Corner transconductance factor. Slow = 1-x, fast = 1+x.
-    pub const CORNER_DKP: f64 = 0.08;
+    pub(crate) const CORNER_DKP: f64 = 0.08;
     /// VT temperature coefficient (V/K); VT falls as temperature rises.
-    pub const VT_TEMP_COEFF: f64 = -0.7e-3;
+    pub(crate) const VT_TEMP_COEFF: f64 = -0.7e-3;
     /// Mobility temperature exponent: kp ~ (T0/T)^1.4.
-    pub const MOBILITY_TEMP_EXP: f64 = 1.4;
+    pub(crate) const MOBILITY_TEMP_EXP: f64 = 1.4;
 
     /// Base (NN corner, 25 C) parameters for one device type.
-    pub fn base(kind: DeviceKind, flavor: VtFlavor) -> DeviceParams {
+    pub(crate) fn base(kind: DeviceKind, flavor: VtFlavor) -> DeviceParams {
         let (vt0, kp) = match kind {
             DeviceKind::Nmos => (0.44, 3.6e-5),
             DeviceKind::Pmos => (0.40, 1.9e-5),
@@ -82,7 +82,7 @@ impl ProcessLibrary {
     }
 
     /// Parameters adjusted for the environment's corner and temperature.
-    pub fn at(kind: DeviceKind, flavor: VtFlavor, env: &Env) -> DeviceParams {
+    pub(crate) fn at(kind: DeviceKind, flavor: VtFlavor, env: &Env) -> DeviceParams {
         let mut p = Self::base(kind, flavor);
         let skew = match kind {
             DeviceKind::Nmos => env.corner.nmos_skew(),
@@ -137,7 +137,10 @@ mod tests {
 
     #[test]
     fn hot_devices_are_weaker_in_strong_inversion() {
-        let hot = Env::nominal().with_temp(125.0);
+        let hot = Env {
+            temp_c: 125.0,
+            ..Env::nominal()
+        };
         let p_hot = ProcessLibrary::at(DeviceKind::Nmos, VtFlavor::Rvt, &hot);
         let p_cold = ProcessLibrary::at(DeviceKind::Nmos, VtFlavor::Rvt, &Env::nominal());
         assert!(p_hot.kp < p_cold.kp);

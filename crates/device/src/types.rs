@@ -69,7 +69,7 @@ impl Corner {
     pub const ALL: [Corner; 5] = [Corner::Sf, Corner::Ss, Corner::Nn, Corner::Fs, Corner::Ff];
 
     /// Signed speed factor for the NMOS devices: -1 slow, 0 nominal, +1 fast.
-    pub fn nmos_skew(&self) -> f64 {
+    pub(crate) fn nmos_skew(&self) -> f64 {
         match self {
             Corner::Sf | Corner::Ss => -1.0,
             Corner::Nn => 0.0,
@@ -78,7 +78,7 @@ impl Corner {
     }
 
     /// Signed speed factor for the PMOS devices: -1 slow, 0 nominal, +1 fast.
-    pub fn pmos_skew(&self) -> f64 {
+    pub(crate) fn pmos_skew(&self) -> f64 {
         match self {
             Corner::Ss | Corner::Fs => -1.0,
             Corner::Nn => 0.0,

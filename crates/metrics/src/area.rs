@@ -12,21 +12,21 @@ use bpimc_array::ArrayGeometry;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// 6T bit-cell area, um^2 (28 nm high-density cell).
-    pub cell_area_um2: f64,
+    pub(crate) cell_area_um2: f64,
     /// Average drawn area per peripheral logic transistor including local
     /// routing, um^2.
-    pub logic_area_per_t_um2: f64,
+    pub(crate) logic_area_per_t_um2: f64,
     /// Booster transistors per column (P0/N0/N1/reset on both BLT and BLB).
-    pub boost_t_per_col: usize,
+    pub(crate) boost_t_per_col: usize,
     /// BL separator pass-gate transistors per column.
-    pub separator_t_per_col: usize,
+    pub(crate) separator_t_per_col: usize,
     /// Write driver transistors per column.
-    pub driver_t_per_col: usize,
+    pub(crate) driver_t_per_col: usize,
     /// Shared Y-path transistors per peripheral unit (single-ended SA pair,
     /// FA-Logics, logic unit, MX0-MX2, write-back latch).
-    pub ypath_t_per_unit: usize,
+    pub(crate) ypath_t_per_unit: usize,
     /// Multiplier FF transistors per 2-bit FF unit.
-    pub ff_t_per_unit: usize,
+    pub(crate) ff_t_per_unit: usize,
 }
 
 impl AreaModel {
@@ -47,7 +47,7 @@ impl AreaModel {
     }
 
     /// Bit-cell array area of a geometry (main rows only), um^2.
-    pub fn array_area_um2(&self, g: &ArrayGeometry) -> f64 {
+    pub(crate) fn array_area_um2(&self, g: &ArrayGeometry) -> f64 {
         (g.rows * g.cols) as f64 * self.cell_area_um2
     }
 
@@ -58,7 +58,7 @@ impl AreaModel {
     }
 
     /// Peripheral transistors added per macro.
-    pub fn peripheral_transistors(&self, g: &ArrayGeometry) -> usize {
+    pub(crate) fn peripheral_transistors(&self, g: &ArrayGeometry) -> usize {
         let per_col = self.boost_t_per_col + self.separator_t_per_col + self.driver_t_per_col;
         let units = g.peripheral_units();
         // One 2-bit FF unit per pair of columns served (max precision tiling).
@@ -67,7 +67,7 @@ impl AreaModel {
     }
 
     /// Added peripheral area per macro, um^2.
-    pub fn peripheral_area_um2(&self, g: &ArrayGeometry) -> f64 {
+    pub(crate) fn peripheral_area_um2(&self, g: &ArrayGeometry) -> f64 {
         self.peripheral_transistors(g) as f64 * self.logic_area_per_t_um2
     }
 

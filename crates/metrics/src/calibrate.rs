@@ -280,7 +280,24 @@ mod tests {
             report.max_rel_err
         );
         // All coefficients must be physical (positive, sane magnitude).
-        let p = report.params.to_vec();
+        let EnergyParams {
+            compute_dual_fj,
+            compute_single_fj,
+            wb_full_fj,
+            wb_shielded_fj,
+            wb_invert_extra_fj,
+            ff_fj,
+            cycle_fixed_fj,
+        } = report.params;
+        let p = [
+            compute_dual_fj,
+            compute_single_fj,
+            wb_full_fj,
+            wb_shielded_fj,
+            wb_invert_extra_fj,
+            ff_fj,
+            cycle_fixed_fj,
+        ];
         assert!(p.iter().all(|&x| x > 0.0 && x < 500.0), "params {p:?}");
     }
 

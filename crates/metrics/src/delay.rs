@@ -13,15 +13,15 @@ use bpimc_device::Env;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentDelays {
     /// BL precharge (with BSTRS reset folded in), seconds.
-    pub precharge: f64,
+    pub(crate) precharge: f64,
     /// WL activation (the short pulse), seconds.
-    pub wl_activate: f64,
+    pub(crate) wl_activate: f64,
     /// BL swing + sensing (boost + SA), seconds.
-    pub sense: f64,
+    pub(crate) sense: f64,
     /// Column logic for a 16-bit carry chain, seconds.
-    pub logic_16b: f64,
+    pub(crate) logic_16b: f64,
     /// Write-back (separator on), seconds.
-    pub writeback: f64,
+    pub(crate) writeback: f64,
 }
 
 impl ComponentDelays {
@@ -37,7 +37,7 @@ impl ComponentDelays {
     }
 
     /// The breakdown scaled to an environment.
-    pub fn at(env: &Env) -> Self {
+    pub(crate) fn at(env: &Env) -> Self {
         let k = DelayScaling::paper_fit().delay_factor(env);
         let r = Self::paper_reference();
         Self {

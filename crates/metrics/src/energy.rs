@@ -36,12 +36,12 @@ pub struct EnergyParams {
 
 impl EnergyParams {
     /// The CV^2 voltage scale factor relative to the 0.9 V reference.
-    pub fn voltage_scale(vdd: f64) -> f64 {
+    pub(crate) fn voltage_scale(vdd: f64) -> f64 {
         (vdd / 0.9) * (vdd / 0.9)
     }
 
     /// Energy of one logged cycle, femtojoules (at reference voltage).
-    pub fn cycle_energy_fj(&self, c: &CycleActivity) -> f64 {
+    pub(crate) fn cycle_energy_fj(&self, c: &CycleActivity) -> f64 {
         let compute = match c.kind {
             CycleKind::Compute => c.compute_cols as f64 * self.compute_dual_fj,
             CycleKind::SingleAccess | CycleKind::ReadOnly => {
@@ -73,20 +73,6 @@ impl EnergyParams {
         self.cycles_energy_fj(log.cycles())
     }
 
-    /// All coefficients as a vector (for the calibration optimiser and
-    /// sanity checks).
-    pub fn to_vec(self) -> [f64; 7] {
-        [
-            self.compute_dual_fj,
-            self.compute_single_fj,
-            self.wb_full_fj,
-            self.wb_shielded_fj,
-            self.wb_invert_extra_fj,
-            self.ff_fj,
-            self.cycle_fixed_fj,
-        ]
-    }
-
     /// Builds coefficients from a vector (for the calibration optimiser).
     pub(crate) fn from_vec(v: [f64; 7]) -> Self {
         Self {
@@ -110,11 +96,6 @@ pub enum Table2Op {
     Sub,
     /// Per-lane multiplication (with or without separator).
     Mult,
-}
-
-impl Table2Op {
-    /// All Table II operations.
-    pub const ALL: [Table2Op; 3] = [Table2Op::Add, Table2Op::Sub, Table2Op::Mult];
 }
 
 /// Measures the per-word energy of one operation by running it on a

@@ -16,12 +16,12 @@ use bpimc_device::{Corner, Env};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayScaling {
     /// Effective composite-path threshold, volts.
-    pub vt_eff: f64,
+    pub(crate) vt_eff: f64,
     /// Effective velocity-saturation exponent.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Fractional delay increase at the slow-slow corner (fast-fast is the
     /// mirror image; skewed corners get a third of the effect).
-    pub corner_spread: f64,
+    pub(crate) corner_spread: f64,
 }
 
 impl DelayScaling {
@@ -53,7 +53,7 @@ impl DelayScaling {
     }
 
     /// The corner delay multiplier.
-    pub fn corner_factor(&self, corner: Corner) -> f64 {
+    pub(crate) fn corner_factor(&self, corner: Corner) -> f64 {
         match corner {
             Corner::Nn => 1.0,
             Corner::Ss => 1.0 + self.corner_spread,

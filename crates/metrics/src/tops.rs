@@ -25,13 +25,8 @@ impl TopsModel {
         }
     }
 
-    /// A model with explicit coefficients.
-    pub fn with_params(params: EnergyParams) -> Self {
-        Self { params }
-    }
-
     /// Energy of one operation at `vdd`, femtojoules.
-    pub fn op_energy_fj(
+    pub(crate) fn op_energy_fj(
         &self,
         op: Table2Op,
         precision: Precision,

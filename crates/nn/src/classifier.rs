@@ -26,9 +26,9 @@ pub struct EvalReport {
     /// running every sample on one macro).
     pub cycles: u64,
     /// Total macro energy at 0.9 V, femtojoules (Table II-calibrated).
-    pub energy_fj: f64,
+    pub(crate) energy_fj: f64,
     /// Samples evaluated.
-    pub samples: usize,
+    pub(crate) samples: usize,
 }
 
 impl EvalReport {
@@ -253,7 +253,7 @@ impl PrototypeClassifier {
     }
 
     /// Builds a classifier evaluating on an explicit macro bank.
-    pub fn fit_with_bank(data: &Dataset, precision: Precision, bank: MacroBank) -> Self {
+    pub(crate) fn fit_with_bank(data: &Dataset, precision: Precision, bank: MacroBank) -> Self {
         let quant = QuantParams::new(precision, data.max_feature().max(1e-9));
         let prototypes_q = data
             .prototypes
@@ -266,11 +266,6 @@ impl PrototypeClassifier {
             prototypes_q,
             bank,
         }
-    }
-
-    /// The datapath precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Classifies one (real-valued) sample; returns the predicted class.

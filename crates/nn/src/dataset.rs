@@ -12,11 +12,11 @@ pub struct Dataset {
     /// Class count.
     pub classes: usize,
     /// Samples (`len = classes * per_class`).
-    pub samples: Vec<Vec<f64>>,
+    pub(crate) samples: Vec<Vec<f64>>,
     /// Labels aligned with `samples`.
-    pub labels: Vec<usize>,
+    pub(crate) labels: Vec<usize>,
     /// The class centroids used to generate the data.
-    pub prototypes: Vec<Vec<f64>>,
+    pub(crate) prototypes: Vec<Vec<f64>>,
 }
 
 impl Dataset {
@@ -69,7 +69,7 @@ impl Dataset {
     }
 
     /// The largest feature value in the dataset (for quantization ranges).
-    pub fn max_feature(&self) -> f64 {
+    pub(crate) fn max_feature(&self) -> f64 {
         self.samples
             .iter()
             .flat_map(|s| s.iter().copied())

@@ -27,11 +27,10 @@
 
 pub mod classifier;
 pub mod dataset;
-pub mod quant;
+pub(crate) mod quant;
 
 pub use classifier::{
     chunks_per_class, classify_bindings, classify_from_outputs, classify_program,
     classify_quantized, dot_program, imc_dot, prototype_norms, EvalReport, PrototypeClassifier,
 };
 pub use dataset::Dataset;
-pub use quant::QuantParams;

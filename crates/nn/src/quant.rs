@@ -4,11 +4,11 @@ use bpimc_core::Precision;
 
 /// Quantization parameters: a uniform unsigned grid over `[0, max_abs]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantParams {
+pub(crate) struct QuantParams {
     /// The word precision quantized values target.
-    pub precision: Precision,
+    pub(crate) precision: Precision,
     /// The real value mapped to the largest code.
-    pub max_abs: f64,
+    pub(crate) max_abs: f64,
 }
 
 impl QuantParams {
@@ -17,29 +17,24 @@ impl QuantParams {
     /// # Panics
     ///
     /// Panics if `max_abs` is not positive.
-    pub fn new(precision: Precision, max_abs: f64) -> Self {
+    pub(crate) fn new(precision: Precision, max_abs: f64) -> Self {
         assert!(max_abs > 0.0, "max_abs must be positive");
         Self { precision, max_abs }
     }
 
     /// The quantization step.
-    pub fn step(&self) -> f64 {
+    pub(crate) fn step(&self) -> f64 {
         self.max_abs / self.precision.max_value() as f64
     }
 
     /// Quantizes one value (clamping into range).
-    pub fn quantize(&self, x: f64) -> u64 {
+    pub(crate) fn quantize(&self, x: f64) -> u64 {
         let q = (x / self.step()).round();
         q.clamp(0.0, self.precision.max_value() as f64) as u64
     }
 
-    /// Dequantizes one code.
-    pub fn dequantize(&self, q: u64) -> f64 {
-        q as f64 * self.step()
-    }
-
     /// Quantizes a slice.
-    pub fn quantize_all(&self, xs: &[f64]) -> Vec<u64> {
+    pub(crate) fn quantize_all(&self, xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|&x| self.quantize(x)).collect()
     }
 }
@@ -53,7 +48,7 @@ mod tests {
         let q = QuantParams::new(Precision::P8, 2.0);
         for i in 0..100 {
             let x = i as f64 * 0.02;
-            let err = (q.dequantize(q.quantize(x)) - x).abs();
+            let err = (q.quantize(x) as f64 * q.step() - x).abs();
             assert!(err <= q.step() / 2.0 + 1e-12, "x={x} err={err}");
         }
     }

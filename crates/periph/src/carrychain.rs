@@ -56,7 +56,7 @@ impl CarryChain {
     }
 
     /// Row width in columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.masks.cols()
     }
 
@@ -148,7 +148,8 @@ impl CarryChain {
     }
 
     /// [`CarryChain::shift_row`] computed column by column (reference).
-    pub fn shift_row_bitwise(&self, data: &BitRow) -> BitRow {
+    #[cfg(test)]
+    fn shift_row_bitwise(&self, data: &BitRow) -> BitRow {
         self.check_width(data.width());
         let mut out = BitRow::zeros(self.cols());
         for lane in 0..self.lane_count() {
@@ -170,7 +171,8 @@ impl CarryChain {
     /// # Panics
     ///
     /// Panics if `bit` is outside a lane.
-    pub fn mult_step_bitwise(
+    #[cfg(test)]
+    fn mult_step_bitwise(
         &self,
         acc: &BitRow,
         multiplicand: &BitRow,

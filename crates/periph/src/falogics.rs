@@ -41,14 +41,14 @@ pub fn fa_carry(and_ab: bool, nor_ab: bool, carry_in: bool) -> bool {
     }
 }
 
-/// Reference check helper: the SA outputs for operand bits `(a, b)`.
-pub fn sa_outputs(a: bool, b: bool) -> (bool, bool) {
-    (a && b, !a && !b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The SA outputs for operand bits `(a, b)`.
+    fn sa_outputs(a: bool, b: bool) -> (bool, bool) {
+        (a && b, !a && !b)
+    }
 
     #[test]
     fn matches_a_textbook_full_adder_exhaustively() {

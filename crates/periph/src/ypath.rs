@@ -15,9 +15,9 @@ use crate::logicunit::LogicOp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnInputs {
     /// BLT sense output (`A AND B`, or `A` for single-WL).
-    pub and_ab: bool,
+    pub(crate) and_ab: bool,
     /// BLB sense output (`NOR(A,B)`, or `~A` for single-WL).
-    pub nor_ab: bool,
+    pub(crate) nor_ab: bool,
 }
 
 impl ColumnInputs {
@@ -61,11 +61,11 @@ pub enum WriteBackSel {
 pub struct YPathOut {
     /// Carry to the left neighbour (also reused as the data-propagation
     /// path for shifts, per the paper's single-WL shift description).
-    pub carry_out: bool,
+    pub(crate) carry_out: bool,
     /// The bit driven into the write-back path.
-    pub writeback: bool,
+    pub(crate) writeback: bool,
     /// The local sum (exposed so add-and-shift can propagate it left).
-    pub sum: bool,
+    pub(crate) sum: bool,
 }
 
 /// One column's Y-path.

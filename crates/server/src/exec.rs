@@ -1,10 +1,12 @@
 //! Executes one compute request on one macro, with exact per-request
 //! cycle/energy accounting.
 //!
-//! Every arithmetic request — `dot`, the lane-wise ops, `classify`'s dots
-//! and `exec_program` itself — is lowered to a [`Program`] and run by the
-//! single program executor ([`Program::run`]), so there is exactly one
-//! execution path from the wire to the array.
+//! Every arithmetic request runs as a [`CompiledProgram`], so there is
+//! exactly one execution path from the wire to the array: `dot`, the
+//! lane-wise ops and `exec_program` are lowered to a [`Program`] that is
+//! compiled and run per request ([`Program::run`]), and `run_stored` and
+//! `classify` rebind the writes of a program compiled once, at
+//! `store_program` and `load_model`.
 
 use crate::fault::ComputeFault;
 use bpimc_core::prog::{CompiledProgram, Instr, Program, ProgramBuilder};
@@ -20,16 +22,16 @@ use std::time::Instant;
 #[derive(Debug)]
 pub(crate) struct Model {
     /// Lane width the prototypes are quantized to.
-    pub precision: Precision,
+    pub(crate) precision: Precision,
     /// One quantized weight vector per class.
-    pub prototypes_q: Vec<Vec<u64>>,
+    pub(crate) prototypes_q: Vec<Vec<u64>>,
     /// Precomputed `|w_c|^2` self-dots (computed on a macro at load time,
     /// billed to the `load_model` request).
-    pub norms: Vec<u64>,
+    pub(crate) norms: Vec<u64>,
     /// The fused all-prototypes classify program, validated and lowered
     /// once at `load_model`; per request only the sample's chunks are
     /// rebound ([`CompiledProgram::run_with_inputs`]).
-    pub template: CompiledProgram,
+    pub(crate) template: CompiledProgram,
 }
 
 /// One queued compute request, ready to run on the dispatcher's macro.
@@ -40,19 +42,19 @@ pub(crate) struct Model {
 /// visible and a concurrent change from the same session cannot race the
 /// job.
 pub(crate) struct ComputeJob {
-    pub body: RequestBody,
-    pub model: Option<Arc<Model>>,
-    pub stored: Option<Arc<CompiledProgram>>,
+    pub(crate) body: RequestBody,
+    pub(crate) model: Option<Arc<Model>>,
+    pub(crate) stored: Option<Arc<CompiledProgram>>,
     /// The request's deadline, re-checked when the job starts: a request
     /// whose deadline passed while earlier batch work ran is abandoned
     /// before touching any array state (the mid-execution half of
     /// cooperative cancellation; the in-queue half lives in the
     /// dispatcher).
-    pub deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
     /// Guardrail: longest accepted `exec_program` instruction stream.
-    pub max_program_instrs: Option<usize>,
+    pub(crate) max_program_instrs: Option<usize>,
     /// Chaos: fault injected into this job's execution, if any.
-    pub fault: Option<ComputeFault>,
+    pub(crate) fault: Option<ComputeFault>,
 }
 
 /// True for request kinds that execute on the macro, in compute runs.

@@ -51,7 +51,7 @@ impl Default for SessionLimits {
 impl SessionLimits {
     /// True when no per-second budget is configured — the admission check
     /// can skip taking a timestamp entirely.
-    pub fn unmetered(&self) -> bool {
+    pub(crate) fn unmetered(&self) -> bool {
         self.max_cycles_per_sec.is_none() && self.max_energy_fj_per_sec.is_none()
     }
 
@@ -60,7 +60,7 @@ impl SessionLimits {
     /// # Errors
     ///
     /// A structured `limit_exceeded` naming `program_length`.
-    pub fn check_program_len(&self, instrs: usize) -> Result<(), ErrorBody> {
+    pub(crate) fn check_program_len(&self, instrs: usize) -> Result<(), ErrorBody> {
         match self.max_program_instrs {
             Some(max) if instrs > max => Err(ErrorBody::limit(
                 LimitKind::ProgramLength,

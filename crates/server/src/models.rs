@@ -1,9 +1,9 @@
 //! Concurrency models for the serving stack (`model` feature).
 //!
-//! Each [`ModelSpec`] drives the **production** [`Queue`] / [`Outbox`]
+//! Each [`ModelSpec`] drives the **production** `Queue` / `Outbox`
 //! protocol objects — the same waits, wakeups, shed hysteresis and
 //! drainer-role hand-offs the server runs — inside a deterministic model
-//! execution, with an in-memory [`ResponseSink`] standing in for the TCP
+//! execution, with an in-memory `ResponseSink` standing in for the TCP
 //! peer. Harness bookkeeping (counters, transcripts) deliberately uses
 //! `std` primitives so it observes the schedule without perturbing it.
 //!

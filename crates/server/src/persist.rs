@@ -253,23 +253,23 @@ fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<Corruption>) {
 /// stream (recompiled through the same validate/compile pipeline on
 /// recovery) plus its cumulative run history.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProgramRecord {
+pub(crate) struct ProgramRecord {
     /// The session-scoped program id.
-    pub pid: u64,
+    pub(crate) pid: u64,
     /// The registry name, if the program was stored with one.
-    pub name: Option<String>,
+    pub(crate) name: Option<String>,
     /// The instruction stream exactly as the client submitted it.
-    pub instrs: Vec<Instr>,
+    pub(crate) instrs: Vec<Instr>,
     /// Successful runs billed to this program.
-    pub runs: u64,
+    pub(crate) runs: u64,
     /// Failed runs.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Cycles billed across all successful runs.
-    pub total_cycles: u64,
+    pub(crate) total_cycles: u64,
     /// Energy billed across all successful runs (femtojoules).
-    pub total_energy_fj: f64,
+    pub(crate) total_energy_fj: f64,
     /// Outcome of the most recent run.
-    pub last_status: Option<RunStatus>,
+    pub(crate) last_status: Option<RunStatus>,
 }
 
 /// One session's durable state: what the journal's events fold into
@@ -279,37 +279,37 @@ pub struct ProgramRecord {
 /// fields are persisted as `f64` **bit patterns**, so a recovered account
 /// is byte-identical, not just approximately equal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SessionRecord {
+pub(crate) struct SessionRecord {
     /// The session token (the registry key; empty for an ephemeral
     /// session).
-    pub token: String,
+    pub(crate) token: String,
     /// The cycle/energy account ([`SessionActivity`]).
-    pub stats: SessionActivity,
+    pub(crate) stats: SessionActivity,
     /// The rate window, as `(window start unix-ms, cycles, energy_fj)`;
     /// `None` until the first billed request. Each billed `Exec` rolls it
     /// on its own settle time, so a restart neither refills an exhausted
     /// per-second budget nor meters stale spend.
-    pub rate: Option<(u64, u64, f64)>,
+    pub(crate) rate: Option<(u64, u64, f64)>,
     /// The loaded classifier model's source: `(precision bits, quantized
     /// prototypes)`. Norms and the fused classify template are recomputed
     /// on a scratch macro at recovery (without billing — the original
     /// `load_model` bill is already in `stats`).
-    pub model: Option<(u32, Vec<Vec<u64>>)>,
+    pub(crate) model: Option<(u32, Vec<Vec<u64>>)>,
     /// The next program id `store_program` would assign.
-    pub next_pid: u64,
+    pub(crate) next_pid: u64,
     /// The idempotency watermark: highest executed seq.
-    pub last_seq: Option<u64>,
+    pub(crate) last_seq: Option<u64>,
     /// Wall-clock milliseconds (unix epoch) when the session's current
     /// detachment began; `None` while a connection holds it. Recovery
     /// credits the elapsed time against the TTL so a restart never grants
     /// a detached session a fresh clock.
-    pub detached_since_ms: Option<u64>,
+    pub(crate) detached_since_ms: Option<u64>,
     /// Stored programs, ordered by pid.
-    pub programs: Vec<ProgramRecord>,
+    pub(crate) programs: Vec<ProgramRecord>,
     /// The replay window: `(seq, serialized wire response)` pairs, oldest
     /// first, bounded at [`REPLAY_WINDOW`] — the lines the journal
     /// records, parsed back only when a retry replays one.
-    pub replay: Vec<(u64, String)>,
+    pub(crate) replay: Vec<(u64, String)>,
 }
 
 impl SessionRecord {
@@ -331,7 +331,7 @@ impl SessionRecord {
     /// that changes it, for serving and recovery alike. The caller routed
     /// the event here by its token; the registry-level events (`Open`,
     /// `Expire`) are [`apply_event`]'s.
-    pub fn apply(&mut self, ev: &Event) {
+    pub(crate) fn apply(&mut self, ev: &Event) {
         match ev {
             Event::Open { .. } | Event::Expire { .. } => {}
             Event::Attach { .. } => self.detached_since_ms = None,
@@ -408,7 +408,7 @@ impl SessionRecord {
 
 /// How one settled request bills its session (an `Exec` event's billing).
 #[derive(Debug, Clone, PartialEq)]
-pub enum BillingRecord {
+pub(crate) enum BillingRecord {
     /// Executed: bills exact cycles/energy into the account, the rate
     /// window and the ran program's history.
     Ok {
@@ -433,7 +433,7 @@ pub enum BillingRecord {
 /// design) and applies every session's events, its own ephemeral ones
 /// included.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+pub(crate) enum Event {
     /// `open_session` minted `token`, adopting the connection's ephemeral
     /// state (usually empty, but a client may stage programs first).
     Open {
@@ -506,7 +506,7 @@ pub enum Event {
 
 impl Event {
     /// The token of the session the event concerns.
-    pub fn token(&self) -> &str {
+    pub(crate) fn token(&self) -> &str {
         match self {
             Event::Open { token, .. }
             | Event::Attach { token }
@@ -533,21 +533,21 @@ pub(crate) fn unix_ms_now() -> u64 {
 /// ([`RegistryRecord`]) and serving as live sessions; both change it only
 /// through [`apply_event`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Registry<S> {
+pub(crate) struct Registry<S> {
     /// The sessions (a snapshot's are sorted by token).
-    pub sessions: S,
+    pub(crate) sessions: S,
     /// Swept tokens still answering `session_expired`, oldest first,
     /// bounded at [`EXPIRED_TOKENS`].
-    pub expired: VecDeque<String>,
+    pub(crate) expired: VecDeque<String>,
     /// The registry's token-minting counter.
-    pub mint_counter: u64,
+    pub(crate) mint_counter: u64,
 }
 
 /// The pure-data registry a snapshot stores and replay reconstructs.
-pub type RegistryRecord = Registry<Vec<SessionRecord>>;
+pub(crate) type RegistryRecord = Registry<Vec<SessionRecord>>;
 
 /// How a [`Registry`] holds its sessions.
-pub trait Sessions {
+pub(crate) trait Sessions {
     /// Adds the session an `Open` event carries, unless `token` is taken.
     fn open(&mut self, token: &str, record: &SessionRecord);
     /// Drops the session `token` names, if any.
@@ -578,7 +578,7 @@ impl Sessions for Vec<SessionRecord> {
 /// its session and advances the mint counter, `Expire` drops its session
 /// and remembers the token (keeping the newest [`EXPIRED_TOKENS`]), and
 /// every other event goes to its session's [`SessionRecord::apply`].
-pub fn apply_event<S: Sessions>(reg: &mut Registry<S>, ev: &Event) {
+pub(crate) fn apply_event<S: Sessions>(reg: &mut Registry<S>, ev: &Event) {
     match ev {
         Event::Open { token, record } => {
             reg.sessions.open(token, record);
@@ -1100,18 +1100,18 @@ pub(crate) struct Persist {
 #[derive(Debug)]
 pub(crate) struct Recovery {
     /// The reconstructed registry.
-    pub registry: RegistryRecord,
+    pub(crate) registry: RegistryRecord,
     /// Human-readable one-line description of the recovery path.
-    pub path: String,
+    pub(crate) path: String,
     /// The snapshot generation recovery started from.
-    pub chosen_snapshot: Option<u64>,
+    pub(crate) chosen_snapshot: Option<u64>,
     /// Whether the clean-shutdown marker let recovery skip the journal.
-    pub warm: bool,
+    pub(crate) warm: bool,
     /// Journal events applied on top of the chosen snapshot.
-    pub replayed_events: u64,
+    pub(crate) replayed_events: u64,
     /// Corruption found in the replayed journal tail, if any (already
     /// truncated away).
-    pub corruption: Option<Corruption>,
+    pub(crate) corruption: Option<Corruption>,
     /// `(journal generation, byte offset)` where frame decoding failed —
     /// boot truncates that file there so the bad tail is not re-scanned.
     truncate: Option<(u64, u64)>,

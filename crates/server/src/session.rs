@@ -85,7 +85,7 @@ pub(crate) struct SessionInner {
     /// Program names to pids.
     names: HashMap<String, u64>,
     /// The classifier built from the record's model source.
-    pub model: Option<Arc<Model>>,
+    pub(crate) model: Option<Arc<Model>>,
     /// When the last connection let go — the TTL clock; `None` while a
     /// connection holds the session (durable sessions accept at most one
     /// at a time).
@@ -263,8 +263,8 @@ impl SessionInner {
 /// in-flight batch items and — when durable — the registry.
 pub(crate) struct Session {
     /// `None` for an ephemeral (connection-lifetime) session.
-    pub token: Option<String>,
-    pub inner: Mutex<SessionInner>,
+    pub(crate) token: Option<String>,
+    pub(crate) inner: Mutex<SessionInner>,
     /// Where this session's events are journaled: set for a durable
     /// session when persistence is on.
     journal: Option<Arc<Persist>>,
@@ -353,13 +353,13 @@ impl Session {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RegistryCaps {
     /// How long a detached session lingers before a sweep collects it.
-    pub ttl: Duration,
+    pub(crate) ttl: Duration,
     /// Most durable sessions (attached + detached) at once.
-    pub max_sessions: usize,
+    pub(crate) max_sessions: usize,
     /// Most stored programs across every durable session — the global
     /// bound that keeps orphaned sessions from exhausting memory even
     /// when each is under its per-session cap.
-    pub max_programs: usize,
+    pub(crate) max_programs: usize,
 }
 
 /// The live session set of a [`Registry`]: sessions by token, and the

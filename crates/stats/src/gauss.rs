@@ -11,7 +11,7 @@
 
 /// The error function `erf(x)`, Abramowitz & Stegun 7.1.26 style rational
 /// approximation with |error| < 1.5e-7.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -39,8 +39,8 @@ pub fn norm_cdf(z: f64) -> f64 {
 ///
 /// For `z > 6` the rational `erf` approximation underflows its useful range,
 /// so the asymptotic expansion `phi(z)/z * (1 - 1/z^2 + 3/z^4)` is used
-/// instead; this keeps iso-failure-rate calibration accurate down to ~1e-12.
-pub fn norm_sf(z: f64) -> f64 {
+/// instead; this keeps tail extrapolation accurate down to ~1e-12.
+pub(crate) fn norm_sf(z: f64) -> f64 {
     if z > 6.0 {
         let phi = (-0.5 * z * z).exp() / (std::f64::consts::TAU).sqrt();
         phi / z * (1.0 - 1.0 / (z * z) + 3.0 / (z * z * z * z))

@@ -102,18 +102,9 @@ impl Histogram {
     }
 
     /// The center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         let w = self.width() / self.bins.len() as f64;
         self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Fraction of samples (of total) in bin `i`.
-    pub fn frac(&self, i: usize) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.count(i) as f64 / self.total() as f64
-        }
     }
 
     /// All `(bin_center, fraction)` points, the series a plot would use.
@@ -121,6 +112,15 @@ impl Histogram {
         (0..self.nbins())
             .map(|i| (self.bin_center(i), self.frac(i)))
             .collect()
+    }
+
+    /// Fraction of samples (of total) in bin `i`.
+    fn frac(&self, i: usize) -> f64 {
+        if self.total() == 0 {
+            0.0
+        } else {
+            self.count(i) as f64 / self.total() as f64
+        }
     }
 
     fn width(&self) -> f64 {

@@ -9,7 +9,7 @@
 //! * fixed-bin histograms ([`Histogram`]) used to regenerate the paper's
 //!   delay-distribution figure,
 //! * the standard normal CDF/quantile and Gaussian-tail extrapolation
-//!   ([`gauss`], [`tail`]) used to estimate read-disturb failure rates of
+//!   ([`norm_cdf`], [`inv_norm_cdf`], [`TailFit`]) used to estimate read-disturb failure rates of
 //!   ~2.5e-5 without millions of transient simulations.
 //!
 //! # Examples
@@ -24,13 +24,13 @@
 //! assert!((s.mean - 1.0).abs() < 0.02);
 //! ```
 
-pub mod gauss;
-pub mod histogram;
+pub(crate) mod gauss;
+pub(crate) mod histogram;
 pub mod normal;
 pub mod parallel;
-pub mod summary;
+pub(crate) mod summary;
 pub mod sync;
-pub mod tail;
+pub(crate) mod tail;
 
 pub use gauss::{inv_norm_cdf, norm_cdf};
 pub use histogram::Histogram;

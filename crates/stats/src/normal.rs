@@ -38,16 +38,6 @@ impl Normal {
         Self { mean, sigma }
     }
 
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The distribution standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Draws one sample using the Box-Muller transform.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.sigma * standard_normal(rng)

@@ -65,18 +65,6 @@ impl Summary {
             p99: percentile_sorted(&sorted, 0.99),
         }
     }
-
-    /// Coefficient of variation (`std / mean`); `NaN` when the mean is zero.
-    pub fn cv(&self) -> f64 {
-        self.std / self.mean
-    }
-
-    /// Arbitrary percentile `q` in `[0, 1]` (re-sorts internally).
-    pub fn percentile_of(xs: &[f64], q: f64) -> f64 {
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        percentile_sorted(&sorted, q)
-    }
 }
 
 /// Linear-interpolated percentile on pre-sorted data; `q` in `[0, 1]`.

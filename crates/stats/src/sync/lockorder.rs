@@ -113,7 +113,7 @@ pub(crate) fn on_release(name: Option<&'static str>) {
 
 /// All acquisition-order edges recorded so far in this process, sorted.
 /// Empty in release builds without the `model` feature.
-pub fn edges() -> Vec<(&'static str, &'static str)> {
+pub(crate) fn edges() -> Vec<(&'static str, &'static str)> {
     #[cfg(any(debug_assertions, feature = "model"))]
     {
         active::edges()
@@ -127,11 +127,11 @@ pub fn edges() -> Vec<(&'static str, &'static str)> {
 /// Every cycle in the recorded acquisition-order graph, as sorted node
 /// lists (one per strongly connected component with a cycle). Empty means
 /// every observed pair of locks was always taken in one consistent order.
-pub fn cycles() -> Vec<Vec<&'static str>> {
+pub(crate) fn cycles() -> Vec<Vec<&'static str>> {
     cycles_in(&edges())
 }
 
-/// [`cycles`] restricted to cycles touching any of `names` — lets suites
+/// Every recorded lock-order cycle touching any of `names` — lets suites
 /// with intentionally-cyclic self-test locks coexist in one test process
 /// with suites asserting their subsystem is clean.
 pub fn cycles_among(names: &[&str]) -> Vec<Vec<&'static str>> {

@@ -6,7 +6,7 @@
 //! module instead of `std::sync`. In a normal build every wrapper compiles
 //! down to the `std` primitive with `#[inline]` delegation — zero wrapper
 //! overhead on the hot path. With the `model` feature enabled, a primitive
-//! **created inside a model execution** (see [`model::explore`]) instead
+//! **created inside a model execution** (see `model::explore`) instead
 //! routes every acquire/wait/notify/park through the deterministic
 //! scheduler, which explores thread interleavings seed-by-seed and turns
 //! invariant violations, deadlocks and livelocks into replayable reports.
@@ -75,7 +75,7 @@ enum MutexImp<T> {
 
 impl<T> Mutex<T> {
     /// An anonymous mutex (not tracked by the lock-order analyzer).
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         Self::build(None, value)
     }
 
@@ -488,7 +488,7 @@ impl<T> Drop for RwLockWriteGuard<'_, T> {
 /// workspace relies on — its atomics protocols are designed for SeqCst-or-
 /// weaker reasoning.
 pub mod atomic {
-    pub use std::sync::atomic::Ordering;
+    pub(crate) use std::sync::atomic::Ordering;
 
     macro_rules! shim_atomic {
         ($name:ident, $std:ty, $prim:ty, $imp:ident, [$($rmw:ident),*]) => {
@@ -505,7 +505,7 @@ pub mod atomic {
 
             impl $name {
                 /// An anonymous atomic with the given initial value.
-                pub fn new(value: $prim) -> Self {
+                pub(crate) fn new(value: $prim) -> Self {
                     Self::build(None, value)
                 }
 

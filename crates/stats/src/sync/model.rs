@@ -12,7 +12,7 @@
 //! Three exploration strategies are provided (see [`ExploreConfig`]):
 //!
 //! * **random** — uniformly random runnable task at every schedule point;
-//! * **PCT-style priorities** ([`Policy::Pct`]) — each task gets a random
+//! * **PCT-style priorities** (`Policy::Pct`) — each task gets a random
 //!   priority, the highest-priority runnable task runs, and `depth − 1`
 //!   random *change points* demote the running task mid-execution. Finds
 //!   bugs that need few ordering constraints with high probability;
@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as Std
 use std::time::Duration;
 
 /// Identifies one task inside one model execution (`t0` is the model body).
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// Panic payload used to unwind model tasks once an execution has failed;
 /// never observed by user code (the task wrapper swallows it).
@@ -84,7 +84,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// How the scheduler picks the next runnable task at each schedule point.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Policy {
+pub(crate) enum Policy {
     /// Uniformly random among the runnable tasks.
     Random,
     /// PCT-style priority scheduling: random per-task priorities, highest
@@ -775,17 +775,17 @@ fn run_task(exec: Arc<Execution>, tid: TaskId, body: impl FnOnce()) {
 #[derive(Debug, Clone)]
 pub struct ModelFailure {
     /// The model's registered name.
-    pub model: String,
+    pub(crate) model: String,
     /// Human-readable schedule identity (`seed 7 via pct(depth=3)` …).
-    pub schedule: String,
+    pub(crate) schedule: String,
     /// The replay seed, when the failing schedule was seed-driven.
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
     /// What went wrong: the panic message, deadlock report, or step-budget
     /// overrun.
-    pub message: String,
+    pub(crate) message: String,
     /// The full schedule trace — one line per schedule point, byte-stable
     /// under replay.
-    pub trace: String,
+    pub(crate) trace: String,
 }
 
 impl fmt::Display for ModelFailure {
@@ -881,7 +881,7 @@ fn env_u64(key: &str) -> Option<u64> {
 /// The policy seed `s` maps to in a seed matrix: even seeds explore with
 /// uniform randomness, odd seeds with PCT priorities, so one matrix covers
 /// both strategies and the seed alone identifies the schedule.
-pub fn policy_for_seed(seed: u64, depth: u32) -> Policy {
+pub(crate) fn policy_for_seed(seed: u64, depth: u32) -> Policy {
     if seed.is_multiple_of(2) {
         Policy::Random
     } else {

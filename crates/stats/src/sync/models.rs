@@ -1,6 +1,6 @@
 //! Concurrency models for the stats crate's parallel machinery.
 //!
-//! Each [`ModelSpec`] body builds the **production** [`ClaimQueue`]
+//! Each [`ModelSpec`] body builds the **production** `ClaimQueue`
 //! protocol object inside a model execution (so every atomic op is a
 //! schedule point) and asserts one load-bearing invariant. Harness
 //! bookkeeping (hit counters, snapshots) deliberately uses `std` atomics:

@@ -8,7 +8,7 @@
 //! fit a normal distribution, and extrapolate the tail probability
 //! `P(margin < 0)` from the fitted z-score.
 
-use crate::gauss::{inv_norm_cdf, norm_sf};
+use crate::gauss::norm_sf;
 use crate::summary::Summary;
 
 /// A normal fit to a margin sample, with tail-probability queries.
@@ -29,7 +29,6 @@ use crate::summary::Summary;
 pub struct TailFit {
     mean: f64,
     sigma: f64,
-    n: usize,
 }
 
 impl TailFit {
@@ -48,28 +47,7 @@ impl TailFit {
         Self {
             mean: s.mean,
             sigma: s.std,
-            n: s.n,
         }
-    }
-
-    /// Creates a fit directly from known mean/sigma (useful in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma <= 0`.
-    pub fn from_moments(mean: f64, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "sigma must be positive, got {sigma}");
-        Self { mean, sigma, n: 0 }
-    }
-
-    /// Fitted mean of the margin.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Fitted standard deviation of the margin.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 
     /// The z-score of the failure boundary (margin = 0): `mean / sigma`.
@@ -81,26 +59,6 @@ impl TailFit {
     pub fn failure_probability(&self) -> f64 {
         norm_sf(self.z_margin())
     }
-
-    /// The margin mean that would be required (at this sigma) to achieve a
-    /// target failure probability. Used for iso-failure-rate calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 0.5)`.
-    pub fn mean_for_failure(&self, target: f64) -> f64 {
-        assert!(
-            target > 0.0 && target < 0.5,
-            "target failure probability must be in (0, 0.5), got {target}"
-        );
-        // P(margin < 0) = target  =>  mean = -sigma * Phi^-1(target).
-        -self.sigma * inv_norm_cdf(target)
-    }
-
-    /// Number of samples behind the fit (0 when built from moments).
-    pub fn sample_count(&self) -> usize {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -109,19 +67,13 @@ mod tests {
 
     #[test]
     fn z_and_probability() {
-        let fit = TailFit::from_moments(4.0556, 1.0);
+        let fit = TailFit {
+            mean: 4.0556,
+            sigma: 1.0,
+        };
         let p = fit.failure_probability();
         // Phi(-4.0556) ~ 2.5e-5, the paper's iso-failure point.
         assert!((p - 2.5e-5).abs() < 2.5e-6, "p={p}");
-    }
-
-    #[test]
-    fn mean_for_failure_round_trip() {
-        let fit = TailFit::from_moments(3.0, 0.7);
-        let need = fit.mean_for_failure(2.5e-5);
-        let fit2 = TailFit::from_moments(need, 0.7);
-        let p = fit2.failure_probability();
-        assert!((p - 2.5e-5).abs() / 2.5e-5 < 0.02, "p={p}");
     }
 
     #[test]
@@ -130,9 +82,8 @@ mod tests {
         let mut rng = seeded_rng(11);
         let xs = Normal::new(5.0, 1.25).sample_n(&mut rng, 10_000);
         let fit = TailFit::from_margins(&xs);
-        assert!((fit.mean() - 5.0).abs() < 0.05);
-        assert!((fit.sigma() - 1.25).abs() < 0.05);
-        assert_eq!(fit.sample_count(), 10_000);
+        assert!((fit.mean - 5.0).abs() < 0.05);
+        assert!((fit.sigma - 1.25).abs() < 0.05);
     }
 
     #[test]

@@ -11,30 +11,26 @@
 //! cargo run --release --example vector_engine
 //! ```
 
-use bpimc::core::{bank::Chip, config::ChipConfig, Precision};
+use bpimc::core::{MacroBank, MacroConfig, Precision};
 use bpimc::device::Env;
 use bpimc::metrics::FrequencyModel;
 
 fn main() -> Result<(), bpimc::core::Error> {
-    let mut chip = Chip::new(ChipConfig::paper_chip());
+    // The paper's 128 KB chip: 64 macros of 128 x 128 bits.
+    let config = MacroConfig::paper_macro();
+    let macros = 64;
+    let mut bank = MacroBank::new(macros, config);
     let p = Precision::P8;
-    let lanes_per_macro = 16;
-    let macros = chip.macro_count();
+    let lanes_per_macro = p.lanes(config.geometry.cols);
     let total_words = macros * lanes_per_macro;
 
-    // Deterministic test vectors, distributed across all 64 macros.
+    // Deterministic test vectors, one 16-lane chunk per macro.
     let a: Vec<u64> = (0..total_words as u64)
         .map(|i| (i * 37 + 11) & 0xFF)
         .collect();
     let b: Vec<u64> = (0..total_words as u64)
         .map(|i| (i * 101 + 3) & 0xFF)
         .collect();
-    for m in 0..macros {
-        let lo = m * lanes_per_macro;
-        let hi = lo + lanes_per_macro;
-        chip.macro_at(m).write_words(0, p, &a[lo..hi])?;
-        chip.macro_at(m).write_words(1, p, &b[lo..hi])?;
-    }
 
     // out = (a>>2)*3 + (b>>2), with x*3 = (x<<1) + x. Shifts here are
     // implemented as adds of a row to itself staged through copies, and the
@@ -42,21 +38,26 @@ fn main() -> Result<(), bpimc::core::Error> {
     //   r2 = a + a      (a<<1, 1 cycle)
     //   r3 = r2 + a     (3a,   1 cycle)
     //   r4 = r3 + b     (3a+b, 1 cycle)
-    let mut cycles = 0;
-    for m in 0..macros {
-        let mac = chip.macro_at(m);
-        mac.clear_activity();
+    let chunks: Vec<usize> = (0..macros).collect();
+    let runs = bank.try_run_batch(&chunks, |mac, &m| {
+        let lanes = m * lanes_per_macro..(m + 1) * lanes_per_macro;
+        mac.write_words(0, p, &a[lanes.clone()])?;
+        mac.write_words(1, p, &b[lanes])?;
+        let start = mac.activity().total_cycles();
         mac.shl(0, 2, p)?; // a<<1
         mac.add(2, 0, 3, p)?; // 3a
         mac.add(3, 1, 4, p)?; // 3a + b
-        cycles = mac.activity().total_cycles();
-    }
+        let cycles = mac.activity().total_cycles() - start;
+        Ok::<_, bpimc::core::Error>((cycles, mac.read_words(4, p, lanes_per_macro)?))
+    });
 
     // Verify against host arithmetic.
     let mut errors = 0;
-    for m in 0..macros {
+    let mut cycles = 0;
+    for (m, run) in runs.into_iter().enumerate() {
+        let (macro_cycles, got) = run.expect("no chunk panics")?;
+        cycles = cycles.max(macro_cycles);
         let lo = m * lanes_per_macro;
-        let got = chip.macro_at(m).read_words(4, p, lanes_per_macro)?;
         for (k, &g) in got.iter().enumerate() {
             let expect = (3 * a[lo + k] + b[lo + k]) & 0xFF;
             if g != expect {
@@ -67,7 +68,9 @@ fn main() -> Result<(), bpimc::core::Error> {
 
     let fmax = FrequencyModel.fmax(&Env::nominal().with_vdd(1.0));
     let time_s = cycles as f64 / fmax;
-    println!("processed {total_words} words in {cycles} lock-step cycles ({errors} mismatches)");
+    println!(
+        "processed {total_words} words in {cycles} cycles per chunk, one chunk per macro ({errors} mismatches)"
+    );
     println!(
         "at {:.2} GHz that is {:.1} ns -> {:.1} G-element-ops/s",
         fmax / 1e9,

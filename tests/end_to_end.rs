@@ -2,7 +2,7 @@
 //! baseline and the experiment harness working together.
 
 use bpimc::baseline::BitSerialImc;
-use bpimc::core::{bank::Chip, config::ChipConfig, ImcMacro, LogicOp, MacroConfig, Precision};
+use bpimc::core::{ImcMacro, LogicOp, MacroBank, MacroConfig, Precision};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -87,29 +87,31 @@ fn architectures_agree_across_precisions() {
     }
 }
 
-/// Chip-level broadcast keeps all macros in lock-step and the word
-/// throughput scales with the macro count.
+/// The paper's 128 KB chip as 64 macros of a bank: a P8 ADD takes one
+/// cycle on each, so one add over the chip processes all 64 x 16 lanes.
 #[test]
 fn chip_scales_word_throughput() {
-    let mut chip = Chip::new(ChipConfig::paper_chip());
-    assert_eq!(chip.macro_count(), 64);
-    assert_eq!(chip.config().capacity_bytes(), 128 * 1024);
-    for i in 0..chip.macro_count() {
-        chip.macro_at(i)
-            .write_words(0, Precision::P8, &[i as u64 & 0xFF])
-            .unwrap();
-        chip.macro_at(i)
-            .write_words(1, Precision::P8, &[1])
-            .unwrap();
-    }
-    let cycles = chip.add_all(0, 1, 2, Precision::P8).unwrap();
-    assert_eq!(cycles, 1, "chip-wide ADD is still one cycle");
-    assert_eq!(chip.words_per_op(Precision::P8), 1024);
-    for i in 0..chip.macro_count() {
-        assert_eq!(
-            chip.macro_at(i).read_words(2, Precision::P8, 1).unwrap()[0],
-            (i as u64 & 0xFF) + 1
-        );
+    let p = Precision::P8;
+    let config = MacroConfig::paper_macro();
+    let macros = 64;
+    assert_eq!(macros * config.geometry.capacity_bytes(), 128 * 1024);
+    let lanes = p.lanes(config.geometry.cols);
+    assert_eq!(macros * lanes, 1024);
+    let mut bank = MacroBank::new(macros, config);
+    let jobs: Vec<u64> = (0..macros as u64).collect();
+    let runs = bank.try_run_batch(&jobs, |mac, &j| {
+        let a: Vec<u64> = (0..lanes as u64).map(|k| (j * 16 + k) & 0xFF).collect();
+        mac.write_words(0, p, &a).unwrap();
+        mac.write_words(1, p, &vec![1; lanes]).unwrap();
+        let cycles = mac.add(0, 1, 2, p).unwrap();
+        (cycles, mac.read_words(2, p, lanes).unwrap())
+    });
+    for (j, run) in runs.into_iter().enumerate() {
+        let (cycles, sums) = run.expect("no job panics");
+        assert_eq!(cycles, 1, "an ADD is one cycle on every macro");
+        for (k, sum) in sums.into_iter().enumerate() {
+            assert_eq!(sum, (j * 16 + k + 1) as u64 & 0xFF);
+        }
     }
 }
 

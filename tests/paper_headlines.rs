@@ -1,8 +1,8 @@
 //! The paper's headline claims, asserted against the models end to end.
 //!
 //! Each test names the claim as the paper states it and the tolerance we
-//! accept from a behavioral (non-PDK) reproduction. `EXPERIMENTS.md` records
-//! the measured values.
+//! accept from a behavioral (non-PDK) reproduction. `repro all` prints the
+//! measured values.
 
 use bpimc::bench::experiments::{fig7b, fig8, fig9, table1, table3};
 use bpimc::core::{ImcMacro, MacroConfig, Precision};
