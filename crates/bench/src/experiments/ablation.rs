@@ -210,6 +210,7 @@ mod tests {
         // Every probed width still trips the SA (the booster finishes the
         // job even for an 80 ps pulse).
         assert!(r.pulse_sweep.iter().all(|p| p.delay_s.is_some()));
+        crate::experiments::assert_pinned("ablation", &r, 0x16c9_810b_05eb_37bb);
     }
 
     #[test]

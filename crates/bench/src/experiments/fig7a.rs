@@ -110,6 +110,7 @@ mod tests {
         // The paper's headline: ~0.22x at the worst case. Allow model slack.
         let worst = r.worst_case_ratio();
         assert!((0.1..0.45).contains(&worst), "worst ratio {worst}");
+        crate::experiments::assert_pinned("fig7a", &r, 0x8672_6043_79dd_d3cc);
     }
 
     #[test]

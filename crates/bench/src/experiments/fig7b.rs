@@ -102,6 +102,7 @@ mod tests {
         assert_eq!(r.points.len(), 5);
         let (lo, hi) = r.speedup_band();
         assert!(lo >= 1.7 && hi <= 2.3, "band {lo}-{hi}");
+        crate::experiments::assert_pinned("fig7b", &r, 0x7149_8348_7fd4_d679);
     }
 
     #[test]

@@ -129,6 +129,7 @@ mod tests {
             "{}",
             p06.tops_mult_sep
         );
+        crate::experiments::assert_pinned("fig8", &r, 0x3e46_edc9_e84f_7a37);
     }
 
     #[test]

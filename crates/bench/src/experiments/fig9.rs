@@ -170,6 +170,7 @@ mod tests {
         );
         // MULT at BL=1024 (dense): ~0.15 (paper label 0.19).
         assert!(r.mult[3].ratio() < 0.2);
+        crate::experiments::assert_pinned("fig9", &r, 0x3e7c_2468_3b2d_d79b);
     }
 
     #[test]

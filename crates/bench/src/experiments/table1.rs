@@ -103,5 +103,6 @@ mod tests {
         let r = run();
         assert_eq!(r.rows.len(), 9);
         assert!(r.all_match(), "{r}");
+        crate::experiments::assert_pinned("table1", &r, 0xc648_9967_007b_322a);
     }
 }

@@ -81,5 +81,6 @@ mod tests {
         assert_eq!(r.report.cells.len(), 15);
         assert!(r.report.rms_rel_err < 0.10);
         assert!(format!("{r}").contains("rms"));
+        crate::experiments::assert_pinned("table2", &r, 0xb064_82d9_2613_ba2a);
     }
 }

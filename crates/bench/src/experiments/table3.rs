@@ -123,6 +123,7 @@ mod tests {
         assert!((p.fmax_0v6_hz - 372e6).abs() / 372e6 < 0.06);
         assert!((p.tops_w_mult - 0.68).abs() / 0.68 < 0.15);
         assert!((p.tops_w_add - 8.09).abs() / 8.09 < 0.15);
+        crate::experiments::assert_pinned("table3", &r, 0xef56_0665_cfa4_a7cc);
     }
 
     #[test]

@@ -163,6 +163,7 @@ mod tests {
         let r = run();
         assert_eq!(r.points.len(), 6);
         assert!(r.operational_everywhere(), "{r}");
+        crate::experiments::assert_pinned("vrange", &r, 0x3221_99ae_9c38_d867);
     }
 
     #[test]
