@@ -1,11 +1,15 @@
 //! `repro` — regenerate the paper's figures and tables from the simulators.
 //!
+//! Each experiment's result is pinned bit for bit by a unit test in its
+//! module under `bpimc_bench::experiments` (fig2 on a 32-sample run), so
+//! `cargo test` fails on a change that moves any of them.
+//!
 //! ```text
 //! repro all                 # everything (fig2 with default sample count)
 //! repro fig2 --samples 2000
 //! repro fig7a fig7b fig8 fig9 table1 table2 table3
 //! repro all --json          # also write BENCH_repro.json with wall-clock
-//!                           # and simulated-cycle numbers
+//!                           # and host micro-timing numbers
 //! repro serve               # run the multi-client compute service
 //!     [--addr 127.0.0.1:7171] [--write-timeout-ms MS]
 //!     [--max-cycles-per-sec N] [--max-energy-fj-per-sec N]
@@ -19,8 +23,9 @@
 //!                           # record counts, CRC failures, truncation
 //!                           # point, per-session summary; non-zero exit
 //!                           # on corruption
-//! repro check-bench         # regression gate: compare current cycles and
-//!     [--baseline FILE]     # micro-timings against BENCH_repro.json
+//! repro check-bench         # timing regression gate: compare host
+//!     [--baseline FILE]     # micro-timings and served req/s against
+//!                           # BENCH_repro.json
 //! repro lint --builtin      # static program-quality gate: lint the
 //!     [FILE|-]              # canonical load_gen shapes + nn templates,
 //!                           # and/or programs in wire request lines;
@@ -44,12 +49,9 @@ use std::time::Instant;
 const PR2_SERVED_REQ_PER_S: f64 = 5000.0;
 /// Required speedup of `served_req_per_s` over the PR-2 baseline.
 const SERVED_SPEEDUP_FLOOR: f64 = 2.0;
-/// Perf-history sidecar: `repro --json` appends one record per run;
-/// `check-bench` prints the trend against the latest entries.
-const HISTORY_PATH: &str = "BENCH_history.jsonl";
 
-/// Wall-clock + simulated-cycle numbers this PR and future perf PRs are
-/// measured by. Written to `BENCH_repro.json` by `--json`.
+/// Wall-clock time of each experiment `repro` ran. Written to
+/// `BENCH_repro.json` by `--json`, with the host micro-timings.
 struct BenchReport {
     samples: usize,
     seed: u64,
@@ -78,9 +80,9 @@ impl BenchReport {
         out
     }
 
-    /// Simulated per-op cycle counts (Table I ground truth, precision-swept)
-    /// plus the supplied host measurements. Pure serialization: the caller
-    /// measures (`micro_timings`) and records history.
+    /// The experiments' wall-clock times plus the supplied host
+    /// measurements. Pure serialization: the caller measures
+    /// (`micro_timings`).
     fn to_json(&self, report: &MicroReport) -> String {
         let mut s = String::from("{\n  \"schema\": 1,\n");
         if self.ran_fig2 {
@@ -96,12 +98,6 @@ impl BenchReport {
                 ""
             };
             let _ = writeln!(s, "    \"{name}\": {secs:.4}{comma}");
-        }
-        s.push_str("  },\n  \"simulated_cycles\": {\n");
-        let cycles = simulated_cycles();
-        for (i, (name, c)) in cycles.iter().enumerate() {
-            let comma = if i + 1 < cycles.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{name}\": {c}{comma}");
         }
         s.push_str("  },\n  \"micro_us\": {\n");
         for (i, (name, us)) in report.micro.iter().enumerate() {
@@ -119,129 +115,6 @@ impl BenchReport {
     }
 }
 
-/// One line per `repro --json` run, appended to `BENCH_history.jsonl` — the
-/// criterion-free perf history `check-bench` prints trends from. Each
-/// record is a standalone JSON object (timestamp, micro timings,
-/// throughput), so the file is greppable and survives baseline rewrites.
-fn append_history(samples: usize, ran_fig2: bool, report: &MicroReport) {
-    use std::io::Write as _;
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut line = format!("{{\"ts\":{ts}");
-    if ran_fig2 {
-        let _ = write!(line, ",\"samples\":{samples}");
-    }
-    line.push_str(",\"micro_us\":{");
-    for (i, (name, us)) in report.micro.iter().enumerate() {
-        let comma = if i + 1 < report.micro.len() { "," } else { "" };
-        let _ = write!(line, "\"{name}\":{us:.3}{comma}");
-    }
-    let _ = write!(
-        line,
-        "}},\"served_req_per_s\":{:.0}}}",
-        report.served_req_per_s
-    );
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(HISTORY_PATH)
-        .and_then(|mut f| writeln!(f, "{line}"));
-    match appended {
-        Ok(()) => eprintln!("appended perf record to {HISTORY_PATH}"),
-        Err(e) => eprintln!("warning: could not append to {HISTORY_PATH}: {e}"),
-    }
-}
-
-/// Prints each current metric against the median of the last `n` history
-/// records (purely informational — the hard gates are the baseline
-/// comparisons). Silent when no history exists yet.
-fn print_history_trend(report: &MicroReport, n: usize) {
-    let Ok(text) = std::fs::read_to_string(HISTORY_PATH) else {
-        println!("history no {HISTORY_PATH} yet (run `repro all --json` to start one)");
-        return;
-    };
-    let records: Vec<bpimc_core::json::Json> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| bpimc_core::json::Json::parse(l).ok())
-        .collect();
-    if records.is_empty() {
-        return;
-    }
-    let recent = &records[records.len().saturating_sub(n)..];
-    println!(
-        "history trend vs the last {} record(s) in {HISTORY_PATH}:",
-        recent.len()
-    );
-    let median_of = |pick: &dyn Fn(&bpimc_core::json::Json) -> Option<f64>| -> Option<f64> {
-        let mut vals: Vec<f64> = recent.iter().filter_map(pick).collect();
-        if vals.is_empty() {
-            return None;
-        }
-        vals.sort_by(f64::total_cmp);
-        Some(vals[vals.len() / 2])
-    };
-    for (name, current) in &report.micro {
-        let key = name.clone();
-        if let Some(med) = median_of(&move |r: &bpimc_core::json::Json| {
-            r.get("micro_us")
-                .and_then(|m| m.get(&key))
-                .and_then(|v| v.as_f64())
-        }) {
-            let delta = if med > 0.0 {
-                100.0 * (current - med) / med
-            } else {
-                0.0
-            };
-            println!("history {name:<22} {current:.3} us vs median {med:.3} ({delta:+.0}%)");
-        }
-    }
-    if let Some(med) =
-        median_of(&|r: &bpimc_core::json::Json| r.get("served_req_per_s").and_then(|v| v.as_f64()))
-    {
-        let cur = report.served_req_per_s;
-        let delta = if med > 0.0 {
-            100.0 * (cur - med) / med
-        } else {
-            0.0
-        };
-        println!("history served_req_per_s       {cur:.0} vs median {med:.0} ({delta:+.0}%)");
-    }
-}
-
-/// Runs each Table I op once and reports its hardware cycle count.
-fn simulated_cycles() -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for p in [Precision::P2, Precision::P4, Precision::P8, Precision::P16] {
-        let mut mac = ImcMacro::new(MacroConfig::paper_macro());
-        mac.write_words(0, p, &[1]).expect("fits");
-        mac.write_words(1, p, &[2]).expect("fits");
-        let add = mac.add(0, 1, 2, p).expect("add");
-        let sub = mac.sub(0, 1, 3, p).expect("sub");
-        let mut mm = ImcMacro::new(MacroConfig::paper_macro());
-        mm.write_mult_operands(0, p, &[1]).expect("fits");
-        mm.write_mult_operands(1, p, &[2]).expect("fits");
-        let mult = mm.mult(0, 1, 2, p).expect("mult");
-        let bits = p.bits();
-        out.push((format!("add_p{bits}"), add));
-        out.push((format!("sub_p{bits}"), sub));
-        out.push((format!("mult_p{bits}"), mult));
-    }
-    // The program executor's static cost model for a 16-feature P8 dot
-    // pipeline (2 chunks of write/write/mult/read) — hardware ground
-    // truth for the `exec_program` path, asserted against the activity
-    // log by executing it.
-    let x: Vec<u64> = (0..16).collect();
-    let prog = dot_program(Precision::P8, &x, &x, 128);
-    let mut pm = ImcMacro::new(MacroConfig::paper_macro());
-    let run = prog.run(&mut pm).expect("dot program runs");
-    assert_eq!(run.total_cycles(), prog.cycles(), "cost model diverged");
-    out.push(("program_dot16_p8".to_string(), run.total_cycles()));
-    out
-}
-
 /// Host-side measurements `check-bench` gates: micro timings of the hot
 /// ops/pipelines, the relative executor-overhead ratios (medians over
 /// interleaved rounds), and the served request throughput.
@@ -256,10 +129,10 @@ struct MicroReport {
 }
 
 /// Quick host-side timings of the hot macro ops and pipelines
-/// (microseconds per op; small sample, indicative rather than statistical
-/// — `cargo bench` has the criterion versions). Ratios are medians over
-/// interleaved measurement rounds, so host frequency drift and
-/// noisy-neighbor bursts land on both sides equally.
+/// (microseconds per op; small sample, indicative rather than
+/// statistical). Ratios are medians over interleaved measurement rounds,
+/// so host frequency drift and noisy-neighbor bursts land on both sides
+/// equally.
 fn micro_timings() -> MicroReport {
     let p = Precision::P8;
     let mut mac = ImcMacro::new(MacroConfig::paper_macro());
@@ -800,11 +673,12 @@ fn lint_cmd(args: &[String]) {
     }
 }
 
-/// `repro check-bench`: the CI regression gate. Simulated cycle counts are
-/// hardware ground truth and must match the baseline **exactly**; host
-/// micro-timings vary with the machine, so they only fail when more than
+/// `repro check-bench`: the CI timing regression gate. Host micro-timings
+/// vary with the machine, so they only fail when more than
 /// `TOLERANCE_FACTOR` slower than the recorded baseline (catching
 /// order-of-magnitude regressions without flaking on slower CI hosts).
+/// Simulated results are not checked here: the experiment pins and the
+/// macro's golden-state pin hold them bit for bit.
 fn check_bench(args: &[String]) {
     const TOLERANCE_FACTOR: f64 = 10.0;
     let mut baseline_path = "BENCH_repro.json".to_string();
@@ -825,49 +699,7 @@ fn check_bench(args: &[String]) {
     let baseline = bpimc_core::json::Json::parse(&text)
         .unwrap_or_else(|e| die(&format!("parsing {baseline_path}: {e}")));
 
-    // Both directions are gated: a current measurement missing from the
-    // baseline fails, and a baseline entry with no current counterpart
-    // fails too — deleting or renaming a benchmark must not silently
-    // shrink the gate.
-    fn orphaned_baseline_keys(
-        section: &bpimc_core::json::Json,
-        label: &str,
-        current_names: &[String],
-        failures: &mut usize,
-    ) {
-        if let bpimc_core::json::Json::Obj(fields) = section {
-            for (name, _) in fields {
-                if !current_names.iter().any(|n| n == name) {
-                    println!("{label} {name:<22} in baseline but no longer measured  FAIL");
-                    *failures += 1;
-                }
-            }
-        }
-    }
-
     let mut failures = 0usize;
-    let current_cycles = simulated_cycles();
-    let cycles_base = baseline
-        .get("simulated_cycles")
-        .unwrap_or_else(|| die("baseline has no simulated_cycles"));
-    for (name, current) in &current_cycles {
-        match cycles_base.get(name).and_then(|v| v.as_u64()) {
-            Some(recorded) if recorded == *current => {
-                println!("cycles  {name:<16} {current} == baseline");
-            }
-            Some(recorded) => {
-                println!("cycles  {name:<16} {current} != baseline {recorded}  FAIL");
-                failures += 1;
-            }
-            None => {
-                println!("cycles  {name:<16} {current} (not in baseline)  FAIL");
-                failures += 1;
-            }
-        }
-    }
-    let cycle_names: Vec<String> = current_cycles.into_iter().map(|(n, _)| n).collect();
-    orphaned_baseline_keys(cycles_base, "cycles ", &cycle_names, &mut failures);
-
     let report = micro_timings();
     let micro_base = baseline
         .get("micro_us")
@@ -956,9 +788,18 @@ fn check_bench(args: &[String]) {
             failures += 1;
         }
     }
-    let micro_names: Vec<String> = report.micro.iter().map(|(n, _)| n.clone()).collect();
-    orphaned_baseline_keys(micro_base, "micro  ", &micro_names, &mut failures);
-    print_history_trend(&report, 5);
+    // Both directions are gated: a current measurement missing from the
+    // baseline fails above, and a baseline entry with no current
+    // counterpart fails here — deleting or renaming a benchmark must not
+    // silently shrink the gate.
+    if let bpimc_core::json::Json::Obj(fields) = micro_base {
+        for (name, _) in fields {
+            if !report.micro.iter().any(|(n, _)| n == name) {
+                println!("micro   {name:<22} in baseline but no longer measured  FAIL");
+                failures += 1;
+            }
+        }
+    }
     if failures > 0 {
         die(&format!(
             "{failures} bench regression(s) against {baseline_path}"
@@ -1109,7 +950,11 @@ fn main() {
                 samples = it
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--samples needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| {
+                        eprintln!("error: --samples needs a positive number");
+                        usage()
+                    });
             }
             "--seed" => {
                 seed = it
@@ -1172,7 +1017,6 @@ fn main() {
         std::fs::write(path, report.to_json(&micro))
             .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
         eprintln!("wrote {path}");
-        append_history(report.samples, report.ran_fig2, &micro);
     }
 }
 

@@ -1,7 +1,9 @@
-//! The `repro` command line rejects arguments it does not know (exit 2
-//! with the usage text) instead of running nothing and exiting 0, so a
-//! misspelled experiment name or flag fails loudly. Its `lint` gate passes
-//! the built-in pipelines and fails on a warn-severity diagnostic.
+//! The `repro` command line rejects arguments it does not know or cannot
+//! use (exit 2 with the usage text) before it runs anything, instead of
+//! running nothing and exiting 0, or running every other experiment and
+//! then panicking, so a misspelled experiment name or flag fails loudly.
+//! Its `lint` gate passes the built-in pipelines and fails on a
+//! warn-severity diagnostic.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -13,14 +15,11 @@ fn repro(args: &[&str]) -> Output {
         .expect("running repro")
 }
 
-fn assert_rejected(args: &[&str], bad: &str) {
+fn assert_rejected(args: &[&str], error: &str) {
     let out = repro(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(
-        stderr.contains(&format!("unknown argument '{bad}'")),
-        "{args:?}: {stderr}"
-    );
+    assert!(stderr.contains(error), "{args:?}: {stderr}");
     assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
     assert!(
         out.stdout.is_empty(),
@@ -30,12 +29,15 @@ fn assert_rejected(args: &[&str], bad: &str) {
 
 #[test]
 fn unknown_experiment_name_exits_2() {
-    assert_rejected(&["fgi2"], "fgi2");
+    assert_rejected(&["fgi2"], "unknown argument 'fgi2'");
 }
 
 #[test]
 fn unknown_flag_exits_2() {
-    assert_rejected(&["table1", "--sample", "5"], "--sample");
+    assert_rejected(&["table1", "--sample", "5"], "unknown argument '--sample'");
+    for args in [["fig2", "--samples", "0"], ["all", "--samples", "0"]] {
+        assert_rejected(&args, "--samples needs a positive number");
+    }
 }
 
 #[test]

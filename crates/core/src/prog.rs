@@ -553,9 +553,10 @@ pub struct ProgramRun {
     pub instr_spans: Vec<Range<usize>>,
 }
 
+#[cfg(test)]
 impl ProgramRun {
     /// Total hardware cycles of the run.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.instr_cycles.iter().sum()
     }
 }

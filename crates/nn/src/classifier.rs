@@ -24,7 +24,7 @@ pub struct EvalReport {
     pub accuracy: f64,
     /// Total macro cycles spent (summed across the bank — identical to
     /// running every sample on one macro).
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Total macro energy at 0.9 V, femtojoules (Table II-calibrated).
     pub(crate) energy_fj: f64,
     /// Samples evaluated.

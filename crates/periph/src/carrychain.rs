@@ -14,16 +14,17 @@
 //!   shift), so one host instruction covers 64 columns, mirroring the
 //!   hardware's bit-parallelism. Rows up to [`BitRow::INLINE_COLS`]
 //!   columns need no heap allocation;
-//! * the **structural reference** ([`CarryChain::add_bitwise`],
-//!   [`CarryChain::mult_step_bitwise`], …): the original column-by-column
-//!   ripple through [`YPath`] slices, taking the same inputs. It is kept as
-//!   the ground truth the property tests compare the engine against
-//!   bit-for-bit.
+//! * the **structural reference** (`add_bitwise`, `shift_row_bitwise`,
+//!   `mult_step_bitwise`, compiled for tests only): the original
+//!   column-by-column ripple through `YPath` slices, taking the same
+//!   inputs. It is kept as the ground truth the property tests compare the
+//!   engine against bit-for-bit.
 //!
 //! Both compute the same function; only host time differs. Simulated cycle
 //! counts are decided by the macro executor, not by either code path.
 
 use crate::precision::Precision;
+#[cfg(test)]
 use crate::ypath::{ColumnInputs, WriteBackSel, YPath};
 use bpimc_array::{BitRow, LaneMasks};
 
@@ -71,6 +72,7 @@ impl CarryChain {
     }
 
     /// Column range of lane `lane`.
+    #[cfg(test)]
     fn lane_range(&self, lane: usize) -> std::ops::Range<usize> {
         let lo = lane * self.segment_bits();
         lo..lo + self.segment_bits()
@@ -130,7 +132,8 @@ impl CarryChain {
 
     /// [`CarryChain::add`] computed column by column through the structural
     /// [`YPath`] model — the reference the limb engine is verified against.
-    pub fn add_bitwise(&self, a: &BitRow, b: &BitRow, carry_in: bool) -> BitRow {
+    #[cfg(test)]
+    fn add_bitwise(&self, a: &BitRow, b: &BitRow, carry_in: bool) -> BitRow {
         self.check_width(a.width());
         self.check_width(b.width());
         let y = YPath;

@@ -11,9 +11,10 @@
 //! * **Logic unit** ([`LogicOp`]): one OR gate, three inverters and four
 //!   transmission gates produce every two-input logic function from the
 //!   `AND`/`NOR` SA pair.
-//! * **Y-path** ([`YPath`]): the per-column mux structure (MX0/MX1/MX2)
-//!   selecting what is written back: a logic result, the local sum, or the
-//!   neighbour's sum/data for shift and add-and-shift operations.
+//! * **Y-path**: the per-column mux structure (MX0/MX1/MX2) selecting
+//!   what is written back: a logic result, the local sum, or the
+//!   neighbour's sum/data for shift and add-and-shift operations. Its
+//!   column-by-column model is the tests' reference for the carry chain.
 //! * **Carry chain** ([`CarryChain`]): the row-wide composition of Y-paths,
 //!   segmented at word boundaries by the reconfiguration muxes (MX3) to
 //!   implement 2/4/8/16/32-bit precision ([`Precision`]). Its
@@ -26,10 +27,10 @@ pub(crate) mod carrychain;
 pub(crate) mod falogics;
 pub(crate) mod logicunit;
 pub(crate) mod precision;
-pub(crate) mod ypath;
+#[cfg(test)]
+mod ypath;
 
 pub use carrychain::CarryChain;
 pub use falogics::{fa_carry, fa_sum};
 pub use logicunit::LogicOp;
 pub use precision::Precision;
-pub use ypath::{ColumnInputs, WriteBackSel, YPath};
