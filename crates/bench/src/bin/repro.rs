@@ -2,14 +2,16 @@
 //!
 //! Each experiment's result is pinned bit for bit by a unit test in its
 //! module under `bpimc_bench::experiments` (fig2 on a 32-sample run), so
-//! `cargo test` fails on a change that moves any of them.
+//! `cargo test` fails on a change that moves any of them. Host timing is
+//! not measured here: perfbench (`BENCHMARK.json`) is the one timing
+//! source, `scripts/bench_ab.py` gates it against a base revision, and
+//! `crates/bench/tests/executor_overhead.rs` holds the executor's
+//! overhead ratios against raw `ImcMacro` calls.
 //!
 //! ```text
 //! repro all                 # everything (fig2 with default sample count)
 //! repro fig2 --samples 2000
 //! repro fig7a fig7b fig8 fig9 table1 table2 table3
-//! repro all --json          # also write BENCH_repro.json with wall-clock
-//!                           # and host micro-timing numbers
 //! repro serve               # run the multi-client compute service
 //!     [--addr 127.0.0.1:7171] [--write-timeout-ms MS]
 //!     [--max-cycles-per-sec N] [--max-energy-fj-per-sec N]
@@ -23,9 +25,6 @@
 //!                           # record counts, CRC failures, truncation
 //!                           # point, per-session summary; non-zero exit
 //!                           # on corruption
-//! repro check-bench         # timing regression gate: compare host
-//!     [--baseline FILE]     # micro-timings and served req/s against
-//!                           # BENCH_repro.json
 //! repro lint --builtin      # static program-quality gate: lint the
 //!     [FILE|-]              # canonical load_gen shapes + nn templates,
 //!                           # and/or programs in wire request lines;
@@ -36,330 +35,7 @@ use bpimc_bench::experiments::{
     ablation, fig2, fig7a, fig7b, fig8, fig9, table1, table2, table3, vrange,
 };
 use bpimc_core::{ImcMacro, MacroConfig, Precision};
-use bpimc_nn::{
-    chunks_per_class, classify_bindings, classify_from_outputs, classify_program, dot_program,
-};
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// The serving throughput PR 2 committed (~5k requests/sec with 8
-/// synchronous clients on the 2-core CI container). The check-bench gate
-/// requires the current pipelined measurement to stay at least
-/// [`SERVED_SPEEDUP_FLOOR`] times above it.
-const PR2_SERVED_REQ_PER_S: f64 = 5000.0;
-/// Required speedup of `served_req_per_s` over the PR-2 baseline.
-const SERVED_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Wall-clock time of each experiment `repro` ran. Written to
-/// `BENCH_repro.json` by `--json`, with the host micro-timings.
-struct BenchReport {
-    samples: usize,
-    seed: u64,
-    /// True when fig2 ran, i.e. `samples`/`seed` describe a real run.
-    ran_fig2: bool,
-    experiments: Vec<(String, f64)>,
-}
-
-/// The pre-refactor (seed, commit 85e31a3) numbers, measured on the same
-/// host as this PR's rewrite so the speedup claims in the PR are anchored
-/// in the artefact itself. See CHANGES.md for the methodology.
-const BASELINE_JSON: &str = r#"{
-    "commit": "85e31a3 (seed, per-bit engine, fixed-step integrator)",
-    "fig2_samples2000_wall_s": 53.5,
-    "nn_eval_400x64_p8_wall_s": 2.300,
-    "mult_p8_128col_us": 12.98,
-    "reduce_add_8rows_us": 7.15
-  }"#;
-
-impl BenchReport {
-    fn record<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.experiments
-            .push((name.to_string(), t0.elapsed().as_secs_f64()));
-        out
-    }
-
-    /// The experiments' wall-clock times plus the supplied host
-    /// measurements. Pure serialization: the caller measures
-    /// (`micro_timings`).
-    fn to_json(&self, report: &MicroReport) -> String {
-        let mut s = String::from("{\n  \"schema\": 1,\n");
-        if self.ran_fig2 {
-            // Only a run that included fig2 has meaningful sample counts.
-            let _ = writeln!(s, "  \"samples\": {},", self.samples);
-            let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        }
-        s.push_str("  \"experiments_wall_s\": {\n");
-        for (i, (name, secs)) in self.experiments.iter().enumerate() {
-            let comma = if i + 1 < self.experiments.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    \"{name}\": {secs:.4}{comma}");
-        }
-        s.push_str("  },\n  \"micro_us\": {\n");
-        for (i, (name, us)) in report.micro.iter().enumerate() {
-            let comma = if i + 1 < report.micro.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{name}\": {us:.3}{comma}");
-        }
-        s.push_str("  },\n  \"throughput\": {\n");
-        let _ = writeln!(
-            s,
-            "    \"served_req_per_s\": {:.0}",
-            report.served_req_per_s
-        );
-        let _ = writeln!(s, "  }},\n  \"baseline_pre_refactor\": {BASELINE_JSON}\n}}");
-        s
-    }
-}
-
-/// Host-side measurements `check-bench` gates: micro timings of the hot
-/// ops/pipelines, the relative executor-overhead ratios (medians over
-/// interleaved rounds), and the served request throughput.
-struct MicroReport {
-    micro: Vec<(String, f64)>,
-    /// Compiled-program / raw-method-call pipeline time (16-feature dot).
-    compiled_ratio: f64,
-    /// Classify-via-compiled-template / raw-method-call classify time.
-    classify_ratio: f64,
-    /// Pipelined mixed-stream requests/sec against an in-process server.
-    served_req_per_s: f64,
-}
-
-/// Quick host-side timings of the hot macro ops and pipelines
-/// (microseconds per op; small sample, indicative rather than
-/// statistical). Ratios are medians over interleaved measurement rounds,
-/// so host frequency drift and noisy-neighbor bursts land on both sides
-/// equally.
-fn micro_timings() -> MicroReport {
-    let p = Precision::P8;
-    let mut mac = ImcMacro::new(MacroConfig::paper_macro());
-    mac.write_mult_operands(0, p, &[123; 8]).expect("fits");
-    mac.write_mult_operands(1, p, &[45; 8]).expect("fits");
-    let n = 2000;
-    let t0 = Instant::now();
-    for _ in 0..n {
-        mac.mult(0, 1, 2, p).expect("mult");
-        mac.clear_activity();
-    }
-    let mult_us = t0.elapsed().as_secs_f64() * 1e6 / n as f64;
-    for r in 0..8 {
-        mac.write_words(3 + r, p, &[(r as u64 * 31) % 256; 16])
-            .expect("fits");
-    }
-    let rows: Vec<usize> = (3..11).collect();
-    let t0 = Instant::now();
-    for _ in 0..n {
-        mac.reduce_add(&rows, 12, p).expect("reduce");
-        mac.clear_activity();
-    }
-    let reduce_us = t0.elapsed().as_secs_f64() * 1e6 / n as f64;
-    // The program-executor overhead gate: the same 16-feature dot pipeline
-    // once as a validated+lowered Program run, once as raw method calls.
-    // Regression-gated (10x) so the executor's bookkeeping (validation,
-    // lowering, span accounting) never grows into the hot path's budget.
-    let x: Vec<u64> = (0..16).map(|i| (i * 37) % 256).collect();
-    let w: Vec<u64> = (0..16).map(|i| (i * 53) % 256).collect();
-    let prog = dot_program(p, &x, &w, mac.cols());
-    // The validate-once-run-many fast path: the same pipeline pre-resolved
-    // into a flat op array, so repeat runs skip validation and lowering
-    // entirely.
-    let compiled = prog.compile(mac.config()).expect("pipeline validates");
-    let lanes = p.product_lanes(mac.cols());
-    // The three pipeline variants are measured in interleaved rounds so
-    // host frequency drift (common on shared CI machines) lands on all of
-    // them equally. check-bench gates the compiled/raw ratio as the
-    // *median over rounds* — a noisy-neighbor burst that lands on a few
-    // rounds shifts the mean but not the median.
-    let rounds = 16;
-    let per_round = n / rounds;
-    let mut program_s = 0.0f64;
-    let mut compiled_rounds = Vec::with_capacity(rounds);
-    let mut raw_rounds = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for _ in 0..per_round {
-            prog.run(&mut mac).expect("program runs");
-            mac.clear_activity();
-        }
-        program_s += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for _ in 0..per_round {
-            compiled.run(&mut mac).expect("compiled program runs");
-            mac.clear_activity();
-        }
-        compiled_rounds.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for _ in 0..per_round {
-            for (xc, wc) in x.chunks(lanes).zip(w.chunks(lanes)) {
-                mac.write_mult_operands(0, p, xc).expect("fits");
-                mac.write_mult_operands(1, p, wc).expect("fits");
-                mac.mult(0, 1, 2, p).expect("mult");
-                mac.read_products(2, p, xc.len()).expect("read");
-            }
-            mac.clear_activity();
-        }
-        raw_rounds.push(t0.elapsed().as_secs_f64());
-    }
-    let denom = (rounds * per_round) as f64;
-    let program_us = program_s * 1e6 / denom;
-    let compiled_us = compiled_rounds.iter().sum::<f64>() * 1e6 / denom;
-    let raw_us = raw_rounds.iter().sum::<f64>() * 1e6 / denom;
-    let median_ratio = |a: &[f64], b: &[f64]| -> f64 {
-        let mut ratios: Vec<f64> = a.iter().zip(b).map(|(x, y)| x / y).collect();
-        ratios.sort_by(f64::total_cmp);
-        ratios[ratios.len() / 2]
-    };
-    let ratio_median = median_ratio(&compiled_rounds, &raw_rounds);
-
-    // The serving hot path: one whole classification (all C prototype
-    // dots) through the per-model compiled template with the sample's
-    // chunks rebound, against the same work as raw ImcMacro method calls
-    // with host scoring. This is exactly what a `classify` request runs.
-    let protos: Vec<Vec<u64>> = (0..4)
-        .map(|c| (0..16).map(|i| (c * 37 + i * 11 + 3) % 256).collect())
-        .collect();
-    let norms = bpimc_nn::prototype_norms(&mut mac, p, &protos);
-    mac.clear_activity();
-    let dim = 16usize;
-    let template = classify_program(p, &protos, &vec![0u64; dim], mac.cols())
-        .compile(mac.config())
-        .expect("classify template compiles");
-    let chunks = chunks_per_class(p, dim, mac.cols());
-    let xq: Vec<u64> = (0..dim as u64).map(|i| (i * 29 + 5) % 256).collect();
-    let cls_n = 400usize;
-    let cls_per_round = cls_n / rounds;
-    let mut cls_prog_rounds = Vec::with_capacity(rounds);
-    let mut cls_raw_rounds = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for _ in 0..cls_per_round {
-            let inputs = classify_bindings(p, protos.len(), &xq, mac.cols());
-            let outputs = template
-                .run_outputs(&mut mac, &inputs)
-                .expect("template runs");
-            let got = classify_from_outputs(&outputs, chunks, &norms);
-            assert!(got < protos.len());
-            mac.clear_activity();
-        }
-        cls_prog_rounds.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for _ in 0..cls_per_round {
-            let mut best: Option<(usize, f64)> = None;
-            for (c, (w_q, &ww)) in protos.iter().zip(&norms).enumerate() {
-                let mut xw = 0u64;
-                for (xc, wc) in xq.chunks(lanes).zip(w_q.chunks(lanes)) {
-                    mac.write_mult_operands(0, p, xc).expect("fits");
-                    mac.write_mult_operands(1, p, wc).expect("fits");
-                    mac.mult(0, 1, 2, p).expect("mult");
-                    xw += mac
-                        .read_products(2, p, xc.len())
-                        .expect("read")
-                        .iter()
-                        .sum::<u64>();
-                }
-                let score = xw as f64 - ww as f64 / 2.0;
-                if best.is_none() || score > best.expect("set").1 {
-                    best = Some((c, score));
-                }
-            }
-            assert!(best.expect("classified").0 < protos.len());
-            mac.clear_activity();
-        }
-        cls_raw_rounds.push(t0.elapsed().as_secs_f64());
-    }
-    let cls_denom = (rounds * cls_per_round) as f64;
-    let classify_program_us = cls_prog_rounds.iter().sum::<f64>() * 1e6 / cls_denom;
-    let classify_raw_us = cls_raw_rounds.iter().sum::<f64>() * 1e6 / cls_denom;
-    let classify_ratio = median_ratio(&cls_prog_rounds, &cls_raw_rounds);
-
-    // The headline Monte-Carlo workload at smoke scale: 200 fig2 samples
-    // through the structure-of-arrays batch transient engine. Wall-gated
-    // like the other host timings so the batched path cannot silently
-    // regress toward the scalar cost.
-    let t0 = Instant::now();
-    let fig2 = bpimc_bench::experiments::fig2::run(200, 2020);
-    assert_eq!(fig2.samples, 200, "fig2 smoke ran");
-    let fig2_us = t0.elapsed().as_secs_f64() * 1e6;
-
-    let served_req_per_s = serve_throughput();
-    MicroReport {
-        micro: vec![
-            ("mult_p8_128col_us".into(), mult_us),
-            ("reduce_add_8rows_us".into(), reduce_us),
-            ("program_pipeline_us".into(), program_us),
-            ("compiled_pipeline_us".into(), compiled_us),
-            ("raw_pipeline_us".into(), raw_us),
-            ("classify_program_us".into(), classify_program_us),
-            ("classify_raw_us".into(), classify_raw_us),
-            ("fig2_mc200_us".into(), fig2_us),
-        ],
-        compiled_ratio: ratio_median,
-        classify_ratio,
-        served_req_per_s,
-    }
-}
-
-/// Measures the compute service's mixed-stream throughput: an in-process
-/// server on an ephemeral port, 4 concurrent clients pipelining a window
-/// of 16 light dot/add requests each over real TCP. This is the
-/// `served_req_per_s` number check-bench gates against the PR-2 committed
-/// ~5k requests/sec baseline.
-fn serve_throughput() -> f64 {
-    use bpimc_core::{LaneOp, RequestBody, ResponseBody};
-    let handle = bpimc_server::Server::bind("127.0.0.1:0", bpimc_server::ServerConfig::default())
-        .expect("bind ephemeral serving bench");
-    let addr = handle.local_addr();
-    let clients = 4u64;
-    let per = 600u64;
-    let window = 16u64;
-    let t0 = Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = bpimc_server::Client::connect(addr).expect("connect");
-                let mut sent = 0u64;
-                let mut received = 0u64;
-                while received < per {
-                    while sent < per && sent - received < window {
-                        let k = (c * 97 + sent) % 256;
-                        let body = if sent.is_multiple_of(2) {
-                            RequestBody::Dot {
-                                precision: Precision::P8,
-                                x: vec![k, 2, 3, 4, 5, 6, 7, 8],
-                                w: vec![8, 7, 6, 5, 4, 3, 2, 1],
-                            }
-                        } else {
-                            RequestBody::Lanes {
-                                op: LaneOp::Add,
-                                precision: Precision::P8,
-                                a: vec![k, 20, 30, 40],
-                                b: vec![9, 9, 9, 9],
-                            }
-                        };
-                        client.send(body).expect("send");
-                        sent += 1;
-                    }
-                    let resp = client.recv().expect("recv");
-                    assert!(
-                        !matches!(resp.body, ResponseBody::Error(_)),
-                        "served an error: {:?}",
-                        resp.body
-                    );
-                    received += 1;
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("serving bench client");
-    }
-    let rate = (clients * per) as f64 / t0.elapsed().as_secs_f64();
-    handle.shutdown();
-    rate
-}
+use bpimc_nn::{classify_program, dot_program};
 
 /// `repro serve`: run the line-delimited-JSON compute service until a
 /// client sends `{"op":"shutdown"}` (see the README's Serving section).
@@ -394,12 +70,23 @@ fn serve(args: &[String]) {
                     .unwrap_or_else(|| die("--addr needs HOST:PORT"))
             }
             "--chaos-seed" => config.faults.seed = num("--chaos-seed"),
-            "--chaos-panic-pm" => config.faults.panic_per_mille = num("--chaos-panic-pm") as u16,
-            "--chaos-delay-pm" => config.faults.delay_per_mille = num("--chaos-delay-pm") as u16,
+            "--chaos-panic-pm" => {
+                config.faults.panic_per_mille =
+                    per_mille("--chaos-panic-pm", num("--chaos-panic-pm"))
+            }
+            "--chaos-delay-pm" => {
+                config.faults.delay_per_mille =
+                    per_mille("--chaos-delay-pm", num("--chaos-delay-pm"))
+            }
             "--chaos-delay-ms" => config.faults.delay_ms = num("--chaos-delay-ms"),
-            "--chaos-stall-pm" => config.faults.stall_per_mille = num("--chaos-stall-pm") as u16,
+            "--chaos-stall-pm" => {
+                config.faults.stall_per_mille =
+                    per_mille("--chaos-stall-pm", num("--chaos-stall-pm"))
+            }
             "--chaos-stall-ms" => config.faults.stall_ms = num("--chaos-stall-ms"),
-            "--chaos-drop-pm" => config.faults.drop_per_mille = num("--chaos-drop-pm") as u16,
+            "--chaos-drop-pm" => {
+                config.faults.drop_per_mille = per_mille("--chaos-drop-pm", num("--chaos-drop-pm"))
+            }
             "--max-cycles-per-sec" => {
                 config.limits.max_cycles_per_sec = Some(num("--max-cycles-per-sec"))
             }
@@ -487,6 +174,18 @@ fn serve(args: &[String]) {
     println!("send {{\"id\":1,\"op\":\"shutdown\"}} to stop");
     handle.join();
     println!("server stopped");
+}
+
+/// A `--chaos-*-pm` rate: per mille, so at most 1000. Anything larger is
+/// refused, not truncated or saturated.
+fn per_mille(name: &str, n: u64) -> u16 {
+    u16::try_from(n)
+        .ok()
+        .filter(|&pm| pm <= 1000)
+        .unwrap_or_else(|| {
+            eprintln!("error: {name} is per mille: at most 1000, got {n}");
+            usage()
+        })
 }
 
 /// `repro state --state-dir DIR`: offline inspection of a durable-state
@@ -673,141 +372,6 @@ fn lint_cmd(args: &[String]) {
     }
 }
 
-/// `repro check-bench`: the CI timing regression gate. Host micro-timings
-/// vary with the machine, so they only fail when more than
-/// `TOLERANCE_FACTOR` slower than the recorded baseline (catching
-/// order-of-magnitude regressions without flaking on slower CI hosts).
-/// Simulated results are not checked here: the experiment pins and the
-/// macro's golden-state pin hold them bit for bit.
-fn check_bench(args: &[String]) {
-    const TOLERANCE_FACTOR: f64 = 10.0;
-    let mut baseline_path = "BENCH_repro.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => {
-                baseline_path = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--baseline needs a path"))
-            }
-            other => die(&format!("unknown check-bench option '{other}'")),
-        }
-    }
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| die(&format!("reading {baseline_path}: {e}")));
-    let baseline = bpimc_core::json::Json::parse(&text)
-        .unwrap_or_else(|e| die(&format!("parsing {baseline_path}: {e}")));
-
-    let mut failures = 0usize;
-    let report = micro_timings();
-    let micro_base = baseline
-        .get("micro_us")
-        .unwrap_or_else(|| die("baseline has no micro_us"));
-    for (name, current) in &report.micro {
-        match micro_base.get(name).and_then(|v| v.as_f64()) {
-            Some(recorded) if *current <= recorded * TOLERANCE_FACTOR => {
-                println!("micro   {name:<22} {current:.3} us (baseline {recorded:.3}, limit {TOLERANCE_FACTOR}x)");
-            }
-            Some(recorded) => {
-                println!(
-                    "micro   {name:<22} {current:.3} us > {TOLERANCE_FACTOR}x baseline {recorded:.3}  FAIL"
-                );
-                failures += 1;
-            }
-            None => {
-                println!("micro   {name:<22} {current:.3} us (not in baseline)  FAIL");
-                failures += 1;
-            }
-        }
-    }
-    // The executor-overhead gates are *relative*, measured within one
-    // process: the pre-resolved program paths must stay close to raw
-    // method calls no matter the host. The gated values are medians over
-    // interleaved measurement rounds, so neither frequency drift nor a
-    // noisy-neighbor burst on a few rounds can flake them. (The absolute
-    // 10x gates above still bound every timing against the baseline.)
-    const COMPILED_OVERHEAD_FACTOR: f64 = 1.25;
-    let ratio_median = report.compiled_ratio;
-    if ratio_median <= COMPILED_OVERHEAD_FACTOR {
-        println!(
-            "ratio   compiled/raw pipeline   {ratio_median:.2}x median (limit {COMPILED_OVERHEAD_FACTOR}x)"
-        );
-    } else {
-        println!(
-            "ratio   compiled/raw pipeline   {ratio_median:.2}x median > {COMPILED_OVERHEAD_FACTOR}x  FAIL"
-        );
-        failures += 1;
-    }
-    // The one-program classify acceptance: a whole served classification
-    // through the compiled template must stay within 1.1x of raw ImcMacro
-    // method calls.
-    const CLASSIFY_OVERHEAD_FACTOR: f64 = 1.1;
-    let cls_ratio = report.classify_ratio;
-    if cls_ratio <= CLASSIFY_OVERHEAD_FACTOR {
-        println!(
-            "ratio   classify prog/raw       {cls_ratio:.2}x median (limit {CLASSIFY_OVERHEAD_FACTOR}x)"
-        );
-    } else {
-        println!(
-            "ratio   classify prog/raw       {cls_ratio:.2}x median > {CLASSIFY_OVERHEAD_FACTOR}x  FAIL"
-        );
-        failures += 1;
-    }
-    // Serving throughput: must hold the tentpole speedup over the PR-2
-    // committed ~5k req/s, and must not collapse an order of magnitude
-    // below its own recorded baseline.
-    let served = report.served_req_per_s;
-    let served_floor = PR2_SERVED_REQ_PER_S * SERVED_SPEEDUP_FLOOR;
-    if served >= served_floor {
-        println!(
-            "served  req/s                   {served:.0} (floor {served_floor:.0} = {SERVED_SPEEDUP_FLOOR}x PR-2 baseline {PR2_SERVED_REQ_PER_S:.0})"
-        );
-    } else {
-        println!("served  req/s                   {served:.0} < floor {served_floor:.0}  FAIL");
-        failures += 1;
-    }
-    match baseline
-        .get("throughput")
-        .and_then(|t| t.get("served_req_per_s"))
-        .and_then(|v| v.as_f64())
-    {
-        Some(recorded) if served >= recorded / TOLERANCE_FACTOR => {
-            println!(
-                "served  vs baseline             {served:.0} (baseline {recorded:.0}, floor /{TOLERANCE_FACTOR})"
-            );
-        }
-        Some(recorded) => {
-            println!(
-                "served  vs baseline             {served:.0} < baseline {recorded:.0} / {TOLERANCE_FACTOR}  FAIL"
-            );
-            failures += 1;
-        }
-        None => {
-            println!("served  req/s not in baseline  FAIL");
-            failures += 1;
-        }
-    }
-    // Both directions are gated: a current measurement missing from the
-    // baseline fails above, and a baseline entry with no current
-    // counterpart fails here — deleting or renaming a benchmark must not
-    // silently shrink the gate.
-    if let bpimc_core::json::Json::Obj(fields) = micro_base {
-        for (name, _) in fields {
-            if !report.micro.iter().any(|(n, _)| n == name) {
-                println!("micro   {name:<22} in baseline but no longer measured  FAIL");
-                failures += 1;
-            }
-        }
-    }
-    if failures > 0 {
-        die(&format!(
-            "{failures} bench regression(s) against {baseline_path}"
-        ));
-    }
-    println!("bench check passed against {baseline_path}");
-}
-
 /// `repro model-check`: explores every registered concurrency model (the
 /// stats claim-queue suite and the server queue/outbox/rate-window suite)
 /// under the deterministic schedule explorer. Each model runs `--seeds`
@@ -901,14 +465,13 @@ const EXPERIMENTS: [&str; 11] = [
 /// Prints the usage text and exits 2.
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [{}]... [--samples N] [--seed S] [--json]",
+        "usage: repro [{}]... [--samples N] [--seed S]",
         EXPERIMENTS.join("|")
     );
     eprintln!(
         "       repro serve [--addr HOST:PORT] [--write-timeout-ms MS] [--max-* limits] [--chaos-* plan] [--state-dir DIR] [--fsync always|interval:<ms>|never]"
     );
     eprintln!("       repro state --state-dir DIR  (inspect/verify durable state; non-zero exit on corruption)");
-    eprintln!("       repro check-bench [--baseline FILE]");
     eprintln!("       repro lint [--builtin] [FILE|-]");
     eprintln!("       repro model-check [--seeds N] [--depth D] [--model NAME] [--seed S] [--exhaustive BUDGET] [--max-steps N]  (needs --features model)");
     std::process::exit(2);
@@ -931,17 +494,12 @@ fn main() {
         model_check(&args[1..]);
         return;
     }
-    if args[0] == "check-bench" {
-        check_bench(&args[1..]);
-        return;
-    }
     if args[0] == "lint" {
         lint_cmd(&args[1..]);
         return;
     }
     let mut samples = 800usize;
     let mut seed = 2020u64;
-    let mut json = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -962,7 +520,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--seed needs a number"));
             }
-            "--json" => json = true,
             name if EXPERIMENTS.contains(&name) => wanted.push(name.to_string()),
             other => {
                 eprintln!("error: unknown argument '{other}'");
@@ -972,51 +529,36 @@ fn main() {
     }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
-    let mut report = BenchReport {
-        samples,
-        seed,
-        ran_fig2: false,
-        experiments: Vec::new(),
-    };
 
     if want("table1") {
-        println!("{}\n", report.record("table1", table1::run));
+        println!("{}\n", table1::run());
     }
     if want("fig7b") {
-        println!("{}\n", report.record("fig7b", fig7b::run));
+        println!("{}\n", fig7b::run());
     }
     if want("fig8") {
-        println!("{}\n", report.record("fig8", fig8::run));
+        println!("{}\n", fig8::run());
     }
     if want("fig9") {
-        println!("{}\n", report.record("fig9", fig9::run));
+        println!("{}\n", fig9::run());
     }
     if want("table2") {
-        println!("{}\n", report.record("table2", table2::run));
+        println!("{}\n", table2::run());
     }
     if want("table3") {
-        println!("{}\n", report.record("table3", table3::run));
+        println!("{}\n", table3::run());
     }
     if want("vrange") {
-        println!("{}\n", report.record("vrange", vrange::run));
+        println!("{}\n", vrange::run());
     }
     if want("ablation") {
-        println!("{}\n", report.record("ablation", ablation::run));
+        println!("{}\n", ablation::run());
     }
     if want("fig7a") {
-        println!("{}\n", report.record("fig7a", fig7a::run));
+        println!("{}\n", fig7a::run());
     }
     if want("fig2") {
-        report.ran_fig2 = true;
-        println!("{}\n", report.record("fig2", || fig2::run(samples, seed)));
-    }
-
-    if json {
-        let micro = micro_timings();
-        let path = "BENCH_repro.json";
-        std::fs::write(path, report.to_json(&micro))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        eprintln!("wrote {path}");
+        println!("{}\n", fig2::run(samples, seed));
     }
 }
 

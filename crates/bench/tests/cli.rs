@@ -3,7 +3,8 @@
 //! running nothing and exiting 0, or running every other experiment and
 //! then panicking, so a misspelled experiment name or flag fails loudly.
 //! Its `lint` gate passes the built-in pipelines and fails on a
-//! warn-severity diagnostic.
+//! warn-severity diagnostic, and `repro serve` answers every connection
+//! at its descriptor limit.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -30,14 +31,26 @@ fn assert_rejected(args: &[&str], error: &str) {
 #[test]
 fn unknown_experiment_name_exits_2() {
     assert_rejected(&["fgi2"], "unknown argument 'fgi2'");
+    assert_rejected(&["check-bench"], "unknown argument 'check-bench'");
 }
 
 #[test]
 fn unknown_flag_exits_2() {
     assert_rejected(&["table1", "--sample", "5"], "unknown argument '--sample'");
+    assert_rejected(&["all", "--json"], "unknown argument '--json'");
     for args in [["fig2", "--samples", "0"], ["all", "--samples", "0"]] {
         assert_rejected(&args, "--samples needs a positive number");
     }
+    // Chaos rates are per mille: more than 1000 is refused before the
+    // server binds, not truncated to 16 bits or applied to every request.
+    assert_rejected(
+        &["serve", "--chaos-drop-pm", "1001"],
+        "--chaos-drop-pm is per mille: at most 1000, got 1001",
+    );
+    assert_rejected(
+        &["serve", "--chaos-panic-pm", "65536"],
+        "--chaos-panic-pm is per mille: at most 1000, got 65536",
+    );
 }
 
 #[test]
@@ -90,4 +103,64 @@ fn lint_of_a_dead_store_on_stdin_exits_2() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(2), "{stdout}");
     assert!(stdout.contains("-:1: warn L001 [0..1]"), "{stdout}");
+}
+
+/// Under `ulimit -n 32` the server can hold about 28 connections at once.
+/// Forty clients each send a `ping`, then read their replies in order and
+/// close: every one gets its pong, the first ones right away and the rest
+/// as closed connections free descriptors for `accept`. A reader borrows
+/// the accepted socket instead of cloning it, so a connection needs one
+/// descriptor, never a second one it might not get.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_answers_every_connection_at_the_descriptor_limit() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    /// Kills the server when the test ends, however it ends.
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Server(
+        Command::new("sh")
+            .args(["-c", r#"ulimit -n 32; exec "$0" serve --addr 127.0.0.1:0"#])
+            .arg(env!("CARGO_BIN_EXE_repro"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawning repro serve"),
+    );
+    // Kept open to the end: the server prints more lines after the banner.
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("reading the banner");
+    let addr = banner
+        .strip_prefix("serving on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+
+    let conns: Vec<TcpStream> = (0..40)
+        .map(|id| {
+            let mut conn = TcpStream::connect(&addr).expect("connecting");
+            writeln!(conn, r#"{{"id":{id},"op":"ping"}}"#).expect("sending ping");
+            conn
+        })
+        .collect();
+    for (id, conn) in conns.into_iter().enumerate() {
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("setting a read timeout");
+        let mut reply = String::new();
+        let _ = BufReader::new(&conn).read_line(&mut reply);
+        assert_eq!(
+            reply.trim_end(),
+            format!(r#"{{"id":{id},"ok":true,"kind":"pong"}}"#),
+            "connection {id} of 40"
+        );
+    }
 }

@@ -20,7 +20,7 @@ use bpimc_stats::parallel::par_queue_try_map;
 use bpimc_stats::sync::atomic::{AtomicBool, AtomicU64};
 use bpimc_stats::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -150,6 +150,12 @@ const SHED_RETRY_AFTER_MS: u64 = 50;
 /// answer with an error) instead of buffering them, so a client streaming
 /// an unterminated request cannot grow server memory without bound.
 const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// How long the accept loop sleeps after a failed `accept`. At the
+/// descriptor limit `accept` fails at once while a connection waits in the
+/// backlog; the pause bounds that retry loop's CPU and delays a freed
+/// descriptor's next accept by at most this much.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// One queued request with the connection it came from. Malformed lines
 /// — and requests refused at admission (shed, over the in-flight cap) —
@@ -884,7 +890,13 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Out of descriptors (EMFILE), `accept` fails at once for as
+            // long as the pending connection waits in the backlog: back
+            // off instead of spinning until a connection closes.
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
         // Responses are complete lines a client acts on immediately: send
         // them now instead of letting Nagle pair small writes with delayed
         // ACKs (which stalls pipelined streams for tens of milliseconds).
@@ -954,7 +966,7 @@ enum LineRead {
 /// is built in `line`'s own buffer, which its connection reuses from line
 /// to line; invalid UTF-8 becomes U+FFFD, as `String::from_utf8_lossy`
 /// replaces it.
-fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut String, cap: usize) -> LineRead {
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String, cap: usize) -> LineRead {
     let mut buf = std::mem::take(line).into_bytes();
     buf.clear();
     let read = fill_line(reader, &mut buf, cap);
@@ -965,8 +977,7 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut String, cap: u
 
 /// The bytes of [`read_line_capped`]: appends the next line to `buf`
 /// without its newline (or clears `buf` when the line is too long).
-fn fill_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>, cap: usize) -> LineRead {
-    use std::io::BufRead;
+fn fill_line(reader: &mut impl BufRead, buf: &mut Vec<u8>, cap: usize) -> LineRead {
     loop {
         let available = match reader.fill_buf() {
             Ok(chunk) => chunk,
@@ -1016,13 +1027,9 @@ fn fill_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>, cap: usize) -
 }
 
 fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
-    let Ok(read_half) = conn.stream.try_clone() else {
-        conn.outbox.no_more_requests();
-        shared.conns.lock().remove(&conn.id);
-        conn.session().detach(Instant::now());
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+    // Reads go through a shared borrow of the accepted socket, so a
+    // connection holds one descriptor and needs no second one to start.
+    let mut reader = BufReader::new(&conn.stream);
     let mut line = String::new();
     let limits = shared.config.limits;
     let mut seq: u64 = 0;
