@@ -5,7 +5,8 @@
 //! serving layer for the reproduction: a dependency-free threaded TCP
 //! service (`std::net`, line-delimited JSON — the build image is offline,
 //! so no tokio) that accepts concurrent client connections and multiplexes
-//! their requests onto one [`ImcMacro`], owned by the dispatcher thread.
+//! their requests onto one [`ImcMacro`], which one thread at a time runs:
+//! the dispatcher, or a connection reader running its own request.
 //!
 //! [`ImcMacro`]: bpimc_core::ImcMacro
 //!
@@ -21,11 +22,22 @@
 //! * **One dispatcher thread** drains the queue. Runs of consecutive
 //!   *compute* requests (dot products, lane-wise macro ops at P2–P32,
 //!   classification, whole `exec_program` pipelines, `run_stored` replays)
-//!   execute one after another on the dispatcher's macro, on the
-//!   dispatcher thread itself: a pool worker woken per run cost more CPU
-//!   than the run's work. Control requests (`ping`, `stats`,
-//!   `load_model`, `store_program`, `shutdown`) execute between runs, so
-//!   every session observes its own requests in order.
+//!   execute one after another on the server's macro, on the running
+//!   thread itself: a pool worker woken per run cost more CPU than the
+//!   run's work. Control requests (`ping`, `stats`, `load_model`,
+//!   `store_program`, `shutdown`) execute between runs, so every session
+//!   observes its own requests in order.
+//! * **A synchronous request skips the dispatcher** (leader/followers):
+//!   requests execute only under the queue's run token, which the
+//!   dispatcher holds while it runs a batch. A request whose connection
+//!   owes no other response, with no further bytes buffered behind it,
+//!   that would land in an empty queue with no batch running, takes the
+//!   token instead, and its reader runs it — same guardrails, settling,
+//!   journal and inline write — and answers it without waking the
+//!   dispatcher. The reader then gives the token back, waking the
+//!   dispatcher only if work was queued meanwhile. A window-1 client's
+//!   request thus wakes two threads instead of three; every other request,
+//!   pipelined bursts included, is queued.
 //! * **Parallel response writers**: responses leave through a bounded
 //!   per-connection outbox, each compute run's responses to a connection
 //!   as one chunk — written inline while the client keeps up,

@@ -17,7 +17,7 @@ use crate::session::{RegistryCaps, Session, SessionRegistry};
 use bpimc_core::{ErrorKind, Response, ResponseBody};
 use bpimc_stats::sync::model::ModelSpec;
 use bpimc_stats::sync::thread;
-use bpimc_stats::sync::Mutex;
+use bpimc_stats::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -130,6 +130,148 @@ fn queue_drain_then_stop_shutdown() {
         pushed_ok.load(Ordering::SeqCst),
         "every accepted item must drain before shutdown completes"
     );
+}
+
+/// Drops the guard it holds, except while its task unwinds from a failed
+/// model execution: the guard's release locks a model mutex, which panics
+/// again in an aborted execution and would abort the process before the
+/// failure is reported.
+struct UnlessUnwinding<G>(Option<G>);
+
+impl<G> Drop for UnlessUnwinding<G> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            std::mem::forget(self.0.take());
+        }
+    }
+}
+
+/// The reader-leads hand-off keeps the queue's promises. Three producers
+/// (connection readers) submit items under the lead rule: an item whose
+/// connection owes nothing else and has nothing buffered behind it takes
+/// the run token when the queue is open and idle ([`Queue::lead`]) and
+/// runs on its producer's thread; any other item is pushed. Each producer
+/// is a client that sends an item once its previous ones have run, except
+/// that producer 1 sends its first two as one burst, so its reader finds
+/// the second buffered behind the first. Producer 1's last item is the
+/// closer, a `shutdown` whose run closes the queue midway, as
+/// `handle_control` does, so the close can land while a reader holds the
+/// token. Producers 2 and 3 send one item each, which leads or queues
+/// beside producer 1's stream. The dispatcher drains with `pop_batch`. In
+/// every schedule:
+/// * at most one thread runs at a time (the token is exclusive);
+/// * each connection's items run in submission order, led and queued alike;
+/// * every accepted item runs exactly once, before `pop_batch` returns `None`;
+/// * no queued item waits on a wake-up that never comes: a producer that
+///   waits for its items to run is woken by their runs, or the schedule
+///   deadlocks.
+fn queue_reader_leads() {
+    /// Items each producer sends.
+    const ITEMS: [u64; 3] = [4, 1, 1];
+    /// Per connection: items accepted but not yet run (what its reader's
+    /// `expect_response` counts), and items run.
+    #[derive(Default)]
+    struct Progress {
+        owed: [u64; 3],
+        ran: [u64; 3],
+    }
+    struct Harness {
+        queue: Queue<(usize, u64)>,
+        /// A run is in progress (the exclusivity check).
+        busy: AtomicBool,
+        /// `(conn, seq)` of every run, in run order.
+        runs: std::sync::Mutex<Vec<(usize, u64)>>,
+        progress: Mutex<Progress>,
+        /// Notified after every run.
+        ran: Condvar,
+    }
+    impl Harness {
+        fn run(&self, (conn, seq): (usize, u64)) {
+            assert!(
+                !self.busy.swap(true, Ordering::SeqCst),
+                "two threads run at once: the run token is not exclusive"
+            );
+            // A run spans several schedule points, so other threads can
+            // act (lead, push, pop) while it is in progress.
+            for step in 0..6 {
+                if step == 3 && (conn, seq) == (0, ITEMS[0] - 1) {
+                    self.queue.close();
+                }
+                thread::yield_now();
+            }
+            self.runs.lock().expect("harness lock").push((conn, seq));
+            self.busy.store(false, Ordering::SeqCst);
+            let mut progress = self.progress.lock();
+            progress.owed[conn] -= 1;
+            progress.ran[conn] += 1;
+            drop(progress);
+            self.ran.notify_all();
+        }
+    }
+    let h = Arc::new(Harness {
+        queue: Queue::new(4, 100, 50),
+        busy: AtomicBool::new(false),
+        runs: std::sync::Mutex::new(Vec::new()),
+        progress: Mutex::named("model.leads.progress", Progress::default()),
+        ran: Condvar::new(),
+    });
+    let producers: Vec<_> = (0..3usize)
+        .map(|conn| {
+            let h = h.clone();
+            thread::spawn(move || {
+                for seq in 0..ITEMS[conn] {
+                    let burst_head = conn == 0 && seq == 0;
+                    let in_burst = conn == 0 && seq == 1;
+                    let mut progress = h.progress.lock();
+                    while !in_burst && progress.owed[conn] > 0 {
+                        progress = h.ran.wait(progress);
+                    }
+                    let owes_nothing_else = progress.owed[conn] == 0;
+                    progress.owed[conn] += 1;
+                    drop(progress);
+                    let lead = (owes_nothing_else && !burst_head)
+                        .then(|| h.queue.lead())
+                        .flatten();
+                    if let Some(_token) = lead.map(|t| UnlessUnwinding(Some(t))) {
+                        h.run((conn, seq));
+                    } else if h.queue.push(conn as u64, (conn, seq)).is_err() {
+                        h.progress.lock().owed[conn] -= 1;
+                        break; // shutdown refused the rest of the stream
+                    }
+                }
+            })
+        })
+        .collect();
+    let _token = UnlessUnwinding(Some(h.queue.dispatcher_guard()));
+    while let Some(batch) = h.queue.pop_batch(2) {
+        for item in batch {
+            h.run(item);
+        }
+    }
+    assert!(
+        !h.busy.load(Ordering::SeqCst),
+        "pop_batch returned None while a reader was running"
+    );
+    let at_none = h.runs.lock().expect("harness lock").clone();
+    for p in producers {
+        p.join().expect("producer exits");
+    }
+    let runs = h.runs.lock().expect("harness lock").clone();
+    assert_eq!(runs, at_none, "nothing runs after pop_batch returns None");
+    let progress = h.progress.lock();
+    for conn in 0..3 {
+        let seqs: Vec<u64> = runs.iter().filter(|r| r.0 == conn).map(|r| r.1).collect();
+        assert_eq!(
+            seqs,
+            (0..progress.ran[conn]).collect::<Vec<_>>(),
+            "connection {conn}: every accepted item runs once, in submission order"
+        );
+        assert_eq!(
+            progress.owed[conn], 0,
+            "connection {conn}: an accepted item never ran"
+        );
+    }
+    assert_eq!(progress.ran[0], ITEMS[0], "producer 1 runs its shutdown");
 }
 
 /// Pushes `sizes` chunks of lines `"{tag}{i}\n"` (numbered across the
@@ -511,6 +653,11 @@ pub const MODELS: &[ModelSpec] = &[
         name: "server-queue-drain-then-stop",
         invariant: "shutdown drains every accepted item, then terminates, in every schedule",
         run: queue_drain_then_stop_shutdown,
+    },
+    ModelSpec {
+        name: "server-queue-reader-leads",
+        invariant: "a reader leading its own request keeps the token exclusive, FIFO, exactly-once and no-lost-wakeup",
+        run: queue_reader_leads,
     },
     ModelSpec {
         name: "server-outbox-no-drop-no-reorder",

@@ -1131,7 +1131,7 @@ impl Persist {
     /// them by design.
     pub(crate) fn open(config: &StateConfig) -> std::io::Result<(Self, Recovery)> {
         std::fs::create_dir_all(&config.dir)?;
-        let scan = scan_state_dir(&config.dir)?;
+        let scan = scan_state_dir(&config.dir, false)?;
         let mut recovery = recover_from_scan(&scan);
         // Every connection died with the old process: a session that was
         // attached is detached from now on, and the boot snapshot says so.
@@ -1347,7 +1347,8 @@ type JournalScan = (u64, Vec<Result<Event, String>>, Option<Corruption>);
 struct StateScan {
     /// Snapshot generations present, ascending.
     snapshots: Vec<(u64, Result<RegistryRecord, String>)>,
-    /// Journal generations present, ascending.
+    /// Journal generations decoded, ascending: every one present, or only
+    /// those recovery replays (see [`scan_state_dir`]).
     journals: Vec<JournalScan>,
     /// The clean-shutdown marker's generation, if present and readable.
     clean_marker: Option<u64>,
@@ -1355,7 +1356,12 @@ struct StateScan {
     max_gen: Option<u64>,
 }
 
-fn scan_state_dir(dir: &Path) -> std::io::Result<StateScan> {
+/// Scans a state directory. With `every_journal` unset it decodes only
+/// the journals [`recover_from_scan`] replays: none when the clean marker
+/// names the newest valid snapshot, else those from that snapshot's
+/// generation on. A boot then holds no superseded journal in memory; the
+/// audit ([`inspect`]) decodes every file.
+fn scan_state_dir(dir: &Path, every_journal: bool) -> std::io::Result<StateScan> {
     let mut snap_gens: Vec<u64> = Vec::new();
     let mut journal_gens: Vec<u64> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -1395,10 +1401,22 @@ fn scan_state_dir(dir: &Path) -> std::io::Result<StateScan> {
             });
             (g, parsed)
         })
-        .collect();
+        .collect::<Vec<_>>();
+
+    let clean_marker = std::fs::read_to_string(marker_path(dir))
+        .ok()
+        .and_then(|s| s.trim().parse().ok());
+    let base = snapshots
+        .iter()
+        .rev()
+        .find_map(|(g, parsed)| parsed.is_ok().then_some(*g));
+    let replayed = |g: u64| base.is_none_or(|b| g >= b && clean_marker != Some(b));
 
     let mut journals = Vec::new();
     for g in journal_gens {
+        if !every_journal && !replayed(g) {
+            continue;
+        }
         let bytes = read_file(&journal_path(dir, g)).unwrap_or_default();
         let (frames, corruption) = read_frames(&bytes);
         let events = frames
@@ -1412,10 +1430,6 @@ fn scan_state_dir(dir: &Path) -> std::io::Result<StateScan> {
             .collect();
         journals.push((g, events, corruption));
     }
-
-    let clean_marker = std::fs::read_to_string(marker_path(dir))
-        .ok()
-        .and_then(|s| s.trim().parse().ok());
 
     Ok(StateScan {
         snapshots,
@@ -1590,7 +1604,7 @@ impl StateReport {
 /// Returns the I/O error when the directory cannot be read (missing
 /// files and corrupt records are reported in the result, not as errors).
 pub fn inspect(dir: &Path) -> std::io::Result<StateReport> {
-    let scan = scan_state_dir(dir)?;
+    let scan = scan_state_dir(dir, true)?;
     let recovery = recover_from_scan(&scan);
     let mut corruptions = Vec::new();
     let snapshots = scan
@@ -2151,7 +2165,7 @@ mod tests {
         handle.shutdown();
 
         // The final snapshot: what the live registry held at shutdown.
-        let scan = scan_state_dir(&dir.0).expect("scan");
+        let scan = scan_state_dir(&dir.0, true).expect("scan");
         let last = scan.clean_marker.expect("a graceful shutdown marks clean");
         let live = recover_from_scan(&scan).registry;
         // Snapshot gen 0 plus the whole journal, from a copy without the
@@ -2163,7 +2177,7 @@ mod tests {
                 std::fs::copy(dir.0.join(&name), copy.0.join(&name)).expect("copy");
             }
         }
-        let recovery = recover_from_scan(&scan_state_dir(&copy.0).expect("scan copy"));
+        let recovery = recover_from_scan(&scan_state_dir(&copy.0, true).expect("scan copy"));
         assert!(recovery.corruption.is_none(), "{}", recovery.path);
         assert!(
             recovery.path.contains("snapshot gen 0"),

@@ -1,7 +1,8 @@
 //! The threaded TCP service: accept loop, per-connection readers, bounded
-//! request queue, the dispatcher that drains it in batches and executes
-//! them on the one macro it owns, and the durable-session registry with
-//! its TTL sweeper.
+//! request queue, the dispatcher that drains it in batches, the run token
+//! that lets an idle connection's reader run its own request instead, the
+//! one macro whichever holds the token executes on, and the
+//! durable-session registry with its TTL sweeper.
 
 use crate::exec::{is_compute, run_compute, ComputeJob, Model};
 use crate::fault::{FaultPlan, ResponseFault};
@@ -31,7 +32,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Unused, and always 1 by default: the server executes every request
-    /// on the one macro its dispatcher thread owns.
+    /// on one macro.
     #[deprecated(note = "the server runs on one macro; nothing reads this field")]
     pub macros: usize,
     /// Bound of each **session's** share of the request queue. A session
@@ -40,9 +41,11 @@ pub struct ServerConfig {
     /// while other sessions keep queueing and being served.
     pub queue_capacity: usize,
     /// Most requests the dispatcher drains at once (default 64). A compute
-    /// run executes its requests one after another on the dispatcher's
+    /// run executes its requests one after another on the server's one
     /// macro and delivers their responses after the last one, so this
-    /// bounds how long a drained request waits for its response.
+    /// bounds how long a drained request waits for its response. A request
+    /// its connection's reader runs itself (see the crate docs) is a batch
+    /// of one.
     pub batch_max: usize,
     /// The chaos schedule (defaults to [`FaultPlan::none`]).
     pub faults: FaultPlan,
@@ -51,7 +54,8 @@ pub struct ServerConfig {
     pub limits: SessionLimits,
     /// Socket write timeout: a peer that stops reading for this long
     /// mid-write is treated as gone (its responses are dropped and the
-    /// outbox closes) instead of wedging the dispatcher, its writer
+    /// outbox closes) instead of wedging the thread running requests (the
+    /// dispatcher, or a reader running its own request), its writer
     /// thread, or graceful shutdown.
     pub write_timeout: Duration,
     /// Admission control: total queued items at or above this flips the
@@ -115,7 +119,7 @@ impl ServerConfig {
     }
 }
 
-/// Response lines one connection's outbox buffers before the dispatcher
+/// Response lines one connection's outbox buffers before its producer
 /// blocks on that connection (the bounded hand-off to its writer thread);
 /// also the most lines one pushed chunk may hold.
 const OUTBOX_CAPACITY: usize = 256;
@@ -131,7 +135,7 @@ const DEFAULT_SESSION_TTL: Duration = Duration::from_secs(60);
 /// A response write stalling at least this long marks its connection
 /// `slow` (sticky): later responses always go through the connection's
 /// writer thread instead of the inline fast path, so a peer that reads
-/// sluggishly can stall the dispatcher at most once. Only writes whose
+/// sluggishly can stall the token holder at most once. Only writes whose
 /// *throughput* is also under [`SLOW_PEER_BYTES_PER_SEC`] count — a large
 /// coalesced drain to a healthy bandwidth-limited peer is not a stall.
 const SLOW_WRITE_THRESHOLD: std::time::Duration = std::time::Duration::from_millis(20);
@@ -157,10 +161,12 @@ const MAX_LINE_BYTES: usize = 4 << 20;
 /// descriptor's next accept by at most this much.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// One queued request with the connection it came from. Malformed lines
-/// — and requests refused at admission (shed, over the in-flight cap) —
-/// travel through the queue too (`body: Err`), so their error responses
-/// keep the per-connection FIFO ordering the protocol promises.
+/// One request with the connection it came from: queued for the
+/// dispatcher, or run at once by its reader when that reader leads (see
+/// [`Queue`]). Malformed lines — and requests refused at admission (shed,
+/// over the in-flight cap) — travel the same way (`body: Err`), so their
+/// error responses keep the per-connection FIFO ordering the protocol
+/// promises.
 struct Item {
     conn: Arc<Conn>,
     id: u64,
@@ -181,7 +187,8 @@ struct Item {
 /// blocks (the pre-fairness global behaviour, as the backstop).
 pub(crate) const GLOBAL_SHARES: usize = 16;
 
-/// The bounded queue between connection readers and the dispatcher.
+/// The bounded queue between connection readers and the dispatcher, and
+/// the **run token** that decides who executes.
 ///
 /// Internally one FIFO **per session**, drained round-robin one request at
 /// a time — the fairness fix for the old single global FIFO, where one
@@ -191,10 +198,20 @@ pub(crate) const GLOBAL_SHARES: usize = 16;
 /// capacity bound applies per session, so a flooding client backpressures
 /// itself without consuming other sessions' queue space.
 ///
+/// Requests execute only under the run token, so one batch runs at a time.
+/// The dispatcher holds it from a [`pop_batch`](Queue::pop_batch) that
+/// returns a batch until its next `pop_batch` call. A reader whose request
+/// would land in an empty queue with no batch running takes it instead
+/// ([`lead`](Queue::lead)) and runs that request on its own thread, sparing
+/// a synchronous request the dispatcher's wake-up (the leader/followers
+/// hand-off). Since the token is free only between batches, a request that
+/// leads runs after everything its connection queued earlier.
+///
 /// Generic over the queued payload so the concurrency models (`model`
 /// feature) can drive the exact production protocol — the same waits,
-/// wakeups, shed hysteresis and round-robin drain — with plain values
-/// instead of live connections. The server instantiates `Queue<Item>`.
+/// wakeups, shed hysteresis, round-robin drain and token hand-offs — with
+/// plain values instead of live connections. The server instantiates
+/// `Queue<Item>`.
 pub(crate) struct Queue<T> {
     state: Mutex<QueueState<T>>,
     not_empty: Condvar,
@@ -216,7 +233,44 @@ struct QueueState<T> {
     /// Admission control: while set, new compute requests are answered
     /// `overloaded` instead of queued (control ops always pass).
     shedding: bool,
+    /// Who holds the run token, if anyone.
+    holder: Option<Holder>,
     closed: bool,
+}
+
+/// A holder of the run token (see [`Queue`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Holder {
+    /// The dispatcher, from a `pop_batch` that returned a batch until its
+    /// next call.
+    Dispatcher,
+    /// A connection reader running its own request.
+    Reader,
+}
+
+/// Releases `holder`'s run token when dropped, if that holder still has
+/// it, so a panic while running cannot leave the token taken: a reader
+/// gets one from [`Queue::lead`], and the dispatcher keeps one for its
+/// whole loop. A released token wakes the dispatcher if work is waiting
+/// for it or the queue has closed.
+pub(crate) struct TokenGuard<'a, T> {
+    queue: &'a Queue<T>,
+    holder: Holder,
+}
+
+impl<T> Drop for TokenGuard<'_, T> {
+    fn drop(&mut self) {
+        let mut state = self.queue.state.lock();
+        if state.holder != Some(self.holder) {
+            return;
+        }
+        state.holder = None;
+        let wake = !state.ready.is_empty() || state.closed;
+        drop(state);
+        if wake {
+            self.queue.not_empty.notify_one();
+        }
+    }
 }
 
 impl<T> Queue<T> {
@@ -229,6 +283,7 @@ impl<T> Queue<T> {
                     per_conn: HashMap::new(),
                     total: 0,
                     shedding: false,
+                    holder: None,
                     closed: false,
                 },
             ),
@@ -286,18 +341,55 @@ impl<T> Queue<T> {
         Ok(())
     }
 
-    /// Blocks until items are available; drains up to `max`, taking one
-    /// request per ready session per rotation (round-robin). `None` means
-    /// closed **and** fully drained — queued work always gets responses
-    /// before shutdown completes.
-    pub(crate) fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
+    /// The run token for a request about to be pushed by a reader that
+    /// owes its connection nothing else and has nothing more buffered:
+    /// taken only while the queue is open and empty and no one holds it.
+    /// `None` means the request must be pushed as usual. The caller runs
+    /// the request, then drops the guard.
+    pub(crate) fn lead(&self) -> Option<TokenGuard<'_, T>> {
         let mut state = self.state.lock();
-        while state.ready.is_empty() && !state.closed {
-            state = self.not_empty.wait(state);
-        }
-        if state.ready.is_empty() {
+        if state.closed || !state.ready.is_empty() || state.holder.is_some() {
             return None;
         }
+        state.holder = Some(Holder::Reader);
+        Some(TokenGuard {
+            queue: self,
+            holder: Holder::Reader,
+        })
+    }
+
+    /// The dispatcher's guard, held across its `pop_batch` loop (see
+    /// [`TokenGuard`]).
+    pub(crate) fn dispatcher_guard(&self) -> TokenGuard<'_, T> {
+        TokenGuard {
+            queue: self,
+            holder: Holder::Dispatcher,
+        }
+    }
+
+    /// The dispatcher's wait: gives back the run token it kept since its
+    /// previous batch, blocks until items are queued and the token is
+    /// free, then takes the token and drains up to `max` items, one
+    /// request per ready session per rotation (round-robin). `None` means
+    /// closed, fully drained **and** no reader running a request — queued
+    /// and led work always gets responses before shutdown completes.
+    pub(crate) fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
+        let mut state = self.state.lock();
+        if state.holder == Some(Holder::Dispatcher) {
+            state.holder = None;
+        }
+        loop {
+            if state.holder.is_none() {
+                if !state.ready.is_empty() {
+                    break;
+                }
+                if state.closed {
+                    return None;
+                }
+            }
+            state = self.not_empty.wait(state);
+        }
+        state.holder = Some(Holder::Dispatcher);
         let mut batch = Vec::new();
         while batch.len() < max.max(1) {
             let Some(conn_id) = state.ready.pop_front() else {
@@ -328,8 +420,11 @@ impl<T> Queue<T> {
     }
 }
 
-/// The bounded response queue between response producers (the dispatcher,
-/// during shutdown also readers) and one connection's writer thread.
+/// The bounded response queue between response producers and one
+/// connection's writer thread. The producer is whichever thread holds the
+/// run token: the dispatcher, or this connection's reader running its own
+/// request (see [`Queue`]). During shutdown readers also answer the
+/// requests the closed queue refused.
 ///
 /// Producers push **chunks**: newline-terminated response lines written
 /// back to back. A control response is a one-line chunk; a compute run's
@@ -346,22 +441,22 @@ impl<T> Queue<T> {
 /// hand-off, whose wake-up costs tens of microseconds at the median and
 /// 0.1–0.3 ms in the tail (see the host costs in
 /// `bpimc_stats::parallel`'s module docs). The writer thread takes over
-/// when fan-out decouples from the dispatcher's pace: a backlog is
-/// pending, another drain is already in flight, or the connection has been
-/// marked `slow`.
+/// when fan-out decouples from the producer's pace: a backlog is pending,
+/// another drain is already in flight, or the connection has been marked
+/// `slow`.
 /// Either way at most one thread writes to the socket at a time
 /// (`draining`), so response bytes never interleave.
 ///
-/// **Slow peers cannot hold the dispatcher.** Any drain whose socket write
+/// **Slow peers cannot hold the run token.** Any drain whose socket write
 /// stalls past [`SLOW_WRITE_THRESHOLD`] marks the connection `slow` —
 /// sticky — after which every response is handed to the writer thread, so
-/// the dispatcher is exposed to at most one bounded stall per connection
-/// ([`ServerConfig::write_timeout`] caps even that). A slow connection whose bounded
+/// the token's holder is exposed to at most one bounded stall per
+/// connection ([`ServerConfig::write_timeout`] caps even that). A slow connection whose bounded
 /// outbox then fills is declared wedged and dropped rather than letting
-/// its backpressure reach the dispatcher through the full-outbox wait.
+/// its backpressure reach the token holder through the full-outbox wait.
 ///
-/// `inflight` counts requests this connection has in the central queue
-/// whose response has not been produced yet; the writer thread exits only
+/// `inflight` counts requests this connection has queued or running whose
+/// response has not been produced yet; the writer thread exits only
 /// when the reader is gone **and** nothing is in flight **and** the
 /// backlog is drained, so a pipelining client that half-closes after its
 /// last request still receives every response.
@@ -400,7 +495,7 @@ pub(crate) struct OutboxState {
     /// inline again — fan-out goes through the writer thread only.
     slow: bool,
     /// An injected chaos stall: the next drain sleeps this long (off the
-    /// dispatcher, on the writer thread) before writing.
+    /// producer, on the writer thread) before writing.
     stall: Option<Duration>,
     /// Socket dead (error or a write-timeout stall): pushes are silently
     /// dropped so producers can never block on a vanished client.
@@ -442,7 +537,7 @@ impl Outbox {
     }
 
     /// Injects a chaos stall: marks the connection `slow` (so the write
-    /// happens on the writer thread, not the dispatcher) and makes the
+    /// happens on the writer thread, not the producer) and makes the
     /// next drain sleep `d` before writing — a peer reading sluggishly.
     fn inject_stall(&self, d: Duration) {
         let mut state = self.state.lock();
@@ -483,7 +578,7 @@ impl Outbox {
                 // A peer that both stalled a write and let its bounded
                 // outbox fill is effectively not reading. Drop it rather
                 // than letting its backpressure block the producer (the
-                // dispatcher) behind the full-outbox wait.
+                // token holder) behind the full-outbox wait.
                 self.sever(sink, state);
                 return;
             }
@@ -530,7 +625,7 @@ impl Outbox {
             }
             if let Some(d) = stall {
                 // Injected chaos stall: always consumed here, off the
-                // dispatcher (`inject_stall` marked the connection slow,
+                // producer (`inject_stall` marked the connection slow,
                 // so this drain runs on the writer thread).
                 std::thread::sleep(d);
             }
@@ -544,7 +639,7 @@ impl Outbox {
                 // This peer can stall a write (long wait, little data
                 // moved). Never again on the inline path: all further
                 // fan-out goes through the writer thread, bounding the
-                // dispatcher's exposure to one stall per connection.
+                // token holder's exposure to one stall per connection.
                 state.slow = true;
             }
             if !ok {
@@ -640,7 +735,7 @@ impl ResponseSink for Conn {
 }
 
 /// The per-connection writer thread: parks until a response backlog
-/// appears (a client reading slower than the dispatcher answers), then
+/// appears (a client reading slower than its requests are answered), then
 /// drains it in coalesced writes — the response fan-out path that used to
 /// serialize through the dispatcher. [`ServerConfig::write_timeout`] (set
 /// on the socket at accept) bounds how long any drain — inline or here —
@@ -652,12 +747,23 @@ fn writer_loop(conn: &Arc<Conn>) {
     }
 }
 
+/// What running a batch needs: the server's one macro, its energy model,
+/// and the compute runs' response-chunk buffer (empty between runs).
+struct Exec {
+    mac: ImcMacro,
+    params: EnergyParams,
+    chunks: Vec<Chunk>,
+}
+
 /// State shared by the accept loop, readers, writers, dispatcher and
 /// handle.
 struct Shared {
     config: ServerConfig,
     addr: SocketAddr,
     queue: Queue<Item>,
+    /// Locked only by the holder of the queue's run token, so never
+    /// contended.
+    exec: Mutex<Exec>,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     sessions: Arc<SessionRegistry>,
     /// The write-ahead journal + snapshot engine, when `--state-dir` is
@@ -727,6 +833,14 @@ impl Server {
             config,
             addr,
             queue,
+            exec: Mutex::named(
+                "server.exec",
+                Exec {
+                    mac: ImcMacro::new(MacroConfig::paper_macro()),
+                    params: paper_calibrated_params(),
+                    chunks: Vec::new(),
+                },
+            ),
             conns: Mutex::named("server.conns", HashMap::new()),
             sessions: sessions.clone(),
             persist: persist.clone(),
@@ -1073,7 +1187,7 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
                 }
             };
         // Register the owed response *before* queueing, so the writer
-        // thread cannot exit between the push and the dispatcher's answer.
+        // thread cannot exit between the push and its answer.
         let inflight = conn.outbox.expect_response();
         // Admission control, compute requests only — control ops (ping,
         // stats, shutdown, …) always pass so health checks survive
@@ -1093,21 +1207,25 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
                 ));
             }
         }
-        if shared
-            .queue
-            .push(
-                conn.id,
-                Item {
-                    conn: conn.clone(),
-                    id,
-                    seq,
-                    req_seq,
-                    deadline,
-                    body,
-                },
-            )
-            .is_err()
-        {
+        let item = Item {
+            conn: conn.clone(),
+            id,
+            seq,
+            req_seq,
+            deadline,
+            body,
+        };
+        // A request whose connection owes no other response, with nothing
+        // buffered behind it, that would land in an idle queue runs here
+        // (see `Queue`): a synchronous client's request then wakes no
+        // dispatcher. Anything else queues, so a pipelined burst keeps
+        // this reader admitting while the dispatcher runs it in batches.
+        let lead = (inflight == 1 && reader.buffer().is_empty())
+            .then(|| shared.queue.lead())
+            .flatten();
+        if let Some(_token) = lead {
+            process_batch([item], shared);
+        } else if shared.queue.push(conn.id, item).is_err() {
             // Queue closed: the dispatcher will never answer. This is the
             // one response written off-order, and only during shutdown.
             let outcome = refused("server is shutting down".into());
@@ -1128,12 +1246,9 @@ fn reader_loop(conn: Arc<Conn>, shared: &Arc<Shared>) {
 }
 
 fn dispatch_loop(shared: &Arc<Shared>) {
-    let config = &shared.config;
-    let mut mac = ImcMacro::new(MacroConfig::paper_macro());
-    let params = paper_calibrated_params();
-    let mut chunks = Vec::new();
-    while let Some(batch) = shared.queue.pop_batch(config.batch_max) {
-        process_batch(batch, &mut mac, &params, shared, &mut chunks);
+    let _token = shared.queue.dispatcher_guard();
+    while let Some(batch) = shared.queue.pop_batch(shared.config.batch_max) {
+        process_batch(batch, shared);
     }
     // Queue closed and drained: every queued request has its response in
     // an outbox. Let the writers flush those, then sever the connections
@@ -1153,7 +1268,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 /// queue, rate budget exhausted), or is an idempotent-retry duplicate.
 /// Every variant keeps its slot in the response order.
 enum Prepared {
-    /// Executes as a job on the dispatcher's macro; its seq (if stamped)
+    /// Executes as a job on the server's macro; its seq (if stamped)
     /// was claimed at job-build time, so a same-batch duplicate already
     /// resolves to `Replay`.
     Run,
@@ -1248,32 +1363,33 @@ fn add_response(
     chunk.lines += 1;
 }
 
-/// Processes one drained batch in FIFO order: runs of consecutive compute
-/// requests execute one after another on `mac`, the dispatcher's macro,
-/// and control requests execute between runs. A run goes through
-/// `par_queue_try_map` with one state slot, which runs every job on this
-/// thread and turns a job's panic into that job's own `JobPanic` result.
-/// Session accounting happens in arrival order, so each session observes
-/// its own requests sequentially.
+/// Processes one batch in FIFO order, on the thread that holds the run
+/// token: a batch the dispatcher drained, or the one request a reader
+/// leads. Runs of consecutive compute requests execute one after another
+/// on the server's one macro, and control requests execute between runs.
+/// A run goes through `par_queue_try_map` with one state slot, which runs
+/// every job on this thread and turns a job's panic into that job's own
+/// `JobPanic` result. Session accounting happens in arrival order, so each
+/// session observes its own requests sequentially.
 ///
 /// A compute run settles all its requests first, then serializes each
-/// response into its connection's [`Chunk`] (in `chunks`, a buffer the
-/// dispatcher reuses, empty between runs) and delivers the chunks
-/// before the next control item runs. Every journaled byte is thus
-/// written before any response of the run, and each connection's
-/// responses keep their request order across runs and control responses.
+/// response into its connection's [`Chunk`] (in [`Exec`]'s buffer, empty
+/// between runs) and delivers the chunks before the next control item
+/// runs. Every journaled byte is thus written before any response of the
+/// run, and each connection's responses keep their request order across
+/// runs and control responses.
 ///
 /// Guardrails run here, at job-build time — before any array state
 /// changes: a request whose deadline already expired in queue, or whose
 /// session is over its cycle/energy budget, is answered with its
 /// structured error instead of becoming a job.
-fn process_batch(
-    batch: Vec<Item>,
-    mac: &mut ImcMacro,
-    params: &EnergyParams,
-    shared: &Arc<Shared>,
-    chunks: &mut Vec<Chunk>,
-) {
+fn process_batch(batch: impl IntoIterator<Item = Item>, shared: &Arc<Shared>) {
+    let mut exec = shared.exec.lock();
+    let Exec {
+        mac,
+        params,
+        chunks,
+    } = &mut *exec;
     let limits = shared.config.limits;
     let faults = shared.config.faults;
     let is_compute_item = |item: &Item| matches!(&item.body, Ok(body) if is_compute(body));
@@ -1447,7 +1563,7 @@ fn process_batch(
 /// `Drop` severs the connection instead of responding (the response is
 /// lost, as it would be to a vanished client, and the closed outbox drops
 /// the rest of the run's responses to it); a `Stall` makes the
-/// connection's writer sleep before its next write (off the dispatcher).
+/// connection's writer sleep before its next write (off the producer).
 /// Session accounting already happened — a dropped response's work stays
 /// billed, exactly like real work a client disconnected from.
 fn deliver(chunks: &mut Vec<Chunk>) {
@@ -1999,6 +2115,44 @@ mod tests {
         let bufs: Vec<_> = chunks.iter().map(|c| c.buf.clone()).collect();
         let want = [lines(&[0]), lines(&[1, 6]), lines(&[2, 3]), lines(&[5])];
         assert_eq!(bufs, want, "a dropped response is never serialized");
+    }
+
+    #[test]
+    fn a_panic_under_the_run_token_releases_it() {
+        let queue = Arc::new(Queue::<u64>::new(4, 100, 50));
+        let holder = |queue: &Queue<u64>| queue.state.lock().holder;
+        let q = queue.clone();
+        let led = std::thread::spawn(move || {
+            let _token = q.lead().expect("an idle queue lets a reader lead");
+            assert_eq!(holder(&q), Some(Holder::Reader));
+            panic!("the led request panics");
+        });
+        assert!(led.join().is_err());
+        assert_eq!(
+            holder(&queue),
+            None,
+            "the unwound reader gave the token back"
+        );
+        queue.push(1, 7).unwrap();
+        assert_eq!(
+            queue.pop_batch(4),
+            Some(vec![7]),
+            "the next pushed item pops"
+        );
+
+        // The dispatcher keeps the token between batches; a panic there
+        // releases it too, and a reader can lead again.
+        let q = queue.clone();
+        let dispatcher = std::thread::spawn(move || {
+            let _token = q.dispatcher_guard();
+            q.push(1, 8).unwrap();
+            assert_eq!(q.pop_batch(4), Some(vec![8]));
+            assert_eq!(holder(&q), Some(Holder::Dispatcher));
+            panic!("the batch panics");
+        });
+        assert!(dispatcher.join().is_err());
+        assert_eq!(holder(&queue), None);
+        assert!(queue.lead().is_some());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! | cost | measured |
 //! |---|---|
 //! | waking a parked pool worker: `send` until its first job starts (3,000 batches per run) | p50 21–33 µs, p90 48–58 µs, p99 0.1–0.3 ms |
-//! | the server's reader → dispatcher condvar hand-off | median 2.6–9 µs |
+//! | one thread hop on a window-1 loopback echo (std-only; a 134-byte line, an 85-byte reply; 4 alternating 5-s runs per variant): the reader thread replies itself (2 threads wake per request), or hands the line through a `Mutex`+`Condvar` queue to a thread that replies (3 threads) | p50 15.1–18.5 µs with 2 threads, 22.5–26.5 µs with 3 (p90 17.3–20.9 and 24.9–31.5 µs) |
 //! | one `std::thread::available_parallelism()` call (it reads cgroup files) | 13–22 µs |
 //! | one loopback request `write`: the client's kernel time per request on a window-16 stream, which includes the server's receive path and its reader's wake-up (per-thread `/proc` sampling) | 2.7–4.0 µs |
 //! | a pool worker taking its share of the server's compute runs on perfbench's `serve_stored_w16`: the worker's CPU per request, its wake-ups and spins included (per-thread `/proc` sampling) | 3.6–4.3 µs |
@@ -36,7 +36,9 @@
 //! may call `available_parallelism` once per request ([`worker_count`]
 //! reads it once per process). On a pipelined stream the worker still cost
 //! more CPU than the work it took over, so the server no longer uses the
-//! pool: it runs each compute run on its dispatcher thread, on one macro.
+//! pool: it runs each compute run on one macro, on its dispatcher thread,
+//! and a synchronous request on its connection's reader, which spares it
+//! the hop to the dispatcher.
 //! A `write` per request costs more than the request's execution too, so
 //! `bpimc_server::Client` writes the requests it queued in one `write` per
 //! burst (0.6–1.0 µs of client kernel time per request on the same

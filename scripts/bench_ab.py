@@ -2,7 +2,7 @@
 """Same-host A/B of the repository benchmark: the working tree against a
 base revision.
 
-    python3 scripts/bench_ab.py BASE
+    python3 scripts/bench_ab.py BASE [--claim WORKLOAD/METRIC]
 
 BASE is any git revision (a commit, `HEAD`, `origin/main`). The script
 checks BASE out into a temporary `git worktree`, builds perfbench there
@@ -21,6 +21,14 @@ It exits 1 when
 The pair count is what absorbs the host: one slow spell can halve one
 run's req/s or stretch one run's set-up time past the bound, and a drift
 of a few per cent can flip most pairs, but neither does both.
+
+With --claim WORKLOAD/METRIC (an end-to-end metric), the gate is followed
+by the check of a claimed gain: CLAIM_PAIRS more alternating pairs of that
+workload, at BENCHMARK.json's `run_seconds`, on seeds CLAIM_SEEDS (held
+out from the gate's). It prints each side's median and quartiles and the
+pairs the working tree won, and also exits 1 unless the working tree won
+at least CLAIM_WINS of the pairs and its median is better than BASE's by
+more than BASE's interquartile range.
 """
 
 import argparse
@@ -37,6 +45,9 @@ import time
 PAIRS = 5
 RUN_SECONDS = 10
 PAIRS_WORSE = math.ceil(0.8 * PAIRS)
+CLAIM_PAIRS = 10
+CLAIM_SEEDS = range(11, 11 + CLAIM_PAIRS)
+CLAIM_WINS = 9
 
 
 class Side:
@@ -55,10 +66,10 @@ class Side:
                         "--manifest-path", "perfbench/Cargo.toml"],
                        cwd=self.root, env=self.env, check=True)
 
-    def run(self, command, workload, seed):
+    def run(self, command, workload, seed, seconds=RUN_SECONDS):
         """The run's metric values, or None when it failed."""
         args = ["--workload", workload, "--seed", str(seed),
-                "--seconds", str(RUN_SECONDS), "--trace", "0"]
+                "--seconds", str(seconds), "--trace", "0"]
         out = subprocess.run(command + args, cwd=self.root, env=self.env,
                              capture_output=True, text=True, check=False)
         lines = out.stdout.strip().splitlines()
@@ -115,16 +126,67 @@ def compare(workload, metrics, runs):
     return failed
 
 
+def alternate(sides, command, workload, seeds, seconds, failures):
+    """Runs one pair per seed, alternating which side runs first; returns
+    each side's runs (None for a failed one) and records the failures."""
+    runs = {"base": [], "head": []}
+    for i, seed in enumerate(seeds):
+        order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
+        for name in order:
+            values = sides[name].run(command, workload, seed, seconds)
+            runs[name].append(values)
+            if values is None:
+                failures.append(f"{workload} seed {seed} {name}: run failed")
+            else:
+                print(f"  {workload} seed {seed} {name}: " + ", ".join(
+                    f"{k}={v:.6g}" for k, v in values.items()), flush=True)
+    return runs
+
+
+def check_claim(workload, metric, runs, seconds):
+    """Prints the claim's verdict; returns whether the gain is shown."""
+    name = metric["name"]
+    pairs = [(b[name], h[name]) for b, h in zip(runs["base"], runs["head"]) if b and h]
+    print(f"\nclaim {workload}/{name}: {len(pairs)} pairs of {seconds} s, "
+          f"seeds {CLAIM_SEEDS.start}-{CLAIM_SEEDS.stop - 1}")
+    if len(pairs) < CLAIM_WINS:
+        print("  too few complete pairs")
+        return False
+    quartiles = {}
+    for i, side in enumerate(["base", "head"]):
+        q1, med, q3 = statistics.quantiles([p[i] for p in pairs], n=4, method="inclusive")
+        quartiles[side] = (q1, med, q3)
+        print(f"  {side}: median {med:.6g}, quartiles {q1:.6g}-{q3:.6g}")
+    wins = sum(worse_by(metric, b, h) < 0 for b, h in pairs)
+    (b_q1, base, b_q3), head = quartiles["base"], quartiles["head"][1]
+    gain = -worse_by(metric, base, head) * abs(base)
+    shown = wins >= CLAIM_WINS and gain > b_q3 - b_q1
+    print(f"  head won {wins}/{len(pairs)} pairs (needs {CLAIM_WINS}); the medians "
+          f"differ by {gain:.6g} in head's favour against base's IQR {b_q3 - b_q1:.6g}"
+          f"{'' if shown else '  FAIL'}")
+    return shown
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="git revision to compare the working tree against")
-    rev = ap.parse_args().base
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="also check a claimed gain on one end-to-end metric")
+    args = ap.parse_args()
+    rev = args.base
     started = time.monotonic()
     root = git("rev-parse", "--show-toplevel")
     os.chdir(root)
     base_commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
+    claim = None
+    if args.claim:
+        workload, _, name = args.claim.partition("/")
+        metric = next((m for m in bench["end_to_end"] if m["name"] == name), None)
+        if workload not in {w["name"] for w in bench["workloads"]} or metric is None:
+            ap.error(f"--claim {args.claim}: not a BENCHMARK.json workload/end-to-end metric")
+        claim = (workload, metric)
     print(f"base {rev} = {base_commit}; head = working tree of {git('rev-parse', 'HEAD')}")
 
     scratch = tempfile.mkdtemp(prefix="bench_ab-")
@@ -137,19 +199,16 @@ def main():
         failures = []
         for w in bench["workloads"]:
             workload = w["name"]
-            runs = {"base": [], "head": []}
-            for seed in range(1, PAIRS + 1):
-                order = ["base", "head"] if seed % 2 else ["head", "base"]
-                for name in order:
-                    values = sides[name].run(bench["command"], workload, seed)
-                    runs[name].append(values)
-                    if values is None:
-                        failures.append(f"{workload} seed {seed} {name}: run failed")
-                    else:
-                        print(f"  {workload} seed {seed} {name}: " + ", ".join(
-                            f"{k}={v:.6g}" for k, v in values.items()), flush=True)
+            runs = alternate(sides, bench["command"], workload, range(1, PAIRS + 1),
+                             RUN_SECONDS, failures)
             for metric in compare(workload, bench["end_to_end"], runs):
                 failures.append(f"{workload} {metric}")
+        if claim:
+            workload, metric = claim
+            seconds = bench["run_seconds"]
+            runs = alternate(sides, bench["command"], workload, CLAIM_SEEDS, seconds, failures)
+            if not check_claim(workload, metric, runs, seconds):
+                failures.append(f"claim {workload}/{metric['name']} not shown")
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", worktree],
                        capture_output=True, check=False)
