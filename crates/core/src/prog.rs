@@ -16,10 +16,10 @@
 //!   bit-line compute path cannot express, and precision/lane-width
 //!   compatibility — returning a structured [`ProgError`] *before* any
 //!   array state changes.
-//! * **A static cost model** — [`Program::cycles`] and
-//!   [`Program::predicted_activity`] predict the exact cycle count and
-//!   per-cycle activity (and therefore energy) of a run before it happens;
-//!   every run asserts the prediction against the activity log afterwards.
+//! * **A static cost model** — [`Program::cycles`] predicts the exact
+//!   cycle count of a run before it happens, and every run asserts the
+//!   prediction against the activity log afterwards. The per-cycle
+//!   activity (and therefore energy) is the macro's own log of the run.
 //! * **A lowering pass** — adjacent `add` + `shl`
 //!   pairs fuse into the hardware's single-cycle `add_shift` path when the
 //!   intermediate sum is dead afterwards.
@@ -54,12 +54,11 @@
 //! assert_eq!(mac.activity().total_cycles(), prog.cycles());
 //! ```
 
-use crate::activity::CycleActivity;
 use crate::config::MacroConfig;
 use crate::error::Error;
 use crate::isa::OpKind;
 use crate::macroblock::ImcMacro;
-use bpimc_array::{BitRow, CycleKind};
+use bpimc_array::BitRow;
 use bpimc_periph::{LogicOp, Precision};
 use std::borrow::Cow;
 use std::fmt;
@@ -792,29 +791,6 @@ impl Program {
         per
     }
 
-    /// Predicts the exact per-cycle activity of a run — the same
-    /// [`CycleActivity`] records the macro will log, cycle for cycle — so
-    /// energy is computable *before* execution
-    /// (`EnergyParams::cycles_energy_fj` in `bpimc-metrics` turns the
-    /// slice into femtojoules).
-    ///
-    /// # Errors
-    ///
-    /// Validates first and forwards any [`ProgError`].
-    pub fn predicted_activity(
-        &self,
-        config: &MacroConfig,
-    ) -> Result<Vec<CycleActivity>, ProgError> {
-        self.validate(config)?;
-        let cols = config.geometry.cols;
-        let sep = config.separator_enabled;
-        let mut cycles = Vec::new();
-        for (instr, _) in self.lower_indexed() {
-            predict_instr_activity(&instr, cols, sep, &mut cycles);
-        }
-        Ok(cycles)
-    }
-
     /// Compiles for `mac`'s configuration and runs once: the read outputs
     /// and exact per-instruction accounting spans into the macro's activity
     /// log. See [`CompiledProgram::run`].
@@ -1450,109 +1426,6 @@ fn exec_instr(instr: &Instr, mac: &mut ImcMacro, outputs: &mut Vec<Vec<u64>>) ->
     Ok(())
 }
 
-/// Appends the exact [`CycleActivity`] records `exec_instr` will make the
-/// macro log for `instr` — the cost model's per-cycle half, kept in
-/// lock-step with `ImcMacro`'s implementations (property tests in
-/// `tests/prop.rs` pin the two together bit for bit).
-fn predict_instr_activity(instr: &Instr, cols: usize, sep: bool, out: &mut Vec<CycleActivity>) {
-    let full = |kind: CycleKind, dummy: bool, inverting: bool, ff_bits: usize| CycleActivity {
-        kind,
-        compute_cols: cols,
-        logic_cols: if kind == CycleKind::Compute { cols } else { 0 },
-        wb_cols: cols,
-        wb_to_dummy: dummy,
-        wb_shielded: sep && dummy,
-        wb_inverting: inverting,
-        ff_bits,
-    };
-    match instr {
-        Instr::Write { .. } | Instr::WriteMult { .. } => out.push(CycleActivity {
-            kind: CycleKind::WriteOnly,
-            compute_cols: 0,
-            logic_cols: 0,
-            wb_cols: cols,
-            wb_to_dummy: false,
-            wb_shielded: false,
-            wb_inverting: false,
-            ff_bits: 0,
-        }),
-        Instr::Read { .. } | Instr::ReadProducts { .. } => out.push(CycleActivity {
-            kind: CycleKind::ReadOnly,
-            compute_cols: cols,
-            logic_cols: 0,
-            wb_cols: 0,
-            wb_to_dummy: false,
-            wb_shielded: false,
-            wb_inverting: false,
-            ff_bits: 0,
-        }),
-        Instr::Logic { .. } | Instr::Add { .. } | Instr::AddShift { .. } => {
-            out.push(full(CycleKind::Compute, false, false, 0));
-        }
-        Instr::Not { .. } => out.push(full(CycleKind::SingleAccess, false, true, 0)),
-        Instr::Copy { .. } | Instr::Shl { .. } => {
-            out.push(full(CycleKind::SingleAccess, false, false, 0));
-        }
-        Instr::Sub { .. } => {
-            out.push(full(CycleKind::SingleAccess, true, true, 0));
-            out.push(full(CycleKind::Compute, false, false, 0));
-        }
-        Instr::Mult { precision, .. } => {
-            let bits = precision.bits();
-            let lanes = cols / (2 * bits);
-            let lane_cols = lanes * 2 * bits;
-            let gated =
-                |kind: CycleKind, active: usize, dummy: bool, ff_bits: usize| CycleActivity {
-                    kind,
-                    compute_cols: active,
-                    logic_cols: if kind == CycleKind::Compute {
-                        active
-                    } else {
-                        0
-                    },
-                    wb_cols: active,
-                    wb_to_dummy: dummy,
-                    wb_shielded: sep && dummy,
-                    wb_inverting: false,
-                    ff_bits,
-                };
-            // Init: zero the accumulator (multiplier into the FF bank),
-            // then stage the multiplicand — both into shielded dummy rows.
-            out.push(gated(
-                CycleKind::SingleAccess,
-                lane_cols,
-                true,
-                lanes * bits,
-            ));
-            out.push(gated(CycleKind::SingleAccess, lane_cols, true, 0));
-            // P add-and-shift steps; the accumulator's valid width grows
-            // one bit per step and only those columns clock.
-            for step in 0..bits {
-                let valid = (bits + step + 1).min(2 * bits);
-                let final_step = step == bits - 1;
-                out.push(gated(
-                    CycleKind::Compute,
-                    lanes * valid,
-                    !final_step,
-                    lanes * bits,
-                ));
-            }
-        }
-        Instr::ReduceAdd { srcs, .. } => {
-            out.push(full(CycleKind::SingleAccess, true, false, 0));
-            let n = srcs.len();
-            if n == 1 {
-                out.push(full(CycleKind::SingleAccess, false, false, 0));
-            } else {
-                for i in 1..n {
-                    let final_step = i == n - 1;
-                    out.push(full(CycleKind::Compute, !final_step, false, 0));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1814,50 +1687,6 @@ mod tests {
         let r2 = explicit.run(&mut m2).unwrap();
         assert_eq!(r1.outputs, r2.outputs);
         assert_eq!(m1.activity().cycles(), m2.activity().cycles());
-    }
-
-    #[test]
-    fn predicted_activity_matches_log_for_every_instr_kind() {
-        let p = Precision::P4;
-        let mut b = ProgramBuilder::new();
-        let x = b.write(p, vec![5, 9]);
-        let y = b.write(p, vec![3, 7]);
-        let s = b.add(x, y, p);
-        b.sub(x, y, p);
-        b.logic(LogicOp::Xor, x, y);
-        b.not(x);
-        let c = b.copy(y);
-        b.shl(c, p);
-        b.add_shift(x, y, p);
-        b.reduce_add(&[x, y, s], p);
-        let ma = b.write_mult(p, vec![5, 9]);
-        let mb = b.write_mult(p, vec![3, 7]);
-        let prod = b.mult(ma, mb, p);
-        b.read_products(prod, p, 2);
-        b.read(s, p, 2);
-        let prog = b.finish();
-
-        let predicted = prog.predicted_activity(&cfg()).unwrap();
-        let mut m = mac();
-        prog.run(&mut m).unwrap();
-        assert_eq!(predicted.as_slice(), m.activity().cycles());
-    }
-
-    #[test]
-    fn predicted_activity_tracks_separator_config() {
-        let p = Precision::P8;
-        let mut b = ProgramBuilder::new();
-        let a = b.write_mult(p, vec![5]);
-        let c = b.write_mult(p, vec![7]);
-        let d = b.mult(a, c, p);
-        b.read_products(d, p, 1);
-        let prog = b.finish();
-        let no_sep = MacroConfig::paper_macro().with_separator(false);
-        let predicted = prog.predicted_activity(&no_sep).unwrap();
-        let mut m = ImcMacro::new(no_sep);
-        prog.run(&mut m).unwrap();
-        assert_eq!(predicted.as_slice(), m.activity().cycles());
-        assert!(predicted.iter().all(|c| !c.wb_shielded));
     }
 
     #[test]

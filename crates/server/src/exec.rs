@@ -16,7 +16,6 @@ use bpimc_core::{
 use bpimc_metrics::EnergyParams;
 use bpimc_nn::{chunks_per_class, classify_bindings, classify_from_outputs, imc_dot};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A classifier model loaded into a session by `load_model`.
 #[derive(Debug)]
@@ -34,23 +33,15 @@ pub(crate) struct Model {
     pub(crate) template: CompiledProgram,
 }
 
-/// One queued compute request, ready to run on the dispatcher's macro.
+/// One compute request, admitted and ready to run on the server's macro.
 ///
 /// Session state the request depends on (the classifier model, the stored
-/// program) is snapshotted at job-build time (`Arc` clones), so a
-/// `load_model`/`store_program` earlier in the same drained batch is
-/// visible and a concurrent change from the same session cannot race the
-/// job.
-pub(crate) struct ComputeJob {
-    pub(crate) body: RequestBody,
+/// program) is snapshotted at admission (`Arc` clones), so a
+/// `load_model`/`store_program` earlier in the same batch is visible.
+pub(crate) struct ComputeJob<'a> {
+    pub(crate) body: &'a RequestBody,
     pub(crate) model: Option<Arc<Model>>,
     pub(crate) stored: Option<Arc<CompiledProgram>>,
-    /// The request's deadline, re-checked when the job starts: a request
-    /// whose deadline passed while earlier batch work ran is abandoned
-    /// before touching any array state (the mid-execution half of
-    /// cooperative cancellation; the in-queue half lives in the
-    /// dispatcher).
-    pub(crate) deadline: Option<Instant>,
     /// Guardrail: longest accepted `exec_program` instruction stream.
     pub(crate) max_program_instrs: Option<usize>,
     /// Chaos: fault injected into this job's execution, if any.
@@ -74,27 +65,14 @@ pub(crate) fn is_compute(body: &RequestBody) -> bool {
 /// request's hardware work and the macro's log stays bounded no matter how
 /// long the server runs.
 ///
-/// The deadline re-check and any injected chaos fault fire here, on the
-/// dispatcher thread, **before** `compute_body` touches the array — an
-/// expired or panicked job leaves the macro's state and activity log
-/// untouched for the next job.
+/// An injected chaos fault fires here, on the thread that holds the run
+/// token, **before** `compute_body` touches the array — a panicked job
+/// leaves the macro's state and activity log untouched for the next job.
 pub(crate) fn run_compute(
     mac: &mut ImcMacro,
-    job: &ComputeJob,
+    job: &ComputeJob<'_>,
     params: &EnergyParams,
 ) -> (Result<ResponseBody, ErrorBody>, u64, f64) {
-    if job
-        .deadline
-        .is_some_and(|deadline| Instant::now() >= deadline)
-    {
-        return (
-            Err(ErrorBody::deadline(
-                "deadline expired mid-batch, before this request started executing",
-            )),
-            0,
-            0.0,
-        );
-    }
     match job.fault {
         Some(ComputeFault::Panic) => panic!("injected chaos fault (worker panic)"),
         Some(ComputeFault::Delay(d)) => std::thread::sleep(d),
@@ -133,10 +111,10 @@ fn check_words_fit(name: &str, words: &[u64], precision: Precision) -> Result<()
 
 fn compute_body(
     mac: &mut ImcMacro,
-    job: &ComputeJob,
+    job: &ComputeJob<'_>,
     params: &EnergyParams,
 ) -> Result<ResponseBody, ErrorBody> {
-    match &job.body {
+    match job.body {
         RequestBody::Dot { precision, x, w } => {
             if x.len() != w.len() {
                 return Err(

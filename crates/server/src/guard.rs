@@ -77,9 +77,11 @@ impl SessionLimits {
     /// ([`charge`]) — and a window `now_ms` falls outside of has nothing
     /// billed in the current second. Checks happen **before** execution
     /// (so an over-budget session is refused before any array state
-    /// changes) against work already billed: one request may overshoot
-    /// the budget, but the overshoot is itself billed, so sustained
-    /// throughput converges on the budget.
+    /// changes) against work already billed. The server settles each
+    /// request before it admits the next, so the window holds the spend
+    /// of every request before this one, pipelined or not: one request
+    /// may overshoot the budget, but the overshoot is itself billed, so
+    /// sustained throughput converges on the budget.
     ///
     /// # Errors
     ///

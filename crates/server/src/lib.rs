@@ -19,14 +19,16 @@
 //!   session at its queue share blocks only its own reader (backpressure
 //!   propagates to that client through TCP flow control rather than
 //!   through dropped or rejected requests).
-//! * **One dispatcher thread** drains the queue. Runs of consecutive
-//!   *compute* requests (dot products, lane-wise macro ops at P2–P32,
-//!   classification, whole `exec_program` pipelines, `run_stored` replays)
-//!   execute one after another on the server's macro, on the running
-//!   thread itself: a pool worker woken per run cost more CPU than the
-//!   run's work. Control requests (`ping`, `stats`, `load_model`,
-//!   `store_program`, `shutdown`) execute between runs, so every session
-//!   observes its own requests in order.
+//! * **One dispatcher thread** drains the queue. Each *compute* request
+//!   (dot products, lane-wise macro ops at P2–P32, classification, whole
+//!   `exec_program` pipelines, `run_stored` replays) is served in one pass
+//!   on the server's macro, on the running thread itself — admitted
+//!   against its session's guardrails, run, and settled to its account —
+//!   before the next one is admitted; a pool worker woken per run cost
+//!   more CPU than the run's work. Control requests (`ping`, `stats`,
+//!   `load_model`, `store_program`, `shutdown`) execute between runs of
+//!   compute requests, so every session observes its own requests in
+//!   order.
 //! * **A synchronous request skips the dispatcher** (leader/followers):
 //!   requests execute only under the queue's run token, which the
 //!   dispatcher holds while it runs a batch. A request whose connection
@@ -92,11 +94,14 @@
 //!   precise rather than heuristic — plus an in-flight request cap, a
 //!   program-length cap, and the stored-program cap. A request over a
 //!   limit answers a structured `limit_exceeded` error naming the limit,
-//!   with a retry-after hint, before any array state changes.
-//! * **Deadlines**: any request may carry `timeout_ms`; an expired
-//!   request is shed from the queue (or abandoned when its job starts)
-//!   with a structured `deadline_exceeded` error instead of consuming
-//!   macro time.
+//!   with a retry-after hint, before any array state changes. Each
+//!   admission sees the spend of every request settled before it, so a
+//!   pipelined burst overshoots a budget by at most one request, as a
+//!   synchronous client does.
+//! * **Deadlines**: any request may carry `timeout_ms`; a request whose
+//!   deadline expired while it waited (queued, or behind earlier requests
+//!   of its run) is refused at admission with a structured
+//!   `deadline_exceeded` error instead of consuming macro time.
 //! * **Admission control**: when the total queued backlog crosses a
 //!   high watermark the server sheds new compute requests with a
 //!   structured `overloaded` error (hysteresis: shedding turns off at a

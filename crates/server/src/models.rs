@@ -132,20 +132,6 @@ fn queue_drain_then_stop_shutdown() {
     );
 }
 
-/// Drops the guard it holds, except while its task unwinds from a failed
-/// model execution: the guard's release locks a model mutex, which panics
-/// again in an aborted execution and would abort the process before the
-/// failure is reported.
-struct UnlessUnwinding<G>(Option<G>);
-
-impl<G> Drop for UnlessUnwinding<G> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            std::mem::forget(self.0.take());
-        }
-    }
-}
-
 /// The reader-leads hand-off keeps the queue's promises. Three producers
 /// (connection readers) submit items under the lead rule: an item whose
 /// connection owes nothing else and has nothing buffered behind it takes
@@ -232,7 +218,7 @@ fn queue_reader_leads() {
                     let lead = (owes_nothing_else && !burst_head)
                         .then(|| h.queue.lead())
                         .flatten();
-                    if let Some(_token) = lead.map(|t| UnlessUnwinding(Some(t))) {
+                    if let Some(_token) = lead {
                         h.run((conn, seq));
                     } else if h.queue.push(conn as u64, (conn, seq)).is_err() {
                         h.progress.lock().owed[conn] -= 1;
@@ -242,7 +228,7 @@ fn queue_reader_leads() {
             })
         })
         .collect();
-    let _token = UnlessUnwinding(Some(h.queue.dispatcher_guard()));
+    let _token = h.queue.dispatcher_guard();
     while let Some(batch) = h.queue.pop_batch(2) {
         for item in batch {
             h.run(item);
@@ -443,8 +429,8 @@ fn session_resume_vs_drain_exclusive() {
 /// The per-session seq guard makes delivery exactly-once under races: an
 /// original execution and a post-reconnect resend of the same logical
 /// request (same seq) settle **one** bill in every schedule — the loser
-/// observes the claimed seq and answers from the replay window instead of
-/// executing again.
+/// observes the executed seq and answers from the replay window instead
+/// of executing again.
 fn session_seq_guard_never_double_bills() {
     const COST: u64 = 7;
     const SEQ: u64 = 0;
@@ -455,14 +441,15 @@ fn session_seq_guard_never_double_bills() {
             let session = session.clone();
             let billed = billed.clone();
             thread::spawn(move || {
-                // One delivery attempt of the same logical request: the
-                // replay check and the settle are atomic under the
-                // session lock, exactly as the dispatcher does it.
+                // One delivery attempt of the same logical request. The
+                // server serializes each request's replay check and
+                // settle under the run token; holding the session lock
+                // across both serializes them the same way.
                 let mut inner = session.inner.lock();
                 if inner.is_replay(SEQ) {
                     assert!(
                         inner.replayed(SEQ).is_some(),
-                        "a claimed seq answers from the replay window"
+                        "an executed seq answers from the replay window"
                     );
                 } else {
                     let response = Response {

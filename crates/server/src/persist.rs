@@ -495,7 +495,7 @@ pub(crate) enum Event {
         billing: BillingRecord,
         /// The stored program the request ran, if any (run history).
         ran_pid: Option<u64>,
-        /// The claimed idempotency seq, if the request was stamped.
+        /// The idempotency seq the request consumed, if it was stamped.
         seq: Option<u64>,
         /// The serialized response recorded for replay (`seq` set only).
         response: Option<String>,

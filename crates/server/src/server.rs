@@ -17,7 +17,7 @@ use bpimc_core::{
 };
 use bpimc_metrics::{paper_calibrated_params, EnergyParams};
 use bpimc_nn::{classify_program, prototype_norms};
-use bpimc_stats::parallel::par_queue_try_map;
+use bpimc_stats::parallel::catch_job;
 use bpimc_stats::sync::atomic::{AtomicBool, AtomicU64};
 use bpimc_stats::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
@@ -1263,55 +1263,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     shared.close_all_conns();
 }
 
-/// Whether one compute item in a drained run executes on the macro, was
-/// refused before touching any array state (deadline already expired in
-/// queue, rate budget exhausted), or is an idempotent-retry duplicate.
-/// Every variant keeps its slot in the response order.
-enum Prepared {
-    /// Executes as a job on the server's macro; its seq (if stamped)
-    /// was claimed at job-build time, so a same-batch duplicate already
-    /// resolves to `Replay`.
-    Run,
-    /// Refused before execution. Transient by construction — the op never
-    /// ran — so a stamped seq is deliberately *not* claimed: the client's
-    /// retry of the same seq gets re-admitted fresh.
-    Refused(ErrorBody),
-    /// The stamped seq was already claimed by an earlier request: answer
-    /// from the session's replay window at record time (by then the
-    /// original — which precedes this slot in response order — has cached
-    /// its response), executing and billing nothing.
-    Replay(u64),
-}
-
-/// One slot of a drained compute run: the connection and session it
-/// settles against, response-ordering keys, and how it was prepared.
-struct MetaItem {
-    conn: Arc<Conn>,
-    /// Snapshotted at job-build time: control ops that swap the
-    /// connection's session slot cannot race a compute run (they execute
-    /// between runs), so this is the session the request was admitted
-    /// under — the one its outcome must settle against.
-    session: Arc<Session>,
-    id: u64,
-    /// Conn-stream position (keys the fault plan).
-    seq: u64,
-    /// The claimed idempotency seq to record the response under, if the
-    /// request was stamped, durable and actually executed.
-    claimed: Option<u64>,
-    /// The stored program a `run_stored` resolved to (run history).
-    ran_pid: Option<u64>,
-    prep: Prepared,
-}
-
-/// The canned answer for a stamped seq that was claimed but has fallen
-/// out of the bounded replay window (a retry arriving implausibly late).
-fn stale_seq_error(seq: u64) -> ErrorBody {
-    ErrorBody::generic(format!(
-        "request seq {seq} was already executed but its response left the replay window; \
-         do not reuse seq numbers"
-    ))
-}
-
 /// The responses one compute run owes one connection, serialized back to
 /// back: [`deliver`] hands each to its connection's outbox in one push. A
 /// run's responses to one connection take several chunks only past
@@ -1365,24 +1316,19 @@ fn add_response(
 
 /// Processes one batch in FIFO order, on the thread that holds the run
 /// token: a batch the dispatcher drained, or the one request a reader
-/// leads. Runs of consecutive compute requests execute one after another
-/// on the server's one macro, and control requests execute between runs.
-/// A run goes through `par_queue_try_map` with one state slot, which runs
-/// every job on this thread and turns a job's panic into that job's own
-/// `JobPanic` result. Session accounting happens in arrival order, so each
-/// session observes its own requests sequentially.
+/// leads. Each compute request is served in one pass on the server's one
+/// macro ([`serve_compute`]) before the next one is admitted, so every
+/// admission sees the spend of every request settled before it. Control
+/// requests execute between runs of compute requests. Session accounting
+/// thus happens in arrival order, and each session observes its own
+/// requests sequentially.
 ///
-/// A compute run settles all its requests first, then serializes each
-/// response into its connection's [`Chunk`] (in [`Exec`]'s buffer, empty
-/// between runs) and delivers the chunks before the next control item
-/// runs. Every journaled byte is thus written before any response of the
-/// run, and each connection's responses keep their request order across
-/// runs and control responses.
-///
-/// Guardrails run here, at job-build time — before any array state
-/// changes: a request whose deadline already expired in queue, or whose
-/// session is over its cycle/energy budget, is answered with its
-/// structured error instead of becoming a job.
+/// A compute run files each response into its connection's [`Chunk`] (in
+/// [`Exec`]'s buffer, empty between runs) and delivers the chunks after
+/// its last request, or before the next control item runs. Every
+/// journaled byte of a run is thus written before any response of it, and
+/// each connection's responses keep their request order across runs and
+/// control responses.
 fn process_batch(batch: impl IntoIterator<Item = Item>, shared: &Arc<Shared>) {
     let mut exec = shared.exec.lock();
     let Exec {
@@ -1390,170 +1336,126 @@ fn process_batch(batch: impl IntoIterator<Item = Item>, shared: &Arc<Shared>) {
         params,
         chunks,
     } = &mut *exec;
-    let limits = shared.config.limits;
     let faults = shared.config.faults;
-    let is_compute_item = |item: &Item| matches!(&item.body, Ok(body) if is_compute(body));
-    let mut iter = batch.into_iter().peekable();
-    while let Some(item) = iter.next() {
-        if is_compute_item(&item) {
-            let mut meta: Vec<MetaItem> = Vec::new();
-            let mut jobs = Vec::new();
-            let mut next = Some(item);
-            loop {
-                let it = match next.take() {
-                    Some(it) => it,
-                    None => match iter.next_if(is_compute_item) {
-                        Some(it) => it,
-                        None => break,
-                    },
-                };
-                let body = it.body.expect("compute items carry a parsed body");
-                let session = it.conn.session();
-                // The idempotency guard applies to requests that carry a
-                // seq on a durable session (ephemeral sessions cannot
-                // reconnect, so there is nothing to guard).
-                let guarded = it.req_seq.filter(|_| session.is_durable());
-                let needs_snapshot = matches!(
-                    &body,
-                    RequestBody::Classify { .. } | RequestBody::RunStored { .. }
-                );
-                let needs_meter = it.deadline.is_some() || !limits.unmetered();
-                // `Instant::now` and the session lock are skipped entirely
-                // when nothing needs them (the default config's dot/lanes
-                // path), keeping the hot path unchanged.
-                let (mut model, mut stored, mut ran_pid, mut claimed) = (None, None, None, None);
-                let refusal = if guarded.is_some() || needs_meter || needs_snapshot {
-                    let mut inner = session.inner.lock();
-                    if let Some(rseq) = guarded.filter(|&rseq| inner.is_replay(rseq)) {
-                        drop(inner);
-                        meta.push(MetaItem {
-                            conn: it.conn,
-                            session,
-                            id: it.id,
-                            seq: it.seq,
-                            claimed: None,
-                            ran_pid: None,
-                            prep: Prepared::Replay(rseq),
-                        });
-                        continue;
-                    }
-                    // Deadline + rate budget, checked before the job
-                    // exists — and before the seq is claimed, so these
-                    // transient refusals stay retryable.
-                    let refusal = if needs_meter {
-                        let now = Instant::now();
-                        if it.deadline.is_some_and(|d| now >= d) {
-                            Some(ErrorBody::deadline(
-                                "deadline expired while the request was queued",
-                            ))
-                        } else {
-                            limits.admit(inner.rate, unix_ms_now()).err()
-                        }
-                    } else {
-                        None
-                    };
-                    if refusal.is_none() {
-                        if let Some(rseq) = guarded {
-                            inner.claim_seq(rseq);
-                            claimed = Some(rseq);
-                        }
-                        // Session state the job depends on is snapshotted
-                        // at job-build time (Arc clones): a `load_model`
-                        // or `store_program` earlier in the same drained
-                        // batch is visible, and later session changes
-                        // cannot race the job.
-                        match &body {
-                            RequestBody::Classify { .. } => model = inner.model.clone(),
-                            RequestBody::RunStored { target, .. } => {
-                                if let Some((pid, compiled)) = inner.resolve(target) {
-                                    ran_pid = Some(pid);
-                                    stored = Some(compiled);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    refusal
-                } else {
-                    None
-                };
-                if let Some(err) = refusal {
-                    meta.push(MetaItem {
-                        conn: it.conn,
-                        session,
-                        id: it.id,
-                        seq: it.seq,
-                        claimed: None,
-                        ran_pid: None,
-                        prep: Prepared::Refused(err),
-                    });
-                    continue;
-                }
-                let fault = if faults.is_active() {
-                    faults.compute_fault(it.conn.id, it.seq)
-                } else {
-                    None
-                };
-                meta.push(MetaItem {
-                    conn: it.conn,
-                    session,
-                    id: it.id,
-                    seq: it.seq,
-                    claimed,
-                    ran_pid,
-                    prep: Prepared::Run,
-                });
-                jobs.push(ComputeJob {
-                    body,
-                    model,
-                    stored,
-                    deadline: it.deadline,
-                    max_program_instrs: limits.max_program_instrs,
-                    fault,
-                });
+    for item in batch {
+        let body = match &item.body {
+            Ok(body) if is_compute(body) => serve_compute(&item, body, mac, params, &shared.config),
+            _ => {
+                deliver(chunks);
+                handle_control(item, mac, params, shared);
+                continue;
             }
-            let mut results = par_queue_try_map(std::slice::from_mut(mac), &jobs, |mac, job| {
-                run_compute(mac, job, params)
-            })
-            .into_iter();
-            let unix_ms = unix_ms_now();
-            for m in meta {
-                let settle = |outcome| {
-                    let (ev, body) =
-                        settle_event(&m.session, outcome, m.ran_pid, m.claimed, unix_ms);
-                    m.session.apply(&ev);
-                    body
-                };
-                let body = match m.prep {
-                    Prepared::Replay(rseq) => {
-                        // The original precedes this slot in response
-                        // order, so its response — if still in the bounded
-                        // window — is recorded by now. Nothing is billed:
-                        // the account reflects each logical op once.
-                        let cached = m.session.inner.lock().replayed(rseq);
-                        cached.unwrap_or_else(|| ResponseBody::Error(stale_seq_error(rseq)))
-                    }
-                    Prepared::Refused(err) => settle(failed(err)),
-                    Prepared::Run => settle(match results.next().expect("one result per job") {
-                        Ok((Ok(body), cycles, energy_fj)) => {
-                            (BillingRecord::Ok { cycles, energy_fj }, body)
-                        }
-                        Ok((Err(err), _, _)) => failed(err),
-                        Err(panic) => failed(panic.to_string().into()),
-                    }),
-                };
-                let fault = if faults.is_active() {
-                    faults.response_fault(m.conn.id, m.seq)
-                } else {
-                    None
-                };
-                add_response(chunks, m.conn, &Response { id: m.id, body }, fault);
-            }
-            deliver(chunks);
+        };
+        let fault = if faults.is_active() {
+            faults.response_fault(item.conn.id, item.seq)
         } else {
-            handle_control(item, mac, params, shared);
+            None
+        };
+        add_response(chunks, item.conn, &Response { id: item.id, body }, fault);
+    }
+    deliver(chunks);
+}
+
+/// Serves one compute request in one pass and hands back its response
+/// body: the seq gate, deadline and budget admission, the session
+/// snapshot, the run under panic containment, and the `Exec` settle.
+///
+/// Guardrails run before any array state changes: a request whose
+/// deadline expired while it waited, or whose session is over its
+/// cycle/energy budget, is settled as its structured error. Such a
+/// refusal is transient by construction — the op never ran — so it
+/// consumes no seq, and the client's retry of the same seq is admitted
+/// fresh. A seq that already executed answers from the replay window,
+/// executing and billing nothing. Only the run token's holder checks and
+/// settles seqs, one request at a time, so a seq is settled before any
+/// later request can see it.
+fn serve_compute(
+    item: &Item,
+    body: &RequestBody,
+    mac: &mut ImcMacro,
+    params: &EnergyParams,
+    config: &ServerConfig,
+) -> ResponseBody {
+    let limits = config.limits;
+    let session = item.conn.session();
+    // The idempotency guard applies to requests that carry a seq on a
+    // durable session (ephemeral sessions cannot reconnect, so there is
+    // nothing to guard).
+    let guarded = item.req_seq.filter(|_| session.is_durable());
+    let needs_snapshot = matches!(
+        body,
+        RequestBody::Classify { .. } | RequestBody::RunStored { .. }
+    );
+    let needs_meter = item.deadline.is_some() || !limits.unmetered();
+    // `Instant::now` and the session lock are skipped entirely when
+    // nothing needs them (the default config's dot/lanes path).
+    let (mut model, mut stored, mut ran_pid) = (None, None, None);
+    if guarded.is_some() || needs_meter || needs_snapshot {
+        let inner = session.inner.lock();
+        if let Some(answer) = guarded.and_then(|rseq| replay(&inner, rseq)) {
+            return answer;
+        }
+        if needs_meter {
+            let refusal = if item.deadline.is_some_and(|d| Instant::now() >= d) {
+                Some(ErrorBody::deadline(
+                    "deadline expired while the request was queued",
+                ))
+            } else {
+                limits.admit(inner.rate, unix_ms_now()).err()
+            };
+            if let Some(err) = refusal {
+                drop(inner);
+                return settle(&session, failed(err), None, None);
+            }
+        }
+        // Session state the run depends on is snapshotted here (`Arc`
+        // clones): a `load_model` or `store_program` earlier in the batch
+        // is visible.
+        match body {
+            RequestBody::Classify { .. } => model = inner.model.clone(),
+            RequestBody::RunStored { target, .. } => {
+                if let Some((pid, compiled)) = inner.resolve(target) {
+                    ran_pid = Some(pid);
+                    stored = Some(compiled);
+                }
+            }
+            _ => {}
         }
     }
+    let faults = config.faults;
+    let job = ComputeJob {
+        body,
+        model,
+        stored,
+        max_program_instrs: limits.max_program_instrs,
+        fault: if faults.is_active() {
+            faults.compute_fault(item.conn.id, item.seq)
+        } else {
+            None
+        },
+    };
+    let outcome = match catch_job(|| run_compute(mac, &job, params)) {
+        Ok((Ok(body), cycles, energy_fj)) => (BillingRecord::Ok { cycles, energy_fj }, body),
+        Ok((Err(err), _, _)) => failed(err),
+        Err(panic) => failed(panic.to_string().into()),
+    };
+    settle(&session, outcome, ran_pid, guarded)
+}
+
+/// The answer to a request stamped with a `seq` its session already
+/// executed: the recorded response while it is inside the bounded replay
+/// window, else an error saying not to reuse seqs (a retry arriving
+/// implausibly late). `None` when `seq` is new. A replay executes and
+/// bills nothing: the account reflects each logical op once.
+fn replay(inner: &SessionInner, seq: u64) -> Option<ResponseBody> {
+    inner.is_replay(seq).then(|| {
+        inner.replayed(seq).unwrap_or_else(|| {
+            ResponseBody::Error(ErrorBody::generic(format!(
+                "request seq {seq} was already executed but its response left the replay \
+                 window; do not reuse seq numbers"
+            )))
+        })
+    })
 }
 
 /// Hands one compute run's chunks to their outboxes in order, so each
@@ -1656,6 +1558,19 @@ fn settle_event(
     (ev, response.body)
 }
 
+/// Applies the `Exec` event that settles one compute request on `session`
+/// now (see [`settle_event`]) and hands back the response body.
+fn settle(
+    session: &Session,
+    outcome: (BillingRecord, ResponseBody),
+    ran_pid: Option<u64>,
+    seq: Option<u64>,
+) -> ResponseBody {
+    let (ev, body) = settle_event(session, outcome, ran_pid, seq, unix_ms_now());
+    session.apply(&ev);
+    body
+}
+
 /// The control-op epilogue under a held journal and session lock:
 /// applies the `Exec` event settling the request — recording its response
 /// for replay when the request was seq-guarded and the outcome consumes
@@ -1722,19 +1637,9 @@ fn handle_control(item: Item, mac: &mut ImcMacro, params: &EnergyParams, shared:
         RequestBody::OpenSession | RequestBody::ResumeSession { .. } => None,
         _ => req_seq.filter(|_| session.is_durable()),
     };
-    if let Some(rseq) = guarded {
-        let replay = {
-            let inner = session.inner.lock();
-            inner.is_replay(rseq).then(|| inner.replayed(rseq))
-        };
-        if let Some(cached) = replay {
-            // A duplicate of an op that already ran: replay its recorded
-            // response (control ops execute inline in queue order, so the
-            // original has always settled by now), billing nothing.
-            let body = cached.unwrap_or_else(|| ResponseBody::Error(stale_seq_error(rseq)));
-            conn.respond(id, body);
-            return;
-        }
+    if let Some(answer) = guarded.and_then(|rseq| replay(&session.inner.lock(), rseq)) {
+        conn.respond(id, answer);
+        return;
     }
     match body {
         RequestBody::Ping => {

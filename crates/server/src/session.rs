@@ -8,9 +8,9 @@
 //! durable session's event to the journal (when persistence is on) and
 //! then folds it in with [`SessionRecord::apply`], the function recovery
 //! replays with. A live session is that record plus caches derived from
-//! it: compiled programs, the name index, the built classifier model, the
-//! `Instant` TTL clock and the seq claimed by a job still in flight.
-//! Recovery rebuilds the caches and never reads them back.
+//! it: compiled programs, the name index, the built classifier model and
+//! the `Instant` TTL clock. Recovery rebuilds the caches and never reads
+//! them back.
 //!
 //! - An **ephemeral** session (`token: None`) lives as long as its
 //!   connection: every connection starts with one, and its events are
@@ -95,9 +95,6 @@ pub(crate) struct SessionInner {
     /// clock at boot but carries the pre-crash elapsed time here. A
     /// resume clears it along with `detached_at`.
     detached_carry: Duration,
-    /// The highest seq claimed by a job that has not settled yet (a
-    /// live-only reservation: a duplicate in the same run must replay).
-    claimed_seq: Option<u64>,
 }
 
 impl std::ops::Deref for SessionInner {
@@ -124,7 +121,6 @@ impl SessionInner {
             model: None,
             detached_at: None,
             detached_carry: Duration::ZERO,
-            claimed_seq: None,
         }
     }
 
@@ -182,20 +178,10 @@ impl SessionInner {
             .map(|t| now.saturating_duration_since(t) + self.detached_carry)
     }
 
-    /// True when `seq` already executed, or is claimed by a job that has
-    /// not settled yet — the caller must answer from the replay window
-    /// instead of executing.
+    /// True when `seq` already executed — the caller must answer from the
+    /// replay window instead of executing.
     pub(crate) fn is_replay(&self, seq: u64) -> bool {
-        self.state
-            .last_seq
-            .max(self.claimed_seq)
-            .is_some_and(|last| seq <= last)
-    }
-
-    /// Reserves `seq` for a job about to run. Idempotent; never lowers
-    /// the reservation. The job's `Exec` event advances the watermark.
-    pub(crate) fn claim_seq(&mut self, seq: u64) {
-        self.claimed_seq = self.claimed_seq.max(Some(seq));
+        self.state.last_seq.is_some_and(|last| seq <= last)
     }
 
     /// The recorded response for a replayed `seq`, while it is still
@@ -858,7 +844,7 @@ mod tests {
                 &exec(BillingRecord::None, None, Some(seq), ResponseBody::Pong),
             );
         }
-        assert!(inner.is_replay(0), "claimed seqs stay claimed");
+        assert!(inner.is_replay(0), "executed seqs stay executed");
         assert_eq!(inner.replayed(0), None, "but the window is bounded");
         assert_eq!(
             inner.replayed(REPLAY_WINDOW as u64),
@@ -866,11 +852,6 @@ mod tests {
         );
         // Replay-window settles bill nothing.
         assert_eq!(inner.stats.requests, 1);
-        // A seq reserved by a job that has not settled is a replay too,
-        // but leaves the watermark to the job's own `Exec`.
-        inner.claim_seq(40);
-        assert!(inner.is_replay(40));
-        assert_eq!(inner.last_seq(), Some(REPLAY_WINDOW as u64));
     }
 
     #[test]

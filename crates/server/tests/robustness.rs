@@ -88,6 +88,56 @@ fn cycle_budget_trips_names_itself_and_refills() {
 }
 
 #[test]
+fn a_pipelined_burst_overshoots_the_cycle_budget_by_one_request() {
+    use bpimc_core::{ErrorKind, LimitKind, RequestBody, ResponseBody};
+
+    // Each admission sees the spend of every request settled before it,
+    // pipelined or not: a 32-dot burst against a budget below one dot's
+    // cost runs exactly the first dot and refuses the other 31, however
+    // the server happens to batch the burst. Fresh servers, because the
+    // batching (and so the schedule the defect needs) varies from run to
+    // run.
+    let (cost, _) = dot_cost(&[1, 2, 3], &[4, 5, 6]);
+    for server in 0..8 {
+        let handle = start(ServerConfig {
+            limits: SessionLimits {
+                max_cycles_per_sec: Some(cost / 2),
+                ..SessionLimits::default()
+            },
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        for _ in 0..32 {
+            client
+                .send(RequestBody::Dot {
+                    precision: Precision::P8,
+                    x: vec![1, 2, 3],
+                    w: vec![4, 5, 6],
+                })
+                .expect("send");
+        }
+        let mut scalars = 0;
+        for _ in 0..32 {
+            match client.recv().expect("recv").body {
+                ResponseBody::Scalar(v) => {
+                    assert_eq!(v, 32);
+                    scalars += 1;
+                }
+                ResponseBody::Error(body) => {
+                    assert_eq!(body.kind, ErrorKind::LimitExceeded, "{body}");
+                    assert_eq!(body.limit, Some(LimitKind::CycleRate), "{body}");
+                }
+                other => panic!("unexpected body {other:?}"),
+            }
+        }
+        assert_eq!(scalars, 1, "server {server}: dots admitted");
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.cycles, cost, "server {server}: cycles billed");
+        handle.shutdown();
+    }
+}
+
+#[test]
 fn energy_budget_trips_independently_of_cycles() {
     let (_, energy) = dot_cost(&[9, 9], &[9, 9]);
     assert!(energy > 0.0);
@@ -317,10 +367,10 @@ fn deadline_expires_in_queue_and_mid_batch() {
 fn deadline_expiring_mid_batch_abandons_before_executing() {
     use bpimc_core::RequestBody;
 
-    // Large batch: the blocker and the doomed request drain in the SAME
-    // compute run, so the doomed one passes the dispatcher's in-queue
-    // check and expires at job start (the job-side re-check), while its
-    // 120 ms-delayed sibling occupies the only macro.
+    // Large batch: the four requests can drain in one compute run. Each
+    // is admitted only after the one before it has run, and each run
+    // holds the only macro for its 120 ms injected delay, so the requests
+    // behind the head expire at their admission, before executing.
     let handle = start(ServerConfig {
         batch_max: 64,
         faults: FaultPlan {
@@ -357,8 +407,8 @@ fn deadline_expiring_mid_batch_abandons_before_executing() {
         }
     }
     // Each delayed dot takes 120 ms on the single macro; with a 40 ms
-    // deadline at least the tail of the run must expire (in queue or at
-    // job start), and at most the head request can finish.
+    // deadline at least the tail of the run must expire at admission, and
+    // at most the head request can finish.
     assert!(
         expired >= 2,
         "only {expired} of 4 short-deadline requests expired"

@@ -36,9 +36,9 @@
 //! may call `available_parallelism` once per request ([`worker_count`]
 //! reads it once per process). On a pipelined stream the worker still cost
 //! more CPU than the work it took over, so the server no longer uses the
-//! pool: it runs each compute run on one macro, on its dispatcher thread,
-//! and a synchronous request on its connection's reader, which spares it
-//! the hop to the dispatcher.
+//! pool: it runs each compute request on one macro, on its dispatcher
+//! thread, or a synchronous request on its connection's reader, which
+//! spares it the hop to the dispatcher.
 //! A `write` per request costs more than the request's execution too, so
 //! `bpimc_server::Client` writes the requests it queued in one `write` per
 //! burst (0.6–1.0 µs of client kernel time per request on the same
@@ -67,7 +67,9 @@ pub struct JobPanic {
 }
 
 impl JobPanic {
-    fn from_payload(payload: &(dyn Any + Send)) -> Self {
+    /// Renders a panic payload as text: the workspace's one place that
+    /// does, shared by [`catch_job`] and the model checker's task reports.
+    pub(crate) fn from_payload(payload: &(dyn Any + Send)) -> Self {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -86,6 +88,24 @@ impl fmt::Display for JobPanic {
 }
 
 impl std::error::Error for JobPanic {}
+
+/// Runs one job on the calling thread, turning a panic into that job's
+/// [`JobPanic`] instead of unwinding further. [`par_queue_try_map`]
+/// contains each of its jobs this way; a caller that runs its jobs one by
+/// one on its own thread uses it directly.
+///
+/// # Examples
+///
+/// ```
+/// use bpimc_stats::parallel::catch_job;
+///
+/// assert_eq!(catch_job(|| 6 * 7), Ok(42));
+/// let err = catch_job(|| -> u32 { panic!("bad job") }).unwrap_err();
+/// assert_eq!(err.to_string(), "job panicked: bad job");
+/// ```
+pub fn catch_job<T>(job: impl FnOnce() -> T) -> Result<T, JobPanic> {
+    catch_unwind(AssertUnwindSafe(job)).map_err(|p| JobPanic::from_payload(&*p))
+}
 
 /// The number of parallel lanes (pool workers + the calling thread) used
 /// for `n` independent jobs.
@@ -333,12 +353,7 @@ where
     let nested = IS_WORKER.with(|w| w.get());
     if lanes <= 1 || nested {
         let s0 = &mut states[0];
-        return jobs
-            .iter()
-            .map(|j| {
-                catch_unwind(AssertUnwindSafe(|| f(s0, j))).map_err(|p| JobPanic::from_payload(&*p))
-            })
-            .collect();
+        return jobs.iter().map(|j| catch_job(|| f(s0, j))).collect();
     }
 
     let mut results: Vec<Option<Result<T, JobPanic>>> = (0..n).map(|_| None).collect();
@@ -384,8 +399,7 @@ where
                 for i in claim {
                     let job = &*(jobs_ptr as *const J).add(i);
                     let state = &mut *(state_ptr as *mut S);
-                    let out = catch_unwind(AssertUnwindSafe(|| f(state, job)))
-                        .map_err(|p| JobPanic::from_payload(&*p));
+                    let out = catch_job(|| f(state, job));
                     *(res_ptr as *mut Option<Result<T, JobPanic>>).add(i) = Some(out);
                 }
             }
@@ -402,8 +416,7 @@ where
     while let Some(claim) = shared.queue.caller_claim() {
         #[allow(clippy::needless_range_loop)] // `i` also addresses the raw result slot
         for i in claim {
-            let out = catch_unwind(AssertUnwindSafe(|| f(first, &jobs[i])))
-                .map_err(|p| JobPanic::from_payload(&*p));
+            let out = catch_job(|| f(first, &jobs[i]));
             // SAFETY: the claimed block is unique across participants.
             unsafe {
                 *(res_ptr as *mut Option<Result<T, JobPanic>>).add(i) = Some(out);

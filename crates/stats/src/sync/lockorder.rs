@@ -1,9 +1,9 @@
 //! Runtime lock-order (acquisition-order) analysis for named shim locks.
 //!
-//! Every *named* [`crate::sync::Mutex`]/[`crate::sync::RwLock`] acquisition
-//! in a debug or `model` build pushes onto a per-thread held-lock stack; a
-//! nested acquisition records a `held → acquired` edge in one global
-//! acquisition-order graph. A cycle in that graph means two code paths
+//! Every *named* [`crate::sync::Mutex`] acquisition in a debug or `model`
+//! build pushes onto a per-thread held-lock stack; a nested acquisition
+//! records a `held → acquired` edge in one global acquisition-order
+//! graph. A cycle in that graph means two code paths
 //! take the same pair of locks in opposite orders — a potential deadlock —
 //! and is reported from a **single benign run**, no unlucky interleaving
 //! required.

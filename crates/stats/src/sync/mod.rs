@@ -14,16 +14,15 @@
 //! Two deliberate policy choices, encoded once here instead of at every
 //! call site:
 //!
-//! * **Poisoning**: [`Mutex::lock`] (and [`RwLock`]) recover from
-//!   poisoning. Every critical section in the workspace is short and
-//!   leaves its data consistent, so a panic while holding a lock cannot
-//!   leave half-updated state behind — and one panicking request or batch
-//!   must not wedge every later one behind a `PoisonError`.
-//! * **Naming**: long-lived locks are constructed with
-//!   [`Mutex::named`]/[`RwLock::named`]; named acquisitions feed the
-//!   [`lockorder`] analyzer in debug/model builds, which reports
-//!   inconsistent acquisition orders (potential deadlocks) from a single
-//!   benign run.
+//! * **Poisoning**: [`Mutex::lock`] recovers from poisoning. Every
+//!   critical section in the workspace is short and leaves its data
+//!   consistent, so a panic while holding a lock cannot leave half-updated
+//!   state behind — and one panicking request or batch must not wedge
+//!   every later one behind a `PoisonError`.
+//! * **Naming**: long-lived locks are constructed with [`Mutex::named`];
+//!   named acquisitions feed the [`lockorder`] analyzer in debug/model
+//!   builds, which reports inconsistent acquisition orders (potential
+//!   deadlocks) from a single benign run.
 //!
 //! Model-backed primitives must be created *inside* the model body (they
 //! bind to the execution at construction); `std`-backed primitives created
@@ -314,171 +313,6 @@ impl fmt::Debug for Condvar {
 }
 
 // ---------------------------------------------------------------------------
-// RwLock
-
-/// A readers-writer lock with the same backend/poisoning/naming policy as
-/// [`Mutex`].
-pub struct RwLock<T> {
-    name: Option<&'static str>,
-    imp: RwImp<T>,
-}
-
-enum RwImp<T> {
-    Std(std::sync::RwLock<T>),
-    #[cfg(feature = "model")]
-    Model(model_prims::MRwLock<T>),
-}
-
-impl<T> RwLock<T> {
-    /// An anonymous rwlock.
-    pub fn new(value: T) -> Self {
-        Self::build(None, value)
-    }
-
-    /// A named rwlock (see [`Mutex::named`]).
-    pub fn named(name: &'static str, value: T) -> Self {
-        Self::build(Some(name), value)
-    }
-
-    fn build(name: Option<&'static str>, value: T) -> Self {
-        #[cfg(feature = "model")]
-        if let Some(exec) = model::current() {
-            return Self {
-                name,
-                imp: RwImp::Model(model_prims::MRwLock::new(exec, name, value)),
-            };
-        }
-        Self {
-            name,
-            imp: RwImp::Std(std::sync::RwLock::new(value)),
-        }
-    }
-
-    /// Acquires a shared read guard; recovers from poisoning.
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let imp = match &self.imp {
-            RwImp::Std(l) => {
-                ReadImp::Std(l.read().unwrap_or_else(std::sync::PoisonError::into_inner))
-            }
-            #[cfg(feature = "model")]
-            RwImp::Model(l) => ReadImp::Model(l.read()),
-        };
-        lockorder::on_acquire(self.name);
-        RwLockReadGuard {
-            name: self.name,
-            imp,
-        }
-    }
-
-    /// Acquires the exclusive write guard; recovers from poisoning.
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let imp = match &self.imp {
-            RwImp::Std(l) => {
-                WriteImp::Std(l.write().unwrap_or_else(std::sync::PoisonError::into_inner))
-            }
-            #[cfg(feature = "model")]
-            RwImp::Model(l) => WriteImp::Model(l.write()),
-        };
-        lockorder::on_acquire(self.name);
-        RwLockWriteGuard {
-            name: self.name,
-            imp,
-        }
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("RwLock");
-        if let Some(name) = self.name {
-            d.field("name", &name);
-        }
-        d.finish_non_exhaustive()
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-/// Shared guard for [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    name: Option<&'static str>,
-    imp: ReadImp<'a, T>,
-}
-
-enum ReadImp<'a, T> {
-    Std(std::sync::RwLockReadGuard<'a, T>),
-    #[cfg(feature = "model")]
-    Model(model_prims::MReadGuard<'a, T>),
-}
-
-impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        match &self.imp {
-            ReadImp::Std(g) => g,
-            #[cfg(feature = "model")]
-            ReadImp::Model(g) => g,
-        }
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        lockorder::on_release(self.name);
-    }
-}
-
-/// Exclusive guard for [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    name: Option<&'static str>,
-    imp: WriteImp<'a, T>,
-}
-
-enum WriteImp<'a, T> {
-    Std(std::sync::RwLockWriteGuard<'a, T>),
-    #[cfg(feature = "model")]
-    Model(model_prims::MWriteGuard<'a, T>),
-}
-
-impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        match &self.imp {
-            WriteImp::Std(g) => g,
-            #[cfg(feature = "model")]
-            WriteImp::Model(g) => g,
-        }
-    }
-}
-
-impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        match &mut self.imp {
-            WriteImp::Std(g) => g,
-            #[cfg(feature = "model")]
-            WriteImp::Model(g) => g,
-        }
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        lockorder::on_release(self.name);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Atomics
 
 /// Shim atomics: identical API subset of `std::sync::atomic`, visible to
@@ -688,144 +522,13 @@ pub mod thread {
 }
 
 // ---------------------------------------------------------------------------
-// Channels
-
-/// Shim mpsc channel: unbounded, `std::sync::mpsc` semantics (including
-/// disconnect errors), scheduler-visible inside model executions.
-pub mod mpsc {
-    pub use std::sync::mpsc::{RecvError, SendError, TryRecvError};
-
-    #[cfg(feature = "model")]
-    use super::model_prims::MChan;
-    #[cfg(feature = "model")]
-    use std::sync::Arc;
-
-    /// Creates an unbounded channel bound to the current context's
-    /// backend.
-    pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
-        #[cfg(feature = "model")]
-        if let Some(exec) = super::model::current() {
-            let chan = Arc::new(MChan::new(exec));
-            return (
-                Sender {
-                    imp: SendImp::Model(chan.clone()),
-                },
-                Receiver {
-                    imp: RecvImp::Model(chan),
-                },
-            );
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        (
-            Sender {
-                imp: SendImp::Std(tx),
-            },
-            Receiver {
-                imp: RecvImp::Std(rx),
-            },
-        )
-    }
-
-    /// Sending half; clonable.
-    pub struct Sender<T> {
-        imp: SendImp<T>,
-    }
-
-    enum SendImp<T> {
-        Std(std::sync::mpsc::Sender<T>),
-        #[cfg(feature = "model")]
-        Model(Arc<MChan<T>>),
-    }
-
-    impl<T: Send + 'static> Sender<T> {
-        /// Sends a value; errs if the receiver is gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match &self.imp {
-                SendImp::Std(tx) => tx.send(value),
-                #[cfg(feature = "model")]
-                SendImp::Model(chan) => chan.send(value),
-            }
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            match &self.imp {
-                SendImp::Std(tx) => Self {
-                    imp: SendImp::Std(tx.clone()),
-                },
-                #[cfg(feature = "model")]
-                SendImp::Model(chan) => {
-                    chan.add_sender();
-                    Self {
-                        imp: SendImp::Model(chan.clone()),
-                    }
-                }
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            #[cfg(feature = "model")]
-            if let SendImp::Model(chan) = &self.imp {
-                chan.drop_sender();
-            }
-        }
-    }
-
-    /// Receiving half.
-    pub struct Receiver<T> {
-        imp: RecvImp<T>,
-    }
-
-    enum RecvImp<T> {
-        Std(std::sync::mpsc::Receiver<T>),
-        #[cfg(feature = "model")]
-        Model(Arc<MChan<T>>),
-    }
-
-    impl<T: Send + 'static> Receiver<T> {
-        /// Blocks for the next value; errs once every sender is gone and
-        /// the queue is drained.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            match &self.imp {
-                RecvImp::Std(rx) => rx.recv(),
-                #[cfg(feature = "model")]
-                RecvImp::Model(chan) => chan.recv(),
-            }
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            match &self.imp {
-                RecvImp::Std(rx) => rx.try_recv(),
-                #[cfg(feature = "model")]
-                RecvImp::Model(chan) => chan.try_recv(),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            #[cfg(feature = "model")]
-            if let RecvImp::Model(chan) = &self.imp {
-                chan.drop_receiver();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Model-backed primitive implementations
 
 #[cfg(feature = "model")]
 mod model_prims {
     use super::model::{Execution, Resource};
     use std::cell::UnsafeCell;
-    use std::collections::VecDeque;
-    use std::sync::mpsc::{RecvError, SendError, TryRecvError};
-    use std::sync::{Arc, Mutex as StdMutex};
+    use std::sync::Arc;
 
     pub(super) struct MMutex<T> {
         exec: Arc<Execution>,
@@ -925,96 +628,6 @@ mod model_prims {
         }
     }
 
-    pub(super) struct MRwLock<T> {
-        exec: Arc<Execution>,
-        rid: usize,
-        label: String,
-        data: UnsafeCell<T>,
-    }
-
-    // SAFETY: scheduler-serialized; readers share `&T`, the writer is
-    // exclusive per the rwlock protocol.
-    unsafe impl<T: Send> Send for MRwLock<T> {}
-    unsafe impl<T: Send + Sync> Sync for MRwLock<T> {}
-
-    impl<T> MRwLock<T> {
-        pub(super) fn new(exec: Arc<Execution>, name: Option<&'static str>, value: T) -> Self {
-            let rid = exec.register(
-                Resource::RwLock {
-                    writer: None,
-                    readers: 0,
-                },
-                name,
-            );
-            let label = exec.resource_label(rid);
-            Self {
-                exec,
-                rid,
-                label,
-                data: UnsafeCell::new(value),
-            }
-        }
-
-        pub(super) fn read(&self) -> MReadGuard<'_, T> {
-            self.exec
-                .acquire_read(self.rid, &format!("read {}", self.label));
-            MReadGuard { l: self }
-        }
-
-        pub(super) fn write(&self) -> MWriteGuard<'_, T> {
-            self.exec
-                .acquire_write(self.rid, &format!("write {}", self.label));
-            MWriteGuard { l: self }
-        }
-    }
-
-    pub(super) struct MReadGuard<'a, T> {
-        l: &'a MRwLock<T>,
-    }
-
-    impl<T> std::ops::Deref for MReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            // SAFETY: read-locked; writers are excluded.
-            unsafe { &*self.l.data.get() }
-        }
-    }
-
-    impl<T> Drop for MReadGuard<'_, T> {
-        fn drop(&mut self) {
-            self.l
-                .exec
-                .release_read(self.l.rid, &format!("unread {}", self.l.label));
-        }
-    }
-
-    pub(super) struct MWriteGuard<'a, T> {
-        l: &'a MRwLock<T>,
-    }
-
-    impl<T> std::ops::Deref for MWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            // SAFETY: write-locked exclusively.
-            unsafe { &*self.l.data.get() }
-        }
-    }
-
-    impl<T> std::ops::DerefMut for MWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            // SAFETY: write-locked exclusively.
-            unsafe { &mut *self.l.data.get() }
-        }
-    }
-
-    impl<T> Drop for MWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            self.l
-                .exec
-                .release_write(self.l.rid, &format!("unwrite {}", self.l.label));
-        }
-    }
-
     /// Model atomic: the real std atomic plus a schedule point per op.
     pub(super) struct MAtomic<A, P> {
         exec: Arc<Execution>,
@@ -1037,122 +650,6 @@ mod model_prims {
         pub(super) fn op<R>(&self, verb: &str, f: impl FnOnce(&A) -> R) -> R {
             self.exec
                 .op(&format!("{verb} {}", self.label), |_| f(&self.inner))
-        }
-    }
-
-    /// Model channel: bookkeeping lives in the execution's resource table,
-    /// the typed queue here (mutated only while this task holds the turn).
-    pub(super) struct MChan<T> {
-        exec: Arc<Execution>,
-        rid: usize,
-        label: String,
-        q: StdMutex<VecDeque<T>>,
-    }
-
-    impl<T: Send + 'static> MChan<T> {
-        pub(super) fn new(exec: Arc<Execution>) -> Self {
-            let rid = exec.register(
-                Resource::Channel {
-                    senders: 1,
-                    receiver_alive: true,
-                },
-                None,
-            );
-            let label = exec.resource_label(rid);
-            Self {
-                exec,
-                rid,
-                label,
-                q: StdMutex::new(VecDeque::new()),
-            }
-        }
-
-        fn queue(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.q
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        pub(super) fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.exec.channel_op(
-                &format!("send {}", self.label),
-                |r| match r {
-                    Resource::Channel {
-                        receiver_alive: false,
-                        ..
-                    } => Err(SendError(value)),
-                    Resource::Channel { .. } => {
-                        self.queue().push_back(value);
-                        Ok(())
-                    }
-                    _ => unreachable!("channel resource"),
-                },
-                self.rid,
-            )
-        }
-
-        pub(super) fn recv(&self) -> Result<T, RecvError> {
-            self.exec
-                .channel_recv(self.rid, &format!("recv {}", self.label), |r| {
-                    if let Some(v) = self.queue().pop_front() {
-                        return Some(Ok(v));
-                    }
-                    match r {
-                        Resource::Channel { senders: 0, .. } => Some(Err(RecvError)),
-                        _ => None,
-                    }
-                })
-        }
-
-        pub(super) fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.exec.channel_op(
-                &format!("try_recv {}", self.label),
-                |r| {
-                    if let Some(v) = self.queue().pop_front() {
-                        return Ok(v);
-                    }
-                    match r {
-                        Resource::Channel { senders: 0, .. } => Err(TryRecvError::Disconnected),
-                        _ => Err(TryRecvError::Empty),
-                    }
-                },
-                self.rid,
-            )
-        }
-    }
-
-    impl<T> MChan<T> {
-        pub(super) fn add_sender(&self) {
-            self.exec.channel_silent(
-                |r| {
-                    if let Resource::Channel { senders, .. } = r {
-                        *senders += 1;
-                    }
-                },
-                self.rid,
-            );
-        }
-
-        pub(super) fn drop_sender(&self) {
-            self.exec.channel_silent(
-                |r| {
-                    if let Resource::Channel { senders, .. } = r {
-                        *senders = senders.saturating_sub(1);
-                    }
-                },
-                self.rid,
-            );
-        }
-
-        pub(super) fn drop_receiver(&self) {
-            self.exec.channel_silent(
-                |r| {
-                    if let Resource::Channel { receiver_alive, .. } = r {
-                        *receiver_alive = false;
-                    }
-                },
-                self.rid,
-            );
         }
     }
 }
@@ -1201,29 +698,10 @@ mod tests {
     }
 
     #[test]
-    fn std_backed_rwlock_read_write() {
-        let l = RwLock::named("sync.test.rw", 7u64);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1 + *r2, 14);
-        }
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
-    }
-
-    #[test]
-    fn std_backed_atomics_and_channel() {
+    fn std_backed_atomics() {
         use atomic::{AtomicUsize, Ordering};
         let a = AtomicUsize::new(1);
         assert_eq!(a.fetch_add(2, Ordering::AcqRel), 1);
         assert_eq!(a.load(Ordering::Acquire), 3);
-
-        let (tx, rx) = mpsc::channel::<u32>();
-        tx.send(11).expect("receiver alive");
-        assert_eq!(rx.recv(), Ok(11));
-        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.recv(), Err(mpsc::RecvError));
     }
 }

@@ -3,8 +3,8 @@
 //! A **model execution** runs a closure (the *model body*) plus every task
 //! it spawns through [`crate::sync::thread::spawn`] on real OS threads, but
 //! with exactly **one task runnable at a time**: every visible operation on
-//! a shim primitive (`lock`, `wait`, `notify`, atomic RMW, `send`/`recv`,
-//! `spawn`/`join`) is a *schedule point* where the scheduler picks which
+//! a shim primitive (`lock`, `wait`, `notify`, atomic RMW, `spawn`/`join`)
+//! is a *schedule point* where the scheduler picks which
 //! task runs next. The pick sequence is a pure function of the seed and the
 //! policy, so any explored schedule — including a failing one — replays
 //! byte-identically from its seed.
@@ -25,6 +25,15 @@
 //! body), whole-program **deadlock** (every live task blocked), and a blown
 //! step budget (livelock guard).
 //!
+//! A task that unwinds — from its own panic, or from a failed execution's
+//! abort — leaves the schedule: its ops take no schedule point and never
+//! panic, since a panic during an unwind would abort the process before
+//! the failure is reported. So a guard whose `Drop` locks a mutex is safe
+//! to hold in a model. An unwinding task that must wait for a lock aborts
+//! the execution (which then fails, even if the model catches the panic),
+//! so that every task unwinds and lets go of what it holds; the lock still
+//! goes to one task at a time.
+//!
 //! Scheduling is cooperative: a blocked task parks on one condvar shared
 //! with the scheduler, and the handoff spins briefly before parking because
 //! a parked thread's wake-up costs tens of microseconds (see the host costs
@@ -32,11 +41,11 @@
 //! process-wide worker pool (`parallel::par_*`): pool threads are not model
 //! tasks. Models drive the claim-queue protocol directly instead.
 
-use std::any::Any;
+use crate::parallel::JobPanic;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdGuard, Once};
 use std::time::Duration;
@@ -113,7 +122,7 @@ impl fmt::Display for Policy {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Wait {
-    /// Blocked on a resource (mutex, rwlock, condvar or channel).
+    /// Blocked on a resource (a mutex or a condvar).
     Resource(usize),
     /// Blocked joining another task.
     Task(TaskId),
@@ -133,20 +142,8 @@ struct TaskState {
 }
 
 pub(crate) enum Resource {
-    Mutex {
-        owner: Option<TaskId>,
-    },
-    RwLock {
-        writer: Option<TaskId>,
-        readers: usize,
-    },
-    Condvar {
-        waiters: Vec<TaskId>,
-    },
-    Channel {
-        senders: usize,
-        receiver_alive: bool,
-    },
+    Mutex { owner: Option<TaskId> },
+    Condvar { waiters: Vec<TaskId> },
 }
 
 struct ResourceSlot {
@@ -302,9 +299,7 @@ impl Execution {
         let id = st.resources.len();
         let tag = match kind {
             Resource::Mutex { .. } => "mutex",
-            Resource::RwLock { .. } => "rwlock",
             Resource::Condvar { .. } => "condvar",
-            Resource::Channel { .. } => "channel",
         };
         let label = match name {
             Some(n) => format!("{tag}:{n}"),
@@ -406,8 +401,14 @@ impl Execution {
     }
 
     /// One non-blocking visible op: schedule point, then `effect` runs
-    /// atomically under the scheduler lock.
+    /// atomically under the scheduler lock. An unwinding task applies the
+    /// effect without the schedule point (see the module docs).
     pub(crate) fn op<R>(&self, label: &str, effect: impl FnOnce(&mut ExecState) -> R) -> R {
+        if std::thread::panicking() {
+            let r = effect(&mut self.lock());
+            self.cv.notify_all();
+            return r;
+        }
         let me = ctx().task;
         let mut st = self.lock();
         st = self.preempt(st, me, label);
@@ -417,7 +418,9 @@ impl Execution {
     /// One possibly-blocking visible op: after the schedule point,
     /// `attempt` either completes or names the wait; blocked tasks hand the
     /// turn over and re-attempt when rescheduled. Detects whole-program
-    /// deadlock (no runnable task left).
+    /// deadlock (no runnable task left). An unwinding task retries
+    /// `attempt` off the schedule instead; while it must wait, it aborts
+    /// the execution so that the task it waits for unwinds too.
     fn blocking_op<R>(
         &self,
         label: &str,
@@ -425,6 +428,20 @@ impl Execution {
     ) -> R {
         let me = ctx().task;
         let mut st = self.lock();
+        if std::thread::panicking() {
+            loop {
+                if let Ok(r) = attempt(&mut st, me) {
+                    return r;
+                }
+                self.aborted.store(true, Ordering::Release);
+                self.cv.notify_all();
+                st = self
+                    .cv
+                    .wait_timeout(st, Duration::from_millis(1))
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .0;
+            }
+        }
         st = self.preempt(st, me, label);
         loop {
             match attempt(&mut st, me) {
@@ -451,15 +468,27 @@ impl Execution {
         }
     }
 
-    /// A release-side op. A schedule point in normal execution; during an
-    /// unwind (panic cleanup, or the execution already aborted) it applies
-    /// the effect silently and never panics, so guard drops stay safe.
+    /// A release-side op: a schedule point in normal execution, whose
+    /// effect always applies. Once the execution has aborted, or while the
+    /// task unwinds, it applies without the schedule point; when the
+    /// execution aborts during the schedule point, it applies before the
+    /// task unwinds on. The guard that releases is being dropped, so a
+    /// skipped release would keep the lock through the unwind.
     pub(crate) fn release_op(&self, label: &str, effect: impl FnOnce(&mut ExecState)) {
         if std::thread::panicking() || self.aborted.load(Ordering::Acquire) {
             effect(&mut self.lock());
+            self.cv.notify_all();
             return;
         }
-        self.op(label, effect);
+        let me = ctx().task;
+        match catch_unwind(AssertUnwindSafe(|| self.preempt(self.lock(), me, label))) {
+            Ok(mut st) => effect(&mut st),
+            Err(abort) => {
+                effect(&mut self.lock());
+                self.cv.notify_all();
+                resume_unwind(abort);
+            }
+        }
     }
 
     // ---- primitive protocols -------------------------------------------
@@ -487,77 +516,41 @@ impl Execution {
         });
     }
 
-    pub(crate) fn acquire_read(&self, rid: usize, label: &str) {
-        self.blocking_op(label, |st, _| match &mut st.resources[rid].kind {
-            Resource::RwLock {
-                writer: None,
-                readers,
-            } => {
-                *readers += 1;
-                Ok(())
-            }
-            Resource::RwLock { .. } => Err(Wait::Resource(rid)),
-            _ => unreachable!("rid {rid} is a rwlock"),
-        });
-    }
-
-    pub(crate) fn release_read(&self, rid: usize, label: &str) {
-        self.release_op(label, |st| {
-            match &mut st.resources[rid].kind {
-                Resource::RwLock { readers, .. } => *readers -= 1,
-                _ => unreachable!("rid {rid} is a rwlock"),
-            }
-            wake_waiters(st, rid);
-        });
-    }
-
-    pub(crate) fn acquire_write(&self, rid: usize, label: &str) {
-        self.blocking_op(label, |st, me| match &mut st.resources[rid].kind {
-            Resource::RwLock {
-                writer: writer @ None,
-                readers: 0,
-            } => {
-                *writer = Some(me);
-                Ok(())
-            }
-            Resource::RwLock { .. } => Err(Wait::Resource(rid)),
-            _ => unreachable!("rid {rid} is a rwlock"),
-        });
-    }
-
-    pub(crate) fn release_write(&self, rid: usize, label: &str) {
-        self.release_op(label, |st| {
-            match &mut st.resources[rid].kind {
-                Resource::RwLock { writer, .. } => *writer = None,
-                _ => unreachable!("rid {rid} is a rwlock"),
-            }
-            wake_waiters(st, rid);
-        });
-    }
-
     /// Condvar wait phase 1: atomically release the mutex and join the
-    /// waiter list; returns once notified. The caller reacquires the mutex
-    /// (phase 2) with [`Execution::acquire_mutex`].
+    /// waiter list; returns once notified (an unwinding task returns
+    /// without a notify: a spurious wakeup). The caller reacquires the
+    /// mutex (phase 2) with [`Execution::acquire_mutex`].
     pub(crate) fn condvar_wait(&self, cv_rid: usize, mutex_rid: usize, label: &str) {
         let mut registered = false;
-        self.blocking_op(label, |st, me| {
-            if registered {
-                // Only a notify makes a waiter runnable again, so being
-                // rescheduled here means we were notified.
-                return Ok(());
+        let waited = catch_unwind(AssertUnwindSafe(|| {
+            self.blocking_op(label, |st, me| {
+                if registered {
+                    // Only a notify makes a waiter runnable again, so being
+                    // rescheduled here means we were notified.
+                    return Ok(());
+                }
+                registered = true;
+                match &mut st.resources[mutex_rid].kind {
+                    Resource::Mutex { owner } => *owner = None,
+                    _ => unreachable!("rid {mutex_rid} is a mutex"),
+                }
+                wake_waiters(st, mutex_rid);
+                match &mut st.resources[cv_rid].kind {
+                    Resource::Condvar { waiters } => waiters.push(me),
+                    _ => unreachable!("rid {cv_rid} is a condvar"),
+                }
+                Err(Wait::Resource(cv_rid))
+            })
+        }));
+        if let Err(abort) = waited {
+            // The execution aborted at the schedule point, before the wait
+            // gave up the mutex: give it up now, as the waiter's guard is
+            // gone.
+            if !registered {
+                self.release_mutex(mutex_rid, "unlock on abort");
             }
-            registered = true;
-            match &mut st.resources[mutex_rid].kind {
-                Resource::Mutex { owner } => *owner = None,
-                _ => unreachable!("rid {mutex_rid} is a mutex"),
-            }
-            wake_waiters(st, mutex_rid);
-            match &mut st.resources[cv_rid].kind {
-                Resource::Condvar { waiters } => waiters.push(me),
-                _ => unreachable!("rid {cv_rid} is a condvar"),
-            }
-            Err(Wait::Resource(cv_rid))
-        });
+            resume_unwind(abort);
+        }
     }
 
     pub(crate) fn condvar_notify(&self, cv_rid: usize, all: bool, label: &str) {
@@ -580,42 +573,6 @@ impl Execution {
                 st.tasks[t].run = Run::Runnable;
             }
         });
-    }
-
-    /// Channel bookkeeping ops; the typed queue lives in the shim (only one
-    /// task runs at a time, so the effect closure mutates it race-free).
-    pub(crate) fn channel_op<R>(
-        &self,
-        label: &str,
-        effect: impl FnOnce(&mut Resource) -> R,
-        rid: usize,
-    ) -> R {
-        self.op(label, |st| {
-            let r = effect(&mut st.resources[rid].kind);
-            wake_waiters(st, rid);
-            r
-        })
-    }
-
-    /// Blocking channel receive; `attempt` inspects the resource and the
-    /// typed queue.
-    pub(crate) fn channel_recv<R>(
-        &self,
-        rid: usize,
-        label: &str,
-        mut attempt: impl FnMut(&mut Resource) -> Option<R>,
-    ) -> R {
-        self.blocking_op(label, |st, _| {
-            attempt(&mut st.resources[rid].kind).ok_or(Wait::Resource(rid))
-        })
-    }
-
-    /// Non-scheduling channel bookkeeping for `Drop` impls; never panics.
-    pub(crate) fn channel_silent(&self, effect: impl FnOnce(&mut Resource), rid: usize) {
-        let mut st = self.lock();
-        effect(&mut st.resources[rid].kind);
-        wake_waiters(&mut st, rid);
-        self.cv.notify_all();
     }
 
     pub(crate) fn yield_now(&self) {
@@ -722,16 +679,6 @@ fn wake_waiters(st: &mut ExecState, rid: usize) {
     }
 }
 
-fn payload_to_string(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn install_panic_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -763,7 +710,7 @@ fn run_task(exec: Arc<Execution>, tid: TaskId, body: impl FnOnce()) {
     match result {
         Ok(()) => exec.finish_task(tid, None),
         Err(p) if p.is::<ModelAbort>() => exec.finish_silent(tid),
-        Err(p) => exec.finish_task(tid, Some(payload_to_string(&*p))),
+        Err(p) => exec.finish_task(tid, Some(JobPanic::from_payload(&*p).message)),
     }
     IN_MODEL_TASK.with(|c| c.set(false));
     CURRENT.with(|c| *c.borrow_mut() = None);
@@ -934,8 +881,15 @@ where
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         st = g;
     }
+    // An unwinding task that had to wait for a lock aborts the execution
+    // without a message of its own; its panic's message lands here unless
+    // the model caught that panic.
+    let aborted = exec.aborted.load(Ordering::Acquire);
     let outcome = RunOutcome {
-        failure: st.failure.take(),
+        failure: st
+            .failure
+            .take()
+            .or_else(|| aborted.then(|| "a task unwound while another held its lock".into())),
         trace: std::mem::take(&mut st.trace),
         steps: st.steps,
         decisions: std::mem::take(&mut st.decisions),
@@ -1284,25 +1238,56 @@ mod tests {
         );
     }
 
+    /// Locks its mutex when dropped, as the server's run-token guard does.
+    struct LocksOnDrop(Arc<Mutex<u32>>);
+
+    impl Drop for LocksOnDrop {
+        fn drop(&mut self) {
+            *self.0.lock() += 1;
+        }
+    }
+
     #[test]
-    fn model_channels_deliver_in_order_and_disconnect() {
+    fn a_guard_that_locks_on_drop_unwinds_into_a_report() {
+        // Every task holds a guard that locks `m` when dropped. t2 fails
+        // while t1 may hold `m` and t0 waits to join: t2 locks it from its
+        // own unwind, t0 and t1 from the aborted execution's. Every
+        // schedule must end in a failure report, not a process abort.
+        fn body() {
+            let m = Arc::new(Mutex::new(0u32));
+            let _guard = LocksOnDrop(m.clone());
+            let holder = {
+                let m = m.clone();
+                thread::spawn(move || {
+                    let _guard = LocksOnDrop(m.clone());
+                    let _held = m.lock();
+                    thread::yield_now();
+                })
+            };
+            let failing = thread::spawn(move || {
+                let _guard = LocksOnDrop(m);
+                thread::yield_now();
+                panic!("the invariant fails");
+            });
+            for h in [holder, failing] {
+                h.join().expect("task exits");
+            }
+        }
         let cfg = ExploreConfig {
-            seeds: 8,
+            seeds: 16,
             ..ExploreConfig::default()
         };
-        explore("selftest-channel", &cfg, || {
-            let (tx, rx) = crate::sync::mpsc::channel::<u32>();
-            let h = thread::spawn(move || {
-                for i in 0..3 {
-                    tx.send(i).expect("receiver alive");
-                }
-            });
-            for want in 0..3 {
-                assert_eq!(rx.recv(), Ok(want), "FIFO per sender");
-            }
-            h.join().expect("sender exits");
-            assert_eq!(rx.recv(), Err(crate::sync::mpsc::RecvError));
-        })
-        .expect("in-order delivery and clean disconnect");
+        let failure = explore("selftest-locks-on-drop", &cfg, body)
+            .expect_err("the failing task fails the first schedule");
+        assert_eq!(failure.seed, Some(0));
+        assert_eq!(failure.message, "t2 panicked: the invariant fails");
+        for seed in 1..64 {
+            let out = run_seed(seed, 3, 20_000, body);
+            assert_eq!(
+                out.failure.as_deref(),
+                Some("t2 panicked: the invariant fails"),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! * [`baseline`] — the conventional bit-serial IMC used for comparison.
 //! * [`nn`] — a quantized neural-network workload running on the macro.
 //! * [`server`] — the multi-client TCP compute service multiplexing
-//!   concurrent sessions onto one macro, run by its dispatcher thread,
-//!   with opt-in crash-safe durable state (write-ahead journal +
+//!   concurrent sessions onto one macro, run by its dispatcher thread or,
+//!   for a synchronous request, by its connection's reader, with opt-in
+//!   crash-safe durable state (write-ahead journal +
 //!   snapshots + restart recovery; see `bpimc::server::StateConfig`).
 //! * [`mod@bench`] — the experiment runners that regenerate every figure and
 //!   table of the paper's evaluation section.
