@@ -20,6 +20,20 @@
 //! the line, integer arrays straight into `Vec<u64>`), skipping what it
 //! does not read without allocating.
 //!
+//! Integer arrays carry most of the wire's bytes, and every array the
+//! server and the client write is plain: `[d,d,…,d]`, with no whitespace
+//! and every element a plain integer that fits `u64`. The parser reads
+//! such an array in one loop, into a vector reserved once from a scan to
+//! the first `]`: an element per comma, so the vector holds no spare
+//! room, but at most one per two bytes, whatever the scan meets. At the
+//! first byte that breaks that form (whitespace, a sign, a fraction or
+//! exponent, overflow, a non-number, or an element past the depth limit)
+//! it drops what it pushed and reads the array again from its `[` in the
+//! general element loop. That loop would have read the plain prefix to
+//! the same integers, so a result, an error and its offset are the
+//! general loop's whichever path starts. The writer pushes a 1-3-digit
+//! integer's digits straight into the line.
+//!
 //! # Examples
 //!
 //! ```
@@ -175,6 +189,19 @@ impl fmt::Display for Json {
 
 /// Appends `n` in decimal.
 pub(crate) fn write_u64(out: &mut String, mut n: u64) {
+    if n < 1000 {
+        // Most integers on the wire (8-bit operands, ids, short cycle
+        // counts) take 1-3 digits: push them straight into the line.
+        let digit = |d: u64| char::from(b'0' + d as u8);
+        if n >= 100 {
+            out.push(digit(n / 100));
+        }
+        if n >= 10 {
+            out.push(digit(n / 10 % 10));
+        }
+        out.push(digit(n % 10));
+        return;
+    }
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -599,6 +626,18 @@ impl<'a> Parser<'a> {
     /// `false` when the value is not an array or holds anything else; the
     /// rest is skipped and `out` keeps what was pushed before.
     pub(crate) fn u64s(&mut self, depth: usize, out: &mut Vec<u64>) -> Result<bool, JsonError> {
+        // Below the limit, a plain array's elements pass the depth check;
+        // any other array reads from its `[` in the element loop below.
+        if depth < MAX_DEPTH && self.peek() == Some(b'[') {
+            let kept = out.len();
+            match plain_u64s(&self.bytes[self.pos..], out) {
+                Some(len) => {
+                    self.pos += len;
+                    return Ok(true);
+                }
+                None => out.truncate(kept),
+            }
+        }
         let mut exact = true;
         let array = self.array(depth, |p, d| {
             match p.start(d)? {
@@ -848,6 +887,41 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// [`Parser::u64s`]'s fast path: reads the array at the start of `src`
+/// into `out` when it is written `[d,d,…,d]` (no whitespace, every element
+/// a plain integer that fits `u64`), and returns its length in bytes; at
+/// the first byte that breaks that form it returns `None`, having pushed
+/// some elements. `out` is reserved once, from the scan to the first `]`:
+/// an element per comma and one more, which a plain array fills exactly,
+/// but never more than one per two bytes of the scan (a digit and a
+/// comma), so no input reserves more than 4 heap bytes per byte.
+fn plain_u64s(src: &[u8], out: &mut Vec<u64>) -> Option<usize> {
+    let mut commas = 0;
+    let close = src.iter().position(|&b| {
+        commas += usize::from(b == b',');
+        b == b']'
+    })?;
+    out.reserve((commas + 1).min(close / 2));
+    let mut i = 1;
+    loop {
+        let first = i;
+        let mut value = 0u64;
+        while let Some(&b) = src.get(i).filter(|b| b.is_ascii_digit()) {
+            value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            i += 1;
+        }
+        if i == first {
+            return None;
+        }
+        out.push(value);
+        match src.get(i) {
+            Some(b',') => i += 1,
+            Some(b']') => return Some(i + 1),
+            _ => return None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,6 +950,40 @@ mod tests {
         let v = Json::Arr(vec![Json::UInt(big)]);
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(back.as_array().unwrap()[0].as_u64(), Some(big));
+        // Every digit count, on both sides of each power of ten.
+        let mut edges = vec![0, 9, 10, 99, 100, 999, 1000, u64::MAX - 1, u64::MAX];
+        edges.extend((1..=19).flat_map(|k| [10u64.pow(k) - 1, 10u64.pow(k)]));
+        for n in edges {
+            let mut text = String::new();
+            write_u64(&mut text, n);
+            assert_eq!(text, n.to_string());
+            let mut out = Vec::new();
+            let array = format!("[{text},{text}]");
+            assert_eq!(Parser::new(&array).u64s(0, &mut out), Ok(true), "{n}");
+            assert_eq!(out, [n, n]);
+        }
+    }
+
+    /// A direct read at the depth limit: no wire field nests that deep, so
+    /// the wire oracle cannot meet it. An array at depth 63 holds elements
+    /// at 64, the deepest allowed; at 64 its elements are refused.
+    #[test]
+    fn u64s_keeps_the_depth_limit() {
+        let read = |src: &str, depth| {
+            let mut p = Parser::new(src);
+            let mut out = Vec::new();
+            p.u64s(depth, &mut out).map(|exact| (exact, out, p.pos))
+        };
+        assert_eq!(read("[1,22]", 63), Ok((true, vec![1, 22], 6)));
+        assert_eq!(
+            read("[1,22]", 64).unwrap_err(),
+            JsonError {
+                offset: 1,
+                message: "nesting too deep"
+            }
+        );
+        assert_eq!(read("[]", 64), Ok((true, vec![], 2)));
+        assert_eq!(read("[1]", 65).unwrap_err().offset, 0);
     }
 
     #[test]

@@ -1670,9 +1670,11 @@ impl Request {
     /// readable non-negative integer `id` (bad JSON, missing field, wrong
     /// type) — the server answers such lines with the documented sentinel
     /// id 0, since the protocol has no way to address a reply otherwise.
+    /// The line is trimmed of Unicode whitespace as [`Request::parse`]
+    /// trims it, so a line that parses as an object yields its id.
     pub fn peek_id(line: &str) -> Option<u64> {
         let mut id = None;
-        read_object(line, |p, key, depth| match &*key {
+        read_object(line.trim(), |p, key, depth| match &*key {
             "id" => first(&mut id, p, depth, Parser::scalar),
             _ => p.skip_value(depth),
         })
@@ -2826,5 +2828,16 @@ mod tests {
             Some(42)
         );
         assert_eq!(Request::peek_id("{\"id\":0,\"op\":\"ping\"}"), Some(0));
+        // Around the object, `parse` trims Unicode whitespace that JSON
+        // does not allow; `peek_id` reads the same object, so a field
+        // error is answered under the line's own id.
+        for line in [
+            "\u{c}{\"id\":5,\"op\":\"nope\"}",
+            "{\"id\":5,\"op\":\"nope\"}\u{a0}",
+            "\u{2028}{\"id\":5,\"op\":\"nope\"}\u{2028}",
+        ] {
+            assert_eq!(Request::parse(line).unwrap_err().0, "unknown op 'nope'");
+            assert_eq!(Request::peek_id(line), Some(5), "{line:?}");
+        }
     }
 }

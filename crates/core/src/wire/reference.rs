@@ -13,7 +13,7 @@ use super::*;
 /// type) — the server answers such lines with the documented sentinel
 /// id 0, since the protocol has no way to address a reply otherwise.
 pub(super) fn peek_id(line: &str) -> Option<u64> {
-    Json::parse(line)
+    Json::parse(line.trim())
         .ok()
         .and_then(|v| v.get("id").and_then(Json::as_u64))
 }
@@ -578,9 +578,52 @@ mod tests {
         r#"{"id":10,"ok":"true","kind":"pong"}"#,
         "\u{a0}{\"id\":11,\"ok\":true,\"kind\":\"pong\"}\u{2028}",
         " \t{\"id\":12,\"op\":\"ping\"}\r\n",
+        "\u{c}{\"id\":13,\"op\":\"nope\"}\u{2028}",
         "[1,2]",
         "7",
     ];
+
+    /// Integer arrays at the edges of numbers and of the plain `[d,d,…,d]`
+    /// form that `Parser::u64s` reads in one loop (the test adds the powers
+    /// of ten). Each is placed in a line as a request's `x` and `inputs`
+    /// row, and as a response's `words` result and `outputs` row.
+    const ARRAYS: &[&str] = &[
+        "[0,9,10,99,100,999,1000]",
+        "[18446744073709551615]",
+        "[0,18446744073709551615,1]",
+        "[18446744073709551616]",
+        "[1,18446744073709551616]",
+        "[1234567890123456789012345]",
+        "[007,7]",
+        "[-0]",
+        "[1.0]",
+        "[2,1e2]",
+        "[ 1,2]",
+        "[1 ,2]",
+        "[1, 2]",
+        "[1,2 ]",
+        "[\t1,\r\n2\n]",
+        "[]",
+        "[ ]",
+        "[,1]",
+        "[1,]",
+        "[1,,2]",
+        "[1 2]",
+        "[1,[2]]",
+        "[1,2",
+    ];
+
+    /// The lines that place `array` in each of its four fields.
+    fn array_lines(array: &str) -> [String; 4] {
+        [
+            format!(r#"{{"id":1,"op":"classify","x":{array}}}"#),
+            format!(r#"{{"id":2,"op":"run_stored","pid":0,"inputs":[{array},null]}}"#),
+            format!(r#"{{"id":3,"ok":true,"kind":"words","result":{array}}}"#),
+            format!(
+                r#"{{"id":4,"ok":true,"kind":"program","result":{{"outputs":[[1],{array}],"cycles":[1,2],"energy_fj":[1.5,2]}}}}"#
+            ),
+        ]
+    }
 
     #[test]
     fn decoders_match_the_tree_reference_on_mutated_lines() {
@@ -610,6 +653,12 @@ mod tests {
             );
         }
         seeds.extend(EXTRA.iter().map(|s| s.to_string()));
+        seeds.extend(ARRAYS.iter().flat_map(|a| array_lines(a)));
+        // Both sides of every power of ten up to 10^19, a pair per array.
+        for k in 1..=19 {
+            let pair = format!("[{},{}]", 10u64.pow(k) - 1, 10u64.pow(k));
+            seeds.extend(array_lines(&pair));
+        }
 
         let mut rng = Rng(0x5EED_F11E);
         let (mut lines, mut requests, mut responses) = (0, 0, 0);
@@ -628,7 +677,7 @@ mod tests {
             }
         }
         // The mutations must leave a fair share of lines decodable (about
-        // one in four of each half at this seed), or the test would
+        // one in five of each half at this seed), or the test would
         // compare little more than errors.
         assert!(requests * 12 >= lines, "{requests} requests of {lines}");
         assert!(responses * 12 >= lines, "{responses} responses of {lines}");

@@ -4,13 +4,16 @@
 //!
 //! The vector fields of the hot ops (`classify`'s `x`, `run_stored`'s
 //! `inputs`, `load_model`'s `prototypes`) are read straight into their
-//! `Vec<u64>`s, so a line of `0,`s peaks at about the decoded vector: 8
-//! bytes per 2-byte element, plus the old buffer while the vector grows.
-//! A decoder that builds a `Json` tree first holds a 32-byte node per
-//! element instead. `instrs` is decoded through a tree and is not bounded
-//! here.
+//! `Vec<u64>`s, each reserved once from a scan to its array's first `]`:
+//! an element per comma, but never more than one per two bytes of the
+//! scan. So a line peaks at about its decoded vector (a line of `0,`s at 8
+//! bytes per 2-byte element), and at most 4 bytes per line byte whatever
+//! it holds. A decoder that grows each vector from empty also holds the
+//! old buffer while it grows, and one that builds a `Json` tree first
+//! holds a 32-byte node per element.
+//! `instrs` is decoded through a tree and is not bounded here.
 
-use bpimc_core::wire::{Request, RequestBody};
+use bpimc_core::wire::{Request, RequestBody, WireError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -67,54 +70,82 @@ static GLOBAL: Counting = Counting;
 /// The longest line the server reads (its `MAX_LINE_BYTES`).
 const LINE_BYTES: usize = 4 << 20;
 
-/// `prefix` + `0,0,…,0` + `suffix`, with as many zeros as fit in
-/// `LINE_BYTES`; also returns the zero count.
-fn zeros_line(prefix: &str, suffix: &str) -> (String, usize) {
-    let n = (LINE_BYTES - prefix.len() - suffix.len()).div_ceil(2);
+/// `prefix` + `element,element,…,element` + `suffix`, with as many
+/// elements as fit in `LINE_BYTES`; also returns the element count.
+fn filled_line(prefix: &str, element: &str, suffix: &str) -> (String, usize) {
+    let n = (LINE_BYTES - prefix.len() - suffix.len() + 1) / (element.len() + 1);
     let mut line = String::with_capacity(LINE_BYTES);
     line.push_str(prefix);
-    line.push('0');
-    line.push_str(&",0".repeat(n - 1));
+    line.push_str(element);
+    line.push_str(&format!(",{element}").repeat(n - 1));
     line.push_str(suffix);
     (line, n)
 }
 
 /// Decodes `line`; also returns the decode's peak heap above what was live
 /// before it.
-fn decode(line: &str) -> (Request, usize) {
+fn decode(line: &str) -> (Result<Request, WireError>, usize) {
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
-    let req = Request::parse(line).expect("the line decodes");
+    let req = Request::parse(line);
     (req, PEAK.load(Relaxed) - before)
 }
 
 #[test]
 fn hot_vector_fields_decode_within_8x_the_line() {
-    for (prefix, suffix) in [
-        (r#"{"id":1,"op":"classify","x":["#, "]}"),
-        (r#"{"id":2,"op":"run_stored","pid":0,"inputs":[["#, "]]}"),
+    const CLASSIFY: &str = r#"{"id":1,"op":"classify","x":["#;
+    for (prefix, element, suffix) in [
+        (CLASSIFY, "0", "]}"),
         (
-            r#"{"id":3,"op":"load_model","precision":8,"prototypes":[["#,
+            r#"{"id":2,"op":"run_stored","pid":0,"inputs":[["#,
+            "0",
             "]]}",
         ),
+        (
+            r#"{"id":3,"op":"load_model","precision":8,"prototypes":[["#,
+            "0",
+            "]]}",
+        ),
+        // The plain-array read reserves an element per comma before the
+        // first `]`, so longer values take fewer bytes per line byte ...
+        (CLASSIFY, "255", "]}"),
+        (CLASSIFY, "18446744073709551615", "]}"),
+        // ... and an array that breaks the plain form only at its end is
+        // read again, from its `[`, into the room already reserved.
+        (CLASSIFY, "0", " ]}"),
     ] {
-        let (line, n) = zeros_line(prefix, suffix);
+        let (line, n) = filled_line(prefix, element, suffix);
         assert!(line.len() <= LINE_BYTES);
         let (req, peak) = decode(&line);
+        let req = req.expect("the line decodes");
         let decoded = match &req.body {
             RequestBody::Classify { x } => x,
             RequestBody::RunStored { inputs, .. } => inputs[0].as_ref().expect("a bound input"),
             RequestBody::LoadModel { prototypes, .. } => &prototypes[0],
             other => panic!("unexpected body {other:?}"),
         };
+        let value: u64 = element.parse().expect("an integer element");
         assert_eq!(decoded.len(), n);
-        assert!(decoded.iter().all(|&w| w == 0));
+        assert!(decoded.iter().all(|&w| w == value));
         let ratio = peak as f64 / line.len() as f64;
-        eprintln!("{prefix}…: peak {peak} B, {ratio:.2}x the line");
+        eprintln!("{prefix}{element},…{suffix}: peak {peak} B, {ratio:.2}x the line");
         assert!(
             peak <= 8 * line.len(),
-            "{prefix}…: peak {peak} B is {ratio:.2}x the {} B line",
+            "{prefix}{element},…{suffix}: peak {peak} B is {ratio:.2}x the {} B line",
             line.len()
         );
     }
+    // Only commas before the `]`: an element per comma would be 8 bytes
+    // per line byte, but the reservation never exceeds one element per
+    // two bytes of the scan, so even this failing decode stays within 4x
+    // (and 4 KiB for the decoder's other small allocations).
+    let (line, _) = filled_line(CLASSIFY, "", "]}");
+    let (req, peak) = decode(&line);
+    assert!(req.is_err());
+    let ratio = peak as f64 / line.len() as f64;
+    eprintln!("{CLASSIFY},,…]}}: peak {peak} B, {ratio:.2}x the line");
+    assert!(
+        peak <= 4 * line.len() + 4096,
+        "commas: peak {peak} B is {ratio:.2}x the line"
+    );
 }

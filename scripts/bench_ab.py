@@ -10,8 +10,12 @@ and in the working tree, each from its own root (so each side reads its
 own `.cargo/config.toml`) into its own target directory, and then runs
 PAIRS pairs of every workload in BENCHMARK.json, RUN_SECONDS each, at
 seeds 1..PAIRS with `--trace 0`, alternating which side runs first. For
-each workload it prints every end-to-end metric's two medians, the
-change, the pairs the working tree read worse and the metric's bound.
+each workload it prints every end-to-end metric's two medians, each
+side's quartiles as shares of its median, the change, the pairs the
+working tree read worse and the metric's bound. A metric is marked
+`unresolved` when BASE's quartiles lie further apart than the bound, unless
+every working-tree run read better than every BASE run: the runs cannot
+then tell a change the size of the bound from the host's spread.
 
 It exits 1 when
   * any run exits non-zero or reports `correct: false`, or
@@ -105,22 +109,35 @@ def worse_by(metric, base, head):
     return change(base, head) * (1 if metric["better"] == "lower" else -1)
 
 
+def quartiles(values):
+    """The median of `values` and its quartiles as shares of it."""
+    if len(values) < 2:
+        return values[0], 0.0, 0.0
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, change(med, q1), change(med, q3)
+
+
 def compare(workload, metrics, runs):
     """Prints the workload's verdict table; returns the failing metrics."""
     print(f"\n{workload}: {PAIRS} pairs of {RUN_SECONDS} s")
-    print(f"  {'metric':16} {'base':>12} {'head':>12} {'change':>8} "
-          f"{'worse':>6} {'bound':>6}")
+    print(f"  {'metric':16} {'base':>12} {'quartiles':>14} {'head':>12} "
+          f"{'quartiles':>14} {'change':>8} {'worse':>6} {'bound':>6}")
     failed = []
     # A pair with a failed run is left out; the failed run fails the gate.
     pairs = [(b, h) for b, h in zip(runs["base"], runs["head"]) if b and h]
     for m in metrics if pairs else []:
         name = m["name"]
-        base = statistics.median(b[name] for b, _ in pairs)
-        head = statistics.median(h[name] for _, h in pairs)
+        base, b_q1, b_q3 = quartiles([b[name] for b, _ in pairs])
+        head, h_q1, h_q3 = quartiles([h[name] for _, h in pairs])
         n_worse = sum(worse_by(m, b[name], h[name]) > 0 for b, h in pairs)
         fail = worse_by(m, base, head) > m["bound"] and n_worse >= PAIRS_WORSE
-        print(f"  {name:16} {base:12.6g} {head:12.6g} {change(base, head):+8.1%} "
-              f"{n_worse:>3}/{len(pairs)} {m['bound']:6.0%}{'  FAIL' if fail else ''}")
+        all_better = all(worse_by(m, b[name], h[name]) < 0
+                         for b, _ in pairs for _, h in pairs)
+        unresolved = b_q3 - b_q1 > m["bound"] and not all_better
+        print(f"  {name:16} {base:12.6g} {b_q1:+7.1%}/{b_q3:+6.1%} {head:12.6g} "
+              f"{h_q1:+7.1%}/{h_q3:+6.1%} {change(base, head):+8.1%} "
+              f"{n_worse:>3}/{len(pairs)} {m['bound']:6.0%}"
+              f"{'  FAIL' if fail else ''}{'  unresolved' if unresolved else ''}")
         if fail:
             failed.append(name)
     return failed
