@@ -203,7 +203,6 @@ impl BlComputeBench {
     /// Extracts the outcome from a finished trace.
     pub fn measure(&self, trace: &Trace, nodes: &BenchNodes, a: bool, b: bool) -> BlOutcome {
         let vdd = self.env.vdd;
-        let t_end = self.window();
         // AND on BLT discharges unless both cells store 1.
         let expect_discharge = !(a && b);
         let delay_s = if expect_discharge {
@@ -234,7 +233,6 @@ impl BlComputeBench {
         let final_state =
             |cell: &CellNodes| trace.last_voltage(cell.q) > trace.last_voltage(cell.qb);
         let flipped = final_state(&nodes.cell_a) != a || final_state(&nodes.cell_b) != b;
-        let _ = t_end;
         BlOutcome {
             delay_s,
             margin_a,

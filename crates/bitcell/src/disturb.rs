@@ -153,6 +153,8 @@ impl DisturbStudy {
 mod tests {
     use super::*;
     use crate::blbench::WlScheme;
+    use bpimc_circuit::mc::sample_rng;
+    use bpimc_circuit::{BatchSim, Circuit, Trace};
     use bpimc_device::Env;
     use bpimc_stats::Summary;
 
@@ -226,6 +228,64 @@ mod tests {
             censored > 0 && censored < d_batch.len(),
             "{censored} of 40 censored; the test needs tripped and censored samples"
         );
+    }
+
+    #[test]
+    fn fig2_cohorts_of_every_chunk_shape_match_the_scalar_solver() {
+        // 15 instances run only the one-lane tail of the batch walk, 16 one
+        // full chunk, 17 and 33 full chunks and a one-lane tail. Each cohort
+        // goes through the full-window run and the run stopped at BLT's SA
+        // trip, and every trace is checked against the scalar solver's.
+        for scheme in [WlScheme::Wlud { v_wl: 0.55 }, WlScheme::short_boost_140ps()] {
+            let s = quick_study(scheme);
+            let nodes = s.bench_nodes();
+            let trip = s.bench().blt_trip(&nodes);
+            let opts = SimOptions::for_window(s.bench().window());
+            let circuits: Vec<Circuit> = (0..33)
+                .map(|i| s.sampled_circuit(&mut sample_rng(17, i)))
+                .collect();
+            let scalar: Vec<Trace> = circuits.iter().map(|c| c.run(&opts)).collect();
+            let mut watched = vec![nodes.blt, nodes.blb];
+            for cell in [nodes.cell_a, nodes.cell_b] {
+                watched.extend([cell.q, cell.qb]);
+            }
+            watched.extend(nodes.mirror_t.into_iter().chain(nodes.mirror_b));
+            for n in [15, 16, 17, 33] {
+                let sim = BatchSim::new(&circuits[..n], &opts).unwrap();
+                let (full, cut) = (sim.run(), sim.run_until(Some(trip)));
+                for (j, want) in scalar[..n].iter().enumerate() {
+                    assert_eq!(full[j], *want, "{scheme:?}, {n} instances, lane {j}");
+                    // The stopped trace is a prefix of the scalar one that
+                    // ends at the trip row, or the whole window.
+                    let c = &cut[j];
+                    assert_eq!(
+                        c.times(),
+                        &want.times()[..c.len()],
+                        "{scheme:?}, {n}, lane {j}"
+                    );
+                    for k in 0..c.len() {
+                        for &node in &watched {
+                            let (a, b) =
+                                (c.voltage_at_index(node, k), want.voltage_at_index(node, k));
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{scheme:?}, {n}, lane {j} row {k}"
+                            );
+                        }
+                    }
+                    let (tc, tw) = (trip.time_in(c), trip.time_in(want));
+                    assert_eq!(tc.is_ok(), tw.is_ok(), "{scheme:?}, {n}, lane {j}");
+                    match (tc, tw) {
+                        (Ok(tc), Ok(tw)) => {
+                            assert_eq!(tc.to_bits(), tw.to_bits(), "{scheme:?}, {n}, lane {j}");
+                            assert!(c.len() < want.len(), "{scheme:?}, {n}, lane {j} stops");
+                        }
+                        _ => assert_eq!(c, want, "{scheme:?}, {n}, lane {j} never trips"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,15 +4,23 @@
 //! simulate the *same netlist topology* hundreds to thousands of times with
 //! different device parameters, waveforms or environments. The scalar
 //! solver ([`crate::sim`]) walks one instance at a time, which leaves the
-//! device-model arithmetic — four transcendental kernels per MOSFET per
-//! step — stuck in a serial dependency chain.
+//! device-model arithmetic — three `exp` and two `ln` per MOSFET per
+//! derivative pass, two passes per step — stuck in one serial dependency
+//! chain per instance.
 //!
 //! [`BatchSim`] compiles the topology **once** and lays the per-instance
 //! state out as contiguous per-field arrays (`voltages[node][instance]`,
-//! `vt[mosfet][instance]`, …). Each integration round evaluates every
-//! element's currents across all instances with
-//! [`bpimc_device::Mosfet::ids_batch`], whose branch-free
-//! [`bpimc_device::fastmath`] body auto-vectorizes across the instance axis.
+//! `vt[mosfet][instance]`, …). A derivative pass walks the elements once
+//! per 16-lane chunk of instances ([`crate::mc::BATCH_COHORT`], so a full
+//! Monte-Carlo cohort is one chunk). For each MOSFET it loads the chunk's
+//! drain, gate and source voltages as lane arrays, orients the terminals,
+//! evaluates the device kernel ([`bpimc_device::MosParamsLanes::id_g`]:
+//! branch-free `fastmath` arithmetic, each operation across all 16 lanes
+//! before the next, which the compiler turns into four independent vector
+//! chains) and stamps the currents, and the conductances on the
+//! predictor's pass only. Resistors and the capacitance scaling use the
+//! same chunks, and the last `batch % 16` lanes take the same walk one lane
+//! at a time.
 //!
 //! **This is a data-layout change, not a numerics change.** Every instance
 //! keeps its own adaptive time step and makes exactly the step decisions
@@ -52,12 +60,14 @@
 //! assert_eq!(traces[1], circuits[1].run(&opts));
 //! ```
 
+use crate::mc::BATCH_COHORT;
 use crate::netlist::{Circuit, NodeKind};
 use crate::sim::SimOptions;
 use crate::trace::{Crossing, Trace};
 use crate::wave::Waveform;
 use crate::CircuitError;
-use bpimc_device::{DeviceKind, MosParams, MosParamsLanes, Mosfet};
+use bpimc_device::{DeviceKind, MosParams, MosParamsLanes};
+use std::array::from_fn;
 
 /// A batch of structurally identical circuits prepared for one
 /// structure-of-arrays transient solve. See the module docs.
@@ -223,121 +233,100 @@ impl<'a> BatchSim<'a> {
         self.insts.len()
     }
 
-    /// Parameter lanes of mosfet `m`.
-    fn lanes_of(&self, m: usize) -> MosParamsLanes<'_> {
+    /// Element currents into `dvdt` and, on the `G` pass (the predictor's
+    /// k1), the per-node stiffness rates into `gc` — the batched twin of
+    /// the scalar solver's `derivatives_g` (`G`) and `derivatives`, same
+    /// element order, same per-instance arithmetic. Without `G`, `gc` keeps
+    /// what the last `G` pass wrote.
+    ///
+    /// The lanes go in [`BATCH_COHORT`]-wide chunks, each walked once over
+    /// every element; the `batch % BATCH_COHORT` lanes left over take the
+    /// same walk one lane at a time.
+    fn derivatives<const G: bool>(&self, v: &[f64], dvdt: &mut [f64], gc: &mut [f64]) {
         let b = self.batch();
-        let r = m * b..(m + 1) * b;
-        MosParamsLanes {
-            vt: &self.vt[r.clone()],
-            phi: &self.phi[r.clone()],
-            keff: &self.keff[r.clone()],
-            alpha: &self.alpha[r.clone()],
-            lambda: &self.lambda[r.clone()],
-            sat_frac: &self.sat_frac[r.clone()],
-            vdsat_min: &self.vdsat_min[r],
+        let mos = MosParamsLanes {
+            vt: &self.vt,
+            phi: &self.phi,
+            keff: &self.keff,
+            alpha: &self.alpha,
+            lambda: &self.lambda,
+            sat_frac: &self.sat_frac,
+            vdsat_min: &self.vdsat_min,
+        };
+        dvdt.fill(0.0);
+        if G {
+            gc.fill(0.0);
+        }
+        let full = b - b % BATCH_COHORT;
+        for j0 in (0..full).step_by(BATCH_COHORT) {
+            self.walk::<BATCH_COHORT, G>(&mos, j0, v, dvdt, gc);
+        }
+        for j0 in full..b {
+            self.walk::<1, G>(&mos, j0, v, dvdt, gc);
         }
     }
 
-    /// Element currents into `dvdt` and, when `gc` is given, the per-node
-    /// stiffness rates — the batched twin of the scalar solver's
-    /// `derivatives` / `derivatives_g`, same element order, same
-    /// per-instance arithmetic.
-    fn derivatives(
+    /// [`BatchSim::derivatives`] on lanes `j0..j0 + N`: resistors, then
+    /// MOSFETs (each one's drain before its source), then the
+    /// capacitance scaling, every operation across the `N` lanes at once.
+    fn walk<const N: usize, const G: bool>(
         &self,
+        mos: &MosParamsLanes<'_>,
+        j0: usize,
         v: &[f64],
         dvdt: &mut [f64],
-        mut gc: Option<&mut [f64]>,
-        s: &mut Scratch,
+        gc: &mut [f64],
     ) {
         let b = self.batch();
-        dvdt.fill(0.0);
-        if let Some(g) = gc.as_deref_mut() {
-            g.fill(0.0);
-        }
         for (r, &(a, bn)) in self.cond_ends.iter().enumerate() {
-            let gl = &self.cond_g[r * b..(r + 1) * b];
-            let (av, bv) = (a * b, bn * b);
-            for j in 0..b {
-                s.cur[j] = (v[av + j] - v[bv + j]) * gl[j];
-            }
-            for j in 0..b {
-                dvdt[av + j] -= s.cur[j];
-            }
-            for j in 0..b {
-                dvdt[bv + j] += s.cur[j];
-            }
-            if let Some(g) = gc.as_deref_mut() {
-                for j in 0..b {
-                    g[av + j] += gl[j];
-                }
-                for j in 0..b {
-                    g[bv + j] += gl[j];
-                }
+            let (a, bn) = (a * b + j0, bn * b + j0);
+            let g: [f64; N] = lanes(&self.cond_g, r * b + j0);
+            let (va, vb) = (lanes::<N>(v, a), lanes::<N>(v, bn));
+            let cur: [f64; N] = from_fn(|j| (va[j] - vb[j]) * g[j]);
+            sub(dvdt, a, &cur);
+            add(dvdt, bn, &cur);
+            if G {
+                add(gc, a, &g);
+                add(gc, bn, &g);
             }
         }
         for (m, &(kind, d, gnode, src)) in self.mos_topo.iter().enumerate() {
-            let (dv, gv, sv) = (d * b, gnode * b, src * b);
+            let (d, gnode, src) = (d * b + j0, gnode * b + j0, src * b + j0);
+            let (vd, vg, vs) = (lanes::<N>(v, d), lanes::<N>(v, gnode), lanes::<N>(v, src));
             // Terminal orientation exactly as the scalar solver decides it:
             // `(hi, lo) = if v[d] >= v[s] { (d, s) } else { (s, d) }`.
-            match kind {
-                DeviceKind::Nmos => {
-                    for j in 0..b {
-                        let (vd, vs) = (v[dv + j], v[sv + j]);
-                        let fwd = vd >= vs;
-                        let (hi, lo) = if fwd { (vd, vs) } else { (vs, vd) };
-                        s.vds[j] = hi - lo;
-                        s.vgs[j] = v[gv + j] - lo;
-                        s.sgn[j] = if fwd { 1.0 } else { -1.0 };
-                    }
-                }
-                DeviceKind::Pmos => {
-                    for j in 0..b {
-                        let (vd, vs) = (v[dv + j], v[sv + j]);
-                        let fwd = vd >= vs;
-                        let (hi, lo) = if fwd { (vd, vs) } else { (vs, vd) };
-                        s.vds[j] = hi - lo;
-                        s.vgs[j] = hi - v[gv + j];
-                        s.sgn[j] = if fwd { 1.0 } else { -1.0 };
-                    }
-                }
-            }
-            Mosfet::ids_batch(&self.lanes_of(m), &s.vgs, &s.vds, &mut s.cur, &mut s.gds);
+            let fwd: [bool; N] = from_fn(|j| vd[j] >= vs[j]);
+            let hi: [f64; N] = from_fn(|j| if fwd[j] { vd[j] } else { vs[j] });
+            let lo: [f64; N] = from_fn(|j| if fwd[j] { vs[j] } else { vd[j] });
+            let vds: [f64; N] = from_fn(|j| hi[j] - lo[j]);
+            let vgs: [f64; N] = match kind {
+                DeviceKind::Nmos => from_fn(|j| vg[j] - lo[j]),
+                DeviceKind::Pmos => from_fn(|j| hi[j] - vg[j]),
+            };
+            let (id, gds) = mos.id_g::<N, G>(m * b + j0, vgs, vds);
             // Signed current in drain->source orientation; `x -= -i` and
             // `x += i` are the same IEEE operation, so per-instance results
             // match the scalar solver's hi/lo formulation bit for bit.
-            for j in 0..b {
-                s.cur[j] *= s.sgn[j];
-            }
-            for j in 0..b {
-                dvdt[dv + j] -= s.cur[j];
-            }
-            for j in 0..b {
-                dvdt[sv + j] += s.cur[j];
-            }
-            if let Some(g) = gc.as_deref_mut() {
-                for j in 0..b {
-                    g[dv + j] += s.gds[j];
-                }
-                for j in 0..b {
-                    g[sv + j] += s.gds[j];
-                }
+            let cur: [f64; N] = from_fn(|j| id[j] * if fwd[j] { 1.0 } else { -1.0 });
+            sub(dvdt, d, &cur);
+            add(dvdt, src, &cur);
+            if G {
+                add(gc, d, &gds);
+                add(gc, src, &gds);
             }
         }
-        for i in 0..self.nodes {
-            let at = i * b;
-            if self.is_state[i] {
-                for j in 0..b {
-                    dvdt[at + j] /= self.caps[at + j];
-                }
-                if let Some(g) = gc.as_deref_mut() {
-                    for j in 0..b {
-                        g[at + j] /= self.caps[at + j];
-                    }
+        for (i, &state) in self.is_state.iter().enumerate() {
+            let at = i * b + j0;
+            if state {
+                let cap: [f64; N] = lanes(&self.caps, at);
+                div(dvdt, at, &cap);
+                if G {
+                    div(gc, at, &cap);
                 }
             } else {
-                dvdt[at..at + b].fill(0.0);
-                if let Some(g) = gc.as_deref_mut() {
-                    g[at..at + b].fill(0.0);
+                lanes_mut::<N>(dvdt, at).fill(0.0);
+                if G {
+                    lanes_mut::<N>(gc, at).fill(0.0);
                 }
             }
         }
@@ -369,7 +358,7 @@ impl<'a> BatchSim<'a> {
 
     /// Runs every instance to `t_stop` and returns one trace per instance,
     /// in batch order — each bit-identical to the scalar solver's trace
-    /// for that instance. The no-stop case of `BatchSim::run_until`.
+    /// for that instance. The no-stop case of [`BatchSim::run_until`].
     pub fn run(&self) -> Vec<Trace> {
         self.run_until(None)
     }
@@ -383,7 +372,7 @@ impl<'a> BatchSim<'a> {
     /// a prefix of the instance's [`BatchSim::run`] trace that already
     /// holds the crossing: [`Crossing::time_in`] measures the same time on
     /// it, bit for bit. The cohort loop ends once its slowest lane stops.
-    pub(crate) fn run_until(&self, stop: Option<Crossing>) -> Vec<Trace> {
+    pub fn run_until(&self, stop: Option<Crossing>) -> Vec<Trace> {
         let b = self.batch();
         let n = self.nodes;
         let opts = &self.opts;
@@ -400,7 +389,6 @@ impl<'a> BatchSim<'a> {
         let mut k2 = vec![0.0; n * b];
         let mut tmp = vec![0.0; n * b];
         let mut gc = vec![0.0; n * b];
-        let mut scratch = Scratch::new(b);
         let mut row = vec![0.0; n];
 
         let mut traces: Vec<Trace> = self
@@ -420,7 +408,7 @@ impl<'a> BatchSim<'a> {
 
         let mut n_active = b;
         while n_active > 0 {
-            self.derivatives(&v, &mut k1, Some(&mut gc), &mut scratch);
+            self.derivatives::<true>(&v, &mut k1, &mut gc);
             // Per-instance step sizing — the scalar solver's decisions,
             // instance by instance.
             for (j, dt_slot) in dts.iter_mut().enumerate() {
@@ -456,7 +444,7 @@ impl<'a> BatchSim<'a> {
                     self.apply_sources(j, t[j] + dts[j], &mut tmp);
                 }
             }
-            self.derivatives(&tmp, &mut k2, None, &mut scratch);
+            self.derivatives::<false>(&tmp, &mut k2, &mut gc);
             // Accept or retry, per instance.
             for j in 0..b {
                 if !active[j] {
@@ -511,24 +499,41 @@ impl<'a> BatchSim<'a> {
     }
 }
 
-/// Per-mosfet evaluation scratch, reused across rounds.
-struct Scratch {
-    vgs: Vec<f64>,
-    vds: Vec<f64>,
-    sgn: Vec<f64>,
-    cur: Vec<f64>,
-    gds: Vec<f64>,
+/// Lanes `at..at + N` of a `[row * batch + lane]` array.
+#[inline(always)]
+fn lanes<const N: usize>(xs: &[f64], at: usize) -> [f64; N] {
+    *xs[at..].first_chunk().expect("lane range inside the array")
 }
 
-impl Scratch {
-    fn new(b: usize) -> Self {
-        Self {
-            vgs: vec![0.0; b],
-            vds: vec![0.0; b],
-            sgn: vec![0.0; b],
-            cur: vec![0.0; b],
-            gds: vec![0.0; b],
-        }
+/// Lanes `at..at + N` of a `[row * batch + lane]` array, in place.
+#[inline(always)]
+fn lanes_mut<const N: usize>(xs: &mut [f64], at: usize) -> &mut [f64; N] {
+    xs[at..]
+        .first_chunk_mut()
+        .expect("lane range inside the array")
+}
+
+/// `xs[at + j] += ys[j]` at every lane.
+#[inline(always)]
+fn add<const N: usize>(xs: &mut [f64], at: usize, ys: &[f64; N]) {
+    for (x, y) in lanes_mut::<N>(xs, at).iter_mut().zip(ys) {
+        *x += y;
+    }
+}
+
+/// `xs[at + j] -= ys[j]` at every lane.
+#[inline(always)]
+fn sub<const N: usize>(xs: &mut [f64], at: usize, ys: &[f64; N]) {
+    for (x, y) in lanes_mut::<N>(xs, at).iter_mut().zip(ys) {
+        *x -= y;
+    }
+}
+
+/// `xs[at + j] /= ys[j]` at every lane.
+#[inline(always)]
+fn div<const N: usize>(xs: &mut [f64], at: usize, ys: &[f64; N]) {
+    for (x, y) in lanes_mut::<N>(xs, at).iter_mut().zip(ys) {
+        *x /= y;
     }
 }
 
@@ -595,7 +600,7 @@ fn check_topology(t0: &Circuit, c: &Circuit, idx: usize) -> Result<(), CircuitEr
 mod tests {
     use super::*;
     use crate::{Edge, NodeId};
-    use bpimc_device::{Env, VtFlavor};
+    use bpimc_device::{Env, Mosfet, VtFlavor};
 
     fn rc(r: f64) -> Circuit {
         let mut ckt = Circuit::new(Env::nominal());

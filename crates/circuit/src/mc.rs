@@ -68,10 +68,15 @@ where
 /// How many Monte-Carlo samples one [`BatchSim`] cohort carries in
 /// [`montecarlo_batch`].
 ///
-/// Wide enough to fill the host's SIMD lanes with headroom, narrow enough
-/// that the spread of per-sample step counts (the whole cohort runs until
-/// its slowest member finishes) wastes little work and a cohort's traces
-/// stay cache-friendly.
+/// It is also the chunk width of [`BatchSim`]'s derivative pass, so a full
+/// cohort is one walk over the netlist: 16 lanes keep four independent
+/// 4-wide vector chains in flight per kernel operation. On a 2-vCPU
+/// AVX-512 host a 2,000-sample fig2 run took about a third less time in
+/// 16-lane chunks than with the per-device slice loops they replaced, and
+/// only 3 % and 10 % less in 8- and 4-lane chunks. Narrow enough that
+/// the spread of per-sample step counts (the whole cohort runs until its
+/// slowest member finishes) wastes little work and a cohort's traces stay
+/// cache-friendly.
 pub const BATCH_COHORT: usize = 16;
 
 /// Runs `n` Monte-Carlo transient samples through the structure-of-arrays

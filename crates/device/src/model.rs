@@ -4,6 +4,7 @@ use crate::env::Env;
 use crate::fastmath;
 use crate::params::ProcessLibrary;
 use crate::types::{DeviceKind, VtFlavor};
+use std::array::from_fn;
 
 /// A sized MOSFET instance.
 ///
@@ -137,8 +138,8 @@ impl Mosfet {
 /// [`MosParams::id_g`] is then pure arithmetic. The transient solvers in
 /// `bpimc-circuit` compile each device up front (the scalar solver into one
 /// `MosParams` per device, the batch engine into per-field parameter arrays
-/// evaluated by [`Mosfet::ids_batch`]) — both paths run the identical
-/// `fastmath` kernel, so their results agree bit for bit.
+/// evaluated through [`MosParamsLanes::id_g`]) — both paths run the one
+/// lane-generic `fastmath` kernel, so their results agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosParams {
     /// Device polarity (the solvers orient terminals with it).
@@ -177,29 +178,32 @@ impl MosParams {
     }
 
     /// Drain current magnitude (amperes) and output conductance
-    /// `d Id / d Vds` (siemens) at source-referenced voltage magnitudes.
+    /// `d Id / d Vds` (siemens) at source-referenced voltage magnitudes:
+    /// the lane kernel at one lane.
     ///
     /// `vds <= 0` yields `(0, 0)` (the solvers orient terminals so `vds`
     /// is non-negative; exactly zero bias must carry no current).
     #[inline(always)]
     pub fn id_g(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        mos_id_g(
-            self.vt,
-            self.phi,
-            self.keff,
-            self.alpha,
-            self.lambda,
-            self.sat_frac,
-            self.vdsat_min,
-            vgs,
-            vds,
-        )
+        let ([i], [g]) = mos_id_g::<1, true>(
+            &[self.vt],
+            &[self.phi],
+            &[self.keff],
+            &[self.alpha],
+            &[self.lambda],
+            &[self.sat_frac],
+            &[self.vdsat_min],
+            [vgs],
+            [vds],
+        );
+        (i, g)
     }
 }
 
 /// Borrowed per-field parameter lanes for a run of device instances — the
-/// structure-of-arrays view [`Mosfet::ids_batch`] evaluates over. All
-/// slices have the same length (one element per instance).
+/// structure-of-arrays view the lane kernel reads its operands from. All
+/// slices have the same length (one element per instance; the batch engine
+/// lays every device position's instances end to end).
 #[derive(Debug, Clone, Copy)]
 pub struct MosParamsLanes<'a> {
     /// Effective thresholds, volts.
@@ -218,15 +222,53 @@ pub struct MosParamsLanes<'a> {
     pub vdsat_min: &'a [f64],
 }
 
+impl<'a> MosParamsLanes<'a> {
+    /// The lane kernel on instances `at..at + N`: drain currents and, when
+    /// `G`, output conductances (all zero otherwise, and not computed).
+    /// Lane `j` is bit-identical to [`MosParams::id_g`] with instance
+    /// `at + j`'s parameters and `vgs[j]`, `vds[j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + N` exceeds a slice's length.
+    #[inline(always)]
+    pub fn id_g<const N: usize, const G: bool>(
+        &self,
+        at: usize,
+        vgs: [f64; N],
+        vds: [f64; N],
+    ) -> ([f64; N], [f64; N]) {
+        let lanes = |xs: &'a [f64]| -> &'a [f64; N] {
+            xs[at..]
+                .first_chunk()
+                .expect("lane range inside the parameter slices")
+        };
+        mos_id_g::<N, G>(
+            lanes(self.vt),
+            lanes(self.phi),
+            lanes(self.keff),
+            lanes(self.alpha),
+            lanes(self.lambda),
+            lanes(self.sat_frac),
+            lanes(self.vdsat_min),
+            vgs,
+            vds,
+        )
+    }
+}
+
+/// Lanes per kernel call in [`Mosfet::ids_batch`]: four independent 4-wide
+/// vector chains per operation, the batch engine's chunk width.
+const IDS_LANES: usize = 16;
+
 impl Mosfet {
     /// Slice-based drain-current evaluation: computes current and output
     /// conductance for every instance `j` of one device position, reading
     /// `lanes.*[j]`, `vgs[j]`, `vds[j]` and writing `ids[j]`, `gs[j]`.
     ///
-    /// The body is the same branch-free `fastmath` arithmetic as
-    /// [`MosParams::id_g`], laid out so the compiler vectorizes across
-    /// instances; element `j` of the output is bit-identical to the scalar
-    /// call with instance `j`'s parameters.
+    /// Runs the lane kernel on 16-lane chunks and the remainder one lane
+    /// at a time; element `j` of the output is bit-identical to the scalar
+    /// call [`MosParams::id_g`] with instance `j`'s parameters.
     ///
     /// # Panics
     ///
@@ -256,52 +298,67 @@ impl Mosfet {
             .all(|&l| l == n),
             "ids_batch slices must share one length"
         );
-        for j in 0..n {
-            let (i, g) = mos_id_g(
-                lanes.vt[j],
-                lanes.phi[j],
-                lanes.keff[j],
-                lanes.alpha[j],
-                lanes.lambda[j],
-                lanes.sat_frac[j],
-                lanes.vdsat_min[j],
-                vgs[j],
-                vds[j],
-            );
-            ids[j] = i;
-            gs[j] = g;
+        fn chunk<const N: usize>(
+            lanes: &MosParamsLanes<'_>,
+            at: usize,
+            vgs: &[f64],
+            vds: &[f64],
+            ids: &mut [f64],
+            gs: &mut [f64],
+        ) {
+            let load = |xs: &[f64]| -> [f64; N] { *xs[at..].first_chunk().expect("in range") };
+            let (i, g) = lanes.id_g::<N, true>(at, load(vgs), load(vds));
+            ids[at..at + N].copy_from_slice(&i);
+            gs[at..at + N].copy_from_slice(&g);
+        }
+        let full = n - n % IDS_LANES;
+        for at in (0..full).step_by(IDS_LANES) {
+            chunk::<IDS_LANES>(lanes, at, vgs, vds, ids, gs);
+        }
+        for at in full..n {
+            chunk::<1>(lanes, at, vgs, vds, ids, gs);
         }
     }
 }
 
 /// The one drain-current kernel every solver path runs: the smoothed
 /// Sakurai-Newton alpha-power law (see [`Mosfet`]), written branch-free on
-/// [`fastmath`] so batched loops vectorize and scalar calls stay
-/// bit-identical to them.
+/// [`fastmath`]'s lane arrays, each operation across all `N` lanes before
+/// the next. `N = 1` is the scalar path ([`MosParams::id_g`]); the batch
+/// engine runs `N = 16`. Without `G` the conductance is neither computed
+/// nor returned (zeros stand in).
 #[allow(clippy::too_many_arguments)] // flattened on purpose: this is the SoA lane kernel
 #[inline(always)]
-fn mos_id_g(
-    vt: f64,
-    phi: f64,
-    keff: f64,
-    alpha: f64,
-    lambda: f64,
-    sat_frac: f64,
-    vdsat_min: f64,
-    vgs: f64,
-    vds: f64,
-) -> (f64, f64) {
+fn mos_id_g<const N: usize, const G: bool>(
+    vt: &[f64; N],
+    phi: &[f64; N],
+    keff: &[f64; N],
+    alpha: &[f64; N],
+    lambda: &[f64; N],
+    sat_frac: &[f64; N],
+    vdsat_min: &[f64; N],
+    vgs: [f64; N],
+    vds: [f64; N],
+) -> ([f64; N], [f64; N]) {
     // Smooth overdrive: -> (vgs - vt) in strong inversion, exponential below.
-    let veff = phi * fastmath::softplus((vgs - vt) / phi);
-    let idsat = keff * fastmath::powf(veff, alpha);
-    let vdsat = (sat_frac * veff).max(vdsat_min);
-    let th = fastmath::tanh_pos(vds / vdsat);
-    let clm = 1.0 + lambda * vds;
+    let soft = fastmath::softplus::<N>(from_fn(|j| (vgs[j] - vt[j]) / phi[j]));
+    let veff: [f64; N] = from_fn(|j| phi[j] * soft[j]);
+    let pow = fastmath::powf(veff, *alpha);
+    let idsat: [f64; N] = from_fn(|j| keff[j] * pow[j]);
+    let vdsat: [f64; N] = from_fn(|j| (sat_frac[j] * veff[j]).max(vdsat_min[j]));
+    let th = fastmath::tanh_pos::<N>(from_fn(|j| vds[j] / vdsat[j]));
+    let clm: [f64; N] = from_fn(|j| 1.0 + lambda[j] * vds[j]);
     // Zero drain bias (or a mis-oriented caller) carries no current; the
     // multiplicative mask keeps the kernel branch-free.
-    let live = (vds > 0.0) as u64 as f64;
-    let i = idsat * th * clm * live;
-    let g = idsat * ((1.0 - th * th) / vdsat * clm + th * lambda) * live;
+    let live: [f64; N] = from_fn(|j| (vds[j] > 0.0) as u64 as f64);
+    let i: [f64; N] = from_fn(|j| idsat[j] * th[j] * clm[j] * live[j]);
+    let g = if G {
+        from_fn(|j| {
+            idsat[j] * ((1.0 - th[j] * th[j]) / vdsat[j] * clm[j] + th[j] * lambda[j]) * live[j]
+        })
+    } else {
+        [0.0; N]
+    };
     (i, g)
 }
 
@@ -429,40 +486,55 @@ mod tests {
 
     #[test]
     fn ids_batch_is_bit_identical_to_scalar_id_g() {
+        // Lengths below, at and past one 16-lane chunk, and two chunks plus
+        // a tail; lanes cycle through reversed (`vds < 0`) and zero drain
+        // bias and gates far below threshold among ordinary biases.
         let e = env();
-        let n = 37; // odd on purpose: exercises any vector remainder
-        let devs: Vec<Mosfet> = (0..n)
-            .map(|i| {
-                let flavor = [VtFlavor::Rvt, VtFlavor::Lvt, VtFlavor::Hvt][i % 3];
-                Mosfet::nmos(flavor, 80.0 + i as f64, 30.0).with_dvt(i as f64 * 1e-3 - 0.02)
-            })
-            .collect();
-        let params: Vec<MosParams> = devs.iter().map(|d| MosParams::compile(d, &e)).collect();
-        let vt: Vec<f64> = params.iter().map(|p| p.vt).collect();
-        let phi: Vec<f64> = params.iter().map(|p| p.phi).collect();
-        let keff: Vec<f64> = params.iter().map(|p| p.keff).collect();
-        let alpha: Vec<f64> = params.iter().map(|p| p.alpha).collect();
-        let lambda: Vec<f64> = params.iter().map(|p| p.lambda).collect();
-        let sat_frac: Vec<f64> = params.iter().map(|p| p.sat_frac).collect();
-        let vdsat_min: Vec<f64> = params.iter().map(|p| p.vdsat_min).collect();
-        let vgs: Vec<f64> = (0..n).map(|i| -0.1 + i as f64 * 0.03).collect();
-        let vds: Vec<f64> = (0..n).map(|i| i as f64 * 0.025).collect();
-        let mut ids = vec![0.0; n];
-        let mut gs = vec![0.0; n];
-        let lanes = MosParamsLanes {
-            vt: &vt,
-            phi: &phi,
-            keff: &keff,
-            alpha: &alpha,
-            lambda: &lambda,
-            sat_frac: &sat_frac,
-            vdsat_min: &vdsat_min,
-        };
-        Mosfet::ids_batch(&lanes, &vgs, &vds, &mut ids, &mut gs);
-        for j in 0..n {
-            let (i, g) = params[j].id_g(vgs[j], vds[j]);
-            assert_eq!(i.to_bits(), ids[j].to_bits(), "id lane {j}");
-            assert_eq!(g.to_bits(), gs[j].to_bits(), "g lane {j}");
+        for n in [1, 15, 16, 17, 33] {
+            let devs: Vec<Mosfet> = (0..n)
+                .map(|i| {
+                    let flavor = [VtFlavor::Rvt, VtFlavor::Lvt, VtFlavor::Hvt][i % 3];
+                    Mosfet::nmos(flavor, 80.0 + i as f64, 30.0).with_dvt(i as f64 * 1e-3 - 0.02)
+                })
+                .collect();
+            let params: Vec<MosParams> = devs.iter().map(|d| MosParams::compile(d, &e)).collect();
+            let field = |f: fn(&MosParams) -> f64| params.iter().map(f).collect::<Vec<f64>>();
+            let (vt, phi, keff) = (field(|p| p.vt), field(|p| p.phi), field(|p| p.keff));
+            let (alpha, lambda) = (field(|p| p.alpha), field(|p| p.lambda));
+            let (sat_frac, vdsat_min) = (field(|p| p.sat_frac), field(|p| p.vdsat_min));
+            let vgs: Vec<f64> = (0..n)
+                .map(|i| match i % 5 {
+                    3 => -0.8, // far below threshold: deep sub-threshold
+                    _ => -0.1 + i as f64 * 0.03,
+                })
+                .collect();
+            let vds: Vec<f64> = (0..n)
+                .map(|i| match i % 4 {
+                    1 => -0.05 - i as f64 * 0.01, // reversed
+                    2 => 0.0,
+                    _ => i as f64 * 0.025 + 0.01,
+                })
+                .collect();
+            let mut ids = vec![f64::NAN; n];
+            let mut gs = vec![f64::NAN; n];
+            let lanes = MosParamsLanes {
+                vt: &vt,
+                phi: &phi,
+                keff: &keff,
+                alpha: &alpha,
+                lambda: &lambda,
+                sat_frac: &sat_frac,
+                vdsat_min: &vdsat_min,
+            };
+            Mosfet::ids_batch(&lanes, &vgs, &vds, &mut ids, &mut gs);
+            for j in 0..n {
+                let (i, g) = params[j].id_g(vgs[j], vds[j]);
+                assert_eq!(i.to_bits(), ids[j].to_bits(), "n = {n}, id lane {j}");
+                assert_eq!(g.to_bits(), gs[j].to_bits(), "n = {n}, g lane {j}");
+                if vds[j] <= 0.0 {
+                    assert_eq!((i, g), (0.0, 0.0), "n = {n}, lane {j} carries no current");
+                }
+            }
         }
     }
 

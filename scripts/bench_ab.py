@@ -31,8 +31,12 @@ by the check of a claimed gain: CLAIM_PAIRS more alternating pairs of that
 workload, at BENCHMARK.json's `run_seconds`, on seeds CLAIM_SEEDS (held
 out from the gate's). It prints each side's median and quartiles and the
 pairs the working tree won, and also exits 1 unless the working tree won
-at least CLAIM_WINS of the pairs and its median is better than BASE's by
-more than BASE's interquartile range.
+at least CLAIM_WINS of the pairs and the median of the per-pair changes
+beats zero by more than the interquartile range of those changes. Each
+change is taken within its pair, so a drift of the host's speed across
+the set, which moves both runs of a pair alike, cancels out of it instead
+of widening BASE's spread. The rule this replaced (the gap between the
+two medians against BASE's interquartile range) is printed beside it.
 """
 
 import argparse
@@ -174,13 +178,21 @@ def check_claim(workload, metric, runs, seconds):
         q1, med, q3 = statistics.quantiles([p[i] for p in pairs], n=4, method="inclusive")
         quartiles[side] = (q1, med, q3)
         print(f"  {side}: median {med:.6g}, quartiles {q1:.6g}-{q3:.6g}")
-    wins = sum(worse_by(metric, b, h) < 0 for b, h in pairs)
+    changes = [worse_by(metric, b, h) for b, h in pairs]
+    wins = sum(c < 0 for c in changes)
+    c_q1, c_med, c_q3 = statistics.quantiles(changes, n=4, method="inclusive")
+    paired = -c_med > c_q3 - c_q1
     (b_q1, base, b_q3), head = quartiles["base"], quartiles["head"][1]
     gain = -worse_by(metric, base, head) * abs(base)
-    shown = wins >= CLAIM_WINS and gain > b_q3 - b_q1
-    print(f"  head won {wins}/{len(pairs)} pairs (needs {CLAIM_WINS}); the medians "
-          f"differ by {gain:.6g} in head's favour against base's IQR {b_q3 - b_q1:.6g}"
-          f"{'' if shown else '  FAIL'}")
+    unpaired = gain > b_q3 - b_q1
+    shown = wins >= CLAIM_WINS and paired
+    print(f"  head won {wins}/{len(pairs)} pairs (needs {CLAIM_WINS}); the per-pair "
+          f"changes have median {-c_med:+.1%} in head's favour against their IQR "
+          f"{c_q3 - c_q1:.1%}{'' if paired else ' (not shown)'}")
+    print(f"  unpaired rule, not applied: the medians differ by {gain:.6g} in head's "
+          f"favour against base's IQR {b_q3 - b_q1:.6g}{'' if unpaired else ' (not shown)'}")
+    if not shown:
+        print("  FAIL")
     return shown
 
 
