@@ -527,6 +527,10 @@ fn main() {
             }
         }
     }
+    if wanted.is_empty() {
+        eprintln!("error: name an experiment to run");
+        usage();
+    }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
 

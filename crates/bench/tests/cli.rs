@@ -41,6 +41,9 @@ fn unknown_flag_exits_2() {
     for args in [["fig2", "--samples", "0"], ["all", "--samples", "0"]] {
         assert_rejected(&args, "--samples needs a positive number");
     }
+    // Flags alone select no experiment, so nothing would run.
+    assert_rejected(&["--samples", "5"], "name an experiment to run");
+    assert_rejected(&["--seed", "3"], "name an experiment to run");
     // Chaos rates are per mille: more than 1000 is refused before the
     // server binds, not truncated to 16 bits or applied to every request.
     assert_rejected(

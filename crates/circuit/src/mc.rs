@@ -87,8 +87,9 @@ pub const BATCH_COHORT: usize = 16;
 /// topology (they are process draws over one netlist — see
 /// [`BatchSim::new`]). `measure` turns sample `i`'s finished trace into
 /// its result. Cohorts of [`BATCH_COHORT`] samples are solved together and
-/// fanned across the worker pool in claim-queue blocks, each carrying
-/// multiple milliseconds of simulation.
+/// spread across the host's cores on the claim queue
+/// (`bpimc_stats::parallel`), each cohort carrying multiple milliseconds
+/// of simulation.
 ///
 /// With `stop` given, each sample's trace ends right after the first
 /// stored row completing that crossing (`BatchSim::run_until`); it is a

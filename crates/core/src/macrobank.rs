@@ -2,9 +2,10 @@
 //!
 //! A [`MacroBank`] is a throughput-oriented executor for batches of
 //! independent jobs (the NN classifier's evaluation): it owns `N`
-//! independent [`ImcMacro`]s and spreads a queue of jobs across them, one
-//! worker thread per macro, with results returned in job order. The
-//! paper's 128 KB chip is a bank of 64 macros.
+//! independent [`ImcMacro`]s and spreads a queue of jobs across them on
+//! as many threads as the smallest of the host's cores, its macros and
+//! the batch's jobs, with results returned in job order. The paper's
+//! 128 KB chip is a bank of 64 macros.
 //!
 //! Each job gets exclusive `&mut` access to one macro for its whole
 //! duration, so macro state (rows, activity log, separator counters) stays
@@ -61,7 +62,8 @@ impl MacroBank {
         }
     }
 
-    /// A bank sized to the host: one macro per available worker thread.
+    /// A bank sized to the host: one macro per core, so every batch lane
+    /// has a macro of its own.
     pub fn with_host_parallelism(config: MacroConfig) -> Self {
         Self::new(worker_count(usize::MAX), config)
     }
@@ -80,8 +82,8 @@ impl MacroBank {
         &mut self.macros[i].0
     }
 
-    /// Spreads `jobs` across the bank — the calling thread and one pool
-    /// worker per additional macro pull jobs from a shared claim queue —
+    /// Spreads `jobs` across the bank — the calling thread and its
+    /// workers pull jobs from a shared claim queue —
     /// and returns `f`'s results **in job order**, with per-job panic
     /// containment: a job that panics yields `Err(JobPanic)` in its own
     /// result slot while sibling jobs complete normally and the bank stays
@@ -91,11 +93,12 @@ impl MacroBank {
     /// write rows, run multi-cycle ops and read results. Which macro serves
     /// which job is scheduling-dependent, so jobs must be self-contained
     /// (write their operand rows before using them — as anything batched
-    /// across macros must anyway). The claim-queue design bounds a batch's
-    /// cost at sequential time plus the dispatch overhead even when pool
-    /// worker wake-ups are slow (`bpimc_stats::parallel`'s module docs list
-    /// what a wake-up costs); batches whose jobs outlast a wake-up spread
-    /// across all macros.
+    /// across macros must anyway). The batch runs on as many lanes as the
+    /// smallest of the host's cores, the bank's macros and the jobs; the
+    /// lanes past the caller are threads spawned for the batch and joined
+    /// before it returns, which costs tens of microseconds
+    /// (`bpimc_stats::parallel`'s module docs list the measured cost), so
+    /// a one-macro bank, or a batch of one job, runs on the caller alone.
     ///
     /// One faulty job fails alone, without taking down the jobs sharing
     /// the bank. A panicking job may leave its macro's array rows
@@ -230,13 +233,12 @@ mod tests {
 
     #[test]
     fn nested_claim_queue_in_a_bank_job_runs_sequentially() {
-        // A job that starts its own parallel map while running on a pool
-        // worker must not wait on the busy pool: the claim queue runs the
-        // nested batch inline on the job's own thread, so the outer batch
-        // finishes without deadlock and every nested result is intact.
-        // Jobs on the calling thread hold off until a pool worker has run
-        // a job, so the worker path is always exercised when the batch
-        // has more than one lane.
+        // A job that starts its own parallel map while running on a
+        // claim-queue worker runs the nested batch inline on that worker,
+        // so the batch never holds more threads than its lanes, and every
+        // nested result is intact. Jobs on the calling thread hold off
+        // until a worker has run a job, so the worker path is always
+        // exercised when the batch has more than one lane.
         let mut bank = MacroBank::new(4, MacroConfig::paper_macro());
         let jobs: Vec<u64> = (0..64).collect();
         let multi_lane = worker_count(jobs.len()).min(4) > 1;

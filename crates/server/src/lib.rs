@@ -24,8 +24,8 @@
 //!   `exec_program` pipelines, `run_stored` replays) is served in one pass
 //!   on the server's macro, on the running thread itself — admitted
 //!   against its session's guardrails, run, and settled to its account —
-//!   before the next one is admitted; a pool worker woken per run cost
-//!   more CPU than the run's work. Control requests (`ping`, `stats`,
+//!   before the next one is admitted; a worker thread woken or spawned
+//!   per run costs more CPU than the run's work. Control requests (`ping`, `stats`,
 //!   `load_model`, `store_program`, `shutdown`) execute between runs of
 //!   compute requests, so every session observes its own requests in
 //!   order.

@@ -1,9 +1,14 @@
-//! Served compute runs on the dispatcher's own macro and never starts the
-//! `bpimc_stats::parallel` worker pool.
+//! Served compute runs on one macro, on the thread that holds the request
+//! queue, and never spreads over `bpimc_stats::parallel`'s claim-queue
+//! workers (`bpimc-worker-N`).
 //!
-//! The pool is process-wide and lives until the process exits, so this file
-//! holds a single test: no other test can start the pool in its process.
-//! The check lists thread names under `/proc`, so it runs on Linux only.
+//! A claim-queue worker lives only as long as its batch, so a look at the
+//! process's threads after the clients finish would find none even if
+//! serving had started some. A sampler thread therefore lists the thread
+//! names for the whole of the clients' run. It sees every thread of the
+//! test process, so no other test in this file may run a batch on more
+//! than one lane. The sampler reads `/proc`, so the test runs on Linux
+//! only.
 #![cfg(target_os = "linux")]
 
 use bpimc_core::prog::ProgramBuilder;
@@ -13,6 +18,8 @@ use bpimc_core::{
 use bpimc_metrics::paper_calibrated_params;
 use bpimc_nn::{classify_quantized, prototype_norms};
 use bpimc_server::{Client, Server, ServerConfig};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const CLIENTS: u64 = 2;
 const WINDOW: usize = 16;
@@ -187,28 +194,45 @@ fn thread_names() -> Vec<String> {
 }
 
 #[test]
-fn served_compute_never_wakes_the_pool() {
+fn served_compute_starts_no_worker() {
     let handle = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = handle.local_addr();
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|c| std::thread::spawn(move || drive(addr, c)))
-        .collect();
-    for client in clients {
-        client.join().expect("client thread");
-    }
-
-    let names = thread_names();
-    assert!(
-        names.iter().any(|n| n == "bpimc-dispatch"),
-        "the server's dispatcher is listed: {names:?}"
-    );
-    let pool: Vec<_> = names
-        .iter()
-        .filter(|n| n.starts_with("bpimc-worker-"))
-        .collect();
-    assert!(
-        pool.is_empty(),
-        "served compute started pool workers {pool:?}"
-    );
+    let clients_done = AtomicBool::new(false);
+    let (samples, dispatcher_seen, workers) = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let (mut samples, mut dispatcher_seen) = (0u64, false);
+            let mut workers = BTreeSet::new();
+            while !clients_done.load(Ordering::SeqCst) {
+                for name in thread_names() {
+                    dispatcher_seen |= name == "bpimc-dispatch";
+                    if name.starts_with("bpimc-worker-") {
+                        workers.insert(name);
+                    }
+                }
+                samples += 1;
+            }
+            (samples, dispatcher_seen, workers)
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| scope.spawn(move || drive(addr, c)))
+            .collect();
+        // Every client is joined before any failure is raised, so a failed
+        // client still stops the sampler instead of hanging the scope.
+        let finished: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+        clients_done.store(true, Ordering::SeqCst);
+        if let Some(Err(panic)) = finished.into_iter().find(Result::is_err) {
+            std::panic::resume_unwind(panic);
+        }
+        sampler.join().expect("sampler thread")
+    });
     handle.shutdown();
+
+    assert!(
+        dispatcher_seen,
+        "the sampler saw the server's dispatcher ({samples} samples)"
+    );
+    assert!(
+        workers.is_empty(),
+        "served compute started claim-queue workers {workers:?} ({samples} samples)"
+    );
 }

@@ -24,6 +24,9 @@
 //! assert!((s.mean - 1.0).abs() < 0.02);
 //! ```
 
+// The model scheduler's mutex is the crate's only `unsafe`.
+#![cfg_attr(not(feature = "model"), forbid(unsafe_code))]
+
 pub(crate) mod gauss;
 pub(crate) mod histogram;
 pub mod normal;

@@ -36,10 +36,11 @@
 //!
 //! Scheduling is cooperative: a blocked task parks on one condvar shared
 //! with the scheduler, and the handoff spins briefly before parking because
-//! a parked thread's wake-up costs tens of microseconds (see the host costs
-//! in `parallel`'s module docs). Model executions must not call into the
-//! process-wide worker pool (`parallel::par_*`): pool threads are not model
-//! tasks. Models drive the claim-queue protocol directly instead.
+//! waking a parked thread is a thread hop, which adds 7–8 µs of p50 even to
+//! a loopback echo (see the host costs in `parallel`'s module docs). Model
+//! executions must not call `parallel::par_*`: the claim queue's scoped
+//! workers are plain threads, not model tasks. Models drive the
+//! claim-queue protocol directly instead.
 
 use crate::parallel::JobPanic;
 use std::cell::{Cell, RefCell};
@@ -353,7 +354,7 @@ impl Execution {
 
     /// Parks until this task is the active one again. Spins briefly first:
     /// the handing-off task sets `active` within microseconds, while waking
-    /// a parked thread costs tens of microseconds (see the host costs in
+    /// a parked thread costs a thread hop (see the host costs in
     /// `parallel`'s module docs).
     fn wait_active<'a>(
         &'a self,

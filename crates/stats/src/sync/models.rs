@@ -20,8 +20,8 @@ use std::sync::Arc;
 const LANES: usize = 2;
 
 /// No job is lost or duplicated through the claim queue: with workers and
-/// the caller racing `worker_claim`/`caller_claim`, every index in
-/// `0..len` is executed exactly once.
+/// the caller racing `claim`, every index in `0..len` is executed exactly
+/// once.
 fn claim_queue_no_loss_no_dup() {
     const LEN: usize = 6;
     let queue = Arc::new(ClaimQueue::new(LEN, 2));
@@ -31,16 +31,15 @@ fn claim_queue_no_loss_no_dup() {
             let queue = queue.clone();
             let hits = hits.clone();
             thread::spawn(move || {
-                while let Some(claim) = queue.worker_claim() {
+                while let Some(claim) = queue.claim() {
                     for i in claim {
                         hits[i].fetch_add(1, Ordering::SeqCst);
                     }
-                    queue.worker_done();
                 }
             })
         })
         .collect();
-    while let Some(claim) = queue.caller_claim() {
+    while let Some(claim) = queue.claim() {
         for i in claim {
             hits[i].fetch_add(1, Ordering::SeqCst);
         }
@@ -48,7 +47,6 @@ fn claim_queue_no_loss_no_dup() {
     for w in workers {
         w.join().expect("worker exits");
     }
-    assert_eq!(queue.active_claims(), 0, "all claims returned");
     for (i, h) in hits.iter().enumerate() {
         assert_eq!(h.load(Ordering::SeqCst), 1, "job {i} must run exactly once");
     }
@@ -70,7 +68,7 @@ fn claim_queue_panic_containment() {
                 let executed = executed.clone();
                 let panic_slot = panic_slot.clone();
                 thread::spawn(move || {
-                    while let Some(claim) = queue.worker_claim() {
+                    while let Some(claim) = queue.claim() {
                         for i in claim {
                             // Batch 0: every worker-claimed job faults.
                             if batch == 0 {
@@ -81,12 +79,11 @@ fn claim_queue_panic_containment() {
                             }
                             executed.fetch_add(1, Ordering::SeqCst);
                         }
-                        queue.worker_done();
                     }
                 })
             })
             .collect();
-        while let Some(claim) = queue.caller_claim() {
+        while let Some(claim) = queue.claim() {
             for _ in claim {
                 executed.fetch_add(1, Ordering::SeqCst);
             }
