@@ -182,10 +182,7 @@ fn per_mille(name: &str, n: u64) -> u16 {
     u16::try_from(n)
         .ok()
         .filter(|&pm| pm <= 1000)
-        .unwrap_or_else(|| {
-            eprintln!("error: {name} is per mille: at most 1000, got {n}");
-            usage()
-        })
+        .unwrap_or_else(|| usage_error(&format!("{name} is per mille: at most 1000, got {n}")))
 }
 
 /// `repro state --state-dir DIR`: offline inspection of a durable-state
@@ -462,6 +459,12 @@ const EXPERIMENTS: [&str; 11] = [
     "vrange",
 ];
 
+/// Prints `error: {msg}`, then the usage text, and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    usage()
+}
+
 /// Prints the usage text and exits 2.
 fn usage() -> ! {
     eprintln!(
@@ -509,27 +512,20 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --samples needs a positive number");
-                        usage()
-                    });
+                    .unwrap_or_else(|| usage_error("--samples needs a positive number"));
             }
             "--seed" => {
                 seed = it
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
+                    .unwrap_or_else(|| usage_error("--seed needs a number"));
             }
             name if EXPERIMENTS.contains(&name) => wanted.push(name.to_string()),
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                usage();
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
     if wanted.is_empty() {
-        eprintln!("error: name an experiment to run");
-        usage();
+        usage_error("name an experiment to run");
     }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);

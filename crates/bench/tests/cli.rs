@@ -41,6 +41,8 @@ fn unknown_flag_exits_2() {
     for args in [["fig2", "--samples", "0"], ["all", "--samples", "0"]] {
         assert_rejected(&args, "--samples needs a positive number");
     }
+    assert_rejected(&["fig2", "--seed"], "--seed needs a number");
+    assert_rejected(&["fig2", "--seed", "x"], "--seed needs a number");
     // Flags alone select no experiment, so nothing would run.
     assert_rejected(&["--samples", "5"], "name an experiment to run");
     assert_rejected(&["--seed", "3"], "name an experiment to run");

@@ -232,10 +232,13 @@ mod tests {
 
     #[test]
     fn fig2_cohorts_of_every_chunk_shape_match_the_scalar_solver() {
-        // 15 instances run only the one-lane tail of the batch walk, 16 one
-        // full chunk, 17 and 33 full chunks and a one-lane tail. Each cohort
-        // goes through the full-window run and the run stopped at BLT's SA
-        // trip, and every trace is checked against the scalar solver's.
+        // The batch walk runs whole 16-lane chunks and pads the rest with
+        // copies of the last instance: 1, 8 (the tail a 600-sample fit
+        // leaves) and 15 instances fill one padded chunk, 16 one whole
+        // chunk, 17 and 33 whole chunks and a padded one. Each cohort goes
+        // through the full-window run and the run stopped at BLT's SA
+        // trip; both return exactly one trace per instance, each checked
+        // against the scalar solver's.
         for scheme in [WlScheme::Wlud { v_wl: 0.55 }, WlScheme::short_boost_140ps()] {
             let s = quick_study(scheme);
             let nodes = s.bench_nodes();
@@ -250,9 +253,11 @@ mod tests {
                 watched.extend([cell.q, cell.qb]);
             }
             watched.extend(nodes.mirror_t.into_iter().chain(nodes.mirror_b));
-            for n in [15, 16, 17, 33] {
+            for n in [1, 8, 15, 16, 17, 33] {
                 let sim = BatchSim::new(&circuits[..n], &opts).unwrap();
                 let (full, cut) = (sim.run(), sim.run_until(Some(trip)));
+                assert_eq!(full.len(), n, "{scheme:?}, {n} instances: full traces");
+                assert_eq!(cut.len(), n, "{scheme:?}, {n} instances: stopped traces");
                 for (j, want) in scalar[..n].iter().enumerate() {
                     assert_eq!(full[j], *want, "{scheme:?}, {n} instances, lane {j}");
                     // The stopped trace is a prefix of the scalar one that

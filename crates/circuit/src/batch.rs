@@ -10,17 +10,23 @@
 //!
 //! [`BatchSim`] compiles the topology **once** and lays the per-instance
 //! state out as contiguous per-field arrays (`voltages[node][instance]`,
-//! `vt[mosfet][instance]`, …). A derivative pass walks the elements once
-//! per 16-lane chunk of instances ([`crate::mc::BATCH_COHORT`], so a full
-//! Monte-Carlo cohort is one chunk). For each MOSFET it loads the chunk's
-//! drain, gate and source voltages as lane arrays, orients the terminals,
-//! evaluates the device kernel ([`bpimc_device::MosParamsLanes::id_g`]:
-//! branch-free `fastmath` arithmetic, each operation across all 16 lanes
-//! before the next, which the compiler turns into four independent vector
-//! chains) and stamps the currents, and the conductances on the
-//! predictor's pass only. Resistors and the capacitance scaling use the
-//! same chunks, and the last `batch % 16` lanes take the same walk one lane
-//! at a time.
+//! `vt[mosfet][instance]`, …) in whole 16-lane chunks of instances
+//! ([`crate::mc::BATCH_COHORT`], so a full Monte-Carlo cohort is one
+//! chunk). A batch that is not a multiple of 16 is padded with copies of
+//! its last instance; the pads never step and yield no trace.
+//!
+//! A derivative pass walks each chunk in three phases, each a loop over
+//! the elements with every operation across the chunk's 16 lanes.
+//! *Orient* loads each MOSFET's drain, gate and source voltages, orients
+//! the terminals and writes its `vgs`, `vds` and current direction, and
+//! each resistor's current. *Kernel* evaluates the device kernel
+//! ([`bpimc_device::MosParamsLanes::id_g`]: branch-free `fastmath`
+//! arithmetic, each operation across all 16 lanes before the next, which
+//! the compiler turns into four independent vector chains) on every
+//! MOSFET. *Stamp* sums each node's currents, and on the predictor's pass
+//! its conductances, in the scalar solver's element order, and scales them
+//! by the node's capacitance. Both passes run the same three loops; the
+//! corrector's skips the conductances.
 //!
 //! **This is a data-layout change, not a numerics change.** Every instance
 //! keeps its own adaptive time step and makes exactly the step decisions
@@ -69,6 +75,10 @@ use crate::CircuitError;
 use bpimc_device::{DeviceKind, MosParams, MosParamsLanes};
 use std::array::from_fn;
 
+/// One chunk's worth of lanes: a value at each of [`BATCH_COHORT`]
+/// instances.
+type Lanes = [f64; BATCH_COHORT];
+
 /// A batch of structurally identical circuits prepared for one
 /// structure-of-arrays transient solve. See the module docs.
 #[derive(Debug)]
@@ -77,18 +87,28 @@ pub struct BatchSim<'a> {
     opts: SimOptions,
     /// Nodes per instance (including ground).
     nodes: usize,
-    /// Per-node capacitance, `[node * batch + j]`; `INFINITY` marks
+    /// Lanes per row of every per-lane array: the batch rounded up to
+    /// whole [`BATCH_COHORT`]-wide chunks. Lanes past the batch are pads,
+    /// copies of the last instance that never step.
+    width: usize,
+    /// Per-node capacitance, `[node * width + j]`; `INFINITY` marks
     /// driven/ground nodes exactly like the scalar solver.
     caps: Vec<f64>,
     /// Whether a node is a state node (same for every instance).
     is_state: Vec<bool>,
     /// Resistor endpoints (shared topology).
     cond_ends: Vec<(usize, usize)>,
-    /// Per-resistor conductance lanes, `[res * batch + j]`.
+    /// Per-resistor conductance lanes, `[res * width + j]`.
     cond_g: Vec<f64>,
     /// MOSFET topology: polarity and drain/gate/source node indices.
     mos_topo: Vec<(DeviceKind, usize, usize, usize)>,
-    /// Per-mosfet parameter lanes, `[mos * batch + j]` each.
+    /// Per node, the current terms the scalar solver adds to it, in its
+    /// element order (resistors, then MOSFETs, each element's first
+    /// terminal before its second): the element, numbered resistors
+    /// first, and whether its current flows into the node (`+=`) or out
+    /// of it (`-=`). Only state nodes read theirs.
+    stamps: Vec<Vec<(usize, bool)>>,
+    /// Per-mosfet parameter lanes, `[mos * width + j]` each.
     vt: Vec<f64>,
     phi: Vec<f64>,
     keff: Vec<f64>,
@@ -96,13 +116,42 @@ pub struct BatchSim<'a> {
     lambda: Vec<f64>,
     sat_frac: Vec<f64>,
     vdsat_min: Vec<f64>,
-    /// Initial voltages, `[node * batch + j]`.
+    /// Initial voltages, `[node * width + j]`.
     v0: Vec<f64>,
-    /// Driven nodes in ascending node order, with one waveform per
-    /// instance.
+    /// Driven nodes in ascending node order, with one waveform per lane.
     driven: Vec<(usize, Vec<&'a Waveform>)>,
     /// Ground nodes (held at 0 V).
     grounds: Vec<usize>,
+}
+
+/// The derivative walk's lane arrays for one chunk: each MOSFET's
+/// oriented biases, written by the orient phase, and each element's
+/// current and conductance, read by the stamp phase.
+/// [`BatchSim::run_until`] allocates them once per run.
+struct Scratch {
+    vgs: Vec<Lanes>,
+    vds: Vec<Lanes>,
+    /// `1.0` where the drain is the high terminal, `-1.0` where the source
+    /// is: the sign of the current in drain-to-source orientation.
+    dir: Vec<Lanes>,
+    /// Per element, resistors first: the current from its first terminal
+    /// to its second (drain to source for a MOSFET).
+    cur: Vec<Lanes>,
+    /// Per element, resistors first: its conductance (`G` passes only).
+    g: Vec<Lanes>,
+}
+
+impl Scratch {
+    fn new(resistors: usize, mosfets: usize) -> Self {
+        let lanes = |n| vec![[0.0; BATCH_COHORT]; n];
+        Self {
+            vgs: lanes(mosfets),
+            vds: lanes(mosfets),
+            dir: lanes(mosfets),
+            cur: lanes(resistors + mosfets),
+            g: lanes(resistors + mosfets),
+        }
+    }
 }
 
 impl<'a> BatchSim<'a> {
@@ -129,18 +178,20 @@ impl<'a> BatchSim<'a> {
         for (idx, c) in circuits.iter().enumerate().skip(1) {
             check_topology(t0, c, idx)?;
         }
-        let batch = circuits.len();
+        let width = circuits.len().next_multiple_of(BATCH_COHORT);
         let nodes = t0.node_count();
+        // Each lane's instance: pads repeat the last one.
+        let lane_insts = || (0..width).map(|j| &circuits[j.min(circuits.len() - 1)]);
 
-        let mut caps = vec![0.0; nodes * batch];
-        let mut v0 = vec![0.0; nodes * batch];
-        for (j, c) in circuits.iter().enumerate() {
+        let mut caps = vec![0.0; nodes * width];
+        let mut v0 = vec![0.0; nodes * width];
+        for (j, c) in lane_insts().enumerate() {
             for (i, k) in c.kinds.iter().enumerate() {
-                caps[i * batch + j] = match k {
+                caps[i * width + j] = match k {
                     NodeKind::State { cap } => *cap,
                     _ => f64::INFINITY,
                 };
-                v0[i * batch + j] = c.v0[i];
+                v0[i * width + j] = c.v0[i];
             }
         }
         let is_state = t0
@@ -151,10 +202,10 @@ impl<'a> BatchSim<'a> {
 
         let cond_ends: Vec<(usize, usize)> =
             t0.resistors.iter().map(|&(a, b, _)| (a.0, b.0)).collect();
-        let mut cond_g = vec![0.0; cond_ends.len() * batch];
-        for (j, c) in circuits.iter().enumerate() {
+        let mut cond_g = vec![0.0; cond_ends.len() * width];
+        for (j, c) in lane_insts().enumerate() {
             for (r, &(_, _, ohms)) in c.resistors.iter().enumerate() {
-                cond_g[r * batch + j] = 1.0 / ohms;
+                cond_g[r * width + j] = 1.0 / ohms;
             }
         }
 
@@ -163,20 +214,20 @@ impl<'a> BatchSim<'a> {
             .iter()
             .map(|m| (m.dev.kind(), m.d.0, m.g.0, m.s.0))
             .collect();
-        let lanes = mos_topo.len() * batch;
+        let len = mos_topo.len() * width;
         let (mut vt, mut phi, mut keff, mut alpha, mut lambda, mut sat_frac, mut vdsat_min) = (
-            vec![0.0; lanes],
-            vec![0.0; lanes],
-            vec![0.0; lanes],
-            vec![0.0; lanes],
-            vec![0.0; lanes],
-            vec![0.0; lanes],
-            vec![0.0; lanes],
+            vec![0.0; len],
+            vec![0.0; len],
+            vec![0.0; len],
+            vec![0.0; len],
+            vec![0.0; len],
+            vec![0.0; len],
+            vec![0.0; len],
         );
-        for (j, c) in circuits.iter().enumerate() {
+        for (j, c) in lane_insts().enumerate() {
             for (m, inst) in c.mosfets.iter().enumerate() {
                 let p = MosParams::compile(&inst.dev, c.env());
-                let at = m * batch + j;
+                let at = m * width + j;
                 vt[at] = p.vt;
                 phi[at] = p.phi;
                 keff[at] = p.keff;
@@ -187,13 +238,20 @@ impl<'a> BatchSim<'a> {
             }
         }
 
+        let mut stamps = vec![Vec::new(); nodes];
+        let ends = cond_ends.iter().copied();
+        let mos_ends = mos_topo.iter().map(|&(_, d, _, s)| (d, s));
+        for (e, (from, to)) in ends.chain(mos_ends).enumerate() {
+            stamps[from].push((e, false));
+            stamps[to].push((e, true));
+        }
+
         let mut driven: Vec<(usize, Vec<&'a Waveform>)> = Vec::new();
         let mut grounds = Vec::new();
         for (i, k) in t0.kinds.iter().enumerate() {
             match k {
                 NodeKind::Driven { .. } => {
-                    let waves = circuits
-                        .iter()
+                    let waves = lane_insts()
                         .map(|c| match &c.kinds[i] {
                             NodeKind::Driven { wave } => wave,
                             _ => unreachable!("topology checked above"),
@@ -210,11 +268,13 @@ impl<'a> BatchSim<'a> {
             insts: circuits,
             opts: *opts,
             nodes,
+            width,
             caps,
             is_state,
             cond_ends,
             cond_g,
             mos_topo,
+            stamps,
             vt,
             phi,
             keff,
@@ -239,11 +299,15 @@ impl<'a> BatchSim<'a> {
     /// element order, same per-instance arithmetic. Without `G`, `gc` keeps
     /// what the last `G` pass wrote.
     ///
-    /// The lanes go in [`BATCH_COHORT`]-wide chunks, each walked once over
-    /// every element; the `batch % BATCH_COHORT` lanes left over take the
-    /// same walk one lane at a time.
-    fn derivatives<const G: bool>(&self, v: &[f64], dvdt: &mut [f64], gc: &mut [f64]) {
-        let b = self.batch();
+    /// Every lane, pads included, goes through one [`BATCH_COHORT`]-wide
+    /// walk of the netlist per chunk ([`BatchSim::walk`]).
+    fn derivatives<const G: bool>(
+        &self,
+        v: &[f64],
+        dvdt: &mut [f64],
+        gc: &mut [f64],
+        scratch: &mut Scratch,
+    ) {
         let mos = MosParamsLanes {
             vt: &self.vt,
             phi: &self.phi,
@@ -253,104 +317,125 @@ impl<'a> BatchSim<'a> {
             sat_frac: &self.sat_frac,
             vdsat_min: &self.vdsat_min,
         };
-        dvdt.fill(0.0);
-        if G {
-            gc.fill(0.0);
-        }
-        let full = b - b % BATCH_COHORT;
-        for j0 in (0..full).step_by(BATCH_COHORT) {
-            self.walk::<BATCH_COHORT, G>(&mos, j0, v, dvdt, gc);
-        }
-        for j0 in full..b {
-            self.walk::<1, G>(&mos, j0, v, dvdt, gc);
+        for j0 in (0..self.width).step_by(BATCH_COHORT) {
+            self.walk::<G>(&mos, j0, v, dvdt, gc, scratch);
         }
     }
 
-    /// [`BatchSim::derivatives`] on lanes `j0..j0 + N`: resistors, then
-    /// MOSFETs (each one's drain before its source), then the
-    /// capacitance scaling, every operation across the `N` lanes at once.
-    fn walk<const N: usize, const G: bool>(
+    /// [`BatchSim::derivatives`] on the chunk of lanes from `j0`: orient,
+    /// kernel and stamp (see the module docs). Each state node's sums
+    /// start from zero and take its terms in the scalar solver's order, so
+    /// every lane adds the same IEEE operations in the same order; every
+    /// other node gets zero.
+    fn walk<const G: bool>(
         &self,
         mos: &MosParamsLanes<'_>,
         j0: usize,
         v: &[f64],
         dvdt: &mut [f64],
         gc: &mut [f64],
+        s: &mut Scratch,
     ) {
-        let b = self.batch();
-        for (r, &(a, bn)) in self.cond_ends.iter().enumerate() {
-            let (a, bn) = (a * b + j0, bn * b + j0);
-            let g: [f64; N] = lanes(&self.cond_g, r * b + j0);
-            let (va, vb) = (lanes::<N>(v, a), lanes::<N>(v, bn));
-            let cur: [f64; N] = from_fn(|j| (va[j] - vb[j]) * g[j]);
-            sub(dvdt, a, &cur);
-            add(dvdt, bn, &cur);
+        let w = self.width;
+        let res = self.cond_ends.len();
+        for (r, (&(a, bn), (cur, g))) in self
+            .cond_ends
+            .iter()
+            .zip(s.cur.iter_mut().zip(&mut s.g))
+            .enumerate()
+        {
+            let gr = lanes(&self.cond_g, r * w + j0);
+            let (va, vb) = (lanes(v, a * w + j0), lanes(v, bn * w + j0));
+            *cur = from_fn(|j| (va[j] - vb[j]) * gr[j]);
             if G {
-                add(gc, a, &g);
-                add(gc, bn, &g);
+                *g = gr;
             }
         }
-        for (m, &(kind, d, gnode, src)) in self.mos_topo.iter().enumerate() {
-            let (d, gnode, src) = (d * b + j0, gnode * b + j0, src * b + j0);
-            let (vd, vg, vs) = (lanes::<N>(v, d), lanes::<N>(v, gnode), lanes::<N>(v, src));
+        let topo = self.mos_topo.iter();
+        for ((&(kind, d, gnode, src), (vgs, vds)), dir) in
+            topo.zip(s.vgs.iter_mut().zip(&mut s.vds)).zip(&mut s.dir)
+        {
+            let (vd, vg, vs) = (
+                lanes(v, d * w + j0),
+                lanes(v, gnode * w + j0),
+                lanes(v, src * w + j0),
+            );
             // Terminal orientation exactly as the scalar solver decides it:
             // `(hi, lo) = if v[d] >= v[s] { (d, s) } else { (s, d) }`.
-            let fwd: [bool; N] = from_fn(|j| vd[j] >= vs[j]);
-            let hi: [f64; N] = from_fn(|j| if fwd[j] { vd[j] } else { vs[j] });
-            let lo: [f64; N] = from_fn(|j| if fwd[j] { vs[j] } else { vd[j] });
-            let vds: [f64; N] = from_fn(|j| hi[j] - lo[j]);
-            let vgs: [f64; N] = match kind {
+            let fwd: [bool; BATCH_COHORT] = from_fn(|j| vd[j] >= vs[j]);
+            let hi: Lanes = from_fn(|j| if fwd[j] { vd[j] } else { vs[j] });
+            let lo: Lanes = from_fn(|j| if fwd[j] { vs[j] } else { vd[j] });
+            *vds = from_fn(|j| hi[j] - lo[j]);
+            *vgs = match kind {
                 DeviceKind::Nmos => from_fn(|j| vg[j] - lo[j]),
                 DeviceKind::Pmos => from_fn(|j| hi[j] - vg[j]),
             };
-            let (id, gds) = mos.id_g::<N, G>(m * b + j0, vgs, vds);
+            *dir = from_fn(|j| if fwd[j] { 1.0 } else { -1.0 });
+        }
+        for (m, ((cur, g), ((vgs, vds), dir))) in s.cur[res..]
+            .iter_mut()
+            .zip(&mut s.g[res..])
+            .zip(s.vgs.iter().zip(&s.vds).zip(&s.dir))
+            .enumerate()
+        {
+            let (id, gds) = mos.id_g::<BATCH_COHORT, G>(m * w + j0, *vgs, *vds);
             // Signed current in drain->source orientation; `x -= -i` and
             // `x += i` are the same IEEE operation, so per-instance results
             // match the scalar solver's hi/lo formulation bit for bit.
-            let cur: [f64; N] = from_fn(|j| id[j] * if fwd[j] { 1.0 } else { -1.0 });
-            sub(dvdt, d, &cur);
-            add(dvdt, src, &cur);
+            *cur = from_fn(|j| id[j] * dir[j]);
             if G {
-                add(gc, d, &gds);
-                add(gc, src, &gds);
+                *g = gds;
             }
         }
-        for (i, &state) in self.is_state.iter().enumerate() {
-            let at = i * b + j0;
-            if state {
-                let cap: [f64; N] = lanes(&self.caps, at);
-                div(dvdt, at, &cap);
+        for (i, (terms, &state)) in self.stamps.iter().zip(&self.is_state).enumerate() {
+            let at = i * w + j0;
+            if !state {
+                *lanes_mut(dvdt, at) = [0.0; BATCH_COHORT];
                 if G {
-                    div(gc, at, &cap);
+                    *lanes_mut(gc, at) = [0.0; BATCH_COHORT];
                 }
-            } else {
-                lanes_mut::<N>(dvdt, at).fill(0.0);
+                continue;
+            }
+            let (mut dv, mut gsum) = ([0.0; BATCH_COHORT], [0.0; BATCH_COHORT]);
+            for &(e, into) in terms {
+                let c = &s.cur[e];
+                dv = if into {
+                    from_fn(|j| dv[j] + c[j])
+                } else {
+                    from_fn(|j| dv[j] - c[j])
+                };
                 if G {
-                    lanes_mut::<N>(gc, at).fill(0.0);
+                    let g = &s.g[e];
+                    gsum = from_fn(|j| gsum[j] + g[j]);
                 }
+            }
+            let cap = lanes(&self.caps, at);
+            *lanes_mut(dvdt, at) = from_fn(|j| dv[j] / cap[j]);
+            if G {
+                *lanes_mut(gc, at) = from_fn(|j| gsum[j] / cap[j]);
             }
         }
     }
 
-    /// Sets instance `j`'s driven and ground nodes for time `t`.
+    /// Sets lane `j`'s driven and ground nodes for time `t`.
     fn apply_sources(&self, j: usize, t: f64, v: &mut [f64]) {
-        let b = self.batch();
+        let w = self.width;
         for (node, waves) in &self.driven {
-            v[node * b + j] = waves[j].at(t);
+            v[node * w + j] = waves[j].at(t);
         }
         for &node in &self.grounds {
-            v[node * b + j] = 0.0;
+            v[node * w + j] = 0.0;
         }
     }
 
-    /// Instance `j`'s fastest driven-node movement across `[t, t + dt]` —
-    /// the scalar solver's `source_slew`, same sampling, same fold order.
+    /// Lane `j`'s fastest driven-node movement across `[t, t + dt]` — the
+    /// scalar solver's `source_slew`, same sampling, same fold order.
     fn source_slew(&self, j: usize, t: f64, dt: f64, v: &[f64]) -> f64 {
-        let b = self.batch();
+        let w = self.width;
         let mut worst = 0.0f64;
         for (node, waves) in &self.driven {
             for q in [0.5, 1.0] {
-                worst = worst.max((waves[j].at(t + q * dt) - v[node * b + j]).abs());
+                worst = worst.max((waves[j].at(t + q * dt) - v[node * w + j]).abs());
             }
         }
         worst
@@ -373,8 +458,7 @@ impl<'a> BatchSim<'a> {
     /// holds the crossing: [`Crossing::time_in`] measures the same time on
     /// it, bit for bit. The cohort loop ends once its slowest lane stops.
     pub fn run_until(&self, stop: Option<Crossing>) -> Vec<Trace> {
-        let b = self.batch();
-        let n = self.nodes;
+        let (b, w, n) = (self.batch(), self.width, self.nodes);
         let opts = &self.opts;
         let dv_max = opts.dv_max;
         let dt_min = opts.dt / f64::from(1u32 << opts.max_depth.min(30));
@@ -382,13 +466,14 @@ impl<'a> BatchSim<'a> {
         let src_dv_max = 2.0 * dv_max;
 
         let mut v = self.v0.clone();
-        for j in 0..b {
+        for j in 0..w {
             self.apply_sources(j, 0.0, &mut v);
         }
-        let mut k1 = vec![0.0; n * b];
-        let mut k2 = vec![0.0; n * b];
-        let mut tmp = vec![0.0; n * b];
-        let mut gc = vec![0.0; n * b];
+        let mut k1 = vec![0.0; n * w];
+        let mut k2 = vec![0.0; n * w];
+        let mut tmp = vec![0.0; n * w];
+        let mut gc = vec![0.0; n * w];
+        let mut scratch = Scratch::new(self.cond_ends.len(), self.mos_topo.len());
         let mut row = vec![0.0; n];
 
         let mut traces: Vec<Trace> = self
@@ -396,45 +481,53 @@ impl<'a> BatchSim<'a> {
             .iter()
             .map(|c| Trace::new(c.names.clone()))
             .collect();
-        let mut t = vec![0.0f64; b];
-        let mut dt_next = vec![opts.dt; b];
-        let mut next_store = vec![opts.store_dt; b];
-        let mut dts = vec![0.0f64; b];
-        let mut active = vec![true; b];
         for (j, tr) in traces.iter_mut().enumerate() {
-            gather_row(&v, b, j, &mut row);
+            gather_row(&v, w, j, &mut row);
             tr.push(0.0, &row);
         }
+        // Per-lane state. Pads are never active: their `dts` stay 0, so
+        // the predictor leaves them where they started.
+        let mut t = vec![0.0f64; w];
+        let mut dt_next = vec![opts.dt; w];
+        let mut next_store = vec![opts.store_dt; b];
+        let mut dts = vec![0.0f64; w];
+        let mut errs = vec![0.0f64; w];
+        let mut active: Vec<bool> = (0..w).map(|j| j < b).collect();
 
         let mut n_active = b;
         while n_active > 0 {
-            self.derivatives::<true>(&v, &mut k1, &mut gc);
-            // Per-instance step sizing — the scalar solver's decisions,
-            // instance by instance.
-            for (j, dt_slot) in dts.iter_mut().enumerate() {
-                if !active[j] {
-                    *dt_slot = 0.0;
-                    continue;
-                }
-                let mut dt_step = dt_next[j].min(opts.t_stop - t[j]);
-                for i in 0..n {
-                    let at = i * b + j;
-                    let denom = k1[at].abs() - dv_max * gc[at];
+            self.derivatives::<true>(&v, &mut k1, &mut gc, &mut scratch);
+            // Per-lane step sizing: the scalar solver's decisions, lane by
+            // lane. The node bound is a `min` over non-NaN values, which
+            // does not depend on order, so it runs node by node across all
+            // lanes.
+            for j in 0..w {
+                dts[j] = dt_next[j].min(opts.t_stop - t[j]);
+            }
+            for (k1, gc) in k1.chunks_exact(w).zip(gc.chunks_exact(w)) {
+                for j in 0..w {
+                    let denom = k1[j].abs() - dv_max * gc[j];
                     if denom > 0.0 {
-                        dt_step = dt_step.min(dv_max / denom);
+                        dts[j] = dts[j].min(dv_max / denom);
                     }
                 }
-                dt_step = dt_step.max(dt_min).min(opts.t_stop - t[j]);
+            }
+            for j in 0..w {
+                if !active[j] {
+                    dts[j] = 0.0;
+                    continue;
+                }
+                let mut dt_step = dts[j].max(dt_min).min(opts.t_stop - t[j]);
                 while dt_step > opts.dt && self.source_slew(j, t[j], dt_step, &v) > src_dv_max {
                     dt_step *= 0.5;
                 }
-                *dt_slot = dt_step;
+                dts[j] = dt_step;
             }
             // Damped predictor for every lane at once (inactive lanes get
             // `dt = 0`, i.e. scratch values that are never read back).
             for i in 0..n {
-                let at = i * b;
-                for j in 0..b {
+                let at = i * w;
+                for j in 0..w {
                     let dt = dts[j];
                     tmp[at + j] = v[at + j] + k1[at + j] * dt / (1.0 + gc[at + j] * dt);
                 }
@@ -444,26 +537,33 @@ impl<'a> BatchSim<'a> {
                     self.apply_sources(j, t[j] + dts[j], &mut tmp);
                 }
             }
-            self.derivatives::<false>(&tmp, &mut k2, &mut gc);
-            // Accept or retry, per instance.
+            self.derivatives::<false>(&tmp, &mut k2, &mut gc, &mut scratch);
+            // Corrector error per lane, node by node across all lanes (a
+            // `max` over non-NaN values, as order-free as the bound).
+            errs.fill(0.0);
+            for ((k1, k2), gc) in k1
+                .chunks_exact(w)
+                .zip(k2.chunks_exact(w))
+                .zip(gc.chunks_exact(w))
+            {
+                for j in 0..w {
+                    if gc[j] * dts[j] <= 1.0 {
+                        errs[j] = errs[j].max((k2[j] - k1[j]).abs() * dts[j] * 0.5);
+                    }
+                }
+            }
+            // Accept or retry, per lane.
             for j in 0..b {
                 if !active[j] {
                     continue;
                 }
-                let dt_step = dts[j];
-                let mut err = 0.0f64;
-                for i in 0..n {
-                    let at = i * b + j;
-                    if gc[at] * dt_step <= 1.0 {
-                        err = err.max((k2[at] - k1[at]).abs() * dt_step * 0.5);
-                    }
-                }
+                let (dt_step, err) = (dts[j], errs[j]);
                 if err > dv_max && dt_step > dt_min * 1.5 {
                     dt_next[j] = (dt_step * 0.5).max(dt_min);
                     continue;
                 }
                 for i in 0..n {
-                    let at = i * b + j;
+                    let at = i * w + j;
                     let r = gc[at] * dt_step;
                     if r > 1.0 {
                         v[at] += k1[at] * dt_step / (1.0 + r);
@@ -475,7 +575,7 @@ impl<'a> BatchSim<'a> {
                 t[j] += dt_step;
                 let mut crossed = false;
                 if t[j] + 1e-18 >= next_store[j] {
-                    gather_row(&v, b, j, &mut row);
+                    gather_row(&v, w, j, &mut row);
                     traces[j].push(t[j], &row);
                     next_store[j] = t[j] + opts.store_dt;
                     crossed = stop.is_some_and(|c| c.ends(&traces[j]));
@@ -489,7 +589,7 @@ impl<'a> BatchSim<'a> {
                     active[j] = false;
                     n_active -= 1;
                     if traces[j].times().last().copied() != Some(t[j]) {
-                        gather_row(&v, b, j, &mut row);
+                        gather_row(&v, w, j, &mut row);
                         traces[j].push(t[j], &row);
                     }
                 }
@@ -499,48 +599,25 @@ impl<'a> BatchSim<'a> {
     }
 }
 
-/// Lanes `at..at + N` of a `[row * batch + lane]` array.
+/// Lanes `at..at + BATCH_COHORT` of a `[row * width + lane]` array.
 #[inline(always)]
-fn lanes<const N: usize>(xs: &[f64], at: usize) -> [f64; N] {
+fn lanes(xs: &[f64], at: usize) -> Lanes {
     *xs[at..].first_chunk().expect("lane range inside the array")
 }
 
-/// Lanes `at..at + N` of a `[row * batch + lane]` array, in place.
+/// Lanes `at..at + BATCH_COHORT` of a `[row * width + lane]` array, in
+/// place.
 #[inline(always)]
-fn lanes_mut<const N: usize>(xs: &mut [f64], at: usize) -> &mut [f64; N] {
+fn lanes_mut(xs: &mut [f64], at: usize) -> &mut Lanes {
     xs[at..]
         .first_chunk_mut()
         .expect("lane range inside the array")
 }
 
-/// `xs[at + j] += ys[j]` at every lane.
-#[inline(always)]
-fn add<const N: usize>(xs: &mut [f64], at: usize, ys: &[f64; N]) {
-    for (x, y) in lanes_mut::<N>(xs, at).iter_mut().zip(ys) {
-        *x += y;
-    }
-}
-
-/// `xs[at + j] -= ys[j]` at every lane.
-#[inline(always)]
-fn sub<const N: usize>(xs: &mut [f64], at: usize, ys: &[f64; N]) {
-    for (x, y) in lanes_mut::<N>(xs, at).iter_mut().zip(ys) {
-        *x -= y;
-    }
-}
-
-/// `xs[at + j] /= ys[j]` at every lane.
-#[inline(always)]
-fn div<const N: usize>(xs: &mut [f64], at: usize, ys: &[f64; N]) {
-    for (x, y) in lanes_mut::<N>(xs, at).iter_mut().zip(ys) {
-        *x /= y;
-    }
-}
-
-/// Copies instance `j`'s voltages out of the SoA layout.
-fn gather_row(v: &[f64], b: usize, j: usize, row: &mut [f64]) {
+/// Copies lane `j`'s voltages out of the SoA layout of row width `w`.
+fn gather_row(v: &[f64], w: usize, j: usize, row: &mut [f64]) {
     for (i, slot) in row.iter_mut().enumerate() {
-        *slot = v[i * b + j];
+        *slot = v[i * w + j];
     }
 }
 

@@ -68,8 +68,10 @@ where
 /// How many Monte-Carlo samples one [`BatchSim`] cohort carries in
 /// [`montecarlo_batch`].
 ///
-/// It is also the chunk width of [`BatchSim`]'s derivative pass, so a full
-/// cohort is one walk over the netlist: 16 lanes keep four independent
+/// It is also the chunk width of [`BatchSim`]'s derivative pass, which
+/// lays every batch out in whole chunks (a batch's last chunk padded with
+/// copies of its last instance), so a full cohort is one walk over the
+/// netlist and a short one costs the same: 16 lanes keep four independent
 /// 4-wide vector chains in flight per kernel operation. On a 2-vCPU
 /// AVX-512 host a 2,000-sample fig2 run took about a third less time in
 /// 16-lane chunks than with the per-device slice loops they replaced, and
@@ -89,7 +91,9 @@ pub const BATCH_COHORT: usize = 16;
 /// its result. Cohorts of [`BATCH_COHORT`] samples are solved together and
 /// spread across the host's cores on the claim queue
 /// (`bpimc_stats::parallel`), each cohort carrying multiple milliseconds
-/// of simulation.
+/// of simulation. When `n` is not a multiple of [`BATCH_COHORT`], the last
+/// cohort is short; [`BatchSim`] pads it to a whole chunk, and its pad
+/// lanes yield no trace, so `measure` sees exactly `n` samples.
 ///
 /// With `stop` given, each sample's trace ends right after the first
 /// stored row completing that crossing (`BatchSim::run_until`); it is a

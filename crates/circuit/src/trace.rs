@@ -41,7 +41,10 @@ impl Crossing {
         if trace.times[k - 1] < self.t_from {
             return false;
         }
-        let (vp, v) = (trace.volts[k - 1][self.node.0], trace.volts[k][self.node.0]);
+        let (vp, v) = (
+            trace.voltage_at_index(self.node, k - 1),
+            trace.voltage_at_index(self.node, k),
+        );
         match self.edge {
             Edge::Rising => vp < self.level && v >= self.level,
             Edge::Falling => vp > self.level && v <= self.level,
@@ -69,7 +72,10 @@ impl Crossing {
             });
         };
         let (tp, t) = (trace.times[k - 1], trace.times[k]);
-        let (vp, v) = (trace.volts[k - 1][self.node.0], trace.volts[k][self.node.0]);
+        let (vp, v) = (
+            trace.voltage_at_index(self.node, k - 1),
+            trace.voltage_at_index(self.node, k),
+        );
         let frac = if (v - vp).abs() < 1e-18 {
             0.0
         } else {
@@ -87,8 +93,9 @@ impl Crossing {
 pub struct Trace {
     names: Vec<String>,
     times: Vec<f64>,
-    /// `volts[k]` is the snapshot at `times[k]` (node-indexed).
-    volts: Vec<Vec<f64>>,
+    /// The snapshots, row-major: row `k` holds every node's voltage at
+    /// `times[k]`, node-indexed, at `volts[k * names.len()..]`.
+    volts: Vec<f64>,
 }
 
 impl Trace {
@@ -100,9 +107,20 @@ impl Trace {
         }
     }
 
+    /// Stores the snapshot `v` (one voltage per node) at time `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` does not hold exactly one voltage per node: the rows
+    /// share one flat array, so a short row would shift every later one.
     pub(crate) fn push(&mut self, t: f64, v: &[f64]) {
+        assert_eq!(
+            v.len(),
+            self.names.len(),
+            "a trace row holds one voltage per node"
+        );
         self.times.push(t);
-        self.volts.push(v.to_vec());
+        self.volts.extend_from_slice(v);
     }
 
     /// Number of stored time points.
@@ -122,7 +140,7 @@ impl Trace {
 
     /// The node voltage at stored index `k`.
     pub fn voltage_at_index(&self, node: NodeId, k: usize) -> f64 {
-        self.volts[k][node.0]
+        self.volts[k * self.names.len() + node.0]
     }
 
     /// The final voltage of `node`.
@@ -131,7 +149,8 @@ impl Trace {
     ///
     /// Panics if the trace is empty.
     pub fn last_voltage(&self, node: NodeId) -> f64 {
-        self.volts.last().expect("trace has samples")[node.0]
+        let k = self.len().checked_sub(1).expect("trace has samples");
+        self.voltage_at_index(node, k)
     }
 
     /// Linearly interpolated voltage of `node` at time `t`, or `None` if `t`
@@ -142,15 +161,15 @@ impl Trace {
         }
         let idx = self.times.partition_point(|&x| x < t);
         if idx == 0 {
-            return Some(self.volts[0][node.0]);
+            return Some(self.voltage_at_index(node, 0));
         }
         let (t0, t1) = (
             self.times[idx - 1],
             self.times[idx.min(self.times.len() - 1)],
         );
         let (v0, v1) = (
-            self.volts[idx - 1][node.0],
-            self.volts[idx.min(self.times.len() - 1)][node.0],
+            self.voltage_at_index(node, idx - 1),
+            self.voltage_at_index(node, idx.min(self.times.len() - 1)),
         );
         if t1 <= t0 {
             return Some(v1);
@@ -203,7 +222,7 @@ impl Trace {
         let mut acc = init;
         for (k, &t) in self.times.iter().enumerate() {
             if t >= t_from && t <= t_to {
-                acc = f(acc, self.volts[k][node.0]);
+                acc = f(acc, self.voltage_at_index(node, k));
             }
         }
         acc
@@ -252,6 +271,13 @@ mod tests {
         let (tr, x) = ramp_trace();
         // Starting the search after the crossing point finds nothing.
         assert!(tr.cross_time(x, 0.45, Edge::Rising, 5e-9).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "one voltage per node")]
+    fn a_short_row_is_refused() {
+        let (mut tr, _) = ramp_trace();
+        tr.push(11e-9, &[0.0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for waveforms and the transient solver — including the
 //! structure-of-arrays batch engine's bit-identity with the scalar path.
 
-use bpimc_circuit::{BatchSim, Circuit, SimOptions, Waveform};
+use bpimc_circuit::{BatchSim, Circuit, Crossing, Edge, SimOptions, Waveform};
 use bpimc_device::{Corner, Env, Mosfet, VtFlavor};
 use proptest::prelude::*;
 
@@ -98,9 +98,12 @@ proptest! {
 
     /// The batch engine reproduces the scalar solver bit for bit — every
     /// stored time point and voltage — across process corners, supplies,
-    /// mismatch draws and batch sizes: 1–40 instances reach zero, one and
-    /// two full 16-lane chunks of the batch walk, each with and without
-    /// the one-lane tail a non-multiple of 16 leaves.
+    /// mismatch draws and batch sizes: 1–40 instances fill one, two or
+    /// three 16-lane chunks, whole or padded with copies of the last
+    /// instance. Each run returns exactly one trace per instance, so a pad
+    /// that stepped or leaked a trace would show; the run stopped at the
+    /// bit line's half-swing crossing returns prefixes of the scalar
+    /// traces that measure the same crossing time.
     #[test]
     fn batch_is_bit_identical_across_corners_and_cohort_sizes(
         corner_ix in 0usize..5,
@@ -112,15 +115,23 @@ proptest! {
             .iter()
             .map(|&(dn, dp, t0)| contended_node(corner, vdd, dn, dp, t0).0)
             .collect();
+        let (_, bl) = contended_node(corner, vdd, 0.0, 0.0, 100e-12);
+        let stop = Crossing { node: bl, level: 0.5 * vdd, edge: Edge::Falling, t_from: 0.0 };
         let opts = SimOptions::for_window(1.5e-9);
-        let traces = BatchSim::new(&circuits, &opts).unwrap().run();
-        for (c, tr) in circuits.iter().zip(&traces) {
+        let sim = BatchSim::new(&circuits, &opts).unwrap();
+        let (traces, cut) = (sim.run(), sim.run_until(Some(stop)));
+        prop_assert_eq!(traces.len(), circuits.len());
+        prop_assert_eq!(cut.len(), circuits.len());
+        for ((c, tr), cut) in circuits.iter().zip(&traces).zip(&cut) {
             let scalar = c.run(&opts);
             prop_assert_eq!(tr.times().len(), scalar.times().len());
             for (a, b) in tr.times().iter().zip(scalar.times()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
             prop_assert_eq!(tr, &scalar);
+            prop_assert_eq!(cut.times(), &scalar.times()[..cut.len()]);
+            let (tc, ts) = (stop.time_in(cut), stop.time_in(&scalar));
+            prop_assert_eq!(tc.map(f64::to_bits).ok(), ts.map(f64::to_bits).ok());
         }
     }
 
